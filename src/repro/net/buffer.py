@@ -28,7 +28,45 @@ keeps a zero-background hybrid run byte-identical to pure-packet mode.
 
 from __future__ import annotations
 
-from typing import Dict
+import heapq
+from typing import Dict, List
+
+
+class Departures:
+    """Admitted packets in finish-time order (equal times: push order);
+    :meth:`settle` applies those due by now through their port's
+    ``_depart``.  One queue per shared buffer, so a settle is O(log
+    pending) per departure whatever the port count (DESIGN.md §10)."""
+
+    def __init__(self, sim=None) -> None:
+        self.sim = sim  # a pool's queue gets its clock from its first port
+        self._heap: List[tuple] = []
+        self._seq = 0
+        self._settling = False
+
+    def push(self, finish, start, port, packet, nbytes) -> None:
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (finish, self._seq, start, port, packet, nbytes))
+
+    def settle(self) -> None:
+        heap = self._heap
+        if not heap or heap[0][0] > self.sim.now or self._settling:
+            return  # nothing due, or re-entered from a departure hook
+        now = self.sim.now
+        self._settling = True
+        try:
+            while heap and heap[0][0] <= now:
+                finish, _seq, _start, port, packet, nbytes = heapq.heappop(heap)
+                port._depart(packet, nbytes, finish)
+        finally:
+            self._settling = False
+
+    def waiting(self, port) -> List[int]:
+        """Sizes of ``port``'s packets not yet in serialization (a scan)."""
+        self.settle()
+        return [e[5] for e in self._heap
+                if e[3] is port and e[2] > self.sim.now]
 
 
 class SharedBuffer:
@@ -41,7 +79,9 @@ class SharedBuffer:
             raise ValueError("DT alpha must be positive")
         self.capacity = capacity_bytes
         self.dt_alpha = dt_alpha
-        self.used = 0
+        self._used = 0
+        #: This pool's ports' settle queue: readers settle, mutators do not.
+        self.departures = Departures()
         #: High-water mark of total occupancy, packet + fluid overlay
         #: (telemetry; never read by the DT admission math).
         self.peak_used = 0
@@ -53,11 +93,17 @@ class SharedBuffer:
         self.overlay_total = 0
 
     # ------------------------------------------------------------------
+    @property
+    def used(self) -> int:
+        self.departures.settle()
+        return self._used
+
     def register_queue(self, queue_id: int) -> None:
         self._queues.setdefault(queue_id, 0)
 
     def queue_bytes(self, queue_id: int) -> int:
         """Packet-tier bytes queued for ``queue_id`` (overlay excluded)."""
+        self.departures.settle()
         return self._queues.get(queue_id, 0)
 
     def occupancy(self, queue_id: int) -> int:
@@ -67,6 +113,7 @@ class SharedBuffer:
         signal should use — it is what a real shared-memory switch's
         queue-depth register would show with the background load present.
         """
+        self.departures.settle()
         return self._queues.get(queue_id, 0) + self._overlay.get(queue_id, 0)
 
     def overlay_bytes(self, queue_id: int) -> int:
@@ -79,6 +126,7 @@ class SharedBuffer:
     def queued_total(self) -> int:
         """Sum of all per-queue occupancies (the sanitizer audits this
         against ``used``; they are equal unless accounting leaked)."""
+        self.departures.settle()
         return sum(self._queues.values())
 
     def threshold(self) -> float:
@@ -94,13 +142,12 @@ class SharedBuffer:
         dynamic threshold, matching the classic DT formulation.
         """
         occupancy = self._queues.setdefault(queue_id, 0)
-        if nbytes > self.free:
-            return False
-        if occupancy + nbytes > self.threshold():
+        free = self.capacity - self._used - self.overlay_total
+        if nbytes > free or occupancy + nbytes > self.dt_alpha * free:
             return False
         self._queues[queue_id] = occupancy + nbytes
-        self.used += nbytes
-        total = self.used + self.overlay_total
+        self._used += nbytes
+        total = self._used + self.overlay_total
         if total > self.peak_used:
             self.peak_used = total
         return True
@@ -113,7 +160,7 @@ class SharedBuffer:
                 f"queue {queue_id} releasing {nbytes} B but holds {occupancy} B"
             )
         self._queues[queue_id] = occupancy - nbytes
-        self.used -= nbytes
+        self._used -= nbytes
 
     # ------------------------------------------------------------------
     # Fluid-tier occupancy composition (see module docstring)

@@ -133,13 +133,13 @@ class Host:
             raise RuntimeError(f"{self.name}: NIC not attached")
         self.tx_packets += 1
         self.tx_bytes += packet.size
+        when = None
         if self.tx_jitter > 0:
-            when = max(self.sim.now + self._jitter_rng.uniform(0, self.tx_jitter),
-                       self._egress_clock)
-            self._egress_clock = when
-            self.sim.schedule_at(when, self.nic.enqueue, packet)
-        else:
-            self.nic.enqueue(packet)
+            when = self._egress_clock = max(
+                self.sim.now + self._jitter_rng.uniform(0, self.tx_jitter),
+                self._egress_clock)
+        # The NIC takes the jittered arrival time; there is no event for it.
+        self.nic.enqueue(packet, when)
 
     def receive(self, packet: Packet) -> None:
         """Ingress from the wire."""

@@ -2,8 +2,10 @@
 
 The wire model is store-and-forward: a transmit port serializes one packet
 at a time at the link rate, then the packet propagates for a fixed delay
-and is delivered to the device on the far end.  Queueing happens in front
-of the serializer and its policy differs by device:
+and is delivered to the device on the far end.  A fixed-rate FIFO knows a
+packet's finish time on admission, so a hop is one calendar event; what
+happens at the finish instant is settled lazily, before anything reads it
+(DESIGN.md §10).  Queueing policy differs by device:
 
 * hosts get an unbounded FIFO (``HostTxPort``) — the testbed's hosts are
   window-limited by TCP and never drop on transmit;
@@ -17,12 +19,11 @@ for the paper's "loss rate (by collecting switch counters)".
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..analysis import sanitize
 from ..sim.engine import Simulator
-from .buffer import SharedBuffer
+from .buffer import Departures, SharedBuffer
 from .packet import Packet
 from .red import EcnMarker
 
@@ -55,9 +56,9 @@ class PortStats:
 
 
 class TxPort:
-    """Base transmit port: FIFO + serializer + propagation.
+    """Base transmit port: FIFO at a fixed rate, then propagation.
 
-    Subclasses override :meth:`_admit` / :meth:`_release` to implement a
+    Subclasses override :meth:`_admit` / :meth:`_depart` to implement a
     buffering policy.  ``rate_bps`` of 0 means an infinitely fast port
     (useful in unit tests).
     """
@@ -71,67 +72,65 @@ class TxPort:
         self.delay_s = delay_s
         self.peer = peer
         self.name = name
-        self.stats = PortStats()
-        self._queue: Deque[Packet] = deque()
-        self._queue_bytes = 0
-        self._busy = False
+        self._stats = PortStats()
+        #: When the serializer finishes the last packet admitted so far.
+        self._free_at = 0.0
+        #: Settle queue; the ports of one shared buffer share theirs.
+        self._departures = Departures(sim)
 
     # -- policy hooks ---------------------------------------------------
-    def _admit(self, packet: Packet) -> bool:
+    def _admit(self, packet: Packet, nbytes: int) -> bool:
         """Decide whether the packet may join the queue."""
         return True
 
-    def _release(self, packet: Packet) -> None:
-        """Return buffer resources when the packet leaves the queue."""
+    def _serialization_time(self, nbytes: int) -> float:
+        return nbytes * 8.0 / self.rate_bps if self.rate_bps else 0.0
+
+    def _depart(self, packet: Packet, nbytes: int, finish: float) -> None:
+        """What happens at the instant ``finish`` (run by the settle)."""
+        stats = self._stats
+        stats.tx_packets += 1
+        stats.tx_bytes += nbytes
 
     # -- public API -------------------------------------------------------
     @property
+    def stats(self) -> PortStats:
+        self._departures.settle()
+        return self._stats
+
+    @property
     def queue_bytes(self) -> int:
-        return self._queue_bytes
+        """Bytes admitted whose serialization has not begun."""
+        return sum(self._departures.waiting(self))
 
     @property
     def queue_packets(self) -> int:
-        return len(self._queue)
+        return len(self._departures.waiting(self))
 
     def connect(self, peer: Device) -> None:
         self.peer = peer
 
-    def enqueue(self, packet: Packet) -> bool:
-        """Offer a packet; returns False (and counts a drop) if rejected."""
-        if not self._admit(packet):
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size
+    def enqueue(self, packet: Packet, when: Optional[float] = None) -> bool:
+        """Offer a packet arriving at ``when`` (default: now); returns
+        False (and counts a drop) if rejected.  One event if admitted."""
+        nbytes = packet.size  # read once: the port releases what it admitted
+        if not self._admit(packet, nbytes):
+            self._stats.dropped_packets += 1
+            self._stats.dropped_bytes += nbytes
             return False
-        self._queue.append(packet)
-        self._queue_bytes += packet.size
-        if not self._busy:
-            self._start_next()
+        start = self.sim.now if when is None else when
+        if start < self._free_at:
+            start = self._free_at
+        finish = self._free_at = start + self._serialization_time(nbytes)
+        self._departures.push(finish, start, self, packet, nbytes)
+        if self.peer is not None:
+            self.sim.schedule_at(finish + self.delay_s, self._deliver, packet)
         return True
 
-    # -- internals --------------------------------------------------------
-    def _serialization_time(self, packet: Packet) -> float:
-        if self.rate_bps == 0:
-            return 0.0
-        return packet.size * 8.0 / self.rate_bps
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet = self._queue.popleft()
-        self._queue_bytes -= packet.size
-        self.sim.schedule(self._serialization_time(packet), self._finish, packet)
-
-    def _finish(self, packet: Packet) -> None:
-        # Buffer memory is held until the packet has left the wire,
-        # as in a real store-and-forward switch.
-        self._release(packet)
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size
-        if self.peer is not None:
-            self.sim.schedule(self.delay_s, self.peer.receive, packet)
-        self._start_next()
+    def _deliver(self, packet: Packet) -> None:
+        # Settle first: the packet carries its own departure's INT record.
+        self._departures.settle()
+        self.peer.receive(packet)
 
 
 class HostTxPort(TxPort):
@@ -159,6 +158,8 @@ class SwitchTxPort(TxPort):
                  queue_id: int, peer: Optional[Device] = None,
                  name: str = "swport"):
         super().__init__(sim, rate_bps, delay_s, peer, name)
+        self._departures = shared.departures
+        shared.departures.sim = sim
         self.shared = shared
         self.marker = marker
         self.queue_id = queue_id
@@ -190,38 +191,34 @@ class SwitchTxPort(TxPort):
         """Install the INT hop stamper for this port (see repro.obs.int)."""
         self._int = stamper
 
-    def _serialization_time(self, packet: Packet) -> float:
-        seconds = super()._serialization_time(packet)
+    def _serialization_time(self, nbytes: int) -> float:
+        seconds = TxPort._serialization_time(self, nbytes)
         fluid = self._fluid
         if fluid is not None:
+            # Sampled when the packet is offered (DESIGN.md §15).
             seconds *= fluid.service_inflation()
         return seconds
 
-    def _admit(self, packet: Packet) -> bool:
+    def _admit(self, packet: Packet, nbytes: int) -> bool:
+        # occupancy() settles what is due by now: before the audit's offer.
+        qb = self.shared.occupancy(self.queue_id)
         acct = self._accounting
         if acct is not None:
-            acct.on_offer(packet.size)
+            acct.on_offer(nbytes)
         obs = self._obs
-        qb = self.shared.occupancy(self.queue_id)
         decision = self.marker.decide(packet, qb)
-        if decision.drop:
-            if acct is not None:
-                acct.on_drop(packet.size)
-            if obs is not None:
-                obs.on_enqueue(qb, False, False)
-            return False
-        if not self.shared.try_admit(self.queue_id, packet.size):
+        if decision.drop or not self.shared.try_admit(self.queue_id, nbytes):
             # A mark-then-drop packet must not count as marked nor carry a
             # CE stamp it never took onto the wire, so the verdict is
             # committed only after shared-buffer admission succeeds.
             if acct is not None:
-                acct.on_drop(packet.size)
+                acct.on_drop(nbytes)
             if obs is not None:
                 obs.on_enqueue(qb, False, False)
             return False
         if decision.marked:
             self.marker.commit_mark(packet)
-            self.stats.marked_packets += 1
+            self._stats.marked_packets += 1
         if acct is not None:
             acct.check(self.shared, self.sim)
         if obs is not None:
@@ -231,13 +228,17 @@ class SwitchTxPort(TxPort):
             stamper.on_enqueue(packet, qb)
         return True
 
-    def _release(self, packet: Packet) -> None:
-        self.shared.release(self.queue_id, packet.size)
+    def _depart(self, packet: Packet, nbytes: int, finish: float) -> None:
+        # Buffer memory is held until the packet has left the wire, as in
+        # a real store-and-forward switch.
+        self.shared.release(self.queue_id, nbytes)
         stamper = self._int
         if stamper is not None:
-            # Stamp at departure (the hop record's residence time covers
-            # queueing + serialization); tx counters update after this.
-            stamper.on_depart(packet)
-        if self._accounting is not None:
-            self._accounting.on_release(packet.size)
-            self._accounting.check(self.shared, self.sim)
+            # The hop record's residence time covers queueing +
+            # serialization; tx counters update after this.
+            stamper.on_depart(packet, finish)
+        acct = self._accounting
+        if acct is not None:
+            acct.on_release(nbytes)
+            acct.check(self.shared, self.sim)
+        TxPort._depart(self, packet, nbytes, finish)

@@ -89,11 +89,12 @@ class IntStamper:
     """Per-port hop metadata source (held by ``SwitchTxPort._int``).
 
     ``on_enqueue`` fires on shared-buffer admission (the occupancy the
-    packet actually joined behind); ``on_depart`` fires when the packet
-    leaves the wire-side of the port and appends the hop record, so the
-    residence time covers queueing *and* serialization.  ``tx_bytes``
-    is read before the departing packet is counted (the port updates
-    its counters after releasing buffer memory).
+    packet actually joined behind); ``on_depart`` is told the instant
+    ``now`` at which the packet left the wire-side of the port (the port
+    settles departures lazily, so the clock may have moved on) and
+    appends the hop record, so the residence time covers queueing *and*
+    serialization.  ``tx_bytes`` is read before the departing packet is
+    counted (the port updates its counters after releasing buffer memory).
     """
 
     __slots__ = ("sim", "port", "hop_id", "max_hops", "ewma_alpha",
@@ -126,11 +127,10 @@ class IntStamper:
         self.q_ewma += alpha * (queue_bytes - self.q_ewma)
         self._pending[packet.pid] = (self.sim.now, queue_bytes)
 
-    def on_depart(self, packet) -> None:
+    def on_depart(self, packet, now: float) -> None:
         pending = self._pending.pop(packet.pid, None)
         if pending is None:
             return  # admitted before the stamper was attached
-        now = self.sim.now
         admitted_at, q_inst = pending
         rate = self.port.rate_bps
         serialization = packet.size * 8.0 / rate if rate > 0 else 0.0

@@ -13,7 +13,7 @@ Design notes
   nanosecond resolution the paper's testbed could observe.
 * The heap stores ``(time, sequence, Event)`` tuples so ordering is
   resolved by C-level tuple comparison (a hot path: a 10 G link moves
-  ~10^5 packets per simulated second and each takes several events).
+  ~10^5 packets per simulated second, one event per packet per hop).
   Events scheduled for the same instant fire in insertion order, making
   runs fully deterministic for a fixed seed.
 * Cancellation is O(1): an :class:`Event` is flagged dead and skipped when
@@ -97,8 +97,8 @@ class PeriodicSource:
     """Fixed-interval batch event source.
 
     One calendar event per tick regardless of how much work the callback
-    batches behind it — the packet tier pays several events per packet
-    per hop, while a periodic source amortizes an entire tier's timestep
+    batches behind it — the packet tier pays one event per packet per
+    hop, while a periodic source amortizes an entire tier's timestep
     (e.g. every fluid background flow in ``repro.fluid``) into a single
     pop.  Tick times are computed from the start time and tick count
     (``start + n*interval``), not by accumulating ``now + interval``, so
@@ -210,10 +210,24 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
+        """Run ``fn(*args)`` in ``delay`` s (schedule_at's body, one frame)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        time = self.now + delay
+        free = self._free
+        event = free.pop() if free else Event.__new__(Event)
+        event.time = time
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
+        event._sim = self
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, event))
+        cancelled = self._cancelled_pending
+        if (cancelled >= COMPACT_MIN_CANCELLED
+                and cancelled >= COMPACT_FRACTION * len(self._heap)):
+            self._compact()
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
@@ -222,15 +236,12 @@ class Simulator:
                 f"cannot schedule at {time!r}, clock is already at {self.now!r}"
             )
         free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._sim = self
-        else:
-            event = Event(time, fn, args, self)
+        event = free.pop() if free else Event.__new__(Event)
+        event.time = time
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
+        event._sim = self
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, event))
         cancelled = self._cancelled_pending
@@ -315,9 +326,11 @@ class Simulator:
                         f"event surfaced at {time!r} behind the clock "
                         f"{self.now!r} (mutated Event.time?)")
                 self.now = time
+                # Out of the heap: a cancel() from its own callback must
+                # not count as a buried corpse.
+                event._sim = None
                 event.fn(*event.args)
                 processed += 1
-                event._sim = None
                 if (len(freelist) < FREELIST_MAX
                         and getrefcount(event) == _ONLY_ENGINE_REFS):
                     event.fn = _noop
@@ -345,9 +358,9 @@ class Simulator:
                     f"event surfaced at {time!r} behind the clock "
                     f"{self.now!r} (mutated Event.time?)")
             self.now = time
+            event._sim = None
             event.fn(*event.args)
             self.events_processed += 1
-            event._sim = None
             return True
         return False
 
@@ -362,7 +375,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _t, _s, e in self._heap if not e.cancelled)
+        return len(self._heap) - self._cancelled_pending
 
     def clear(self) -> None:
         """Drop every pending event (used between experiment repetitions)."""

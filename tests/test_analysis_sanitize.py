@@ -300,7 +300,7 @@ class TestPortAccounting:
         acct = PortAccounting("sw:1", 1)
         acct.on_offer(1500)
         shared.try_admit(1, 1500)
-        shared.used += 7  # corrupt the pool ledger
+        shared._used += 7  # corrupt the pool ledger
         with pytest.raises(InvariantViolation):
             acct.check(shared, sim)
 

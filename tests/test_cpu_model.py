@@ -32,6 +32,33 @@ def test_ops_counter_reset():
     ops.reset()
     assert ops.total() == 0
     assert ops.packets_egress == 0
+    ops.record("forward")  # re-seeded, not emptied: still a known op
+    assert ops.snapshot() == {"forward": 1}
+
+
+def test_snapshot_drops_ops_that_never_happened():
+    ops = OpsCounter()
+    assert ops.snapshot() == {}
+    assert set(ops.counts) == set(OPS)
+    ops.record("cc_update", 2)
+    assert ops.snapshot() == {"cc_update": 2}
+
+
+def test_every_recorded_op_literal_is_known():
+    """``record`` no longer tests membership per call, so the typo check
+    for the datapath's own call sites happens here, over the source."""
+    import pathlib
+    import re
+    import repro
+    root = pathlib.Path(repro.__file__).parent
+    literal = re.compile(r"""\.record\(\s*["']([A-Za-z_]+)["']""")
+    found = {}
+    for sub in ("core", "guard"):
+        for path in sorted((root / sub).rglob("*.py")):
+            for op in literal.findall(path.read_text(encoding="utf-8")):
+                found.setdefault(op, path.name)
+    assert len(found) > 10  # the scan sees acdc.py's call sites
+    assert not {op: f for op, f in found.items() if op not in OPS}
 
 
 def test_every_op_has_a_cost():

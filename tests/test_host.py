@@ -33,8 +33,8 @@ def test_jitter_preserves_host_fifo_order(sim):
     order = []
 
     class Recorder:
-        def enqueue(self, pkt):
-            order.append((sim.now, pkt.pid))
+        def enqueue(self, pkt, when=None):
+            order.append((when, pkt.pid))  # the jittered arrival time
             return True
 
     host.nic = Recorder()
@@ -54,7 +54,8 @@ def test_zero_jitter_is_synchronous(sim):
     got = []
 
     class Recorder:
-        def enqueue(self, pkt):
+        def enqueue(self, pkt, when=None):
+            assert when is None  # no jitter: the packet arrives now
             got.append(pkt)
             return True
 

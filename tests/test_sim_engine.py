@@ -140,6 +140,30 @@ def test_clear_drops_everything(sim):
     assert sim.events_processed == 0
 
 
+def test_pending_is_exact_under_cancels(sim):
+    """``pending()`` is ``len(heap) - corpses``: it must agree with a scan
+    through cancels, double cancels, cancels of fired events and an event
+    cancelling itself from its own callback (with ``run`` and ``step``)."""
+    def scan():
+        return sum(1 for _t, _s, e in sim._heap if not e.cancelled)
+
+    handles = {}
+    handles["self"] = sim.schedule(0.1, lambda: handles["self"].cancel())
+    handles["step"] = sim.schedule(0.2, lambda: handles["step"].cancel())
+    doomed = [sim.schedule(0.5 + i, lambda: None) for i in range(3)]
+    fired = sim.schedule(0.05, lambda: None)
+    doomed[0].cancel()
+    doomed[0].cancel()
+    assert sim.pending() == scan() == 5
+    sim.run(until=0.15)
+    fired.cancel()                       # already fired: not in the heap
+    assert sim.pending() == scan() == 3
+    assert sim.step()                    # the self-cancelling one
+    assert sim.pending() == scan() == 2
+    sim.run()
+    assert sim.pending() == scan() == 0
+
+
 def test_run_is_not_reentrant(sim):
     def nested():
         with pytest.raises(SimulationError):
