@@ -17,20 +17,13 @@ simulation (repro-lint's RL003 governs ``src/`` only).
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 import time
-from pathlib import Path
 
-import pytest
+from conftest import QUICK, bench_report_fixture
 
 from repro.experiments.common import ACDC, DCTCP
 from repro.experiments.runners import run_dumbbell, run_incast
 from repro.sim import Simulator
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 #: Very loose floors — they catch order-of-magnitude regressions (an
 #: accidentally quadratic hot path), not CI-runner jitter.
@@ -40,29 +33,8 @@ MIN_PACKETS_PER_SEC = 2_000.0
 RESULTS: dict = {}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_report():
-    """Collect every measurement and write BENCH_ENGINE.json at the end."""
-    yield
-    if not RESULTS:
-        return
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    payload = {
-        "schema": "repro-bench-engine/v1",
-        "quick": QUICK,
-        "unix_time": time.time(),
-        "host": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-        },
-        "results": RESULTS,
-    }
-    path = out_dir / "BENCH_ENGINE.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"\nwrote {path}")
+bench_report = bench_report_fixture(
+    "BENCH_ENGINE.json", "repro-bench-engine/v1", RESULTS, host_info=True)
 
 
 def _record(name: str, **fields) -> None:

@@ -23,20 +23,15 @@ simulation (repro-lint's RL003 governs ``src/`` only).
 from __future__ import annotations
 
 import json
-import os
-import platform
-import sys
 import time
 from pathlib import Path
 
-import pytest
+from conftest import QUICK, bench_report_fixture
 
 from repro.experiments.common import ACDC
 from repro.experiments.hybrid import run_hybrid_dumbbell
 from repro.experiments.runners import run_dumbbell
 from repro.workloads.background import BackgroundFlowGroup
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 MSS = 1460
 
@@ -48,29 +43,8 @@ MIN_SPEEDUP = 10.0
 RESULTS: dict = {}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_report():
-    """Collect every measurement and write BENCH_HYBRID.json at the end."""
-    yield
-    if not RESULTS:
-        return
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    payload = {
-        "schema": "repro-bench-hybrid/v1",
-        "quick": QUICK,
-        "unix_time": time.time(),
-        "host": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "results": RESULTS,
-    }
-    path = out_dir / "BENCH_HYBRID.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"\nwrote {path}")
+bench_report = bench_report_fixture(
+    "BENCH_HYBRID.json", "repro-bench-hybrid/v1", RESULTS, host_info=True)
 
 
 def _stored_engine_baseline() -> float:

@@ -27,12 +27,11 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import QUICK, bench_report_fixture
 
 from repro.experiments.common import ACDC, DCTCP
 from repro.experiments.runners import run_dumbbell, run_incast
 from repro.obs import IntTelemetry
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 #: Allowed fractional regression vs the committed baseline.  Override
 #: with REPRO_INT_TOL (e.g. 0.05 for a same-host regression check).
@@ -46,23 +45,8 @@ BASELINE_PATH = Path(os.environ.get(
 RESULTS: dict = {}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_report():
-    """Write every measurement to BENCH_INT.json at session end."""
-    yield
-    if not RESULTS:
-        return
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    payload = {
-        "schema": "repro-bench-int/v1",
-        "quick": QUICK,
-        "tolerance": TOLERANCE,
-        "results": RESULTS,
-    }
-    path = out_dir / "BENCH_INT.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"\nwrote {path}")
+bench_report = bench_report_fixture(
+    "BENCH_INT.json", "repro-bench-int/v1", RESULTS, tolerance=TOLERANCE)
 
 
 def _baseline_rate(key: str) -> float:

@@ -20,18 +20,14 @@ simulation (repro-lint's RL003 governs ``src/`` only).
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
-from pathlib import Path
 
-import pytest
+from conftest import QUICK, bench_report_fixture
 
 from repro.control.service import Service, ServiceConfig
 from repro.recovery import DurableService
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 #: Allowed fractional slowdown of the snapshotting-off supervisor vs the
 #: plain service path.  Override with REPRO_RECOVERY_TOL (e.g. 0.02 for
@@ -46,23 +42,9 @@ EPOCHS = 3 if QUICK else 6
 RESULTS: dict = {}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_report():
-    """Write every measurement to BENCH_RECOVERY.json at session end."""
-    yield
-    if not RESULTS:
-        return
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    payload = {
-        "schema": "repro-bench-recovery/v1",
-        "quick": QUICK,
-        "tolerance": TOLERANCE,
-        "results": RESULTS,
-    }
-    path = out_dir / "BENCH_RECOVERY.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"\nwrote {path}")
+bench_report = bench_report_fixture(
+    "BENCH_RECOVERY.json", "repro-bench-recovery/v1", RESULTS,
+    tolerance=TOLERANCE)
 
 
 def _plain_run() -> float:

@@ -31,16 +31,13 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
-from ..core import AcdcConfig, AcdcVswitch, PolicyEngine
-from ..core.ops import OpsCounter
-from ..experiments.common import ACDC, k_bytes_for_rate
+from ..core import AcdcConfig, AcdcVswitch
+from ..experiments.common import ACDC, Testbed
 from ..guard import Guard, GuardConfig
-from ..metrics.collectors import FctRecorder
+from ..metrics.collectors import FaultRecorder, FctRecorder
 from ..net.topology import star
 from ..obs import IntTelemetry, ObsContext, TraceConfig, WARNING
-from ..obs.adapters import FaultRecorderAdapter
 from ..runtime.spec import canonical_json
-from ..sim.engine import Simulator
 from ..sim.rng import RngFactory
 from ..workloads.apps import MessageStream, Sink
 from .canary import CanaryRollout
@@ -394,41 +391,36 @@ class Service:
     def __init__(self, config: ServiceConfig,
                  schedule: Optional[List[dict]] = None):
         self.config = config
-        self.sim = Simulator()
         self.rngs = RngFactory(config.seed)
-        self.obs = ObsContext(self.sim, TraceConfig(sample={
-            "ecn.mark": 64, "buffer.occupancy": 256, "rwnd.rewrite": 64}))
-        self.topo, self.hosts, self.switch = star(
-            self.sim, config.n_hosts, rate_bps=config.rate_bps,
-            mtu=config.mtu, seed=config.seed, ecn_enabled=True,
-            ecn_threshold_bytes=k_bytes_for_rate(config.rate_bps))
-        self.obs.attach_topology(self.topo)
-        self.fault_recorder = FaultRecorderAdapter()
+        self.fault_recorder = FaultRecorder()
         self.default_policy = TenantPolicy.from_json(
             config.default_policy or {})
         self.guards: Dict[str, Guard] = {}
-        self.vswitches: Dict[str, AcdcVswitch] = {}
-        for host in self.hosts:
-            guard = None
-            if config.guard:
-                guard = Guard(GuardConfig(seed=config.seed))
-                self.guards[host.addr] = guard
-            # One PolicyEngine per host: the control plane swaps each
-            # host's *default* policy independently.
-            vsw = AcdcVswitch(
-                host, config=AcdcConfig(sanitize=config.sanitize),
-                policy=PolicyEngine(self.default_policy.flow_policy()),
-                ops=OpsCounter(), guard=guard, obs=self.obs)
-            host.attach_vswitch(vsw)
-            self.vswitches[host.addr] = vsw
-        self.int_tel: Optional[IntTelemetry] = None
-        if config.int_telemetry:
-            tel = IntTelemetry(self.sim)
-            tel.attach_topology(self.topo)
-            for vsw in self.vswitches.values():
-                tel.attach_vswitch(vsw)
-            self.obs.register_int(tel)
-            self.int_tel = tel
+
+        def guard_factory(host) -> Optional[Guard]:
+            if not config.guard:
+                return None
+            guard = self.guards[host.addr] = Guard(
+                GuardConfig(seed=config.seed))
+            return guard
+
+        tb = Testbed(
+            ACDC, star, rate_bps=config.rate_bps,
+            obs=ObsContext(config=TraceConfig(sample={
+                "ecn.mark": 64, "buffer.occupancy": 256,
+                "rwnd.rewrite": 64})),
+            int_tel=IntTelemetry() if config.int_telemetry else None,
+            acdc_config=AcdcConfig(sanitize=config.sanitize),
+            guard_factory=guard_factory, n_hosts=config.n_hosts,
+            mtu=config.mtu, seed=config.seed)
+        self.sim, self.obs, self.topo = tb.sim, tb.obs, tb.topology
+        self.hosts, self.switch = tb.parts
+        self.vswitches: Dict[str, AcdcVswitch] = tb.vswitches
+        self.int_tel: Optional[IntTelemetry] = tb.int_tel
+        # Every vSwitch was built with a PolicyEngine of its own: the
+        # control plane swaps each host's *default* policy independently.
+        for vsw in self.vswitches.values():
+            vsw.apply_policy(self.default_policy.flow_policy())
         # Per-flow read cursor into TelemetryView.q_samples (epoch deltas).
         self._prev_q_idx: Dict[tuple, int] = {}
         for i in range(config.adversarial_hosts):

@@ -22,55 +22,35 @@ module's 2-packet minimum, AC/DC's RWND "can be much smaller than 2*MSS"
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..net.packet import seq_geq, seq_lt
-from .priority import priority_decrease, validate_beta
+from ..net.packet import seq_geq
+from .priority import validate_beta
+from .vswitch_cc import VswitchCongestionControl
 
 VSWITCH_DCTCP_G = 1.0 / 16.0
 ALPHA_MAX = 1.0
-INITIAL_WINDOW_SEGMENTS = 10   # RFC 6928, §3.1 of the paper
 
 
-class VswitchDctcp:
-    """Per-flow DCTCP state machine run by the AC/DC sender module."""
+class VswitchDctcp(VswitchCongestionControl):
+    """Per-flow DCTCP state machine run by the AC/DC sender module.
+
+    The window floor/cap, the once-per-window cut gate and NewReno
+    growth (Fig. 5's ``tcp_cong_avoid()``) are the base class's; DCTCP
+    adds the alpha estimator and Equation 1 as the cut factor.
+    """
 
     name = "dctcp"
 
-    def __init__(
-        self,
-        mss: int,
-        beta: float = 1.0,
-        min_wnd_bytes: Optional[int] = None,
-        max_wnd_bytes: Optional[int] = None,
-    ):
-        if mss <= 0:
-            raise ValueError("mss must be positive")
-        self.mss = mss
-        self.beta = validate_beta(beta)
-        self.min_wnd = min_wnd_bytes if min_wnd_bytes is not None else mss
-        self.max_wnd = max_wnd_bytes if max_wnd_bytes is not None else (1 << 30)
-        self.wnd = float(min(INITIAL_WINDOW_SEGMENTS * mss, self.max_wnd))
-        self.ssthresh = float(1 << 30)
+    def __init__(self, mss: int, beta: float = 1.0,
+                 min_wnd_bytes=None, max_wnd_bytes=None):
+        super().__init__(mss, validate_beta(beta), min_wnd_bytes,
+                         max_wnd_bytes)
         self.alpha = 1.0
-        # Sequence gates: alpha updates and window cuts once per window/RTT.
-        # Seeded lazily from the first observed snd_una — comparisons are
-        # serial (mod 2^32), so an absolute 0 would misread flows whose
-        # ISS sits just below the wrap.
+        # Alpha updates once per window/RTT, sequence-gated like the cut
+        # (seeded with it in :meth:`_seed_gates`).
         self.alpha_update_seq = 0
-        self.cut_seq = 0
-        self._gates_seeded = False
         # Feedback accumulators between alpha updates.
         self._acked_total = 0
         self._acked_marked = 0
-        self.cuts = 0
-        self.loss_events = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def window_bytes(self) -> int:
-        """The enforceable congestion window, floored and capped."""
-        return int(min(max(self.wnd, self.min_wnd), self.max_wnd))
 
     # ------------------------------------------------------------------
     def on_ack(
@@ -102,16 +82,8 @@ class VswitchDctcp:
         elif congestion:
             self._cut(snd_una, snd_nxt)
         else:
-            self._cong_avoid(newly_acked)
+            self._grow(newly_acked)
         return self.window_bytes
-
-    def on_int_report(self, view) -> None:
-        """One consumed in-network telemetry report (repro.obs.int).
-
-        ``view`` is the flow's :class:`~repro.obs.int.TelemetryView`.
-        Stock DCTCP reacts only to ECN feedback, so the report is
-        ignored; telemetry-driven laws (PowerTCP style) override this.
-        """
 
     def on_timeout(self, snd_una: int, snd_nxt: int) -> int:
         """Inferred RTO (inactivity with bytes outstanding): saturate alpha
@@ -136,25 +108,9 @@ class VswitchDctcp:
     def _seed_gates(self, snd_una: int) -> None:
         if not self._gates_seeded:
             self.alpha_update_seq = snd_una
-            self.cut_seq = snd_una
-            self._gates_seeded = True
+            super()._seed_gates(snd_una)
 
-    def _cut(self, snd_una: int, snd_nxt: int) -> None:
-        """Multiplicative decrease, at most once per window in flight."""
-        if seq_lt(snd_una, self.cut_seq):
-            return
-        self.wnd = max(priority_decrease(self.wnd, self.alpha, self.beta),
-                       float(self.min_wnd))
-        self.ssthresh = self.wnd
-        self.cut_seq = snd_nxt
-        self.cuts += 1
-
-    def _cong_avoid(self, newly_acked: int) -> None:
-        """NewReno growth (Fig. 5's ``tcp_cong_avoid()``)."""
-        if newly_acked <= 0:
-            return
-        if self.wnd < self.ssthresh:
-            self.wnd += newly_acked
-        else:
-            self.wnd += self.mss * newly_acked / max(self.wnd, 1.0)
-        self.wnd = min(self.wnd, float(self.max_wnd))
+    def _cut_factor(self) -> float:
+        """The priority-generalised Equation 1 (``priority_decrease``'s
+        own expression, so windows match it bit for bit)."""
+        return 1.0 - (self.alpha - self.alpha * self.beta / 2.0)

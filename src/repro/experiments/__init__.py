@@ -3,64 +3,47 @@
 Each module exposes ``run(...)`` returning structured results; the
 benchmark suite (``benchmarks/``) drives them and prints the paper-style
 rows via :mod:`repro.experiments.report`.
+
+:data:`EXPERIMENTS` is the one list of them.  Entries are import paths
+(resolved like a ``RunSpec``'s ``fn``, by :func:`repro.runtime.resolve`),
+so importing this package imports no experiment module — only the run it
+starts does.
 """
 
-from . import (
-    ablations,
-    adversarial,
-    chaos,
-    common,
-    fig01_heterogeneous_unfairness,
-    fig02_rate_limiting_insufficient,
-    fig06_rwnd_vs_cwnd_clamp,
-    fig08_dumbbell_rtt,
-    fig09_window_tracking,
-    fig10_limiting_window,
-    fig11_12_cpu_overhead,
-    fig13_qos_beta,
-    fig14_convergence,
-    fig15_16_ecn_coexistence,
-    fig17_fairness_mixed_cc,
-    fig18_19_incast,
-    fig20_all_ports_congested,
-    fig21_concurrent_stride,
-    fig22_shuffle,
-    fig23_trace_driven,
-    parking_lot_results,
-    report,
-    runners,
-    table1_cc_variants,
-)
 from .common import ACDC, ALL_SCHEMES, CUBIC, DCTCP, Scheme
 
-__all__ = [
-    "ACDC",
-    "ALL_SCHEMES",
-    "CUBIC",
-    "DCTCP",
-    "Scheme",
-    "ablations",
-    "adversarial",
-    "chaos",
-    "common",
-    "fig01_heterogeneous_unfairness",
-    "fig02_rate_limiting_insufficient",
-    "fig06_rwnd_vs_cwnd_clamp",
-    "fig08_dumbbell_rtt",
-    "fig09_window_tracking",
-    "fig10_limiting_window",
-    "fig11_12_cpu_overhead",
-    "fig13_qos_beta",
-    "fig14_convergence",
-    "fig15_16_ecn_coexistence",
-    "fig17_fairness_mixed_cc",
-    "fig18_19_incast",
-    "fig20_all_ports_congested",
-    "fig21_concurrent_stride",
-    "fig22_shuffle",
-    "fig23_trace_driven",
-    "parking_lot_results",
-    "report",
-    "runners",
-    "table1_cc_variants",
-]
+#: CLI name -> ``"module:function"``, in the paper's order.
+EXPERIMENTS = {
+    name: f"{__name__}.{ref}" for name, ref in (
+        ("fig01", "fig01_heterogeneous_unfairness:run"),
+        ("fig02", "fig02_rate_limiting_insufficient:run"),
+        ("fig06", "fig06_rwnd_vs_cwnd_clamp:run"),
+        ("fig08", "fig08_dumbbell_rtt:run"),
+        ("parking-lot", "parking_lot_results:run"),
+        ("fig09", "fig09_window_tracking:run"),
+        ("fig10", "fig10_limiting_window:run"),
+        ("fig11-12", "fig11_12_cpu_overhead:run"),
+        ("fig13", "fig13_qos_beta:run"),
+        ("table1", "table1_cc_variants:run"),
+        ("fig14", "fig14_convergence:run"),
+        ("fig15-16", "fig15_16_ecn_coexistence:run"),
+        ("fig17", "fig17_fairness_mixed_cc:run"),
+        ("fig18-19", "fig18_19_incast:run"),
+        ("fig20", "fig20_all_ports_congested:run"),
+        ("fig21", "fig21_concurrent_stride:run"),
+        ("fig22", "fig22_shuffle:run"),
+        ("fig23", "fig23_trace_driven:run"),
+        ("hybrid", "hybrid:run"),
+        ("int-attribution", "int_attribution:run"),
+        ("chaos", "chaos:run"),
+        ("adversarial", "adversarial:run"),
+        ("canary", "canary:run"),
+        ("gameday", "gameday:run"),
+        ("ablation-policing", "ablations:run_policing"),
+        ("ablation-feedback", "ablations:run_feedback_modes"),
+        ("ablation-ecn-hiding", "ablations:run_ecn_hiding"),
+        ("ablation-floor", "ablations:run_window_floor"),
+    )
+}
+
+__all__ = ["ACDC", "ALL_SCHEMES", "CUBIC", "DCTCP", "EXPERIMENTS", "Scheme"]

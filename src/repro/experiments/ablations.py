@@ -19,7 +19,9 @@ from typing import Dict
 
 from ..core import AcdcConfig
 from ..metrics import jain_index, percentile
-from .common import ACDC, Scheme
+from ..net.packet import mss_for_mtu
+from ..net.topology import dumbbell
+from .common import ACDC, DATA_PORT, DCTCP, MICRO_RATE, Scheme, Testbed
 from .runners import run_dumbbell, run_incast
 
 
@@ -43,26 +45,17 @@ def run_policing(duration: float = 0.8, mtu: int = 9000,
 
 def _run_with_cheater(config: AcdcConfig, duration: float, mtu: int,
                       seed: int) -> dict:
-    from ..net.topology import dumbbell as build_dumbbell
-    from ..sim import Simulator
-    from ..workloads.apps import BulkSender, Sink
-    from .common import attach_vswitches, switch_opts
-
-    sim = Simulator()
-    topo, senders, receivers = build_dumbbell(
-        sim, pairs=5, mtu=mtu, seed=seed, **switch_opts(ACDC))
-    vsw = attach_vswitches(ACDC, senders + receivers, acdc_config=config)
-    flows = []
+    tb = Testbed(ACDC, dumbbell, rate_bps=MICRO_RATE, acdc_config=config,
+                 pairs=5, mtu=mtu, seed=seed)
+    senders, receivers = tb.parts
     for i in range(5):
         opts = ACDC.conn_opts()
         if i == 0:
             opts["ignore_rwnd"] = True  # the cheater
-        Sink(receivers[i], 5000, **ACDC.conn_opts())
-        flows.append(BulkSender(sim, senders[i], receivers[i].addr, 5000,
-                                conn_opts=opts))
-    sim.run(until=duration)
-    tputs = [f.bytes_acked * 8 / duration / 1e9 for f in flows]
-    policer_drops = sum(v.policer.drops for v in vsw.values())
+        tb.bulk(senders[i], receivers[i], DATA_PORT, opts)
+    r = tb.run(duration)
+    tputs = [f.bytes_acked * 8 / duration / 1e9 for f in r.flows]
+    policer_drops = sum(v.policer.drops for v in r.vswitches.values())
     return {
         "cheater_gbps": tputs[0],
         "conforming_gbps": tputs[1:],
@@ -138,9 +131,6 @@ def run_ecn_hiding(duration: float = 0.8, mtu: int = 9000,
 def run_window_floor(n_senders: int = 40, duration: float = 0.4,
                      mtu: int = 9000, seed: int = 0) -> Dict[str, dict]:
     """Incast RTT as a function of the minimum-window floor."""
-    from ..net.packet import mss_for_mtu
-    from .common import DCTCP
-
     mss = mss_for_mtu(mtu)
     out: Dict[str, dict] = {}
     configs = {

@@ -30,21 +30,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core import AcdcConfig
 from ..faults import EcnBleach, OptionStrip, install_faults
 from ..guard import Guard, GuardConfig
-from ..metrics import jain_index
-from ..obs.adapters import EventLogAdapter, FaultRecorderAdapter
+from ..metrics import EventLog, FaultRecorder, jain_index
 from ..net.topology import star
-from ..runtime import RunSpec, Runtime
-from ..sim import Simulator
-from ..workloads.apps import BulkSender, Sink
-from .common import ACDC, MACRO_RATE, attach_vswitches, switch_opts
+from ..runtime import RunSpec, Runtime, sweep
+from .common import ACDC, MACRO_RATE, Testbed
 
 DATA_PORT = 6000
 
 #: Supported adversary models (see run_point).
 ADVERSARIES = ("ignore_rwnd", "ack_division", "ecn_bleach", "option_strip")
+
+
+def _testbed(n_senders: int, seed: int, guard_factory):
+    """The shared star: ``n_senders`` hosts into the last one."""
+    tb = Testbed(ACDC, star, rate_bps=MACRO_RATE, guard_factory=guard_factory,
+                 n_hosts=n_senders + 1, mtu=1500, seed=seed)
+    hosts, _switch = tb.parts
+    return tb, hosts[:n_senders], hosts[-1]
 
 
 def _guard_config(seed: int) -> GuardConfig:
@@ -66,17 +70,8 @@ def run_point(
     ``violator_share`` fraction of them running the given adversary."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
-    sim = Simulator()
-    topo, hosts, switch = star(sim, n_senders + 1, rate_bps=MACRO_RATE,
-                               mtu=1500, seed=seed,
-                               **switch_opts(ACDC, MACRO_RATE))
-    senders, receiver = hosts[:n_senders], hosts[-1]
-    n_violators = int(round(violator_share * n_senders))
-    violators = senders[:n_violators]
-    violator_addrs = {h.addr for h in violators}
-
-    events = EventLogAdapter()
-    recorder = FaultRecorderAdapter()
+    events = EventLog()
+    recorder = FaultRecorder()
     guards: List[Guard] = []
 
     def guard_factory(host) -> Optional[Guard]:
@@ -86,8 +81,10 @@ def run_point(
         guards.append(guard)
         return guard
 
-    vswitches = attach_vswitches(ACDC, hosts, acdc_config=AcdcConfig(),
-                                 guard_factory=guard_factory)
+    tb, senders, receiver = _testbed(n_senders, seed, guard_factory)
+    n_violators = int(round(violator_share * n_senders))
+    violators = senders[:n_violators]
+    violator_addrs = {h.addr for h in violators}
 
     # Guest-level adversaries are tenant profiles; wire-level ones are
     # fault stages scoped to the violators' traffic.
@@ -104,19 +101,16 @@ def run_point(
         for host in violators:
             install_faults(host, [OptionStrip(direction="ingress")])
 
-    opts = ACDC.conn_opts()
-    flows = []
     for i, host in enumerate(senders):
-        sink_opts = dict(opts)
+        sink_opts = None
         if adversary == "ack_division" and host.addr in violator_addrs:
             # ACK division is a receiver-side cheat: the adversarial
             # tenant's receiving VM splits cumulative ACKs to inflate its
             # own flows' window growth.
-            sink_opts["ack_division"] = 8
-        Sink(receiver, DATA_PORT + i, **sink_opts)
-        flows.append(BulkSender(sim, host, receiver.addr, DATA_PORT + i,
-                                size_bytes=None, conn_opts=dict(opts)))
-    sim.run(until=duration)
+            sink_opts = {"ack_division": 8}
+        tb.bulk(host, receiver, DATA_PORT + i, sink_opts=sink_opts)
+    r = tb.run(duration)
+    flows, vswitches = r.flows, r.vswitches
 
     goodputs = [f.goodput_bps(duration) for f in flows]
     conforming = [g for f, g in zip(flows, goodputs)
@@ -155,18 +149,13 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
                  duration: float = 0.1) -> dict:
     """Watchdog scenario: the receiver vSwitch's flow-table budget is far
     below the offered 2 x n_senders entries, forcing deliberate shedding."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, n_senders + 1, rate_bps=MACRO_RATE,
-                               mtu=1500, seed=seed,
-                               **switch_opts(ACDC, MACRO_RATE))
-    senders, receiver = hosts[:n_senders], hosts[-1]
-    events = EventLogAdapter()
-    recorder = FaultRecorderAdapter()
+    events = EventLog()
+    recorder = FaultRecorder()
     guards: Dict[str, Guard] = {}
 
     def guard_factory(host):
         config = _guard_config(seed)
-        if host is receiver:
+        if len(guards) == n_senders:  # the receiver: the star's last host
             # Room for half the offered load: ~2 entries per connection.
             config.max_flow_entries = n_senders
             config.watchdog_interval_s = 0.005
@@ -174,15 +163,11 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
         guards[host.addr] = guard
         return guard
 
-    vswitches = attach_vswitches(ACDC, hosts, acdc_config=AcdcConfig(),
-                                 guard_factory=guard_factory)
-    opts = ACDC.conn_opts()
-    flows = []
+    tb, senders, receiver = _testbed(n_senders, seed, guard_factory)
     for i, host in enumerate(senders):
-        Sink(receiver, DATA_PORT + i, **opts)
-        flows.append(BulkSender(sim, host, receiver.addr, DATA_PORT + i,
-                                size_bytes=None, conn_opts=dict(opts)))
-    sim.run(until=duration)
+        tb.bulk(host, receiver, DATA_PORT + i)
+    r = tb.run(duration)
+    flows, vswitches = r.flows, r.vswitches
     watchdog = guards[receiver.addr].watchdog
     goodputs = [f.goodput_bps(duration) for f in flows]
     return {
@@ -209,52 +194,43 @@ def run(seed: int = 0, quick: bool = False,
 
     Every cell is an independent simulation, so the whole grid fans
     through the experiment runtime (``run_point`` / ``run_pressure``
-    already take plain-JSON kwargs).  With ``seeds`` the merge returns
-    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
+    already take plain-JSON kwargs).  With ``seeds`` the result is
+    :func:`repro.runtime.sweep`'s multi-seed shape.
     """
     n_senders = 4 if quick else 8
     duration = 0.06 if quick else 0.2
     shares = (0.0, 0.25) if quick else (0.0, 0.25, 0.5)
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
     sweep_cells = [(share, guard_on)
                    for share in shares for guard_on in (False, True)]
-    specs: List[RunSpec] = []
-    for sd in seed_list:
-        for share, guard_on in sweep_cells:
-            specs.append(RunSpec(
-                f"{__name__}:run_point",
-                {"violator_share": share, "guard_on": guard_on, "seed": sd,
-                 "n_senders": n_senders, "duration": duration}))
-        for adversary in DETECTION_ADVERSARIES:
-            specs.append(RunSpec(
-                f"{__name__}:run_point",
-                {"violator_share": 0.25, "guard_on": True, "seed": sd,
-                 "n_senders": n_senders, "duration": duration,
-                 "adversary": adversary}))
+
+    def specs_for(sd: int) -> List[RunSpec]:
+        specs = [RunSpec(
+            f"{__name__}:run_point",
+            {"violator_share": share, "guard_on": guard_on, "seed": sd,
+             "n_senders": n_senders, "duration": duration})
+            for share, guard_on in sweep_cells]
+        specs += [RunSpec(
+            f"{__name__}:run_point",
+            {"violator_share": 0.25, "guard_on": True, "seed": sd,
+             "n_senders": n_senders, "duration": duration,
+             "adversary": adversary})
+            for adversary in DETECTION_ADVERSARIES]
         specs.append(RunSpec(
             f"{__name__}:run_pressure",
             {"seed": sd, "n_senders": n_senders,
              "duration": min(duration, 0.1)}))
-    flat = rt.map(specs)
-    stride = len(sweep_cells) + len(DETECTION_ADVERSARIES) + 1
-    per_seed = []
-    for k in range(len(seed_list)):
-        base = k * stride
-        sweep = {
-            f"share={share:g},guard={'on' if guard_on else 'off'}":
-                flat[base + i]
-            for i, (share, guard_on) in enumerate(sweep_cells)
+        return specs
+
+    def merge(sd: int, cells: List[dict]) -> dict:
+        return {
+            "sweep": {
+                f"share={share:g},guard={'on' if guard_on else 'off'}":
+                    cells[i]
+                for i, (share, guard_on) in enumerate(sweep_cells)},
+            "detection": {
+                adversary: cells[len(sweep_cells) + i]
+                for i, adversary in enumerate(DETECTION_ADVERSARIES)},
+            "pressure": cells[-1],
         }
-        detection = {
-            adversary: flat[base + len(sweep_cells) + i]
-            for i, adversary in enumerate(DETECTION_ADVERSARIES)
-        }
-        per_seed.append({
-            "sweep": sweep,
-            "detection": detection,
-            "pressure": flat[base + stride - 1],
-        })
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": seed_list, "per_seed": per_seed}
+
+    return sweep(runtime, seed, seeds, specs_for, merge)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..runtime import Runtime, RunSpec
+from ..runtime import Runtime, RunSpec, sweep
 
 #: One MSS at MTU 1500: small enough to wreck large-message FCTs (a
 #: 256 KB message needs ~180 window-limited round trips), large enough
@@ -83,21 +83,15 @@ def run(seed: int = 0, quick: bool = False,
     epochs = 5 if quick else 7
     n_hosts = 6 if quick else 8
     start_epoch = 1
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    specs: List[RunSpec] = []
-    for sd in seed_list:
-        specs.extend(_specs(sd, epochs, n_hosts, start_epoch))
-    flat = rt.map(specs)
-    per_seed = []
-    for k, sd in enumerate(seed_list):
-        canary_run, control_run = flat[2 * k], flat[2 * k + 1]
-        per_seed.append({
+
+    def merge(sd: int, cells: List[dict]) -> dict:
+        canary_run, control_run = cells
+        return {
             "seed": sd,
             "summary": _summarise(canary_run, control_run),
             "canary_run": canary_run,
             "control_run": control_run,
-        })
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": list(seed_list), "per_seed": per_seed}
+        }
+
+    return sweep(runtime, seed, seeds,
+                 lambda sd: _specs(sd, epochs, n_hosts, start_epoch), merge)

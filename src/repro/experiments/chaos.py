@@ -33,21 +33,18 @@ from ..faults import (
     VswitchRestart,
     install_faults,
 )
-from ..obs.adapters import FaultRecorderAdapter
+from ..metrics import FaultRecorder
 from ..net.topology import star
-from ..runtime import RunSpec, Runtime
-from ..sim import Simulator
-from ..workloads.apps import BulkSender, Sink
+from ..runtime import RunSpec, Runtime, sweep
 from .common import (
     ALL_SCHEMES,
+    DATA_PORT,
     MICRO_RATE,
     SCHEME_BY_NAME,
     Scheme,
-    attach_vswitches,
-    switch_opts,
+    Testbed,
 )
 
-DATA_PORT = 5000
 #: Virtual instant of the mid-transfer vSwitch restarts (the unfaulted
 #: 2x4 MB transfer takes ~7 ms, so 2 ms is genuinely mid-flow).
 RESTART_AT = 0.002
@@ -78,12 +75,11 @@ def fault_chain(intensity: float, seed: int, jitter_s: float = 20e-6) -> List[Fa
 def run_point(scheme: Scheme, intensity: float, seed: int = 0,
               size_bytes: int = 4_000_000, duration: float = 0.5) -> dict:
     """One (scheme, intensity) cell of the sweep."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, 3, rate_bps=MICRO_RATE, mtu=1500,
-                               seed=seed, **switch_opts(scheme, MICRO_RATE))
+    tb = Testbed(scheme, star, rate_bps=MICRO_RATE, n_hosts=3, mtu=1500,
+                 seed=seed)
+    hosts, _switch = tb.parts
     senders, receiver = hosts[:2], hosts[2]
-    vswitches = attach_vswitches(scheme, hosts)
-    recorder = FaultRecorderAdapter()
+    recorder = FaultRecorder()
     chains: List[Fault] = []
     # Fault chains sit on the senders' wires only: every packet crosses
     # exactly one chain, so each injector acts at its nominal rate (a
@@ -99,13 +95,9 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
         restart = VswitchRestart(at=(RESTART_AT,))
         install_faults(receiver, [restart], recorder=recorder)
         chains.append(restart)
-    opts = scheme.conn_opts()
-    flows = []
     for i, host in enumerate(senders):
-        Sink(receiver, DATA_PORT + i, **opts)
-        flows.append(BulkSender(sim, host, receiver.addr, DATA_PORT + i,
-                                size_bytes=size_bytes, conn_opts=dict(opts)))
-    sim.run(until=duration)
+        tb.bulk(host, receiver, DATA_PORT + i, size_bytes=size_bytes)
+    flows = tb.run(duration).flows
     done = [f for f in flows if f.bytes_acked >= size_bytes]
     finished = max((f.conn.closed_at or duration for f in done),
                    default=duration) if len(done) == len(flows) else duration
@@ -119,7 +111,7 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
         "injected_events": sum(f.events for f in chains),
     }
     if scheme.vswitch == "acdc":
-        acdc = [vswitches[h.addr] for h in hosts]
+        acdc = [tb.vswitches[h.addr] for h in hosts]
         result["restarts"] = sum(v.restarts for v in acdc)
         result["resurrections"] = sum(v.resurrections for v in acdc)
         result["feedback_resyncs"] = sum(
@@ -144,28 +136,19 @@ def run(seed: int = 0, size_bytes: int = 4_000_000, duration: float = 0.5,
 
     ``quick`` shrinks the transfers and the sweep for CI smoke runs.
     With ``seeds`` the whole scheme x intensity grid fans through the
-    experiment runtime per seed and the merge returns
-    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
+    experiment runtime per seed and the result is
+    :func:`repro.runtime.sweep`'s multi-seed shape.
     """
     if quick:
         size_bytes = min(size_bytes, 1_000_000)
         duration = min(duration, 0.2)
         intensities = intensities[:2]
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    cells = [(s.name, x) for s in ALL_SCHEMES for x in intensities]
-    specs = [RunSpec(f"{__name__}:_cell",
-                     {"scheme": name, "intensity": x, "seed": sd,
-                      "size_bytes": size_bytes, "duration": duration})
-             for sd in seed_list for name, x in cells]
-    flat = rt.map(specs)
     n_int = len(intensities)
-    per_seed = [
-        {s.name: flat[k * len(cells) + i * n_int:
-                      k * len(cells) + (i + 1) * n_int]
-         for i, s in enumerate(ALL_SCHEMES)}
-        for k in range(len(seed_list))
-    ]
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": seed_list, "per_seed": per_seed}
+    return sweep(
+        runtime, seed, seeds,
+        lambda sd: [RunSpec(f"{__name__}:_cell",
+                            {"scheme": s.name, "intensity": x, "seed": sd,
+                             "size_bytes": size_bytes, "duration": duration})
+                    for s in ALL_SCHEMES for x in intensities],
+        lambda sd, cells: {s.name: cells[i * n_int:(i + 1) * n_int]
+                           for i, s in enumerate(ALL_SCHEMES)})

@@ -8,19 +8,28 @@ Every experiment in §5 compares (a subset of) three configurations:
   vSwitch, switch WRED/ECN *on*.
 
 :class:`Scheme` captures one such configuration; :func:`attach_vswitches`
-instantiates the right datapath on every host.  The scaling constants at
-the bottom centralise the simulator's time/size scaling so EXPERIMENTS.md
-can cite one place.
+instantiates the right datapath on every host; :class:`Testbed` is the
+one place a run is put together (DESIGN.md §4, "How a run is assembled")
+and :class:`RunResult` what it hands back.  The scaling constants
+centralise the simulator's time/size scaling so EXPERIMENTS.md can cite
+one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional
 
 from ..core import AcdcConfig, AcdcVswitch, PlainOvs, PolicyEngine
 from ..core.ops import OpsCounter
+from ..fluid import FluidTier
+from ..metrics import RttRecorder, ThroughputMeter, jain_index, summarize
 from ..net.host import Host
+from ..sim import Simulator
+from ..workloads.apps import BulkSender, EchoSink, PingPong, Sink
+
+DATA_PORT = 5000
+RTT_PROBE_PORT = 6000
 
 # ---------------------------------------------------------------------------
 # Scheme definitions
@@ -134,3 +143,186 @@ def switch_opts(scheme: Scheme, rate_bps: float = MICRO_RATE) -> dict:
         "ecn_enabled": scheme.switch_ecn,
         "ecn_threshold_bytes": k_bytes_for_rate(rate_bps),
     }
+
+
+# ---------------------------------------------------------------------------
+# Assembling and harvesting one run
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RunResult:
+    """Common observables of one run."""
+
+    scheme: str
+    duration: float
+    tputs_bps: List[float] = field(default_factory=list)
+    rtt_samples: List[float] = field(default_factory=list)
+    drop_rate: float = 0.0
+    vswitches: Dict[str, object] = field(default_factory=dict)
+    flows: List[BulkSender] = field(default_factory=list)
+    #: Per-flow throughput meters; populated only when a runner is asked
+    #: for them (``tput_meters=True``), empty otherwise — so ``.meters``
+    #: is safe to read on any runner's result.
+    meters: List[ThroughputMeter] = field(default_factory=list)
+    sim: Optional[Simulator] = None
+    topology: Optional[object] = None
+    #: Deterministic metric/trace snapshot (``ObsContext.snapshot()``);
+    #: empty unless the runner was given an ``obs`` context.
+    telemetry: Dict[str, object] = field(default_factory=dict)
+    #: Fluid-tier snapshot (``FluidTier.snapshot()``) for hybrid runs;
+    #: empty on pure-packet runs.
+    fluid: Dict[str, object] = field(default_factory=dict)
+    #: The live ObsContext (trace bus, registry) for post-run inspection.
+    obs: Optional[object] = None
+
+    @property
+    def fairness(self) -> float:
+        return jain_index(self.tputs_bps)
+
+    @property
+    def avg_tput_bps(self) -> float:
+        return sum(self.tputs_bps) / len(self.tputs_bps) if self.tputs_bps else 0.0
+
+    def rtt_summary(self) -> dict:
+        return summarize(self.rtt_samples) if self.rtt_samples else {}
+
+
+class Testbed:
+    """One run, wired: simulator, topology, datapaths and taps.
+
+    ``build`` is a topology builder (``dumbbell``, ``parking_lot``,
+    ``star`` or an experiment's own) called as ``build(sim,
+    rate_bps=..., **builder_kwargs, **switch_opts(scheme, rate_bps))``
+    and returning ``(topology, *parts)``; ``parts`` keeps the builder's
+    own host lists / switch.  The wiring order is fixed here and nowhere
+    else (DESIGN.md §4 has the reasons at length).
+    """
+
+    def __init__(self, scheme: Scheme, build, *, rate_bps: float,
+                 obs=None, int_tel=None,
+                 acdc_config: Optional[AcdcConfig] = None,
+                 policy: Optional[PolicyEngine] = None,
+                 window_cb=None, guard_factory=None, **builder_kwargs):
+        self.scheme = scheme
+        self.sim = Simulator()
+        # 1. Switches under the scheme's ECN profile.
+        self.topology, *self.parts = build(
+            self.sim, rate_bps=rate_bps, **builder_kwargs,
+            **switch_opts(scheme, rate_bps))
+        # 2. obs *before* any vSwitch exists: a vSwitch registers with,
+        #    and takes its trace bus from, the context in its constructor
+        #    — one bound later would hand it a bus with no clock.
+        self.obs = obs
+        if obs is not None:
+            obs.bind(self.sim)
+            obs.attach_topology(self.topology)
+        # 3. vSwitches on every host, in the order the builder returned
+        #    them: each starts its GC timer as it is created, so the
+        #    order is part of the run's event sequence.
+        hosts = [h for part in self.parts
+                 for h in (part if isinstance(part, list) else [part])
+                 if isinstance(h, Host)]
+        self.vswitches = attach_vswitches(
+            scheme, hosts, acdc_config=acdc_config, policy=policy,
+            window_cb=window_cb, guard_factory=guard_factory, obs=obs)
+        # 4. INT after the vSwitches, which are its endpoints.  (5., the
+        #    fluid coupling, comes last: couple_fluid(), once the packet
+        #    flows are placed.)
+        self.int_tel = int_tel
+        if int_tel is not None:
+            int_tel.attach(self.sim, self.topology, self.vswitches.values(),
+                           obs)
+        self.flows: List[BulkSender] = []
+        self.rtt = RttRecorder()
+        self._tier = None
+
+    # -- flow placement ------------------------------------------------------
+    def bulk(self, src: Host, dst: Host, port: int,
+             conn_opts: Optional[dict] = None,
+             sink_opts: Optional[dict] = None, **sender_opts) -> BulkSender:
+        """One iperf-style flow ``src -> dst:port`` and its listener.
+
+        The sink mirrors the flow's stack — ``cc`` and ``ecn``, because
+        ECN negotiation is end-to-end and a non-ECN listener would
+        silently disable it — but not transmit-side knobs like pacing;
+        ``sink_opts`` adds receiver-side ones.  Flows sharing a
+        ``dst:port`` share its first listener.
+        """
+        opts = self.scheme.conn_opts() if conn_opts is None else conn_opts
+        if port not in dst.listeners:
+            Sink(dst, port, cc=opts["cc"], ecn=opts["ecn"],
+                 **(sink_opts or {}))
+        flow = BulkSender(self.sim, src, dst.addr, port, conn_opts=opts,
+                          **sender_opts)
+        self.flows.append(flow)
+        return flow
+
+    def probe(self, src: Host, dst: Host, interval_s: float,
+              warmup_s: float, pipelined: bool = False) -> None:
+        """sockperf-style RTT probe under the scheme's guest stack;
+        samples land in ``RunResult.rtt_samples``."""
+        EchoSink(dst, RTT_PROBE_PORT, **self.scheme.conn_opts())
+        PingPong(self.sim, src, dst.addr, RTT_PROBE_PORT, self.rtt,
+                 interval_s=interval_s, start_at=0.0, warmup_s=warmup_s,
+                 pipelined=pipelined, conn_opts=self.scheme.conn_opts())
+
+    def couple_fluid(self, switch, port_id: int, classes, dt: float,
+                     start_at: float) -> None:
+        """Attach the fluid tier (``repro.fluid``) at one bottleneck port.
+
+        The stepper starts at ``start_at``, not 0: the background classes
+        dump their initial windows into the queue in one burst (they have
+        no packet-level slow start), which parks the occupancy above the
+        WRED ramp top — and a foreground handshake's non-ECT SYN arriving
+        into that transient is dropped with probability 1.  Letting the
+        foreground establish first is the same connect-quietly-then-storm
+        methodology the incast runner uses for its packet senders.
+        """
+        self._tier = FluidTier(self.sim, dt=dt)
+        self._tier.couple(switch, port_id, classes=tuple(classes))
+        self._tier.start(start_at=start_at)
+
+    # -- run and harvest -----------------------------------------------------
+    def drop_rate(self) -> float:
+        """Fabric-wide fraction of forwarded packets that were dropped."""
+        switches = self.topology.switches.values()
+        sent = sum(sw.total_tx_packets() for sw in switches)
+        dropped = sum(sw.total_drops() for sw in switches)
+        total = sent + dropped
+        return dropped / total if total else 0.0
+
+    def _mark_baseline(self) -> None:
+        self._baseline = [f.bytes_acked for f in self.flows]
+
+    def run(self, duration: float, measure_from: float = 0.0) -> RunResult:
+        """Run to ``duration`` and harvest the common observables.
+
+        Throughputs are averaged over ``[measure_from, duration]``: the
+        paper's runs last minutes, so its averages do not see the
+        connection-setup transient a short simulated run would.
+        """
+        self._baseline = [0] * len(self.flows)
+        if measure_from > 0.0:
+            self.sim.schedule_at(measure_from, self._mark_baseline)
+        self.sim.run(until=duration)
+        window = duration - measure_from
+        result = RunResult(
+            scheme=self.scheme.name, duration=duration,
+            tputs_bps=[(f.bytes_acked - b) * 8 / window
+                       for f, b in zip(self.flows, self._baseline)],
+            rtt_samples=self.rtt.samples, drop_rate=self.drop_rate(),
+            vswitches=self.vswitches, flows=self.flows, sim=self.sim,
+            topology=self.topology)
+        obs = self.obs
+        if self._tier is not None:
+            self._tier.stop()
+            result.fluid = self._tier.snapshot()
+            if obs is not None:
+                # Flatten the coupling stats into the telemetry snapshot
+                # so a hybrid run is observable like a packet run.
+                obs.register_fluid(self._tier)
+        if obs is not None:
+            result.obs = obs
+            result.telemetry = obs.snapshot()
+        return result

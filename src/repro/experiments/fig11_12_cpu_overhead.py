@@ -23,7 +23,7 @@ from ..metrics.cpu_model import (
 from ..net.topology import star
 from ..sim import Simulator
 from ..workloads.apps import Sink
-from .common import ACDC, CUBIC, Scheme, attach_vswitches, switch_opts
+from .common import ACDC, CUBIC, DATA_PORT, Scheme, Testbed
 
 BURST_BYTES = 128 * 1024
 BURST_INTERVAL = 0.1
@@ -54,18 +54,16 @@ class _BurstApp:
 
 def _run_one(scheme: Scheme, connections: int, duration: float,
              mtu: int, rate_bps: float, seed: int) -> Dict[str, object]:
-    sim = Simulator()
-    topo, hosts, _sw = star(sim, 2, rate_bps=rate_bps, mtu=mtu, seed=seed,
-                            **switch_opts(scheme, rate_bps))
-    sender, receiver = hosts
-    vsw = attach_vswitches(scheme, hosts)
-    Sink(receiver, 5000, **scheme.conn_opts())
+    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=2, mtu=mtu,
+                 seed=seed)
+    (sender, receiver), _sw = tb.parts
+    Sink(receiver, DATA_PORT, **scheme.conn_opts())
     for i in range(connections):
         # Stagger setup and burst phases across the interval.
-        _BurstApp(sim, sender, receiver.addr, 5000,
+        _BurstApp(tb.sim, sender, receiver.addr, DATA_PORT,
                   start_at=(i / connections) * BURST_INTERVAL,
                   conn_opts=scheme.conn_opts())
-    sim.run(until=duration)
+    vsw = tb.run(duration).vswitches
     floors = {"sender": SENDER_FLOOR_PERCENT, "receiver": RECEIVER_FLOOR_PERCENT}
     ticks = {"sender": SENDER_CONN_TICK_NS, "receiver": RECEIVER_CONN_TICK_NS}
     reports = {}

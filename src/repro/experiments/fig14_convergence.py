@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..runtime import RunSpec, Runtime
+from ..runtime import RunSpec, Runtime, sweep
 from .common import ALL_SCHEMES, SCHEME_BY_NAME, Scheme
 from .runners import run_dumbbell
 
@@ -65,21 +65,14 @@ def run(epoch: float = 0.5, seed: int = 0,
         runtime: Optional[Runtime] = None) -> Dict[str, object]:
     """The convergence test for all three schemes.
 
-    With ``seeds`` the sweep fans every (scheme, seed) cell through the
-    experiment runtime (seed-major, deterministically merged) and returns
-    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
+    With ``seeds`` every (scheme, seed) cell fans through the experiment
+    runtime and the result is :func:`repro.runtime.sweep`'s multi-seed
+    shape.
     """
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    specs = [RunSpec(f"{__name__}:_cell",
-                     {"scheme": s.name, "epoch": epoch, "seed": sd})
-             for sd in seed_list for s in ALL_SCHEMES]
-    flat = rt.map(specs)
-    per_seed = [
-        {s.name: flat[k * len(ALL_SCHEMES) + j]
-         for j, s in enumerate(ALL_SCHEMES)}
-        for k in range(len(seed_list))
-    ]
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": seed_list, "per_seed": per_seed}
+    return sweep(
+        runtime, seed, seeds,
+        lambda sd: [RunSpec(f"{__name__}:_cell",
+                            {"scheme": s.name, "epoch": epoch, "seed": sd})
+                    for s in ALL_SCHEMES],
+        lambda sd, cells: {s.name: cell
+                           for s, cell in zip(ALL_SCHEMES, cells)})

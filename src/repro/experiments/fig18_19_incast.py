@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..metrics import percentile
-from ..runtime import RunSpec, Runtime
+from ..runtime import RunSpec, Runtime, sweep
 from .common import ALL_SCHEMES, SCHEME_BY_NAME
 from .runners import run_incast
 
@@ -59,27 +59,20 @@ def run(counts: Sequence[int] = SENDER_COUNTS, duration: float = 0.4,
     """Throughput/fairness/RTT/drops per scheme per fan-in count.
 
     With ``seeds`` every (fan-in, scheme, seed) cell fans through the
-    experiment runtime; the merge is seed-major and returns
-    ``{"seeds": [...], "per_seed": [<single-seed rows>, ...]}``.
+    experiment runtime and the result is :func:`repro.runtime.sweep`'s
+    multi-seed shape (one list of rows per seed).
     """
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    cells = [(n, s.name) for n in counts for s in ALL_SCHEMES]
-    specs = [RunSpec(f"{__name__}:_cell",
-                     {"scheme": name, "n_senders": n, "duration": duration,
-                      "mtu": mtu, "seed": sd})
-             for sd in seed_list for n, name in cells]
-    flat = rt.map(specs)
-    per_seed: List[List[dict]] = []
-    for k in range(len(seed_list)):
-        rows: List[dict] = []
-        for i, n in enumerate(counts):
-            row: Dict[str, object] = {"senders": n}
-            for j, scheme in enumerate(ALL_SCHEMES):
-                row[scheme.name] = flat[
-                    k * len(cells) + i * len(ALL_SCHEMES) + j]
-            rows.append(row)
-        per_seed.append(rows)
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": seed_list, "per_seed": per_seed}
+    def specs_for(sd: int) -> List[RunSpec]:
+        return [RunSpec(f"{__name__}:_cell",
+                        {"scheme": s.name, "n_senders": n,
+                         "duration": duration, "mtu": mtu, "seed": sd})
+                for n in counts for s in ALL_SCHEMES]
+
+    def rows(sd: int, cells: List[dict]) -> List[dict]:
+        width = len(ALL_SCHEMES)
+        return [{"senders": n,
+                 **{s.name: cells[i * width + j]
+                    for j, s in enumerate(ALL_SCHEMES)}}
+                for i, n in enumerate(counts)]
+
+    return sweep(runtime, seed, seeds, specs_for, rows)

@@ -15,47 +15,29 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..metrics import RttRecorder, jain_index, percentile
+from ..metrics import jain_index, percentile
 from ..net.topology import star
-from ..sim import Simulator
-from ..workloads.apps import BulkSender, EchoSink, PingPong, Sink
-from .common import ALL_SCHEMES, Scheme, attach_vswitches, switch_opts
-
-DATA_PORT = 5000
-PROBE_PORT = 6000
+from .common import ALL_SCHEMES, DATA_PORT, Scheme, Testbed
 
 
 def run_scheme(scheme: Scheme, group_a: int = 10, stride: int = 2,
                duration: float = 0.6, mtu: int = 9000,
                rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's run: probe RTT percentiles through the hot port."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, group_a + 2, rate_bps=rate_bps,
-                               mtu=mtu, seed=seed,
-                               **switch_opts(scheme, rate_bps))
+    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=group_a + 2,
+                 mtu=mtu, seed=seed)
+    hosts, _switch = tb.parts
     a_hosts = hosts[:group_a]
     b1, b2 = hosts[group_a], hosts[group_a + 1]
-    attach_vswitches(scheme, hosts)
-    opts = scheme.conn_opts()
-    flows = []
     for i, host in enumerate(a_hosts):
         # Within-A stride flows: i -> i+1 .. i+stride (mod A).
         for k in range(1, stride + 1):
-            dst = a_hosts[(i + k) % group_a]
-            Sink(dst, DATA_PORT + i, **opts)
-            flows.append(BulkSender(sim, host, dst.addr, DATA_PORT + i,
-                                    conn_opts=dict(opts)))
+            tb.bulk(host, a_hosts[(i + k) % group_a], DATA_PORT + i)
         # Incast flow into B1.
-        Sink(b1, DATA_PORT + 100 + i, **opts)
-        flows.append(BulkSender(sim, host, b1.addr, DATA_PORT + 100 + i,
-                                conn_opts=dict(opts)))
-    rec = RttRecorder()
-    EchoSink(b1, PROBE_PORT, **opts)
-    PingPong(sim, b2, b1.addr, PROBE_PORT, rec, interval_s=0.002,
-             start_at=0.0, warmup_s=duration * 0.15, conn_opts=dict(opts))
-    sim.run(until=duration)
-    tputs = [f.bytes_acked * 8 / duration for f in flows]
-    rtt = rec.samples
+        tb.bulk(host, b1, DATA_PORT + 100 + i)
+    tb.probe(b2, b1, 0.002, warmup_s=duration * 0.15)
+    r = tb.run(duration)
+    tputs, rtt = r.tputs_bps, r.rtt_samples
     return {
         "avg_tput_mbps": sum(tputs) / len(tputs) / 1e6,
         "fairness": jain_index(tputs),
@@ -65,7 +47,7 @@ def run_scheme(scheme: Scheme, group_a: int = 10, stride: int = 2,
             "p99": percentile(rtt, 99) * 1e3,
             "p999": percentile(rtt, 99.9) * 1e3,
         } if rtt else {},
-        "drop_rate_pct": 100.0 * switch.drop_rate(),
+        "drop_rate_pct": 100.0 * r.drop_rate,
     }
 
 

@@ -17,32 +17,30 @@ from typing import Dict
 
 from ..metrics import FctRecorder
 from ..net.topology import star
-from ..sim import Simulator
 from ..workloads.generators import ConcurrentStride
-from .common import ALL_SCHEMES, Scheme, attach_vswitches, switch_opts
+from .common import ALL_SCHEMES, Scheme, Testbed
 
 
 def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 0.8,
                background_bytes: int = 16 * 1024 * 1024,
                mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's concurrent-stride run: mice and background FCTs."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, hosts_n, rate_bps=rate_bps, mtu=mtu,
-                               seed=seed, **switch_opts(scheme, rate_bps))
-    attach_vswitches(scheme, hosts)
+    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
+                 seed=seed)
+    hosts, _switch = tb.parts
     recorder = FctRecorder()
     ConcurrentStride(
-        sim, hosts, recorder,
+        tb.sim, hosts, recorder,
         background_bytes=background_bytes, background_rounds=1,
         mice_bytes=16 * 1024, mice_interval=0.1, duration=duration * 0.6,
         conn_opts=scheme.conn_opts())
-    sim.run(until=duration)
+    r = tb.run(duration)
     return {
         "mice_fcts": recorder.fcts("mice"),
         "background_fcts": recorder.fcts("background"),
         "mice_done": recorder.completion_fraction("mice"),
         "background_done": recorder.completion_fraction("background"),
-        "drop_rate_pct": 100.0 * switch.drop_rate(),
+        "drop_rate_pct": 100.0 * r.drop_rate,
     }
 
 

@@ -15,35 +15,33 @@ from typing import Dict, Optional, Sequence
 
 from ..metrics import FctRecorder
 from ..net.topology import star
-from ..sim import Simulator
-from ..runtime import RunSpec, Runtime
+from ..runtime import RunSpec, Runtime, sweep
 from ..sim.rng import RngFactory
 from ..workloads.generators import Shuffle
-from .common import ALL_SCHEMES, SCHEME_BY_NAME, Scheme, attach_vswitches, switch_opts
+from .common import ALL_SCHEMES, SCHEME_BY_NAME, Scheme, Testbed
 
 
 def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 1.0,
                block_bytes: int = 4 * 1024 * 1024,
                mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's shuffle run: mice and block FCTs."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, hosts_n, rate_bps=rate_bps, mtu=mtu,
-                               seed=seed, **switch_opts(scheme, rate_bps))
-    attach_vswitches(scheme, hosts)
+    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
+                 seed=seed)
+    hosts, _switch = tb.parts
     recorder = FctRecorder()
     shuffle = Shuffle(
-        sim, hosts, recorder, block_bytes=block_bytes,
+        tb.sim, hosts, recorder, block_bytes=block_bytes,
         rng=RngFactory(seed).stream("fig22.shuffle-order"), fanout=2,
         mice_bytes=16 * 1024, mice_interval=0.1, mice_until=duration * 0.6,
         conn_opts=scheme.conn_opts())
-    sim.run(until=duration)
+    r = tb.run(duration)
     return {
         "mice_fcts": recorder.fcts("mice"),
         "background_fcts": recorder.fcts("background"),
         "mice_done": recorder.completion_fraction("mice"),
         "background_done": recorder.completion_fraction("background"),
         "shuffle_finished": shuffle.finished(),
-        "drop_rate_pct": 100.0 * switch.drop_rate(),
+        "drop_rate_pct": 100.0 * r.drop_rate,
     }
 
 
@@ -58,20 +56,14 @@ def run(duration: float = 1.0, seed: int = 0,
     """The shuffle workload for all three schemes.
 
     With ``seeds`` each (scheme, seed) run fans through the experiment
-    runtime and the merge returns
-    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
+    runtime and the result is :func:`repro.runtime.sweep`'s multi-seed
+    shape.
     """
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    specs = [RunSpec(f"{__name__}:_cell",
-                     {"scheme": s.name, "duration": duration, "seed": sd})
-             for sd in seed_list for s in ALL_SCHEMES]
-    flat = rt.map(specs)
-    per_seed = [
-        {s.name: flat[k * len(ALL_SCHEMES) + j]
-         for j, s in enumerate(ALL_SCHEMES)}
-        for k in range(len(seed_list))
-    ]
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": seed_list, "per_seed": per_seed}
+    return sweep(
+        runtime, seed, seeds,
+        lambda sd: [RunSpec(f"{__name__}:_cell",
+                            {"scheme": s.name, "duration": duration,
+                             "seed": sd})
+                    for s in ALL_SCHEMES],
+        lambda sd, cells: {s.name: cell
+                           for s, cell in zip(ALL_SCHEMES, cells)})

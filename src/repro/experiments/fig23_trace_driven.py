@@ -17,11 +17,10 @@ from typing import Dict
 
 from ..metrics import FctRecorder
 from ..net.topology import star
-from ..sim import Simulator
 from ..sim.rng import RngFactory
 from ..workloads.generators import TraceDriven
 from ..workloads.traces import FlowSizeDistribution, data_mining, web_search
-from .common import ALL_SCHEMES, Scheme, attach_vswitches, switch_opts
+from .common import ALL_SCHEMES, Scheme, Testbed
 
 SIZE_SCALE = 0.05
 SIZE_CAP = 2 * 1024 * 1024
@@ -32,22 +31,21 @@ def run_scheme(scheme: Scheme, distribution: FlowSizeDistribution,
                apps_per_host: int = 5, messages_per_app: int = 15,
                mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's trace-driven run: mice/elephant FCTs."""
-    sim = Simulator()
-    topo, hosts, switch = star(sim, hosts_n, rate_bps=rate_bps, mtu=mtu,
-                               seed=seed, **switch_opts(scheme, rate_bps))
-    attach_vswitches(scheme, hosts)
+    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
+                 seed=seed)
+    hosts, _switch = tb.parts
     recorder = FctRecorder()
-    TraceDriven(sim, hosts, recorder, distribution,
+    TraceDriven(tb.sim, hosts, recorder, distribution,
                 rng=RngFactory(seed).stream("fig23.trace-apps"),
                 apps_per_host=apps_per_host,
                 messages_per_app=messages_per_app,
                 conn_opts=scheme.conn_opts())
-    sim.run(until=duration)
+    r = tb.run(duration)
     return {
         "mice_fcts": recorder.fcts("mice"),
         "elephant_fcts": recorder.fcts("elephant"),
         "mice_done": recorder.completion_fraction("mice"),
-        "drop_rate_pct": 100.0 * switch.drop_rate(),
+        "drop_rate_pct": 100.0 * r.drop_rate,
     }
 
 

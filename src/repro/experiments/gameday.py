@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis import sanitize
-from ..runtime import Runtime, RunSpec
+from ..runtime import Runtime, RunSpec, sweep
 
 #: Mild but non-trivial chaos: every injector type at 0.5% marginal
 #: probability on the first host's wire.
@@ -68,13 +68,9 @@ def run(seed: int = 0, quick: bool = False,
         runtime: Optional[Runtime] = None) -> Dict[str, object]:
     epochs = 4 if quick else 6
     n_hosts = 4 if quick else 6
-    rt = runtime if runtime is not None else Runtime()
-    seed_list = [seed] if seeds is None else list(seeds)
-    flat = rt.map([RunSpec(f"{__name__}:gameday_cell",
-                           {"seed": sd, "epochs": epochs,
-                            "n_hosts": n_hosts})
-                   for sd in seed_list])
-    per_seed = [{"seed": sd, **cell} for sd, cell in zip(seed_list, flat)]
-    if seeds is None:
-        return per_seed[0]
-    return {"seeds": list(seed_list), "per_seed": per_seed}
+    return sweep(
+        runtime, seed, seeds,
+        lambda sd: [RunSpec(f"{__name__}:gameday_cell",
+                            {"seed": sd, "epochs": epochs,
+                             "n_hosts": n_hosts})],
+        lambda sd, cells: {"seed": sd, **cells[0]})

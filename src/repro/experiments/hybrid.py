@@ -26,14 +26,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..fluid import FluidTier
-from ..metrics import RttRecorder
 from ..net.topology import dumbbell, star
-from ..sim import Simulator
-from ..workloads.apps import BulkSender, EchoSink, PingPong, Sink
 from ..workloads.background import BackgroundFlowGroup, TierRouter
-from .common import DCTCP, Scheme, attach_vswitches, switch_opts
-from .runners import DATA_PORT, RTT_PROBE_PORT, RunResult, _total_drop_rate
+from .common import DATA_PORT, DCTCP, RunResult, Scheme, Testbed
 
 #: Fluid timestep for the stock scenarios: 0.1 ms, ten steps per the
 #: default 1 ms background RTT.
@@ -46,42 +41,6 @@ DEFAULT_BACKGROUND = (
     BackgroundFlowGroup("bg-dctcp", n_flows=48, rtt_s=1e-3, cc="dctcp"),
     BackgroundFlowGroup("bg-reno", n_flows=16, rtt_s=1e-3, cc="reno"),
 )
-
-
-def _couple(sim: Simulator, switch, port_id: int, fluid_specs,
-            dt: float, inert: bool, start_at: float) -> Optional[FluidTier]:
-    """Attach the fluid tier at one bottleneck port (or not at all).
-
-    The stepper starts at ``start_at``, not 0: the background classes
-    dump their initial windows into the queue in one burst (they have
-    no packet-level slow start), which parks the occupancy above the
-    WRED ramp top — and a foreground handshake's non-ECT SYN arriving
-    into that transient is dropped with probability 1.  Letting the
-    foreground establish first is the same connect-quietly-then-storm
-    methodology the incast runner uses for its packet senders.
-    """
-    if not fluid_specs and not inert:
-        return None
-    tier = FluidTier(sim, dt=dt)
-    tier.couple(switch, port_id, classes=tuple(fluid_specs))
-    tier.start(start_at=start_at)
-    return tier
-
-
-def _finish(result: RunResult, topo, tier: Optional[FluidTier],
-            obs) -> RunResult:
-    result.drop_rate = _total_drop_rate(topo)
-    if tier is not None:
-        tier.stop()
-        result.fluid = tier.snapshot()
-        if obs is not None:
-            # Flatten the coupling stats into the telemetry snapshot so
-            # a hybrid run is observable like a packet run.
-            obs.register_fluid(tier)
-    if obs is not None:
-        result.obs = obs
-        result.telemetry = obs.snapshot()
-    return result
 
 
 def run_hybrid_dumbbell(
@@ -110,46 +69,27 @@ def run_hybrid_dumbbell(
     router = TierRouter(tier_mode)
     pkt_groups, fluid_specs = router.route(background)
     pkt_flows = [group for group in pkt_groups for _ in range(group.n_flows)]
-    sim = Simulator()
-    topo, senders, receivers = dumbbell(
-        sim, pairs=fg_pairs + len(pkt_flows), rate_bps=rate_bps, mtu=mtu,
-        seed=seed, **switch_opts(scheme, rate_bps))
-    if obs is not None:
-        obs.bind(sim)
-        obs.attach_topology(topo)
-    vsw = attach_vswitches(scheme, senders + receivers, obs=obs)
-    result = RunResult(scheme=scheme.name, duration=duration, vswitches=vsw,
-                       sim=sim, topology=topo)
+    tb = Testbed(scheme, dumbbell, rate_bps=rate_bps, obs=obs,
+                 pairs=fg_pairs + len(pkt_flows), mtu=mtu, seed=seed)
+    senders, receivers = tb.parts
     for i in range(fg_pairs):
         opts = scheme.conn_opts()
         if fg_conn_opts:
             opts.update(fg_conn_opts)
-        # The sink mirrors the flow's stack (ECN negotiation is
-        # end-to-end), but not transmit-side knobs like pacing.
-        Sink(receivers[i], DATA_PORT, cc=opts["cc"], ecn=opts["ecn"])
-        result.flows.append(BulkSender(
-            sim, senders[i], receivers[i].addr, DATA_PORT, conn_opts=opts))
+        tb.bulk(senders[i], receivers[i], DATA_PORT, opts)
     for j, group in enumerate(pkt_flows):
         i = fg_pairs + j
-        opts = {"cc": group.cc, "ecn": group.resolved_ect}
-        Sink(receivers[i], DATA_PORT, **opts)
-        result.flows.append(BulkSender(
-            sim, senders[i], receivers[i].addr, DATA_PORT,
-            conn_opts=dict(opts)))
-    rtt_rec = RttRecorder()
+        tb.bulk(senders[i], receivers[i], DATA_PORT,
+                {"cc": group.cc, "ecn": group.resolved_ect})
     if rtt_probe:
-        EchoSink(receivers[0], RTT_PROBE_PORT, **scheme.conn_opts())
-        PingPong(sim, senders[0], receivers[0].addr, RTT_PROBE_PORT, rtt_rec,
-                 interval_s=probe_interval, start_at=0.0,
-                 warmup_s=duration * 0.05, conn_opts=scheme.conn_opts())
-    # Port 0 of sw-left is the inter-switch wire (dumbbell() links the
-    # switches before any host), i.e. the forward bottleneck.
-    tier = _couple(sim, topo.switches["sw-left"], 0, fluid_specs,
-                   dt, inert_coupling, bg_start_at)
-    sim.run(until=duration)
-    result.tputs_bps = [f.bytes_acked * 8 / duration for f in result.flows]
-    result.rtt_samples = rtt_rec.samples
-    return _finish(result, topo, tier, obs)
+        tb.probe(senders[0], receivers[0], probe_interval,
+                 warmup_s=duration * 0.05)
+    if fluid_specs or inert_coupling:
+        # Port 0 of sw-left is the inter-switch wire (dumbbell() links
+        # the switches before any host), i.e. the forward bottleneck.
+        tb.couple_fluid(tb.topology.switches["sw-left"], 0, fluid_specs,
+                        dt, bg_start_at)
+    return tb.run(duration)
 
 
 def run_hybrid_incast(
@@ -176,37 +116,21 @@ def run_hybrid_incast(
     router = TierRouter(tier_mode)
     pkt_groups, fluid_specs = router.route(background)
     pkt_flows = [group for group in pkt_groups for _ in range(group.n_flows)]
-    sim = Simulator()
-    topo, hosts, switch = star(
-        sim, n_senders + len(pkt_flows) + 1, rate_bps=rate_bps, mtu=mtu,
-        seed=seed, **switch_opts(scheme, rate_bps))
+    tb = Testbed(scheme, star, rate_bps=rate_bps, obs=obs,
+                 n_hosts=n_senders + len(pkt_flows) + 1, mtu=mtu, seed=seed)
+    hosts, switch = tb.parts
     receiver, senders = hosts[0], hosts[1:]
-    if obs is not None:
-        obs.bind(sim)
-        obs.attach_topology(topo)
-    vsw = attach_vswitches(scheme, hosts, obs=obs)
-    result = RunResult(scheme=scheme.name, duration=duration, vswitches=vsw,
-                       sim=sim, topology=topo)
-    opts = scheme.conn_opts()
-    Sink(receiver, DATA_PORT, **opts)
     storm_at = 0.01
     for i in range(n_senders):
-        start = (i % 16) * 1e-4
-        result.flows.append(BulkSender(
-            sim, senders[i], receiver.addr, DATA_PORT,
-            start_at=start, send_at=storm_at, conn_opts=dict(opts)))
+        tb.bulk(senders[i], receiver, DATA_PORT,
+                start_at=(i % 16) * 1e-4, send_at=storm_at)
     for j, group in enumerate(pkt_flows):
-        gopts = {"cc": group.cc, "ecn": group.resolved_ect}
-        Sink(receiver, DATA_PORT + 1 + j, **gopts)
-        result.flows.append(BulkSender(
-            sim, senders[n_senders + j], receiver.addr, DATA_PORT + 1 + j,
-            conn_opts=dict(gopts)))
-    # The receiver is the first host linked, so its switch port is 0.
-    tier = _couple(sim, switch, 0, fluid_specs, dt, inert_coupling,
-                   bg_start_at)
-    sim.run(until=duration)
-    result.tputs_bps = [f.bytes_acked * 8 / duration for f in result.flows]
-    return _finish(result, topo, tier, obs)
+        tb.bulk(senders[n_senders + j], receiver, DATA_PORT + 1 + j,
+                {"cc": group.cc, "ecn": group.resolved_ect})
+    if fluid_specs or inert_coupling:
+        # The receiver is the first host linked, so its switch port is 0.
+        tb.couple_fluid(switch, 0, fluid_specs, dt, bg_start_at)
+    return tb.run(duration)
 
 
 def run(seed: int = 0, quick: bool = False) -> dict:

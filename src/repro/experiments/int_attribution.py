@@ -31,10 +31,8 @@ from ..metrics.collectors import FctRecorder
 from ..net.topology import Topology
 from ..obs import IntTelemetry, ObsContext
 from ..obs.export import write_jsonl
-from ..sim import Simulator
 from ..workloads.apps import MessageStream, Sink
-from .common import ACDC, attach_vswitches, switch_opts
-from .runners import DATA_PORT, _total_drop_rate
+from .common import ACDC, DATA_PORT, Testbed
 
 #: Slow-link ratio: the bottleneck link runs at line rate over this.
 SLOWDOWN = 10.0
@@ -45,27 +43,29 @@ SLOWDOWN = 10.0
 EXPECTED_HOP = {"edge": "sw-edge.p1", "core": "sw-core.p0"}
 
 
-def _build(sim: Simulator, variant: str, n_senders: int, rate_bps: float,
-           mtu: int, seed: int):
-    """Two-switch asymmetric path; returns (topo, senders, receiver)."""
+def _build(sim, rate_bps: float, line_rate_bps: float, variant: str,
+           n_senders: int, mtu: int, seed: int, **switch_opts):
+    """Two-switch asymmetric path; returns (topo, senders, receiver).
+
+    ``rate_bps`` is the slow link's rate: the Testbed sizes the WRED/DT
+    thresholds for it — it is the bottleneck whose marking behaviour
+    matters, as in the stock runners.  Everything else runs at
+    ``line_rate_bps``.
+    """
     if variant not in EXPECTED_HOP:
         raise ValueError(f"unknown variant {variant!r}")
-    slow = rate_bps / SLOWDOWN
-    # WRED/DT thresholds sized for the slow link — it is the bottleneck
-    # whose marking behaviour matters, as in the stock runners.
-    opts = switch_opts(ACDC, slow)
     topo = Topology(sim, seed=seed)
-    core = topo.add_switch("sw-core", **opts)
-    edge = topo.add_switch("sw-edge", **opts)
+    core = topo.add_switch("sw-core", **switch_opts)
+    edge = topo.add_switch("sw-edge", **switch_opts)
     topo.link_switches(core, edge,
-                       slow if variant == "core" else rate_bps)
+                       rate_bps if variant == "core" else line_rate_bps)
     receiver = topo.add_host("recv", mtu=mtu)
     topo.link_host(receiver, edge,
-                   slow if variant == "edge" else rate_bps)
+                   rate_bps if variant == "edge" else line_rate_bps)
     senders = []
     for i in range(n_senders):
         host = topo.add_host(f"s{i + 1}", mtu=mtu)
-        topo.link_host(host, core, rate_bps)
+        topo.link_host(host, core, line_rate_bps)
         senders.append(host)
     topo.finalize()
     return topo, senders, receiver
@@ -98,17 +98,13 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
           rounds: int = 4, rate_bps: float = 1e9, mtu: int = 1500,
           seed: int = 0, telemetry: bool = False) -> dict:
     """One variant's incast run with INT on; plain-JSON kwargs only."""
-    sim = Simulator()
-    topo, senders, receiver = _build(sim, variant, n_senders, rate_bps,
-                                     mtu, seed)
-    obs = ObsContext(sim)
-    obs.attach_topology(topo)
-    tel = IntTelemetry(sim)
-    tel.attach_topology(topo)
-    vsw = attach_vswitches(ACDC, senders + [receiver], obs=obs)
-    for vswitch in vsw.values():
-        tel.attach_vswitch(vswitch)
-    obs.register_int(tel)
+    slow = rate_bps / SLOWDOWN
+    obs, tel = ObsContext(), IntTelemetry()
+    tb = Testbed(ACDC, _build, rate_bps=slow, obs=obs, int_tel=tel,
+                 line_rate_bps=rate_bps, variant=variant,
+                 n_senders=n_senders, mtu=mtu, seed=seed)
+    sim = tb.sim
+    senders, receiver = tb.parts
 
     conn_opts = ACDC.conn_opts()
     recorder = FctRecorder()
@@ -120,14 +116,13 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
     # Connections establish quietly, then synchronized message rounds —
     # every round is one incast burst through the slow link.
     storm_at = 0.01
-    slow = rate_bps / SLOWDOWN
     round_s = 2.0 * n_senders * msg_bytes * 8.0 / slow
     for r in range(rounds):
         for stream in streams:
             sim.schedule_at(storm_at + r * round_s,
                             stream.send_message, msg_bytes)
     duration = storm_at + (rounds + 1) * round_s
-    sim.run(until=duration)
+    result = tb.run(duration)
 
     fcts = sorted(recorder.fcts())
     p99 = percentile(fcts, 99) if fcts else None
@@ -166,13 +161,13 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
         "completed": len(fcts),
         "expected_messages": n_senders * rounds,
         "p99_fct_ms": p99 * 1e3 if p99 is not None else None,
-        "drop_rate_pct": _total_drop_rate(topo) * 100.0,
+        "drop_rate_pct": result.drop_rate * 100.0,
         "attribution": attribution,
         "p99_attribution": p99_attribution,
         "int": tel.snapshot(),
     }
     if telemetry:
-        out["telemetry"] = obs.snapshot()
+        out["telemetry"] = result.telemetry
         out["trace"] = records
     return out
 

@@ -1,84 +1,20 @@
 """Reusable experiment runners (dumbbell / parking lot / incast).
 
-Each runner builds a topology, attaches the scheme's vSwitches, drives
-the workload for a virtual-time budget and returns a result object with
-the paper's metrics.  The per-figure modules are thin wrappers over
-these.
+Each runner is flow placement on a :class:`~repro.experiments.common.
+Testbed` — which builds the topology, attaches the scheme's vSwitches
+and taps, drives the workload for a virtual-time budget and returns a
+:class:`RunResult` with the paper's metrics.  The per-figure modules are
+thin wrappers over these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core import AcdcConfig, PolicyEngine
-from ..metrics import RttRecorder, ThroughputMeter, jain_index, summarize
+from ..metrics import ThroughputMeter
 from ..net.topology import dumbbell, parking_lot, star
-from ..sim import Simulator
-from ..workloads.apps import BulkSender, EchoSink, PingPong, Sink
-from .common import Scheme, attach_vswitches, switch_opts
-
-RTT_PROBE_PORT = 6000
-DATA_PORT = 5000
-
-
-@dataclass
-class RunResult:
-    """Common observables of one run."""
-
-    scheme: str
-    duration: float
-    tputs_bps: List[float] = field(default_factory=list)
-    rtt_samples: List[float] = field(default_factory=list)
-    drop_rate: float = 0.0
-    vswitches: Dict[str, object] = field(default_factory=dict)
-    flows: List[BulkSender] = field(default_factory=list)
-    #: Per-flow throughput meters; populated only when a runner is asked
-    #: for them (``tput_meters=True``), empty otherwise — so ``.meters``
-    #: is safe to read on any runner's result.
-    meters: List[ThroughputMeter] = field(default_factory=list)
-    sim: Optional[Simulator] = None
-    topology: Optional[object] = None
-    #: Deterministic metric/trace snapshot (``ObsContext.snapshot()``);
-    #: empty unless the runner was given an ``obs`` context.
-    telemetry: Dict[str, object] = field(default_factory=dict)
-    #: Fluid-tier snapshot (``FluidTier.snapshot()``) for hybrid runs;
-    #: empty on pure-packet runs.
-    fluid: Dict[str, object] = field(default_factory=dict)
-    #: The live ObsContext (trace bus, registry) for post-run inspection.
-    obs: Optional[object] = None
-
-    @property
-    def fairness(self) -> float:
-        return jain_index(self.tputs_bps)
-
-    @property
-    def avg_tput_bps(self) -> float:
-        return sum(self.tputs_bps) / len(self.tputs_bps) if self.tputs_bps else 0.0
-
-    def rtt_summary(self) -> dict:
-        return summarize(self.rtt_samples) if self.rtt_samples else {}
-
-
-def _total_drop_rate(topology) -> float:
-    sent = sum(sw.total_tx_packets() for sw in topology.switches.values())
-    dropped = sum(sw.total_drops() for sw in topology.switches.values())
-    total = sent + dropped
-    return dropped / total if total else 0.0
-
-
-def _attach_int(int_tel, sim, topology, vswitches, obs) -> None:
-    """Wire an :class:`~repro.obs.int.IntTelemetry` context into a run:
-    stampers on every switch port, sink/echo/view logic on every AC/DC
-    vSwitch, and (when an obs context is present) its metric sources."""
-    if int_tel is None:
-        return
-    int_tel.bind(sim)
-    int_tel.attach_topology(topology)
-    for vswitch in vswitches.values():
-        int_tel.attach_vswitch(vswitch)
-    if obs is not None:
-        obs.register_int(int_tel)
+from .common import DATA_PORT, RunResult, Scheme, Testbed
 
 
 def run_dumbbell(
@@ -112,19 +48,10 @@ def run_dumbbell(
     ``stop_times`` stagger flows (the Fig. 14 convergence test), in which
     case per-flow :class:`ThroughputMeter` series are attached.
     """
-    sim = Simulator()
-    topo, senders, receivers = dumbbell(
-        sim, pairs=pairs, rate_bps=rate_bps, mtu=mtu, seed=seed,
-        **switch_opts(scheme, rate_bps))
-    if obs is not None:
-        obs.bind(sim)
-        obs.attach_topology(topo)
-    vsw = attach_vswitches(scheme, senders + receivers,
-                           acdc_config=acdc_config, policy=policy,
-                           window_cb=window_cb, obs=obs)
-    _attach_int(int_tel, sim, topo, vsw, obs)
-    result = RunResult(scheme=scheme.name, duration=duration, vswitches=vsw,
-                       sim=sim, topology=topo)
+    tb = Testbed(scheme, dumbbell, rate_bps=rate_bps, obs=obs,
+                 int_tel=int_tel, acdc_config=acdc_config, policy=policy,
+                 window_cb=window_cb, pairs=pairs, mtu=mtu, seed=seed)
+    senders, receivers = tb.parts
     meters = []
     for i in range(pairs):
         opts = scheme.conn_opts()
@@ -136,39 +63,24 @@ def run_dumbbell(
             opts["pacing_rate_bps"] = pacing_rate_bps
         if max_cwnd is not None:
             opts["max_cwnd"] = max_cwnd
-        # The sink must mirror the flow's stack (ECN negotiation is
-        # end-to-end; a non-ECN listener would silently disable it).
-        Sink(receivers[i], DATA_PORT, cc=opts["cc"], ecn=opts["ecn"])
         start = start_times[i] if start_times is not None else 0.0
         stop = stop_times[i] if stop_times is not None else None
         on_start = None
         if window_probe is not None:
             def on_start(flow, probe=window_probe):  # noqa: E306
                 flow.conn.window_probe = probe
-        flow = BulkSender(sim, senders[i], receivers[i].addr, DATA_PORT,
-                          start_at=start, stop_at=stop, conn_opts=opts,
-                          on_start=on_start)
-        result.flows.append(flow)
+        flow = tb.bulk(senders[i], receivers[i], DATA_PORT, opts,
+                       start_at=start, stop_at=stop, on_start=on_start)
         if tput_meters:
-            meter = ThroughputMeter(sim, lambda f=flow: f.bytes_acked,
+            meter = ThroughputMeter(tb.sim, lambda f=flow: f.bytes_acked,
                                     interval_s=duration / 100.0)
-            sim.schedule_at(start, meter.start)
+            tb.sim.schedule_at(start, meter.start)
             meters.append(meter)
-    rtt_rec = RttRecorder()
     if rtt_probe:
-        EchoSink(receivers[0], RTT_PROBE_PORT, **scheme.conn_opts())
-        PingPong(sim, senders[0], receivers[0].addr, RTT_PROBE_PORT, rtt_rec,
-                 interval_s=probe_interval, start_at=0.0,
-                 warmup_s=duration * 0.05, pipelined=probe_pipelined,
-                 conn_opts=scheme.conn_opts())
-    sim.run(until=duration)
-    result.tputs_bps = [f.bytes_acked * 8 / duration for f in result.flows]
-    result.rtt_samples = rtt_rec.samples
-    result.drop_rate = _total_drop_rate(topo)
+        tb.probe(senders[0], receivers[0], probe_interval,
+                 warmup_s=duration * 0.05, pipelined=probe_pipelined)
+    result = tb.run(duration)
     result.meters = meters
-    if obs is not None:
-        result.obs = obs
-        result.telemetry = obs.snapshot()
     return result
 
 
@@ -182,34 +94,13 @@ def run_parking_lot(
     obs=None,
 ) -> RunResult:
     """The Fig. 7b multi-bottleneck topology, one long flow per sender."""
-    sim = Simulator()
-    topo, senders, receiver = parking_lot(
-        sim, senders=n_senders, rate_bps=rate_bps, mtu=mtu, seed=seed,
-        **switch_opts(scheme, rate_bps))
-    if obs is not None:
-        obs.bind(sim)
-        obs.attach_topology(topo)
-    vsw = attach_vswitches(scheme, senders + [receiver], obs=obs)
-    result = RunResult(scheme=scheme.name, duration=duration, vswitches=vsw,
-                       sim=sim, topology=topo)
-    opts = scheme.conn_opts()
+    tb = Testbed(scheme, parking_lot, rate_bps=rate_bps, obs=obs,
+                 senders=n_senders, mtu=mtu, seed=seed)
+    senders, receiver = tb.parts
     for i, sender in enumerate(senders):
-        Sink(receiver, DATA_PORT + i, **opts)
-        result.flows.append(BulkSender(
-            sim, sender, receiver.addr, DATA_PORT + i, conn_opts=dict(opts)))
-    rtt_rec = RttRecorder()
-    EchoSink(receiver, RTT_PROBE_PORT, **opts)
-    PingPong(sim, senders[0], receiver.addr, RTT_PROBE_PORT, rtt_rec,
-             interval_s=0.001, start_at=0.0, warmup_s=duration * 0.05,
-             conn_opts=dict(opts))
-    sim.run(until=duration)
-    result.tputs_bps = [f.bytes_acked * 8 / duration for f in result.flows]
-    result.rtt_samples = rtt_rec.samples
-    result.drop_rate = _total_drop_rate(topo)
-    if obs is not None:
-        result.obs = obs
-        result.telemetry = obs.snapshot()
-    return result
+        tb.bulk(sender, receiver, DATA_PORT + i)
+    tb.probe(senders[0], receiver, 0.001, warmup_s=duration * 0.05)
+    return tb.run(duration)
 
 
 def run_incast(
@@ -229,53 +120,19 @@ def run_incast(
     ``guest_dctcp_floor_mss`` parameterises the Linux 2-packet CWND floor
     for the A4 ablation.
     """
-    sim = Simulator()
-    topo, hosts, _switch = star(
-        sim, n_senders + 1, rate_bps=rate_bps, mtu=mtu, seed=seed,
-        **switch_opts(scheme, rate_bps))
+    tb = Testbed(scheme, star, rate_bps=rate_bps, obs=obs, int_tel=int_tel,
+                 acdc_config=acdc_config, n_hosts=n_senders + 1, mtu=mtu,
+                 seed=seed)
+    hosts, _switch = tb.parts
     receiver, senders = hosts[0], hosts[1:]
-    if obs is not None:
-        obs.bind(sim)
-        obs.attach_topology(topo)
-    vsw = attach_vswitches(scheme, hosts, acdc_config=acdc_config, obs=obs)
-    _attach_int(int_tel, sim, topo, vsw, obs)
-    result = RunResult(scheme=scheme.name, duration=duration, vswitches=vsw,
-                       sim=sim, topology=topo)
     opts = scheme.conn_opts()
     if guest_dctcp_floor_mss is not None and opts["cc"] == "dctcp":
         opts["cc_kwargs"] = {"min_cwnd_mss": guest_dctcp_floor_mss}
-    Sink(receiver, DATA_PORT, **scheme.conn_opts())
     storm_at = 0.01  # connections establish quietly, then all send
     for i, sender in enumerate(senders):
         # Small start jitter mimics real connection setup spread.
-        start = (i % 16) * 1e-4
-        result.flows.append(BulkSender(
-            sim, sender, receiver.addr, DATA_PORT,
-            start_at=start, send_at=storm_at, conn_opts=dict(opts)))
-    rtt_rec = RttRecorder()
-    EchoSink(receiver, RTT_PROBE_PORT, **scheme.conn_opts())
-    PingPong(sim, senders[0], receiver.addr, RTT_PROBE_PORT, rtt_rec,
-             interval_s=0.002, start_at=0.0, warmup_s=duration * 0.3,
-             conn_opts=scheme.conn_opts())
-    # Throughput/fairness over steady state only: the paper's runs last
-    # minutes, so its averages do not see the connection-setup transient.
-    snapshots = {}
-
-    def snapshot():
-        for flow in result.flows:
-            snapshots[id(flow)] = flow.bytes_acked
-
-    measure_from = duration * 0.3
-    sim.schedule_at(measure_from, snapshot)
-    sim.run(until=duration)
-    window = duration - measure_from
-    result.tputs_bps = [
-        (f.bytes_acked - snapshots.get(id(f), 0)) * 8 / window
-        for f in result.flows
-    ]
-    result.rtt_samples = rtt_rec.samples
-    result.drop_rate = _total_drop_rate(topo)
-    if obs is not None:
-        result.obs = obs
-        result.telemetry = obs.snapshot()
-    return result
+        tb.bulk(sender, receiver, DATA_PORT, opts,
+                start_at=(i % 16) * 1e-4, send_at=storm_at)
+    tb.probe(senders[0], receiver, 0.002, warmup_s=duration * 0.3)
+    # Throughput/fairness over steady state only.
+    return tb.run(duration, measure_from=duration * 0.3)

@@ -522,11 +522,10 @@ class FaultyDatapath:
         self.inner = inner
         self.faults: List[Fault] = list(faults)
         if recorder is None:
-            # Default ledger is the obs adapter bound to the wrapped
-            # datapath's trace bus (if any): a traced run sees every
-            # injected fault as a ``fault.inject`` event for free.
-            from ..obs.adapters import FaultRecorderAdapter
-            recorder = FaultRecorderAdapter(getattr(inner, "trace", None))
+            # Default ledger is bound to the wrapped datapath's trace
+            # bus (if any): a traced run sees every injected fault as a
+            # ``fault.inject`` event for free.
+            recorder = FaultRecorder(getattr(inner, "trace", None))
         self.recorder = recorder
         for fault in self.faults:
             fault.attach(self)

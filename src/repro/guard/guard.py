@@ -31,7 +31,6 @@ from typing import Optional
 from ..core.enforcement import encoded_window_bytes
 from ..core.vswitch_cc import make_vswitch_cc
 from ..metrics.collectors import EventLog, FaultRecorder
-from ..obs.adapters import EventLogAdapter, FaultRecorderAdapter
 from ..sim.rng import RngFactory
 from .config import GuardConfig
 from .escalation import EscalationEngine
@@ -55,13 +54,12 @@ class Guard:
                  recorder: Optional[FaultRecorder] = None,
                  events: Optional[EventLog] = None):
         self.config = config if config is not None else GuardConfig()
-        # The recorder adapter stays bus-unbound inside the guard: its
+        # The recorder stays bus-unbound inside the guard: its
         # counts are keyed by guard kind, and mirroring them would emit
         # them as (wrong) ``fault.inject`` events.  The *event log* is
         # what binds to the vSwitch's bus at attach().
-        self.recorder = (recorder if recorder is not None
-                         else FaultRecorderAdapter())
-        self.events = events if events is not None else EventLogAdapter()
+        self.recorder = recorder if recorder is not None else FaultRecorder()
+        self.events = events if events is not None else EventLog()
         self._rngs = RngFactory(self.config.seed)
         # Bound at attach() time.
         self.vswitch = None
@@ -85,9 +83,7 @@ class Guard:
         self.mss = vswitch.mss
         bus = getattr(vswitch, "trace", None)
         if bus is not None:
-            bind = getattr(self.events, "bind_bus", None)
-            if bind is not None:
-                bind(bus)
+            self.events.bind_bus(bus)
         self.monitor = ConformanceMonitor(self.config, self.mss)
         self.escalation = EscalationEngine(
             self.config, self.mss, vswitch.policy, self._notify)

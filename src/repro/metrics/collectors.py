@@ -8,11 +8,11 @@ TCP application that measures flow completion times.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..obs.trace import INFO, WARNING
 from ..sim.engine import Simulator
 from ..sim.timers import PeriodicTimer
 
@@ -158,6 +158,28 @@ class Event:
     detail: Tuple[Tuple[str, object], ...] = ()
 
 
+#: Guard notification kind -> trace event type.  Kept here, beside the
+#: ledger that dispatches on it, not in ``obs.trace``: RL102's
+#: dead-schema pass counts a type literal as live only outside the
+#: module that registers it.
+GUARD_KIND_TO_TYPE: Dict[str, str] = {
+    "guard_escalate": "guard.escalate",
+    "guard_deescalate": "guard.deescalate",
+    "guard_police_drop": "guard.police_drop",
+    "guard_quarantine_drop": "guard.quarantine_drop",
+    "guard_feedback_fallback": "guard.feedback_fallback",
+    "guard_shed": "guard.shed",
+    "guard_unshed": "guard.unshed",
+}
+
+#: Enforcement actions and ladder climbs warrant attention; bookkeeping
+#: transitions stay informational.
+_WARN_TYPES = frozenset({
+    "guard.escalate", "guard.police_drop", "guard.quarantine_drop",
+    "guard.feedback_fallback", "guard.shed",
+})
+
+
 class EventLog:
     """Ordered ledger of structured events (guard transitions, watchdog
     shedding, fallback activations).
@@ -166,22 +188,36 @@ class EventLog:
     (time, kind, flow, detail) sequence, which is what determinism
     assertions and the DESIGN.md state-machine audit trail consume.
 
-    .. deprecated::
-        Prefer :class:`repro.obs.adapters.EventLogAdapter` — the same
-        ledger, plus every record mirrored onto the run's trace bus.
+    With a :class:`~repro.obs.trace.TraceBus` bound, every record is also
+    mirrored onto it: guard ``kind`` strings map onto dedicated
+    ``guard.*`` event types, and unmapped kinds ride the ``guard.event``
+    catch-all so a new guard notification can never silently vanish from
+    a trace.  Unbound (the default) it is a pure ledger.
     """
 
-    def __init__(self) -> None:
-        if type(self) is EventLog:
-            warnings.warn(
-                "EventLog is deprecated; use "
-                "repro.obs.adapters.EventLogAdapter (same API, trace-bus "
-                "aware)", DeprecationWarning, stacklevel=2)
+    def __init__(self, bus=None) -> None:
         self.events: List[Event] = []
+        self.bus = bus
+
+    def bind_bus(self, bus) -> None:
+        """Late binding: the guard learns its vSwitch (and with it the
+        run's bus) only at attach time."""
+        self.bus = bus
 
     def record(self, time: float, kind: str, flow=None, **detail) -> None:
         self.events.append(Event(time=time, kind=kind, flow=flow,
                                  detail=tuple(sorted(detail.items()))))
+        bus = self.bus
+        if bus is None:
+            return
+        type_ = GUARD_KIND_TO_TYPE.get(kind)
+        if type_ is None:
+            type_ = "guard.event"
+            detail = dict(detail)
+            detail["kind"] = kind
+        severity = WARNING if type_ in _WARN_TYPES else INFO
+        bus.emit(type_, flow=flow, component="guard", severity=severity,
+                 **detail)
 
     def kinds(self) -> Dict[str, int]:
         counts: Counter = Counter(e.kind for e in self.events)
@@ -206,21 +242,26 @@ class FaultRecorder:
     experiments can assert that the counters sum to the events the
     injectors report and break degradation down by cause.
 
-    .. deprecated::
-        Prefer :class:`repro.obs.adapters.FaultRecorderAdapter` — the
-        same ledger, plus every record mirrored onto the trace bus.
+    With a trace bus bound, every record is mirrored as a
+    ``fault.inject`` event.  ``record`` carries no timestamp, so the
+    event is stamped from the bus's simulator clock — injectors record
+    at the instant the fault fires, which is exactly the bus's
+    ``sim.now``.
     """
 
-    def __init__(self) -> None:
-        if type(self) is FaultRecorder:
-            warnings.warn(
-                "FaultRecorder is deprecated; use "
-                "repro.obs.adapters.FaultRecorderAdapter (same API, "
-                "trace-bus aware)", DeprecationWarning, stacklevel=2)
+    def __init__(self, bus=None) -> None:
         self.counts: Counter = Counter()
+        self.bus = bus
+
+    def bind_bus(self, bus) -> None:
+        self.bus = bus
 
     def record(self, cause: str, n: int = 1) -> None:
         self.counts[cause] += n
+        bus = self.bus
+        if bus is not None:
+            bus.emit("fault.inject", component="faults", severity=WARNING,
+                     cause=cause, n=n)
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -15,8 +15,9 @@ into, replacing the ad-hoc logging each PR grew on its own
   per-vSwitch ring buffer of the last datapath decisions, dumped on
   :class:`~repro.analysis.sanitize.InvariantViolation` or on demand;
 * :mod:`repro.obs.export` — JSONL/CSV writers for trace streams;
-* :mod:`repro.obs.adapters` — drop-in ``EventLog``/``FaultRecorder``
-  subclasses that mirror their records onto the bus;
+* the ``EventLog``/``FaultRecorder`` ledgers of
+  :mod:`repro.metrics.collectors` mirror their records onto the bus
+  when one is bound;
 * :mod:`repro.obs.int` — **in-band network telemetry**: switch ports
   stamp per-hop metadata (queue depth, utilization, residence) onto
   transiting packets, the receiving vSwitch echoes a compact digest

@@ -6,10 +6,10 @@ vSwitches (:meth:`register_vswitch`), switches and their ports
 (:meth:`register_switch` / :meth:`attach_topology`) and the engine
 itself (:meth:`bind`).
 
-It may be created *unbound* — before the runner has built the
-:class:`~repro.sim.engine.Simulator` — so experiment code can wire
-probes first and hand the context to a runner, which binds it; see
-``repro.experiments.runners``.
+It may be created *unbound* — before the run's
+:class:`~repro.sim.engine.Simulator` exists — so experiment code can
+wire probes first and hand the context to a runner, whose
+:class:`~repro.experiments.common.Testbed` binds it.
 
 :meth:`snapshot` produces the deterministic JSON-able dict stored in
 ``RunResult.telemetry``: metric values are read once, sorted by name,
@@ -19,6 +19,7 @@ paths of the experiment runtime stay byte-identical.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from .metrics import MetricRegistry, pow2_bounds
@@ -51,172 +52,93 @@ class PortObs:
                       admitted=admitted, marked=marked)
 
 
-class _EngineSource:
-    """Metric source reading one simulator's counters.
-
-    Sources are plain objects (not lambdas) so a registry that is part
-    of a live service survives checkpoint/restore pickling.
-    """
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim):
-        self.sim = sim
-
-    def __call__(self) -> dict:
-        s = self.sim
-        return {
-            "events_processed": s.events_processed,
-            "events_scheduled": s.events_scheduled,
-            "heap_compactions": s.heap_compactions,
-        }
+# Metric sources are module-level functions bound with
+# ``functools.partial`` (or bound methods), never lambdas: a registry
+# that is part of a live service must survive checkpoint/restore
+# pickling.
 
 
-class _VswitchOpsSource:
-    __slots__ = ("vswitch",)
-
-    def __init__(self, vswitch):
-        self.vswitch = vswitch
-
-    def __call__(self) -> dict:
-        v = self.vswitch
-        return {
-            "packets_egress": v.ops.packets_egress,
-            "packets_ingress": v.ops.packets_ingress,
-            **v.ops.snapshot(),
-        }
+def _engine_metrics(sim) -> dict:
+    return {
+        "events_processed": sim.events_processed,
+        "events_scheduled": sim.events_scheduled,
+        "heap_compactions": sim.heap_compactions,
+    }
 
 
-class _VswitchFlowTableSource:
-    __slots__ = ("vswitch",)
-
-    def __init__(self, vswitch):
-        self.vswitch = vswitch
-
-    def __call__(self) -> dict:
-        v = self.vswitch
-        return {
-            "entries": len(v.table.entries),
-            "restarts": v.restarts,
-            "resurrections": v.resurrections,
-        }
+def _vswitch_ops_metrics(vswitch) -> dict:
+    return {
+        "packets_egress": vswitch.ops.packets_egress,
+        "packets_ingress": vswitch.ops.packets_ingress,
+        **vswitch.ops.snapshot(),
+    }
 
 
-class _VswitchPolicerSource:
-    __slots__ = ("vswitch",)
-
-    def __init__(self, vswitch):
-        self.vswitch = vswitch
-
-    def __call__(self) -> dict:
-        return {"drops": self.vswitch.policer.drops}
+def _vswitch_flow_table_metrics(vswitch) -> dict:
+    return {
+        "entries": len(vswitch.table.entries),
+        "restarts": vswitch.restarts,
+        "resurrections": vswitch.resurrections,
+    }
 
 
-class _VswitchConntrackSource:
-    __slots__ = ("vswitch",)
-
-    def __init__(self, vswitch):
-        self.vswitch = vswitch
-
-    def __call__(self) -> dict:
-        entries = self.vswitch.table.entries.values()
-        return {
-            "dupacks": sum(e.conntrack.dupacks for e in entries),
-            "timeouts_inferred": sum(e.conntrack.timeouts_inferred
-                                     for e in entries),
-        }
+def _vswitch_policer_metrics(vswitch) -> dict:
+    return {"drops": vswitch.policer.drops}
 
 
-class _SwitchSource:
-    __slots__ = ("switch",)
-
-    def __init__(self, switch):
-        self.switch = switch
-
-    def __call__(self) -> dict:
-        s = self.switch
-        return {
-            "rx_packets": s.rx_packets,
-            "no_route_drops": s.no_route_drops,
-            "tx_packets": s.total_tx_packets(),
-            "drops": s.total_drops(),
-            "marked_packets": s.marker.marked_packets,
-            "wred_drops": s.marker.dropped_packets,
-            "buffer_peak_used": s.shared.peak_used,
-        }
+def _vswitch_conntrack_metrics(vswitch) -> dict:
+    entries = vswitch.table.entries.values()
+    return {
+        "dupacks": sum(e.conntrack.dupacks for e in entries),
+        "timeouts_inferred": sum(e.conntrack.timeouts_inferred
+                                 for e in entries),
+    }
 
 
-class _PortSource:
-    __slots__ = ("port",)
-
-    def __init__(self, port):
-        self.port = port
-
-    def __call__(self) -> dict:
-        stats = self.port.stats
-        return {
-            "tx_packets": stats.tx_packets,
-            "tx_bytes": stats.tx_bytes,
-            "dropped_packets": stats.dropped_packets,
-            "dropped_bytes": stats.dropped_bytes,
-            "marked_packets": stats.marked_packets,
-        }
+def _switch_metrics(switch) -> dict:
+    return {
+        "rx_packets": switch.rx_packets,
+        "no_route_drops": switch.no_route_drops,
+        "tx_packets": switch.total_tx_packets(),
+        "drops": switch.total_drops(),
+        "marked_packets": switch.marker.marked_packets,
+        "wred_drops": switch.marker.dropped_packets,
+        "buffer_peak_used": switch.shared.peak_used,
+    }
 
 
-class _IntTelemetrySource:
-    """Run-global INT pipeline counters (repro.obs.int)."""
-
-    __slots__ = ("telemetry",)
-
-    def __init__(self, telemetry):
-        self.telemetry = telemetry
-
-    def __call__(self) -> dict:
-        return self.telemetry.snapshot()
-
-
-class _IntStamperSource:
-    """One switch port's hop-stamping counters."""
-
-    __slots__ = ("stamper",)
-
-    def __init__(self, stamper):
-        self.stamper = stamper
-
-    def __call__(self) -> dict:
-        return self.stamper.snapshot()
+def _port_metrics(port) -> dict:
+    stats = port.stats
+    return {
+        "tx_packets": stats.tx_packets,
+        "tx_bytes": stats.tx_bytes,
+        "dropped_packets": stats.dropped_packets,
+        "dropped_bytes": stats.dropped_bytes,
+        "marked_packets": stats.marked_packets,
+    }
 
 
-class _FluidPortSource:
+def _fluid_port_metrics(fp) -> dict:
     """Flattened coupling stats of one fluid port (repro.fluid).
 
-    The per-port dict is the scalar subset of ``FluidPort.snapshot()``
-    (no nested per-class lists), so hybrid runs surface their coupling
-    behaviour — overlay occupancy peak, serialization inflation, mark
-    fraction — through the same ``RunResult.telemetry`` snapshot path
-    as packet-tier metrics.
+    The scalar subset of ``FluidPort.snapshot()`` (no nested per-class
+    lists), so hybrid runs surface their coupling behaviour — overlay
+    occupancy peak, serialization inflation, mark fraction — through the
+    same ``RunResult.telemetry`` snapshot path as packet-tier metrics.
     """
-
-    __slots__ = ("fluid_port",)
-
-    def __init__(self, fluid_port):
-        self.fluid_port = fluid_port
-
-    def __call__(self) -> dict:
-        fp = self.fluid_port
-        return {
-            "steps": fp.steps,
-            "offered_bytes": fp.offered_bytes,
-            "delivered_bytes": fp.delivered_bytes,
-            "marked_bytes": fp.marked_bytes,
-            "wred_dropped_bytes": fp.wred_dropped_bytes,
-            "tail_lost_bytes": fp.tail_lost_bytes,
-            "overlay_bytes": fp.shared.overlay_bytes(fp.queue_id),
-            "overlay_peak_bytes": fp.overlay_peak_bytes,
-            "inflation": fp.service_inflation(),
-            "inflation_peak": fp.inflation_peak,
-            "mark_fraction": fp.mark_fraction,
-        }
+    return {
+        "steps": fp.steps,
+        "offered_bytes": fp.offered_bytes,
+        "delivered_bytes": fp.delivered_bytes,
+        "marked_bytes": fp.marked_bytes,
+        "wred_dropped_bytes": fp.wred_dropped_bytes,
+        "tail_lost_bytes": fp.tail_lost_bytes,
+        "overlay_bytes": fp.shared.overlay_bytes(fp.queue_id),
+        "overlay_peak_bytes": fp.overlay_peak_bytes,
+        "inflation": fp.service_inflation(),
+        "inflation_peak": fp.inflation_peak,
+        "mark_fraction": fp.mark_fraction,
+    }
 
 
 class ObsContext:
@@ -243,7 +165,7 @@ class ObsContext:
         self._register_engine(sim)
 
     def _register_engine(self, sim) -> None:
-        self.registry.source("engine", _EngineSource(sim))
+        self.registry.source("engine", partial(_engine_metrics, sim))
 
     # ------------------------------------------------------------------
     def register_vswitch(self, vswitch) -> None:
@@ -253,13 +175,15 @@ class ObsContext:
         self.vswitches.append(vswitch)
         addr = getattr(vswitch.host, "addr", f"vswitch{len(self.vswitches)}")
         prefix = f"vswitch.{addr}"
-        self.registry.source(f"{prefix}.ops", _VswitchOpsSource(vswitch))
-        self.registry.source(f"{prefix}.flow_table",
-                             _VswitchFlowTableSource(vswitch))
+        self.registry.source(f"{prefix}.ops", partial(_vswitch_ops_metrics, vswitch))
+        self.registry.source(
+            f"{prefix}.flow_table",
+            partial(_vswitch_flow_table_metrics, vswitch))
         self.registry.source(f"{prefix}.policer",
-                             _VswitchPolicerSource(vswitch))
-        self.registry.source(f"{prefix}.conntrack",
-                             _VswitchConntrackSource(vswitch))
+                             partial(_vswitch_policer_metrics, vswitch))
+        self.registry.source(
+            f"{prefix}.conntrack",
+            partial(_vswitch_conntrack_metrics, vswitch))
 
     def register_switch(self, switch) -> None:
         """Instrument one switch: aggregate source + per-port occupancy
@@ -268,12 +192,12 @@ class ObsContext:
             return
         self.switches.append(switch)
         prefix = f"switch.{switch.name}"
-        self.registry.source(prefix, _SwitchSource(switch))
+        self.registry.source(prefix, partial(_switch_metrics, switch))
         for port_id, port in switch.ports.items():
             name = f"{prefix}.p{port_id}"
             hist = self.registry.histogram(f"{name}.queue_bytes",
                                            QUEUE_BYTES_BOUNDS)
-            self.registry.source(name, _PortSource(port))
+            self.registry.source(name, partial(_port_metrics, port))
             port.attach_obs(PortObs(self.bus, hist, name))
 
     def attach_topology(self, topology) -> None:
@@ -284,10 +208,10 @@ class ObsContext:
     def register_int(self, telemetry) -> None:
         """Expose an :class:`~repro.obs.int.IntTelemetry` context: the
         run-global pipeline counters plus one source per hop stamper."""
-        self.registry.source("int", _IntTelemetrySource(telemetry))
+        self.registry.source("int", telemetry.snapshot)
         for stamper in telemetry.stampers:
             self.registry.source(f"int.hop.{stamper.hop_id}",
-                                 _IntStamperSource(stamper))
+                                 stamper.snapshot)
 
     def register_fluid(self, tier) -> None:
         """Flatten a :class:`~repro.fluid.FluidTier`'s coupling stats
@@ -302,7 +226,7 @@ class ObsContext:
             if not fluid_port.classes:
                 continue
             name = f"fluid.{fluid_port.port.name}"
-            self.registry.source(name, _FluidPortSource(fluid_port))
+            self.registry.source(name, partial(_fluid_port_metrics, fluid_port))
 
     def register_runtime(self, runtime) -> None:
         """Expose an experiment runtime's pool/cache stats, and give the

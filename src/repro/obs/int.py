@@ -343,9 +343,10 @@ class IntTelemetry:
     for the vSwitches, and run-global monotonic counters.
 
     Mirrors :class:`~repro.obs.context.ObsContext`'s lifecycle: may be
-    created unbound, ``bind(sim)`` attaches the clock, ``attach_topology``
-    instruments every switch, and AC/DC vSwitches get the context as
-    their ``int_tel`` hook via :meth:`attach_vswitch`.
+    created unbound; :meth:`attach` wires it into a built run
+    (``bind(sim)`` attaches the clock, ``attach_topology`` instruments
+    every switch, and AC/DC vSwitches get the context as their
+    ``int_tel`` hook via :meth:`attach_vswitch`).
     """
 
     def __init__(self, sim=None, max_hops: int = MAX_INT_HOPS,
@@ -395,6 +396,18 @@ class IntTelemetry:
             return  # PlainOvs: no INT endpoint
         attach(self)
         self.vswitches.append(vswitch)
+
+    def attach(self, sim, topology, vswitches, obs=None) -> None:
+        """Wire this context into a built run, in the one valid order:
+        clock, a stamper on every switch port, sink/echo/view logic on
+        every AC/DC vSwitch, then (given an obs context) the metric
+        sources, which enumerate the stampers just created."""
+        self.bind(sim)
+        self.attach_topology(topology)
+        for vswitch in vswitches:
+            self.attach_vswitch(vswitch)
+        if obs is not None:
+            obs.register_int(self)
 
     # ------------------------------------------------------------------
     # Datapath hooks (called by AcdcVswitch behind its `is None` test)

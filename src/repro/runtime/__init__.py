@@ -15,7 +15,8 @@ See DESIGN.md §10 for the architecture and the cache-key scheme.
 """
 
 from .cache import ResultCache, cache_from_env
-from .pool import Runtime, RuntimeStats, cell_error, is_cell_error, seed_sweep
+from .pool import (Runtime, RuntimeStats, cell_error, is_cell_error,
+                   seed_sweep, sweep)
 from .spec import SPEC_VERSION, RunSpec, canonical_json, canonicalize, resolve
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "is_cell_error",
     "resolve",
     "seed_sweep",
+    "sweep",
 ]

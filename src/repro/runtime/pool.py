@@ -22,7 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .cache import ResultCache, cache_from_env
 from .spec import RunSpec
@@ -376,3 +377,27 @@ def seed_sweep(fn: str, seeds: Sequence[int], base_kwargs: dict,
                seed_param: str = "seed") -> List[RunSpec]:
     """Seed-major spec list for a multi-seed sweep of one callable."""
     return [RunSpec(fn, {**base_kwargs, seed_param: seed}) for seed in seeds]
+
+
+def sweep(runtime: Optional[Runtime], seed: int,
+          seeds: Optional[Sequence[int]],
+          specs_for: Callable[[int], List[RunSpec]],
+          merge: Callable[[int, List[Any]], Any]) -> Any:
+    """Fan one experiment over its seeds and merge per seed.
+
+    ``specs_for(seed)`` lists one seed's cells; all seeds' cells go
+    through a single :meth:`Runtime.map` seed-major (``runtime=None``
+    means a fresh serial, cache-less one), and ``merge(seed, results)``
+    shapes each seed's slice.  With ``seeds=None`` the result is the
+    legacy single-seed shape of ``seed``; otherwise
+    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
+    """
+    rt = runtime if runtime is not None else Runtime()
+    seed_list = [seed] if seeds is None else list(seeds)
+    cells = [specs_for(sd) for sd in seed_list]
+    flat = iter(rt.map([spec for specs in cells for spec in specs]))
+    per_seed = [merge(sd, list(islice(flat, len(specs))))
+                for sd, specs in zip(seed_list, cells)]
+    if seeds is None:
+        return per_seed[0]
+    return {"seeds": seed_list, "per_seed": per_seed}

@@ -9,6 +9,13 @@ from repro.net.topology import Topology, star
 from repro.sim import Simulator
 
 
+@pytest.fixture(autouse=True)
+def _flight_dumps_in_tmp(tmp_path, monkeypatch):
+    """A provoked ``InvariantViolation`` dumps its flight recorder; keep
+    those files out of the checkout's ``./.repro-obs/``."""
+    monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

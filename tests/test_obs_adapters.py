@@ -1,16 +1,8 @@
-"""Tests for the ledger -> trace-bus adapters (repro.obs.adapters)."""
-
-import warnings
-
-import pytest
+"""Tests for the ledgers' trace-bus mirroring (repro.metrics.collectors)."""
 
 from repro.metrics import EventLog, FaultRecorder
+from repro.metrics.collectors import GUARD_KIND_TO_TYPE
 from repro.obs import TraceBus
-from repro.obs.adapters import (
-    GUARD_KIND_TO_TYPE,
-    EventLogAdapter,
-    FaultRecorderAdapter,
-)
 
 FLOW = ("s1", 10000, "r1", 5000)
 
@@ -20,22 +12,8 @@ class FakeSim:
         self.now = 0.0
 
 
-def test_base_classes_warn_deprecation():
-    with pytest.warns(DeprecationWarning):
-        EventLog()
-    with pytest.warns(DeprecationWarning):
-        FaultRecorder()
-
-
-def test_adapters_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        EventLogAdapter()
-        FaultRecorderAdapter()
-
-
 def test_unbound_event_log_adapter_is_a_pure_ledger():
-    log = EventLogAdapter()
+    log = EventLog()
     log.record(0.1, "guard_escalate", flow=FLOW, level=1)
     assert isinstance(log, EventLog)
     assert log.kinds() == {"guard_escalate": 1}
@@ -45,7 +23,7 @@ def test_unbound_event_log_adapter_is_a_pure_ledger():
 
 def test_event_log_adapter_mirrors_guard_kinds():
     bus = TraceBus(FakeSim())
-    log = EventLogAdapter(bus)
+    log = EventLog(bus)
     for kind in GUARD_KIND_TO_TYPE:
         log.record(0.0, kind, flow=FLOW)
     assert sorted(bus.by_type()) == sorted(GUARD_KIND_TO_TYPE.values())
@@ -58,7 +36,7 @@ def test_event_log_adapter_mirrors_guard_kinds():
 
 def test_event_log_adapter_unmapped_kind_rides_catch_all():
     bus = TraceBus(FakeSim())
-    log = EventLogAdapter(bus)
+    log = EventLog(bus)
     log.record(0.0, "brand_new_kind", flow=FLOW, extra=7)
     (event,) = bus.events
     assert event.type == "guard.event"
@@ -68,7 +46,7 @@ def test_event_log_adapter_unmapped_kind_rides_catch_all():
 
 
 def test_event_log_adapter_bind_bus_is_late_bindable():
-    log = EventLogAdapter()
+    log = EventLog()
     log.record(0.0, "guard_shed", flow=FLOW)
     bus = TraceBus(FakeSim())
     log.bind_bus(bus)
@@ -79,7 +57,7 @@ def test_event_log_adapter_bind_bus_is_late_bindable():
 
 def test_fault_recorder_adapter_mirrors_fault_inject():
     bus = TraceBus(FakeSim())
-    rec = FaultRecorderAdapter(bus)
+    rec = FaultRecorder(bus)
     rec.record("loss", 3)
     rec.record("corrupt")
     assert isinstance(rec, FaultRecorder)
@@ -89,13 +67,13 @@ def test_fault_recorder_adapter_mirrors_fault_inject():
 
 
 def test_fault_recorder_adapter_unbound_is_a_pure_ledger():
-    rec = FaultRecorderAdapter()
+    rec = FaultRecorder()
     rec.record("reorder", 2)
     assert rec.total() == 2 and rec.snapshot() == {"reorder": 2}
 
 
 def test_fault_recorder_adapter_merge_keeps_ledger_semantics():
-    a, b = FaultRecorderAdapter(), FaultRecorderAdapter()
+    a, b = FaultRecorder(), FaultRecorder()
     a.record("loss", 1)
     b.record("loss", 2)
     a.merge(b)
