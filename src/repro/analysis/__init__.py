@@ -27,16 +27,8 @@ RNG or wall-clock use.  This package catches them mechanically:
   is replayable.
 """
 
-from .checkers import (
-    CHECKER_CATALOG,
-    AnalyzeConfig,
-    analyze_paths,
-    analyze_project,
-)
-from .lint import LintConfig, lint_file, lint_paths, lint_source
-from .project import Project, build_project
-from .report import format_report
-from .rules import RULE_CATALOG, Violation
+from importlib import import_module
+
 from .sanitize import (
     DatapathSanitizer,
     InvariantViolation,
@@ -45,6 +37,26 @@ from .sanitize import (
     run_seed,
     set_run_seed,
 )
+
+#: The static analyzers, resolved on first use: the datapath imports this
+#: package for ``sanitize`` on every run and must not pay for ``ast``
+#: walkers it never calls.
+_LAZY = {
+    "AnalyzeConfig": "checkers", "CHECKER_CATALOG": "checkers",
+    "analyze_paths": "checkers", "analyze_project": "checkers",
+    "LintConfig": "lint", "lint_file": "lint", "lint_paths": "lint",
+    "lint_source": "lint", "Project": "project", "build_project": "project",
+    "format_report": "report", "RULE_CATALOG": "rules", "Violation": "rules",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "AnalyzeConfig",

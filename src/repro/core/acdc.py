@@ -15,8 +15,10 @@ OVS stand-in) and combines the pieces of ``repro.core``:
   conntrack ACK classification, the Fig. 5 DCTCP computation, and RWND
   enforcement honouring the window scale snooped from the handshake.
 
-Every action records into an :class:`~repro.core.ops.OpsCounter`, which is
-what the Fig. 11/12 CPU-overhead model consumes.
+Every action counts into an :class:`~repro.core.ops.OpsCounter`, which is
+what the Fig. 11/12 CPU-overhead model consumes.  The datapath bumps
+``ops.counts[<op>]`` directly, branch by branch (DESIGN.md §3): the dict
+is pre-seeded with the op vocabulary, so a misspelt name still raises.
 """
 
 from __future__ import annotations
@@ -139,15 +141,6 @@ class AcdcVswitch:
     # ------------------------------------------------------------------
     # Entry management
     # ------------------------------------------------------------------
-    def _sender_entry(self, key: FlowKey, create: bool = False) -> Optional[FlowEntry]:
-        """Entry for a locally-sourced data direction."""
-        if create:
-            entry = self.table.ensure(key, self.policy.policy_for(key), self.mss)
-            self._apply_config_floor(entry)
-            self.ops.record("flow_insert")
-            return entry
-        return self.table.lookup(key)
-
     def _apply_config_floor(self, entry: FlowEntry) -> None:
         if self.config.min_wnd_bytes is not None:
             entry.vswitch_cc.min_wnd = self.config.min_wnd_bytes
@@ -161,7 +154,7 @@ class AcdcVswitch:
                         state="insert")
             entry = self.table.ensure(key, self.policy.policy_for(key), self.mss)
             self._apply_config_floor(entry)
-        self.ops.record("flow_insert", 2)
+        self.ops.counts["flow_insert"] += 2
 
     def _resurrect(self, key: FlowKey) -> FlowEntry:
         """Rebuild a flow entry mid-flow, after the table lost its state.
@@ -176,7 +169,7 @@ class AcdcVswitch:
         entry = self.table.ensure(key, self.policy.policy_for(key), self.mss)
         self._apply_config_floor(entry)
         self.resurrections += 1
-        self.ops.record("flow_resurrect")
+        self.ops.counts["flow_resurrect"] += 1
         if self.trace is not None:
             self.trace.emit("flow.state", flow=key, component="vswitch",
                             severity=WARNING, state="resurrect")
@@ -254,7 +247,7 @@ class AcdcVswitch:
             # directions: tightening takes effect on the next ACK rewrite,
             # loosening (rollback) lets the window grow again immediately.
             entry.enforced_wnd = cc.window_bytes
-        self.ops.record("flow_migrate")
+        self.ops.counts["flow_migrate"] += 1
         if self.trace is not None:
             self.trace.emit("flow.state", flow=entry.key,
                             component="vswitch", state="migrate",
@@ -284,9 +277,10 @@ class AcdcVswitch:
     # Egress: VM -> wire
     # ------------------------------------------------------------------
     def egress(self, pkt: Packet) -> Optional[Packet]:
-        self.ops.packets_egress += 1
-        self.ops.record("flow_lookup")
-        self.ops.record("forward")  # AC/DC is OVS forwarding *plus* CC
+        ops = self.ops
+        ops.packets_egress += 1
+        ops.counts["flow_lookup"] += 1
+        ops.counts["forward"] += 1  # AC/DC is OVS forwarding *plus* CC
         if pkt.syn:
             self._ensure_both_directions(pkt)
             entry = self.table.lookup(pkt.flow_key())
@@ -300,12 +294,13 @@ class AcdcVswitch:
             if out is None:
                 return None
         if pkt.ack and pkt.payload_len == 0:
-            self._egress_feedback(pkt)
-            # "All egress packets are marked to be ECN-capable" (§3.2):
-            # a pure ACK through a congested port must not hit the
-            # non-ECT WRED drop profile either.
+            # One lookup serves both the feedback and the marking.
             entry = self.table.lookup(pkt.reverse_key())
             if entry is not None and entry.policy.enforced:
+                self._egress_feedback(entry, pkt)
+                # "All egress packets are marked to be ECN-capable"
+                # (§3.2): a pure ACK through a congested port must not
+                # hit the non-ECT WRED drop profile either.
                 self._mark_control_packet(pkt)
         if pkt.fin:
             self.table.mark_fin(pkt.flow_key())
@@ -317,13 +312,14 @@ class AcdcVswitch:
         if not pkt.ect:
             pkt.vm_ect = False
             pkt.ecn = ECN_ECT0
-            self.ops.record("ecn_mark")
-            self.ops.record("checksum_recalc")
+            counts = self.ops.counts
+            counts["ecn_mark"] += 1
+            counts["checksum_recalc"] += 1
         else:
             pkt.vm_ect = True
 
     def _egress_data(self, pkt: Packet) -> Optional[Packet]:
-        entry = self._sender_entry(pkt.flow_key())
+        entry = self.table.lookup(pkt.flow_key())
         if entry is None:
             # Data with no SYN on record: the flow predates this vSwitch's
             # state (restart, migration).  Rebuild the entry mid-flow.
@@ -333,7 +329,8 @@ class AcdcVswitch:
         san = self.sanitizer
         prev_nxt = entry.conntrack.snd_nxt if san is not None else None
         entry.conntrack.on_egress_data(pkt)
-        self.ops.record("seq_update")
+        counts = self.ops.counts
+        counts["seq_update"] += 1
         if san is not None:
             san.check_serial_progress(entry.key, None, None,
                                       prev_nxt, entry.conntrack.snd_nxt)
@@ -342,8 +339,8 @@ class AcdcVswitch:
             # marking, guarding or policing — the guest stack is on its own.
             return pkt
         if mark_egress_data(pkt):
-            self.ops.record("ecn_mark")
-            self.ops.record("checksum_recalc")
+            counts["ecn_mark"] += 1
+            counts["checksum_recalc"] += 1
             if self.trace is not None:
                 self.trace.emit("ecn.mark", flow=entry.key,
                                 component="vswitch", direction="egress")
@@ -351,7 +348,7 @@ class AcdcVswitch:
         if self.guard is not None and not self.guard.on_egress_data(entry, pkt):
             return None
         if self.config.police:
-            self.ops.record("policing_check")
+            counts["policing_check"] += 1
             snd_una = entry.conntrack.snd_una
             base = snd_una if snd_una is not None else pkt.seq
             if not self.policer.allow(pkt, base, entry.enforced_wnd, self.mss,
@@ -367,11 +364,9 @@ class AcdcVswitch:
         self._arm_inactivity(entry)
         return pkt
 
-    def _egress_feedback(self, ack: Packet) -> None:
-        """Receiver module: report counters for the reverse data direction."""
-        entry = self.table.lookup(ack.reverse_key())
-        if entry is None or not entry.policy.enforced:
-            return
+    def _egress_feedback(self, entry: FlowEntry, ack: Packet) -> None:
+        """Receiver module: report the counters of ``entry`` (the enforced
+        reverse, i.e. data, direction of ``ack``)."""
         tel = self.int_tel
         if tel is not None:
             # INT echo rides the same piggyback direction as the PACK
@@ -386,11 +381,12 @@ class AcdcVswitch:
         )
         if piggyback:
             feedback.attach_pack(ack)
-            self.ops.record("pack_attach")
-            self.ops.record("checksum_recalc")
+            counts = self.ops.counts
+            counts["pack_attach"] += 1
+            counts["checksum_recalc"] += 1
         else:
             fack = feedback.make_fack(ack)
-            self.ops.record("fack_create")
+            self.ops.counts["fack_create"] += 1
             self.host.wire_out(fack)
         if self.sanitizer is not None:
             self.sanitizer.register_feedback_report(
@@ -400,9 +396,10 @@ class AcdcVswitch:
     # Ingress: wire -> VM
     # ------------------------------------------------------------------
     def ingress(self, pkt: Packet) -> Optional[Packet]:
-        self.ops.packets_ingress += 1
-        self.ops.record("flow_lookup")
-        self.ops.record("forward")
+        ops = self.ops
+        ops.packets_ingress += 1
+        ops.counts["flow_lookup"] += 1
+        ops.counts["forward"] += 1
         if pkt.syn:
             self._ingress_syn(pkt)
             return pkt
@@ -428,8 +425,8 @@ class AcdcVswitch:
             sender_entry.conntrack.on_ingress_ack(pkt, self.sim.now)
         if (sender_entry is not None and sender_entry.policy.enforced
                 and not self.config.log_only and scrub_ingress_data(pkt)):
-            self.ops.record("ecn_strip")
-            self.ops.record("checksum_recalc")
+            self.ops.counts["ecn_strip"] += 1
+            self.ops.counts["checksum_recalc"] += 1
 
     def _ingress_ack(self, pkt: Packet) -> bool:
         """Sender module on an incoming ACK.  Returns True if consumed."""
@@ -451,18 +448,23 @@ class AcdcVswitch:
         prev_una = entry.conntrack.snd_una if san is not None else None
         prev_nxt = entry.conntrack.snd_nxt if san is not None else None
         verdict = entry.conntrack.on_ingress_ack(pkt, self.sim.now)
-        self.ops.record("seq_update")
+        counts = self.ops.counts
+        counts["seq_update"] += 1
+        pack = pkt.pack
         if san is not None:
             san.check_serial_progress(entry.key, prev_una,
                                       entry.conntrack.snd_una,
                                       prev_nxt, entry.conntrack.snd_nxt)
-            if pkt.pack is not None:
-                san.check_feedback_consume(entry.key, pkt.pack)
-        total_delta, marked_delta = entry.feedback_reader.consume(pkt.pack)
+            if pack is not None:
+                san.check_feedback_consume(entry.key, pack)
+        # Half the ACK-flagged arrivals are data: no report, no deltas.
+        total_delta, marked_delta = (
+            entry.feedback_reader.consume(pack) if pack is not None
+            else (0, 0))
         if san is not None:
             san.check_feedback_deltas(entry.key, total_delta, marked_delta)
-        if pkt.pack is not None:
-            self.ops.record("feedback_extract")
+        if pack is not None:
+            counts["feedback_extract"] += 1
             pkt.pack = None  # stripped before the VM can see it
         if entry.shed:
             # Watchdog pass-through: no CC, no rewrite, no ECN hiding —
@@ -478,7 +480,7 @@ class AcdcVswitch:
             feedback_marked=marked_delta,
             loss=verdict.loss_detected,
         )
-        self.ops.record("cc_update")
+        counts["cc_update"] += 1
         if san is not None:
             san.check_window_value(entry.key, wnd, cc)
         entry.enforced_wnd = wnd
@@ -493,8 +495,8 @@ class AcdcVswitch:
         if self.config.enforce and not self.config.log_only:
             rewritten = entry.enforcer.enforce(pkt, wnd, entry.peer_wscale)
             if rewritten:
-                self.ops.record("rwnd_rewrite")
-                self.ops.record("checksum_recalc")
+                counts["rwnd_rewrite"] += 1
+                counts["checksum_recalc"] += 1
         # The flight note lands *before* the sanitizer check so a lying
         # rewrite's dump contains the offending decision.
         if self.flight is not None:
@@ -522,14 +524,14 @@ class AcdcVswitch:
         # seeing its own congestion feedback (Fig. 9 methodology).
         if self.config.hide_ecn and not self.config.log_only:
             if scrub_ingress_ack(pkt):
-                self.ops.record("ecn_strip")
-                self.ops.record("checksum_recalc")
+                counts["ecn_strip"] += 1
+                counts["checksum_recalc"] += 1
             # Restore the IP codepoint of *pure* ACKs; a data packet that
             # carries an ACK is scrubbed by the receiver module instead
             # (after its CE mark has been counted).
             if pkt.payload_len == 0 and scrub_ingress_data(pkt):
-                self.ops.record("ecn_strip")
-                self.ops.record("checksum_recalc")
+                counts["ecn_strip"] += 1
+                counts["checksum_recalc"] += 1
         if entry.conntrack.bytes_outstanding > 0:
             self._arm_inactivity(entry)
         elif entry.inactivity_timer is not None:
@@ -547,7 +549,8 @@ class AcdcVswitch:
         if not entry.policy.enforced:
             return
         entry.receiver_feedback.on_data(pkt)
-        self.ops.record("counters_update")
+        counts = self.ops.counts
+        counts["counters_update"] += 1
         tel = self.int_tel
         if tel is not None:
             # INT sink: absorb (validated) and strip the hop stack.
@@ -563,8 +566,8 @@ class AcdcVswitch:
             # hide-ECN ablation, where the guest reacts on its own too.
             return
         if scrub_ingress_data(pkt):
-            self.ops.record("ecn_strip")
-            self.ops.record("checksum_recalc")
+            counts["ecn_strip"] += 1
+            counts["checksum_recalc"] += 1
 
     # ------------------------------------------------------------------
     # Timeout inference (§3.1)
@@ -663,13 +666,15 @@ class PlainOvs:
         self.ops = ops if ops is not None else OpsCounter()
 
     def egress(self, pkt: Packet) -> Optional[Packet]:
-        self.ops.packets_egress += 1
-        self.ops.record("flow_lookup")
-        self.ops.record("forward")
+        ops = self.ops
+        ops.packets_egress += 1
+        ops.counts["flow_lookup"] += 1
+        ops.counts["forward"] += 1
         return pkt
 
     def ingress(self, pkt: Packet) -> Optional[Packet]:
-        self.ops.packets_ingress += 1
-        self.ops.record("flow_lookup")
-        self.ops.record("forward")
+        ops = self.ops
+        ops.packets_ingress += 1
+        ops.counts["flow_lookup"] += 1
+        ops.counts["forward"] += 1
         return pkt

@@ -19,7 +19,8 @@ seeded from that packet instead of a SYN.
 
 All sequence comparisons use RFC 1982-style serial arithmetic over the
 32-bit space (:mod:`repro.net.packet`), so tracking survives flows that
-wrap past 2^32 bytes.
+wrap past 2^32 bytes.  The per-packet methods spell it out in place:
+``0 < (a - b) & SEQ_MASK < SEQ_HALF`` is :func:`seq_gt` without its frame.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..net.packet import Packet, SEQ_MASK, seq_add, seq_delta, seq_gt
+from ..net.packet import Packet, SEQ_HALF, SEQ_MASK, seq_add, seq_gt
 
 DUPACK_THRESHOLD = 3
 
@@ -65,7 +66,8 @@ class ConnTrack:
     def bytes_outstanding(self) -> int:
         if self.snd_una is None or self.snd_nxt is None:
             return 0
-        return max(seq_delta(self.snd_nxt, self.snd_una), 0)
+        ahead = (self.snd_nxt - self.snd_una) & SEQ_MASK
+        return ahead if ahead < SEQ_HALF else 0
 
     # ------------------------------------------------------------------
     def on_egress_syn(self, pkt: Packet, now: float = 0.0) -> None:
@@ -82,11 +84,12 @@ class ConnTrack:
         below it count as acknowledged, so the inferred window restarts
         from zero outstanding rather than a stale estimate.
         """
+        end_seq = (pkt.seq + pkt.payload_len) & SEQ_MASK
         if self.snd_nxt is None:
             self.snd_una = pkt.seq & SEQ_MASK
-            self.snd_nxt = pkt.end_seq
-        elif seq_gt(pkt.end_seq, self.snd_nxt):
-            self.snd_nxt = pkt.end_seq
+            self.snd_nxt = end_seq
+        elif 0 < (end_seq - self.snd_nxt) & SEQ_MASK < SEQ_HALF:
+            self.snd_nxt = end_seq
 
     def on_ingress_ack(self, pkt: Packet, now: float) -> AckVerdict:
         """Classify an ACK arriving from the network for this flow."""
@@ -107,14 +110,17 @@ class ConnTrack:
             if self.snd_nxt is None or seq_gt(ack_seq, self.snd_nxt):
                 self.snd_nxt = ack_seq
             return verdict
-        if seq_gt(ack_seq, self.snd_una):
-            verdict.newly_acked = seq_delta(ack_seq, self.snd_una)
+        snd_nxt = self.snd_nxt
+        acked = (ack_seq - self.snd_una) & SEQ_MASK
+        if 0 < acked < SEQ_HALF:
+            verdict.newly_acked = acked
             self.snd_una = ack_seq
-            if self.snd_nxt is not None and seq_gt(ack_seq, self.snd_nxt):
+            if (snd_nxt is not None
+                    and 0 < (ack_seq - snd_nxt) & SEQ_MASK < SEQ_HALF):
                 self.snd_nxt = ack_seq
             self.dupacks = 0
-        elif (ack_seq == self.snd_una and pkt.payload_len == 0
-              and self.bytes_outstanding > 0):
+        elif (acked == 0 and pkt.payload_len == 0 and snd_nxt is not None
+              and 0 < (snd_nxt - ack_seq) & SEQ_MASK < SEQ_HALF):
             self.dupacks += 1
             verdict.is_dupack = True
             if self.dupacks == DUPACK_THRESHOLD:

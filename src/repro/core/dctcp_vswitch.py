@@ -22,7 +22,7 @@ module's 2-packet minimum, AC/DC's RWND "can be much smaller than 2*MSS"
 
 from __future__ import annotations
 
-from ..net.packet import seq_geq
+from ..net.packet import SEQ_HALF, SEQ_MASK
 from .priority import validate_beta
 from .vswitch_cc import VswitchCongestionControl
 
@@ -66,12 +66,14 @@ class VswitchDctcp(VswitchCongestionControl):
 
         ``feedback_total``/``feedback_marked`` are the *deltas* of the
         receiver-module byte counters carried by PACK/FACK since the last
-        ACK (zero when the ACK carried no feedback option).
+        ACK (zero when the ACK carried no feedback option).  The gate
+        test is ``seq_geq`` and the result ``window_bytes``, in place.
         """
-        self._seed_gates(snd_una)
+        if not self._gates_seeded:
+            self._seed_gates(snd_una)
         self._acked_total += feedback_total
         self._acked_marked += feedback_marked
-        if seq_geq(snd_una, self.alpha_update_seq):
+        if (snd_una - self.alpha_update_seq) & SEQ_MASK < SEQ_HALF:
             self._update_alpha(snd_nxt)
 
         congestion = feedback_marked > 0
@@ -81,9 +83,9 @@ class VswitchDctcp(VswitchCongestionControl):
             self._cut(snd_una, snd_nxt)
         elif congestion:
             self._cut(snd_una, snd_nxt)
-        else:
+        elif newly_acked > 0:
             self._grow(newly_acked)
-        return self.window_bytes
+        return int(min(max(self.wnd, self.min_wnd), self.max_wnd))
 
     def on_timeout(self, snd_una: int, snd_nxt: int) -> int:
         """Inferred RTO (inactivity with bytes outstanding): saturate alpha

@@ -19,7 +19,7 @@ duplicate ACKs (the flexibility §3.3 describes).
 
 from __future__ import annotations
 
-from ..net.packet import Packet, SEQ_HALF, SEQ_MASK
+from ..net.packet import Packet, SEQ_HALF, SEQ_MASK, encode_window
 
 
 class WindowEnforcer:
@@ -32,11 +32,10 @@ class WindowEnforcer:
     def enforce(self, ack: Packet, window_bytes: int, peer_wscale: int) -> bool:
         """Overwrite the ACK's window if ours is smaller; report whether
         the header changed."""
-        original = ack.advertised_window(peer_wscale)
-        if window_bytes >= original:
+        if window_bytes >= ack.rwnd_field << peer_wscale:
             self.passes += 1
             return False
-        ack.set_advertised_window(window_bytes, peer_wscale)
+        ack.rwnd_field = encode_window(window_bytes, peer_wscale)
         self.rewrites += 1
         return True
 
@@ -71,10 +70,7 @@ def encoded_window_bytes(window_bytes: int, wscale: int) -> int:
     the 16-bit ceiling.  A conforming stack is bound by this value, not
     by the raw computed window — the policer must use the same edge.
     """
-    if window_bytes < 0:
-        raise ValueError(f"negative window {window_bytes!r}")
-    unit = 1 << wscale
-    return min(0xFFFF, (window_bytes + unit - 1) >> wscale) << wscale
+    return encode_window(window_bytes, wscale) << wscale
 
 
 class Policer:

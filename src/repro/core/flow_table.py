@@ -110,7 +110,7 @@ class FlowTable:
         entry = self.entries.get(key)
         if entry is not None:
             self.hits += 1
-            entry.touch(self.sim.now)
+            entry.last_active = self.sim.now  # FlowEntry.touch, in place
         return entry
 
     def ensure(self, key: FlowKey, policy: FlowPolicy, mss: int) -> FlowEntry:

@@ -37,10 +37,16 @@ OPS = frozenset({
 
 
 class OpsCounter:
-    """Named counters for datapath work, split by direction."""
+    """Named counters for datapath work, split by direction.
+
+    The per-packet datapath bumps ``ops.counts["flow_lookup"] += 1``
+    itself; cold callers use :meth:`record`.  Either way a name outside
+    :data:`OPS` raises ``KeyError``.
+    """
 
     def __init__(self) -> None:
-        # Pre-seeded (sorted: hash-seed independent); record() relies on it.
+        # Pre-seeded (sorted: hash-seed independent): a bump of a name
+        # that is not an op finds no key.
         self.counts: Dict[str, int] = dict.fromkeys(sorted(OPS), 0)
         self.packets_egress = 0
         self.packets_ingress = 0

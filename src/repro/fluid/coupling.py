@@ -99,9 +99,9 @@ class FluidPort:
         """Serialization stretch factor from fluid bandwidth share.
 
         Exactly ``1.0`` when no fluid bytes arrived last step — the
-        multiply in :meth:`SwitchTxPort._serialization_time` (sampled as
-        a packet is offered) is then an exact float identity, preserving
-        byte-identical pure-packet behaviour.
+        multiply in ``TxPort.enqueue`` (sampled as a packet is offered)
+        is then an exact float identity, preserving byte-identical
+        pure-packet behaviour.
         """
         arrival = self.arrival_bps
         if arrival <= 0.0:

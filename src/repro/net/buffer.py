@@ -36,18 +36,15 @@ class Departures:
     """Admitted packets in finish-time order (equal times: push order);
     :meth:`settle` applies those due by now through their port's
     ``_depart``.  One queue per shared buffer, so a settle is O(log
-    pending) per departure whatever the port count (DESIGN.md §10)."""
+    pending) per departure whatever the port count (DESIGN.md §10).
+    A port pushes ``(finish, seq, start, port, packet, nbytes)`` itself,
+    inside the one frame of its ``enqueue``."""
 
-    def __init__(self, sim=None) -> None:
-        self.sim = sim  # a pool's queue gets its clock from its first port
+    def __init__(self) -> None:
+        self.sim = None  # the pool's first port brings the clock
         self._heap: List[tuple] = []
         self._seq = 0
         self._settling = False
-
-    def push(self, finish, start, port, packet, nbytes) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap,
-                       (finish, self._seq, start, port, packet, nbytes))
 
     def settle(self) -> None:
         heap = self._heap
@@ -113,7 +110,11 @@ class SharedBuffer:
         signal should use — it is what a real shared-memory switch's
         queue-depth register would show with the background load present.
         """
-        self.departures.settle()
+        departures = self.departures
+        heap = departures._heap
+        # Once per packet per hop: enter the settle only for a due head.
+        if heap and heap[0][0] <= departures.sim.now:
+            departures.settle()
         return self._queues.get(queue_id, 0) + self._overlay.get(queue_id, 0)
 
     def overlay_bytes(self, queue_id: int) -> int:

@@ -135,9 +135,11 @@ class Host:
         self.tx_bytes += packet.size
         when = None
         if self.tx_jitter > 0:
-            when = self._egress_clock = max(
-                self.sim.now + self._jitter_rng.uniform(0, self.tx_jitter),
-                self._egress_clock)
+            # uniform(0, jitter), without its frame: one draw per packet.
+            when = self.sim.now + self.tx_jitter * self._jitter_rng.random()
+            if when < self._egress_clock:
+                when = self._egress_clock
+            self._egress_clock = when
         # The NIC takes the jittered arrival time; there is no event for it.
         self.nic.enqueue(packet, when)
 

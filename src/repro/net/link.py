@@ -19,11 +19,13 @@ for the paper's "loss rate (by collecting switch counters)".
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from collections import deque
+from heapq import heappush
+from typing import List, Optional, Protocol
 
 from ..analysis import sanitize
 from ..sim.engine import Simulator
-from .buffer import Departures, SharedBuffer
+from .buffer import SharedBuffer
 from .packet import Packet
 from .red import EcnMarker
 
@@ -58,10 +60,15 @@ class PortStats:
 class TxPort:
     """Base transmit port: FIFO at a fixed rate, then propagation.
 
-    Subclasses override :meth:`_admit` / :meth:`_depart` to implement a
-    buffering policy.  ``rate_bps`` of 0 means an infinitely fast port
-    (useful in unit tests).
+    As it stands this is the host NIC: it admits everything, and one
+    fixed-rate FIFO finishes packets in the order it took them, so its
+    departures wait in a plain ``deque``.  :class:`SwitchTxPort` sets
+    ``shared``, whose policy :meth:`enqueue` then applies (DESIGN.md §10).
+    ``rate_bps`` of 0 means an infinitely fast port (useful in unit tests).
     """
+
+    #: The pool a switch port admits into; a host NIC has none.
+    shared: Optional[SharedBuffer] = None
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
                  peer: Optional[Device] = None, name: str = "port"):
@@ -75,62 +82,112 @@ class TxPort:
         self._stats = PortStats()
         #: When the serializer finishes the last packet admitted so far.
         self._free_at = 0.0
-        #: Settle queue; the ports of one shared buffer share theirs.
-        self._departures = Departures(sim)
+        #: Host NIC only: ``(finish, start, nbytes)`` of packets not yet
+        #: counted as sent, oldest first (a switch port's wait on its
+        #: pool's :class:`Departures` heap, merged with its siblings').
+        self._fifo: deque = deque()
 
-    # -- policy hooks ---------------------------------------------------
-    def _admit(self, packet: Packet, nbytes: int) -> bool:
-        """Decide whether the packet may join the queue."""
-        return True
+    # -- departures -------------------------------------------------------
+    def _settle(self) -> None:
+        """Apply every departure due by now (readers call this first)."""
+        fifo, stats, now = self._fifo, self._stats, self.sim.now
+        while fifo and fifo[0][0] <= now:
+            stats.tx_packets += 1
+            stats.tx_bytes += fifo.popleft()[2]
 
-    def _serialization_time(self, nbytes: int) -> float:
-        return nbytes * 8.0 / self.rate_bps if self.rate_bps else 0.0
-
-    def _depart(self, packet: Packet, nbytes: int, finish: float) -> None:
-        """What happens at the instant ``finish`` (run by the settle)."""
-        stats = self._stats
-        stats.tx_packets += 1
-        stats.tx_bytes += nbytes
+    def _waiting(self) -> List[int]:
+        """Sizes of the packets whose serialization has not begun."""
+        self._settle()
+        now = self.sim.now
+        return [nbytes for _finish, start, nbytes in self._fifo
+                if start > now]
 
     # -- public API -------------------------------------------------------
     @property
     def stats(self) -> PortStats:
-        self._departures.settle()
+        self._settle()
         return self._stats
 
     @property
     def queue_bytes(self) -> int:
         """Bytes admitted whose serialization has not begun."""
-        return sum(self._departures.waiting(self))
+        return sum(self._waiting())
 
     @property
     def queue_packets(self) -> int:
-        return len(self._departures.waiting(self))
+        return len(self._waiting())
 
     def connect(self, peer: Device) -> None:
         self.peer = peer
 
     def enqueue(self, packet: Packet, when: Optional[float] = None) -> bool:
         """Offer a packet arriving at ``when`` (default: now); returns
-        False (and counts a drop) if rejected.  One event if admitted."""
+        False (and counts a drop) if rejected.  One event if admitted,
+        and one frame: a switch port's policy is the ``shared`` block,
+        which calls its rules (occupancy, WRED, DT) and restates none.
+        """
         nbytes = packet.size  # read once: the port releases what it admitted
-        if not self._admit(packet, nbytes):
-            self._stats.dropped_packets += 1
-            self._stats.dropped_bytes += nbytes
-            return False
-        start = self.sim.now if when is None else when
+        sim = self.sim
+        seconds = nbytes * 8.0 / self.rate_bps if self.rate_bps else 0.0
+        shared = self.shared
+        stamper = None
+        if shared is not None:
+            # occupancy() settles what is due by now: before the audit's
+            # offer.
+            qb = shared.occupancy(self.queue_id)
+            acct = self._accounting
+            if acct is not None:
+                acct.on_offer(nbytes)
+            obs = self._obs
+            decision = self.marker.decide(packet, qb)
+            if decision.drop or not shared.try_admit(self.queue_id, nbytes):
+                # A mark-then-drop packet must not count as marked nor
+                # carry a CE stamp it never took onto the wire, so the
+                # verdict is committed only after shared-buffer admission
+                # succeeds.
+                if acct is not None:
+                    acct.on_drop(nbytes)
+                if obs is not None:
+                    obs.on_enqueue(qb, False, False)
+                self._stats.dropped_packets += 1
+                self._stats.dropped_bytes += nbytes
+                return False
+            if decision.marked:
+                self.marker.commit_mark(packet)
+                self._stats.marked_packets += 1
+            if acct is not None:
+                acct.check(shared, sim)
+            if obs is not None:
+                obs.on_enqueue(qb, True, decision.marked)
+            stamper = self._int
+            if stamper is not None:
+                stamper.on_enqueue(packet, qb)
+            if self._fluid is not None:
+                # Fluid-interleave, sampled as the packet is offered
+                # (DESIGN.md §15).
+                seconds *= self._fluid.service_inflation()
+        start = sim.now if when is None else when
         if start < self._free_at:
             start = self._free_at
-        finish = self._free_at = start + self._serialization_time(nbytes)
-        self._departures.push(finish, start, self, packet, nbytes)
-        if self.peer is not None:
-            self.sim.schedule_at(finish + self.delay_s, self._deliver, packet)
+        finish = self._free_at = start + seconds
+        if shared is None:
+            fifo = self._fifo
+            if fifo and fifo[0][0] <= sim.now:
+                self._settle()
+            fifo.append((finish, start, nbytes))
+        else:
+            departures = shared.departures
+            departures._seq += 1
+            heappush(departures._heap,
+                     (finish, departures._seq, start, self, packet, nbytes))
+        peer = self.peer
+        if peer is not None:
+            # A stamped packet carries its own departure's INT record, so
+            # its hand-off settles first; nothing else reads port state.
+            sim.schedule_at(finish + self.delay_s,
+                            peer.receive if stamper is None else self._deliver,
+                            packet)
         return True
-
-    def _deliver(self, packet: Packet) -> None:
-        # Settle first: the packet carries its own departure's INT record.
-        self._departures.settle()
-        self.peer.receive(packet)
 
 
 class HostTxPort(TxPort):
@@ -158,7 +215,6 @@ class SwitchTxPort(TxPort):
                  queue_id: int, peer: Optional[Device] = None,
                  name: str = "swport"):
         super().__init__(sim, rate_bps, delay_s, peer, name)
-        self._departures = shared.departures
         shared.departures.sim = sim
         self.shared = shared
         self.marker = marker
@@ -191,44 +247,18 @@ class SwitchTxPort(TxPort):
         """Install the INT hop stamper for this port (see repro.obs.int)."""
         self._int = stamper
 
-    def _serialization_time(self, nbytes: int) -> float:
-        seconds = TxPort._serialization_time(self, nbytes)
-        fluid = self._fluid
-        if fluid is not None:
-            # Sampled when the packet is offered (DESIGN.md §15).
-            seconds *= fluid.service_inflation()
-        return seconds
+    def _settle(self) -> None:
+        self.shared.departures.settle()
 
-    def _admit(self, packet: Packet, nbytes: int) -> bool:
-        # occupancy() settles what is due by now: before the audit's offer.
-        qb = self.shared.occupancy(self.queue_id)
-        acct = self._accounting
-        if acct is not None:
-            acct.on_offer(nbytes)
-        obs = self._obs
-        decision = self.marker.decide(packet, qb)
-        if decision.drop or not self.shared.try_admit(self.queue_id, nbytes):
-            # A mark-then-drop packet must not count as marked nor carry a
-            # CE stamp it never took onto the wire, so the verdict is
-            # committed only after shared-buffer admission succeeds.
-            if acct is not None:
-                acct.on_drop(nbytes)
-            if obs is not None:
-                obs.on_enqueue(qb, False, False)
-            return False
-        if decision.marked:
-            self.marker.commit_mark(packet)
-            self._stats.marked_packets += 1
-        if acct is not None:
-            acct.check(self.shared, self.sim)
-        if obs is not None:
-            obs.on_enqueue(qb, True, decision.marked)
-        stamper = self._int
-        if stamper is not None:
-            stamper.on_enqueue(packet, qb)
-        return True
+    def _waiting(self) -> List[int]:
+        return self.shared.departures.waiting(self)
+
+    def _deliver(self, packet: Packet) -> None:
+        self.shared.departures.settle()
+        self.peer.receive(packet)
 
     def _depart(self, packet: Packet, nbytes: int, finish: float) -> None:
+        """What happens at the instant ``finish`` (run by the settle)."""
         # Buffer memory is held until the packet has left the wire, as in
         # a real store-and-forward switch.
         self.shared.release(self.queue_id, nbytes)
@@ -241,4 +271,6 @@ class SwitchTxPort(TxPort):
         if acct is not None:
             acct.on_release(nbytes)
             acct.check(self.shared, self.sim)
-        TxPort._depart(self, packet, nbytes, finish)
+        stats = self._stats
+        stats.tx_packets += 1
+        stats.tx_bytes += nbytes

@@ -49,22 +49,25 @@ def seq_delta(a: int, b: int) -> int:
     return ((a - b + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
 
 
+# The comparisons are seq_delta's sign, each as one expression of its own
+# (``(a - b) & SEQ_MASK`` is the unsigned distance; the back half of the
+# space is "behind"): they run several times per packet in the datapath.
 def seq_lt(a: int, b: int) -> bool:
     """True if ``a`` precedes ``b`` in the circular sequence space."""
-    return seq_delta(a, b) < 0
+    return (a - b) & SEQ_MASK >= SEQ_HALF
 
 
 def seq_leq(a: int, b: int) -> bool:
-    return seq_delta(a, b) <= 0
+    return not 0 < (a - b) & SEQ_MASK < SEQ_HALF
 
 
 def seq_gt(a: int, b: int) -> bool:
     """True if ``a`` follows ``b`` in the circular sequence space."""
-    return seq_delta(a, b) > 0
+    return 0 < (a - b) & SEQ_MASK < SEQ_HALF
 
 
 def seq_geq(a: int, b: int) -> bool:
-    return seq_delta(a, b) >= 0
+    return (a - b) & SEQ_MASK < SEQ_HALF
 
 # --- IP ECN codepoints (RFC 3168) -------------------------------------
 ECN_NOT_ECT = 0  # not ECN-capable transport
@@ -87,6 +90,18 @@ def mss_for_mtu(mtu: int) -> int:
     return mtu - IP_HEADER - TCP_HEADER
 
 
+def encode_window(window_bytes: int, wscale: int) -> int:
+    """The 16-bit window field for ``window_bytes`` under ``wscale``.
+
+    Rounds *up* to the next representable value so that the encoded
+    window is never smaller than requested by less than one scale unit,
+    then clamps to the 16-bit ceiling.
+    """
+    if window_bytes < 0:
+        raise ValueError(f"negative window {window_bytes!r}")
+    return min(0xFFFF, (window_bytes + (1 << wscale) - 1) >> wscale)
+
+
 FlowKey = Tuple[str, int, str, int]
 
 # Debug-only labels: a pid never enters a datapath decision or a result,
@@ -107,12 +122,13 @@ class PackOption:
     marked_bytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A TCP/IP packet (or, with TSO in mind, one wire segment).
 
     ``payload_len`` is application payload; :attr:`size` adds header and
     option overhead and is what links serialize and switch buffers account.
+    Slotted: a misspelt header field raises instead of riding along unread.
     """
 
     src: str
@@ -157,7 +173,7 @@ class Packet:
     # piggybacks on ACKs.  Both are stripped before any VM sees them.
     int_stack: Optional[list] = None
     int_echo: Optional[object] = None
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_packet_ids.__next__)
 
     # ------------------------------------------------------------------
     @property
@@ -209,16 +225,9 @@ class Packet:
         return self.rwnd_field << wscale
 
     def set_advertised_window(self, window_bytes: int, wscale: int) -> None:
-        """Encode ``window_bytes`` into the 16-bit field under ``wscale``.
-
-        Rounds *up* to the next representable value so that the encoded
-        window is never smaller than requested by less than one scale unit,
-        then clamps to the 16-bit ceiling.
-        """
-        if window_bytes < 0:
-            raise ValueError(f"negative window {window_bytes!r}")
-        unit = 1 << wscale
-        self.rwnd_field = min(0xFFFF, (window_bytes + unit - 1) >> wscale)
+        """Encode ``window_bytes`` into the 16-bit field under ``wscale``
+        (see :func:`encode_window`)."""
+        self.rwnd_field = encode_window(window_bytes, wscale)
 
     # --- ECN helpers ----------------------------------------------------
     @property

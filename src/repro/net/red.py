@@ -43,12 +43,18 @@ DEFAULT_K_BYTES = 65 * 1500
 DEFAULT_RAMP_FACTOR = 1.25
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MarkDecision:
-    """Outcome of passing one arriving packet through the WRED profile."""
+    """Outcome of passing one arriving packet through the WRED profile
+    (immutable: ``decide`` hands out the three shared verdicts below)."""
 
     drop: bool
     marked: bool
+
+
+_PASS = MarkDecision(drop=False, marked=False)
+_MARK = MarkDecision(drop=False, marked=True)
+_DROP = MarkDecision(drop=True, marked=False)
 
 
 @dataclass
@@ -114,13 +120,13 @@ class EcnMarker:
         draw, so a queue parked at exactly K perturbs nothing.
         """
         if not self.enabled or queue_bytes <= self.threshold:
-            return MarkDecision(drop=False, marked=False)
+            return _PASS
         if packet.ect:
-            return MarkDecision(drop=False, marked=True)
+            return _MARK
         if self._rng.random() < self._nonect_drop_probability(queue_bytes):
             self.dropped_packets += 1
-            return MarkDecision(drop=True, marked=False)
-        return MarkDecision(drop=False, marked=False)
+            return _DROP
+        return _PASS
 
     # -- batch (fluid-tier) form ----------------------------------------
     def mark_fraction(self, queue_bytes: float) -> float:

@@ -18,15 +18,19 @@ a figure after an unrelated code change free.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence)
 
 from .cache import ResultCache, cache_from_env
 from .spec import RunSpec
+
+# ``concurrent.futures.process`` pulls in ``multiprocessing`` (about forty
+# modules): it is imported where a pool of more than one worker is built
+# and where its exceptions are caught, so serial runs never load it.
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def _execute(fn: str, kwargs: dict) -> Any:
@@ -179,6 +183,7 @@ class Runtime:
             if self.quarantine:
                 self._run_pool_guarded(specs, todo, results, workers)
             else:
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [
                         pool.submit(_execute, specs[i].fn,
@@ -273,6 +278,9 @@ class Runtime:
         — attribution is imprecise for hard crashes, but every wave
         charges at least one attempt, so the loop always terminates.
         """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as _FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
         attempts: Dict[int, int] = {i: 0 for i in todo}
         crashes: Dict[int, int] = {i: 0 for i in todo}
         pending: List[int] = list(todo)
@@ -324,6 +332,7 @@ class Runtime:
                             results: List[Any], pending: List[int],
                             charge_failures: bool = False) -> None:
         """Collect a finished future; requeue an unfinished one uncharged."""
+        from concurrent.futures.process import BrokenProcessPool
         if future.done():
             try:
                 results[i] = future.result(timeout=0)

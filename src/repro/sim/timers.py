@@ -31,20 +31,18 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._event: Optional[Event] = None
-        self._deadline: Optional[float] = None
+        #: The deadline while armed, else None.  A plain attribute: the
+        #: guest stack tests it once per segment sent.
+        self.expires_at: Optional[float] = None
 
     @property
     def armed(self) -> bool:
-        return self._deadline is not None
-
-    @property
-    def expires_at(self) -> Optional[float]:
-        return self._deadline
+        return self.expires_at is not None
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
         deadline = self._sim.now + delay
-        self._deadline = deadline
+        self.expires_at = deadline
         if self._event is None or self._event.cancelled:
             self._event = self._sim.schedule_at(deadline, self._fire)
         elif self._event.time > deadline:
@@ -55,17 +53,17 @@ class Timer:
 
     def stop(self) -> None:
         """Disarm; a stopped timer never fires (its event dies silently)."""
-        self._deadline = None
+        self.expires_at = None
 
     def _fire(self) -> None:
         self._event = None
-        if self._deadline is None:
+        if self.expires_at is None:
             return  # stopped since scheduling
-        if self._deadline > self._sim.now + 1e-12:
+        if self.expires_at > self._sim.now + 1e-12:
             # Re-armed to a later deadline since this event was pushed.
-            self._event = self._sim.schedule_at(self._deadline, self._fire)
+            self._event = self._sim.schedule_at(self.expires_at, self._fire)
             return
-        self._deadline = None
+        self.expires_at = None
         self._callback()
 
 

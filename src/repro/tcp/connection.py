@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
-from ..net.packet import ECN_ECT0, Packet
+from ..net.packet import ECN_CE, ECN_ECT0, SEQ_MASK, Packet, encode_window
 from .cc import make_cc
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,6 +122,9 @@ class TcpConnection:
         self.rcv_nxt = 0
         self.rcv_buf = rcv_buf
         self.my_wscale = wscale
+        # The app drains instantly, so every packet advertises the whole
+        # buffer: encoded (and range-checked) here, once, not per packet.
+        self._rwnd_field = encode_window(rcv_buf, wscale)
         self.peer_wscale = 0
         self.ooo: List[Tuple[int, int]] = []   # merged [start, end) intervals
         self.fin_received = False
@@ -253,19 +256,12 @@ class TcpConnection:
     def _make_packet(self, seq: int = 0, payload_len: int = 0, *,
                      syn: bool = False, fin: bool = False,
                      ack: bool = False) -> Packet:
-        pkt = Packet(
+        return Packet(
             src=self.laddr, sport=self.lport, dst=self.raddr, dport=self.rport,
-            seq=seq, payload_len=payload_len, syn=syn, fin=fin, ack=ack,
-            tsval=self.sim.now,
+            seq=seq, ack_seq=self.rcv_nxt if ack else 0,
+            payload_len=payload_len, syn=syn, fin=fin, ack=ack,
+            rwnd_field=self._rwnd_field, tsval=self.sim.now,
         )
-        if ack:
-            pkt.ack_seq = self.rcv_nxt
-        pkt.set_advertised_window(self._advertise_window(), self.my_wscale)
-        return pkt
-
-    def _advertise_window(self) -> int:
-        """Receive window we advertise (the app drains instantly)."""
-        return self.rcv_buf
 
     def _transmit(self, pkt: Packet) -> None:
         """Hand the packet to the host (which runs it through the vSwitch)."""
@@ -297,44 +293,52 @@ class TcpConnection:
         else:
             while self._send_one():
                 pass
-        self._maybe_send_fin()
+        if self.fin_pending:
+            self._maybe_send_fin()
 
     def _send_one(self) -> bool:
-        """Send one new segment if window, data, and pacing allow."""
-        if not self.data_pending:
+        """Send one new segment if window, data, and pacing allow.
+
+        Runs 1.5x per segment sent, so it reads the fields behind
+        :attr:`data_pending`, :attr:`send_window` and
+        :attr:`bytes_in_flight` itself instead of entering them.
+        """
+        unlimited = self.unlimited_data
+        if not unlimited and self.app_bytes_queued <= 0:
             return False
-        window_edge = self.snd_una + self.send_window
-        available = window_edge - self.snd_nxt
+        window = int(self.cwnd)
+        if not self.ignore_rwnd and self.peer_rwnd < window:
+            window = self.peer_rwnd
+        snd_nxt = self.snd_nxt
+        available = self.snd_una + window - snd_nxt
         if available <= 0:
             return False
-        remaining = (1 << 62) if self.unlimited_data else self.app_bytes_queued
-        seg = min(self.mss, remaining)
+        seg = self.mss if unlimited else min(self.mss, self.app_bytes_queued)
         if seg <= 0:
             return False
         if available < seg:
             # Sub-MSS usable window: only send a short segment when the
             # pipe is empty (silly-window avoidance, but no deadlock when
             # AC/DC enforces byte-granular windows below one MSS).
-            if self.bytes_in_flight > 0:
+            if snd_nxt > self.snd_una:
                 return False
-            seg = min(seg, available)
-        if not self._pacing_gate(seg):
+            seg = available
+        if self.pacing_rate_bps is not None and not self._pacing_gate(seg):
             return False
-        pkt = self._make_packet(seq=self.snd_nxt, payload_len=seg, ack=True)
-        self.snd_nxt += seg
-        if not self.unlimited_data:
+        pkt = self._make_packet(seq=snd_nxt, payload_len=seg, ack=True)
+        self.snd_nxt = snd_nxt + seg
+        if not unlimited:
             self.app_bytes_queued -= seg
         self._transmit(pkt)
-        if not self.rto_timer.armed:
+        if self.rto_timer.expires_at is None:
             self._arm_rto()
         if self.window_probe is not None:
             self.window_probe(self)
         return True
 
     def _pacing_gate(self, seg_bytes: int) -> bool:
-        """Token-style pacing; returns False and self-reschedules if early."""
-        if self.pacing_rate_bps is None:
-            return True
+        """Token-style pacing (callers skip it for an unpaced flow);
+        returns False and self-reschedules if early."""
         now = self.sim.now
         if self._pace_until > now + 1e-12:
             if self._pace_event is None or self._pace_event.cancelled:
@@ -357,7 +361,7 @@ class TcpConnection:
             self.snd_nxt += 1
             self.state = FIN_WAIT
             self._transmit(fin)
-            if not self.rto_timer.armed:
+            if self.rto_timer.expires_at is None:
                 self._arm_rto()
 
     # ------------------------------------------------------------------
@@ -552,9 +556,8 @@ class TcpConnection:
 
     # -- ACK processing ------------------------------------------------------
     def _update_scoreboard(self, pkt: Packet) -> int:
-        """Merge the ACK's SACK blocks; returns newly-SACKed byte count."""
-        if not pkt.sack_blocks:
-            return 0
+        """Merge the ACK's SACK blocks (the caller checked there are
+        some); returns newly-SACKed byte count."""
         before = self.sacked_bytes
         for s, e in pkt.sack_blocks:
             if e > self.snd_una:
@@ -568,13 +571,13 @@ class TcpConnection:
     def _handle_ack(self, pkt: Packet) -> None:
         if self.state not in (ESTABLISHED, FIN_WAIT):
             return
-        self.peer_rwnd = pkt.advertised_window(self.peer_wscale)
-        newly_sacked = self._update_scoreboard(pkt)
+        self.peer_rwnd = pkt.rwnd_field << self.peer_wscale
+        newly_sacked = self._update_scoreboard(pkt) if pkt.sack_blocks else 0
         ack_seq = pkt.ack_seq
         if ack_seq > self.snd_una:
             self._handle_new_ack(pkt, ack_seq)
         elif (ack_seq == self.snd_una and pkt.payload_len == 0
-              and not pkt.fin and self.bytes_in_flight > 0):
+              and not pkt.fin and self.snd_nxt > self.snd_una):
             self._handle_dupack(pkt, newly_sacked)
         self._try_send()
         if self.window_probe is not None:
@@ -604,7 +607,7 @@ class TcpConnection:
         limiter parks its CWND near twice the enforced window (exactly the
         Fig. 10 picture) and AC/DC retains instant upward headroom.
         """
-        used = self.bytes_in_flight + acked
+        used = self.snd_nxt - self.snd_una + acked
         if self.cwnd < self.ssthresh:
             return self.cwnd < 2 * used
         return used + self.mss >= self.cwnd
@@ -616,7 +619,8 @@ class TcpConnection:
             fin_ack = True
             acked -= 1  # the FIN's sequence slot carries no data
         self.snd_una = ack_seq
-        self._prune_scoreboard()
+        if self.sacked:
+            self._prune_scoreboard()
         self.bytes_acked_total += max(acked, 0)
         self.backoff = 0
         rtt = self._rtt_sample(pkt)
@@ -649,7 +653,7 @@ class TcpConnection:
                 if self._cwnd_limited(acked):
                     self.cc.on_ack(max(acked, 0), rtt)
 
-        if self.bytes_in_flight > 0:
+        if self.snd_nxt > self.snd_una:
             self._arm_rto()
         else:
             self.rto_timer.stop()
@@ -695,9 +699,10 @@ class TcpConnection:
     def _handle_data(self, pkt: Packet) -> None:
         if self.state not in (ESTABLISHED, FIN_WAIT, SYN_RCVD):
             return
-        start, end = pkt.seq, pkt.end_seq
+        start = pkt.seq
+        end = (start + pkt.payload_len) & SEQ_MASK  # Packet.end_seq
         prev_rcv_nxt = self.rcv_nxt
-        ce = pkt.ce
+        ce = pkt.ecn == ECN_CE
         if self.ecn_ok and not self.ecn_bleach:
             if self.cc_name == "dctcp":
                 self.ece_latched = ce  # precise per-ACK echo
@@ -711,7 +716,8 @@ class TcpConnection:
         elif start <= self.rcv_nxt:
             delivered = end - self.rcv_nxt
             self.rcv_nxt = end
-            delivered += self._drain_ooo()
+            if self.ooo:
+                delivered += self._drain_ooo()
         else:
             _merge_interval(self.ooo, start, end)
         if delivered:

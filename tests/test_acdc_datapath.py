@@ -340,3 +340,22 @@ def test_pack_overflowing_mtu_becomes_fack(two_hosts):
     out = vsw_b.egress(thin_but_full)
     assert out is not None and out.pack is None
     assert entry_b.receiver_feedback.facks_created == facks_before + 1
+
+
+def test_pure_ack_egress_is_one_table_lookup(two_hosts):
+    """The receiver module's feedback and the ECT marking of a pure ACK
+    share one flow-table lookup (``lookups``/``hits`` used to count two
+    per ACK while ``ops`` recorded one ``flow_lookup``)."""
+    from repro.net.packet import make_ack_packet
+    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts)
+    conn, _ = transfer(sim, a, b, nbytes=200_000, until=0.1)
+    table, ops = vsw_b.table, vsw_b.ops
+    lookups, hits, before = table.lookups, table.hits, dict(ops.counts)
+    ack = make_ack_packet(conn.key(), conn.snd_una)     # b -> a, no payload
+    assert vsw_b.egress(ack) is ack
+    assert (table.lookups - lookups, table.hits - hits) == (1, 1)
+    assert ack.pack is not None and ack.ect and not ack.vm_ect
+    moved = {op: n - before[op] for op, n in ops.counts.items()
+             if n != before[op]}
+    assert moved == {"flow_lookup": 1, "forward": 1, "pack_attach": 1,
+                     "ecn_mark": 1, "checksum_recalc": 2}

@@ -46,12 +46,14 @@ def test_snapshot_drops_ops_that_never_happened():
 
 def test_every_recorded_op_literal_is_known():
     """``record`` no longer tests membership per call, so the typo check
-    for the datapath's own call sites happens here, over the source."""
+    for the datapath's own call sites — ``.record("op")`` and the direct
+    bump ``counts["op"] += n`` — happens here, over the source."""
     import pathlib
     import re
     import repro
     root = pathlib.Path(repro.__file__).parent
-    literal = re.compile(r"""\.record\(\s*["']([A-Za-z_]+)["']""")
+    literal = re.compile(
+        r"""(?:\.record\(\s*|\bcounts\[)["']([A-Za-z_]+)["']""")
     found = {}
     for sub in ("core", "guard"):
         for path in sorted((root / sub).rglob("*.py")):

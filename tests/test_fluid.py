@@ -170,7 +170,6 @@ def test_disabled_marker_means_no_marks_only_dt_losses():
 def test_service_inflation_identity_when_idle():
     _sim, _shared, _marker, port, fport = make_fluid_port()
     assert fport.service_inflation() == 1.0
-    assert port._serialization_time is not None
     # With arrivals, inflation is capped by the packet-share floor.
     fport.arrival_bps = RATE * 10
     from repro.fluid.coupling import MIN_PACKET_SHARE

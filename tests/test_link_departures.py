@@ -7,13 +7,16 @@ counters — sits on a settle queue and is applied before anything reads the
 state it changes (DESIGN.md §10).  These tests pin that the laziness is
 invisible: against the evented port this replaced (kept here, and only
 here, as a reference model), at exact ties, to readers between events,
-across a snapshot, and to the INT record's residence time.
+across a snapshot, and to the INT record's residence time.  A host NIC is
+a single FIFO, so its departures wait in a plain deque instead; the
+heap-settled NIC it replaced is the second reference model below.
 """
 
+import heapq
 import pickle
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitize
@@ -161,6 +164,114 @@ def test_matches_the_evented_port_it_replaced(offers):
 
 
 # ---------------------------------------------------------------------------
+# Reference model: the heap-settled host NIC the FIFO replaced
+# ---------------------------------------------------------------------------
+class HeapSettledNic:
+    """Pre-change host port: every admitted packet on a finish-time heap,
+    settled (tx counters) before each delivery and each read."""
+
+    def __init__(self, sim, rate_bps, delay_s, peer):
+        self.sim, self.rate_bps, self.delay_s = sim, rate_bps, delay_s
+        self.peer = peer
+        self.tx_packets = self.tx_bytes = 0
+        self._free_at = 0.0
+        self._heap, self._seq = [], 0
+
+    def enqueue(self, packet, when=None):
+        nbytes = packet.size
+        start = max(self.sim.now if when is None else when, self._free_at)
+        finish = self._free_at = start + nbytes * 8.0 / self.rate_bps
+        self._seq += 1
+        heapq.heappush(self._heap, (finish, self._seq, start, nbytes))
+        self.sim.schedule_at(finish + self.delay_s, self._deliver, packet)
+        return True
+
+    def _settle(self):
+        while self._heap and self._heap[0][0] <= self.sim.now:
+            self.tx_packets += 1
+            self.tx_bytes += heapq.heappop(self._heap)[3]
+
+    def _deliver(self, packet):
+        self._settle()
+        self.peer.receive(packet)
+
+    def read(self):
+        self._settle()
+        waiting = [e[3] for e in self._heap if e[2] > self.sim.now]
+        return (self.tx_packets, self.tx_bytes, sum(waiting), len(waiting))
+
+
+def read_fifo_nic(nic):
+    stats = nic.stats
+    return (stats.tx_packets, stats.tx_bytes, nic.queue_bytes,
+            nic.queue_packets)
+
+
+class NicWorld:
+    """One host NIC driven by offers ``(time, jitter or None, wire size)``
+    and read at ``reads``; 1 byte = 1 second, so ties are exact."""
+
+    RATE, DELAY = 8.0, 7.0
+
+    def __init__(self, make_nic, read, offers, reads):
+        self.sim = Simulator()
+        self.nic = make_nic(self.sim, self.RATE, self.DELAY, self)
+        self.read = read
+        self.arrivals, self.readings, self.index = [], [], {}
+        for i, (at, jitter, size) in enumerate(offers):
+            packet = data(size)
+            self.index[packet.pid] = i
+            self.sim.schedule_at(at, self._offer, packet, jitter)
+        for at in reads:
+            self.sim.schedule_at(at, self._read)
+        self.sim.run()
+        self._read()                             # and once after the last
+
+    def receive(self, packet):
+        self.arrivals.append((self.sim.now, self.index[packet.pid]))
+
+    def _offer(self, packet, jitter):
+        # Host.wire_out hands the NIC an arrival time at or after now.
+        when = None if jitter is None else self.sim.now + jitter
+        assert self.nic.enqueue(packet, when)
+
+    def _read(self):
+        self.readings.append((self.sim.now, self.read(self.nic)))
+
+
+def times(upto):
+    # Mostly whole seconds: reads and offers then land exactly on finish
+    # and start instants in a good third of the examples.
+    whole = st.integers(0, upto).map(float)
+    return st.one_of(whole, whole, whole,
+                     st.floats(0.0, float(upto), allow_nan=False))
+
+
+NIC_OFFERS = st.lists(
+    st.tuples(times(600), st.one_of(st.none(), times(60)),
+              st.integers(40, 120)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(NIC_OFFERS, st.lists(times(3000), max_size=30))
+@example([(0.0, None, 100)], [100.0])            # read at the finish instant
+@example([(0.0, 5.0, 100), (0.0, None, 60)], [5.0, 105.0, 165.0])
+def test_fifo_nic_matches_the_heap_settled_nic_it_replaced(offers, reads):
+    """Same delivery times and, at every read instant, the same
+    ``tx_packets``/``tx_bytes``/``queue_bytes``/``queue_packets``."""
+    from repro.net.link import HostTxPort
+    old = NicWorld(HeapSettledNic, HeapSettledNic.read, offers, reads)
+    new = NicWorld(
+        lambda sim, rate, delay, peer: HostTxPort(sim, rate, delay, peer=peer),
+        read_fifo_nic, offers, reads)
+    assert new.arrivals == old.arrivals
+    assert new.readings == old.readings
+    assert new.readings[-1][1][0] == len(offers)
+    assert not new.nic._fifo                     # drained, not accumulated
+
+
+# ---------------------------------------------------------------------------
 # Ties and readers between events
 # ---------------------------------------------------------------------------
 def make_switch_port(sim, peer, capacity=10_000, rate=8000.0, delay=0.0,
@@ -222,10 +333,10 @@ def test_readers_between_finish_and_arrival_see_the_departure(sim, trap):
 def test_host_jitter_arrival_time_is_honoured(sim, trap):
     from repro.net.link import HostTxPort
     nic = HostTxPort(sim, rate_bps=8000.0, delay_s=0.25, peer=trap)
+    times = []
+    trap.receive = lambda pkt: times.append(sim.now)  # bound at offer time
     nic.enqueue(data(1000), 0.5)                 # arrives 0.5, finishes 1.5
     nic.enqueue(data(1000), 0.75)                # queues behind: 2.5
-    times = []
-    trap.receive = lambda pkt: times.append(sim.now)
     sim.run()
     assert times == [1.75, 2.75]
     assert sim.events_processed == 2             # one event per packet
@@ -292,9 +403,9 @@ SERVICE = dict(n_hosts=4, epoch_s=0.01, arrival_rate_hz=4000.0,
 def test_snapshot_with_unsettled_departures_restores_identically():
     svc = Service(ServiceConfig(**SERVICE))
     svc.run_epoch()
-    queues = [svc.switch.shared.departures] + [
-        h.nic._departures for h in svc.hosts]
-    pending = [entry for q in queues for entry in q._heap]
+    queues = [svc.switch.shared.departures._heap] + [
+        h.nic._fifo for h in svc.hosts]
+    pending = [entry for q in queues for entry in q]
     assert pending, "epoch ended with nothing in flight"
     assert any(entry[0] <= svc.sim.now for entry in pending), \
         "epoch ended with every due departure already settled"
