@@ -87,7 +87,7 @@ def run(duration: float = 1.0, mtu: int = 1500, seed: int = 0,
     }
     if obs is not None:
         out["telemetry"] = r.telemetry
-        out["trace_events"] = len(obs.bus.events)
+        out["trace_events"] = len(obs.bus)
         out["trace_flow"] = format_flow(flow_key)
         if trace_path is not None:
             out["trace_path"] = write_jsonl(obs.bus.records(), trace_path)

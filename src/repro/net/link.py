@@ -266,7 +266,7 @@ class SwitchTxPort(TxPort):
         if stamper is not None:
             # The hop record's residence time covers queueing +
             # serialization; tx counters update after this.
-            stamper.on_depart(packet, finish)
+            stamper.on_depart(packet, finish, nbytes, self._stats.tx_bytes)
         acct = self._accounting
         if acct is not None:
             acct.on_release(nbytes)

@@ -43,6 +43,7 @@ documented fidelity boundary, not a modelled one — see DESIGN.md §16.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .trace import INFO, WARNING
@@ -61,9 +62,18 @@ HOP_FIELDS = 6
 #: large enough to track an incast onset within tens of packets).
 DEFAULT_EWMA_ALPHA = 0.25
 
+#: Value types of a stamped hop record and of an echoed hop aggregate.
+#: A record of exactly these types, with a hop id and no negative value,
+#: is valid; any other record is left to the validators' per-value loops.
+HOP_TYPES = (str, int, float, int, float, float)
+ECHO_HOP_TYPES = (str, int, int, float, float, float, float)
+
 
 def valid_hop(record) -> bool:
     """Shape-check one hop record (fault injectors mangle these)."""
+    if (type(record) is tuple and tuple(map(type, record)) == HOP_TYPES
+            and record[0] and min(record[1:]) >= 0):
+        return True
     if not isinstance(record, tuple) or len(record) != HOP_FIELDS:
         return False
     hop, q, q_ewma, tx, util, res = record
@@ -83,7 +93,7 @@ def valid_stack(stack) -> bool:
         return False
     if len(stack) > MAX_INT_HOPS:
         return False
-    return all(valid_hop(rec) for rec in stack)
+    return all(map(valid_hop, stack))
 
 
 class IntStamper:
@@ -94,8 +104,10 @@ class IntStamper:
     ``now`` at which the packet left the wire-side of the port (the port
     settles departures lazily, so the clock may have moved on) and
     appends the hop record, so the residence time covers queueing *and*
-    serialization.  ``tx_bytes`` is read before the departing packet is
-    counted (the port updates its counters after releasing buffer memory).
+    serialization.  The port's settle passes in what it already holds:
+    ``nbytes``, the size it admitted, and ``tx_bytes``, its counter
+    before the departing packet is counted — so stamping never reads the
+    port's settling ``stats`` from inside a settle.
     """
 
     __slots__ = ("sim", "port", "hop_id", "max_hops", "ewma_alpha",
@@ -128,13 +140,14 @@ class IntStamper:
         self.q_ewma += alpha * (queue_bytes - self.q_ewma)
         self._pending[packet.pid] = (self.sim.now, queue_bytes)
 
-    def on_depart(self, packet, now: float) -> None:
+    def on_depart(self, packet, now: float, nbytes: int,
+                  tx_bytes: int) -> None:
         pending = self._pending.pop(packet.pid, None)
         if pending is None:
             return  # admitted before the stamper was attached
         admitted_at, q_inst = pending
         rate = self.port.rate_bps
-        serialization = packet.size * 8.0 / rate if rate > 0 else 0.0
+        serialization = nbytes * 8.0 / rate if rate > 0 else 0.0
         gap = now - self._last_depart
         busy = 1.0 if gap <= 0.0 else min(1.0, serialization / gap)
         self._last_depart = now
@@ -146,9 +159,8 @@ class IntStamper:
         if len(stack) >= self.max_hops:
             self.overflowed += 1
             return
-        stack.append((self.hop_id, q_inst, self.q_ewma,
-                      self.port.stats.tx_bytes, self.util_ewma,
-                      now - admitted_at))
+        stack.append((self.hop_id, q_inst, self.q_ewma, tx_bytes,
+                      self.util_ewma, now - admitted_at))
         self.stamped += 1
 
     def snapshot(self) -> dict:
@@ -195,6 +207,14 @@ def valid_echo(echo) -> bool:
     if not isinstance(echo.stacks, int) or echo.stacks < 1:
         return False
     for hop_id, agg in zip(echo.path, echo.hops):
+        if not (type(agg) is tuple
+                and tuple(map(type, agg)) == ECHO_HOP_TYPES
+                and agg[0] == hop_id and type(hop_id) is str and hop_id
+                and min(agg[1:]) >= 0):
+            break
+    else:
+        return True
+    for hop_id, agg in zip(echo.path, echo.hops):
         if not isinstance(hop_id, str) or not hop_id:
             return False
         if not isinstance(agg, tuple) or len(agg) != 7 or agg[0] != hop_id:
@@ -230,7 +250,7 @@ class IntSink:
         if not valid_stack(stack):
             self.invalid += 1
             return False
-        path = tuple(rec[0] for rec in stack)
+        path = tuple(map(itemgetter(0), stack))
         if path != self.path:
             self.path = path
             self.hops = [[rec[0], rec[1], rec[1], rec[2], rec[4],
@@ -256,7 +276,7 @@ class IntSink:
             return None
         self.serial += 1
         echo = IntEcho(self.serial, self.path,
-                       tuple(tuple(agg) for agg in self.hops), self.stacks)
+                       tuple(map(tuple, self.hops)), self.stacks)
         self.path = None
         self.hops = None
         self.stacks = 0
@@ -310,7 +330,7 @@ class TelemetryView:
         self.path = echo.path
         # Bottleneck = argmax window queue max, first hop on ties (path
         # order, so the choice is deterministic).
-        bottleneck = max(echo.hops, key=lambda agg: agg[2])
+        bottleneck = max(echo.hops, key=itemgetter(2))
         self.bottleneck = bottleneck[0]
         self.q_last_bytes = bottleneck[1]
         self.q_max_bytes = bottleneck[2]

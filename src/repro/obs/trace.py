@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 # Severity levels, numeric so filtering is one comparison.
 DEBUG = 10
@@ -104,35 +104,20 @@ def format_flow(flow) -> Optional[str]:
     return str(flow)
 
 
-class TraceEvent:
-    """One emitted event; a thin record, not behaviour."""
+class TraceEvent(NamedTuple):
+    """One recorded event, built from the bus's log on read."""
 
-    __slots__ = ("t", "type", "severity", "component", "flow", "fields")
+    t: float
+    type: str
+    severity: int
+    component: Optional[str]
+    flow: object
+    fields: dict
 
-    def __init__(self, t: float, type_: str, severity: int,
-                 component: Optional[str], flow, fields: dict):
-        self.t = t
-        self.type = type_
-        self.severity = severity
-        self.component = component
-        self.flow = flow
-        self.fields = fields
 
-    def to_record(self) -> dict:
-        """Flat JSON-able dict (the exporters' and CLI's wire format)."""
-        record = {
-            "t": self.t,
-            "type": self.type,
-            "sev": SEVERITY_NAMES.get(self.severity, str(self.severity)),
-            "component": self.component,
-            "flow": format_flow(self.flow),
-        }
-        record.update(self.fields)
-        return record
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TraceEvent t={self.t:.6f} {self.type} "
-                f"flow={format_flow(self.flow)}>")
+def _event(rec: tuple) -> TraceEvent:
+    shape = rec[1]
+    return TraceEvent(rec[0], *shape[:3], rec[2], dict(zip(shape[3], rec[3:])))
 
 
 @dataclass
@@ -152,7 +137,10 @@ class TraceConfig:
 
 
 class TraceBus:
-    """Collects :class:`TraceEvent` instances for one run.
+    """Collects one run's events, one tuple per record: ``(t, shape,
+    flow, *values)``, where ``shape = (type, severity, component, field
+    names)`` is interned, and schema-checked, once per bus (DESIGN.md
+    §11).  Readers build dicts and :class:`TraceEvent` objects from it.
 
     A bus may be created unbound (no simulator yet) so experiment
     callers can wire probes before the runner builds the
@@ -163,7 +151,8 @@ class TraceBus:
     def __init__(self, sim=None, config: Optional[TraceConfig] = None):
         self.sim = sim
         self.config = config if config is not None else TraceConfig()
-        self.events: List[TraceEvent] = []
+        self._log: List[tuple] = []
+        self._shapes: Dict[tuple, tuple] = {}
         self.emitted = 0    # offered to the bus
         self.recorded = 0   # stored
         self.filtered = 0   # below the severity level
@@ -187,28 +176,33 @@ class TraceBus:
 
         Raises ``KeyError`` for an unknown type and ``ValueError`` for a
         missing required field or a reserved field name (with
-        ``config.validate``; validation is on by default — emission only
-        happens when tracing is on, never on the tracing-off hot path).
+        ``config.validate``, read when a shape is first seen; validation
+        is on by default — emission only happens when tracing is on,
+        never on the tracing-off hot path).
         """
         if self.sim is None:
             raise RuntimeError("TraceBus is not bound to a simulator")
         self.emitted += 1
         config = self.config
-        if config.validate:
-            required = EVENT_SCHEMAS.get(type_)
-            if required is None:
-                raise KeyError(
-                    f"unknown trace event type {type_!r}; add it to "
-                    f"repro.obs.trace.EVENT_SCHEMAS")
-            for name in required:
-                if name not in fields:
-                    raise ValueError(
-                        f"trace event {type_!r} requires field {name!r}")
-            for name in RESERVED_FIELDS:
-                if name in fields:
-                    raise ValueError(
-                        f"trace event field {name!r} shadows a reserved "
-                        f"record key")
+        key = (type_, severity, component, tuple(fields))
+        shape = self._shapes.get(key)
+        if shape is None:
+            if config.validate:
+                required = EVENT_SCHEMAS.get(type_)
+                if required is None:
+                    raise KeyError(
+                        f"unknown trace event type {type_!r}; add it to "
+                        f"repro.obs.trace.EVENT_SCHEMAS")
+                for name in required:
+                    if name not in fields:
+                        raise ValueError(
+                            f"trace event {type_!r} requires field {name!r}")
+                for name in RESERVED_FIELDS:
+                    if name in fields:
+                        raise ValueError(
+                            f"trace event field {name!r} shadows a reserved "
+                            f"record key")
+            shape = self._shapes[key] = key
         if severity < config.level:
             self.filtered += 1
             return False
@@ -219,19 +213,46 @@ class TraceBus:
             if count % n != 0:
                 self.sampled_out += 1
                 return False
-        if len(self.events) >= config.max_events:
+        if len(self._log) >= config.max_events:
             self.dropped += 1
             return False
-        self.events.append(TraceEvent(self.sim.now, type_, severity,
-                                      component, flow, fields))
+        self._log.append((self.sim.now, shape, flow, *fields.values()))
         self.recorded += 1
         self._tallies[type_] += 1
         return True
 
     # ------------------------------------------------------------------
     def records(self) -> List[dict]:
-        """The whole trace as flat JSON-able dicts, in emission order."""
-        return [event.to_record() for event in self.events]
+        """The whole trace as flat JSON-able dicts, in emission order:
+        ``t, type, sev, component, flow``, then the fields as emitted."""
+        # A record head per shape and a rendering per flow, by identity:
+        # the log holds only interned shapes, and flows need no hash.
+        heads = {id(shape): ({"t": None, "type": shape[0],
+                              "sev": SEVERITY_NAMES.get(shape[1],
+                                                        str(shape[1])),
+                              "component": shape[2], "flow": None}, shape[3])
+                 for shape in self._shapes.values()}
+        flows: Dict[int, Optional[str]] = {}
+        out = []
+        append = out.append
+        for rec in self._log:
+            head, names = heads[id(rec[1])]
+            flow = rec[2]
+            shown = flows.get(id(flow))
+            if shown is None:
+                shown = flows[id(flow)] = format_flow(flow)
+            record = head.copy()
+            record["t"] = rec[0]
+            record["flow"] = shown
+            record.update(zip(names, rec[3:]))
+            append(record)
+        return out
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The recorded events, built from the log on each read (count
+        them with ``len(bus)``)."""
+        return [_event(rec) for rec in self._log]
 
     def by_type(self) -> Dict[str, int]:
         """Recorded-event counts per type (sorted for determinism)."""
@@ -240,7 +261,8 @@ class TraceBus:
     def for_flow(self, flow) -> List[TraceEvent]:
         """Events scoped to one flow (key tuple or formatted string)."""
         wanted = format_flow(flow)
-        return [e for e in self.events if format_flow(e.flow) == wanted]
+        return [_event(rec) for rec in self._log
+                if format_flow(rec[2]) == wanted]
 
     def summary(self) -> dict:
         """Deterministic counts for ``RunResult.telemetry``."""
@@ -254,4 +276,4 @@ class TraceBus:
         }
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log)

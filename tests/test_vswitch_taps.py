@@ -10,6 +10,7 @@ methods reach their collaborators through hooks alone.
 """
 
 import ast
+import gc
 import inspect
 import sys
 from pathlib import Path
@@ -228,6 +229,9 @@ def frames_per_switch_packet(monkeypatch=None, run_only=False, **kwargs):
         if event == "call":
             calls += 1
 
+    # Garbage left by an earlier run would otherwise be finalized inside
+    # the profiled one, and its finalizers' frames counted with it.
+    gc.collect()
     if run_only:
         def profiled_run(self, *args, **kw):
             sys.setprofile(profiler)
