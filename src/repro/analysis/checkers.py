@@ -13,11 +13,11 @@ RL101 **determinism-taint** — wall-clock reads and unseeded RNG draws
     ``def now_s(): return time.time()`` in one module, ``self.t0 =
     now_s()`` in another.
 
-RL102 **trace-contract** — every ``emit("type", ...)`` with a literal
-    event type is validated against the merged ``EVENT_SCHEMAS``:
-    the type must be registered, every required field present as a
-    keyword (unless a ``**splat`` makes the site dynamic), and no
-    keyword may collide with the envelope's reserved fields.  The
+RL102 **trace-contract** — every ``emit("type", ...)`` and
+    ``channel("type", ("a", ...))`` with a literal type is checked against
+    the merged ``EVENT_SCHEMAS``: registered type, every required field
+    present (unless a ``**splat`` or computed names make the site
+    dynamic), no field colliding with the envelope's reserved ones.  The
     global pass then reports *dead schemas*: registered types that no
     emit site (and no other module's string literal — dispatch tables
     count as liveness) ever references.
@@ -54,7 +54,7 @@ from .project import (BuildStats, ModuleSummary, Project, ProjectConfig,
 from .rules import Violation
 
 #: Bump when checker semantics change: invalidates cached findings.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 CHECKER_CATALOG = {
     "RL101": "determinism-taint: wall-clock/unseeded-RNG value reaches "
@@ -200,32 +200,33 @@ def _check_rl102(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
         type_ = emit.get("type")
         if type_ is None:
             continue  # dynamic event type; runtime validation covers it
+        site = emit.get("site", "emit")
         reserved = sorted(set(emit.get("fields", ()))
                           & set(_RESERVED_EMIT_KWARGS))
         if reserved:
             out.append(Violation(
                 path=summary.path, line=emit["line"], col=emit["col"],
                 code="RL102",
-                message=f"emit('{type_}') passes reserved envelope "
+                message=f"{site}('{type_}') passes reserved envelope "
                         f"field(s) {', '.join(reserved)}; the bus writes "
                         "those itself"))
         if type_ not in ctx.schemas:
             out.append(Violation(
                 path=summary.path, line=emit["line"], col=emit["col"],
                 code="RL102",
-                message=f"emit('{type_}') is not registered in "
+                message=f"{site}('{type_}') is not registered in "
                         "EVENT_SCHEMAS; register the event type or fix "
                         "the spelling"))
             continue
         if emit.get("has_star"):
-            continue  # **splat: field set is dynamic at this site
+            continue  # **splat or computed names: a dynamic field set
         provided = set(emit.get("fields", ())) - set(_EMIT_SIGNATURE_KWARGS)
         missing = sorted(set(ctx.schemas[type_]) - provided)
         if missing:
             out.append(Violation(
                 path=summary.path, line=emit["line"], col=emit["col"],
                 code="RL102",
-                message=f"emit('{type_}') is missing required "
+                message=f"{site}('{type_}') is missing required "
                         f"field(s): {', '.join(missing)}"))
     return out
 

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .suppress import Suppressions, parse_suppressions
 
 #: Bump when summary *shape* changes: stale caches are discarded wholesale.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 # --- taint sources (mirrors the per-file RL002/RL003 vocabulary) ----------
 WALL_CLOCK_TIME_ATTRS = {
@@ -307,17 +307,26 @@ class _Summarizer:
                     self.literals.add(node.value)
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"):
+                    and node.func.attr in ("emit", "channel")):
                 first = node.args[0] if node.args else None
                 type_ = (first.value
                          if isinstance(first, ast.Constant)
                          and isinstance(first.value, str) else None)
+                if node.func.attr == "emit":
+                    fields = [kw.arg for kw in node.keywords if kw.arg]
+                    dynamic = len(fields) < len(node.keywords)  # **splat
+                else:  # channel(type, names): literal names, or dynamic
+                    elts = getattr(node.args[1] if len(node.args) > 1
+                                   else None, "elts", None)
+                    fields = [elt.value for elt in elts or ()
+                              if isinstance(getattr(elt, "value", 0), str)]
+                    dynamic = elts is None or len(fields) != len(elts)
                 self.emits.append({
                     "line": node.lineno, "col": node.col_offset,
+                    "site": node.func.attr,
                     "type": type_,
-                    "fields": sorted(kw.arg for kw in node.keywords
-                                     if kw.arg is not None),
-                    "has_star": any(kw.arg is None for kw in node.keywords),
+                    "fields": sorted(fields),
+                    "has_star": dynamic,
                     "recv": _dotted(node.func.value) or "<expr>",
                 })
 

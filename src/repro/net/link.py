@@ -254,7 +254,11 @@ class SwitchTxPort(TxPort):
         return self.shared.departures.waiting(self)
 
     def _deliver(self, packet: Packet) -> None:
-        self.shared.departures.settle()
+        departures = self.shared.departures
+        heap = departures._heap
+        # As in SharedBuffer.occupancy: enter the settle only for a due head.
+        if heap and heap[0][0] <= departures.sim.now:
+            departures.settle()
         self.peer.receive(packet)
 
     def _depart(self, packet: Packet, nbytes: int, finish: float) -> None:

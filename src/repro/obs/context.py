@@ -37,19 +37,18 @@ class PortObs:
     datapath pays a single ``is None`` test when observability is off.
     """
 
-    __slots__ = ("bus", "hist", "component")
+    __slots__ = ("hist", "occupancy")
 
     def __init__(self, bus: TraceBus, hist, component: str):
-        self.bus = bus
         self.hist = hist
-        self.component = component
+        self.occupancy = bus.channel(
+            "buffer.occupancy", ("queue_bytes", "admitted", "marked"),
+            component=component, severity=INFO)
 
     def on_enqueue(self, queue_bytes: int, admitted: bool,
                    marked: bool) -> None:
         self.hist.record(queue_bytes)
-        self.bus.emit("buffer.occupancy", component=self.component,
-                      severity=INFO, queue_bytes=queue_bytes,
-                      admitted=admitted, marked=marked)
+        self.occupancy.emit(None, queue_bytes, admitted, marked)
 
 
 # Metric sources are module-level functions bound with

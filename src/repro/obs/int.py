@@ -64,16 +64,14 @@ DEFAULT_EWMA_ALPHA = 0.25
 
 #: Value types of a stamped hop record and of an echoed hop aggregate.
 #: A record of exactly these types, with a hop id and no negative value,
-#: is valid; any other record is left to the validators' per-value loops.
+#: is valid (``IntSink.absorb`` and :func:`valid_echo` check that first);
+#: any other record is left to the validators' per-value loops.
 HOP_TYPES = (str, int, float, int, float, float)
 ECHO_HOP_TYPES = (str, int, int, float, float, float, float)
 
 
 def valid_hop(record) -> bool:
     """Shape-check one hop record (fault injectors mangle these)."""
-    if (type(record) is tuple and tuple(map(type, record)) == HOP_TYPES
-            and record[0] and min(record[1:]) >= 0):
-        return True
     if not isinstance(record, tuple) or len(record) != HOP_FIELDS:
         return False
     hop, q, q_ewma, tx, util, res = record
@@ -149,7 +147,9 @@ class IntStamper:
         rate = self.port.rate_bps
         serialization = nbytes * 8.0 / rate if rate > 0 else 0.0
         gap = now - self._last_depart
-        busy = 1.0 if gap <= 0.0 else min(1.0, serialization / gap)
+        busy = 1.0 if gap <= 0.0 else serialization / gap
+        if not busy < 1.0:  # min(1.0, busy), NaN included
+            busy = 1.0
         self._last_depart = now
         alpha = self.ewma_alpha
         self.util_ewma += alpha * (busy - self.util_ewma)
@@ -247,14 +247,23 @@ class IntSink:
 
     def absorb(self, stack) -> bool:
         """Fold one hop stack in; False (counted) if it fails validation."""
-        if not valid_stack(stack):
+        # A list of exact HOP_TYPES records is checked here, in this frame.
+        typed = type(stack) is list and 0 < len(stack) <= MAX_INT_HOPS
+        for rec in stack if typed else ():
+            if not (type(rec) is tuple and tuple(map(type, rec)) == HOP_TYPES
+                    and rec[0] and min(rec[1:]) >= 0):
+                typed = False
+                break
+        if not typed and not valid_stack(stack):
             self.invalid += 1
             return False
         path = tuple(map(itemgetter(0), stack))
         if path != self.path:
             self.path = path
-            self.hops = [[rec[0], rec[1], rec[1], rec[2], rec[4],
-                          rec[5], rec[5]] for rec in stack]
+            self.hops = hops = []
+            for rec in stack:
+                hops.append([rec[0], rec[1], rec[1], rec[2], rec[4],
+                             rec[5], rec[5]])
             self.stacks = 1
         else:
             for agg, rec in zip(self.hops, stack):
@@ -336,9 +345,10 @@ class TelemetryView:
         self.q_max_bytes = bottleneck[2]
         self.util = bottleneck[4]
         # Latency decomposition: mean residence per hop over the window.
-        self.hop_residence_s = {
-            agg[0]: agg[5] / echo.stacks for agg in echo.hops}
-        self.residence_s = sum(self.hop_residence_s.values())
+        self.hop_residence_s = residence = {}
+        for agg in echo.hops:
+            residence[agg[0]] = agg[5] / echo.stacks
+        self.residence_s = sum(residence.values())
         self.q_samples.append(float(bottleneck[2]))
         self.reports += 1
         self.updated_at = now
@@ -387,6 +397,8 @@ class IntTelemetry:
         self.reports_ok = 0
         self.reports_invalid = 0
         self.path_changes = 0
+        # Trace bus -> its channel for a consumed ("ok") int.report.
+        self._reports: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
@@ -498,15 +510,16 @@ class IntTelemetry:
                 tr.emit("int.path_change", flow=entry.key,
                         component="int.view", severity=WARNING,
                         path=list(view.path))
-            tr.emit("int.report", flow=entry.key, component="int.view",
-                    severity=INFO, status="ok", serial=echo.serial,
-                    bottleneck=view.bottleneck,
-                    q_max_bytes=view.q_max_bytes,
-                    util=view.util,
-                    residence_s=view.residence_s,
-                    path_len=len(view.path),
-                    stacks=echo.stacks,
-                    lost=view.lost)
+            reports = self._reports.get(tr)
+            if reports is None:
+                reports = self._reports[tr] = tr.channel(
+                    "int.report", ("status", "serial", "bottleneck",
+                                   "q_max_bytes", "util", "residence_s",
+                                   "path_len", "stacks", "lost"),
+                    component="int.view", severity=INFO)
+            reports.emit(entry.key, "ok", echo.serial, view.bottleneck,
+                         view.q_max_bytes, view.util, view.residence_s,
+                         len(view.path), echo.stacks, view.lost)
         entry.vswitch_cc.on_int_report(view)
 
     # ------------------------------------------------------------------

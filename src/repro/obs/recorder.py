@@ -32,9 +32,9 @@ import os
 import re
 from collections import deque
 from pathlib import Path
-from typing import Deque, List, Tuple
+from typing import Deque, Dict, List, Tuple
 
-from .trace import format_flow
+from .trace import INFO, SEVERITY_NAMES, format_flow
 
 #: Default ring capacity: enough to hold several RTTs of per-ACK
 #: decisions for one flow without holding a whole run in memory.
@@ -45,10 +45,10 @@ DEFAULT_DUMP_DIR = ".repro-obs"
 
 
 class FlightRecorder:
-    """Ring buffer of (sim time, kind, flow, fields) decision records.
+    """Ring buffer of (sim time, kind, severity, flow, fields) decisions.
 
-    ``bus`` is the trace bus the decision-log hooks mirror onto (None
-    when the recorder is armed for the sanitizer alone)."""
+    ``bus`` is the trace bus the decision-log hooks mirror onto, one
+    channel per shape (None when armed for the sanitizer alone)."""
 
     def __init__(self, sim, name: str = "vswitch",
                  capacity: int = DEFAULT_CAPACITY, bus=None):
@@ -61,18 +61,23 @@ class FlightRecorder:
         self.noted = 0  # decisions ever offered (ring keeps the tail)
         self._serial = 0  # per-recorder dump counter (instance state, so
         #                   it snapshots and restores with the vSwitch)
-        self._ring: Deque[Tuple[float, str, object, dict]] = deque(
+        self._ring: Deque[Tuple[float, str, int, object, dict]] = deque(
             maxlen=capacity)
+        # (type, severity, field names) -> the bus channel of a decision.
+        self._channels: Dict[tuple, object] = {}
+        self._rewrites = (bus.channel(
+            "rwnd.rewrite", ("wnd_bytes", "rewritten", "visible_bytes"),
+            component="vswitch", severity=INFO) if bus is not None else None)
 
     # ------------------------------------------------------------------
-    def note(self, type_: str, flow=None, **fields) -> None:
+    def note(self, type_: str, flow=None, *, severity=INFO, **fields) -> None:
         """Record one datapath decision (cheap: one deque append).
 
         The first argument is the record *type* (named ``type_`` so a
         detail field called ``kind`` — e.g. the guard's transition kind
         — can ride in ``fields`` without colliding)."""
         self.noted += 1
-        self._ring.append((self.sim.now, type_, flow, fields))
+        self._ring.append((self.sim.now, type_, severity, flow, fields))
 
     # -- decision-log tap (AcdcVswitch.HOOKS) ----------------------------
     def on_decision(self, type_: str, flow, severity: int, fields: dict,
@@ -80,11 +85,15 @@ class FlightRecorder:
         """A flow-state change, ECN mark or policer drop: ``noted`` into
         the ring (unless None) and ``fields`` onto the bus."""
         if noted is not None:
-            self.note(type_, flow, **noted)
+            self.note(type_, flow, severity=severity, **noted)
         bus = self.bus
         if bus is not None:
-            bus.emit(type_, flow=flow, component="vswitch",
-                     severity=severity, **fields)
+            key = (type_, severity, tuple(fields))
+            channel = self._channels.get(key)
+            if channel is None:
+                channel = self._channels[key] = bus.channel(
+                    type_, key[2], component="vswitch", severity=severity)
+            channel.emit(flow, *fields.values())
 
     def on_advertised(self, entry, pkt, wnd: int, rewritten) -> None:
         """The RWND decision on an ACK (``rewritten`` None: a fabricated
@@ -96,21 +105,21 @@ class FlightRecorder:
         wscale = entry.peer_wscale
         # One deque append inline (not via note()): this runs per ACK.
         self.noted += 1
-        self._ring.append((self.sim.now, "rwnd.rewrite", entry.key,
+        self._ring.append((self.sim.now, "rwnd.rewrite", INFO, entry.key,
                            {"wnd_bytes": wnd, "rewritten": rewritten,
                             "rwnd_field": pkt.rwnd_field, "wscale": wscale}))
-        bus = self.bus
-        if bus is not None:
-            bus.emit("rwnd.rewrite", flow=entry.key, component="vswitch",
-                     wnd_bytes=wnd, rewritten=rewritten,
-                     visible_bytes=pkt.rwnd_field << wscale)
+        rewrites = self._rewrites
+        if rewrites is not None:
+            rewrites.emit(entry.key, wnd, rewritten,
+                          pkt.rwnd_field << wscale)
 
     def records(self) -> List[dict]:
         """Ring contents as flat dicts, oldest first (trace-record shape,
         so the ``python -m repro.obs`` subcommands read dumps too)."""
         out = []
-        for t, kind, flow, fields in self._ring:
-            record = {"t": t, "type": kind, "sev": "info",
+        for t, kind, severity, flow, fields in self._ring:
+            record = {"t": t, "type": kind,
+                      "sev": SEVERITY_NAMES.get(severity, str(severity)),
                       "component": self.name, "flow": format_flow(flow)}
             record.update(fields)
             out.append(record)

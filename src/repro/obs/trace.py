@@ -16,9 +16,11 @@ so short runs are never silently empty.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 # Severity levels, numeric so filtering is one comparison.
 DEBUG = 10
@@ -105,7 +107,7 @@ def format_flow(flow) -> Optional[str]:
 
 
 class TraceEvent(NamedTuple):
-    """One recorded event, built from the bus's log on read."""
+    """One recorded event, built from the bus's columns on read."""
 
     t: float
     type: str
@@ -115,9 +117,9 @@ class TraceEvent(NamedTuple):
     fields: dict
 
 
-def _event(rec: tuple) -> TraceEvent:
-    shape = rec[1]
-    return TraceEvent(rec[0], *shape[:3], rec[2], dict(zip(shape[3], rec[3:])))
+#: Typed value columns, by the *exact* type of a field's first value;
+#: anything else is a list from the start (DESIGN.md §11).
+_TYPECODES = {float: "d", int: "i", bool: "b"}
 
 
 @dataclass
@@ -136,11 +138,84 @@ class TraceConfig:
     validate: bool = True
 
 
+class Channel:
+    """The pre-bound emitter of one interned shape ``(type, severity,
+    component, names)`` of a bus, and that shape's value columns."""
+
+    __slots__ = ("bus", "index", "type", "severity", "component", "names",
+                 "columns", "kinds")
+
+    def __init__(self, bus: "TraceBus", index: int, shape: tuple):
+        self.bus = bus
+        self.index = index
+        self.type, self.severity, self.component, self.names = shape
+        # Opened by the first recorded event; ``kinds[i]`` is the exact
+        # type column ``i`` holds, None once it is a list.
+        self.columns = self.kinds = None
+
+    def emit(self, flow, *values) -> bool:
+        """Offer one event, values in ``names`` order; True if recorded."""
+        bus = self.bus
+        sim = bus.sim
+        if sim is None:
+            raise RuntimeError("TraceBus is not bound to a simulator")
+        bus.emitted += 1
+        if len(values) != len(self.names):
+            raise ValueError(f"trace channel {self.type!r} takes values "
+                             f"{self.names}, got {len(values)}")
+        config = bus.config
+        if self.severity < config.level:
+            bus.filtered += 1
+            return False
+        n = config.sample.get(self.type, 0)
+        if n > 1:
+            count = bus._sample_counters.get(self.type, 0)
+            bus._sample_counters[self.type] = count + 1
+            if count % n != 0:
+                bus.sampled_out += 1
+                return False
+        order = bus._order
+        if len(order) >= config.max_events:
+            bus.dropped += 1
+            return False
+        order.append(self.index)
+        bus._times.append(sim.now)
+        bus._flows.append(flow)
+        columns = self.columns
+        if columns is None:   # the first record types the columns
+            self.kinds = [t if t in _TYPECODES else None
+                          for t in map(type, values)]
+            columns = self.columns = [array(_TYPECODES[t]) if t else []
+                                      for t in self.kinds]
+        kinds = self.kinds
+        for i, value in enumerate(values):
+            kind = kinds[i]
+            if kind is None or type(value) is kind:
+                try:
+                    columns[i].append(value)
+                    continue
+                except OverflowError:   # an int beyond 32 bits
+                    pass
+            # Box the column into a list of its values, for good.
+            columns[i] = list(map(kind, columns[i]))
+            columns[i].append(value)
+            kinds[i] = None
+        bus.recorded += 1
+        bus._tallies[self.type] += 1
+        return True
+
+    def rows(self) -> Iterator[tuple]:
+        """This shape's recorded values, one tuple per event."""
+        if not self.columns:   # no field, or nothing recorded
+            return repeat(())
+        return zip(*[map(bool, column) if kind is bool else column
+                     for column, kind in zip(self.columns, self.kinds)])
+
+
 class TraceBus:
-    """Collects one run's events, one tuple per record: ``(t, shape,
-    flow, *values)``, where ``shape = (type, severity, component, field
-    names)`` is interned, and schema-checked, once per bus (DESIGN.md
-    §11).  Readers build dicts and :class:`TraceEvent` objects from it.
+    """Collects one run's events in columns (DESIGN.md §11): per record,
+    its shape's index, time and flow key; per shape, the value columns
+    of the shape's :class:`Channel`, through which every record enters.
 
     A bus may be created unbound (no simulator yet) so experiment
     callers can wire probes before the runner builds the
@@ -151,8 +226,10 @@ class TraceBus:
     def __init__(self, sim=None, config: Optional[TraceConfig] = None):
         self.sim = sim
         self.config = config if config is not None else TraceConfig()
-        self._log: List[tuple] = []
-        self._shapes: Dict[tuple, tuple] = {}
+        self._shapes: Dict[tuple, Channel] = {}  # shape -> its channel
+        self._order = array("I")   # shape index of each record
+        self._times = array("d")
+        self._flows: List[object] = []
         self.emitted = 0    # offered to the bus
         self.recorded = 0   # stored
         self.filtered = 0   # below the severity level
@@ -165,94 +242,89 @@ class TraceBus:
         """Attach the simulator whose clock timestamps every event."""
         self.sim = sim
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     # ------------------------------------------------------------------
-    def emit(self, type_: str, *, flow=None, component: Optional[str] = None,
-             severity: int = INFO, **fields) -> bool:
-        """Offer one event; returns True if it was recorded.
-
-        Raises ``KeyError`` for an unknown type and ``ValueError`` for a
-        missing required field or a reserved field name (with
-        ``config.validate``, read when a shape is first seen; validation
-        is on by default — emission only happens when tracing is on,
-        never on the tracing-off hot path).
-        """
-        if self.sim is None:
-            raise RuntimeError("TraceBus is not bound to a simulator")
-        self.emitted += 1
-        config = self.config
-        key = (type_, severity, component, tuple(fields))
-        shape = self._shapes.get(key)
-        if shape is None:
-            if config.validate:
+    def channel(self, type_: str, names, *, component: Optional[str] = None,
+                severity: int = INFO) -> Channel:
+        """The one emitter of ``type_`` events carrying ``names``; with
+        ``config.validate``, a bad shape raises here, on every call."""
+        names = tuple(names)
+        key = (type_, severity, component, names)
+        channel = self._shapes.get(key)
+        if channel is None:
+            if self.config.validate:
                 required = EVENT_SCHEMAS.get(type_)
                 if required is None:
                     raise KeyError(
                         f"unknown trace event type {type_!r}; add it to "
                         f"repro.obs.trace.EVENT_SCHEMAS")
                 for name in required:
-                    if name not in fields:
+                    if name not in names:
                         raise ValueError(
                             f"trace event {type_!r} requires field {name!r}")
                 for name in RESERVED_FIELDS:
-                    if name in fields:
+                    if name in names:
                         raise ValueError(
                             f"trace event field {name!r} shadows a reserved "
                             f"record key")
-            shape = self._shapes[key] = key
-        if severity < config.level:
-            self.filtered += 1
-            return False
-        n = config.sample.get(type_, 0)
-        if n > 1:
-            count = self._sample_counters.get(type_, 0)
-            self._sample_counters[type_] = count + 1
-            if count % n != 0:
-                self.sampled_out += 1
-                return False
-        if len(self._log) >= config.max_events:
-            self.dropped += 1
-            return False
-        self._log.append((self.sim.now, shape, flow, *fields.values()))
-        self.recorded += 1
-        self._tallies[type_] += 1
-        return True
+            channel = self._shapes[key] = Channel(self, len(self._shapes),
+                                                  key)
+        return channel
+
+    def emit(self, type_: str, *, flow=None, component: Optional[str] = None,
+             severity: int = INFO, **fields) -> bool:
+        """Offer one event through its shape's :meth:`channel` (a refused
+        shape counts as emitted, then raises); True if it was recorded."""
+        channel = self._shapes.get((type_, severity, component,
+                                    tuple(fields)))
+        if channel is None:
+            if self.sim is None:
+                raise RuntimeError("TraceBus is not bound to a simulator")
+            try:
+                channel = self.channel(type_, fields, component=component,
+                                       severity=severity)
+            except (KeyError, ValueError):
+                self.emitted += 1
+                raise
+        return channel.emit(flow, *fields.values())
 
     # ------------------------------------------------------------------
     def records(self) -> List[dict]:
         """The whole trace as flat JSON-able dicts, in emission order:
         ``t, type, sev, component, flow``, then the fields as emitted."""
-        # A record head per shape and a rendering per flow, by identity:
-        # the log holds only interned shapes, and flows need no hash.
-        heads = {id(shape): ({"t": None, "type": shape[0],
-                              "sev": SEVERITY_NAMES.get(shape[1],
-                                                        str(shape[1])),
-                              "component": shape[2], "flow": None}, shape[3])
-                 for shape in self._shapes.values()}
+        shapes = [({"t": None, "type": ch.type,
+                    "sev": SEVERITY_NAMES.get(ch.severity, str(ch.severity)),
+                    "component": ch.component, "flow": None},
+                   ch.names, ch.rows())
+                  for ch in self._shapes.values()]
+        # One rendering per flow, by identity: the log keeps every flow
+        # alive, and flows need no hash.
         flows: Dict[int, Optional[str]] = {}
         out = []
         append = out.append
-        for rec in self._log:
-            head, names = heads[id(rec[1])]
-            flow = rec[2]
+        for index, t, flow in zip(self._order, self._times, self._flows):
+            head, names, rows = shapes[index]
             shown = flows.get(id(flow))
             if shown is None:
                 shown = flows[id(flow)] = format_flow(flow)
             record = head.copy()
-            record["t"] = rec[0]
+            record["t"] = t
             record["flow"] = shown
-            record.update(zip(names, rec[3:]))
+            record.update(zip(names, next(rows)))
             append(record)
         return out
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The recorded events, built from the log on each read (count
-        them with ``len(bus)``)."""
-        return [_event(rec) for rec in self._log]
+        """The recorded events, built from the columns on each read
+        (count them with ``len(bus)``)."""
+        channels = list(self._shapes.values())
+        rows = [ch.rows() for ch in channels]
+        out = []
+        for index, t, flow in zip(self._order, self._times, self._flows):
+            ch, values = channels[index], next(rows[index])
+            out.append(TraceEvent(t, ch.type, ch.severity, ch.component,
+                                  flow, dict(zip(ch.names, values))))
+        return out
 
     def by_type(self) -> Dict[str, int]:
         """Recorded-event counts per type (sorted for determinism)."""
@@ -261,8 +333,7 @@ class TraceBus:
     def for_flow(self, flow) -> List[TraceEvent]:
         """Events scoped to one flow (key tuple or formatted string)."""
         wanted = format_flow(flow)
-        return [_event(rec) for rec in self._log
-                if format_flow(rec[2]) == wanted]
+        return [e for e in self.events if format_flow(e.flow) == wanted]
 
     def summary(self) -> dict:
         """Deterministic counts for ``RunResult.telemetry``."""
@@ -276,4 +347,10 @@ class TraceBus:
         }
 
     def __len__(self) -> int:
-        return len(self._log)
+        return len(self._order)
+
+    def __getstate__(self) -> dict:
+        # A checkpoint carries every record.  Pickled first, the flow keys
+        # take the pickler's first memo slots, so each record's reference
+        # to its flow costs 2 bytes instead of 5.
+        return {"_flows": self._flows, **self.__dict__}

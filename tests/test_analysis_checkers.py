@@ -259,6 +259,53 @@ class TestRL102:
         assert findings == []
 
 
+    def test_channel_sites_fire_like_emit_sites(self, tmp_path):
+        findings = analyze(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/trace.py": _SCHEMA_MOD,
+            "pkg/user.py": """\
+                class C:
+                    def __init__(self, bus):
+                        self.start = bus.channel("flow.start", ("src",),
+                                                 component="c")
+                        self.typo = bus.channel("flow.strt", ("src", "dst"))
+                        self.stop = bus.channel("flow.stop",
+                                                ("reason", "t"))
+                """,
+        }, select=("RL102",))
+        messages = sorted(v.message for v in findings)
+        assert codes(findings) == ["RL102"] * 3
+        assert messages == [
+            "channel('flow.start') is missing required field(s): dst",
+            "channel('flow.stop') passes reserved envelope field(s) t; "
+            "the bus writes those itself",
+            "channel('flow.strt') is not registered in EVENT_SCHEMAS; "
+            "register the event type or fix the spelling"]
+
+    def test_channel_sites_with_literal_or_dynamic_names_pass(self,
+                                                              tmp_path):
+        findings = analyze(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/trace.py": _SCHEMA_MOD,
+            "pkg/user.py": """\
+                NAMES = ("src",)
+
+
+                class C:
+                    def __init__(self, bus, names):
+                        self.start = bus.channel("flow.start",
+                                                 ("src", "dst", "extra"),
+                                                 component="c")
+                        self.stop = bus.channel("flow.stop", names)
+                        self.other = bus.channel("flow.start", NAMES)
+
+                    def go(self, flow):
+                        self.start.emit(flow, 1, 2, 3)
+                """,
+        }, select=("RL102",))
+        assert findings == []
+
+
 # ---------------------------------------------------------------------------
 # RL103: unguarded optional hooks
 # ---------------------------------------------------------------------------

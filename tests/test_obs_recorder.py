@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import FlightRecorder, read_jsonl
+from repro.obs import INFO, WARNING, FlightRecorder, read_jsonl
+from repro.obs.__main__ import main as obs_cli
 
 FLOW = ("s1", 10000, "r1", 5000)
 
@@ -106,3 +107,25 @@ def test_restored_recorder_serial_reset_cannot_overwrite(tmp_path):
     assert second != first
     (kept,) = read_jsonl(first)
     assert kept["state"] == "pre"  # the original dump was not clobbered
+
+
+def test_a_dumped_resurrect_keeps_its_warning_severity(tmp_path, capsys):
+    """Regression: the ring kept no severity and every dumped record read
+    "info", so a resurrect (WARNING on the bus) vanished from
+    ``timeline --min-sev warning``."""
+    sim = FakeSim()
+    rec = FlightRecorder(sim, name="h1")
+    rec.on_decision("flow.state", FLOW, INFO, {"state": "insert"},
+                    {"state": "insert"})
+    sim.now = 0.25
+    rec.on_decision("flow.state", FLOW, WARNING, {"state": "resurrect"},
+                    {"state": "resurrect"})
+    rec.note("flow.state", FLOW, severity=WARNING, state="restart")
+    path = rec.dump(dir_path=tmp_path)
+    assert [(r["state"], r["sev"]) for r in read_jsonl(path)] == [
+        ("insert", "info"), ("resurrect", "warning"), ("restart", "warning")]
+    capsys.readouterr()
+    assert obs_cli(["timeline", path, "--min-sev", "warning"]) == 0
+    shown = capsys.readouterr().out
+    assert "resurrect" in shown and "restart" in shown
+    assert "insert" not in shown
