@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .suppress import Suppressions, parse_suppressions
 
-#: Bump when summary *shape* changes: stale caches are discarded wholesale.
-SUMMARY_VERSION = 2
+#: Bump when summary *shape* or the hook list (HOOK_ATTRS) changes: stale
+#: caches are discarded wholesale.
+SUMMARY_VERSION = 3
 
 # --- taint sources (mirrors the per-file RL002/RL003 vocabulary) ----------
 WALL_CLOCK_TIME_ATTRS = {
@@ -46,12 +47,11 @@ WALL_CLOCK_TIME_ATTRS = {
 }
 WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
 
-#: Default attribute names treated as optional zero-cost-off hooks when a
-#: class can leave them ``None`` (RL103).
-DEFAULT_HOOK_ATTRS = (
-    "obs", "trace", "flight", "sanitizer", "guard", "window_cb",
-    "recorder", "bus", "_obs", "_accounting", "_int", "int_tel",
-)
+#: Attribute names treated as optional zero-cost-off hooks when a class
+#: can leave them ``None`` (RL103).
+HOOK_ATTRS = frozenset({
+    "obs", "trace", "flight", "sanitizer", "recorder", "bus", "int_tel",
+})
 
 #: Callees whose callable arguments land in the engine's (picklable) heap.
 DEFAULT_SCHEDULE_CALLEES = ("schedule", "schedule_at", "Timer")
@@ -68,12 +68,11 @@ class ProjectConfig:
     #: Path suffixes exempt from RNG-source detection (the sanctioned
     #: stream registry constructs its own seeded Randoms).
     rng_registry_suffixes: Tuple[str, ...] = ("sim/rng.py",)
-    hook_attrs: Tuple[str, ...] = DEFAULT_HOOK_ATTRS
     schedule_callees: Tuple[str, ...] = DEFAULT_SCHEDULE_CALLEES
 
     def digest(self) -> str:
         payload = repr((SUMMARY_VERSION, self.rng_registry_suffixes,
-                        self.hook_attrs, self.schedule_callees))
+                        self.schedule_callees))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -592,7 +591,6 @@ class _HookWalker:
                  hook_uses: List[dict]):
         self.owner = owner
         self.fn = fn
-        self.hooks = set(owner.config.hook_attrs)
         self.optional_hooks = optional_hooks
         self.hook_uses = hook_uses
         self.aliases: Dict[str, str] = {}   # local name -> hook attr
@@ -615,7 +613,7 @@ class _HookWalker:
         """Canonical tracking key: ``self.X`` or an alias local name."""
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
-                and node.value.id == "self" and node.attr in self.hooks):
+                and node.value.id == "self" and node.attr in HOOK_ATTRS):
             return f"self.{node.attr}"
         if isinstance(node, ast.Name) and node.id in self.aliases:
             return node.id
@@ -820,7 +818,7 @@ class _HookWalker:
         elif (isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"
-                and target.attr in self.hooks):
+                and target.attr in HOOK_ATTRS):
             narrowed.discard(f"self.{target.attr}")
             if self._possibly_none(value):
                 self.optional_hooks.setdefault(target.attr, target.lineno)

@@ -351,13 +351,17 @@ class DatapathSanitizer:
 # Switch byte-accounting probes (one per SwitchTxPort when sanitizing)
 # ---------------------------------------------------------------------------
 class PortAccounting:
-    """Conservation tripwire: offered − dropped − released == queued."""
+    """Conservation tripwire: offered − dropped − released == queued; the
+    first tap (``link.PORT_HOOKS``) of a port built while sanitizing."""
 
-    __slots__ = ("name", "queue_id", "offered", "dropped", "released")
+    __slots__ = ("name", "queue_id", "shared", "sim", "offered", "dropped",
+                 "released")
 
-    def __init__(self, name: str, queue_id: int):
+    def __init__(self, name: str, queue_id: int, shared, sim):
         self.name = name
         self.queue_id = queue_id
+        self.shared = shared
+        self.sim = sim
         self.offered = 0
         self.dropped = 0
         self.released = 0
@@ -365,14 +369,19 @@ class PortAccounting:
     def on_offer(self, nbytes: int) -> None:
         self.offered += nbytes
 
-    def on_drop(self, nbytes: int) -> None:
+    def on_drop(self, queue_bytes, nbytes: int) -> None:
         self.dropped += nbytes
 
-    def on_release(self, nbytes: int) -> None:
-        self.released += nbytes
+    def on_enqueue(self, packet, queue_bytes, nbytes, marked) -> None:
+        self.check()
 
-    def check(self, shared, sim) -> None:
+    def on_depart(self, packet, finish, nbytes: int, tx_bytes) -> None:
+        self.released += nbytes
+        self.check()
+
+    def check(self) -> None:
         """Audit this queue against the shared pool, and the pool itself."""
+        shared, sim = self.shared, self.sim
         queued = self.offered - self.dropped - self.released
         actual = shared.queue_bytes(self.queue_id)
         if queued != actual:

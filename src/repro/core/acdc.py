@@ -36,6 +36,7 @@ from ..analysis import sanitize
 from ..net.packet import ECN_ECT0, FlowKey, Packet
 from ..obs import INFO, WARNING, FlightRecorder
 from ..sim.timers import Timer
+from ..taps import bind_tap, init_taps
 from .ecn import mark_egress_data, scrub_ingress_ack, scrub_ingress_data
 from .enforcement import Policer, WindowEnforcer
 from .flow_table import FlowEntry, FlowTable
@@ -157,23 +158,13 @@ class AcdcVswitch:
         # Tap order is call order within a hook: the decision log notes a
         # rewrite before the sanitizer checks it, and the guard's
         # advertised edge moves before the sanitizer cross-checks it.
-        self.taps = ()
-        for hook in HOOKS:
-            setattr(self, "_" + hook, ())
         window = (SimpleNamespace(on_window=window_cb)
                   if window_cb is not None else None)
-        for tap in (self.flight, guard, self.sanitizer, window):
-            if tap is not None:
-                self.add_tap(tap)
+        init_taps(self, HOOKS, (self.flight, guard, self.sanitizer, window))
 
     def add_tap(self, tap) -> None:
-        """Append ``tap`` to :attr:`taps` and bind each :data:`HOOKS`
-        method it implements (INT's context arrives this way, last)."""
-        self.taps += (tap,)
-        for hook in HOOKS:
-            if hasattr(tap, hook):
-                name = "_" + hook
-                setattr(self, name, getattr(self, name) + (getattr(tap, hook),))
+        """Append ``tap`` (INT's context, last) and bind its HOOKS."""
+        bind_tap(self, HOOKS, tap)
 
     # ------------------------------------------------------------------
     # Entry management

@@ -25,11 +25,12 @@ advances it one timestep at a time:
 
 In the other direction the packet tier feels the fluid through two
 hooks on :class:`~repro.net.link.SwitchTxPort`: the composed occupancy
-(pressure on WRED and DT) and :meth:`FluidPort.service_inflation`,
-which stretches packet serialization by ``rate / (rate - fluid_bps)``
-— the interleaving a real serializer would impose.  Both hooks return
-exact identity values when the port carries no fluid arrivals, which
-is the byte-identity contract for zero-background hybrid runs.
+(pressure on WRED and DT) and :meth:`FluidPort.service_inflation`, a
+port tap, which stretches packet serialization by
+``rate / (rate - fluid_bps)`` — the interleaving a real serializer would
+impose.  Both hooks return exact identity values when the port carries
+no fluid arrivals, which is the byte-identity contract for
+zero-background hybrid runs.
 
 The whole layer is deterministic: plain float arithmetic, no RNG, no
 wall clock.
@@ -267,7 +268,7 @@ class FluidTier:
         fport = FluidPort(port, switch.shared, switch.marker, dt=self.dt)
         for spec in classes:
             fport.add_class(spec)
-        port.attach_fluid(fport)
+        port.add_tap(fport)
         self.ports.append(fport)
         return fport
 

@@ -34,7 +34,7 @@ import dataclasses
 from typing import Optional
 
 from ..core.vswitch_cc import make_vswitch_cc
-from ..metrics.collectors import EventLog, FaultRecorder
+from ..metrics.collectors import EventLog, FaultRecorder, guard_severity
 from ..sim.rng import RngFactory
 from .config import GuardConfig
 from .escalation import EscalationEngine
@@ -143,7 +143,8 @@ class Guard:
         self.events.record(self.sim.now, kind, flow=entry.key, **detail)
         flight = getattr(self.vswitch, "flight", None)
         if flight is not None:
-            flight.note("guard.event", entry.key, kind=kind, **detail)
+            flight.note("guard.event", entry.key,
+                        severity=guard_severity(kind), kind=kind, **detail)
 
     def conformance(self, entry) -> FlowConformance:
         if entry.guard_state is None:

@@ -181,6 +181,11 @@ _WARN_TYPES = frozenset({
 })
 
 
+def guard_severity(kind: str) -> int:
+    """Severity of guard notification ``kind``, on the bus and the ring."""
+    return WARNING if GUARD_KIND_TO_TYPE.get(kind) in _WARN_TYPES else INFO
+
+
 class EventLog:
     """Ordered ledger of structured events (guard transitions, watchdog
     shedding, fallback activations).
@@ -216,9 +221,8 @@ class EventLog:
             type_ = "guard.event"
             detail = dict(detail)
             detail["kind"] = kind
-        severity = WARNING if type_ in _WARN_TYPES else INFO
-        bus.emit(type_, flow=flow, component="guard", severity=severity,
-                 **detail)
+        bus.emit(type_, flow=flow, component="guard",
+                 severity=guard_severity(kind), **detail)
 
     def kinds(self) -> Dict[str, int]:
         counts: Counter = Counter(e.kind for e in self.events)

@@ -25,9 +25,32 @@ from typing import List, Optional, Protocol
 
 from ..analysis import sanitize
 from ..sim.engine import Simulator
+from ..taps import bind_tap, init_taps
 from .buffer import SharedBuffer
 from .packet import Packet
 from .red import EcnMarker
+
+
+#: The port tap vocabulary (DESIGN.md §10); a tap implements any subset,
+#: each called with fixed arguments, in attach order:
+#:
+#: * ``on_offer(nbytes)`` — a packet is offered, before the WRED decision;
+#: * ``on_drop(queue_bytes, nbytes)`` — WRED or the shared buffer rejected
+#:   it;
+#: * ``on_enqueue(packet, queue_bytes, nbytes, marked)`` — it was admitted,
+#:   its ECN mark committed;
+#: * ``service_inflation() -> factor`` — multiplied into its serialization
+#:   time (the fluid coupling, DESIGN.md §15);
+#: * ``on_depart(packet, finish, nbytes, tx_bytes)`` — it left the wire
+#:   side at ``finish`` (run by the settle; ``tx_bytes`` does not count it
+#:   yet).  A port with any such tap hands packets off through
+#:   ``_deliver``, so the next hop sees a departed packet.
+#:
+#: ``queue_bytes`` is the occupancy the packet met.  Two hooks are not pure
+#: observers: ``service_inflation`` returns a factor, and the sanitizer's
+#: accounting probes may raise ``InvariantViolation``.
+PORT_HOOKS = ("on_offer", "on_drop", "on_enqueue", "service_inflation",
+              "on_depart")
 
 
 class Device(Protocol):
@@ -69,6 +92,8 @@ class TxPort:
 
     #: The pool a switch port admits into; a host NIC has none.
     shared: Optional[SharedBuffer] = None
+    #: Departure taps (:data:`PORT_HOOKS`); a host NIC takes no taps.
+    _on_depart: tuple = ()
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
                  peer: Optional[Device] = None, name: str = "port"):
@@ -130,42 +155,32 @@ class TxPort:
         sim = self.sim
         seconds = nbytes * 8.0 / self.rate_bps if self.rate_bps else 0.0
         shared = self.shared
-        stamper = None
         if shared is not None:
             # occupancy() settles what is due by now: before the audit's
             # offer.
             qb = shared.occupancy(self.queue_id)
-            acct = self._accounting
-            if acct is not None:
-                acct.on_offer(nbytes)
-            obs = self._obs
+            for tap in self._on_offer:
+                tap(nbytes)
             decision = self.marker.decide(packet, qb)
             if decision.drop or not shared.try_admit(self.queue_id, nbytes):
                 # A mark-then-drop packet must not count as marked nor
                 # carry a CE stamp it never took onto the wire, so the
                 # verdict is committed only after shared-buffer admission
                 # succeeds.
-                if acct is not None:
-                    acct.on_drop(nbytes)
-                if obs is not None:
-                    obs.on_enqueue(qb, False, False)
+                for tap in self._on_drop:
+                    tap(qb, nbytes)
                 self._stats.dropped_packets += 1
                 self._stats.dropped_bytes += nbytes
                 return False
             if decision.marked:
                 self.marker.commit_mark(packet)
                 self._stats.marked_packets += 1
-            if acct is not None:
-                acct.check(shared, sim)
-            if obs is not None:
-                obs.on_enqueue(qb, True, decision.marked)
-            stamper = self._int
-            if stamper is not None:
-                stamper.on_enqueue(packet, qb)
-            if self._fluid is not None:
+            for tap in self._on_enqueue:
+                tap(packet, qb, nbytes, decision.marked)
+            for inflation in self._service_inflation:
                 # Fluid-interleave, sampled as the packet is offered
                 # (DESIGN.md §15).
-                seconds *= self._fluid.service_inflation()
+                seconds *= inflation()
         start = sim.now if when is None else when
         if start < self._free_at:
             start = self._free_at
@@ -182,10 +197,10 @@ class TxPort:
                      (finish, departures._seq, start, self, packet, nbytes))
         peer = self.peer
         if peer is not None:
-            # A stamped packet carries its own departure's INT record, so
-            # its hand-off settles first; nothing else reads port state.
+            # Departure taps may write to the packet (an INT hop record),
+            # so its hand-off settles first; nothing else reads port state.
             sim.schedule_at(finish + self.delay_s,
-                            peer.receive if stamper is None else self._deliver,
+                            self._deliver if self._on_depart else peer.receive,
                             packet)
         return True
 
@@ -200,14 +215,16 @@ class SwitchTxPort(TxPort):
     The marking decision uses the queue occupancy *before* the arriving
     packet, consistent with arrival marking on the instantaneous queue.
 
-    A port may carry a **fluid coupling** (``repro.fluid``): background
-    flows whose bytes never become packets but whose backlog composes
-    into the occupancy WRED sees (via :meth:`SharedBuffer.occupancy`)
-    and whose arrival rate eats into the serializer (fluid-interleave:
-    packet serialization inflates by ``rate / (rate - fluid_rate)``).
-    The hook follows the zero-cost-off contract: ``_fluid`` is ``None``
-    unless coupled, and with an idle coupling every composed reading and
-    inflation factor is exactly its pure-packet value.
+    Everything optional on a port (the sanitizer's byte accounting,
+    telemetry, the INT stamper, a fluid coupling) is a tap on
+    :attr:`taps`, called through the :data:`PORT_HOOKS` it implements.
+    A **fluid coupling** (``repro.fluid``) carries background flows whose
+    bytes never become packets but whose backlog composes into the
+    occupancy WRED sees (via :meth:`SharedBuffer.occupancy`) and whose
+    arrival rate eats into the serializer (fluid-interleave: packet
+    serialization inflates by ``rate / (rate - fluid_rate)``); with an
+    idle coupling every composed reading and inflation factor is exactly
+    its pure-packet value.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
@@ -220,32 +237,15 @@ class SwitchTxPort(TxPort):
         self.marker = marker
         self.queue_id = queue_id
         shared.register_queue(queue_id)
-        # Byte-conservation tripwire (repro.analysis.sanitize): captured
-        # at construction so the per-packet cost when off is one None test.
-        self._accounting = (
-            sanitize.PortAccounting(name, queue_id)
-            if sanitize.is_enabled() else None)
-        # Telemetry hook (repro.obs.context.PortObs); same one-None-test
-        # contract as the sanitizer accounting above.
-        self._obs = None
-        # Fluid coupling hook (repro.fluid.coupling.FluidPort); same
-        # one-None-test contract.
-        self._fluid = None
-        # In-band telemetry stamper (repro.obs.int.IntStamper); same
-        # one-None-test contract.
-        self._int = None
+        # The byte-conservation tripwire (repro.analysis.sanitize) is the
+        # first tap, decided at construction.
+        init_taps(self, PORT_HOOKS, (
+            sanitize.PortAccounting(name, queue_id, shared, sim)
+            if sanitize.is_enabled() else None,))
 
-    def attach_obs(self, port_obs) -> None:
-        """Install the observability hook for this port (see repro.obs)."""
-        self._obs = port_obs
-
-    def attach_fluid(self, fluid_port) -> None:
-        """Install the fluid-tier coupling for this port (see repro.fluid)."""
-        self._fluid = fluid_port
-
-    def attach_int(self, stamper) -> None:
-        """Install the INT hop stamper for this port (see repro.obs.int)."""
-        self._int = stamper
+    def add_tap(self, tap) -> None:
+        """Append ``tap`` (obs, INT, fluid) and bind its PORT_HOOKS."""
+        bind_tap(self, PORT_HOOKS, tap)
 
     def _settle(self) -> None:
         self.shared.departures.settle()
@@ -266,15 +266,8 @@ class SwitchTxPort(TxPort):
         # Buffer memory is held until the packet has left the wire, as in
         # a real store-and-forward switch.
         self.shared.release(self.queue_id, nbytes)
-        stamper = self._int
-        if stamper is not None:
-            # The hop record's residence time covers queueing +
-            # serialization; tx counters update after this.
-            stamper.on_depart(packet, finish, nbytes, self._stats.tx_bytes)
-        acct = self._accounting
-        if acct is not None:
-            acct.on_release(nbytes)
-            acct.check(self.shared, self.sim)
         stats = self._stats
+        for tap in self._on_depart:
+            tap(packet, finish, nbytes, stats.tx_bytes)
         stats.tx_packets += 1
         stats.tx_bytes += nbytes

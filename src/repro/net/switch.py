@@ -67,14 +67,6 @@ class Switch:
             raise KeyError(f"{self.name}: unknown port {port_id}")
         self.fib[dst_addr] = port_id
 
-    def attach_obs(self, obs) -> None:
-        """Instrument this switch and its ports (see repro.obs)."""
-        obs.register_switch(self)
-
-    def attach_int(self, telemetry) -> None:
-        """Attach INT hop stampers to every port (see repro.obs.int)."""
-        telemetry.instrument_switch(self)
-
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
         """Forward an arriving packet toward its destination."""

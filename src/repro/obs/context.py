@@ -31,10 +31,9 @@ QUEUE_BYTES_BOUNDS = pow2_bounds(1500, 14)
 
 
 class PortObs:
-    """Per-switch-port hook object (held by ``SwitchTxPort._obs``).
-
-    One object bundles everything a port touches at enqueue so the
-    datapath pays a single ``is None`` test when observability is off.
+    """Per-switch-port telemetry tap (``SwitchTxPort.add_tap``): every
+    admission and drop records the occupancy the packet met into the
+    port's histogram and onto the sampled ``buffer.occupancy`` channel.
     """
 
     __slots__ = ("hist", "occupancy")
@@ -45,10 +44,13 @@ class PortObs:
             "buffer.occupancy", ("queue_bytes", "admitted", "marked"),
             component=component, severity=INFO)
 
-    def on_enqueue(self, queue_bytes: int, admitted: bool,
-                   marked: bool) -> None:
+    def on_drop(self, queue_bytes: int, nbytes) -> None:
         self.hist.record(queue_bytes)
-        self.occupancy.emit(None, queue_bytes, admitted, marked)
+        self.occupancy.emit(None, queue_bytes, False, False)
+
+    def on_enqueue(self, packet, queue_bytes: int, nbytes, marked) -> None:
+        self.hist.record(queue_bytes)
+        self.occupancy.emit(None, queue_bytes, True, marked)
 
 
 # Metric sources are module-level functions bound with
@@ -197,7 +199,7 @@ class ObsContext:
             hist = self.registry.histogram(f"{name}.queue_bytes",
                                            QUEUE_BYTES_BOUNDS)
             self.registry.source(name, partial(_port_metrics, port))
-            port.attach_obs(PortObs(self.bus, hist, name))
+            port.add_tap(PortObs(self.bus, hist, name))
 
     def attach_topology(self, topology) -> None:
         """Instrument every switch of a built topology."""

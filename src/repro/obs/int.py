@@ -29,10 +29,9 @@ datapath (DESIGN.md §16):
   shrink with them).
 
 Everything is sim-clock-only and RNG-free, and INT off costs the
-datapath nothing but its hooks' empty tests: a switch port's ``_int``
-is ``None`` until a stamper is attached (one ``is None`` test per hop,
-checked by repro-lint RL103), and a vSwitch calls :class:`IntTelemetry`
-only once it is one of its taps (one empty-tuple test per hook).
+datapath nothing but its hooks' empty tests: a switch port calls an
+:class:`IntStamper`, and a vSwitch :class:`IntTelemetry`, only once it
+is one of its taps (one empty-tuple test per hook).
 
 The stack and echo ride the packet **out of band**: they do not count
 into :attr:`Packet.size`, because a mid-queue size change would break
@@ -95,7 +94,7 @@ def valid_stack(stack) -> bool:
 
 
 class IntStamper:
-    """Per-port hop metadata source (held by ``SwitchTxPort._int``).
+    """Per-port hop metadata source (a ``SwitchTxPort`` tap).
 
     ``on_enqueue`` fires on shared-buffer admission (the occupancy the
     packet actually joined behind); ``on_depart`` is told the instant
@@ -133,7 +132,7 @@ class IntStamper:
         self._pending: Dict[int, Tuple[float, int]] = {}
         self._last_depart = 0.0
 
-    def on_enqueue(self, packet, queue_bytes: int) -> None:
+    def on_enqueue(self, packet, queue_bytes: int, nbytes, marked) -> None:
         alpha = self.ewma_alpha
         self.q_ewma += alpha * (queue_bytes - self.q_ewma)
         self._pending[packet.pid] = (self.sim.now, queue_bytes)
@@ -417,7 +416,7 @@ class IntTelemetry:
             stamper = IntStamper(self.sim, port, port.name,
                                  max_hops=self.max_hops,
                                  ewma_alpha=self.ewma_alpha)
-            port.attach_int(stamper)
+            port.add_tap(stamper)
             self.stampers.append(stamper)
 
     def attach_topology(self, topology) -> None:

@@ -275,34 +275,34 @@ class TestPortAccounting:
         sim = Simulator()
         shared = SharedBuffer(10_000)
         shared.register_queue(1)
-        acct = PortAccounting("sw:1", 1)
+        acct = PortAccounting("sw:1", 1, shared, sim)
         acct.on_offer(1500)
         shared.try_admit(1, 1500)
-        acct.check(shared, sim)
+        acct.check()
         shared.release(1, 1500)
-        acct.on_release(1500)
-        acct.check(shared, sim)
+        acct.on_depart(None, 0.0, 1500, 0)
+        acct.check()
 
     def test_leaked_bytes_fire(self):
         sim = Simulator()
         shared = SharedBuffer(10_000)
         shared.register_queue(1)
-        acct = PortAccounting("sw:1", 1)
+        acct = PortAccounting("sw:1", 1, shared, sim)
         acct.on_offer(1500)  # offered but never admitted nor dropped
         with pytest.raises(InvariantViolation) as exc:
-            acct.check(shared, sim)
+            acct.check()
         assert exc.value.invariant == "switch-byte-conservation"
 
     def test_pool_mismatch_fires(self):
         sim = Simulator()
         shared = SharedBuffer(10_000)
         shared.register_queue(1)
-        acct = PortAccounting("sw:1", 1)
+        acct = PortAccounting("sw:1", 1, shared, sim)
         acct.on_offer(1500)
         shared.try_admit(1, 1500)
         shared._used += 7  # corrupt the pool ledger
         with pytest.raises(InvariantViolation):
-            acct.check(shared, sim)
+            acct.check()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def make_fluid_port(rate=RATE, k=K, dt=DT, enabled=True):
     marker = EcnMarker(enabled=enabled, threshold_bytes=k)
     port = SwitchTxPort(sim, rate, 5e-6, shared, marker, queue_id=0)
     fport = FluidPort(port, shared, marker, dt=dt)
-    port.attach_fluid(fport)
+    port.add_tap(fport)
     return sim, shared, marker, port, fport
 
 

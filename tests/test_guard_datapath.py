@@ -9,6 +9,8 @@ from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.faults import OptionStrip, install_faults
 from repro.guard import Guard, GuardConfig
 from repro.metrics import EventLog, FaultRecorder
+from repro.obs import read_jsonl
+from repro.obs.__main__ import main as obs_cli
 from repro.sim import Simulator
 from repro.net.topology import star
 from repro.workloads.apps import Sink
@@ -71,6 +73,26 @@ def test_rwnd_cheater_escalated_and_policed(two_hosts):
     # The penalty clamp took hold of the vSwitch CC.
     entry = vsw_a.table.entries[conn.key()]
     assert entry.vswitch_cc.max_wnd <= 2 * vsw_a.mss
+
+
+def test_a_dumped_guard_drop_reads_warning(two_hosts, tmp_path, capsys):
+    """Regression: the guard noted its events into the flight ring at the
+    default INFO, so a dumped policer drop (WARNING on the bus) vanished
+    from ``timeline --min-sev warning``."""
+    sim, topo, a, b, sw = two_hosts
+    guard = Guard(GuardConfig(window_packets=16))
+    vsw_a = AcdcVswitch(a, policy=clamp_policy(), guard=guard,
+                        config=AcdcConfig(sanitize=True))  # arms the ring
+    a.attach_vswitch(vsw_a)
+    b.attach_vswitch(AcdcVswitch(b))
+    transfer(sim, a, b, until=0.1, conn_opts={"ignore_rwnd": True})
+    path = vsw_a.flight.dump(dir_path=tmp_path)
+    drops = [r for r in read_jsonl(path)
+             if r.get("kind") == "guard_police_drop"]
+    assert drops and {r["sev"] for r in drops} == {"warning"}
+    capsys.readouterr()
+    assert obs_cli(["timeline", path, "--min-sev", "warning"]) == 0
+    assert "guard_police_drop" in capsys.readouterr().out
 
 
 def test_cheater_events_deterministic_across_runs():
