@@ -7,17 +7,15 @@ raw (non-serial) sequence comparisons that break at the 2^32 wrap,
 encoded-RWND/wscale rounding errors, and nondeterminism from ad-hoc
 RNG or wall-clock use.  This package catches them mechanically:
 
-* **`repro-lint`** (:mod:`repro.analysis.lint`) — an AST static-analysis
-  pass over the source tree with repro-specific rules (RL001–RL005), an
-  inline suppression syntax that requires a written reason, and a CLI
-  driver: ``python -m repro.analysis lint src/``.
-* **whole-program analyzer** (:mod:`repro.analysis.project` +
-  :mod:`repro.analysis.checkers`) — parses the package once into a
-  project model (symbol tables, import graph, conservative call graph)
-  and runs cross-file checkers RL101–RL104 (determinism taint,
-  trace-contract, unguarded hooks, snapshot reachability) with
-  content-hash incremental caching and a committed-baseline mechanism:
-  ``python -m repro.analysis analyze src/``.
+* **the analyzer** (:mod:`repro.analysis.project`,
+  :mod:`repro.analysis.rules`, :mod:`repro.analysis.checkers`) — parses
+  each module once and walks it once, placing the per-file rules
+  RL000–RL006 and collecting the project model (symbol tables, import
+  graph, conservative call graph) the cross-file checkers RL101–RL104
+  read (determinism taint, trace contract, unguarded hooks, snapshot
+  reachability).  One inline suppression syntax, which requires a
+  written reason, covers every code: ``python -m repro.analysis analyze
+  src/``.
 * **runtime sanitizer** (:mod:`repro.analysis.sanitize`) — opt-in
   invariant probes wrapped around the vSwitch datapath, the simulation
   engine and the switch buffer accounting.  Enabled via
@@ -38,14 +36,15 @@ from .sanitize import (
     set_run_seed,
 )
 
-#: The static analyzers, resolved on first use: the datapath imports this
+#: The static analyzer, resolved on first use: the datapath imports this
 #: package for ``sanitize`` on every run and must not pay for ``ast``
 #: walkers it never calls.
 _LAZY = {
-    "AnalyzeConfig": "checkers", "CHECKER_CATALOG": "checkers",
+    "AnalyzeConfig": "checkers", "CHECKER_CATALOG": "rules",
     "analyze_paths": "checkers", "analyze_project": "checkers",
-    "LintConfig": "lint", "lint_file": "lint", "lint_paths": "lint",
-    "lint_source": "lint", "Project": "project", "build_project": "project",
+    "LintConfig": "checkers", "lint_paths": "checkers",
+    "lint_source": "checkers", "Project": "project",
+    "build_project": "project",
     "format_report": "report", "RULE_CATALOG": "rules", "Violation": "rules",
 }
 
@@ -73,7 +72,6 @@ __all__ = [
     "enable",
     "format_report",
     "is_enabled",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "run_seed",

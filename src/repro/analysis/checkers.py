@@ -1,8 +1,9 @@
-"""Cross-file checkers RL101–RL104 over the project model.
+"""Every analyzer code over the project model.
 
-These are the whole-program counterparts of the per-file ``repro-lint``
-rules: each one enforces a platform contract that only holds (or breaks)
-across module boundaries.
+The per-file rules RL000–RL006 (:mod:`repro.analysis.rules`) are placed
+by the project walk; this module adds the cross-file checkers, each of
+which enforces a platform contract that only holds (or breaks) across
+module boundaries:
 
 RL101 **determinism-taint** — wall-clock reads and unseeded RNG draws
     are *sources*; the checker propagates their taint through local
@@ -19,8 +20,8 @@ RL102 **trace-contract** — every ``emit("type", ...)`` and
     present (unless a ``**splat`` or computed names make the site
     dynamic), no field colliding with the envelope's reserved ones.  The
     global pass then reports *dead schemas*: registered types that no
-    emit site (and no other module's string literal — dispatch tables
-    count as liveness) ever references.
+    emit site and no string literal (dispatch tables count as liveness)
+    references, the schema dict's own keys excepted.
 
 RL103 **unguarded-hook** — a zero-cost-off hook attribute the class can
     leave as ``None`` must only ever be dereferenced behind the
@@ -35,37 +36,22 @@ RL104 **snapshot-reachability** — modules import-reachable from the
     and aliases of module-global mutable registries are all things
     ``pickle`` either rejects outright or silently shares across runs.
 
-Per-module findings are pure functions of (module summary, epoch
-context), which is what makes the incremental cache in
-:mod:`repro.analysis.cache` sound: call edges only exist along import
-edges, so the reverse-import closure of a change covers every module
-whose findings could move, and everything epoch-global (schemas, the
-picklable set, checker config) is hashed into the cache epoch.
+:func:`analyze_paths` runs every selected code in one pass and applies
+each module's suppressions to all of them; :func:`lint_source` and
+:func:`lint_paths` are its per-file subset.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .project import (BuildStats, ModuleSummary, Project, ProjectConfig,
-                      build_project)
-from .rules import Violation
+                      build_project, summarize_source)
+from .rules import RULE_CATALOG, Violation
 
-#: Bump when checker semantics change: invalidates cached findings.
-ANALYSIS_VERSION = 2
-
-CHECKER_CATALOG = {
-    "RL101": "determinism-taint: wall-clock/unseeded-RNG value reaches "
-             "long-lived state through assignments, returns, or calls",
-    "RL102": "trace-contract: emit() site or EVENT_SCHEMAS entry breaks "
-             "the registered event schema (or the schema is dead)",
-    "RL103": "unguarded-hook: optional zero-cost-off hook dereferenced "
-             "without an `is None` guard",
-    "RL104": "snapshot-reachability: unpicklable callable or shared "
-             "module state stored on objects reached by checkpoints",
-}
+#: Tool errors rather than rules: reported whatever the selection.
+_ALWAYS = ("RL000", "RL999")
 
 #: Keywords that collide with the trace envelope `emit` writes itself.
 _RESERVED_EMIT_KWARGS = ("t", "type", "sev")
@@ -75,27 +61,23 @@ _EMIT_SIGNATURE_KWARGS = ("flow", "component", "severity")
 
 @dataclass(frozen=True)
 class AnalyzeConfig:
-    """Configuration for one whole-program analysis run."""
+    """Configuration for one analysis run."""
 
-    #: Restrict to these checkers (empty = all of RL101–RL104).
+    #: Restrict to these codes (empty = every code).
     select: Tuple[str, ...] = ()
     #: Modules whose import closure forms the picklable set (RL104).
     pickle_roots: Tuple[str, ...] = ("repro.control.service",)
     project: ProjectConfig = field(default_factory=ProjectConfig)
 
     def enabled(self, code: str) -> bool:
-        return not self.select or code in self.select
+        return code in _ALWAYS or not self.select or code in self.select
 
-    def epoch(self, project: Project) -> str:
-        """Cache epoch: hash of everything global a module's findings
-        can depend on besides its own content."""
-        schemas, owner = project.event_schemas()
-        payload = repr((
-            ANALYSIS_VERSION, self.select, self.pickle_roots,
-            self.project.digest(), sorted(schemas.items()), owner,
-            sorted(project.reachable_from(self.pickle_roots)),
-        ))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+class LintConfig(AnalyzeConfig):
+    """:class:`AnalyzeConfig` limited to the per-file rules."""
+
+    def enabled(self, code: str) -> bool:
+        return code in RULE_CATALOG and super().enabled(code)
 
 
 @dataclass
@@ -120,7 +102,7 @@ def _local_taint(facts: dict,
     changed = True
     while changed:
         changed = False
-        for entry in facts.get("assigns", ()):
+        for entry in facts["assigns"]:
             kinds = _entry_taint(entry, tainted, returns_taint)
             current = tainted.get(entry["target"], set())
             if not kinds <= current:
@@ -131,10 +113,10 @@ def _local_taint(facts: dict,
 
 def _entry_taint(entry: dict, tainted: Dict[str, Set[str]],
                  returns_taint: Dict[str, Set[str]]) -> Set[str]:
-    kinds = set(entry.get("kinds", ()))
-    for dep in entry.get("deps", ()):
+    kinds = set(entry["kinds"])
+    for dep in entry["deps"]:
         kinds |= tainted.get(dep, set())
-    for callee in entry.get("calls", ()):
+    for callee in entry["calls"]:
         kinds |= returns_taint.get(callee, set())
     return kinds
 
@@ -149,7 +131,7 @@ def _taint_fixpoint(project: Project) -> Dict[str, Set[str]]:
         for fq, facts in table.items():
             tainted = _local_taint(facts, returns_taint)
             kinds: Set[str] = set()
-            for entry in facts.get("returns", ()):
+            for entry in facts["returns"]:
                 kinds |= _entry_taint(entry, tainted, returns_taint)
             if not kinds <= returns_taint[fq]:
                 returns_taint[fq] |= kinds
@@ -159,22 +141,23 @@ def _taint_fixpoint(project: Project) -> Dict[str, Set[str]]:
 
 def _taint_provenance(entry: dict, tainted: Dict[str, Set[str]],
                       returns_taint: Dict[str, Set[str]]) -> str:
-    if entry.get("kinds"):
+    if entry["kinds"]:
         return "direct source call"
-    for callee in entry.get("calls", ()):
+    for callee in entry["calls"]:
         if returns_taint.get(callee):
             return f"via {callee.split(':', 1)[1]}()"
-    for dep in entry.get("deps", ()):
+    for dep in entry["deps"]:
         if tainted.get(dep):
             return f"via local '{dep}'"
     return "via dataflow"
 
 
-def _check_rl101(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
+def _check_rl101(name: str, summary: ModuleSummary,
+                 ctx: _Context) -> List[Violation]:
     out: List[Violation] = []
-    for qual, facts in summary.facts.get("functions", {}).items():
+    for facts in summary.facts["functions"].values():
         tainted = _local_taint(facts, ctx.returns_taint)
-        for store in facts.get("attr_stores", ()):
+        for store in facts["attr_stores"]:
             kinds = _entry_taint(store, tainted, ctx.returns_taint)
             if not kinds:
                 continue
@@ -192,16 +175,17 @@ def _check_rl101(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # RL102: emit sites vs EVENT_SCHEMAS
 # ---------------------------------------------------------------------------
-def _check_rl102(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
+def _check_rl102(name: str, summary: ModuleSummary,
+                 ctx: _Context) -> List[Violation]:
     if not ctx.schemas:
         return []
     out: List[Violation] = []
-    for emit in summary.facts.get("emits", ()):
-        type_ = emit.get("type")
+    for emit in summary.facts["emits"]:
+        type_ = emit["type"]
         if type_ is None:
             continue  # dynamic event type; runtime validation covers it
-        site = emit.get("site", "emit")
-        reserved = sorted(set(emit.get("fields", ()))
+        site = emit["site"]
+        reserved = sorted(set(emit["fields"])
                           & set(_RESERVED_EMIT_KWARGS))
         if reserved:
             out.append(Violation(
@@ -218,9 +202,9 @@ def _check_rl102(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
                         "EVENT_SCHEMAS; register the event type or fix "
                         "the spelling"))
             continue
-        if emit.get("has_star"):
+        if emit["has_star"]:
             continue  # **splat or computed names: a dynamic field set
-        provided = set(emit.get("fields", ())) - set(_EMIT_SIGNATURE_KWARGS)
+        provided = set(emit["fields"]) - set(_EMIT_SIGNATURE_KWARGS)
         missing = sorted(set(ctx.schemas[type_]) - provided)
         if missing:
             out.append(Violation(
@@ -237,17 +221,13 @@ def _check_dead_schemas(ctx: _Context) -> List[Violation]:
         return []
     owner = ctx.project.modules[ctx.schema_owner]
     live: Set[str] = set()
-    for name, summary in ctx.project.modules.items():
-        for emit in summary.facts.get("emits", ()):
-            if emit.get("type") is not None:
-                live.add(emit["type"])
-        if name != ctx.schema_owner:
-            # A literal anywhere else (dispatch tables, adapters mapping
-            # kinds to types) counts as liveness for that type.
-            live |= set(summary.facts.get("string_literals", ())) \
-                & set(ctx.schemas)
+    for summary in ctx.project.modules.values():
+        live.update(emit["type"] for emit in summary.facts["emits"])
+        # A literal (dispatch tables, adapters mapping kinds to types)
+        # counts as liveness; the walk leaves out the schema keys.
+        live |= summary.facts["string_literals"]
     out: List[Violation] = []
-    lines = owner.facts.get("event_schema_lines", {})
+    lines = owner.facts["event_schema_lines"]
     for type_ in sorted(set(ctx.schemas) - live):
         out.append(Violation(
             path=owner.path, line=lines.get(type_, 1), col=0,
@@ -261,13 +241,14 @@ def _check_dead_schemas(ctx: _Context) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # RL103: optional hooks must be dereferenced behind `is None` guards
 # ---------------------------------------------------------------------------
-def _check_rl103(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
+def _check_rl103(name: str, summary: ModuleSummary,
+                 ctx: _Context) -> List[Violation]:
     out: List[Violation] = []
-    for cls_name, cls in summary.facts.get("classes", {}).items():
-        optional = cls.get("optional_hooks", {})
+    for cls_name, cls in summary.facts["classes"].items():
+        optional = cls["optional_hooks"]
         if not optional:
             continue
-        for use in cls.get("hook_uses", ()):
+        for use in cls["hook_uses"]:
             attr = use["attr"]
             if attr not in optional or use["guarded"]:
                 continue
@@ -284,11 +265,12 @@ def _check_rl103(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # RL104: picklable-set snapshot safety
 # ---------------------------------------------------------------------------
-def _check_rl104(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
-    if summary.module not in ctx.picklable:
+def _check_rl104(name: str, summary: ModuleSummary,
+                 ctx: _Context) -> List[Violation]:
+    if name not in ctx.picklable:
         return []
     out: List[Violation] = []
-    for store in summary.facts.get("picklable_stores", ()):
+    for store in summary.facts["picklable_stores"]:
         kind = store["kind"]
         attr = store["attr"]
         if kind == "lambda":
@@ -307,10 +289,10 @@ def _check_rl104(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
                    "the engine heap, which is pickled at checkpoints; "
                    "use functools.partial or a bound method")
         elif kind == "registry-ref":
-            ref_mod, _, ref_name = store.get("ref", "::").partition(":")
+            ref_mod, _, ref_name = store["ref"].partition(":")
             target = ctx.project.modules.get(ref_mod)
             if target is None or \
-                    ref_name not in target.facts.get("registries", ()):
+                    ref_name not in target.facts["registries"]:
                 continue
             msg = (f"'self.{attr}' aliases module-global mutable state "
                    f"'{ref_name}' ({ref_mod}); pickling would capture "
@@ -325,7 +307,7 @@ def _check_rl104(summary: ModuleSummary, ctx: _Context) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
-_PER_MODULE_CHECKS = (
+_CROSS_FILE_CHECKS = (
     ("RL101", _check_rl101),
     ("RL102", _check_rl102),
     ("RL103", _check_rl103),
@@ -344,81 +326,56 @@ def build_context(project: Project, config: AnalyzeConfig) -> _Context:
     )
 
 
-def check_module(ctx: _Context, module: str) -> List[Violation]:
-    """All per-module findings for ``module``, suppressions applied."""
-    summary = ctx.project.modules[module]
-    found: List[Violation] = []
-    for code, check in _PER_MODULE_CHECKS:
+def check_module(ctx: _Context, name: str) -> List[Violation]:
+    """Every enabled finding for module ``name``, suppressions applied."""
+    summary = ctx.project.modules[name]
+    found = [v for v in summary.findings if ctx.config.enabled(v.code)]
+    for code, check in _CROSS_FILE_CHECKS:
         if ctx.config.enabled(code):
-            found.extend(check(summary, ctx))
-    return sorted(summary.suppressions.apply(found))
-
-
-@dataclass
-class AnalyzeStats:
-    """What one analyze run actually did (drives the CI cache assert)."""
-
-    modules: int = 0
-    parsed: int = 0
-    reused: int = 0
-    checked: int = 0
-    from_cache: int = 0
-
-    def to_json(self) -> dict:
-        return {"modules": self.modules, "parsed": self.parsed,
-                "reused": self.reused, "checked": self.checked,
-                "from_cache": self.from_cache}
+            found.extend(check(name, summary, ctx))
+    sup = summary.suppressions
+    return sup.apply(found) + sup.malformed
 
 
 def analyze_project(project: Project, config: Optional[AnalyzeConfig] = None,
                     ) -> List[Violation]:
-    """Run every enabled checker over an assembled project (no cache)."""
+    """Run every enabled code over an assembled project."""
     config = config if config is not None else AnalyzeConfig()
     ctx = build_context(project, config)
-    findings: List[Violation] = []
-    for module in sorted(project.modules):
-        findings.extend(check_module(ctx, module))
-    findings.extend(_check_dead_schemas(ctx))
-    return sorted(findings)
+    findings = [v for name in project.modules
+                for v in check_module(ctx, name)]
+    return sorted(findings + _check_dead_schemas(ctx))
 
 
 def analyze_paths(paths: Sequence[str],
                   config: Optional[AnalyzeConfig] = None,
-                  cache=None) -> Tuple[List[Violation], AnalyzeStats]:
-    """Analyze ``paths`` with optional incremental caching.
+                  ) -> Tuple[List[Violation], BuildStats]:
+    """Analyze every ``.py`` file under ``paths``, each parsed once.
 
-    ``cache`` is an :class:`repro.analysis.cache.AnalysisCache` (or
-    None).  Only modules whose content changed — plus their
-    reverse-import closure — are re-checked; everything else reuses the
-    cached summaries and findings.  Parse failures surface as RL999.
+    Files that cannot be read or parsed surface as RL999.
     """
     config = config if config is not None else AnalyzeConfig()
-    cached_summaries = cache.summaries() if cache is not None else None
-    project, build_stats = build_project(paths, config.project,
-                                         cached_summaries)
-    ctx = build_context(project, config)
-    epoch = config.epoch(project)
-    prior = cache.findings(epoch) if cache is not None else {}
-
-    dirty = project.reverse_closure(build_stats.parsed)
-    dirty |= {m for m in project.modules if m not in prior}
-    stats = AnalyzeStats(modules=len(project.modules),
-                         parsed=len(build_stats.parsed),
-                         reused=len(build_stats.reused))
-    findings: List[Violation] = []
-    by_module: Dict[str, List[Violation]] = {}
-    for module in sorted(project.modules):
-        if module in dirty:
-            by_module[module] = check_module(ctx, module)
-            stats.checked += 1
-        else:
-            by_module[module] = prior[module]
-            stats.from_cache += 1
-        findings.extend(by_module[module])
-    findings.extend(_check_dead_schemas(ctx))  # global: recomputed always
-    for path, msg in build_stats.errors:
-        findings.append(Violation(path=path, line=1, col=0, code="RL999",
-                                  message=msg))
-    if cache is not None:
-        cache.store(project, epoch, by_module)
+    project, stats = build_project(paths, config.project)
+    findings = analyze_project(project, config)
+    findings += [Violation(path=path, line=line, col=0, code="RL999",
+                           message=message)
+                 for path, message, line in stats.errors]
     return sorted(findings), stats
+
+
+def lint_source(source: str, path: str = "<string>",
+                config: AnalyzeConfig = LintConfig()) -> List[Violation]:
+    """The per-file rules over one unit of source text."""
+    try:
+        summary = summarize_source(source, path, config.project)
+    except SyntaxError as exc:
+        return [Violation(path=path, line=exc.lineno or 1,
+                          col=(exc.offset or 1) - 1, code="RL999",
+                          message=f"parse error: {exc.msg}")]
+    return analyze_project(Project({summary.module: summary}), config)
+
+
+def lint_paths(paths: Sequence[str],
+               config: AnalyzeConfig = LintConfig()) -> List[Violation]:
+    """The per-file rules over every ``.py`` file under ``paths``."""
+    return analyze_paths(paths, config)[0]

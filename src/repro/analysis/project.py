@@ -1,51 +1,38 @@
-"""Whole-program project model for ``python -m repro.analysis analyze``.
+"""Project model: one parse and one walk per module, for every code.
 
-The per-file lint pass (:mod:`repro.analysis.lint`) sees one module at a
-time, so anything that crosses a module boundary — a wall-clock value
-laundered through a helper function, an ``emit()`` whose event type only
-exists in another module's ``EVENT_SCHEMAS``, a lambda assigned onto a
-class that some *other* module pickles — is invisible to it.  This
-module parses the package once into a **project model**:
+Each file is parsed once and walked once.  The walk places the per-file
+rule findings (RL001–RL006, :mod:`repro.analysis.rules`) and collects the
+facts the cross-file checkers (:mod:`repro.analysis.checkers`) read:
 
-* one :class:`ModuleSummary` per file — a plain-JSON fact sheet (symbol
-  table, import edges, emit sites, a taint-dataflow skeleton, hook-use
-  guardedness, callable-onto-attribute stores, suppression table) that
-  the incremental cache (:mod:`repro.analysis.cache`) can persist and
-  reload without re-parsing the file;
+* one :class:`ModuleSummary` per file — the raw findings, the
+  suppression table, and a fact sheet (import edges, emit sites, string
+  literals, a taint-dataflow skeleton per function, hook-use
+  guardedness, callable-onto-attribute stores);
 * an **import graph** over the analyzed modules (module-level imports
   only — a function-local import is the sanctioned idiom for keeping a
   dependency *out* of a pickle closure, so it deliberately does not
-  create an edge), with forward reachability (for the snapshot-safety
-  picklable set) and reverse closure (for cache invalidation);
+  create an edge), with forward reachability for the picklable set;
 * a conservative **call graph** over ``repro.*``: bare names resolved
   through each module's import table, ``self.method`` resolved within
   the defining class, ``module.function`` through module aliases.
   Anything ambiguous resolves to *nothing* — the checkers only ever act
   on edges that are certain.
 
-The checkers themselves live in :mod:`repro.analysis.checkers`.
+A module may import, define or bind a name after its first use, so the
+walk keeps the raw call and store nodes and resolves them once it has
+seen the whole module.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import rules
+from .rules import TAINT_KINDS, Violation, dotted, terminal
 from .suppress import Suppressions, parse_suppressions
-
-#: Bump when summary *shape* or the hook list (HOOK_ATTRS) changes: stale
-#: caches are discarded wholesale.
-SUMMARY_VERSION = 3
-
-# --- taint sources (mirrors the per-file RL002/RL003 vocabulary) ----------
-WALL_CLOCK_TIME_ATTRS = {
-    "time", "monotonic", "perf_counter", "process_time",
-    "time_ns", "monotonic_ns", "perf_counter_ns", "process_time_ns",
-}
-WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
 
 #: Attribute names treated as optional zero-cost-off hooks when a class
 #: can leave them ``None`` (RL103).
@@ -59,21 +46,14 @@ DEFAULT_SCHEDULE_CALLEES = ("schedule", "schedule_at", "Timer")
 
 @dataclass(frozen=True)
 class ProjectConfig:
-    """Knobs that shape what the summaries record.
+    """Knobs that shape what the walk records."""
 
-    Changing any of these invalidates cached summaries (they are part of
-    the cache's config hash).
-    """
-
-    #: Path suffixes exempt from RNG-source detection (the sanctioned
-    #: stream registry constructs its own seeded Randoms).
+    #: Path suffixes exempt from RL001 (the serial-arithmetic helpers).
+    serial_helper_suffixes: Tuple[str, ...] = ("net/packet.py",)
+    #: Path suffixes exempt from RL002/RL006 and RNG taint: the stream
+    #: registry seeds its own Randoms and is the sanctioned site for them.
     rng_registry_suffixes: Tuple[str, ...] = ("sim/rng.py",)
     schedule_callees: Tuple[str, ...] = DEFAULT_SCHEDULE_CALLEES
-
-    def digest(self) -> str:
-        payload = repr((SUMMARY_VERSION, self.rng_registry_suffixes,
-                        self.schedule_callees))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -82,21 +62,10 @@ class ModuleSummary:
 
     module: str
     path: str
-    sha256: str
     facts: dict
-
-    def to_json(self) -> dict:
-        return {"module": self.module, "path": self.path,
-                "sha256": self.sha256, "facts": self.facts}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModuleSummary":
-        return cls(module=data["module"], path=data["path"],
-                   sha256=data["sha256"], facts=data["facts"])
-
-    @property
-    def suppressions(self) -> Suppressions:
-        return Suppressions.from_json(self.facts.get("suppressions", {}))
+    suppressions: Suppressions
+    #: Per-file rule findings, before select and suppression.
+    findings: List[Violation]
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +94,6 @@ def module_name_for(path: str) -> Tuple[str, bool]:
     return ".".join(parts) if parts else stem, is_pkg
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Render a Name/Attribute chain as ``a.b.c``; None when it is not
-    a pure chain (calls, subscripts... break it)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _terminal(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_none(node: Optional[ast.AST]) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
@@ -154,7 +102,7 @@ def _is_optional_annotation(node: Optional[ast.AST]) -> bool:
     """``Optional[X]`` or ``X | None`` annotations."""
     if node is None:
         return False
-    if isinstance(node, ast.Subscript) and _terminal(node.value) == "Optional":
+    if isinstance(node, ast.Subscript) and terminal(node.value) == "Optional":
         return True
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
         return _is_none(node.left) or _is_none(node.right) \
@@ -163,175 +111,383 @@ def _is_optional_annotation(node: Optional[ast.AST]) -> bool:
     return False
 
 
-#: RL006-style mutable-registry values (module-level run state).
-_MUTABLE_CALLEES = {"list", "dict", "set", "bytearray", "deque",
-                    "defaultdict", "OrderedDict", "Counter",
-                    "count", "cycle", "chain", "repeat"}
-
-
-def _is_registry_value(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        return _terminal(node.func) in _MUTABLE_CALLEES
-    return False
-
-
 # ---------------------------------------------------------------------------
-# Summary construction
+# The walk
 # ---------------------------------------------------------------------------
+class _Expr:
+    """Names read and calls made by one value expression (taint input)."""
+
+    __slots__ = ("deps", "calls")
+
+    def __init__(self) -> None:
+        self.deps: Set[str] = set()
+        self.calls: List[ast.Call] = []
+
+
+class _Frame:
+    """Raw material of one summarized function (module-level, or a
+    method of a module-level class)."""
+
+    def __init__(self, node, qual: str, cls: Optional[str]):
+        self.node = node
+        self.qual = qual
+        self.cls = cls
+        args = node.args
+        #: Params and every name the body binds: they shadow module-level
+        #: bindings, so `self.x = name` only counts as a registry
+        #: reference when `name` is NOT bound locally.
+        self.local_names: Set[str] = {
+            a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                            + [args.vararg, args.kwarg]) if a is not None}
+        self.local_defs: Set[str] = set()
+        self.stores: List[tuple] = []      # (target, value, _Expr, extra dep)
+        self.returns: List[Tuple[_Expr, int]] = []
+        self.scheduled: List[ast.Call] = []
+        self.hooks = False                 # mentions self.<HOOK_ATTRS>
+
+
+def _node_classes(cls: type = ast.AST):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+#: Child fields worth visiting: ``ctx``/``op``/``ops`` hold leaf markers.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f for f in cls._fields if f not in ("ctx", "op", "ops"))
+    for cls in _node_classes()}
+
+
 class _Summarizer:
-    """One pass over a parsed module, producing the JSONable fact sheet."""
+    """The one walk over a parsed module.
+
+    Dataflow facts (assignments, returns, scheduled callables) are kept
+    for a function's own scope; a nested ``def`` only contributes its
+    name and the names it binds.
+    """
 
     def __init__(self, module: str, path: str, is_pkg: bool,
-                 tree: ast.Module, source: str, config: ProjectConfig):
+                 config: ProjectConfig):
         self.module = module
         self.path = path
         self.is_pkg = is_pkg
-        self.tree = tree
-        self.source = source
         self.config = config
         norm = path.replace(os.sep, "/")
-        self.rng_exempt = any(norm.endswith(sfx)
-                              for sfx in config.rng_registry_suffixes)
-        # import state
+        self.exempt: Set[str] = set()
+        if norm.endswith(config.serial_helper_suffixes):
+            self.exempt.add("RL001")
+        if norm.endswith(config.rng_registry_suffixes):
+            self.exempt |= {"RL002", "RL006"}
+        self.findings: List[Violation] = []
+        # import and module symbol tables
         self.module_aliases: Dict[str, str] = {}   # alias -> dotted module
         self.from_bindings: Dict[str, Tuple[str, str]] = {}  # name -> (mod, orig)
         self.import_targets: Set[str] = set()
-        # module symbol table
-        self.module_defs: Set[str] = set()         # top-level function names
-        self.registries: Set[str] = set()          # mutable module-level state
-        # facts under construction
-        self.functions: Dict[str, dict] = {}
+        self.module_defs: Set[str] = set()
+        self.registries: Set[str] = set()
+        # facts
         self.classes: Dict[str, dict] = {}
         self.emits: List[dict] = []
         self.literals: Set[str] = set()
         self.schemas: Dict[str, List[str]] = {}
         self.schema_lines: Dict[str, int] = {}
-        self.picklable_stores: List[dict] = []
+        #: id()s of the EVENT_SCHEMAS keys: registering is not emitting.
+        self.schema_keys: Set[int] = set()
+        # walk state
+        self.calls: List[ast.Call] = []
+        self.masked: Set[int] = set()       # id()s of `(...) & SEQ_MASK` terms
+        self.frames: List[_Frame] = []
+        self.frame: Optional[_Frame] = None
+        self.nested = 0                     # nested defs inside self.frame
+        self.expr: Optional[_Expr] = None   # value expression being read
+
+    def _emit(self, code: str, node: ast.AST, message: str) -> None:
+        if code not in self.exempt:
+            self.findings.append(Violation(
+                path=self.path, line=node.lineno, col=node.col_offset,
+                code=code, message=message))
 
     # ------------------------------------------------------------------
-    def run(self) -> dict:
-        self._collect_imports_and_toplevel()
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._summarize_function(node, qual=node.name, cls=None)
-            elif isinstance(node, ast.ClassDef):
-                self._summarize_class(node)
-        self._collect_emits_and_literals()
-        sup = parse_suppressions(self.source, self.path)
-        return {
-            "imports": sorted(self.import_targets),
-            "functions": self.functions,
-            "classes": self.classes,
-            "emits": self.emits,
-            "string_literals": sorted(self.literals),
-            "event_schemas": self.schemas,
-            "event_schema_lines": self.schema_lines,
-            "picklable_stores": self.picklable_stores,
-            "registries": sorted(self.registries),
-            "suppressions": sup.to_json(),
-        }
-
-    # ------------------------------------------------------------------
-    def _collect_imports_and_toplevel(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.asname or "." not in alias.name:
-                        self.module_aliases[bound] = alias.name
-                    # `import a.b` binds `a` but makes a.b importable too.
-                    if node.col_offset == 0:
-                        self.import_targets.add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_from_base(node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    self.from_bindings[bound] = (base, alias.name)
-                    if node.col_offset == 0:
-                        # Edge to the longest plausible module path; the
-                        # project trims it to an analyzed module later.
-                        self.import_targets.add(f"{base}.{alias.name}")
-        for node in self.tree.body:
+    def run(self, tree: ast.Module) -> dict:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.module_defs.add(node.name)
-            elif isinstance(node, ast.Assign):
+                self._summarize(node, node.name, None)
+                continue
+            if isinstance(node, ast.ClassDef):
+                self._class(node)
+                continue
+            if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    self._note_module_binding(target, node.value, node)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._note_module_binding(node.target, node.value, node)
+                    self._module_binding(node, target, node.value)
+            elif isinstance(node, ast.AnnAssign):
+                self._module_binding(node, node.target, node.value)
+            self._visit(node)
+        return self._resolve()
 
-    def _resolve_from_base(self, node: ast.ImportFrom) -> Optional[str]:
-        if node.level == 0:
-            return node.module
-        parts = self.module.split(".")
-        pkg = parts if self.is_pkg else parts[:-1]
-        if node.level - 1 > len(pkg):
-            return None
-        base = pkg[: len(pkg) - (node.level - 1)]
-        if node.module:
-            base = base + node.module.split(".")
-        return ".".join(base) if base else None
-
-    def _note_module_binding(self, target: ast.AST, value: ast.AST,
-                             node: ast.AST) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        name = target.id
-        if name == "EVENT_SCHEMAS" and isinstance(value, ast.Dict):
+    def _module_binding(self, node: ast.AST, target: ast.AST,
+                        value: Optional[ast.AST]) -> None:
+        if isinstance(target, ast.Name) and target.id == "EVENT_SCHEMAS" \
+                and isinstance(value, ast.Dict):
             for key, val in zip(value.keys, value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    continue
-                fields: List[str] = []
-                if isinstance(val, (ast.Tuple, ast.List)):
-                    fields = [e.value for e in val.elts
-                              if isinstance(e, ast.Constant)
-                              and isinstance(e.value, str)]
-                self.schemas[key.value] = fields
-                self.schema_lines[key.value] = key.lineno
-        elif (not name.isupper() and not name.startswith("__")
-              and _is_registry_value(value)):
+                if isinstance(key, ast.Constant) \
+                        and isinstance(key.value, str):
+                    self.schemas[key.value] = [
+                        e.value for e in getattr(val, "elts", ())
+                        if isinstance(e, ast.Constant)
+                        and isinstance(e.value, str)]
+                    self.schema_lines[key.value] = key.lineno
+                    self.schema_keys.add(id(key))
+        name = rules.registry_name(target, value)
+        if name is not None:
             self.registries.add(name)
+            self._emit("RL006", node,
+                       f"module-level mutable registry '{name}' lives "
+                       "outside every snapshot (restored runs silently "
+                       "reset it); hold it on an object the run owns")
+
+    def _class(self, node: ast.ClassDef) -> None:
+        self.classes[node.name] = {"optional_hooks": {}, "hook_uses": [],
+                                   "line": node.lineno}
+        for child in node.decorator_list + node.bases + node.keywords:
+            self._visit(child)
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._summarize(item, f"{node.name}.{item.name}", node.name)
+            else:
+                self._visit(item)
+
+    def _summarize(self, node, qual: str, cls: Optional[str]) -> None:
+        self._signature(node)
+        self.frame = frame = _Frame(node, qual, cls)
+        for stmt in node.body:
+            self._visit(stmt)
+        self.frame = None
+        self.frames.append(frame)
+        if cls is not None and frame.hooks:
+            entry = self.classes[cls]
+            _HookWalker(node, entry["optional_hooks"],
+                        entry["hook_uses"]).run()
+
+    def _defaults(self, args: ast.arguments) -> None:
+        for default in rules.check_defaults(args):
+            self._emit("RL005", default,
+                       "mutable default argument is shared across calls "
+                       "(default to None and construct inside)")
+
+    def _signature(self, node) -> None:
+        """RL005 and the expressions a def evaluates where it stands."""
+        self._defaults(node.args)
+        for child in node.decorator_list:
+            self._visit(child)
+        self._visit(node.args)
+        if node.returns is not None:
+            self._visit(node.returns)
 
     # ------------------------------------------------------------------
-    def _collect_emits_and_literals(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if len(node.value) <= 120:
-                    self.literals.add(node.value)
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("emit", "channel")):
-                first = node.args[0] if node.args else None
-                type_ = (first.value
-                         if isinstance(first, ast.Constant)
-                         and isinstance(first.value, str) else None)
-                if node.func.attr == "emit":
-                    fields = [kw.arg for kw in node.keywords if kw.arg]
-                    dynamic = len(fields) < len(node.keywords)  # **splat
-                else:  # channel(type, names): literal names, or dynamic
-                    elts = getattr(node.args[1] if len(node.args) > 1
-                                   else None, "elts", None)
-                    fields = [elt.value for elt in elts or ()
-                              if isinstance(getattr(elt, "value", 0), str)]
-                    dynamic = elts is None or len(fields) != len(elts)
-                self.emits.append({
-                    "line": node.lineno, "col": node.col_offset,
-                    "site": node.func.attr,
-                    "type": type_,
-                    "fields": sorted(fields),
-                    "has_star": dynamic,
-                    "recv": _dotted(node.func.value) or "<expr>",
-                })
+    # Dispatch
+    # ------------------------------------------------------------------
+    def _visit(self, node: ast.AST) -> None:
+        handler = _HANDLERS.get(node.__class__)
+        if handler is None:
+            self._children(node)
+        else:
+            handler(self, node)
+
+    def _children(self, node: ast.AST) -> None:
+        for name in _CHILD_FIELDS[node.__class__]:
+            value = getattr(node, name, None)
+            if value.__class__ is list:
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        self._visit(item)
+            elif isinstance(value, ast.AST):
+                self._visit(value)
+
+    def _read(self, value: ast.AST) -> _Expr:
+        """Visit a stored or returned value, noting what it reads."""
+        self.expr = expr = _Expr()
+        self._visit(value)
+        self.expr = None
+        return expr
 
     # ------------------------------------------------------------------
-    # Call / source resolution
+    # Statements
     # ------------------------------------------------------------------
+    def _function(self, node) -> None:
+        if self.frame is not None:
+            self.frame.local_defs.add(node.name)
+        self.nested += 1
+        self._signature(node)
+        for stmt in node.body:
+            self._visit(stmt)
+        self.nested -= 1
+
+    def _assign(self, node) -> None:
+        frame = self.frame
+        if frame is None or self.nested or node.value is None:
+            self._children(node)
+            return
+        expr = self._read(node.value)
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            targets = [node.target]
+            if isinstance(node, ast.AnnAssign):
+                self._visit(node.annotation)
+        extra = node.target.id if isinstance(node, ast.AugAssign) \
+            and isinstance(node.target, ast.Name) else None
+        for target in targets:
+            self._visit(target)
+            frame.stores.append((target, node.value, expr, extra))
+
+    def _return(self, node: ast.Return) -> None:
+        if self.frame is None or self.nested or node.value is None:
+            self._children(node)
+        else:
+            self.frame.returns.append((self._read(node.value), node.lineno))
+
+    def _global(self, node: ast.Global) -> None:
+        # The tell-tale of a module-level counter written from inside a
+        # function: immutable values dodge the registry check, so catch
+        # them at the mutation site.
+        self._emit("RL006", node,
+                   "global statement mutates module-level state "
+                   f"({', '.join(node.names)}); snapshots cannot capture "
+                   "it — hold it on an object the run owns")
+
+    def _import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.asname or "." not in alias.name:
+                self.module_aliases[bound] = alias.name
+            # `import a.b` binds `a` but makes a.b importable too.
+            if node.col_offset == 0:
+                self.import_targets.add(alias.name)
+
+    def _import_from(self, node: ast.ImportFrom) -> None:
+        if node.level == 0:
+            base = node.module
+        else:
+            parts = self.module.split(".")
+            pkg = parts if self.is_pkg else parts[:-1]
+            if node.level - 1 > len(pkg):
+                return
+            names = pkg[: len(pkg) - (node.level - 1)]
+            if node.module:
+                names = names + node.module.split(".")
+            base = ".".join(names)
+        if not base:
+            return
+        for alias in node.names:
+            self.from_bindings[alias.asname or alias.name] = (base, alias.name)
+            if node.col_offset == 0:
+                # Edge to the longest plausible module path; the project
+                # trims it to an analyzed module later.
+                self.import_targets.add(f"{base}.{alias.name}")
+
+    # ------------------------------------------------------------------
+    # Expressions
+    # ------------------------------------------------------------------
+    def _name(self, node: ast.Name) -> None:
+        ctx = node.ctx.__class__
+        if ctx is ast.Load:
+            if self.expr is not None:
+                self.expr.deps.add(node.id)
+        elif ctx is ast.Store and self.frame is not None:
+            self.frame.local_names.add(node.id)
+
+    def _attribute(self, node: ast.Attribute) -> None:
+        value = node.value
+        if self.frame is not None and node.attr in HOOK_ATTRS \
+                and value.__class__ is ast.Name and value.id == "self":
+            self.frame.hooks = True
+        self._visit(value)
+
+    def _constant(self, node: ast.Constant) -> None:
+        value = node.value
+        if value.__class__ is str and len(value) <= 120 \
+                and id(node) not in self.schema_keys:
+            self.literals.add(value)
+
+    def _call(self, node: ast.Call) -> None:
+        self.calls.append(node)
+        if self.expr is not None:
+            self.expr.calls.append(node)
+        func = node.func
+        if self.frame is not None and not self.nested \
+                and terminal(func) in self.config.schedule_callees:
+            self.frame.scheduled.append(node)
+        if func.__class__ is ast.Attribute \
+                and func.attr in ("emit", "channel"):
+            self._emit_site(node, func.attr)
+        self._children(node)
+
+    def _emit_site(self, node: ast.Call, site: str) -> None:
+        first = node.args[0] if node.args else None
+        type_ = (first.value if isinstance(first, ast.Constant)
+                 and isinstance(first.value, str) else None)
+        if site == "emit":
+            fields = [kw.arg for kw in node.keywords if kw.arg]
+            dynamic = len(fields) < len(node.keywords)  # **splat
+        else:  # channel(type, names): literal names, or dynamic
+            elts = getattr(node.args[1] if len(node.args) > 1 else None,
+                           "elts", None)
+            fields = [elt.value for elt in elts or ()
+                      if isinstance(getattr(elt, "value", 0), str)]
+            dynamic = elts is None or len(fields) != len(elts)
+        self.emits.append({"line": node.lineno, "col": node.col_offset,
+                           "site": site, "type": type_,
+                           "fields": sorted(fields), "has_star": dynamic})
+
+    def _compare(self, node: ast.Compare) -> None:
+        for code, message in rules.check_compare(node):
+            self._emit(code, node, message)
+        self._children(node)
+
+    def _binop(self, node: ast.BinOp) -> None:
+        op = node.op.__class__
+        if op is ast.Sub:
+            if id(node) not in self.masked:
+                message = rules.check_subtraction(node)
+                if message is not None:
+                    self._emit("RL001", node, message)
+        elif op is ast.BitAnd:
+            self.masked.update(map(id, rules.masked_terms(node)))
+        self._visit(node.left)
+        self._visit(node.right)
+
+    def _lambda(self, node: ast.Lambda) -> None:
+        self._defaults(node.args)
+        self._children(node)
+
+    # ------------------------------------------------------------------
+    # Resolution, once the whole module is known
+    # ------------------------------------------------------------------
+    def _resolve(self) -> dict:
+        kinds: Dict[int, str] = {}
+        for call in self.calls:
+            found = rules.check_call(call, self.module_aliases,
+                                     self.from_bindings)
+            if found is not None and found[0] not in self.exempt:
+                self._emit(found[0], call, found[1])
+                if found[0] in TAINT_KINDS:
+                    kinds[id(call)] = TAINT_KINDS[found[0]]
+        picklable: List[dict] = []
+        functions = {frame.qual: self._function_facts(frame, kinds, picklable)
+                     for frame in self.frames}
+        return {
+            "imports": sorted(self.import_targets),
+            "functions": functions,
+            "classes": self.classes,
+            "emits": self.emits,
+            "string_literals": self.literals,
+            "event_schemas": self.schemas,
+            "event_schema_lines": self.schema_lines,
+            "picklable_stores": picklable,
+            "registries": self.registries,
+        }
+
     def _resolve_call(self, func: ast.AST,
                       cls: Optional[str]) -> Optional[str]:
         """Conservative callee id ``module:qualname``; None if unsure."""
@@ -342,239 +498,107 @@ class _Summarizer:
             if func.id in self.module_defs:
                 return f"{self.module}:{func.id}"
             return None
-        if isinstance(func, ast.Attribute):
-            if (cls is not None and isinstance(func.value, ast.Name)
-                    and func.value.id == "self"):
+        if isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name):
+            if cls is not None and func.value.id == "self":
                 return f"{self.module}:{cls}.{func.attr}"
-            if isinstance(func.value, ast.Name):
-                mod = self.module_aliases.get(func.value.id)
-                if mod is not None:
-                    return f"{mod}:{func.attr}"
+            mod = self.module_aliases.get(func.value.id)
+            if mod is not None:
+                return f"{mod}:{func.attr}"
         return None
 
-    def _source_kind(self, call: ast.Call) -> Optional[str]:
-        """'wall-clock' / 'rng' when ``call`` is a nondeterminism source."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            bound = self.from_bindings.get(func.id)
-            if bound is None:
-                return None
-            mod, orig = bound
-            if mod == "time" and orig in WALL_CLOCK_TIME_ATTRS:
-                return "wall-clock"
-            if mod == "datetime" and orig == "datetime":
-                return None  # class alias; calls are constructions
-            if mod == "random" and not self.rng_exempt:
-                if orig == "Random":
-                    return None if (call.args or call.keywords) else "rng"
-                if orig == "SystemRandom":
-                    return "rng"
-                return "rng"
-            return None
-        chain = _dotted(func)
-        if chain is None:
-            return None
-        head, _, rest = chain.partition(".")
-        mod = self.module_aliases.get(head)
-        if mod == "time" and rest in WALL_CLOCK_TIME_ATTRS:
-            return "wall-clock"
-        if mod == "datetime" and (
-                rest in WALL_CLOCK_DATETIME_ATTRS
-                or (rest.startswith("datetime.")
-                    and rest.split(".", 1)[1] in WALL_CLOCK_DATETIME_ATTRS)):
-            return "wall-clock"
-        bound = self.from_bindings.get(head)
-        if bound == ("datetime", "datetime") \
-                and rest in WALL_CLOCK_DATETIME_ATTRS:
-            return "wall-clock"
-        if mod == "random" and not self.rng_exempt:
-            if rest == "Random":
-                return None if (call.args or call.keywords) else "rng"
-            if "." not in rest:
-                return "rng"
-        return None
+    def _function_facts(self, frame: _Frame, kinds: Dict[int, str],
+                        picklable: List[dict]) -> dict:
+        def facts(expr: _Expr, extra: Optional[str] = None) -> dict:
+            calls = {self._resolve_call(c.func, frame.cls)
+                     for c in expr.calls}
+            calls.discard(None)
+            return {"deps": sorted(expr.deps | {extra} if extra
+                                   else expr.deps),
+                    "calls": sorted(calls),
+                    "kinds": sorted({kinds[id(c)] for c in expr.calls
+                                     if id(c) in kinds})}
 
-    # ------------------------------------------------------------------
-    # Expression facts (taint skeleton)
-    # ------------------------------------------------------------------
-    def _expr_facts(self, node: ast.AST, cls: Optional[str],
-                    local_defs: Set[str]) -> dict:
-        deps: Set[str] = set()
-        calls: Set[str] = set()
-        kinds: Set[str] = set()
-        sched: List[dict] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                deps.add(sub.id)
-            elif isinstance(sub, ast.Call):
-                kind = self._source_kind(sub)
-                if kind is not None:
-                    kinds.add(kind)
-                ref = self._resolve_call(sub.func, cls)
-                if ref is not None:
-                    calls.add(ref)
-                callee = _terminal(sub.func)
-                if callee in self.config.schedule_callees and any(
-                        isinstance(a, ast.Lambda) or (
-                            isinstance(a, ast.Name) and a.id in local_defs)
-                        for a in sub.args):
-                    sched.append({"callee": callee, "line": sub.lineno,
-                                  "col": sub.col_offset})
-        return {"deps": sorted(deps), "calls": sorted(calls),
-                "kinds": sorted(kinds), "sched": sched}
-
-    # ------------------------------------------------------------------
-    # Functions: taint dataflow skeleton + call sites
-    # ------------------------------------------------------------------
-    def _summarize_function(self, node, qual: str,
-                            cls: Optional[str]) -> None:
         assigns: List[dict] = []
         attr_stores: List[dict] = []
-        returns: List[dict] = []
-        call_sites: List[dict] = []
-        # Prescan locally-bound names: params and assignment targets
-        # shadow module-level bindings, so `self.x = name` only counts as
-        # a registry/import reference when `name` is NOT bound locally.
-        local_defs: Set[str] = set()
-        local_names: Set[str] = set()
-        args = node.args
-        for arg in (list(args.posonlyargs) + list(args.args)
-                    + list(args.kwonlyargs)):
-            local_names.add(arg.arg)
-        for vararg in (args.vararg, args.kwarg):
-            if vararg is not None:
-                local_names.add(vararg.arg)
-        for sub in ast.walk(node):
-            if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and sub is not node):
-                local_defs.add(sub.name)
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                local_names.add(sub.id)
-        local_names |= local_defs
 
-        def facts_for(value: ast.AST) -> dict:
-            f = self._expr_facts(value, cls, local_defs)
-            for s in f.pop("sched"):
-                self.picklable_stores.append({
-                    "kind": "scheduled-callable", "attr": s["callee"],
-                    "name": qual, "line": s["line"], "col": s["col"]})
-            return f
-
-        def handle_store(target: ast.AST, value: ast.AST,
-                         extra_dep: Optional[str] = None) -> None:
-            f = facts_for(value)
-            if extra_dep is not None:
-                f = dict(f, deps=sorted(set(f["deps"]) | {extra_dep}))
-            entry = dict(f, line=target.lineno, col=target.col_offset)
+        def store(target: ast.AST, value: ast.AST, entry: dict) -> None:
+            entry = dict(entry, line=target.lineno, col=target.col_offset)
             if isinstance(target, ast.Name):
                 assigns.append(dict(entry, target=target.id))
             elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                base = target.value if isinstance(target, ast.Subscript) \
-                    else target
-                attr = _dotted(base)
+                subscript = isinstance(target, ast.Subscript)
+                attr = dotted(target.value if subscript else target)
                 if attr is None:
                     return
-                if isinstance(target, ast.Subscript):
-                    attr += "[...]"
-                attr_stores.append(dict(entry, attr=attr))
-                self._note_picklable_store(target, value,
-                                           local_defs, local_names)
+                attr_stores.append(dict(
+                    entry, attr=attr + "[...]" if subscript else attr))
+                self._picklable_store(target, value, frame, picklable)
             elif isinstance(target, (ast.Tuple, ast.List)):
                 for elt in target.elts:
-                    handle_store(elt, value)
+                    store(elt, value, entry)
 
-        def walk(body: Sequence[ast.stmt]) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue  # nested scopes stay out of this dataflow
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        handle_store(target, stmt.value)
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    handle_store(stmt.target, stmt.value)
-                elif isinstance(stmt, ast.AugAssign):
-                    extra = stmt.target.id \
-                        if isinstance(stmt.target, ast.Name) else None
-                    handle_store(stmt.target, stmt.value, extra_dep=extra)
-                elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                    returns.append(dict(facts_for(stmt.value),
-                                        line=stmt.lineno))
-                else:
-                    for value in ast.iter_child_nodes(stmt):
-                        if isinstance(value, ast.expr):
-                            facts_for(value)  # side effect: sched stores
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call):
-                        ref = self._resolve_call(sub.func, cls)
-                        if ref is not None:
-                            call_sites.append({
-                                "ref": ref,
-                                "name": _dotted(sub.func) or "<call>",
-                                "line": sub.lineno, "col": sub.col_offset})
-                # recurse into compound statements
-                for sub_body in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, sub_body, None)
-                    if inner and not isinstance(stmt, (ast.FunctionDef,
-                                                       ast.AsyncFunctionDef)):
-                        walk(inner)
-                for handler in getattr(stmt, "handlers", ()):
-                    walk(handler.body)
+        for target, value, expr, extra in frame.stores:
+            store(target, value, facts(expr, extra))
+        for call in frame.scheduled:
+            if any(isinstance(a, ast.Lambda) or (
+                    isinstance(a, ast.Name) and a.id in frame.local_defs)
+                    for a in call.args):
+                picklable.append({
+                    "kind": "scheduled-callable", "attr": terminal(call.func),
+                    "name": frame.qual, "line": call.lineno,
+                    "col": call.col_offset})
+        return {"assigns": assigns, "attr_stores": attr_stores,
+                "returns": [dict(facts(expr), line=line)
+                            for expr, line in frame.returns],
+                "line": frame.node.lineno}
 
-        walk(node.body)
-        self.functions[qual] = {
-            "assigns": assigns, "attr_stores": attr_stores,
-            "returns": returns, "calls": call_sites,
-            "line": node.lineno,
-        }
-
-    def _note_picklable_store(self, target: ast.AST, value: ast.AST,
-                              local_defs: Set[str],
-                              local_names: Set[str]) -> None:
+    def _picklable_store(self, target: ast.AST, value: ast.AST,
+                         frame: _Frame, out: List[dict]) -> None:
         """RL104 raw material: callables/registries stored on instances."""
         if not (isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"):
             return
-        attr = target.attr
-        entry = {"attr": attr, "line": target.lineno,
-                 "col": target.col_offset}
+        entry = {"attr": target.attr, "line": target.lineno,
+                 "col": target.col_offset, "name": ""}
         if isinstance(value, ast.Lambda):
-            self.picklable_stores.append(dict(entry, kind="lambda", name=""))
+            out.append(dict(entry, kind="lambda"))
         elif isinstance(value, ast.GeneratorExp):
-            self.picklable_stores.append(
-                dict(entry, kind="generator-expression", name=""))
+            out.append(dict(entry, kind="generator-expression"))
         elif isinstance(value, ast.Name):
-            if value.id in local_defs:
-                self.picklable_stores.append(
-                    dict(entry, kind="local-function", name=value.id))
-            elif value.id in local_names:
+            name = value.id
+            if name in frame.local_defs:
+                out.append(dict(entry, kind="local-function", name=name))
+            elif name in frame.local_names:
                 pass  # a local/param shadows any module-level binding
-            elif value.id in self.registries:
-                self.picklable_stores.append(dict(
-                    entry, kind="registry-ref", name=value.id,
-                    ref=f"{self.module}:{value.id}"))
-            elif value.id in self.from_bindings:
-                mod, orig = self.from_bindings[value.id]
-                self.picklable_stores.append(dict(
-                    entry, kind="registry-ref", name=value.id,
-                    ref=f"{mod}:{orig}"))
+            elif name in self.registries:
+                out.append(dict(entry, kind="registry-ref", name=name,
+                                ref=f"{self.module}:{name}"))
+            elif name in self.from_bindings:
+                mod, orig = self.from_bindings[name]
+                out.append(dict(entry, kind="registry-ref", name=name,
+                                ref=f"{mod}:{orig}"))
 
-    # ------------------------------------------------------------------
-    # Classes: optional hooks + guarded uses (RL103), methods (taint)
-    # ------------------------------------------------------------------
-    def _summarize_class(self, node: ast.ClassDef) -> None:
-        optional_hooks: Dict[str, int] = {}
-        hook_uses: List[dict] = []
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._summarize_function(item, qual=f"{node.name}.{item.name}",
-                                         cls=node.name)
-                _HookWalker(self, item, optional_hooks, hook_uses).run()
-        self.classes[node.name] = {
-            "optional_hooks": optional_hooks,
-            "hook_uses": hook_uses,
-            "line": node.lineno,
-        }
+
+_HANDLERS = {
+    ast.FunctionDef: _Summarizer._function,
+    ast.AsyncFunctionDef: _Summarizer._function,
+    ast.Assign: _Summarizer._assign,
+    ast.AnnAssign: _Summarizer._assign,
+    ast.AugAssign: _Summarizer._assign,
+    ast.Return: _Summarizer._return,
+    ast.Global: _Summarizer._global,
+    ast.Import: _Summarizer._import,
+    ast.ImportFrom: _Summarizer._import_from,
+    ast.Name: _Summarizer._name,
+    ast.Attribute: _Summarizer._attribute,
+    ast.Constant: _Summarizer._constant,
+    ast.Call: _Summarizer._call,
+    ast.Compare: _Summarizer._compare,
+    ast.BinOp: _Summarizer._binop,
+    ast.Lambda: _Summarizer._lambda,
+}
 
 
 class _HookWalker:
@@ -587,9 +611,8 @@ class _HookWalker:
     infers which hook attributes the class can leave as ``None``.
     """
 
-    def __init__(self, owner: _Summarizer, fn, optional_hooks: Dict[str, int],
+    def __init__(self, fn, optional_hooks: Dict[str, int],
                  hook_uses: List[dict]):
-        self.owner = owner
         self.fn = fn
         self.optional_hooks = optional_hooks
         self.hook_uses = hook_uses
@@ -649,7 +672,7 @@ class _HookWalker:
                 or self._possibly_none(value.orelse, nonnull | neg)
         if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
             return self._possibly_none(value.values[-1], nonnull)
-        if (isinstance(value, ast.Call) and _terminal(value.func) == "getattr"
+        if (isinstance(value, ast.Call) and terminal(value.func) == "getattr"
                 and len(value.args) == 3):
             return self._possibly_none(value.args[2], nonnull)
         return False
@@ -848,22 +871,23 @@ class _HookWalker:
 # ---------------------------------------------------------------------------
 def summarize_source(source: str, path: str,
                      config: Optional[ProjectConfig] = None) -> ModuleSummary:
-    """Parse and summarize one module (raises SyntaxError on bad input)."""
+    """Parse and walk one module (raises SyntaxError on bad input)."""
     config = config if config is not None else ProjectConfig()
     module, is_pkg = module_name_for(path)
-    tree = ast.parse(source, filename=path)
-    facts = _Summarizer(module, path, is_pkg, tree, source, config).run()
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return ModuleSummary(module=module, path=path, sha256=digest, facts=facts)
+    walker = _Summarizer(module, path, is_pkg, config)
+    facts = walker.run(ast.parse(source, filename=path))
+    return ModuleSummary(module=module, path=path, facts=facts,
+                         suppressions=parse_suppressions(source, path),
+                         findings=walker.findings)
 
 
 @dataclass
 class BuildStats:
-    """What one project build actually did (for the cache contract)."""
+    """What one project build saw."""
 
-    parsed: List[str] = field(default_factory=list)
-    reused: List[str] = field(default_factory=list)
-    errors: List[Tuple[str, str]] = field(default_factory=list)
+    modules: int = 0
+    #: (path, message, line) per file that could not be read or parsed.
+    errors: List[Tuple[str, str, int]] = field(default_factory=list)
 
 
 class Project:
@@ -871,108 +895,87 @@ class Project:
 
     def __init__(self, summaries: Dict[str, ModuleSummary]):
         self.modules = summaries
-        self._names = set(summaries)
         # import graph, trimmed to analyzed modules
         self.imports: Dict[str, Set[str]] = {}
         for name, summary in summaries.items():
-            edges: Set[str] = set()
-            for target in summary.facts.get("imports", ()):
-                trimmed = self._trim(target)
-                if trimmed is not None and trimmed != name:
-                    edges.add(trimmed)
-            self.imports[name] = edges
-        self.reverse: Dict[str, Set[str]] = {name: set() for name in summaries}
-        for name, edges in self.imports.items():
-            for target in edges:
-                self.reverse[target].add(name)
+            edges = {self._trim(target)
+                     for target in summary.facts["imports"]}
+            self.imports[name] = edges - {None, name}
 
     def _trim(self, target: str) -> Optional[str]:
         parts = target.split(".")
         while parts:
             candidate = ".".join(parts)
-            if candidate in self._names:
+            if candidate in self.modules:
                 return candidate
             parts.pop()
         return None
 
-    # ------------------------------------------------------------------
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
         """Forward import reachability (the picklable-module set)."""
         seen: Set[str] = set()
-        stack = [r for r in roots if r in self._names]
+        stack = [r for r in roots if r in self.modules]
         while stack:
             name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(self.imports.get(name, ()))
+            if name not in seen:
+                seen.add(name)
+                stack.extend(self.imports[name])
         return seen
 
-    def reverse_closure(self, seeds: Sequence[str]) -> Set[str]:
-        """Seeds plus every module that (transitively) imports them."""
-        seen: Set[str] = set()
-        stack = [s for s in seeds if s in self._names]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(self.reverse.get(name, ()))
-        return seen
-
-    # ------------------------------------------------------------------
     def functions(self) -> Dict[str, dict]:
         """Merged ``module:qualname`` -> function facts table."""
-        table: Dict[str, dict] = {}
-        for name, summary in self.modules.items():
-            for qual, facts in summary.facts.get("functions", {}).items():
-                table[f"{name}:{qual}"] = facts
-        return table
+        return {f"{name}:{qual}": facts
+                for name, summary in self.modules.items()
+                for qual, facts in summary.facts["functions"].items()}
 
     def event_schemas(self) -> Tuple[Dict[str, List[str]], Optional[str]]:
         """(merged EVENT_SCHEMAS, module that defines them)."""
         merged: Dict[str, List[str]] = {}
         owner: Optional[str] = None
         for name in sorted(self.modules):
-            schemas = self.modules[name].facts.get("event_schemas", {})
+            schemas = self.modules[name].facts["event_schemas"]
             if schemas:
                 merged.update(schemas)
                 owner = name if owner is None else owner
         return merged, owner
 
 
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into a deterministic list of .py files."""
+    out: List[str] = []
+    for path in paths:
+        if os.path.isdir(path):
+            for root, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs
+                                 if d not in ("__pycache__", ".git"))
+                out.extend(os.path.join(root, f)
+                           for f in sorted(files) if f.endswith(".py"))
+        else:
+            out.append(path)
+    return out
+
+
 def build_project(paths: Sequence[str],
                   config: Optional[ProjectConfig] = None,
-                  cached: Optional[Dict[str, dict]] = None,
                   ) -> Tuple[Project, BuildStats]:
-    """Parse ``paths`` into a :class:`Project`.
-
-    ``cached`` maps path -> summary JSON from a previous run; entries
-    whose content hash still matches are reused without parsing.
-    """
-    from .lint import iter_python_files  # shared walker, no cycle
-
+    """Parse and walk every ``.py`` file under ``paths`` once."""
     config = config if config is not None else ProjectConfig()
     stats = BuildStats()
     summaries: Dict[str, ModuleSummary] = {}
     for path in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
+                summary = summarize_source(fh.read(), path, config)
         except OSError as exc:
-            stats.errors.append((path, str(exc)))
+            stats.errors.append((path, str(exc), 1))
             continue
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        entry = (cached or {}).get(os.path.abspath(path))
-        if entry is not None and entry.get("sha256") == digest:
-            summary = ModuleSummary.from_json(entry)
-            stats.reused.append(summary.module)
-        else:
-            try:
-                summary = summarize_source(source, path, config)
-            except SyntaxError as exc:
-                stats.errors.append((path, f"parse error: {exc.msg}"))
-                continue
-            stats.parsed.append(summary.module)
-        summaries[summary.module] = summary
+        except SyntaxError as exc:
+            stats.errors.append((path, f"parse error: {exc.msg}",
+                                 exc.lineno or 1))
+            continue
+        # Non-package files from different roots can share a name
+        # (`a/helper.py`, `b/helper.py`): key the later one by its path.
+        key = path if summary.module in summaries else summary.module
+        summaries[key] = summary
+    stats.modules = len(summaries)
     return Project(summaries), stats

@@ -1,4 +1,4 @@
-"""Stable report formatting shared by ``lint`` and ``analyze``.
+"""Stable report formatting for ``python -m repro.analysis analyze``.
 
 CI diffs the output between runs, so every format is strictly
 deterministic: findings sorted by (path, line, column, code), paths
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from .rules import RULE_CATALOG, Violation
+from .rules import CATALOG, Violation
 
 
 def _display_path(path: str, base: str) -> str:
@@ -58,12 +58,8 @@ def format_json(violations: Sequence[Violation], base: str = ".") -> str:
 
 
 def format_sarif(violations: Sequence[Violation], base: str = ".",
-                 tool: str = "repro-analysis",
-                 rules: Dict[str, str] = None) -> str:
+                 tool: str = "repro-lint") -> str:
     """Findings as a SARIF 2.1.0 log (GitHub code-scanning format)."""
-    catalog = dict(RULE_CATALOG)
-    if rules:
-        catalog.update(rules)
     display = _displayed(violations, base)
     used = sorted({v.code for v in display})
     sarif = {
@@ -77,7 +73,7 @@ def format_sarif(violations: Sequence[Violation], base: str = ".",
                     "https://example.invalid/repro-analysis",
                 "rules": [{"id": code,
                            "shortDescription":
-                               {"text": catalog.get(code, code)}}
+                               {"text": CATALOG.get(code, code)}}
                           for code in used],
             }},
             "results": [{

@@ -1,7 +1,8 @@
-"""The `repro-lint` rule catalog: one AST pass, five repro-specific rules.
+"""The per-file rule catalog (RL000–RL006) and the node tests behind it.
 
-Each rule targets a bug class that has already cost a PR to fix by hand
-(see DESIGN.md §9):
+The rules are applied by the one walk in :mod:`repro.analysis.project`;
+this module holds what each rule looks for.  Each targets a bug class
+that has already cost a PR to fix by hand (see DESIGN.md §9):
 
 * **RL001 raw-seq-compare** — ordered comparison (``<``/``<=``/``>``/
   ``>=``) or bare subtraction on identifiers that name TCP sequence
@@ -19,22 +20,19 @@ Each rule targets a bug class that has already cost a PR to fix by hand
   clock (``sim.now``), never the host's.
 * **RL004 float-time-equality** — ``==``/``!=`` between two simulation
   timestamps.  Virtual time is a float; exact equality between computed
-  timestamps is a rounding bug waiting to happen (compare with ordering
-  or an epsilon).
+  timestamps is a rounding bug waiting to happen.
 * **RL005 mutable-default-arg** — a list/dict/set (literal, comprehension
   or constructor) as a parameter default: shared across calls, a classic
   source of cross-flow state bleed.
 * **RL006 non-snapshot-safe-state** — state that checkpoint/restore
   (DESIGN.md §13) cannot capture: a module-level mutable registry
   (lowercase module-level name bound to a dict/list/set/deque/
-  ``itertools.count``...), a ``global`` statement (the tell-tale of a
-  module-level counter being mutated), or a ``random.Random(...)``
-  constructed directly instead of drawn from the
-  :class:`repro.sim.rng.RngFactory` registry.  A snapshot pickles the
-  *object graph reachable from the service*; module globals and private
-  RNGs are invisible to it and silently reset on restore.  ALL_CAPS
-  module constants are exempt by convention (they are configuration,
-  not run state).
+  ``itertools.count``...), a ``global`` statement, or a
+  ``random.Random(...)`` constructed directly instead of drawn from the
+  :class:`repro.sim.rng.RngFactory` registry.  ALL_CAPS module constants
+  are exempt by convention (configuration, not run state).
+
+RL002/RL003 calls are also the taint sources of the cross-file RL101.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, Optional, Tuple
 
 RULE_CATALOG: Dict[str, str] = {
     "RL000": "suppression-missing-reason: a `# repro-lint: disable=` "
@@ -67,10 +65,27 @@ RULE_CATALOG: Dict[str, str] = {
     "RL999": "parse-error: file could not be parsed",
 }
 
+#: The cross-file checkers (:mod:`repro.analysis.checkers`).
+CHECKER_CATALOG: Dict[str, str] = {
+    "RL101": "determinism-taint: wall-clock/unseeded-RNG value reaches "
+             "long-lived state through assignments, returns, or calls",
+    "RL102": "trace-contract: emit() site or EVENT_SCHEMAS entry breaks "
+             "the registered event schema (or the schema is dead)",
+    "RL103": "unguarded-hook: optional zero-cost-off hook dereferenced "
+             "without an `is None` guard",
+    "RL104": "snapshot-reachability: unpicklable callable or shared "
+             "module state stored on objects reached by checkpoints",
+}
+
+CATALOG: Dict[str, str] = {**RULE_CATALOG, **CHECKER_CATALOG}
+
+#: The taint kind RL101 propagates from each source rule.
+TAINT_KINDS = {"RL002": "rng", "RL003": "wall-clock"}
+
 
 @dataclass(frozen=True, order=True)
 class Violation:
-    """One lint finding, ordered for the stable report format."""
+    """One finding, ordered for the stable report format."""
 
     path: str
     line: int
@@ -82,27 +97,33 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-# --- RL001: identifiers that name 32-bit sequence-space values ----------
 #: An identifier is "sequence-like" when one of its snake_case tokens is a
 #: sequence-space word.  `newly_acked`, `dupacks`, `ack_count` (byte/event
 #: counts) deliberately do not match; `ack_seq`, `snd_una`, `cut_seq`,
-#: `advertised_edge`, `window_end`'s partner `snd_una` do.
+#: `advertised_edge` do.
 _SEQ_TOKENS = {"seq", "una", "nxt", "edge", "iss", "irs"}
+_SNAKE_SPLIT = re.compile(r"[^a-zA-Z0-9]+")
 
 #: Time-like identifiers for RL004: the engine clock and derived stamps.
 _TIME_EXACT = {"now", "deadline"}
 _TIME_SUFFIXES = ("_at", "_time", "_deadline", "_timestamp")
 
-_WALL_CLOCK_TIME_ATTRS = {
+WALL_CLOCK_TIME_ATTRS = {
     "time", "monotonic", "perf_counter", "process_time",
     "time_ns", "monotonic_ns", "perf_counter_ns", "process_time_ns",
 }
-_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
+WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
 
-_SNAKE_SPLIT = re.compile(r"[^a-zA-Z0-9]+")
+#: Containers, and the stateful iterators (a module-level
+#: ``itertools.count()`` is a registry of one mutable cursor).
+_MUTABLE_CALLEES = {"list", "dict", "set", "bytearray", "deque",
+                    "defaultdict", "OrderedDict", "Counter"}
+_STATEFUL_ITER_CALLEES = {"count", "cycle", "chain", "repeat"}
+_MUTABLE_NODES = (ast.List, ast.Dict, ast.Set,
+                  ast.ListComp, ast.DictComp, ast.SetComp)
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
+def terminal(node: ast.AST) -> Optional[str]:
     """The rightmost identifier of a Name/Attribute chain, else None."""
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -111,21 +132,31 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def dotted(node: ast.AST) -> Optional[str]:
+    """Render a Name/Attribute chain as ``a.b.c``; None when it is not
+    a pure chain (calls, subscripts... break it)."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
 def _is_seq_name(node: ast.AST) -> bool:
-    name = _terminal_name(node)
-    if name is None:
-        return False
-    if name.isupper():
+    name = terminal(node)
+    if name is None or name.isupper():
         # ALL_CAPS names are the sequence-space *constants* (SEQ_MASK,
-        # SEQ_HALF...) that the sanctioned wrap-safe idioms are built
-        # from, not sequence-number variables.
+        # SEQ_HALF...) the wrap-safe idioms are built from.
         return False
-    tokens = [t for t in _SNAKE_SPLIT.split(name.lower()) if t]
-    return any(tok in _SEQ_TOKENS for tok in tokens)
+    return any(tok in _SEQ_TOKENS
+               for tok in _SNAKE_SPLIT.split(name.lower()))
 
 
 def _is_time_name(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+    name = terminal(node)
     if name is None:
         return False
     lowered = name.lower()
@@ -133,281 +164,110 @@ def _is_time_name(node: ast.AST) -> bool:
 
 
 def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
+    if isinstance(node, _MUTABLE_NODES):
         return True
-    if isinstance(node, ast.Call):
-        callee = _terminal_name(node.func)
-        return callee in {"list", "dict", "set", "bytearray",
-                          "deque", "defaultdict", "OrderedDict", "Counter"}
-    return False
+    return isinstance(node, ast.Call) \
+        and terminal(node.func) in _MUTABLE_CALLEES
 
 
-#: RL006: stateful-iterator constructors — a module-level
-#: ``itertools.count()`` is a registry of one mutable cursor.
-_STATEFUL_ITER_CALLEES = {"count", "cycle", "chain", "repeat"}
+def registry_name(target: ast.AST, value: Optional[ast.AST]) -> Optional[str]:
+    """The name a module-level ``name = <mutable>`` binds (RL006), or
+    None.  ALL_CAPS constants and dunders (``__all__``...) are exempt."""
+    if value is None or not isinstance(target, ast.Name):
+        return None
+    name = target.id
+    if name.isupper() or name.startswith("__"):
+        return None
+    if _is_mutable_literal(value) or (
+            isinstance(value, ast.Call)
+            and terminal(value.func) in _STATEFUL_ITER_CALLEES):
+        return name
+    return None
 
 
-def _is_registry_value(node: ast.AST) -> bool:
-    """Mutable containers *or* stateful iterators (RL006 scope)."""
-    if _is_mutable_literal(node):
-        return True
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func) in _STATEFUL_ITER_CALLEES
-    return False
+# ---------------------------------------------------------------------------
+# Per-node checks: each yields (code, message) for the walker to place
+# ---------------------------------------------------------------------------
+def check_compare(node: ast.Compare) -> Iterator[Tuple[str, str]]:
+    operands = [node.left] + node.comparators
+    for op, left, right in zip(node.ops, operands, operands[1:]):
+        if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+            seq = left if _is_seq_name(left) else right
+            if _is_seq_name(seq):
+                yield ("RL001", "ordered comparison on sequence-space "
+                       f"identifier '{terminal(seq)}' "
+                       "(use seq_lt/seq_leq/seq_gt/seq_geq)")
+        elif isinstance(op, (ast.Eq, ast.NotEq)) \
+                and _is_time_name(left) and _is_time_name(right):
+            yield ("RL004", "exact float equality between sim timestamps "
+                   f"'{terminal(left)}' and '{terminal(right)}'")
 
 
-class RuleVisitor(ast.NodeVisitor):
-    """Single-pass visitor emitting raw (pre-suppression) violations."""
+def check_subtraction(node: ast.BinOp) -> Optional[str]:
+    """RL001 message for a bare ``a - b`` on sequence identifiers."""
+    seq = node.left if _is_seq_name(node.left) else node.right
+    if not _is_seq_name(seq):
+        return None
+    return (f"bare subtraction on sequence-space identifier "
+            f"'{terminal(seq)}' (use seq_delta, or mask with `& SEQ_MASK`)")
 
-    def __init__(self, path: str,
-                 enabled: Optional[Set[str]] = None) -> None:
-        self.path = path
-        self.enabled = enabled  # None = all rules
-        self.violations: List[Violation] = []
-        # Aliases under which the `random` / `time` / `datetime` modules
-        # (or their nondeterministic members) are reachable in this file.
-        self._random_aliases: Set[str] = set()
-        self._random_func_names: Set[str] = set()
-        self._random_class_names: Set[str] = set()  # `from random import Random`
-        self._time_aliases: Set[str] = set()
-        self._time_func_names: Set[str] = set()
-        self._datetime_aliases: Set[str] = set()  # datetime module or class
-        self._parents: Dict[int, ast.AST] = {}
 
-    # ------------------------------------------------------------------
-    def _emit(self, code: str, node: ast.AST, message: str) -> None:
-        if self.enabled is not None and code not in self.enabled:
-            return
-        self.violations.append(Violation(
-            path=self.path, line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0), code=code, message=message))
+def masked_terms(node: ast.BinOp) -> Iterator[ast.BinOp]:
+    """The +/- terms under ``(...) & SEQ_MASK``: the wrap-safe idiom, so
+    RL001 leaves subtractions among them alone."""
+    for side, other in ((node.left, node.right), (node.right, node.left)):
+        if terminal(other) != "SEQ_MASK":
+            continue
+        stack = [side]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, ast.BinOp) \
+                    and isinstance(term.op, (ast.Add, ast.Sub)):
+                yield term
+                stack += (term.left, term.right)
 
-    def generic_visit(self, node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            self._parents[id(child)] = node
-        super().generic_visit(node)
 
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self._parents.get(id(node))
+def check_defaults(args: ast.arguments) -> Iterator[ast.AST]:
+    """RL005: the mutable default values among ``args``."""
+    for default in args.defaults + args.kw_defaults:
+        if default is not None and _is_mutable_literal(default):
+            yield default
 
-    # ------------------------------------------------------------------
-    # Import tracking (for RL002 / RL003)
-    # ------------------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self._random_aliases.add(bound)
-            elif alias.name == "time":
-                self._time_aliases.add(bound)
-            elif alias.name == "datetime":
-                self._datetime_aliases.add(bound)
-        self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name == "Random":
-                    # Construction is checked at call sites (RL002 when
-                    # unseeded, RL006 when built outside the registry).
-                    self._random_class_names.add(alias.asname or alias.name)
-                    continue
-                self._random_func_names.add(alias.asname or alias.name)
-        elif node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALL_CLOCK_TIME_ATTRS:
-                    self._time_func_names.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name == "datetime":
-                    self._datetime_aliases.add(alias.asname or alias.name)
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # RL001 + RL004: comparisons
-    # ------------------------------------------------------------------
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left] + list(node.comparators)
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                if _is_seq_name(left) or _is_seq_name(right):
-                    self._emit(
-                        "RL001", node,
-                        "ordered comparison on sequence-space identifier "
-                        f"'{_terminal_name(left) if _is_seq_name(left) else _terminal_name(right)}'"
-                        " (use seq_lt/seq_leq/seq_gt/seq_geq)")
-            elif isinstance(op, (ast.Eq, ast.NotEq)):
-                if _is_time_name(left) and _is_time_name(right):
-                    self._emit(
-                        "RL004", node,
-                        "exact float equality between sim timestamps "
-                        f"'{_terminal_name(left)}' and '{_terminal_name(right)}'")
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # RL001: bare subtraction on sequence identifiers
-    # ------------------------------------------------------------------
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if (isinstance(node.op, ast.Sub)
-                and (_is_seq_name(node.left) or _is_seq_name(node.right))
-                and not self._is_masked(node)):
-            name = (_terminal_name(node.left) if _is_seq_name(node.left)
-                    else _terminal_name(node.right))
-            self._emit(
-                "RL001", node,
-                f"bare subtraction on sequence-space identifier '{name}' "
-                "(use seq_delta, or mask with `& SEQ_MASK`)")
-        self.generic_visit(node)
-
-    def _is_masked(self, node: ast.BinOp) -> bool:
-        """True for the wrap-safe ``(a - b ...) & SEQ_MASK`` idiom: the
-        subtraction sits (possibly under further +/- terms) below a
-        bitwise-and whose other operand mentions SEQ_MASK."""
-        child: ast.AST = node
-        parent = self.parent(child)
-        while isinstance(parent, ast.BinOp):
-            if isinstance(parent.op, ast.BitAnd):
-                other = parent.right if parent.left is child else parent.left
-                if _terminal_name(other) == "SEQ_MASK":
-                    return True
-                return False
-            if not isinstance(parent.op, (ast.Add, ast.Sub)):
-                return False
-            child = parent
-            parent = self.parent(child)
-        return False
-
-    # ------------------------------------------------------------------
-    # RL002 + RL003: calls
-    # ------------------------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base, attr = func.value.id, func.attr
-            if base in self._random_aliases:
-                self._check_random_attr_call(node, attr)
-            elif base in self._time_aliases and attr in _WALL_CLOCK_TIME_ATTRS:
-                self._emit("RL003", node,
-                           f"wall-clock call time.{attr}() "
-                           "(use the engine clock, sim.now)")
-            elif (base in self._datetime_aliases
-                    and attr in _WALL_CLOCK_DATETIME_ATTRS):
-                self._emit("RL003", node,
-                           f"wall-clock call {base}.{attr}() "
-                           "(use the engine clock, sim.now)")
-        elif (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in self._datetime_aliases
-                and func.value.attr == "datetime"
-                and func.attr in _WALL_CLOCK_DATETIME_ATTRS):
-            # datetime.datetime.now()
-            self._emit("RL003", node,
-                       f"wall-clock call datetime.datetime.{func.attr}() "
-                       "(use the engine clock, sim.now)")
-        elif isinstance(func, ast.Name):
-            if func.id in self._random_func_names:
-                self._emit("RL002", node,
-                           f"module-level random function {func.id}() uses "
-                           "the shared global RNG (use an RngFactory stream)")
-            elif func.id in self._random_class_names:
-                if not node.args and not node.keywords:
-                    self._emit("RL002", node,
-                               "unseeded Random() is nondeterministic "
-                               "(seed it, or use an RngFactory stream)")
-                else:
-                    self._emit("RL006", node,
-                               "direct Random(...) construction bypasses "
-                               "the RngFactory stream registry; its "
-                               "position is invisible to snapshots")
-            elif func.id in self._time_func_names:
-                self._emit("RL003", node,
-                           f"wall-clock call {func.id}() "
-                           "(use the engine clock, sim.now)")
-        self.generic_visit(node)
-
-    def _check_random_attr_call(self, node: ast.Call, attr: str) -> None:
-        if attr == "Random":
-            if not node.args and not node.keywords:
-                self._emit("RL002", node,
-                           "unseeded random.Random() is nondeterministic "
-                           "(seed it, or use an RngFactory stream)")
-            else:
-                self._emit("RL006", node,
-                           "direct random.Random(...) construction bypasses "
-                           "the RngFactory stream registry; its position "
-                           "is invisible to snapshots")
-        elif attr == "SystemRandom":
-            self._emit("RL002", node,
-                       "random.SystemRandom is nondeterministic by design")
-        else:
-            self._emit("RL002", node,
-                       f"module-level random.{attr}() uses the shared "
-                       "global RNG (use an RngFactory stream)")
-
-    # ------------------------------------------------------------------
-    # RL006: module-level mutable registries and global counters
-    # ------------------------------------------------------------------
-    def _check_module_binding(self, node: ast.AST, target: ast.AST,
-                              value: Optional[ast.AST]) -> None:
-        """Flag ``name = <mutable>`` at module scope for non-constant
-        names.  ALL_CAPS bindings are configuration-by-convention and
-        dunders (``__all__``...) are interpreter protocol — both exempt."""
-        if value is None or not isinstance(target, ast.Name):
-            return
-        name = target.id
-        if name.isupper() or name.startswith("__"):
-            return
-        if not isinstance(self.parent(node), ast.Module):
-            return
-        if _is_registry_value(value):
-            self._emit("RL006", node,
-                       f"module-level mutable registry '{name}' lives "
-                       "outside every snapshot (restored runs silently "
-                       "reset it); hold it on an object the run owns")
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_module_binding(node, target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_module_binding(node, node.target, node.value)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        # A `global` statement is the tell-tale of a module-level counter
-        # being written from inside a function — process-local state that
-        # no checkpoint captures (and immutable values like ints dodge
-        # the registry check above, so catch them at the mutation site).
-        names = ", ".join(node.names)
-        self._emit("RL006", node,
-                   f"global statement mutates module-level state "
-                   f"({names}); snapshots cannot capture it — hold it on "
-                   "an object the run owns")
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # RL005: mutable default arguments
-    # ------------------------------------------------------------------
-    def _check_defaults(self, node) -> None:
-        args = node.args
-        for default in list(args.defaults) + [
-                d for d in args.kw_defaults if d is not None]:
-            if _is_mutable_literal(default):
-                self._emit("RL005", default,
-                           "mutable default argument is shared across calls "
-                           "(default to None and construct inside)")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+def check_call(call: ast.Call, module_aliases: Dict[str, str],
+               from_bindings: Dict[str, Tuple[str, str]],
+               ) -> Optional[Tuple[str, str]]:
+    """RL002/RL003/RL006 for one call, given the module's import tables."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        mod, rest = from_bindings.get(func.id, (None, ""))
+        shown = func.id
+    else:
+        shown = dotted(func)
+        if shown is None:
+            return None
+        head, _, rest = shown.partition(".")
+        mod = module_aliases.get(head)
+        if mod is None and from_bindings.get(head) == ("datetime",
+                                                       "datetime"):
+            mod, rest = "datetime", f"datetime.{rest}"
+    if mod == "time" and rest in WALL_CLOCK_TIME_ATTRS \
+            or mod == "datetime" and (
+                rest in WALL_CLOCK_DATETIME_ATTRS
+                or rest.startswith("datetime.")
+                and rest[9:] in WALL_CLOCK_DATETIME_ATTRS):
+        return ("RL003", f"wall-clock call {shown}() "
+                "(use the engine clock, sim.now)")
+    if mod != "random" or "." in rest:
+        return None
+    if rest == "Random":
+        if call.args or call.keywords:
+            return ("RL006", f"direct {shown}(...) construction bypasses "
+                    "the RngFactory stream registry; its position is "
+                    "invisible to snapshots")
+        return ("RL002", f"unseeded {shown}() is nondeterministic "
+                "(seed it, or use an RngFactory stream)")
+    if rest == "SystemRandom":
+        return ("RL002", f"{shown} is nondeterministic by design")
+    return ("RL002", f"module-level random.{rest}() uses the shared "
+            "global RNG (use an RngFactory stream)")

@@ -1,8 +1,7 @@
-"""Shared suppression parsing for the per-file lint pass *and* the
-whole-program analyzer.
+"""The suppression comments every analyzer code honours.
 
-Both tools honour the same comment syntax (a reason is **required** — a
-bare disable does not suppress and is itself reported as RL000):
+A reason is **required** — a bare disable does not suppress and is itself
+reported as RL000:
 
 * inline, on the flagged line (or a standalone comment on the line
   directly above it)::
@@ -14,10 +13,6 @@ bare disable does not suppress and is itself reported as RL000):
       # repro-lint: disable-file=RL001 (guest stack is linear-space)
 
 Multiple codes may be given comma-separated: ``disable=RL001,RL003 (...)``.
-
-The parsed table is a plain-JSON value (:meth:`Suppressions.to_json` /
-:meth:`Suppressions.from_json`) so the analyzer's incremental cache can
-re-apply suppressions to cached findings without re-reading the file.
 """
 
 from __future__ import annotations
@@ -58,34 +53,12 @@ class Suppressions:
         """Findings surviving suppression, in input order."""
         return [v for v in violations if not self.covers(v)]
 
-    # ------------------------------------------------------------------
-    # JSON round-trip (for the analyzer's module-summary cache)
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "file_level": sorted(self.file_level),
-            "by_line": {str(line): sorted(codes)
-                        for line, codes in sorted(self.by_line.items())},
-            "standalone": sorted(self.standalone),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Suppressions":
-        return cls(
-            file_level=set(data.get("file_level", ())),
-            by_line={int(line): set(codes)
-                     for line, codes in data.get("by_line", {}).items()},
-            standalone=set(data.get("standalone", ())),
-        )
-
 
 def parse_suppressions(source: str, path: str) -> Suppressions:
     """Scan ``source`` for suppression comments.
 
     Reason-less disables are collected as RL000 violations in
-    ``.malformed`` (the disable itself is ignored); the per-file lint
-    pass reports them, the analyzer leaves that to lint so the two tools
-    never double-report the same comment.
+    ``.malformed``; the disable itself is ignored.
     """
     sup = Suppressions()
     for lineno, text in enumerate(source.splitlines(), start=1):

@@ -159,10 +159,7 @@ class Event:
     detail: Tuple[Tuple[str, object], ...] = ()
 
 
-#: Guard notification kind -> trace event type.  Kept here, beside the
-#: ledger that dispatches on it, not in ``obs.trace``: RL102's
-#: dead-schema pass counts a type literal as live only outside the
-#: module that registers it.
+#: Guard notification kind -> trace event type.
 GUARD_KIND_TO_TYPE: Dict[str, str] = {
     "guard_escalate": "guard.escalate",
     "guard_deescalate": "guard.deescalate",

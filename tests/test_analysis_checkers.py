@@ -32,6 +32,18 @@ def codes(findings):
 
 
 # ---------------------------------------------------------------------------
+# One pass: the per-file rules run beside the cross-file checkers
+# ---------------------------------------------------------------------------
+def test_analyze_reports_per_file_rules(tmp_path):
+    findings = analyze(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/m.py": "outstanding = snd_nxt - snd_una\n",
+    })
+    assert codes(findings) == ["RL001"]
+    assert findings[0].path.endswith("m.py")
+
+
+# ---------------------------------------------------------------------------
 # RL101: determinism taint
 # ---------------------------------------------------------------------------
 class TestRL101:
@@ -254,6 +266,27 @@ class TestRL102:
                     def go(self, kind, **fields):
                         self.bus.emit("flow.start", src=1, dst=2)
                         self.bus.emit(KIND_TO_TYPE[kind], **fields)
+                """,
+        }, select=("RL102",))
+        assert findings == []
+
+    def test_dispatch_table_in_schema_owner_counts_as_live(self, tmp_path):
+        findings = analyze(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/trace.py": """\
+                EVENT_SCHEMAS = {
+                    "flow.start": ("src", "dst"),
+                    "flow.stop": ("reason",),
+                }
+                KIND_TO_TYPE = {"stop": "flow.stop"}
+                """,
+            "pkg/user.py": """\
+                class C:
+                    def __init__(self, bus):
+                        self.bus = bus
+
+                    def go(self):
+                        self.bus.emit("flow.start", src=1, dst=2)
                 """,
         }, select=("RL102",))
         assert findings == []

@@ -350,13 +350,13 @@ class TestCli:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         self.write(tmp_path, "ok.py", "x = 1\n")
-        assert cli_main(["lint", str(tmp_path)]) == 0
+        assert cli_main(["analyze", str(tmp_path)]) == 0
         assert "0 violations" in capsys.readouterr().out
 
     def test_violations_exit_one_sorted(self, tmp_path, capsys):
         self.write(tmp_path, "b.py", "d = snd_nxt - snd_una\n")
         self.write(tmp_path, "a.py", "import random\nx = random.random()\n")
-        assert cli_main(["lint", str(tmp_path)]) == 1
+        assert cli_main(["analyze", str(tmp_path)]) == 1
         out = capsys.readouterr().out.splitlines()
         # a.py before b.py: the report is file:line sorted.
         assert "a.py" in out[0] and "RL002" in out[0]
@@ -365,14 +365,14 @@ class TestCli:
 
     def test_unknown_rule_exits_two(self, tmp_path):
         self.write(tmp_path, "ok.py", "x = 1\n")
-        assert cli_main(["lint", "--select", "RL777", str(tmp_path)]) == 2
+        assert cli_main(["analyze", "--select", "RL777", str(tmp_path)]) == 2
 
     def test_no_subcommand_exits_two(self, capsys):
         assert cli_main([]) == 2
         capsys.readouterr()
 
     def test_list_rules(self, capsys):
-        assert cli_main(["lint", "--list-rules"]) == 0
+        assert cli_main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in RULE_CATALOG:
             assert code in out
@@ -381,6 +381,6 @@ class TestCli:
         self.write(tmp_path, "m.py",
                    "import random\nx = random.random()\n"
                    "d = snd_nxt - snd_una\n")
-        assert cli_main(["lint", "--select", "RL001", str(tmp_path)]) == 1
+        assert cli_main(["analyze", "--select", "RL001", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "RL001" in out and "RL002" not in out

@@ -3,6 +3,7 @@
 import os
 import textwrap
 
+from repro.analysis.checkers import AnalyzeConfig, analyze_paths
 from repro.analysis.project import (ProjectConfig, build_project,
                                     module_name_for, summarize_source)
 
@@ -42,22 +43,26 @@ def test_import_graph_and_reverse_closure(tmp_path):
     assert project.imports["pkg.b"] == {"pkg.a"}
     # stdlib edges (os) are dropped; only analyzed modules appear.
     assert project.imports["pkg.sub.c"] == {"pkg.b"}
-    assert project.reverse_closure(["pkg.a"]) == {
-        "pkg.a", "pkg.b", "pkg.sub.c"}
     assert project.reachable_from(["pkg.sub.c"]) == {
         "pkg.sub.c", "pkg.b", "pkg.a"}
-    assert "pkg.d" not in project.reverse_closure(["pkg.a"])
 
 
-def test_summary_reuse_skips_parsing(tmp_path):
-    root = write_pkg(tmp_path, _TREE)
-    project, stats = build_project([str(root)])
-    assert sorted(stats.parsed) == sorted(project.modules)
-    cached = {os.path.abspath(summary.path): summary.to_json()
-              for summary in project.modules.values()}
-    _again, stats2 = build_project([str(root)], cached=cached)
-    assert stats2.parsed == []
-    assert sorted(stats2.reused) == sorted(project.modules)
+def test_same_stem_modules_are_both_analyzed(tmp_path):
+    # Two non-package files share the module name `helper`.
+    clock = """\
+        import time
+
+
+        class M:
+            def tick(self):
+                self.t0 = time.time()
+        """
+    root = write_pkg(tmp_path, {"a/helper.py": clock, "b/helper.py": clock})
+    findings, stats = analyze_paths([str(root / "a"), str(root / "b")],
+                                    AnalyzeConfig(select=("RL101",)))
+    assert stats.modules == 2
+    assert sorted(os.path.basename(os.path.dirname(v.path))
+                  for v in findings) == ["a", "b"]
 
 
 def test_parse_error_is_reported_not_fatal(tmp_path):

@@ -1,14 +1,14 @@
 """The source tree itself must be analyzer clean.
 
 Tier-1 twin of the CI step ``python -m repro.analysis analyze src/``:
-any new cross-file determinism leak, trace-schema drift, unguarded
+any new raw sequence comparison, ad-hoc RNG or wall-clock read,
+cross-file determinism leak, trace-schema drift, unguarded
 zero-cost-off hook or unpicklable callable in checkpointed state landing
-in ``src/repro`` fails here with the full file:line report.  The
-committed baseline is *empty* — every finding the checkers surface must
-be fixed (or suppressed with a written reason), never grandfathered.
+in ``src/repro`` fails here with the full file:line report.  Every
+finding must be fixed (or suppressed with a written reason).
 """
 
-import json
+import ast
 import os
 
 from repro.analysis import analyze_paths, format_report
@@ -24,7 +24,14 @@ def test_source_tree_is_analyzer_clean():
     assert stats.modules > 50  # the walk actually covered the tree
 
 
-def test_committed_baseline_is_empty():
-    with open(os.path.join(REPO, ".repro-analysis-baseline.json")) as fh:
-        baseline = json.load(fh)
-    assert baseline["findings"] == {}
+def test_each_module_is_parsed_exactly_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    _violations, stats = analyze_paths([SRC])
+    assert len(parsed) == len(set(parsed)) == stats.modules > 50
