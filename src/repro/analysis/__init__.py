@@ -11,8 +11,8 @@ RNG or wall-clock use.  This package catches them mechanically:
   :mod:`repro.analysis.rules`, :mod:`repro.analysis.checkers`) — parses
   each module once and walks it once, placing the per-file rules
   RL000–RL006 and collecting the project model (symbol tables, import
-  graph, conservative call graph) the cross-file checkers RL101–RL104
-  read (determinism taint, trace contract, unguarded hooks, snapshot
+  graph, conservative call graph) the cross-file checkers RL101, RL102
+  and RL104 read (determinism taint, trace contract, snapshot
   reachability).  One inline suppression syntax, which requires a
   written reason, covers every code: ``python -m repro.analysis analyze
   src/``.

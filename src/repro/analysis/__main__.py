@@ -1,7 +1,7 @@
 """CLI driver: ``python -m repro.analysis analyze [paths]``.
 
 One pass per module runs every code: the per-file rules RL000–RL006, the
-cross-file checkers RL101–RL104, and RL999 for files that cannot be
+cross-file checkers RL101, RL102 and RL104, and RL999 for files that cannot be
 parsed.  Exit status: 0 when clean, 1 when violations were found, 2 on
 usage or I/O errors.  Reports are stable across runs (sorted by file,
 line, column, code) so CI output can be diffed; the module count goes to

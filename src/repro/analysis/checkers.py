@@ -23,12 +23,6 @@ RL102 **trace-contract** — every ``emit("type", ...)`` and
     emit site and no string literal (dispatch tables count as liveness)
     references, the schema dict's own keys excepted.
 
-RL103 **unguarded-hook** — a zero-cost-off hook attribute the class can
-    leave as ``None`` must only ever be dereferenced behind the
-    ``is None`` guard idiom (directly, via a local alias, a BoolOp
-    short-circuit, or an early return).  The ≤2 % tracing-off overhead
-    bound in CI depends on this shape.
-
 RL104 **snapshot-reachability** — modules import-reachable from the
     pickle roots (``repro.control.service`` by default) form the
     *picklable set*; inside it, lambdas / local functions / generator
@@ -239,30 +233,6 @@ def _check_dead_schemas(ctx: _Context) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# RL103: optional hooks must be dereferenced behind `is None` guards
-# ---------------------------------------------------------------------------
-def _check_rl103(name: str, summary: ModuleSummary,
-                 ctx: _Context) -> List[Violation]:
-    out: List[Violation] = []
-    for cls_name, cls in summary.facts["classes"].items():
-        optional = cls["optional_hooks"]
-        if not optional:
-            continue
-        for use in cls["hook_uses"]:
-            attr = use["attr"]
-            if attr not in optional or use["guarded"]:
-                continue
-            out.append(Violation(
-                path=summary.path, line=use["line"], col=use["col"],
-                code="RL103",
-                message=f"'{cls_name}.{attr}' may be None (assigned at "
-                        f"line {optional[attr]}) but is dereferenced "
-                        "without an 'is None' guard; zero-cost-off hooks "
-                        "must stay behind the guard idiom"))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # RL104: picklable-set snapshot safety
 # ---------------------------------------------------------------------------
 def _check_rl104(name: str, summary: ModuleSummary,
@@ -310,7 +280,6 @@ def _check_rl104(name: str, summary: ModuleSummary,
 _CROSS_FILE_CHECKS = (
     ("RL101", _check_rl101),
     ("RL102", _check_rl102),
-    ("RL103", _check_rl103),
     ("RL104", _check_rl104),
 )
 

@@ -6,8 +6,8 @@ facts the cross-file checkers (:mod:`repro.analysis.checkers`) read:
 
 * one :class:`ModuleSummary` per file — the raw findings, the
   suppression table, and a fact sheet (import edges, emit sites, string
-  literals, a taint-dataflow skeleton per function, hook-use
-  guardedness, callable-onto-attribute stores);
+  literals, a taint-dataflow skeleton per function, callable-onto-attribute
+  stores);
 * an **import graph** over the analyzed modules (module-level imports
   only — a function-local import is the sanctioned idiom for keeping a
   dependency *out* of a pickle closure, so it deliberately does not
@@ -33,12 +33,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from . import rules
 from .rules import TAINT_KINDS, Violation, dotted, terminal
 from .suppress import Suppressions, parse_suppressions
-
-#: Attribute names treated as optional zero-cost-off hooks when a class
-#: can leave them ``None`` (RL103).
-HOOK_ATTRS = frozenset({
-    "obs", "trace", "flight", "sanitizer", "recorder", "bus", "int_tel",
-})
 
 #: Callees whose callable arguments land in the engine's (picklable) heap.
 DEFAULT_SCHEDULE_CALLEES = ("schedule", "schedule_at", "Timer")
@@ -94,23 +88,6 @@ def module_name_for(path: str) -> Tuple[str, bool]:
     return ".".join(parts) if parts else stem, is_pkg
 
 
-def _is_none(node: Optional[ast.AST]) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-def _is_optional_annotation(node: Optional[ast.AST]) -> bool:
-    """``Optional[X]`` or ``X | None`` annotations."""
-    if node is None:
-        return False
-    if isinstance(node, ast.Subscript) and terminal(node.value) == "Optional":
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        return _is_none(node.left) or _is_none(node.right) \
-            or _is_optional_annotation(node.left) \
-            or _is_optional_annotation(node.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # The walk
 # ---------------------------------------------------------------------------
@@ -143,7 +120,6 @@ class _Frame:
         self.stores: List[tuple] = []      # (target, value, _Expr, extra dep)
         self.returns: List[Tuple[_Expr, int]] = []
         self.scheduled: List[ast.Call] = []
-        self.hooks = False                 # mentions self.<HOOK_ATTRS>
 
 
 def _node_classes(cls: type = ast.AST):
@@ -186,7 +162,6 @@ class _Summarizer:
         self.module_defs: Set[str] = set()
         self.registries: Set[str] = set()
         # facts
-        self.classes: Dict[str, dict] = {}
         self.emits: List[dict] = []
         self.literals: Set[str] = set()
         self.schemas: Dict[str, List[str]] = {}
@@ -247,8 +222,6 @@ class _Summarizer:
                        "reset it); hold it on an object the run owns")
 
     def _class(self, node: ast.ClassDef) -> None:
-        self.classes[node.name] = {"optional_hooks": {}, "hook_uses": [],
-                                   "line": node.lineno}
         for child in node.decorator_list + node.bases + node.keywords:
             self._visit(child)
         for item in node.body:
@@ -264,10 +237,6 @@ class _Summarizer:
             self._visit(stmt)
         self.frame = None
         self.frames.append(frame)
-        if cls is not None and frame.hooks:
-            entry = self.classes[cls]
-            _HookWalker(node, entry["optional_hooks"],
-                        entry["hook_uses"]).run()
 
     def _defaults(self, args: ast.arguments) -> None:
         for default in rules.check_defaults(args):
@@ -397,13 +366,6 @@ class _Summarizer:
         elif ctx is ast.Store and self.frame is not None:
             self.frame.local_names.add(node.id)
 
-    def _attribute(self, node: ast.Attribute) -> None:
-        value = node.value
-        if self.frame is not None and node.attr in HOOK_ATTRS \
-                and value.__class__ is ast.Name and value.id == "self":
-            self.frame.hooks = True
-        self._visit(value)
-
     def _constant(self, node: ast.Constant) -> None:
         value = node.value
         if value.__class__ is str and len(value) <= 120 \
@@ -479,7 +441,6 @@ class _Summarizer:
         return {
             "imports": sorted(self.import_targets),
             "functions": functions,
-            "classes": self.classes,
             "emits": self.emits,
             "string_literals": self.literals,
             "event_schemas": self.schemas,
@@ -592,278 +553,12 @@ _HANDLERS = {
     ast.Import: _Summarizer._import,
     ast.ImportFrom: _Summarizer._import_from,
     ast.Name: _Summarizer._name,
-    ast.Attribute: _Summarizer._attribute,
     ast.Constant: _Summarizer._constant,
     ast.Call: _Summarizer._call,
     ast.Compare: _Summarizer._compare,
     ast.BinOp: _Summarizer._binop,
     ast.Lambda: _Summarizer._lambda,
 }
-
-
-class _HookWalker:
-    """Per-method guardedness analysis for zero-cost-off hooks.
-
-    Tracks, statement by statement, which hook expressions
-    (``self.<hook>`` and local aliases of them) are *narrowed* — proven
-    non-``None`` on the current path — and records every dereference
-    (attribute access, call, subscript) with its guardedness.  Also
-    infers which hook attributes the class can leave as ``None``.
-    """
-
-    def __init__(self, fn, optional_hooks: Dict[str, int],
-                 hook_uses: List[dict]):
-        self.fn = fn
-        self.optional_hooks = optional_hooks
-        self.hook_uses = hook_uses
-        self.aliases: Dict[str, str] = {}   # local name -> hook attr
-        self.maybe_none: Set[str] = set()   # locals that may hold None
-        args = fn.args
-        pos = list(args.posonlyargs) + list(args.args)
-        defaults = list(args.defaults)
-        for arg, default in zip(reversed(pos), reversed(defaults)):
-            if _is_none(default):
-                self.maybe_none.add(arg.arg)
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if _is_none(default):
-                self.maybe_none.add(arg.arg)
-        for arg in pos + list(args.kwonlyargs):
-            if _is_optional_annotation(arg.annotation):
-                self.maybe_none.add(arg.arg)
-
-    # -- expression classification -------------------------------------
-    def _key_of(self, node: ast.AST) -> Optional[str]:
-        """Canonical tracking key: ``self.X`` or an alias local name."""
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self" and node.attr in HOOK_ATTRS):
-            return f"self.{node.attr}"
-        if isinstance(node, ast.Name) and node.id in self.aliases:
-            return node.id
-        return None
-
-    def _attr_of(self, key: str) -> str:
-        return key[5:] if key.startswith("self.") else self.aliases[key]
-
-    @staticmethod
-    def _name_narrowing(test: ast.AST) -> Tuple[Set[str], Set[str]]:
-        """Local names proven non-None when ``test`` is (true, false)."""
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-                and isinstance(test.left, ast.Name) \
-                and _is_none(test.comparators[0]):
-            if isinstance(test.ops[0], ast.IsNot):
-                return {test.left.id}, set()
-            if isinstance(test.ops[0], ast.Is):
-                return set(), {test.left.id}
-        if isinstance(test, ast.Name):
-            return {test.id}, set()
-        return set(), set()
-
-    def _possibly_none(self, value: ast.AST,
-                       nonnull: Set[str] = frozenset()) -> bool:
-        if _is_none(value):
-            return True
-        if isinstance(value, ast.Name):
-            return value.id in self.maybe_none and value.id not in nonnull
-        if isinstance(value, ast.IfExp):
-            # `x if x is not None else y` narrows x inside its branch.
-            pos, neg = self._name_narrowing(value.test)
-            return self._possibly_none(value.body, nonnull | pos) \
-                or self._possibly_none(value.orelse, nonnull | neg)
-        if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
-            return self._possibly_none(value.values[-1], nonnull)
-        if (isinstance(value, ast.Call) and terminal(value.func) == "getattr"
-                and len(value.args) == 3):
-            return self._possibly_none(value.args[2], nonnull)
-        return False
-
-    # -- narrowing -------------------------------------------------------
-    def _test_narrowing(self, test: ast.AST) -> Tuple[Set[str], Set[str]]:
-        """(keys non-None when test is true, keys non-None when false)."""
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            key = self._key_of(test.left)
-            if key is not None and _is_none(test.comparators[0]):
-                if isinstance(test.ops[0], ast.IsNot):
-                    return {key}, set()
-                if isinstance(test.ops[0], ast.Is):
-                    return set(), {key}
-        key = self._key_of(test)
-        if key is not None:  # truthiness: `if self.trace:`
-            return {key}, set()
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            pos, neg = self._test_narrowing(test.operand)
-            return neg, pos
-        if isinstance(test, ast.BoolOp):
-            pos: Set[str] = set()
-            neg: Set[str] = set()
-            for value in test.values:
-                p, n = self._test_narrowing(value)
-                pos |= p
-                neg |= n
-            # `A and B` true proves every conjunct's positive facts;
-            # `A or B` false proves every disjunct's negative facts
-            # (the `if x is None or x.sim is None: return` idiom).
-            if isinstance(test.op, ast.And):
-                return pos, set()
-            return set(), neg
-        return set(), set()
-
-    @staticmethod
-    def _terminates(body: Sequence[ast.stmt]) -> bool:
-        return bool(body) and isinstance(
-            body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break))
-
-    # -- expression scanning ---------------------------------------------
-    def _scan(self, node: ast.AST, narrowed: Set[str]) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.BoolOp):
-            acc = set(narrowed)
-            for value in node.values:
-                self._scan(value, acc)
-                pos, neg = self._test_narrowing(value)
-                acc |= pos if isinstance(node.op, ast.And) else neg
-            return
-        if isinstance(node, ast.IfExp):
-            self._scan(node.test, narrowed)
-            pos, neg = self._test_narrowing(node.test)
-            self._scan(node.body, narrowed | pos)
-            self._scan(node.orelse, narrowed | neg)
-            return
-        if isinstance(node, ast.Lambda):
-            self._scan(node.body, set())  # deferred execution: no guards
-            return
-        base = None
-        if isinstance(node, ast.Attribute):
-            base = node.value
-        elif isinstance(node, ast.Call):
-            base = node.func
-            # `self.window_cb(...)`: the call dereferences the hook even
-            # though the Attribute node *is* the key, not its parent.
-            key = self._key_of(node.func)
-            if key is not None:
-                self._record_use(key, node, narrowed)
-                base = None
-        elif isinstance(node, ast.Subscript):
-            base = node.value
-        if base is not None:
-            key = self._key_of(base)
-            if key is not None:
-                self._record_use(key, node, narrowed)
-        for child in ast.iter_child_nodes(node):
-            self._scan(child, narrowed)
-
-    def _record_use(self, key: str, node: ast.AST,
-                    narrowed: Set[str]) -> None:
-        self.hook_uses.append({
-            "attr": self._attr_of(key), "key": key,
-            "line": node.lineno, "col": node.col_offset,
-            "guarded": key in narrowed,
-        })
-
-    # -- statement walking -----------------------------------------------
-    def run(self) -> None:
-        self._walk(self.fn.body, set())
-
-    def _walk(self, body: Sequence[ast.stmt], narrowed: Set[str]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                self._scan(stmt.test, narrowed)
-                pos, neg = self._test_narrowing(stmt.test)
-                self._walk(stmt.body, narrowed | pos)
-                self._walk(stmt.orelse, narrowed | neg)
-                if self._terminates(stmt.body):
-                    narrowed |= neg
-                if stmt.orelse and self._terminates(stmt.orelse):
-                    narrowed |= pos
-                self._narrow_locals(stmt)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                value = stmt.value
-                if value is not None:
-                    self._scan(value, narrowed)
-                targets = stmt.targets if isinstance(stmt, ast.Assign) \
-                    else [stmt.target]
-                for target in targets:
-                    self._scan_store_target(target, narrowed)
-                    self._apply_assign(target, value, narrowed)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan(stmt.iter, narrowed)
-                self._walk(stmt.body, set(narrowed))
-                self._walk(stmt.orelse, set(narrowed))
-            elif isinstance(stmt, ast.While):
-                self._scan(stmt.test, narrowed)
-                pos, _ = self._test_narrowing(stmt.test)
-                self._walk(stmt.body, set(narrowed) | pos)
-                self._walk(stmt.orelse, set(narrowed))
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._scan(item.context_expr, narrowed)
-                self._walk(stmt.body, narrowed)
-            elif isinstance(stmt, ast.Try):
-                self._walk(stmt.body, set(narrowed))
-                for handler in stmt.handlers:
-                    self._walk(handler.body, set(narrowed))
-                self._walk(stmt.orelse, set(narrowed))
-                self._walk(stmt.finalbody, narrowed)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._walk(stmt.body, set())  # deferred: no outer guards
-            else:
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.expr):
-                        self._scan(child, narrowed)
-
-    def _scan_store_target(self, target: ast.AST,
-                           narrowed: Set[str]) -> None:
-        # Stores *through* a hook (`self.obs.x = 1`) dereference it too.
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            key = self._key_of(target.value)
-            if key is not None:
-                self._record_use(key, target, narrowed)
-            else:
-                self._scan(target.value, narrowed)
-
-    def _apply_assign(self, target: ast.AST, value: Optional[ast.AST],
-                      narrowed: Set[str]) -> None:
-        if value is None:
-            return
-        if isinstance(target, ast.Name):
-            name = target.id
-            narrowed.discard(name)
-            key = self._key_of(value)
-            if key is not None and key.startswith("self."):
-                self.aliases[name] = key[5:]
-            else:
-                self.aliases.pop(name, None)
-            if self._possibly_none(value):
-                self.maybe_none.add(name)
-            else:
-                self.maybe_none.discard(name)
-        elif (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr in HOOK_ATTRS):
-            narrowed.discard(f"self.{target.attr}")
-            if self._possibly_none(value):
-                self.optional_hooks.setdefault(target.attr, target.lineno)
-
-    def _narrow_locals(self, stmt: ast.If) -> None:
-        """``if name is None: name = <non-None>`` (or return/raise) is the
-        sanctioned narrowing idiom — afterwards the local is non-None."""
-        test = stmt.test
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.Is)
-                and _is_none(test.comparators[0])
-                and isinstance(test.left, ast.Name)):
-            return
-        name = test.left.id
-        rebinds = any(
-            isinstance(inner, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
-                and not self._possibly_none(inner.value)
-                for t in inner.targets)
-            for inner in stmt.body)
-        if rebinds or self._terminates(stmt.body):
-            self.maybe_none.discard(name)
 
 
 # ---------------------------------------------------------------------------

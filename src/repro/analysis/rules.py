@@ -71,8 +71,6 @@ CHECKER_CATALOG: Dict[str, str] = {
              "long-lived state through assignments, returns, or calls",
     "RL102": "trace-contract: emit() site or EVENT_SCHEMAS entry breaks "
              "the registered event schema (or the schema is dead)",
-    "RL103": "unguarded-hook: optional zero-cost-off hook dereferenced "
-             "without an `is None` guard",
     "RL104": "snapshot-reachability: unpicklable callable or shared "
              "module state stored on objects reached by checkpoints",
 }

@@ -20,9 +20,9 @@ what the Fig. 11/12 CPU-overhead model consumes.  The datapath bumps
 ``ops.counts[<op>]`` directly, branch by branch (DESIGN.md §3): the dict
 is pre-seeded with the op vocabulary, so a misspelt name still raises.
 
-Everything optional (sanitizer, decision log, window callback, guard,
-INT) is a *tap* on :attr:`AcdcVswitch.taps`, called through the
-:data:`HOOKS` it implements at the §3 decision points.
+Everything optional (trace bus, flight ring, sanitizer, window
+callback, guard, INT) is a *tap* on :attr:`AcdcVswitch.taps`, called
+through the :data:`HOOKS` it implements at the §3 decision points.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from ..analysis import sanitize
 from ..net.packet import ECN_ECT0, FlowKey, Packet
-from ..obs import INFO, WARNING, FlightRecorder
+from ..obs import INFO, WARNING, FlightRecorder, VswitchObs
 from ..sim.timers import Timer
 from ..taps import bind_tap, init_taps
 from .ecn import mark_egress_data, scrub_ingress_ack, scrub_ingress_data
@@ -140,27 +140,28 @@ class AcdcVswitch:
         self.restarts = 0
         self.resurrections = 0
         # The sinks taps write to: the run's trace bus (tracing is on
-        # exactly when an ObsContext is given) and the flight recorder,
-        # armed under tracing *or* sanitizing so that an invariant
-        # violation always comes with a decision log.
+        # exactly when an ObsContext is given), fed by a VswitchObs tap,
+        # and the flight recorder, armed only under sanitizing so that
+        # an invariant violation comes with a decision log.
         tracing = obs is not None
         sanitize_on = (self.config.sanitize if self.config.sanitize is not None
                        else sanitize.is_enabled())
         self.trace = obs.bus if tracing else None
-        self.flight = (FlightRecorder(self.sim, name=str(host.addr),
-                                      bus=self.trace)
-                       if tracing or sanitize_on else None)
+        bus_tap = VswitchObs(obs.bus) if tracing else None
+        self.flight = (FlightRecorder(self.sim, name=str(host.addr))
+                       if sanitize_on else None)
         if tracing:
             obs.register_vswitch(self)
         self.sanitizer = sanitize.DatapathSanitizer(self) if sanitize_on else None
         if guard is not None:
             guard.attach(self)  # after the bus exists: its ledger binds it
-        # Tap order is call order within a hook: the decision log notes a
-        # rewrite before the sanitizer checks it, and the guard's
+        # Tap order is call order within a hook: the bus and the ring
+        # log a rewrite before the sanitizer checks it, and the guard's
         # advertised edge moves before the sanitizer cross-checks it.
         window = (SimpleNamespace(on_window=window_cb)
                   if window_cb is not None else None)
-        init_taps(self, HOOKS, (self.flight, guard, self.sanitizer, window))
+        init_taps(self, HOOKS,
+                  (bus_tap, self.flight, guard, self.sanitizer, window))
 
     def add_tap(self, tap) -> None:
         """Append ``tap`` (INT's context, last) and bind its HOOKS."""

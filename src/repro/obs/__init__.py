@@ -12,7 +12,8 @@ into, replacing the ad-hoc logging each PR grew on its own
   gauges and fixed-bucket histograms, snapshotted deterministically
   into ``RunResult.telemetry``;
 * :mod:`repro.obs.recorder` — the **flight recorder**: a bounded
-  per-vSwitch ring buffer of the last datapath decisions, dumped on
+  per-vSwitch ring buffer of the last datapath decisions, armed when
+  sanitizing and dumped on
   :class:`~repro.analysis.sanitize.InvariantViolation` or on demand;
 * :mod:`repro.obs.export` — JSONL/CSV writers for trace streams;
 * the ``EventLog``/``FaultRecorder`` ledgers of
@@ -27,14 +28,14 @@ into, replacing the ad-hoc logging each PR grew on its own
 * ``python -m repro.obs`` — ``summary`` / ``grep`` / ``timeline`` /
   ``int`` inspection of an exported trace.
 
-Zero-cost-off contract: with telemetry off a switch port holds ``None``
-instead of its hook object (one ``is None`` test per hook) and a
-vSwitch holds no tap for it (one empty-tuple test per hook, see
-``AcdcVswitch.HOOKS``).  All timestamps come from ``sim.now``; nothing
+Zero-cost-off contract: with telemetry off neither a switch port nor a
+vSwitch holds a tap for it (:class:`~repro.obs.context.PortObs`,
+:class:`~repro.obs.context.VswitchObs`), so each hook costs one
+empty-tuple loop (``PORT_HOOKS``, ``AcdcVswitch.HOOKS``).  All timestamps come from ``sim.now``; nothing
 in this package reads the wall clock.
 """
 
-from .context import ObsContext, PortObs
+from .context import ObsContext, PortObs, VswitchObs
 from .export import read_jsonl, write_csv, write_jsonl
 from .int import (
     MAX_INT_HOPS,
@@ -79,6 +80,7 @@ __all__ = [
     "TraceBus",
     "TraceConfig",
     "TraceEvent",
+    "VswitchObs",
     "WARNING",
     "format_flow",
     "read_jsonl",

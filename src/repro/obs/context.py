@@ -2,9 +2,10 @@
 
 An :class:`ObsContext` bundles the trace bus and the metric registry
 for one run and knows how to instrument the repo's building blocks:
-vSwitches (:meth:`register_vswitch`), switches and their ports
-(:meth:`register_switch` / :meth:`attach_topology`) and the engine
-itself (:meth:`bind`).
+vSwitches (:meth:`register_vswitch`; their decisions reach the bus
+through a :class:`VswitchObs` tap), switches and their ports
+(:meth:`register_switch` / :meth:`attach_topology`, one
+:class:`PortObs` tap per port) and the engine itself (:meth:`bind`).
 
 It may be created *unbound* — before the run's
 :class:`~repro.sim.engine.Simulator` exists — so experiment code can
@@ -20,7 +21,7 @@ paths of the experiment runtime stay byte-identical.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .metrics import MetricRegistry, pow2_bounds
 from .trace import INFO, TraceBus, TraceConfig
@@ -51,6 +52,44 @@ class PortObs:
     def on_enqueue(self, packet, queue_bytes: int, nbytes, marked) -> None:
         self.hist.record(queue_bytes)
         self.occupancy.emit(None, queue_bytes, True, marked)
+
+
+class VswitchObs:
+    """Per-vSwitch trace tap (``AcdcVswitch``, first in its taps when
+    tracing): every decision onto the bus, one channel per (type,
+    severity, field names) shape, and every RWND decision on an ACK onto
+    ``rwnd.rewrite``.  The flight ring is a separate tap that only the
+    sanitizer arms (:mod:`repro.obs.recorder`).
+    """
+
+    __slots__ = ("bus", "channels", "rewrites")
+
+    def __init__(self, bus: TraceBus):
+        self.bus = bus
+        #: (type, severity, field names) -> the bus channel of a decision.
+        self.channels: Dict[tuple, object] = {}
+        self.rewrites = bus.channel(
+            "rwnd.rewrite", ("wnd_bytes", "rewritten", "visible_bytes"),
+            component="vswitch", severity=INFO)
+
+    def on_decision(self, type_: str, flow, severity: int, fields: dict,
+                    noted) -> None:
+        key = (type_, severity, tuple(fields))
+        try:
+            channel = self.channels[key]
+        except KeyError:
+            channel = self.channels[key] = self.bus.channel(
+                type_, key[2], component="vswitch", severity=severity)
+        channel.emit(flow, *fields.values())
+
+    def on_advertised(self, entry, pkt, wnd: int, rewritten) -> None:
+        """The RWND decision on an ACK (``rewritten`` None: a fabricated
+        advertisement, which is no decision).  Emitted in log-only mode
+        too (rewritten=False): Fig. 9 overlays the would-be vSwitch
+        window against the guest's CWND."""
+        if isinstance(rewritten, bool):
+            self.rewrites.emit(entry.key, wnd, rewritten,
+                               pkt.rwnd_field << entry.peer_wscale)
 
 
 # Metric sources are module-level functions bound with

@@ -2,11 +2,11 @@
 
 A bounded ring buffer of the last N datapath decisions one vSwitch
 made — window rewrites, drops, timeouts, resurrections, guard
-transitions.  It is armed whenever tracing *or* the runtime sanitizer
-is on (both are debugging modes) and is then also the vSwitch's
-decision-log tap (``AcdcVswitch.HOOKS``): one call writes a decision to
-the ring and, when tracing, to the trace bus, each side with its own
-fields.  Off, the datapath pays one empty-tuple test per decision.
+transitions.  Its only reader is the runtime sanitizer, so it is armed
+exactly when sanitizing, as one of the vSwitch's taps
+(``AcdcVswitch.HOOKS``).  The trace bus's view of the same decisions is
+a separate tap, :class:`~repro.obs.context.VswitchObs`; off, the
+datapath pays one empty-tuple loop per decision.
 
 On an :class:`~repro.analysis.sanitize.InvariantViolation` the
 sanitizer dumps the ring to a JSONL file and attaches the path to the
@@ -32,7 +32,7 @@ import os
 import re
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, List, Tuple
 
 from .trace import INFO, SEVERITY_NAMES, format_flow
 
@@ -45,29 +45,20 @@ DEFAULT_DUMP_DIR = ".repro-obs"
 
 
 class FlightRecorder:
-    """Ring buffer of (sim time, kind, severity, flow, fields) decisions.
-
-    ``bus`` is the trace bus the decision-log hooks mirror onto, one
-    channel per shape (None when armed for the sanitizer alone)."""
+    """Ring buffer of (sim time, kind, severity, flow, fields) decisions."""
 
     def __init__(self, sim, name: str = "vswitch",
-                 capacity: int = DEFAULT_CAPACITY, bus=None):
+                 capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self.bus = bus
         self.noted = 0  # decisions ever offered (ring keeps the tail)
         self._serial = 0  # per-recorder dump counter (instance state, so
         #                   it snapshots and restores with the vSwitch)
         self._ring: Deque[Tuple[float, str, int, object, dict]] = deque(
             maxlen=capacity)
-        # (type, severity, field names) -> the bus channel of a decision.
-        self._channels: Dict[tuple, object] = {}
-        self._rewrites = (bus.channel(
-            "rwnd.rewrite", ("wnd_bytes", "rewritten", "visible_bytes"),
-            component="vswitch", severity=INFO) if bus is not None else None)
 
     # ------------------------------------------------------------------
     def note(self, type_: str, flow=None, *, severity=INFO, **fields) -> None:
@@ -79,39 +70,24 @@ class FlightRecorder:
         self.noted += 1
         self._ring.append((self.sim.now, type_, severity, flow, fields))
 
-    # -- decision-log tap (AcdcVswitch.HOOKS) ----------------------------
+    # -- ring tap (AcdcVswitch.HOOKS) ------------------------------------
     def on_decision(self, type_: str, flow, severity: int, fields: dict,
                     noted) -> None:
-        """A flow-state change, ECN mark or policer drop: ``noted`` into
-        the ring (unless None) and ``fields`` onto the bus."""
-        if noted is not None:
+        """A flow-state change or policer drop: ``noted`` into the ring
+        (a bus-only decision, such as an ECN mark, passes None)."""
+        if noted:
             self.note(type_, flow, severity=severity, **noted)
-        bus = self.bus
-        if bus is not None:
-            key = (type_, severity, tuple(fields))
-            channel = self._channels.get(key)
-            if channel is None:
-                channel = self._channels[key] = bus.channel(
-                    type_, key[2], component="vswitch", severity=severity)
-            channel.emit(flow, *fields.values())
 
     def on_advertised(self, entry, pkt, wnd: int, rewritten) -> None:
         """The RWND decision on an ACK (``rewritten`` None: a fabricated
-        advertisement, which is no decision).  Emitted in log-only mode
-        too (rewritten=False): Fig. 9 overlays the would-be vSwitch
-        window against the guest's CWND."""
-        if rewritten is None:
-            return
-        wscale = entry.peer_wscale
-        # One deque append inline (not via note()): this runs per ACK.
-        self.noted += 1
-        self._ring.append((self.sim.now, "rwnd.rewrite", INFO, entry.key,
-                           {"wnd_bytes": wnd, "rewritten": rewritten,
-                            "rwnd_field": pkt.rwnd_field, "wscale": wscale}))
-        rewrites = self._rewrites
-        if rewrites is not None:
-            rewrites.emit(entry.key, wnd, rewritten,
-                          pkt.rwnd_field << wscale)
+        advertisement, which is no decision)."""
+        if isinstance(rewritten, bool):
+            # One deque append inline (not via note()): this runs per ACK.
+            self.noted += 1
+            self._ring.append((self.sim.now, "rwnd.rewrite", INFO, entry.key,
+                               {"wnd_bytes": wnd, "rewritten": rewritten,
+                                "rwnd_field": pkt.rwnd_field,
+                                "wscale": entry.peer_wscale}))
 
     def records(self) -> List[dict]:
         """Ring contents as flat dicts, oldest first (trace-record shape,

@@ -14,7 +14,7 @@ Public surface::
 See DESIGN.md §10 for the architecture and the cache-key scheme.
 """
 
-from .cache import ResultCache, cache_from_env
+from .cache import ResultCache
 from .pool import (Runtime, RuntimeStats, cell_error, is_cell_error,
                    seed_sweep, sweep)
 from .spec import SPEC_VERSION, RunSpec, canonical_json, canonicalize, resolve
@@ -25,7 +25,6 @@ __all__ = [
     "Runtime",
     "RuntimeStats",
     "SPEC_VERSION",
-    "cache_from_env",
     "canonical_json",
     "canonicalize",
     "cell_error",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .spec import canonical_json
 
@@ -92,9 +92,3 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
 
-
-def cache_from_env(env: Optional[dict] = None) -> Optional[ResultCache]:
-    """Cache configured by ``REPRO_CACHE_DIR``, or None when unset."""
-    env = os.environ if env is None else env
-    root = env.get("REPRO_CACHE_DIR")
-    return ResultCache(root) if root else None

@@ -23,7 +23,7 @@ from itertools import islice
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence)
 
-from .cache import ResultCache, cache_from_env
+from .cache import ResultCache
 from .spec import RunSpec
 
 # ``concurrent.futures.process`` pulls in ``multiprocessing`` (about forty
@@ -134,14 +134,6 @@ class Runtime:
         #: Bound by ``ObsContext.register_runtime``; when present (and its
         #: bus has a clock), corrupt cache entries emit ``cache.corrupt``.
         self.obs = None
-
-    @classmethod
-    def from_env(cls, env: Optional[dict] = None) -> "Runtime":
-        """``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` configured runtime."""
-        env = os.environ if env is None else env
-        jobs_raw = env.get("REPRO_JOBS")
-        jobs = int(jobs_raw) if jobs_raw else 1
-        return cls(jobs=jobs or None, cache=cache_from_env(env))
 
     # ------------------------------------------------------------------
     def map(self, specs: Iterable[RunSpec]) -> List[Any]:

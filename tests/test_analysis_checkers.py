@@ -1,9 +1,9 @@
-"""Fixture suites for the whole-program checkers RL101–RL104.
+"""Fixture suites for the whole-program checkers RL101, RL102 and RL104.
 
 Each checker gets a minimal *bad* fixture it must fire on and an
 idiomatic *good* twin it must stay silent on — the good twins are the
-sanctioned idioms from the real tree (guard idiom, partial-not-lambda,
-bound methods, narrowed optional params), so these tests double as the
+sanctioned idioms from the real tree (partial-not-lambda, bound methods,
+dispatch-table literals), so these tests double as the
 specification of what the analyzer must never start flagging.
 """
 
@@ -337,128 +337,6 @@ class TestRL102:
                 """,
         }, select=("RL102",))
         assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL103: unguarded optional hooks
-# ---------------------------------------------------------------------------
-class TestRL103:
-    def test_unguarded_dereference_fires(self, tmp_path):
-        findings = analyze(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": """\
-                class C:
-                    def __init__(self, trace=None):
-                        self.trace = trace
-
-                    def hot(self):
-                        self.trace.emit("x")
-                """,
-        }, select=("RL103",))
-        assert codes(findings) == ["RL103"]
-        assert "'C.trace' may be None" in findings[0].message
-
-    def test_every_sanctioned_guard_idiom_stays_silent(self, tmp_path):
-        findings = analyze(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": """\
-                class C:
-                    def __init__(self, trace=None, sanitizer=None, obs=None):
-                        self.trace = trace
-                        self.sanitizer = sanitizer
-                        self.obs = obs
-
-                    def direct_guard(self):
-                        if self.trace is not None:
-                            self.trace.emit("x")
-
-                    def alias_guard(self):
-                        tr = self.trace
-                        if tr is not None:
-                            tr.emit("x")
-
-                    def early_return(self):
-                        if self.trace is None:
-                            return
-                        self.trace.emit("x")
-
-                    def boolop_guard(self, flag):
-                        san = self.sanitizer
-                        if san is not None and flag:
-                            san.check(1)
-
-                    def or_early_return(self):
-                        obs = self.obs
-                        if obs is None or getattr(obs, "sim", None) is None:
-                            return
-                        obs.bus.emit("x")
-
-                    def ifexp_guard(self):
-                        san = self.sanitizer
-                        prev = san.snapshot() if san is not None else None
-                        return prev
-                """,
-        }, select=("RL103",))
-        assert findings == []
-
-    def test_narrowed_optional_param_is_not_optional(self, tmp_path):
-        # The FaultyDatapath idiom: the *param* defaults to None but is
-        # replaced before the store, so the attribute itself is never
-        # None and unguarded uses are fine.
-        findings = analyze(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": """\
-                class Fallback:
-                    def record(self, x):
-                        pass
-
-
-                class D:
-                    def __init__(self, recorder=None):
-                        if recorder is None:
-                            recorder = Fallback()
-                        self.recorder = recorder
-
-                    def use(self):
-                        self.recorder.record(1)
-                """,
-        }, select=("RL103",))
-        assert findings == []
-
-    def test_ifexp_defaulted_param_is_not_optional(self, tmp_path):
-        findings = analyze(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": """\
-                class Fallback:
-                    pass
-
-
-                class D:
-                    def __init__(self, recorder=None):
-                        self.recorder = (recorder if recorder is not None
-                                         else Fallback())
-
-                    def use(self):
-                        self.recorder.record(1)
-                """,
-        }, select=("RL103",))
-        assert findings == []
-
-    def test_guard_does_not_leak_across_statements(self, tmp_path):
-        findings = analyze(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": """\
-                class C:
-                    def __init__(self, trace=None):
-                        self.trace = trace
-
-                    def leaky(self):
-                        if self.trace is not None:
-                            pass
-                        self.trace.emit("x")
-                """,
-        }, select=("RL103",))
-        assert codes(findings) == ["RL103"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The source tree itself must be `repro-lint` clean.
 
-This is the tier-1 twin of the CI step ``python -m repro.analysis lint
-src/``: any new raw sequence comparison, ad-hoc RNG, wall-clock read,
-timestamp equality or mutable default landing in ``src/repro`` fails
-here with the full file:line report.
+``lint_paths`` is the per-file subset (RL000–RL006) of the CI step
+``python -m repro.analysis analyze src/``: any new raw sequence
+comparison, ad-hoc RNG, wall-clock read, timestamp equality, mutable
+default or non-snapshot-safe module state landing in ``src/repro``
+fails here with the full file:line report.
 """
 
 import os

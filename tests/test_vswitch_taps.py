@@ -1,12 +1,13 @@
 """The vSwitch's taps (DESIGN.md §3): one ordered tuple, one hook vocabulary.
 
-Everything optional on the AC/DC datapath — sanitizer, decision log,
-window callback, guard, INT — is a tap reached through
+Everything optional on the AC/DC datapath — trace bus, flight ring,
+sanitizer, window callback, guard, INT — is a tap reached through
 ``AcdcVswitch.HOOKS``.  These tests pin the contract: hooks fire in §3
 order with their documented arguments, only ``on_egress_data`` decides
 anything, a tap pays only for the hooks it implements, taps observe
-without changing a run, INT metadata never reaches a VM, and datapath
-methods reach their collaborators through hooks alone.
+without changing a run, INT metadata never reaches a VM, datapath
+methods reach their collaborators through hooks alone, and the bus tap
+and the flight ring are armed by tracing and sanitizing respectively.
 """
 
 import ast
@@ -25,8 +26,10 @@ from repro.experiments.common import ACDC
 from repro.experiments.runners import run_dumbbell
 from repro.metrics import WindowLogger
 from repro.net.host import Host
+from repro.net.link import PORT_HOOKS
 from repro.net.packet import PackOption, make_data_packet
-from repro.obs import IntTelemetry, ObsContext
+from repro.obs import (FlightRecorder, IntTelemetry, ObsContext, PortObs,
+                       VswitchObs)
 from repro.sim import Simulator
 from repro.workloads.apps import Sink
 
@@ -302,7 +305,7 @@ def test_taps_do_not_change_the_run(unsanitized):
     tapped = run_dumbbell(ACDC, obs=ObsContext(), int_tel=IntTelemetry(),
                           acdc_config=AcdcConfig(sanitize=True),
                           window_cb=logger.acdc_callback, **kwargs)
-    assert all(len(v.taps) == 4 for v in tapped.vswitches.values())
+    assert all(len(v.taps) == 5 for v in tapped.vswitches.values())
     assert logger.samples and tapped.telemetry["trace"]["recorded"] > 0
     assert observables(tapped) == observables(bare)
 
@@ -353,3 +356,52 @@ def test_only_construction_names_the_collaborators():
                 offenders.append(f"{method.name}: {name}")
     assert offenders == []
     assert "flight.note" not in (SRC / "repro/core/acdc.py").read_text()
+
+
+# ---------------------------------------------------------------------------
+# (f) Arming: the bus tap under tracing, the flight ring under sanitizing
+# ---------------------------------------------------------------------------
+def tap_kinds(vswitch):
+    return [type(tap) for tap in vswitch.taps]
+
+
+def test_a_traced_only_vswitch_arms_the_bus_tap_and_no_ring(two_hosts):
+    sim, topo, a, b, sw = two_hosts
+    vsw = AcdcVswitch(a, obs=ObsContext(sim),
+                      config=AcdcConfig(sanitize=False))
+    assert vsw.flight is None
+    assert tap_kinds(vsw) == [VswitchObs]
+
+
+def test_a_sanitize_only_vswitch_arms_the_ring_and_no_bus_tap(two_hosts):
+    sim, topo, a, b, sw = two_hosts
+    vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=True))
+    assert vsw.trace is None and isinstance(vsw.flight, FlightRecorder)
+    assert VswitchObs not in tap_kinds(vsw)
+    assert tap_kinds(vsw)[0] is FlightRecorder
+
+
+def test_traced_and_sanitized_put_the_bus_tap_before_the_ring(two_hosts):
+    sim, topo, a, b, sw = two_hosts
+    vsw = AcdcVswitch(a, obs=ObsContext(sim),
+                      config=AcdcConfig(sanitize=True))
+    assert tap_kinds(vsw)[:2] == [VswitchObs, FlightRecorder]
+    assert vsw.taps[1] is vsw.flight
+
+
+def test_no_datapath_tap_hook_compares_to_none():
+    """A tap is there or it is not: its hooks never test for an absent
+    sink (or anything else) with ``is None``."""
+    hooks = set(acdc.HOOKS) | set(PORT_HOOKS)
+    offenders = []
+    for cls in (FlightRecorder, VswitchObs, PortObs):
+        for method in ast.parse(inspect.getsource(cls)).body[0].body:
+            if not (isinstance(method, ast.FunctionDef)
+                    and method.name in hooks):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(c, ast.Constant) and c.value is None
+                        for c in [node.left, *node.comparators]):
+                    offenders.append(f"{cls.__name__}.{method.name}")
+    assert offenders == []
