@@ -4,14 +4,13 @@
 open-loop arriving workload over virtual-time epochs, with a command
 queue drained at epoch boundaries.  Commands hot-reload per-tenant
 policy (RWND clamps, vSwitch CC selection) and guard thresholds on live
-vSwitches — flows are migrated, never restarted — and a canary rollout
-engine stages candidate configs on a seeded host subset, grades them
-against per-epoch SLOs, and promotes or automatically rolls back.
+vSwitches — flows are migrated, never restarted — and the kill switch
+returns every host to the service's boot configuration.
 
 Public surface::
 
     from repro.control import (Service, ServiceConfig, TenantPolicy,
-                               SloThresholds, service_cell)
+                               service_cell)
 
 Everything a service run produces is canonical JSON (see
 ``repro.runtime.spec``), so the same command schedule replayed serially,
@@ -19,30 +18,16 @@ through the process pool, or from the result cache is byte-identical —
 the §10 determinism contract extended to mid-run mutation.
 """
 
-from .canary import (
-    CANARY,
-    IDLE,
-    PROMOTED,
-    ROLLED_BACK,
-    CanaryRollout,
-)
 from .commands import CommandError, TenantPolicy
-from .service import ControlPlane, Service, ServiceConfig, service_cell
-from .slo import CohortSample, SloThresholds, evaluate_slos
+from .service import (CohortSample, ControlPlane, Service, ServiceConfig,
+                      service_cell)
 
 __all__ = [
-    "CANARY",
-    "CanaryRollout",
     "CohortSample",
     "CommandError",
     "ControlPlane",
-    "IDLE",
-    "PROMOTED",
-    "ROLLED_BACK",
     "Service",
     "ServiceConfig",
-    "SloThresholds",
     "TenantPolicy",
-    "evaluate_slos",
     "service_cell",
 ]

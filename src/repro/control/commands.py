@@ -13,9 +13,8 @@ never partially applied.
 
 :class:`TenantPolicy` is the *declarative* form of a per-tenant
 :class:`~repro.core.policy.FlowPolicy`: a frozen, JSON-able value the
-control plane keeps as intended state, so rollback and the kill-switch
-can re-apply an exact prior policy rather than guessing from the
-datapath.
+control plane keeps as intended state, so the kill switch can re-apply
+the exact boot policy rather than guessing from the datapath.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from typing import Optional, Tuple
 
 from ..core.policy import FlowPolicy
 
-#: Operations the control plane understands (see DESIGN.md §12.2).
-VALID_OPS = ("set_policy", "set_guard", "canary_start", "canary_abort",
-             "kill_switch")
+#: Operations the control plane understands (see DESIGN.md §12).
+VALID_OPS = ("set_policy", "set_guard", "kill_switch")
 
 
 class CommandError(ValueError):
@@ -69,9 +67,14 @@ class TenantPolicy:
         unknown = set(raw) - {"algorithm", "beta", "max_rwnd"}
         if unknown:
             raise CommandError(f"unknown policy field(s) {sorted(unknown)!r}")
+        max_rwnd = raw.get("max_rwnd")
+        if isinstance(max_rwnd, bool) or (isinstance(max_rwnd, float)
+                                          and not max_rwnd.is_integer()):
+            raise CommandError(f"invalid policy: max_rwnd must be a whole "
+                               f"number of bytes, got {max_rwnd!r}")
         policy = TenantPolicy(algorithm=raw.get("algorithm", "dctcp"),
                               beta=raw.get("beta", 1.0),
-                              max_rwnd=raw.get("max_rwnd"))
+                              max_rwnd=max_rwnd)
         try:
             policy.flow_policy()  # datapath-level validation
         except (ValueError, TypeError) as exc:

@@ -11,10 +11,9 @@ live datapath:
   RWND clamp); existing flows are *migrated* in place, never restarted;
 * ``set_guard``    — hot-reload guard thresholds (all-or-nothing across
   the named hosts);
-* ``canary_start`` — stage a candidate policy on a seeded host cohort,
-  graded per epoch by ``repro.control.slo`` against the rest;
-* ``canary_abort`` — operator-initiated rollback;
-* ``kill_switch``  — revert every host to last-known-good in one epoch.
+* ``kill_switch``  — revert every host to the boot configuration
+  (``default_policy`` and the guards' construction-time thresholds) in
+  one epoch.
 
 Because command application is pinned to epoch boundaries, the sequence
 of simulator events between any two boundaries is a pure function of
@@ -35,14 +34,13 @@ from ..core import AcdcConfig, AcdcVswitch
 from ..experiments.common import ACDC, Testbed
 from ..guard import Guard, GuardConfig
 from ..metrics.collectors import FaultRecorder, FctRecorder
+from ..metrics.stats import percentile
 from ..net.topology import star
 from ..obs import IntTelemetry, ObsContext, TraceConfig, WARNING
 from ..runtime.spec import canonical_json
 from ..sim.rng import RngFactory
 from ..workloads.apps import MessageStream, Sink
-from .canary import CanaryRollout
 from .commands import CommandError, TenantPolicy, command_shape
-from .slo import CohortSample, SloThresholds, evaluate_slos, is_gradeable
 
 #: Port every service sink listens on.
 SERVICE_PORT = 5001
@@ -72,10 +70,8 @@ class ServiceConfig:
     sanitize: Optional[bool] = None
     #: Default tenant policy JSON (see TenantPolicy.from_json).
     default_policy: Optional[dict] = None
-    #: SLO threshold overrides (see SloThresholds).
-    slo: Optional[dict] = None
     #: In-band network telemetry (repro.obs.int): stamp per-hop metadata
-    #: at the switch and grade per-hop queue depth as an SLO signal.
+    #: at the switch; epoch reports aggregate per-hop queue depth.
     int_telemetry: bool = False
     #: Chaos: wrap the first host's datapath in a fault chain of this
     #: intensity (0 disables; see repro.experiments.chaos.fault_chain).
@@ -98,6 +94,54 @@ class ServiceConfig:
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def guard_config(self) -> GuardConfig:
+        """Every guard's construction-time config (the kill switch's
+        target for the mutable thresholds)."""
+        return GuardConfig(seed=self.seed)
+
+
+@dataclass
+class CohortSample:
+    """One epoch of the whole fleet: FCTs plus counter deltas."""
+
+    hosts: int
+    fcts: List[float] = field(default_factory=list)
+    arrivals: int = 0
+    packets_egress: int = 0
+    ecn_marks: int = 0
+    escalations: int = 0
+    drops: int = 0
+    #: Per-report bottleneck queue-depth samples (bytes) from the INT
+    #: telemetry views this epoch; empty when INT is off.
+    queue_depths: List[float] = field(default_factory=list)
+
+    @property
+    def p99(self) -> Optional[float]:
+        return _p99(self.fcts)
+
+    @property
+    def queue_p99(self) -> Optional[float]:
+        return _p99(self.queue_depths)
+
+    def to_json(self) -> dict:
+        """Epoch-report form: aggregates only, never the raw FCT list."""
+        return {
+            "hosts": self.hosts,
+            "completed": len(self.fcts),
+            "arrivals": self.arrivals,
+            "p99_fct": self.p99,
+            "packets_egress": self.packets_egress,
+            "ecn_marks": self.ecn_marks,
+            "escalations": self.escalations,
+            "drops": self.drops,
+            "queue_samples": len(self.queue_depths),
+            "queue_p99_bytes": self.queue_p99,
+        }
+
+
+def _p99(samples: List[float]) -> Optional[float]:
+    return percentile(samples, 99) if samples else None
+
 
 class _OpenLoopWorkload:
     """Seeded Poisson message arrivals over persistent MessageStreams.
@@ -106,7 +150,7 @@ class _OpenLoopWorkload:
     arrivals pick a stream and a size from the host's own named RNG
     stream, so adding hosts or reordering construction never perturbs
     another host's arrival process.  FCT records are labelled
-    ``"src>dst"`` so cohort attribution is by *sending* host.
+    ``"src>dst"`` so per-host FCTs belong to the *sending* host.
     """
 
     def __init__(self, service: "Service"):
@@ -148,12 +192,13 @@ class _OpenLoopWorkload:
 class ControlPlane:
     """Declarative intended state + the epoch-boundary command queue.
 
-    The plane owns three pieces of state the datapath cannot reconstruct:
-    the *intended* per-host :class:`TenantPolicy`, the *last-known-good*
-    snapshot (what the kill-switch restores), and the active
-    :class:`CanaryRollout`.  Every command application is all-or-nothing:
-    validation for every named host completes before the first host is
-    touched, and a rejection records the reason and applies nothing.
+    The plane owns the one piece of state the datapath cannot
+    reconstruct: the *intended* per-host :class:`TenantPolicy`.  What
+    the kill switch restores — the boot configuration — is derived from
+    the :class:`ServiceConfig`, so nothing else is kept.  Every command
+    application is all-or-nothing: validation for every named host
+    completes before the first host is touched, and a rejection records
+    the reason and applies nothing.
     """
 
     def __init__(self, service: "Service"):
@@ -161,8 +206,6 @@ class ControlPlane:
         self.default_policy = service.default_policy
         self.intended: Dict[str, TenantPolicy] = {
             addr: service.default_policy for addr in service.vswitches}
-        self.rollout: Optional[CanaryRollout] = None
-        self.rollouts: List[CanaryRollout] = []
         self.log: List[dict] = []
         self._queue: List[tuple] = []
         self._seq = 0
@@ -170,26 +213,6 @@ class ControlPlane:
         #: replay cursor for repro.recovery (a rejection is a visible
         #: side effect too: it lands in the log and on the trace bus).
         self.submitted = 0
-        self.last_known_good = self._snapshot()
-
-    # -- state snapshots ----------------------------------------------------
-    def _snapshot(self) -> dict:
-        guards = {}
-        for addr, guard in self.service.guards.items():
-            cfg = dataclasses.asdict(guard.config)
-            for name in Guard.IMMUTABLE_FIELDS:
-                cfg.pop(name, None)
-            guards[addr] = cfg
-        return {"policies": {a: p.to_json()
-                             for a, p in self.intended.items()},
-                "guards": guards}
-
-    def _mark_known_good(self) -> None:
-        """Fold the current intended state into last-known-good — only
-        outside a canary (a candidate is, by definition, not known good
-        until promoted)."""
-        if self.rollout is None or not self.rollout.active:
-            self.last_known_good = self._snapshot()
 
     # -- queue --------------------------------------------------------------
     def submit(self, raw: object) -> None:
@@ -251,6 +274,9 @@ class ControlPlane:
             return known
         if not isinstance(hosts, list) or not hosts:
             raise CommandError("hosts must be \"all\" or a non-empty list")
+        odd = [h for h in hosts if not isinstance(h, str)]
+        if odd:
+            raise CommandError(f"host names must be strings, got {odd!r}")
         bad = [h for h in hosts if h not in self.intended]
         if bad:
             raise CommandError(f"unknown host(s) {bad!r}")
@@ -267,14 +293,7 @@ class ControlPlane:
             raise CommandError("set_policy requires a policy object")
         policy = TenantPolicy.from_json(raw["policy"])
         addrs = self._resolve_hosts(raw)
-        if self.rollout is not None and self.rollout.active:
-            clash = sorted(set(addrs) & set(self.rollout.cohort))
-            if clash:
-                raise CommandError(
-                    f"host(s) {clash!r} are in an active canary cohort; "
-                    f"abort or wait for the rollout first")
         migrated = sum(self._set_host_policy(a, policy) for a in addrs)
-        self._mark_known_good()
         return {"hosts": addrs, "migrated": migrated}
 
     def _op_set_guard(self, epoch: int, raw: dict) -> dict:
@@ -294,95 +313,22 @@ class ControlPlane:
                                    f"{exc}") from exc
         for addr in addrs:
             self.service.guards[addr].reconfigure(**params)
-        self._mark_known_good()
         return {"hosts": addrs, "params": params}
-
-    def _op_canary_start(self, epoch: int, raw: dict) -> dict:
-        self._check_keys(raw, {"policy", "fraction", "hosts",
-                               "promote_after", "timeout_epochs"})
-        if self.rollout is not None and self.rollout.active:
-            raise CommandError("a canary rollout is already active")
-        if "policy" not in raw:
-            raise CommandError("canary_start requires a candidate policy")
-        candidate = TenantPolicy.from_json(raw["policy"])
-        promote_after = raw.get("promote_after", 3)
-        timeout_epochs = raw.get("timeout_epochs", 8)
-        for name, value in (("promote_after", promote_after),
-                            ("timeout_epochs", timeout_epochs)):
-            if not isinstance(value, int) or value < 1:
-                raise CommandError(f"{name} must be a positive int")
-        if "hosts" in raw:
-            cohort = self._resolve_hosts(raw)
-            if len(cohort) >= len(self.intended):
-                raise CommandError("canary cohort must leave a baseline")
-        else:
-            fraction = raw.get("fraction", 0.25)
-            if not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
-                raise CommandError("fraction must be in (0, 1)")
-            eligible = sorted(self.intended)
-            k = max(1, min(len(eligible) - 1,
-                           round(fraction * len(eligible))))
-            rng = self.service.rngs.stream(f"control.cohort.{epoch}")
-            cohort = sorted(rng.sample(eligible, k))
-        prior = {a: self.intended[a] for a in cohort}
-        for addr in cohort:
-            self._set_host_policy(addr, candidate)
-        self.rollout = CanaryRollout(candidate=candidate, cohort=cohort,
-                                     prior=prior, started_epoch=epoch,
-                                     promote_after=promote_after,
-                                     timeout_epochs=timeout_epochs)
-        self.rollouts.append(self.rollout)
-        self.service.obs.bus.emit("control.canary", component="control",
-                                  state="start", cohort=cohort,
-                                  candidate=candidate.to_json())
-        return {"cohort": cohort}
-
-    def _op_canary_abort(self, epoch: int, raw: dict) -> dict:
-        self._check_keys(raw, set())
-        if self.rollout is None or not self.rollout.active:
-            raise CommandError("no active canary rollout to abort")
-        self.rollout.abort(epoch, "abort")
-        self.apply_rollback(epoch)
-        return {"cohort": self.rollout.cohort}
 
     def _op_kill_switch(self, epoch: int, raw: dict) -> dict:
         self._check_keys(raw, set())
-        if self.rollout is not None and self.rollout.active:
-            self.rollout.abort(epoch, "kill_switch")
-        good = self.last_known_good
-        migrated = 0
-        for addr, pol in good["policies"].items():
-            migrated += self._set_host_policy(addr,
-                                              TenantPolicy.from_json(pol))
-        for addr, cfg in good["guards"].items():
-            self.service.guards[addr].reconfigure(**cfg)
+        migrated = sum(self._set_host_policy(addr, self.default_policy)
+                       for addr in self.intended)
+        boot = dataclasses.asdict(self.service.config.guard_config())
+        for name in Guard.IMMUTABLE_FIELDS:
+            del boot[name]
+        for guard in self.service.guards.values():
+            guard.reconfigure(**boot)
+        hosts = sorted(self.intended)
         self.service.obs.bus.emit(
             "control.rollback", component="control", severity=WARNING,
-            reason="kill_switch", hosts=sorted(good["policies"]))
-        return {"hosts": sorted(good["policies"]), "migrated": migrated}
-
-    # -- canary lifecycle (driven by the service's epoch close) --------------
-    def apply_rollback(self, epoch: int) -> None:
-        """Restore the exact prior policy of every cohort host."""
-        rollout = self.rollout
-        assert rollout is not None and not rollout.active
-        for addr, pol in rollout.prior.items():
-            self._set_host_policy(addr, pol)
-        self.service.obs.bus.emit(
-            "control.rollback", component="control", severity=WARNING,
-            reason=rollout.reason, cohort=rollout.cohort,
-            violations=rollout.violations)
-
-    def apply_promote(self, epoch: int) -> None:
-        """Roll the candidate out fleet-wide and bless it."""
-        rollout = self.rollout
-        assert rollout is not None and rollout.state == "promoted"
-        for addr in sorted(self.intended):
-            if self.intended[addr] != rollout.candidate:
-                self._set_host_policy(addr, rollout.candidate)
-        self._mark_known_good()
-        self.service.obs.bus.emit("control.canary", component="control",
-                                  state="promote", cohort=rollout.cohort)
+            reason="kill_switch", hosts=hosts)
+        return {"hosts": hosts, "migrated": migrated}
 
 
 class Service:
@@ -400,8 +346,7 @@ class Service:
         def guard_factory(host) -> Optional[Guard]:
             if not config.guard:
                 return None
-            guard = self.guards[host.addr] = Guard(
-                GuardConfig(seed=config.seed))
+            guard = self.guards[host.addr] = Guard(config.guard_config())
             return guard
 
         tb = Testbed(
@@ -435,7 +380,6 @@ class Service:
         self.control = ControlPlane(self)
         for raw in schedule or []:
             self.control.submit(raw)
-        self.slo = SloThresholds(**(config.slo or {}))
         self._prev_counters = self._counters_now()
         self._prev_arrivals = dict(self.workload.arrivals)
         self._prev_t = 0.0
@@ -462,77 +406,38 @@ class Service:
             }
         return out
 
-    def _drain_queue_samples(self) -> Dict[str, List[float]]:
-        """New INT bottleneck queue-depth samples since the last epoch,
-        grouped by *sending* host (cohort attribution is by sender,
-        same as FCT labels).  Empty when INT is off."""
-        out: Dict[str, List[float]] = {}
+    def _drain_queue_samples(self) -> List[float]:
+        """New INT bottleneck queue-depth samples since the last epoch.
+        Empty when INT is off."""
+        out: List[float] = []
         tel = self.int_tel
         if tel is None:
             return out
         for key, view in tel.views().items():
             samples = view.q_samples
-            start = self._prev_q_idx.get(key, 0)
-            if len(samples) > start:
-                out.setdefault(key[0], []).extend(samples[start:])
+            out.extend(samples[self._prev_q_idx.get(key, 0):])
             self._prev_q_idx[key] = len(samples)
         return out
 
-    def _cohort_sample(self, addrs: List[str], now: Dict[str, dict],
-                       fcts_by_host: Dict[str, List[float]],
-                       arrivals: Dict[str, int],
-                       queues_by_host: Dict[str, List[float]]) -> CohortSample:
-        sample = CohortSample(hosts=len(addrs))
-        for addr in addrs:
-            delta = {k: now[addr][k] - self._prev_counters[addr][k]
-                     for k in now[addr]}
+    def _close_epoch(self, epoch: int, t_end: float) -> dict:
+        now = self._counters_now()
+        sample = CohortSample(hosts=len(now))
+        for addr, counters in now.items():
+            delta = {k: v - self._prev_counters[addr][k]
+                     for k, v in counters.items()}
             sample.packets_egress += delta["packets_egress"]
             sample.ecn_marks += delta["ecn_marks"]
             sample.escalations += delta["escalations"]
             sample.drops += delta["drops"]
-            sample.arrivals += arrivals[addr] - self._prev_arrivals[addr]
-            sample.fcts.extend(fcts_by_host.get(addr, []))
-            sample.queue_depths.extend(queues_by_host.get(addr, []))
-        sample.fcts.sort()
-        sample.queue_depths.sort()
-        return sample
-
-    def _close_epoch(self, epoch: int, t_end: float) -> dict:
-        now = self._counters_now()
-        arrivals = dict(self.workload.arrivals)
-        queues = self._drain_queue_samples()
-        fcts_by_host: Dict[str, List[float]] = {}
-        for record in self.workload.recorder.records:
-            if record.end is None or not self._prev_t < record.end <= t_end:
-                continue
-            fcts_by_host.setdefault(record.label.split(">", 1)[0],
-                                    []).append(record.fct)
-        report: dict = {"epoch": epoch, "t_end": t_end}
-        control = self.control
-        rollout = control.rollout
-        if rollout is not None and rollout.active:
-            baseline_addrs = [a for a in sorted(self.vswitches)
-                              if a not in rollout.cohort]
-            canary = self._cohort_sample(rollout.cohort, now,
-                                         fcts_by_host, arrivals, queues)
-            baseline = self._cohort_sample(baseline_addrs, now,
-                                           fcts_by_host, arrivals, queues)
-            violations = evaluate_slos(canary, baseline, self.slo)
-            action = rollout.tick(epoch, violations,
-                                  is_gradeable(canary, self.slo))
-            if action == "rollback":
-                control.apply_rollback(epoch)
-            elif action == "promote":
-                control.apply_promote(epoch)
-            report["cohorts"] = {"canary": canary.to_json(),
-                                 "baseline": baseline.to_json()}
-            report["violations"] = violations
-            report["canary"] = {"state": rollout.state, "action": action}
-        else:
-            everyone = self._cohort_sample(sorted(self.vswitches), now,
-                                           fcts_by_host, arrivals, queues)
-            report["cohorts"] = {"all": everyone.to_json()}
-        report["commands"] = control.drain(epoch)
+            sample.arrivals += (self.workload.arrivals[addr]
+                                - self._prev_arrivals[addr])
+        sample.fcts = [
+            record.fct for record in self.workload.recorder.records
+            if record.end is not None and self._prev_t < record.end <= t_end]
+        sample.queue_depths = self._drain_queue_samples()
+        report = {"epoch": epoch, "t_end": t_end,
+                  "cohorts": {"all": sample.to_json()},
+                  "commands": self.control.drain(epoch)}
         self._prev_counters = self._counters_now()
         self._prev_arrivals = dict(self.workload.arrivals)
         self._prev_t = t_end
@@ -574,28 +479,15 @@ class Service:
 
     def _result(self, reports: List[dict]) -> dict:
         recorder = self.workload.recorder
+        addrs = sorted(self.vswitches)
         per_host: Dict[str, dict] = {}
-        for addr in sorted(self.vswitches):
-            fcts = sorted(recorder.fcts(label_prefix=f"{addr}>"))
-            per_host[addr] = {
-                "completed": len(fcts),
-                "p99": (CohortSample(hosts=1, fcts=fcts).p99
-                        if fcts else None),
-            }
-        cohorts = {}
-        last = self.control.rollouts[-1] if self.control.rollouts else None
-        groups = ({"canary": list(last.cohort),
-                   "conforming": [a for a in sorted(self.vswitches)
-                                  if a not in last.cohort]}
-                  if last is not None
-                  else {"all": sorted(self.vswitches)})
-        for name, addrs in groups.items():
-            fcts = sorted(f for a in addrs
-                          for f in recorder.fcts(label_prefix=f"{a}>"))
-            cohorts[name] = {"hosts": addrs, "completed": len(fcts),
-                             "p99": (CohortSample(hosts=len(addrs),
-                                                  fcts=fcts).p99
-                                     if fcts else None)}
+        fleet: List[float] = []
+        for addr in addrs:
+            fcts = recorder.fcts(label_prefix=f"{addr}>")
+            fleet.extend(fcts)
+            per_host[addr] = {"completed": len(fcts), "p99": _p99(fcts)}
+        cohorts = {"all": {"hosts": addrs, "completed": len(fleet),
+                           "p99": _p99(fleet)}}
         counters = {
             "migrations": sum(v.ops.snapshot().get("flow_migrate", 0)
                               for v in self.vswitches.values()),
@@ -613,7 +505,6 @@ class Service:
             "config": self.config.to_json(),
             "epochs": reports,
             "commands": self.control.log,
-            "canary": last.to_json() if last is not None else {"state": "idle"},
             "policies": {a: p.to_json()
                          for a, p in self.control.intended.items()},
             "fct": {"per_host": per_host, "cohorts": cohorts},

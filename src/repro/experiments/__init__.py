@@ -37,7 +37,6 @@ EXPERIMENTS = {
         ("int-attribution", "int_attribution:run"),
         ("chaos", "chaos:run"),
         ("adversarial", "adversarial:run"),
-        ("canary", "canary:run"),
         ("gameday", "gameday:run"),
         ("ablation-policing", "ablations:run_policing"),
         ("ablation-feedback", "ablations:run_feedback_modes"),

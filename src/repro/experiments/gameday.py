@@ -3,8 +3,9 @@
 One seeded service run composes the stack's failure handling end to
 end — fault injectors on a host's wire, an adversarial tenant ignoring
 RWND, the runtime invariant sanitizer armed, guards attached — while
-the control plane hot-reloads guard thresholds, stages (and rolls
-back) a bad canary, and finally pulls the kill-switch.  The assertion
+the control plane hot-reloads guard thresholds, clamps one host's
+RWND, rejects a malformed command, and finally pulls the kill switch
+back to the boot configuration.  The assertion
 is not a performance number: it is that the composed system *completes
 cleanly* (no sanitizer violation, no wedged flows, no partial command
 application) and that the whole ordeal is deterministic (the trace
@@ -27,14 +28,14 @@ FAULT_INTENSITY = 0.005
 
 
 def gameday_schedule(epochs: int) -> List[dict]:
-    """Hot guard reload, a doomed canary, a malformed command (must be
-    rejected, not partially applied), and the kill-switch."""
+    """Hot guard reload, an RWND clamp the kill switch later reverts, a
+    malformed command (must be rejected, not partially applied), and the
+    kill switch."""
     return [
         {"epoch": 0, "op": "set_guard",
          "params": {"suspect_violation_rate": 0.2, "clean_windows": 4}},
-        {"epoch": 1, "op": "canary_start",
-         "policy": {"max_rwnd": 1460}, "fraction": 0.25,
-         "timeout_epochs": 3},
+        {"epoch": 1, "op": "set_policy", "hosts": ["h2"],
+         "policy": {"max_rwnd": 1460}},
         {"epoch": 1, "op": "set_policy",
          "policy": {"algorithm": "warp-speed"}},      # must be rejected
         {"epoch": max(1, epochs - 2), "op": "kill_switch"},

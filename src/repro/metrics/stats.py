@@ -29,9 +29,9 @@ def _percentile_sorted(ordered: Sequence[float], p: float) -> float:
     """:func:`percentile` over an **already-sorted** sample set.
 
     The sorted-input fast path for callers that compute several
-    percentiles of one distribution (``summarize`` sits on the per-epoch
-    p99-FCT canary/SLO gating hot path; re-sorting the same list once
-    per percentile is pure waste).  Inputs are assumed validated.
+    percentiles of one distribution (``summarize`` reports p50, p95,
+    p99 and p999 of one series; re-sorting the same list once per
+    percentile is pure waste).  Inputs are assumed validated.
     """
     if len(ordered) == 1:
         return ordered[0]

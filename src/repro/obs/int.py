@@ -21,8 +21,8 @@ datapath (DESIGN.md §16):
   tracks the path signature, the bottleneck hop (argmax queue depth),
   the queue-depth series and the per-hop latency decomposition.  It is
   the read hook handed to ``vswitch_cc.on_int_report`` (consumer stub
-  for now) and the per-hop queue-depth source the canary SLO engine
-  grades (``repro.control.slo``).
+  for now) and the per-hop queue-depth source of the service's epoch
+  reports (``repro.control.service``).
 * :class:`IntTelemetry` — the run-level context wiring all of the
   above, plus the monotonic run-global counters the metric registry
   snapshots (flow entries are garbage-collected; run totals must not
@@ -294,8 +294,8 @@ class IntSink:
 class TelemetryView:
     """Sender-role per-flow telemetry (``FlowEntry.int_view``).
 
-    The read surface for ``vswitch_cc.on_int_report`` and the SLO
-    engine: latest path, bottleneck hop, queue-depth series, per-hop
+    The read surface for ``vswitch_cc.on_int_report`` and the service's
+    epoch reports: latest path, bottleneck hop, queue-depth series, per-hop
     residence decomposition.  ``q_samples`` grows one entry per valid
     report (bounded by the run's report count, like an FCT series);
     epoch consumers read deltas by index.

@@ -68,10 +68,9 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # Sanitizer violations and flight-recorder dumps.
     "sanitizer.violation": ("invariant",),
     "flight.dump": ("path",),
-    # Control plane (repro.control): command dispositions, canary state
-    # transitions, and rollbacks (with the violating SLO deltas).
+    # Control plane (repro.control): command dispositions and kill-switch
+    # rollbacks to the boot configuration.
     "control.command": ("op", "status"),
-    "control.canary": ("state",),
     "control.rollback": ("reason",),
     # Experiment runtime: a cache entry that failed to parse (treated as
     # a miss; the cell re-runs and overwrites it).

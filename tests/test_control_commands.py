@@ -28,6 +28,8 @@ def test_tenant_policy_round_trips():
     ({"beta": 7.0}, "invalid policy"),
     ({"max_rwnd": -4}, "invalid policy"),
     ({"algorithm": "dctcp", "extra": 1}, "unknown policy field"),
+    ({"max_rwnd": True}, "invalid policy"),
+    ({"max_rwnd": 1460.5}, "invalid policy"),
 ])
 def test_tenant_policy_rejections(raw, fragment):
     with pytest.raises(CommandError, match=fragment):
@@ -98,18 +100,18 @@ def test_set_policy_applies_to_named_hosts_only():
     assert svc.vswitches["h2"].policy.default.max_rwnd == 9000
 
 
-def test_set_policy_conflicts_with_active_canary_cohort():
+@pytest.mark.parametrize("hosts", [[{"x": 1}], [["h1"]], ["h1", 2]])
+def test_non_string_host_is_rejected_and_later_commands_apply(hosts):
     svc = tiny_service()
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {"max_rwnd": 9000}, "hosts": ["h3"]})
-    svc.control.drain(0)
-    svc.control.submit({"epoch": 1, "op": "set_policy", "hosts": ["h3"],
+    svc.control.submit({"epoch": 0, "op": "set_policy", "hosts": hosts,
+                        "policy": {"max_rwnd": 9000}})
+    svc.control.submit({"epoch": 0, "op": "set_policy", "hosts": ["h2"],
                         "policy": {"beta": 0.5}})
-    svc.control.submit({"epoch": 1, "op": "set_policy", "hosts": ["h1"],
-                        "policy": {"beta": 0.5}})
-    clash, ok = svc.control.drain(1)
-    assert clash["status"] == "rejected" and "canary" in clash["reason"]
+    bad, ok = svc.control.drain(0)
+    assert bad["status"] == "rejected" and "strings" in bad["reason"]
     assert ok["status"] == "applied"
+    assert svc.control.intended["h1"].max_rwnd is None
+    assert svc.control.intended["h2"].beta == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -154,75 +156,30 @@ def test_set_guard_is_all_or_nothing(params):
 
 
 # ---------------------------------------------------------------------------
-# canary_start / canary_abort / kill_switch
+# kill_switch
 # ---------------------------------------------------------------------------
 
-def test_canary_start_validation():
-    svc = tiny_service()
-    svc.control.submit({"epoch": 0, "op": "canary_start"})
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {}, "fraction": 1.5})
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {}, "hosts": ["h1", "h2", "h3", "h4"]})
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {}, "promote_after": 0})
-    outcomes = svc.control.drain(0)
-    assert [o["status"] for o in outcomes] == ["rejected"] * 4
-    reasons = " | ".join(o["reason"] for o in outcomes)
-    assert "candidate policy" in reasons and "fraction" in reasons
-    assert "baseline" in reasons and "promote_after" in reasons
-
-
-def test_second_canary_while_active_is_rejected():
-    svc = tiny_service()
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {"max_rwnd": 9000}, "fraction": 0.25})
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {"max_rwnd": 5000}, "fraction": 0.25})
-    first, second = svc.control.drain(0)
-    assert first["status"] == "applied"
-    assert second["status"] == "rejected"
-    assert "already active" in second["reason"]
-
-
-def test_canary_abort_without_rollout_is_rejected():
-    svc = tiny_service()
-    svc.control.submit({"epoch": 0, "op": "canary_abort"})
-    (outcome,) = svc.control.drain(0)
-    assert outcome["status"] == "rejected"
-    assert "no active canary" in outcome["reason"]
-
-
-def test_canary_abort_restores_prior_policy():
-    svc = tiny_service()
-    svc.control.submit({"epoch": 0, "op": "canary_start",
-                        "policy": {"max_rwnd": 9000}, "hosts": ["h2"]})
+def test_kill_switch_reverts_policy_and_guard_state():
+    svc = tiny_service(guard=True, default_policy={"beta": 0.8})
+    boot = svc.config.guard_config()
+    svc.control.submit({"epoch": 0, "op": "set_guard",
+                        "params": {"clean_windows": 9,
+                                   "suspect_violation_rate": 0.1}})
+    svc.control.submit({"epoch": 0, "op": "set_policy", "hosts": ["h1"],
+                        "policy": {"algorithm": "reno", "max_rwnd": 9000}})
     svc.control.drain(0)
-    assert svc.control.intended["h2"].max_rwnd == 9000
-    svc.control.submit({"epoch": 1, "op": "canary_abort"})
+    assert svc.control.intended["h1"].max_rwnd == 9000
+    svc.control.submit({"epoch": 1, "op": "kill_switch"})
     (outcome,) = svc.control.drain(1)
     assert outcome["status"] == "applied"
-    assert svc.control.rollout.state == "rolled_back"
-    assert svc.control.rollout.reason == "abort"
-    assert svc.control.intended["h2"].max_rwnd is None
-
-
-def test_kill_switch_reverts_policy_and_guard_state():
-    svc = tiny_service(guard=True)
-    svc.control.submit({"epoch": 0, "op": "set_guard",
-                        "params": {"clean_windows": 9}})
-    svc.control.drain(0)
-    # clean_windows=9 was applied outside a canary: it IS known-good now.
-    svc.control.submit({"epoch": 1, "op": "canary_start",
-                        "policy": {"max_rwnd": 9000}, "hosts": ["h1"]})
-    svc.control.drain(1)
-    svc.control.submit({"epoch": 2, "op": "kill_switch"})
-    (outcome,) = svc.control.drain(2)
-    assert outcome["status"] == "applied"
-    assert svc.control.rollout.state == "rolled_back"
-    assert svc.control.rollout.reason == "kill_switch"
-    assert all(p.max_rwnd is None for p in svc.control.intended.values())
-    assert all(g.config.clean_windows == 9 for g in svc.guards.values())
+    # Back to the boot configuration, not to the last applied command.
+    boot_policy = TenantPolicy(beta=0.8)
+    assert all(p == boot_policy for p in svc.control.intended.values())
+    assert svc.vswitches["h1"].policy.default.max_rwnd is None
+    for guard in svc.guards.values():
+        assert guard.config.clean_windows == boot.clean_windows
+        assert guard.config.suspect_violation_rate == \
+            boot.suspect_violation_rate
     rollbacks = [r for r in svc.obs.bus.records()
                  if r["type"] == "control.rollback"]
     assert rollbacks and rollbacks[-1]["reason"] == "kill_switch"

@@ -1,136 +1,64 @@
-"""Canary/recovery interplay: rollout state must survive snapshot/restore.
+"""Control/recovery interplay: mutated state must survive snapshot/restore.
 
-A checkpoint lands *mid-rollout* whenever a service is snapshotted while
-a canary is in flight.  The rollout's bookkeeping — the consecutive
-healthy streak (reset by ungradeable epochs), the timeout counter, the
-recorded prior policies, the last-known-good config — is exactly the
-state a naive recovery design would lose; these tests pin each piece
-through a pickle round-trip and through the full
-:class:`~repro.recovery.DurableService` restore path.
+A checkpoint lands *between mutations* whenever a service is snapshotted
+after a guard reload and a policy migration but before a queued kill
+switch fires.  The state at risk is the intended per-host policy, each
+guard's live thresholds, the migrated flows' vSwitch CC state and the
+kill switch still waiting in the queue — exactly what a naive recovery
+design would lose.  These tests restore through the full
+:class:`~repro.recovery.DurableService` path and compare against the
+same run executed uninterrupted.
 """
 
-import pickle
-
-from repro.control import Service, ServiceConfig
-from repro.control.canary import CanaryRollout, TenantPolicy
-from repro.experiments import canary as canary_experiment
+from repro.control import Service, ServiceConfig, TenantPolicy
 from repro.recovery import DurableService
 from repro.runtime.spec import canonical_json
 
-
-def canon(result) -> str:
-    return canonical_json(result)
-
-
-# ---------------------------------------------------------------------------
-# State machine through a snapshot (pure unit)
-# ---------------------------------------------------------------------------
-
-def test_ungradeable_streak_state_survives_pickle():
-    rollout = CanaryRollout(candidate=TenantPolicy(max_rwnd=1460),
-                            cohort=["h1"], prior={"h1": TenantPolicy()},
-                            started_epoch=2, promote_after=2,
-                            timeout_epochs=4)
-    rollout.tick(2, [], gradeable=True)    # streak = 1
-    rollout.tick(3, [], gradeable=False)   # ungradeable: streak resets
-
-    clone = pickle.loads(pickle.dumps(rollout))
-    assert clone.healthy_epochs == 0
-    assert clone.graded_epochs == 1
-    assert clone.active
-
-    # Both copies must walk the identical path from here: one more
-    # gradeable epoch is NOT enough (the streak restarted), and the
-    # timeout then fires on the 4th canary epoch.
-    for r in (rollout, clone):
-        assert r.tick(4, [], gradeable=True) == "hold"
-        assert r.tick(5, [], gradeable=False) == "rollback"
-        assert r.reason == "timeout"
-    assert rollout.to_json() == clone.to_json()
+CONFIG = dict(n_hosts=4, epoch_s=0.01, arrival_rate_hz=400.0, peers=2,
+              seed=7, guard=True)
+#: Guard reload at epoch 0, algorithm-swap migration at epoch 1, and a
+#: kill switch still pending at the epoch-2 snapshot.
+SCHEDULE = [
+    {"epoch": 0, "op": "set_guard",
+     "params": {"clean_windows": 9, "suspect_violation_rate": 0.1}},
+    {"epoch": 1, "op": "set_policy", "hosts": ["h2", "h4"],
+     "policy": {"algorithm": "reno"}},
+    {"epoch": 3, "op": "kill_switch"},
+]
+EPOCHS = 5
 
 
-def test_rolled_back_state_survives_pickle():
-    rollout = CanaryRollout(candidate=TenantPolicy(max_rwnd=1460),
-                            cohort=["h1"], prior={"h1": TenantPolicy()},
-                            started_epoch=2)
-    deltas = [{"slo": "p99_fct", "canary": 9.0, "baseline": 1.0,
-               "limit": 2.0}]
-    rollout.tick(2, deltas, gradeable=True)
-    clone = pickle.loads(pickle.dumps(rollout))
-    assert clone.state == "rolled_back"
-    assert clone.reason == "slo_violation"
-    assert clone.violations == deltas
-    assert clone.prior["h1"].to_json() == TenantPolicy().to_json()
-
-
-# ---------------------------------------------------------------------------
-# Full service: snapshot mid-rollout, restore, identical verdicts
-# ---------------------------------------------------------------------------
-
-STARVED = dict(n_hosts=4, epoch_s=0.01, arrival_rate_hz=100.0, peers=1,
-               msg_sizes=[16_384], msg_weights=[1], seed=7)
-STARVED_SCHEDULE = [{"epoch": 0, "op": "canary_start",
-                     "policy": {"beta": 0.9}, "hosts": ["h4"],
-                     "timeout_epochs": 3}]
-
-
-def test_ungradeable_canary_times_out_identically_after_restore(tmp_path):
-    # Every epoch is ungradeable (arrival starvation), so the rollout is
-    # pure streak/timeout bookkeeping — the state most at risk.
-    baseline = Service(ServiceConfig(**STARVED),
-                       schedule=STARVED_SCHEDULE).run(6)
-    assert baseline["canary"]["reason"] == "timeout"
-
-    victim = DurableService(config=STARVED, schedule=STARVED_SCHEDULE,
-                            root=tmp_path)
-    victim.advance()  # snapshot at epoch 1: rollout mid-flight
-    victim.close()
-
-    resumed = DurableService(root=tmp_path)
-    rollout = resumed.service.control.rollout
-    assert rollout is not None and rollout.active
-    result = resumed.run(6)
-    resumed.close()
-    assert canon(result) == canon(baseline)
-    assert result["canary"]["state"] == "rolled_back"
-    assert result["canary"]["ended_epoch"] == 2
-
-
-def test_slo_rollback_fires_identically_after_restore(tmp_path):
-    config = dict(n_hosts=6, epoch_s=0.02, seed=1)
-    schedule = [{"epoch": 1, "op": "canary_start",
-                 "policy": {"max_rwnd": canary_experiment.BAD_MAX_RWND},
-                 "fraction": 0.25}]
-    baseline = Service(ServiceConfig(**config), schedule=schedule).run(5)
-    assert baseline["canary"]["state"] == "rolled_back"
-
-    victim = DurableService(config=config, schedule=schedule, root=tmp_path)
+def interrupted(tmp_path) -> DurableService:
+    """A supervisor killed after epochs 0–1 and restored from disk."""
+    victim = DurableService(config=CONFIG, schedule=SCHEDULE, root=tmp_path)
     victim.advance()
-    victim.advance()  # snapshot at epoch 2: canary staged, verdict pending
+    victim.advance()  # snapshot at epoch 2: both mutations in, kill pending
     victim.close()
+    return DurableService(root=tmp_path)
 
-    resumed = DurableService(root=tmp_path)
-    result = resumed.run(5)
+
+def test_restore_between_migration_and_kill_switch_is_byte_identical(
+        tmp_path):
+    baseline = Service(ServiceConfig(**CONFIG), schedule=SCHEDULE).run(EPOCHS)
+    resumed = interrupted(tmp_path)
+    result = resumed.run(EPOCHS)
     resumed.close()
-    assert canon(result) == canon(baseline)
-    assert result["canary"]["reason"] == "slo_violation"
+    assert canonical_json(result) == canonical_json(baseline)
+    assert result["counters"]["migrations"] > 0
+    assert [c["status"] for c in result["commands"]] == ["applied"] * 3
 
 
-def test_last_known_good_survives_restore(tmp_path):
-    # Promotion updates last-known-good; a restore must carry it so the
-    # kill switch keeps restoring the *blessed* config, not the ancient
-    # prior.
-    config = dict(n_hosts=4, epoch_s=0.02, arrival_rate_hz=400.0,
-                  peers=2, seed=7)
-    schedule = [{"epoch": 0, "op": "canary_start", "policy": {"beta": 0.8},
-                 "hosts": ["h2"], "promote_after": 2}]
-    supervisor = DurableService(config=config, schedule=schedule,
-                                root=tmp_path)
-    result = supervisor.run(4)
-    assert result["canary"]["state"] == "promoted"
-    supervisor.close()
+def test_restored_service_keeps_mutations_and_kill_switch_reverts(tmp_path):
+    resumed = interrupted(tmp_path)
+    service = resumed.service
+    assert service.control.intended["h2"].algorithm == "reno"
+    assert service.vswitches["h4"].policy.default.algorithm == "reno"
+    assert all(g.config.clean_windows == 9 for g in service.guards.values())
 
-    resumed = DurableService(root=tmp_path)
-    lkg = resumed.service.control.last_known_good
+    result = resumed.run(EPOCHS)
     resumed.close()
-    assert lkg["policies"]["h1"]["beta"] == 0.8
+    boot = service.config.guard_config()
+    assert all(p == TenantPolicy().to_json()
+               for p in result["policies"].values())
+    assert all(g.config.clean_windows == boot.clean_windows
+               for g in resumed.service.guards.values())

@@ -21,7 +21,6 @@ def test_gameday_completes_cleanly_and_deterministically():
         assert per_seed["commands_applied"] == 3
         assert inner["config"]["sanitize"] is True
         assert inner["counters"]["completed"] > 0
-        assert inner["canary"]["state"] == "rolled_back"
     # Stable event signature: a serial re-run of the same cell produces
     # the identical trace hash the pooled run produced.
     serial = gameday_cell(seed=0, epochs=4, n_hosts=4)
@@ -35,5 +34,5 @@ def test_gameday_flows_survive_the_ordeal():
     # flaps, an RWND-ignoring tenant and two policy swings.
     assert inner["counters"]["completed"] >= \
         0.5 * inner["counters"]["arrivals"]
-    # The kill switch left every host on last-known-good.
+    # The kill switch left every host on the boot policy.
     assert all(p["max_rwnd"] is None for p in inner["policies"].values())

@@ -10,14 +10,13 @@ The contracts under test, per DESIGN.md §16:
   events and the packets never grow metadata;
 * byte-identity — an INT-enabled cell replayed through the serial, pool
   and cache runtime paths returns byte-identical telemetry;
-* SLO integration — per-hop queue-depth p99 grades a canary cohort, and
-  only when both cohorts actually carried INT samples.
+* service epoch reports — each epoch's fleet aggregate carries the INT
+  views' new queue-depth samples and their p99.
 """
 
 import pytest
 
-from repro.control.service import Service, ServiceConfig
-from repro.control.slo import CohortSample, SloThresholds, evaluate_slos
+from repro.control.service import CohortSample, Service, ServiceConfig
 from repro.core import AcdcVswitch
 from repro.experiments.common import ACDC
 from repro.experiments.runners import run_incast
@@ -367,45 +366,12 @@ def test_attribution_experiment_flips_with_topology():
 
 
 # ---------------------------------------------------------------------------
-# SLO integration
+# Service epoch reports
 # ---------------------------------------------------------------------------
 def _cohort(fcts=8, queues=None):
     sample = CohortSample(hosts=2, fcts=[0.001] * fcts, arrivals=fcts)
     sample.queue_depths = list(queues or [])
     return sample
-
-
-def test_queue_p99_violation_detected():
-    slo = SloThresholds(queue_p99_ratio=2.0, queue_p99_floor_bytes=1000.0)
-    canary = _cohort(queues=[50_000.0] * 10)
-    baseline = _cohort(queues=[10_000.0] * 10)
-    violations = evaluate_slos(canary, baseline, slo)
-    assert [v["slo"] for v in violations] == ["int_queue_p99"]
-    assert violations[0]["limit"] == pytest.approx(20_000.0)
-
-
-def test_queue_p99_is_vacuous_without_samples_on_both_sides():
-    slo = SloThresholds(queue_p99_ratio=1.0)
-    # INT off everywhere, canary dark, baseline dark: never graded.
-    for canary_q, baseline_q in (([], []), ([], [1.0]), ([9e9], [])):
-        violations = evaluate_slos(_cohort(queues=canary_q),
-                                   _cohort(queues=baseline_q), slo)
-        assert violations == []
-
-
-def test_queue_p99_floor_suppresses_noise():
-    slo = SloThresholds(queue_p99_ratio=2.0, queue_p99_floor_bytes=30_000.0)
-    canary = _cohort(queues=[50_000.0])   # under floor * ratio
-    baseline = _cohort(queues=[100.0])
-    assert evaluate_slos(canary, baseline, slo) == []
-
-
-def test_slo_threshold_validation():
-    with pytest.raises(ValueError):
-        SloThresholds(queue_p99_ratio=0.5)
-    with pytest.raises(ValueError):
-        SloThresholds(queue_p99_floor_bytes=-1.0)
-    assert SloThresholds().to_json()["queue_p99_ratio"] == 3.0
 
 
 def test_cohort_sample_reports_queue_aggregates():

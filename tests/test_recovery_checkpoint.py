@@ -32,7 +32,7 @@ CONFIG = dict(n_hosts=4, epoch_s=0.01, arrival_rate_hz=400.0,
 SCHEDULE = [
     {"epoch": 1, "op": "set_policy", "hosts": ["h1"],
      "policy": {"max_rwnd": 2920}},
-    {"epoch": 2, "op": "canary_start", "hosts": ["h2"],
+    {"epoch": 2, "op": "set_policy", "hosts": ["h2"],
      "policy": {"algorithm": "reno"}},
 ]
 

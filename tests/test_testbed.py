@@ -18,13 +18,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 CLI_NAMES = """
 fig01 fig02 fig06 fig08 parking-lot fig09 fig10 fig11-12 fig13 table1
 fig14 fig15-16 fig17 fig18-19 fig20 fig21 fig22 fig23 hybrid
-int-attribution chaos adversarial canary gameday ablation-policing
+int-attribution chaos adversarial gameday ablation-policing
 ablation-feedback ablation-ecn-hiding ablation-floor
 """.split()
 
 
 def test_registry_entries_resolve_and_list_is_unchanged(capsys):
-    assert list(EXPERIMENTS) == CLI_NAMES and len(CLI_NAMES) == 28
+    assert list(EXPERIMENTS) == CLI_NAMES and len(CLI_NAMES) == 27
     for name, ref in EXPERIMENTS.items():
         assert callable(resolve(ref)), name
     assert main(["list"]) == 0
