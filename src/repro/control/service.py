@@ -31,11 +31,11 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..core import AcdcConfig, AcdcVswitch
-from ..experiments.common import ACDC, Testbed
+from ..experiments.common import ACDC, Taps, Testbed
+from ..experiments.scenario import Scenario
 from ..guard import Guard, GuardConfig
 from ..metrics.collectors import FaultRecorder, FctRecorder
 from ..metrics.stats import percentile
-from ..net.topology import star
 from ..obs import IntTelemetry, ObsContext, TraceConfig, WARNING
 from ..runtime.spec import canonical_json
 from ..sim.rng import RngFactory
@@ -341,25 +341,20 @@ class Service:
         self.fault_recorder = FaultRecorder()
         self.default_policy = TenantPolicy.from_json(
             config.default_policy or {})
-        self.guards: Dict[str, Guard] = {}
-
-        def guard_factory(host) -> Optional[Guard]:
-            if not config.guard:
-                return None
-            guard = self.guards[host.addr] = Guard(config.guard_config())
-            return guard
-
+        guards = tuple((f"h{i + 1}", config.guard_config())
+                       for i in range(config.n_hosts)) if config.guard else ()
+        # The service slices the simulation itself, one epoch at a time.
         tb = Testbed(
-            ACDC, star, rate_bps=config.rate_bps,
-            obs=ObsContext(config=TraceConfig(sample={
+            Scenario(ACDC, "star", config.n_hosts, config.epoch_s,
+                     config.rate_bps, config.mtu, config.seed,
+                     acdc=AcdcConfig(sanitize=config.sanitize), guards=guards),
+            Taps(obs=ObsContext(config=TraceConfig(sample={
                 "ecn.mark": 64, "buffer.occupancy": 256,
                 "rwnd.rewrite": 64})),
-            int_tel=IntTelemetry() if config.int_telemetry else None,
-            acdc_config=AcdcConfig(sanitize=config.sanitize),
-            guard_factory=guard_factory, n_hosts=config.n_hosts,
-            mtu=config.mtu, seed=config.seed)
+                int_tel=IntTelemetry() if config.int_telemetry else None))
         self.sim, self.obs, self.topo = tb.sim, tb.obs, tb.topology
         self.hosts, self.switch = tb.parts
+        self.guards: Dict[str, Guard] = tb.guards
         self.vswitches: Dict[str, AcdcVswitch] = tb.vswitches
         self.int_tel: Optional[IntTelemetry] = tb.int_tel
         # Every vSwitch was built with a PolicyEngine of its own: the

@@ -10,7 +10,7 @@ rule list against the 5-tuple at flow setup, falling back to a default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..net.packet import FlowKey
 from .priority import validate_beta
@@ -93,9 +93,15 @@ class DstPrefixMatcher:
 class PolicyEngine:
     """First-match rule table over flow 5-tuples."""
 
-    def __init__(self, default: Optional[FlowPolicy] = None):
+    def __init__(self, default: Optional[FlowPolicy] = None,
+                 rules: Sequence[Tuple[Matcher, FlowPolicy]] = ()):
         self.default = default if default is not None else FlowPolicy()
-        self._rules: List[Tuple[Matcher, FlowPolicy]] = []
+        self._rules: List[Tuple[Matcher, FlowPolicy]] = list(rules)
+
+    @property
+    def rules(self) -> Tuple[Tuple[Matcher, FlowPolicy], ...]:
+        """The rule table, first match first."""
+        return tuple(self._rules)
 
     def add_rule(self, matcher: Matcher, policy: FlowPolicy) -> None:
         """Append a rule; earlier rules win."""

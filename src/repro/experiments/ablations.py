@@ -15,14 +15,14 @@ These are not paper figures; they probe the knobs DESIGN.md lists:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 from ..core import AcdcConfig
 from ..metrics import jain_index, percentile
 from ..net.packet import mss_for_mtu
-from ..net.topology import dumbbell
-from .common import ACDC, DATA_PORT, DCTCP, MICRO_RATE, Scheme, Testbed
-from .runners import run_dumbbell, run_incast
+from .common import ACDC, DCTCP, MICRO_RATE, Scheme, Testbed
+from .runners import dumbbell_scenario, run_dumbbell, run_incast
 
 
 # ----------------------------------------------------------------------
@@ -45,15 +45,11 @@ def run_policing(duration: float = 0.8, mtu: int = 9000,
 
 def _run_with_cheater(config: AcdcConfig, duration: float, mtu: int,
                       seed: int) -> dict:
-    tb = Testbed(ACDC, dumbbell, rate_bps=MICRO_RATE, acdc_config=config,
-                 pairs=5, mtu=mtu, seed=seed)
-    senders, receivers = tb.parts
-    for i in range(5):
-        opts = ACDC.conn_opts()
-        if i == 0:
-            opts["ignore_rwnd"] = True  # the cheater
-        tb.bulk(senders[i], receivers[i], DATA_PORT, opts)
-    r = tb.run(duration)
+    fair = dumbbell_scenario(ACDC, pairs=5, duration=duration, mtu=mtu,
+                             rate_bps=MICRO_RATE, seed=seed, rtt_probe=False,
+                             acdc_config=config)
+    cheater = replace(fair.flows[0], ignore_rwnd=True)
+    r = Testbed(replace(fair, flows=(cheater,) + fair.flows[1:])).run()
     tputs = [f.bytes_acked * 8 / duration / 1e9 for f in r.flows]
     policer_drops = sum(v.policer.drops for v in r.vswitches.values())
     return {

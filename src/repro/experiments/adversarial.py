@@ -28,14 +28,15 @@ lowest-priority-first load shedding, and traffic keeps flowing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..faults import EcnBleach, OptionStrip, install_faults
-from ..guard import Guard, GuardConfig
-from ..metrics import EventLog, FaultRecorder, jain_index
-from ..net.topology import star
+from ..guard import GuardConfig
+from ..metrics import EventLog, jain_index
 from ..runtime import RunSpec, Runtime, sweep
-from .common import ACDC, MACRO_RATE, Testbed
+from .common import ACDC, MACRO_RATE, Taps, Testbed
+from .scenario import Flow, Scenario
 
 DATA_PORT = 6000
 
@@ -43,10 +44,20 @@ DATA_PORT = 6000
 ADVERSARIES = ("ignore_rwnd", "ack_division", "ecn_bleach", "option_strip")
 
 
-def _testbed(n_senders: int, seed: int, guard_factory):
-    """The shared star: ``n_senders`` hosts into the last one."""
-    tb = Testbed(ACDC, star, rate_bps=MACRO_RATE, guard_factory=guard_factory,
-                 n_hosts=n_senders + 1, mtu=1500, seed=seed)
+def _testbed(n_senders: int, seed: int, duration: float, guards,
+             events: EventLog, ack_splitters=()) -> tuple:
+    """The shared star: a bulk flow from each of ``n_senders`` hosts into
+    the last one, whose listener splits the ACKs of the flows from
+    ``ack_splitters``; every Guard records into ``events``.  Returns
+    (testbed, sender hosts, receiver host)."""
+    receiver = f"h{n_senders + 1}"
+    flows = tuple(Flow.of(ACDC, f"h{i + 1}", receiver, DATA_PORT + i,
+                          ack_division=(8 if f"h{i + 1}" in ack_splitters
+                                        else None))
+                  for i in range(n_senders))
+    tb = Testbed(Scenario(ACDC, "star", n_senders + 1, duration, MACRO_RATE,
+                          1500, seed, flows=flows, guards=tuple(guards)),
+                 Taps(guard_events=events))
     hosts, _switch = tb.parts
     return tb, hosts[:n_senders], hosts[-1]
 
@@ -71,20 +82,17 @@ def run_point(
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
     events = EventLog()
-    recorder = FaultRecorder()
-    guards: List[Guard] = []
-
-    def guard_factory(host) -> Optional[Guard]:
-        if not guard_on:
-            return None
-        guard = Guard(_guard_config(seed), recorder=recorder, events=events)
-        guards.append(guard)
-        return guard
-
-    tb, senders, receiver = _testbed(n_senders, seed, guard_factory)
     n_violators = int(round(violator_share * n_senders))
+    violator_addrs = {f"h{i + 1}" for i in range(n_violators)}
+    guards = [(f"h{i + 1}", _guard_config(seed))
+              for i in range(n_senders + 1)] if guard_on else ()
+    # ACK division is a receiver-side cheat: the adversarial tenant's
+    # receiving VM splits cumulative ACKs to inflate its own flows'
+    # window growth.
+    ack_splitters = violator_addrs if adversary == "ack_division" else ()
+    tb, senders, receiver = _testbed(n_senders, seed, duration, guards,
+                                     events, ack_splitters)
     violators = senders[:n_violators]
-    violator_addrs = {h.addr for h in violators}
 
     # Guest-level adversaries are tenant profiles; wire-level ones are
     # fault stages scoped to the violators' traffic.
@@ -101,16 +109,8 @@ def run_point(
         for host in violators:
             install_faults(host, [OptionStrip(direction="ingress")])
 
-    for i, host in enumerate(senders):
-        sink_opts = None
-        if adversary == "ack_division" and host.addr in violator_addrs:
-            # ACK division is a receiver-side cheat: the adversarial
-            # tenant's receiving VM splits cumulative ACKs to inflate its
-            # own flows' window growth.
-            sink_opts = {"ack_division": 8}
-        tb.bulk(host, receiver, DATA_PORT + i, sink_opts=sink_opts)
-    r = tb.run(duration)
-    flows, vswitches = r.flows, r.vswitches
+    r = tb.run()
+    flows, vswitches, guards = r.flows, r.vswitches, tb.guards.values()
 
     goodputs = [f.goodput_bps(duration) for f in flows]
     conforming = [g for f, g in zip(flows, goodputs)
@@ -130,7 +130,7 @@ def run_point(
         "conforming_retention": (sum(conforming) / len(conforming) / fair_share
                                  if conforming else 0.0),
         "jain": jain_index(goodputs),
-        "guard_events": recorder.snapshot(),
+        "guard_events": events.kinds(),
         "event_signature": events.signature(),
     }
     if guard_on:
@@ -150,25 +150,17 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
     """Watchdog scenario: the receiver vSwitch's flow-table budget is far
     below the offered 2 x n_senders entries, forcing deliberate shedding."""
     events = EventLog()
-    recorder = FaultRecorder()
-    guards: Dict[str, Guard] = {}
-
-    def guard_factory(host):
-        config = _guard_config(seed)
-        if len(guards) == n_senders:  # the receiver: the star's last host
-            # Room for half the offered load: ~2 entries per connection.
-            config.max_flow_entries = n_senders
-            config.watchdog_interval_s = 0.005
-        guard = Guard(config, recorder=recorder, events=events)
-        guards[host.addr] = guard
-        return guard
-
-    tb, senders, receiver = _testbed(n_senders, seed, guard_factory)
-    for i, host in enumerate(senders):
-        tb.bulk(host, receiver, DATA_PORT + i)
-    r = tb.run(duration)
+    config = _guard_config(seed)
+    guards = [(f"h{i + 1}", config) for i in range(n_senders)]
+    # The receiver has room for half the offered load: ~2 entries per
+    # connection.
+    guards.append((f"h{n_senders + 1}", replace(
+        config, max_flow_entries=n_senders, watchdog_interval_s=0.005)))
+    tb, senders, receiver = _testbed(n_senders, seed, duration, guards,
+                                     events)
+    r = tb.run()
     flows, vswitches = r.flows, r.vswitches
-    watchdog = guards[receiver.addr].watchdog
+    watchdog = tb.guards[receiver.addr].watchdog
     goodputs = [f.goodput_bps(duration) for f in flows]
     return {
         "n_senders": n_senders,
@@ -178,7 +170,7 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
                             if e.shed),
         "goodputs_bps": goodputs,
         "total_goodput_bps": sum(goodputs),
-        "guard_events": recorder.snapshot(),
+        "guard_events": events.kinds(),
         "event_signature": events.signature(),
     }
 

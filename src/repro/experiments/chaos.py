@@ -34,7 +34,6 @@ from ..faults import (
     install_faults,
 )
 from ..metrics import FaultRecorder
-from ..net.topology import star
 from ..runtime import RunSpec, Runtime, sweep
 from .common import (
     ALL_SCHEMES,
@@ -44,6 +43,7 @@ from .common import (
     Scheme,
     Testbed,
 )
+from .scenario import Flow, Scenario
 
 #: Virtual instant of the mid-transfer vSwitch restarts (the unfaulted
 #: 2x4 MB transfer takes ~7 ms, so 2 ms is genuinely mid-flow).
@@ -75,8 +75,11 @@ def fault_chain(intensity: float, seed: int, jitter_s: float = 20e-6) -> List[Fa
 def run_point(scheme: Scheme, intensity: float, seed: int = 0,
               size_bytes: int = 4_000_000, duration: float = 0.5) -> dict:
     """One (scheme, intensity) cell of the sweep."""
-    tb = Testbed(scheme, star, rate_bps=MICRO_RATE, n_hosts=3, mtu=1500,
-                 seed=seed)
+    # Two fixed-size transfers into the third host.
+    flows = tuple(Flow.of(scheme, f"h{i + 1}", "h3", DATA_PORT + i,
+                          size=size_bytes) for i in range(2))
+    tb = Testbed(Scenario(scheme, "star", 3, duration, MICRO_RATE, 1500, seed,
+                          flows=flows))
     hosts, _switch = tb.parts
     senders, receiver = hosts[:2], hosts[2]
     recorder = FaultRecorder()
@@ -95,9 +98,7 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
         restart = VswitchRestart(at=(RESTART_AT,))
         install_faults(receiver, [restart], recorder=recorder)
         chains.append(restart)
-    for i, host in enumerate(senders):
-        tb.bulk(host, receiver, DATA_PORT + i, size_bytes=size_bytes)
-    flows = tb.run(duration).flows
+    flows = tb.run().flows
     done = [f for f in flows if f.bytes_acked >= size_bytes]
     finished = max((f.conn.closed_at or duration for f in done),
                    default=duration) if len(done) == len(flows) else duration

@@ -9,8 +9,9 @@ Every experiment in §5 compares (a subset of) three configurations:
 
 :class:`Scheme` captures one such configuration; :func:`attach_vswitches`
 instantiates the right datapath on every host; :class:`Testbed` is the
-one place a run is put together (DESIGN.md §4, "How a run is assembled")
-and :class:`RunResult` what it hands back.  The scaling constants
+one place a :class:`~repro.experiments.scenario.Scenario` is wired into
+a run (DESIGN.md §4, "How a run is assembled") and :class:`RunResult`
+what it hands back.  The scaling constants
 centralise the simulator's time/size scaling so EXPERIMENTS.md can cite
 one place.
 """
@@ -18,15 +19,21 @@ one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional)
 
 from ..core import AcdcConfig, AcdcVswitch, PlainOvs, PolicyEngine
 from ..core.ops import OpsCounter
 from ..fluid import FluidTier
 from ..metrics import RttRecorder, ThroughputMeter, jain_index, summarize
 from ..net.host import Host
+from ..net.topology import dumbbell, parking_lot, star
 from ..sim import Simulator
 from ..workloads.apps import BulkSender, EchoSink, PingPong, Sink
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..guard import Guard
+    from .scenario import Flow, Scenario
 
 DATA_PORT = 5000
 RTT_PROBE_PORT = 6000
@@ -67,9 +74,8 @@ ACDC = Scheme("acdc", host_cc="cubic", host_ecn=False,
 
 ALL_SCHEMES = (CUBIC, DCTCP, ACDC)
 
-#: Name -> Scheme, for the runtime's process-pool workers: a run spec's
-#: kwargs must be plain JSON, so cells reference schemes by name and
-#: re-resolve them here (see repro.runtime.spec).
+#: Name -> Scheme, for cells whose plain-JSON kwargs name a scheme
+#: (see repro.runtime.spec).
 SCHEME_BY_NAME = {s.name: s for s in ALL_SCHEMES}
 
 
@@ -79,16 +85,15 @@ def attach_vswitches(
     acdc_config: Optional[AcdcConfig] = None,
     policy: Optional[PolicyEngine] = None,
     window_cb=None,
-    guard_factory=None,
+    guards: Optional[Mapping[str, "Guard"]] = None,
     obs=None,
 ) -> Dict[str, object]:
     """Instantiate the scheme's datapath on every host.
 
-    ``guard_factory``, if given, is called per AC/DC host and returns a
-    fresh :class:`repro.guard.Guard` (or None) to attach to that host's
-    vSwitch — a Guard binds to exactly one datapath.  ``obs``, if given,
-    is the run's :class:`repro.obs.ObsContext`; each AC/DC vSwitch
-    registers with it and traces onto its bus.
+    ``guards`` maps a host address to the :class:`repro.guard.Guard` its
+    AC/DC vSwitch takes (a Guard binds to exactly one datapath).
+    ``obs``, if given, is the run's :class:`repro.obs.ObsContext`; each
+    AC/DC vSwitch registers with it and traces onto its bus.
 
     Returns ``{host addr: vswitch}`` so experiments can read flow tables,
     op counters and enforcement stats afterwards.
@@ -97,10 +102,9 @@ def attach_vswitches(
     for host in hosts:
         if scheme.vswitch == "acdc":
             config = acdc_config if acdc_config is not None else AcdcConfig()
-            guard = guard_factory(host) if guard_factory is not None else None
             vsw = AcdcVswitch(host, config=config, policy=policy,
                               ops=OpsCounter(), window_cb=window_cb,
-                              guard=guard, obs=obs)
+                              guard=(guards or {}).get(host.addr), obs=obs)
         else:
             vsw = PlainOvs(host, ops=OpsCounter())
         host.attach_vswitch(vsw)
@@ -188,140 +192,179 @@ class RunResult:
         return summarize(self.rtt_samples) if self.rtt_samples else {}
 
 
-class Testbed:
-    """One run, wired: simulator, topology, datapaths and taps.
+@dataclass
+class Taps:
+    """What observes a run without changing it.
 
-    ``build`` is a topology builder (``dumbbell``, ``parking_lot``,
-    ``star`` or an experiment's own) called as ``build(sim,
-    rate_bps=..., **builder_kwargs, **switch_opts(scheme, rate_bps))``
-    and returning ``(topology, *parts)``; ``parts`` keeps the builder's
-    own host lists / switch.  The wiring order is fixed here and nowhere
-    else (DESIGN.md §4 has the reasons at length).
+    Kept out of :class:`~repro.experiments.scenario.Scenario`, so out of
+    its equality and cache key: a tapped run is the untapped run
+    (``tests/test_vswitch_taps.py``).  ``window_probe`` is set on every
+    bulk flow's connection as it starts; ``guard_events``, when given, is
+    the one event log every Guard of the run records into, in order.
     """
 
-    def __init__(self, scheme: Scheme, build, *, rate_bps: float,
-                 obs=None, int_tel=None,
-                 acdc_config: Optional[AcdcConfig] = None,
-                 policy: Optional[PolicyEngine] = None,
-                 window_cb=None, guard_factory=None, **builder_kwargs):
-        self.scheme = scheme
+    obs: Optional[object] = None
+    int_tel: Optional[object] = None
+    window_cb: Optional[Callable] = None
+    window_probe: Optional[Callable] = None
+    guard_events: Optional[object] = None
+
+
+#: Topology builders a Scenario names; any other name is a
+#: ``"module:function"`` reference.
+BUILDERS = {"dumbbell": dumbbell, "parking_lot": parking_lot, "star": star}
+
+
+class Testbed:
+    """One run, wired from a :class:`~repro.experiments.scenario.Scenario`.
+
+    The constructor builds the fabric — simulator, topology, datapaths
+    and taps — so an experiment can add its own applications (or faults)
+    on ``sim``/``parts``; :meth:`run` then places the Scenario's traffic
+    and runs it.  The wiring order is fixed here and nowhere else
+    (DESIGN.md §4 has the reasons at length).
+    """
+
+    def __init__(self, scenario: "Scenario", taps: Optional[Taps] = None):
+        taps = taps if taps is not None else Taps()
+        self.scenario, self.taps = scenario, taps
+        scheme, rate_bps = scenario.scheme, scenario.rate_bps
         self.sim = Simulator()
         # 1. Switches under the scheme's ECN profile.
+        build = BUILDERS.get(scenario.topology)
+        if build is None:
+            from ..runtime.spec import resolve
+            build = resolve(scenario.topology)
         self.topology, *self.parts = build(
-            self.sim, rate_bps=rate_bps, **builder_kwargs,
-            **switch_opts(scheme, rate_bps))
+            self.sim, scenario.size, rate_bps=rate_bps, mtu=scenario.mtu,
+            seed=scenario.seed, **switch_opts(scheme, rate_bps))
         # 2. obs *before* any vSwitch exists: a vSwitch registers with,
         #    and takes its trace bus from, the context in its constructor
         #    — one bound later would hand it a bus with no clock.
-        self.obs = obs
+        self.obs = obs = taps.obs
         if obs is not None:
             obs.bind(self.sim)
             obs.attach_topology(self.topology)
         # 3. vSwitches on every host, in the order the builder returned
         #    them: each starts its GC timer as it is created, so the
-        #    order is part of the run's event sequence.
+        #    order is part of the run's event sequence.  Each Guard gets
+        #    its own copy of its config: a live reconfigure writes into
+        #    it, never into the Scenario.
         hosts = [h for part in self.parts
                  for h in (part if isinstance(part, list) else [part])
                  if isinstance(h, Host)]
+        self.guards = {}
+        if scenario.guards and scheme.vswitch == "acdc":
+            from ..guard import Guard
+            self.guards = {name: Guard(replace(config),
+                                       events=taps.guard_events)
+                           for name, config in scenario.guards}
+        policy = (PolicyEngine(scenario.policy, scenario.rules)
+                  if scenario.policy is not None or scenario.rules else None)
         self.vswitches = attach_vswitches(
-            scheme, hosts, acdc_config=acdc_config, policy=policy,
-            window_cb=window_cb, guard_factory=guard_factory, obs=obs)
+            scheme, hosts, acdc_config=scenario.acdc, policy=policy,
+            window_cb=taps.window_cb, guards=self.guards, obs=obs)
         # 4. INT after the vSwitches, which are its endpoints.  (5., the
-        #    fluid coupling, comes last: couple_fluid(), once the packet
-        #    flows are placed.)
-        self.int_tel = int_tel
+        #    fluid coupling, comes last: in run(), once the packet flows
+        #    are placed.)
+        self.int_tel = int_tel = taps.int_tel
         if int_tel is not None:
             int_tel.attach(self.sim, self.topology, self.vswitches.values(),
                            obs)
-        self.flows: List[BulkSender] = []
-        self.rtt = RttRecorder()
-        self._tier = None
-
-    # -- flow placement ------------------------------------------------------
-    def bulk(self, src: Host, dst: Host, port: int,
-             conn_opts: Optional[dict] = None,
-             sink_opts: Optional[dict] = None, **sender_opts) -> BulkSender:
-        """One iperf-style flow ``src -> dst:port`` and its listener.
-
-        The sink mirrors the flow's stack — ``cc`` and ``ecn``, because
-        ECN negotiation is end-to-end and a non-ECN listener would
-        silently disable it — but not transmit-side knobs like pacing;
-        ``sink_opts`` adds receiver-side ones.  Flows sharing a
-        ``dst:port`` share its first listener.
-        """
-        opts = self.scheme.conn_opts() if conn_opts is None else conn_opts
-        if port not in dst.listeners:
-            Sink(dst, port, cc=opts["cc"], ecn=opts["ecn"],
-                 **(sink_opts or {}))
-        flow = BulkSender(self.sim, src, dst.addr, port, conn_opts=opts,
-                          **sender_opts)
-        self.flows.append(flow)
-        return flow
-
-    def probe(self, src: Host, dst: Host, interval_s: float,
-              warmup_s: float, pipelined: bool = False) -> None:
-        """sockperf-style RTT probe under the scheme's guest stack;
-        samples land in ``RunResult.rtt_samples``."""
-        EchoSink(dst, RTT_PROBE_PORT, **self.scheme.conn_opts())
-        PingPong(self.sim, src, dst.addr, RTT_PROBE_PORT, self.rtt,
-                 interval_s=interval_s, start_at=0.0, warmup_s=warmup_s,
-                 pipelined=pipelined, conn_opts=self.scheme.conn_opts())
-
-    def couple_fluid(self, switch, port_id: int, classes, dt: float,
-                     start_at: float) -> None:
-        """Attach the fluid tier (``repro.fluid``) at one bottleneck port.
-
-        The stepper starts at ``start_at``, not 0: the background classes
-        dump their initial windows into the queue in one burst (they have
-        no packet-level slow start), which parks the occupancy above the
-        WRED ramp top — and a foreground handshake's non-ECT SYN arriving
-        into that transient is dropped with probability 1.  Letting the
-        foreground establish first is the same connect-quietly-then-storm
-        methodology the incast runner uses for its packet senders.
-        """
-        self._tier = FluidTier(self.sim, dt=dt)
-        self._tier.couple(switch, port_id, classes=tuple(classes))
-        self._tier.start(start_at=start_at)
 
     # -- run and harvest -----------------------------------------------------
-    def drop_rate(self) -> float:
-        """Fabric-wide fraction of forwarded packets that were dropped."""
-        switches = self.topology.switches.values()
-        sent = sum(sw.total_tx_packets() for sw in switches)
-        dropped = sum(sw.total_drops() for sw in switches)
-        total = sent + dropped
-        return dropped / total if total else 0.0
+    def _bulk(self, spec: "Flow") -> BulkSender:
+        """One bulk flow and, unless its ``dst:port`` has one, the
+        listener.  The sink mirrors the flow's ``cc`` and ``ecn`` —
+        ECN negotiation is end-to-end, and a non-ECN listener would
+        silently disable it — but not transmit-side knobs like pacing."""
+        hosts = self.topology.hosts
+        dst = hosts[spec.dst]
+        if spec.port not in dst.listeners:
+            sink_opts = ({} if spec.ack_division is None
+                         else {"ack_division": spec.ack_division})
+            Sink(dst, spec.port, cc=spec.cc, ecn=spec.ecn, **sink_opts)
+        on_start = None
+        if self.taps.window_probe is not None:
+            def on_start(flow, probe=self.taps.window_probe):
+                flow.conn.window_probe = probe
+        return BulkSender(self.sim, hosts[spec.src], dst.addr, spec.port,
+                          size_bytes=spec.size, start_at=spec.start,
+                          send_at=spec.send_at, stop_at=spec.stop,
+                          conn_opts=spec.conn_opts(), on_start=on_start)
 
-    def _mark_baseline(self) -> None:
-        self._baseline = [f.bytes_acked for f in self.flows]
+    def _mark_baseline(self, flows: List[BulkSender]) -> None:
+        self._baseline = [f.bytes_acked for f in flows]
 
-    def run(self, duration: float, measure_from: float = 0.0) -> RunResult:
-        """Run to ``duration`` and harvest the common observables.
+    def run(self) -> RunResult:
+        """Place the Scenario's traffic, run to its duration and harvest.
 
-        Throughputs are averaged over ``[measure_from, duration]``: the
-        paper's runs last minutes, so its averages do not see the
-        connection-setup transient a short simulated run would.
+        Placement order: bulk flows (each followed by its meter), the
+        RTT probe, then the fluid coupling.  Throughputs average over
+        ``[measure_from, duration]``: the paper's runs last minutes, so
+        its averages do not see the connection-setup transient a short
+        simulated run would.
         """
-        self._baseline = [0] * len(self.flows)
+        sc, sim = self.scenario, self.sim
+        flows: List[BulkSender] = []
+        meters: List[ThroughputMeter] = []
+        for spec in sc.flows:
+            flow = self._bulk(spec)
+            flows.append(flow)
+            if sc.meters:
+                meter = ThroughputMeter(sim, lambda f=flow: f.bytes_acked,
+                                        interval_s=sc.duration / 100.0)
+                sim.schedule_at(spec.start, meter.start)
+                meters.append(meter)
+        rtt = RttRecorder()
+        if sc.probe is not None:
+            probe, opts = sc.probe, sc.scheme.conn_opts()
+            dst = self.topology.hosts[probe.dst]
+            EchoSink(dst, RTT_PROBE_PORT, **opts)
+            PingPong(sim, self.topology.hosts[probe.src], dst.addr,
+                     RTT_PROBE_PORT, rtt, interval_s=probe.interval,
+                     start_at=0.0, warmup_s=probe.warmup,
+                     pipelined=probe.pipelined, conn_opts=opts)
+        tier = None
+        if sc.fluid is not None:
+            # The stepper starts after the foreground has established:
+            # the background classes dump their initial windows into the
+            # queue in one burst (no packet-level slow start), and a
+            # handshake's non-ECT SYN arriving into that transient is
+            # dropped with probability 1.
+            coupling = sc.fluid
+            tier = FluidTier(sim, dt=coupling.dt)
+            tier.couple(self.topology.switches[coupling.switch],
+                        coupling.port,
+                        classes=tuple(g.to_fluid_spec()
+                                      for g in coupling.groups))
+            tier.start(start_at=coupling.start)
+        duration, measure_from = sc.duration, sc.measure_from
+        self._baseline = [0] * len(flows)
         if measure_from > 0.0:
-            self.sim.schedule_at(measure_from, self._mark_baseline)
-        self.sim.run(until=duration)
+            sim.schedule_at(measure_from, self._mark_baseline, flows)
+        sim.run(until=duration)
         window = duration - measure_from
+        # Fabric-wide fraction of forwarded packets that were dropped.
+        switches = self.topology.switches.values()
+        dropped = sum(sw.total_drops() for sw in switches)
+        sent = sum(sw.total_tx_packets() for sw in switches) + dropped
         result = RunResult(
-            scheme=self.scheme.name, duration=duration,
+            scheme=sc.scheme.name, duration=duration,
             tputs_bps=[(f.bytes_acked - b) * 8 / window
-                       for f, b in zip(self.flows, self._baseline)],
-            rtt_samples=self.rtt.samples, drop_rate=self.drop_rate(),
-            vswitches=self.vswitches, flows=self.flows, sim=self.sim,
+                       for f, b in zip(flows, self._baseline)],
+            rtt_samples=rtt.samples,
+            drop_rate=dropped / sent if sent else 0.0,
+            vswitches=self.vswitches, flows=flows, meters=meters, sim=sim,
             topology=self.topology)
         obs = self.obs
-        if self._tier is not None:
-            self._tier.stop()
-            result.fluid = self._tier.snapshot()
+        if tier is not None:
+            tier.stop()
+            result.fluid = tier.snapshot()
             if obs is not None:
                 # Flatten the coupling stats into the telemetry snapshot
                 # so a hybrid run is observable like a packet run.
-                obs.register_fluid(self._tier)
+                obs.register_fluid(tier)
         if obs is not None:
             result.obs = obs
             result.telemetry = obs.snapshot()

@@ -20,10 +20,10 @@ from ..metrics.cpu_model import (
     SENDER_FLOOR_PERCENT,
     cpu_percent,
 )
-from ..net.topology import star
 from ..sim import Simulator
 from ..workloads.apps import Sink
 from .common import ACDC, CUBIC, DATA_PORT, Scheme, Testbed
+from .scenario import Scenario
 
 BURST_BYTES = 128 * 1024
 BURST_INTERVAL = 0.1
@@ -54,8 +54,7 @@ class _BurstApp:
 
 def _run_one(scheme: Scheme, connections: int, duration: float,
              mtu: int, rate_bps: float, seed: int) -> Dict[str, object]:
-    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=2, mtu=mtu,
-                 seed=seed)
+    tb = Testbed(Scenario(scheme, "star", 2, duration, rate_bps, mtu, seed))
     (sender, receiver), _sw = tb.parts
     Sink(receiver, DATA_PORT, **scheme.conn_opts())
     for i in range(connections):
@@ -63,7 +62,7 @@ def _run_one(scheme: Scheme, connections: int, duration: float,
         _BurstApp(tb.sim, sender, receiver.addr, DATA_PORT,
                   start_at=(i / connections) * BURST_INTERVAL,
                   conn_opts=scheme.conn_opts())
-    vsw = tb.run(duration).vswitches
+    vsw = tb.run().vswitches
     floors = {"sender": SENDER_FLOOR_PERCENT, "receiver": RECEIVER_FLOOR_PERCENT}
     ticks = {"sender": SENDER_CONN_TICK_NS, "receiver": RECEIVER_CONN_TICK_NS}
     reports = {}

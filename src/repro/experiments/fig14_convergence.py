@@ -16,20 +16,29 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..runtime import RunSpec, Runtime, sweep
-from .common import ALL_SCHEMES, SCHEME_BY_NAME, Scheme
-from .runners import run_dumbbell
+from .common import ALL_SCHEMES, Scheme, Testbed
+from .runners import dumbbell_scenario
+from .scenario import Scenario
 
 
-def run_scheme(scheme: Scheme, flows: int = 5, epoch: float = 0.5,
-               mtu: int = 1500, rate_bps: float = 1e9, seed: int = 0) -> dict:
-    """One scheme's staggered join/leave run with per-flow timeseries."""
+def _scenario(scheme: Scheme, epoch: float, seed: int,
+              flows: int = 5) -> Scenario:
+    """Flow *i* joins at ``i * epoch`` and leaves as long before the end,
+    on a 1 G bottleneck at MTU 1500."""
     duration = 2 * flows * epoch
-    starts = [i * epoch for i in range(flows)]
-    stops = [duration - i * epoch for i in range(flows)]
-    r = run_dumbbell(
-        scheme, pairs=flows, duration=duration, mtu=mtu, rate_bps=rate_bps,
-        seed=seed, start_times=starts, stop_times=stops,
+    return dumbbell_scenario(
+        scheme, pairs=flows, duration=duration, mtu=1500, rate_bps=1e9,
+        seed=seed, start_times=[i * epoch for i in range(flows)],
+        stop_times=[duration - i * epoch for i in range(flows)],
         rtt_probe=False, tput_meters=True)
+
+
+def _converge(scenario: Scenario, epoch: float) -> dict:
+    """Run a staggered Scenario; per-flow series and share errors."""
+    r = Testbed(scenario).run()
+    flows, rate_bps = len(scenario.flows), scenario.rate_bps
+    starts = [f.start for f in scenario.flows]
+    stops = [f.stop for f in scenario.flows]
     series = [m.series for m in r.meters]
     # Fair-share error at each epoch midpoint: compare active flows'
     # instantaneous rates to the equal share.
@@ -55,9 +64,9 @@ def run_scheme(scheme: Scheme, flows: int = 5, epoch: float = 0.5,
     }
 
 
-def _cell(scheme: str, epoch: float, seed: int) -> dict:
-    """Runtime worker: one (scheme, seed) cell, JSON kwargs only."""
-    return run_scheme(SCHEME_BY_NAME[scheme], epoch=epoch, seed=seed)
+def _cell(scenario: dict, epoch: float) -> dict:
+    """Runtime worker: one (scheme, seed) cell from its Scenario."""
+    return _converge(Scenario.from_json(scenario), epoch)
 
 
 def run(epoch: float = 0.5, seed: int = 0,
@@ -71,8 +80,8 @@ def run(epoch: float = 0.5, seed: int = 0,
     """
     return sweep(
         runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:_cell",
-                            {"scheme": s.name, "epoch": epoch, "seed": sd})
-                    for s in ALL_SCHEMES],
+        lambda sd: [RunSpec(f"{__name__}:_cell", {
+            "scenario": _scenario(s, epoch, sd).to_json(),
+            "epoch": epoch}) for s in ALL_SCHEMES],
         lambda sd, cells: {s.name: cell
                            for s, cell in zip(ALL_SCHEMES, cells)})

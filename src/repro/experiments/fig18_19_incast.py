@@ -17,15 +17,15 @@ from typing import Dict, List, Optional, Sequence
 
 from ..metrics import percentile
 from ..runtime import RunSpec, Runtime, sweep
-from .common import ALL_SCHEMES, SCHEME_BY_NAME
-from .runners import run_incast
+from .common import ALL_SCHEMES, Taps, Testbed
+from .runners import incast_scenario
+from .scenario import Scenario
 
 SENDER_COUNTS = (16, 32, 40, 47)
 
 
-def _cell(scheme: str, n_senders: int, duration: float, mtu: int,
-          seed: int, telemetry: bool = False) -> dict:
-    """Runtime worker: one (scheme, fan-in, seed) cell, JSON kwargs only.
+def _cell(scenario: dict, telemetry: bool = False) -> dict:
+    """Runtime worker: one (scheme, fan-in, seed) cell from its Scenario.
 
     ``telemetry=True`` attaches an :class:`~repro.obs.ObsContext` and
     returns its deterministic snapshot plus the raw trace records — the
@@ -36,8 +36,7 @@ def _cell(scheme: str, n_senders: int, duration: float, mtu: int,
     if telemetry:
         from ..obs import ObsContext
         obs = ObsContext()
-    r = run_incast(SCHEME_BY_NAME[scheme], n_senders=n_senders,
-                   duration=duration, mtu=mtu, seed=seed, obs=obs)
+    r = Testbed(Scenario.from_json(scenario), Taps(obs=obs)).run()
     rtt = r.rtt_samples
     out: Dict[str, object] = {
         "avg_tput_mbps": r.avg_tput_bps / 1e6,
@@ -63,9 +62,8 @@ def run(counts: Sequence[int] = SENDER_COUNTS, duration: float = 0.4,
     multi-seed shape (one list of rows per seed).
     """
     def specs_for(sd: int) -> List[RunSpec]:
-        return [RunSpec(f"{__name__}:_cell",
-                        {"scheme": s.name, "n_senders": n,
-                         "duration": duration, "mtu": mtu, "seed": sd})
+        return [RunSpec(f"{__name__}:_cell", {"scenario": incast_scenario(
+            s, n, duration=duration, mtu=mtu, seed=sd).to_json()})
                 for n in counts for s in ALL_SCHEMES]
 
     def rows(sd: int, cells: List[dict]) -> List[dict]:

@@ -16,27 +16,26 @@ from __future__ import annotations
 from typing import Dict
 
 from ..metrics import jain_index, percentile
-from ..net.topology import star
 from .common import ALL_SCHEMES, DATA_PORT, Scheme, Testbed
+from .scenario import Flow, Probe, Scenario
 
 
 def run_scheme(scheme: Scheme, group_a: int = 10, stride: int = 2,
                duration: float = 0.6, mtu: int = 9000,
                rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's run: probe RTT percentiles through the hot port."""
-    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=group_a + 2,
-                 mtu=mtu, seed=seed)
-    hosts, _switch = tb.parts
-    a_hosts = hosts[:group_a]
-    b1, b2 = hosts[group_a], hosts[group_a + 1]
+    a_hosts = [f"h{i + 1}" for i in range(group_a)]
+    b1, b2 = f"h{group_a + 1}", f"h{group_a + 2}"
+    flows = []
     for i, host in enumerate(a_hosts):
         # Within-A stride flows: i -> i+1 .. i+stride (mod A).
-        for k in range(1, stride + 1):
-            tb.bulk(host, a_hosts[(i + k) % group_a], DATA_PORT + i)
+        flows += [Flow.of(scheme, host, a_hosts[(i + k) % group_a],
+                          DATA_PORT + i) for k in range(1, stride + 1)]
         # Incast flow into B1.
-        tb.bulk(host, b1, DATA_PORT + 100 + i)
-    tb.probe(b2, b1, 0.002, warmup_s=duration * 0.15)
-    r = tb.run(duration)
+        flows.append(Flow.of(scheme, host, b1, DATA_PORT + 100 + i))
+    r = Testbed(Scenario(scheme, "star", group_a + 2, duration, rate_bps,
+                         mtu, seed, flows=tuple(flows),
+                         probe=Probe(b2, b1, 0.002, duration * 0.15))).run()
     tputs, rtt = r.tputs_bps, r.rtt_samples
     return {
         "avg_tput_mbps": sum(tputs) / len(tputs) / 1e6,

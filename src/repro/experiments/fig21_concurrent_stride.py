@@ -16,17 +16,17 @@ from __future__ import annotations
 from typing import Dict
 
 from ..metrics import FctRecorder
-from ..net.topology import star
 from ..workloads.generators import ConcurrentStride
 from .common import ALL_SCHEMES, Scheme, Testbed
+from .scenario import Scenario
 
 
 def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 0.8,
                background_bytes: int = 16 * 1024 * 1024,
                mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's concurrent-stride run: mice and background FCTs."""
-    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
-                 seed=seed)
+    tb = Testbed(Scenario(scheme, "star", hosts_n, duration, rate_bps, mtu,
+                          seed))
     hosts, _switch = tb.parts
     recorder = FctRecorder()
     ConcurrentStride(
@@ -34,7 +34,7 @@ def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 0.8,
         background_bytes=background_bytes, background_rounds=1,
         mice_bytes=16 * 1024, mice_interval=0.1, duration=duration * 0.6,
         conn_opts=scheme.conn_opts())
-    r = tb.run(duration)
+    r = tb.run()
     return {
         "mice_fcts": recorder.fcts("mice"),
         "background_fcts": recorder.fcts("background"),

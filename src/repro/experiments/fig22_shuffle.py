@@ -14,27 +14,25 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..metrics import FctRecorder
-from ..net.topology import star
 from ..runtime import RunSpec, Runtime, sweep
 from ..sim.rng import RngFactory
 from ..workloads.generators import Shuffle
-from .common import ALL_SCHEMES, SCHEME_BY_NAME, Scheme, Testbed
+from .common import ALL_SCHEMES, Testbed
+from .scenario import Scenario
 
 
-def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 1.0,
-               block_bytes: int = 4 * 1024 * 1024,
-               mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
-    """One scheme's shuffle run: mice and block FCTs."""
-    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
-                 seed=seed)
+def run_scheme(scenario: Scenario, block_bytes: int = 4 * 1024 * 1024) -> dict:
+    """One scheme's shuffle on a star Scenario: mice and block FCTs."""
+    tb = Testbed(scenario)
     hosts, _switch = tb.parts
     recorder = FctRecorder()
     shuffle = Shuffle(
         tb.sim, hosts, recorder, block_bytes=block_bytes,
-        rng=RngFactory(seed).stream("fig22.shuffle-order"), fanout=2,
-        mice_bytes=16 * 1024, mice_interval=0.1, mice_until=duration * 0.6,
-        conn_opts=scheme.conn_opts())
-    r = tb.run(duration)
+        rng=RngFactory(scenario.seed).stream("fig22.shuffle-order"),
+        fanout=2, mice_bytes=16 * 1024, mice_interval=0.1,
+        mice_until=scenario.duration * 0.6,
+        conn_opts=scenario.scheme.conn_opts())
+    r = tb.run()
     return {
         "mice_fcts": recorder.fcts("mice"),
         "background_fcts": recorder.fcts("background"),
@@ -45,9 +43,9 @@ def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 1.0,
     }
 
 
-def _cell(scheme: str, duration: float, seed: int) -> dict:
-    """Runtime worker: one (scheme, seed) shuffle run, JSON kwargs only."""
-    return run_scheme(SCHEME_BY_NAME[scheme], duration=duration, seed=seed)
+def _cell(scenario: dict) -> dict:
+    """Runtime worker: one (scheme, seed) shuffle run from its Scenario."""
+    return run_scheme(Scenario.from_json(scenario))
 
 
 def run(duration: float = 1.0, seed: int = 0,
@@ -61,9 +59,8 @@ def run(duration: float = 1.0, seed: int = 0,
     """
     return sweep(
         runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:_cell",
-                            {"scheme": s.name, "duration": duration,
-                             "seed": sd})
-                    for s in ALL_SCHEMES],
+        lambda sd: [RunSpec(f"{__name__}:_cell", {"scenario": Scenario(
+            s, "star", 17, duration, 1e9, 9000, sd).to_json()})
+            for s in ALL_SCHEMES],
         lambda sd, cells: {s.name: cell
                            for s, cell in zip(ALL_SCHEMES, cells)})

@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Dict
 
 from ..metrics import FctRecorder
-from ..net.topology import star
 from ..sim.rng import RngFactory
 from ..workloads.generators import TraceDriven
 from ..workloads.traces import FlowSizeDistribution, data_mining, web_search
 from .common import ALL_SCHEMES, Scheme, Testbed
+from .scenario import Scenario
 
 SIZE_SCALE = 0.05
 SIZE_CAP = 2 * 1024 * 1024
@@ -31,8 +31,8 @@ def run_scheme(scheme: Scheme, distribution: FlowSizeDistribution,
                apps_per_host: int = 5, messages_per_app: int = 15,
                mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
     """One scheme's trace-driven run: mice/elephant FCTs."""
-    tb = Testbed(scheme, star, rate_bps=rate_bps, n_hosts=hosts_n, mtu=mtu,
-                 seed=seed)
+    tb = Testbed(Scenario(scheme, "star", hosts_n, duration, rate_bps, mtu,
+                          seed))
     hosts, _switch = tb.parts
     recorder = FctRecorder()
     TraceDriven(tb.sim, hosts, recorder, distribution,
@@ -40,7 +40,7 @@ def run_scheme(scheme: Scheme, distribution: FlowSizeDistribution,
                 apps_per_host=apps_per_host,
                 messages_per_app=messages_per_app,
                 conn_opts=scheme.conn_opts())
-    r = tb.run(duration)
+    r = tb.run()
     return {
         "mice_fcts": recorder.fcts("mice"),
         "elephant_fcts": recorder.fcts("elephant"),

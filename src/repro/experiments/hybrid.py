@@ -10,12 +10,11 @@ matter.  These runners carry the foreground on the packet datapath and
 the background on the fluid tier (``repro.fluid``), coupled at the
 bottleneck port.
 
-Tier routing is per flow group (:class:`~repro.workloads.background.
-TierRouter`): ``tier_mode="packet"`` simulates everything packet-level
-— the validation configuration the fidelity tests compare against —
-and ``inert_coupling=True`` installs the coupling hooks with no fluid
-classes, which must leave the run byte-identical to not installing
-them at all (the zero-background identity contract, DESIGN.md §15).
+Tier routing is per flow group and part of the Scenario:
+``tier_mode="packet"`` simulates everything packet-level (the fidelity
+tests' reference) and ``inert_coupling=True`` installs the coupling with
+no fluid classes, which must leave the run byte-identical (DESIGN.md
+§15).
 
 Everything reported here is virtual-domain (throughputs, marks, byte
 counters); wall-clock speedup lives in ``benchmarks/test_bench_hybrid``
@@ -24,11 +23,13 @@ where host timing belongs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..net.topology import dumbbell, star
-from ..workloads.background import BackgroundFlowGroup, TierRouter
-from .common import DATA_PORT, DCTCP, RunResult, Scheme, Testbed
+from ..workloads.background import BackgroundFlowGroup
+from .common import DATA_PORT, DCTCP, Scheme
+from .runners import dumbbell_scenario, incast_scenario, runner
+from .scenario import Flow, FluidCoupling, Scenario
 
 #: Fluid timestep for the stock scenarios: 0.1 ms, ten steps per the
 #: default 1 ms background RTT.
@@ -42,8 +43,22 @@ DEFAULT_BACKGROUND = (
     BackgroundFlowGroup("bg-reno", n_flows=16, rtt_s=1e-3, cc="reno"),
 )
 
+def _tiers(background: Sequence[BackgroundFlowGroup], tier_mode: str):
+    """(one packet-tier group per background flow, fluid-tier groups).
 
-def run_hybrid_dumbbell(
+    ``auto``: fluid unless a group pins itself packet-tier; ``packet``:
+    everything packet-level (validation runs); ``fluid``: everything
+    fluid, overriding per-group pins (per-flow fidelity is forfeited).
+    """
+    if tier_mode not in ("auto", "packet", "fluid"):
+        raise ValueError(f"unknown tier mode {tier_mode!r}")
+    packet = [g for g in background if tier_mode == "packet"
+              or (tier_mode == "auto" and g.packet_tier)]
+    return ([g for g in packet for _ in range(g.n_flows)],
+            tuple(g for g in background if g not in packet))
+
+
+def hybrid_dumbbell_scenario(
     scheme: Scheme = DCTCP,
     fg_pairs: int = 1,
     background: Sequence[BackgroundFlowGroup] = (),
@@ -58,41 +73,29 @@ def run_hybrid_dumbbell(
     rtt_probe: bool = False,
     probe_interval: float = 0.001,
     fg_conn_opts: Optional[dict] = None,
-    obs=None,
-) -> RunResult:
+) -> Scenario:
     """Foreground pairs on the Fig. 7a dumbbell, background on the
     forward bottleneck port (sw-left -> sw-right).
 
     Packet-tier background groups expand into real sender/receiver
     pairs; fluid groups become flow classes at the bottleneck.
+    ``fg_conn_opts`` sets :class:`Flow` fields of the foreground flows.
     """
-    router = TierRouter(tier_mode)
-    pkt_groups, fluid_specs = router.route(background)
-    pkt_flows = [group for group in pkt_groups for _ in range(group.n_flows)]
-    tb = Testbed(scheme, dumbbell, rate_bps=rate_bps, obs=obs,
-                 pairs=fg_pairs + len(pkt_flows), mtu=mtu, seed=seed)
-    senders, receivers = tb.parts
-    for i in range(fg_pairs):
-        opts = scheme.conn_opts()
-        if fg_conn_opts:
-            opts.update(fg_conn_opts)
-        tb.bulk(senders[i], receivers[i], DATA_PORT, opts)
-    for j, group in enumerate(pkt_flows):
-        i = fg_pairs + j
-        tb.bulk(senders[i], receivers[i], DATA_PORT,
-                {"cc": group.cc, "ecn": group.resolved_ect})
-    if rtt_probe:
-        tb.probe(senders[0], receivers[0], probe_interval,
-                 warmup_s=duration * 0.05)
-    if fluid_specs or inert_coupling:
-        # Port 0 of sw-left is the inter-switch wire (dumbbell() links
-        # the switches before any host), i.e. the forward bottleneck.
-        tb.couple_fluid(tb.topology.switches["sw-left"], 0, fluid_specs,
-                        dt, bg_start_at)
-    return tb.run(duration)
+    packet, fluid = _tiers(background, tier_mode)
+    fg = dumbbell_scenario(scheme, fg_pairs, duration, mtu, rate_bps, seed,
+                           rtt_probe=rtt_probe, probe_interval=probe_interval)
+    flows = [replace(flow, **(fg_conn_opts or {})) for flow in fg.flows]
+    flows += [Flow(f"s{i + 1}", f"r{i + 1}", cc=group.cc,
+                   ecn=group.resolved_ect)
+              for i, group in enumerate(packet, fg_pairs)]
+    # Port 0 of sw-left is the inter-switch wire (dumbbell() links the
+    # switches before any host), i.e. the forward bottleneck.
+    coupling = (FluidCoupling("sw-left", 0, fluid, dt, bg_start_at)
+                if fluid or inert_coupling else None)
+    return replace(fg, size=len(flows), flows=tuple(flows), fluid=coupling)
 
 
-def run_hybrid_incast(
+def hybrid_incast_scenario(
     scheme: Scheme = DCTCP,
     n_senders: int = 8,
     background: Sequence[BackgroundFlowGroup] = (),
@@ -104,8 +107,7 @@ def run_hybrid_incast(
     bg_start_at: float = 0.005,
     tier_mode: str = "auto",
     inert_coupling: bool = False,
-    obs=None,
-) -> RunResult:
+) -> Scenario:
     """N-to-1 packet incast (Fig. 18 shape) with fluid background
     pressing the same receiver port.
 
@@ -113,24 +115,21 @@ def run_hybrid_incast(
     receiver's switch port — so the storm arrives at a buffer already
     under pressure, which is how incast happens in production.
     """
-    router = TierRouter(tier_mode)
-    pkt_groups, fluid_specs = router.route(background)
-    pkt_flows = [group for group in pkt_groups for _ in range(group.n_flows)]
-    tb = Testbed(scheme, star, rate_bps=rate_bps, obs=obs,
-                 n_hosts=n_senders + len(pkt_flows) + 1, mtu=mtu, seed=seed)
-    hosts, switch = tb.parts
-    receiver, senders = hosts[0], hosts[1:]
-    storm_at = 0.01
-    for i in range(n_senders):
-        tb.bulk(senders[i], receiver, DATA_PORT,
-                start_at=(i % 16) * 1e-4, send_at=storm_at)
-    for j, group in enumerate(pkt_flows):
-        tb.bulk(senders[n_senders + j], receiver, DATA_PORT + 1 + j,
-                {"cc": group.cc, "ecn": group.resolved_ect})
-    if fluid_specs or inert_coupling:
-        # The receiver is the first host linked, so its switch port is 0.
-        tb.couple_fluid(switch, 0, fluid_specs, dt, bg_start_at)
-    return tb.run(duration)
+    packet, fluid = _tiers(background, tier_mode)
+    storm = incast_scenario(scheme, n_senders, duration, mtu, rate_bps, seed)
+    flows = storm.flows + tuple(
+        Flow(f"h{n_senders + j + 2}", "h1", DATA_PORT + 1 + j, cc=group.cc,
+             ecn=group.resolved_ect) for j, group in enumerate(packet))
+    # The receiver is the first host linked, so its switch port is 0.
+    coupling = (FluidCoupling("sw", 0, fluid, dt, bg_start_at)
+                if fluid or inert_coupling else None)
+    # No probe, and throughput over the whole run.
+    return replace(storm, size=len(flows) + 1, measure_from=0.0, probe=None,
+                   flows=flows, fluid=coupling)
+
+
+run_hybrid_dumbbell = runner(hybrid_dumbbell_scenario, "obs")
+run_hybrid_incast = runner(hybrid_incast_scenario, "obs")
 
 
 def run(seed: int = 0, quick: bool = False) -> dict:

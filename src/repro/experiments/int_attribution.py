@@ -24,6 +24,7 @@ replay it through serial, pool and cache paths.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..metrics import percentile
@@ -32,7 +33,8 @@ from ..net.topology import Topology
 from ..obs import IntTelemetry, ObsContext
 from ..obs.export import write_jsonl
 from ..workloads.apps import MessageStream, Sink
-from .common import ACDC, DATA_PORT, Testbed
+from .common import ACDC, DATA_PORT, Taps, Testbed
+from .scenario import Scenario
 
 #: Slow-link ratio: the bottleneck link runs at line rate over this.
 SLOWDOWN = 10.0
@@ -43,17 +45,16 @@ SLOWDOWN = 10.0
 EXPECTED_HOP = {"edge": "sw-edge.p1", "core": "sw-core.p0"}
 
 
-def _build(sim, rate_bps: float, line_rate_bps: float, variant: str,
-           n_senders: int, mtu: int, seed: int, **switch_opts):
+def _build(variant: str, sim, n_senders: int, rate_bps: float, mtu: int,
+           seed: int, **switch_opts):
     """Two-switch asymmetric path; returns (topo, senders, receiver).
 
     ``rate_bps`` is the slow link's rate: the Testbed sizes the WRED/DT
     thresholds for it — it is the bottleneck whose marking behaviour
-    matters, as in the stock runners.  Everything else runs at
-    ``line_rate_bps``.
+    matters, as in the stock runners.  Everything else runs
+    ``SLOWDOWN`` times faster.
     """
-    if variant not in EXPECTED_HOP:
-        raise ValueError(f"unknown variant {variant!r}")
+    line_rate_bps = rate_bps * SLOWDOWN
     topo = Topology(sim, seed=seed)
     core = topo.add_switch("sw-core", **switch_opts)
     edge = topo.add_switch("sw-edge", **switch_opts)
@@ -69,6 +70,10 @@ def _build(sim, rate_bps: float, line_rate_bps: float, variant: str,
         senders.append(host)
     topo.finalize()
     return topo, senders, receiver
+
+
+#: The variants' topologies, as Scenario builders.
+edge_path, core_path = partial(_build, "edge"), partial(_build, "core")
 
 
 def _attribution(records: List[dict]) -> Dict[str, dict]:
@@ -98,11 +103,18 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
           rounds: int = 4, rate_bps: float = 1e9, mtu: int = 1500,
           seed: int = 0, telemetry: bool = False) -> dict:
     """One variant's incast run with INT on; plain-JSON kwargs only."""
+    if variant not in EXPECTED_HOP:
+        raise ValueError(f"unknown variant {variant!r}")
     slow = rate_bps / SLOWDOWN
+    # Connections establish quietly, then synchronized message rounds —
+    # every round is one incast burst through the slow link.
+    storm_at = 0.01
+    round_s = 2.0 * n_senders * msg_bytes * 8.0 / slow
+    duration = storm_at + (rounds + 1) * round_s
     obs, tel = ObsContext(), IntTelemetry()
-    tb = Testbed(ACDC, _build, rate_bps=slow, obs=obs, int_tel=tel,
-                 line_rate_bps=rate_bps, variant=variant,
-                 n_senders=n_senders, mtu=mtu, seed=seed)
+    tb = Testbed(Scenario(ACDC, f"{__name__}:{variant}_path", n_senders,
+                          duration, slow, mtu, seed),
+                 Taps(obs=obs, int_tel=tel))
     sim = tb.sim
     senders, receiver = tb.parts
 
@@ -113,16 +125,11 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
                              recorder, label=f"{sender.addr}>recv",
                              conn_opts=dict(conn_opts))
                for sender in senders]
-    # Connections establish quietly, then synchronized message rounds —
-    # every round is one incast burst through the slow link.
-    storm_at = 0.01
-    round_s = 2.0 * n_senders * msg_bytes * 8.0 / slow
     for r in range(rounds):
         for stream in streams:
             sim.schedule_at(storm_at + r * round_s,
                             stream.send_message, msg_bytes)
-    duration = storm_at + (rounds + 1) * round_s
-    result = tb.run(duration)
+    result = tb.run()
 
     fcts = sorted(recorder.fcts())
     p99 = percentile(fcts, 99) if fcts else None

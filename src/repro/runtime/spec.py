@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Mapping
 
 #: Bump when the spec encoding changes incompatibly; part of every key so
 #: stale cache entries from an older scheme can never be returned.
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 
 def canonical_json(value: Any) -> str:

@@ -1,7 +1,7 @@
 """Traffic: applications, workload orchestrators, trace distributions."""
 
 from .apps import BulkSender, EchoSink, MessageStream, PingPong, Sink
-from .background import BackgroundFlowGroup, TierRouter
+from .background import BackgroundFlowGroup
 from .generators import ConcurrentStride, Shuffle, TraceDriven, start_incast
 from .traces import (
     DATA_MINING_CDF,
@@ -24,7 +24,6 @@ __all__ = [
     "PingPong",
     "Shuffle",
     "Sink",
-    "TierRouter",
     "TraceDriven",
     "WEB_SEARCH_CDF",
     "data_mining",

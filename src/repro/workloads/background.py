@@ -1,4 +1,4 @@
-"""Background traffic description and per-flow tier routing.
+"""Background traffic description.
 
 Hybrid-fidelity runs split their traffic between two tiers: foreground
 flows that need packet-level fidelity (per-segment FCT, retransmission
@@ -7,21 +7,20 @@ background whose only job is to pressure the bottleneck rides the fluid
 tier (``repro.fluid``) at a tiny fraction of the event cost.
 
 :class:`BackgroundFlowGroup` describes a homogeneous group of background
-flows independent of tier; :class:`TierRouter` decides, per group, which
-tier carries it.  Routing is explicit and deterministic — a group is
-packet-tier if it says so (``packet_tier=True``) or if the router is
-forced to ``"packet"`` mode (the fidelity-validation configuration where
+flows independent of tier.  Which tier carries a group is part of the
+run's :class:`~repro.experiments.scenario.Scenario`: the hybrid
+constructors (``repro.experiments.hybrid``) route it — packet-tier if
+the group says so (``packet_tier=True``) or the run is forced to
+``"packet"`` mode (the fidelity-validation configuration where
 everything is simulated packet-level for comparison).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..fluid.model import FluidFlowSpec
-
-_MODES = ("auto", "packet", "fluid")
 
 
 @dataclass(frozen=True)
@@ -61,32 +60,3 @@ class BackgroundFlowGroup:
             ect=self.resolved_ect,
             init_cwnd_bytes=self.mss,
         )
-
-
-class TierRouter:
-    """Route background flow groups onto the packet or fluid tier.
-
-    * ``auto`` (default): fluid unless a group pins itself packet-tier;
-    * ``packet``: everything packet-level (validation runs);
-    * ``fluid``: everything fluid, overriding per-group pins (cost
-      ceiling for capacity planning; per-flow fidelity is forfeited).
-    """
-
-    def __init__(self, mode: str = "auto"):
-        if mode not in _MODES:
-            raise ValueError(f"unknown tier mode {mode!r}; one of {_MODES}")
-        self.mode = mode
-
-    def route(self, groups: Sequence[BackgroundFlowGroup],
-              ) -> Tuple[List[BackgroundFlowGroup], List[FluidFlowSpec]]:
-        """Split ``groups`` into (packet-tier groups, fluid specs)."""
-        packet: List[BackgroundFlowGroup] = []
-        fluid: List[FluidFlowSpec] = []
-        for group in groups:
-            if self.mode == "fluid":
-                fluid.append(group.to_fluid_spec())
-            elif self.mode == "packet" or group.packet_tier:
-                packet.append(group)
-            else:
-                fluid.append(group.to_fluid_spec())
-        return packet, fluid

@@ -16,14 +16,15 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.experiments.common import DCTCP
-from repro.experiments.hybrid import run_hybrid_dumbbell, run_hybrid_incast
+from repro.experiments.hybrid import (hybrid_dumbbell_scenario,
+                                     run_hybrid_dumbbell, run_hybrid_incast)
 from repro.experiments.runners import run_dumbbell
 from repro.fluid import FluidFlowSpec, FluidPort, FluidTier
 from repro.net.buffer import SharedBuffer
 from repro.net.link import SwitchTxPort
 from repro.net.red import EcnMarker
 from repro.sim import Simulator
-from repro.workloads.background import BackgroundFlowGroup, TierRouter
+from repro.workloads.background import BackgroundFlowGroup
 
 RATE = 1e9
 K = 20 * 1500
@@ -61,15 +62,20 @@ def test_router_modes():
         BackgroundFlowGroup("b", n_flows=2, rtt_s=1e-3, cc="reno",
                             packet_tier=True),
     )
-    pkt, fluid = TierRouter("auto").route(groups)
-    assert [g.name for g in pkt] == ["b"]
-    assert [s.name for s in fluid] == ["a"]
-    pkt, fluid = TierRouter("packet").route(groups)
-    assert len(pkt) == 2 and not fluid
-    pkt, fluid = TierRouter("fluid").route(groups)
-    assert not pkt and len(fluid) == 2
+
+    def tiers(mode):
+        """(background packet flows' stacks, fluid group names)."""
+        scenario = hybrid_dumbbell_scenario(
+            DCTCP, fg_pairs=1, background=groups, duration=0.01,
+            tier_mode=mode)
+        fluid = scenario.fluid.groups if scenario.fluid is not None else ()
+        return ([f.cc for f in scenario.flows[1:]], [g.name for g in fluid])
+
+    assert tiers("auto") == (["reno"] * 2, ["a"])
+    assert tiers("packet") == (["dctcp"] * 4 + ["reno"] * 2, [])
+    assert tiers("fluid") == ([], ["a", "b"])
     with pytest.raises(ValueError):
-        TierRouter("hybrid")
+        tiers("hybrid")
 
 
 def test_router_ect_defaults_from_cc():

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.experiments import fig18_19_incast
+from repro.experiments import DCTCP, fig18_19_incast
+from repro.experiments.runners import incast_scenario
 from repro.runtime import (
     ResultCache,
     RunSpec,
@@ -22,8 +23,15 @@ from repro.runtime import (
 
 # A tiny but real experiment cell: full TCP/vSwitch datapath, ~100 ms sim.
 CELL = "repro.experiments.fig18_19_incast:_cell"
-CELL_KW = {"scheme": "dctcp", "n_senders": 4, "duration": 0.05,
-           "mtu": 1500, "seed": 0}
+
+
+def cell_kw(seed=0):
+    """The cell's kwargs: a 4-to-1 DCTCP incast Scenario."""
+    return {"scenario": incast_scenario(DCTCP, 4, duration=0.05, mtu=1500,
+                                        seed=seed).to_json()}
+
+
+CELL_KW = cell_kw()
 
 
 def double(x):
@@ -170,7 +178,7 @@ def test_parallel_results_byte_identical_to_serial(tmp_path):
     merge to the same bytes as the serial path, and a warm cache must
     reproduce them again without executing anything.
     """
-    specs = [RunSpec(CELL, {**CELL_KW, "seed": seed}) for seed in (0, 1)]
+    specs = [RunSpec(CELL, cell_kw(seed)) for seed in (0, 1)]
     serial = Runtime(jobs=1).map(specs)
     parallel_rt = Runtime(jobs=2, cache=tmp_path)
     parallel = parallel_rt.map(specs)

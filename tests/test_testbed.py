@@ -8,7 +8,7 @@ from repro.experiments import EXPERIMENTS, adversarial, fig18_19_incast
 from repro.experiments.__main__ import main
 from repro.experiments.common import ACDC
 from repro.experiments.hybrid import run_hybrid_dumbbell
-from repro.experiments.runners import run_dumbbell
+from repro.experiments.runners import incast_scenario, run_dumbbell
 from repro.runtime import resolve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -40,20 +40,19 @@ class _RecordingRuntime:
 
 
 def test_sweep_cache_keys_did_not_move():
-    # Literals computed at the commit before the sweep helper: a result
-    # cache written there must still be hit.
+    # Literals computed when cells began to carry their Scenario
+    # (SPEC_VERSION 2): a result cache written then must still be hit.
     rt = _RecordingRuntime()
     fig18_19_incast.run(counts=(16,), seeds=[0], runtime=rt)
-    assert rt.specs[2].describe()["kwargs"] == {
-        "scheme": "acdc", "n_senders": 16, "duration": 0.4, "mtu": 9000,
-        "seed": 0}
+    assert rt.specs[2].describe()["kwargs"] == {"scenario": incast_scenario(
+        ACDC, 16, duration=0.4, mtu=9000, seed=0).to_json()}
     assert rt.specs[2].key() == (
-        "0d5bfc87a738ed70144c2331297fee9dd7d019506e8ea5c48080eb497ecd2552")
+        "1bf4425346df67b18f51ff2d1438f1546da2f4718b5dc1562d3e1cb57a4a80d2")
     rt = _RecordingRuntime()
     adversarial.run(seed=0, quick=True, runtime=rt)
     assert rt.specs[3].fn == "repro.experiments.adversarial:run_point"
     assert rt.specs[3].key() == (
-        "c9b7504df4e07d733f6838321979f85f55a85fff126af7b1017aea6079cf3241")
+        "e2ed8b0b0f87ab65ba19cf6b3d7b061dc56175a7813e9b7662c083d5a8bbca0e")
 
 
 def _port_stats(result):

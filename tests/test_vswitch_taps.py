@@ -14,6 +14,7 @@ import ast
 import gc
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,10 @@ from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.core import acdc
 from repro.experiments import common
 from repro.experiments.common import ACDC
-from repro.experiments.runners import run_dumbbell
+from repro.experiments.hybrid import (DEFAULT_BACKGROUND,
+                                     hybrid_dumbbell_scenario)
+from repro.experiments.runners import (dumbbell_scenario, incast_scenario,
+                                      run_dumbbell)
 from repro.metrics import WindowLogger
 from repro.net.host import Host
 from repro.net.link import PORT_HOOKS
@@ -298,16 +302,33 @@ def observables(result):
             result.sim.events_processed, result.sim.events_scheduled)
 
 
-def test_taps_do_not_change_the_run(unsanitized):
-    kwargs = dict(pairs=3, duration=0.02, mtu=1500, rate_bps=1e9, seed=2)
-    bare = run_dumbbell(ACDC, **kwargs)
+#: The runs the taps are checked against: the stock dumbbell, an
+#: incast (one deep shared queue) and a hybrid dumbbell (INT and the
+#: trace bus beside the fluid coupling).
+TAPPED_RUNS = {
+    "dumbbell": lambda: dumbbell_scenario(
+        ACDC, pairs=3, duration=0.02, mtu=1500, rate_bps=1e9, seed=2),
+    "incast": lambda: incast_scenario(
+        ACDC, 6, duration=0.02, mtu=1500, rate_bps=1e9, seed=2),
+    "hybrid_dumbbell": lambda: hybrid_dumbbell_scenario(
+        ACDC, fg_pairs=2, background=DEFAULT_BACKGROUND, duration=0.02,
+        rate_bps=1e9, seed=2, bg_start_at=0.002, rtt_probe=True),
+}
+
+
+@pytest.mark.parametrize("run", TAPPED_RUNS)
+def test_taps_do_not_change_the_run(run, unsanitized):
+    scenario = TAPPED_RUNS[run]()
+    bare = common.Testbed(scenario).run()
     logger = WindowLogger()
-    tapped = run_dumbbell(ACDC, obs=ObsContext(), int_tel=IntTelemetry(),
-                          acdc_config=AcdcConfig(sanitize=True),
-                          window_cb=logger.acdc_callback, **kwargs)
+    tapped = common.Testbed(
+        replace(scenario, acdc=AcdcConfig(sanitize=True)),
+        common.Taps(obs=ObsContext(), int_tel=IntTelemetry(),
+                    window_cb=logger.acdc_callback)).run()
     assert all(len(v.taps) == 5 for v in tapped.vswitches.values())
     assert logger.samples and tapped.telemetry["trace"]["recorded"] > 0
     assert observables(tapped) == observables(bare)
+    assert tapped.fluid == bare.fluid
 
 
 # ---------------------------------------------------------------------------
