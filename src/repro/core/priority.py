@@ -1,19 +1,17 @@
 """Per-flow differentiation primitives (§3.4).
 
 Equation 1 of the paper generalises DCTCP's multiplicative decrease with a
-priority knob ``beta`` in [0, 1]:
-
-    rwnd = rwnd * (1 - (alpha - alpha * beta / 2))
-
-* ``beta = 1`` recovers DCTCP exactly: ``rwnd *= (1 - alpha/2)``.
-* ``beta = 0`` backs off by the full marked fraction: ``rwnd *= (1 - alpha)``
-  (floored at one MSS to avoid starvation, per the paper).
+priority knob ``beta`` in [0, 1] (:func:`repro.tcp.cc.dctcp.cut_factor`):
+``beta = 1`` recovers DCTCP exactly, ``beta = 0`` backs off by the full
+marked fraction (floored at one MSS to avoid starvation, per the paper).
 
 The decrease is modulated (rather than the increase) because growing RWND
 cannot force a VM whose own CWND is the limit to send faster.
 """
 
 from __future__ import annotations
+
+from ..tcp.cc.dctcp import cut_factor
 
 
 def validate_beta(beta: float) -> float:
@@ -28,8 +26,7 @@ def priority_decrease(wnd: float, alpha: float, beta: float) -> float:
     validate_beta(beta)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    factor = 1.0 - (alpha - alpha * beta / 2.0)
-    return wnd * factor
+    return wnd * cut_factor(alpha, beta)
 
 
 def rwnd_cap_for_rate(rate_bps: float, rtt_s: float) -> int:

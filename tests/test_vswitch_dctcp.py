@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.dctcp_vswitch import ALPHA_MAX, VswitchDctcp
+from repro.core.dctcp_vswitch import VswitchDctcp
 from repro.core.priority import priority_decrease, rwnd_cap_for_rate, validate_beta
+from repro.tcp.cc.dctcp import ALPHA_MAX
 
 MSS = 1460
 
