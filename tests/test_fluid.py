@@ -19,7 +19,7 @@ from repro.experiments.common import DCTCP
 from repro.experiments.hybrid import (hybrid_dumbbell_scenario,
                                      run_hybrid_dumbbell, run_hybrid_incast)
 from repro.experiments.runners import run_dumbbell
-from repro.fluid import FluidFlowSpec, FluidPort, FluidTier
+from repro.fluid import FluidClass, FluidFlowSpec, FluidPort, FluidTier
 from repro.net.buffer import SharedBuffer
 from repro.net.link import SwitchTxPort
 from repro.net.red import EcnMarker
@@ -54,6 +54,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FluidFlowSpec("x", n_flows=1, rtt_s=1e-3, mss=1460,
                       init_cwnd_bytes=100)
+    for rtt_s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rtt_s"):
+            FluidFlowSpec("x", n_flows=1, rtt_s=rtt_s)
+
+
+@pytest.mark.parametrize("dt, steps", [(25e-6, 40), (1e-4, 10)])
+def test_feedback_window_closes_after_one_rtt_of_steps(dt, steps):
+    """Forty 25 us steps sum to just under 1 ms in floats; the window
+    still closes at the fortieth, not the forty-first."""
+    cls = FluidClass(FluidFlowSpec("x", n_flows=1, rtt_s=1e-3))
+    closed = []
+    for step in range(1, 3 * steps + 1):
+        cls.advance_feedback(dt)
+        if cls.rtt_clock == 0.0:
+            closed.append(step)
+    assert closed == [steps, 2 * steps, 3 * steps]
 
 
 def test_router_modes():
