@@ -302,7 +302,7 @@ class DatapathSanitizer:
                        f"marked={marked_delta}", key)
 
     # -- the tap: which probes run at which datapath hook --------------------
-    def on_decision(self, type_, flow, severity, fields, noted) -> None:
+    def on_decision(self, type_, flow, severity, fields) -> None:
         if fields.get("state") == "resurrect":
             # The rebuilt entry restarts its window tracking from scratch;
             # stale edge high-water would read as a (false) retreat.

@@ -55,10 +55,10 @@ WindowCallback = Callable[[FlowKey, float, int], None]
 #: any subset.  Each is called with fixed arguments (DESIGN.md §3 says
 #: where it fires and which taps implement it):
 #:
-#: * ``on_decision(type_, flow, severity, fields, noted)`` — a flow
-#:   insert/resurrect/migrate/restart/timeout, ECN mark or policer drop:
-#:   ``fields`` for the trace bus, ``noted`` for the flight ring (None:
-#:   the bus only);
+#: * ``on_decision(type_, flow, severity, fields)`` — a flow
+#:   insert/resurrect/migrate/restart/timeout, ECN mark, policer drop or
+#:   guard transition: one record, the same for the trace bus and the
+#:   flight ring;
 #: * ``on_ingress_ack(vswitch, entry, pkt)`` — a SYN or an ACK from the
 #:   wire met its sender-role entry (``vswitch`` lets one run-level tap
 #:   serve every vSwitch);
@@ -154,7 +154,7 @@ class AcdcVswitch:
             obs.register_vswitch(self)
         self.sanitizer = sanitize.DatapathSanitizer(self) if sanitize_on else None
         if guard is not None:
-            guard.attach(self)  # after the bus exists: its ledger binds it
+            guard.attach(self)
         # Tap order is call order within a hook: the bus and the ring
         # log a rewrite before the sanitizer checks it, and the guard's
         # advertised edge moves before the sanitizer cross-checks it.
@@ -179,7 +179,7 @@ class AcdcVswitch:
         for key in (pkt.flow_key(), pkt.reverse_key()):
             if key not in self.table.entries:
                 for tap in self._on_decision:
-                    tap("flow.state", key, INFO, {"state": "insert"}, None)
+                    tap("flow.state", key, INFO, {"state": "insert"})
             entry = self.table.ensure(key, self.policy.policy_for(key), self.mss)
             self._apply_config_floor(entry)
         self.ops.counts["flow_insert"] += 2
@@ -199,8 +199,7 @@ class AcdcVswitch:
         self.resurrections += 1
         self.ops.counts["flow_resurrect"] += 1
         for tap in self._on_decision:
-            tap("flow.state", key, WARNING, {"state": "resurrect"},
-                {"state": "resurrect"})
+            tap("flow.state", key, WARNING, {"state": "resurrect"})
         return entry
 
     # ------------------------------------------------------------------
@@ -273,8 +272,7 @@ class AcdcVswitch:
         for tap in self._on_decision:
             tap("flow.state", entry.key, INFO,
                 {"state": "migrate", "algorithm": policy.algorithm,
-                 "wnd_bytes": entry.enforced_wnd},
-                {"state": "migrate", "algorithm": policy.algorithm})
+                 "wnd_bytes": entry.enforced_wnd})
 
     def restart(self) -> None:
         """Simulate a vSwitch crash/upgrade: all flow-table state is lost.
@@ -287,8 +285,7 @@ class AcdcVswitch:
             self.table.remove(key)
         self.restarts += 1
         for tap in self._on_decision:
-            tap("flow.state", None, WARNING, {"state": "restart"},
-                {"state": "restart"})
+            tap("flow.state", None, WARNING, {"state": "restart"})
 
     # ------------------------------------------------------------------
     # Egress: VM -> wire
@@ -355,7 +352,7 @@ class AcdcVswitch:
             counts["ecn_mark"] += 1
             counts["checksum_recalc"] += 1
             for tap in self._on_decision:
-                tap("ecn.mark", entry.key, INFO, {"direction": "egress"}, None)
+                tap("ecn.mark", entry.key, INFO, {"direction": "egress"})
         entry.vm_ect = pkt.vm_ect
         for tap in self._on_egress_data:
             if not tap(entry, pkt):
@@ -368,8 +365,7 @@ class AcdcVswitch:
                                       wscale=entry.peer_wscale):
                 for tap in self._on_decision:
                     tap("policer.drop", entry.key, WARNING,
-                        {"reason": "window_overrun"},
-                        {"reason": "window_overrun", "seq": pkt.seq})
+                        {"reason": "window_overrun"})
                 return None
         self._arm_inactivity(entry)
         return pkt
@@ -542,7 +538,6 @@ class AcdcVswitch:
             ct.snd_una or 0, ct.snd_nxt or 0)
         for tap in self._on_decision:
             tap("flow.state", entry.key, WARNING,
-                {"state": "timeout", "wnd_bytes": wnd},
                 {"state": "timeout", "wnd_bytes": wnd})
         for tap in self._on_window:
             tap(entry.key, self.sim.now, wnd)

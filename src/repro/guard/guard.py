@@ -19,22 +19,23 @@ its one verdict, the vSwitch's policy engine and the entry's CC:
 * :meth:`on_timeout` feeds an inferred RTO of a non-shed flow to the
   bleach detector.
 
-All transitions are recorded twice: per-cause counts in a
-:class:`~repro.metrics.collectors.FaultRecorder` (cheap assertions) and
-the full ordered sequence in an
-:class:`~repro.metrics.collectors.EventLog` (determinism signatures,
-audit trail).  The event log binds the attached vSwitch's trace bus, if
-any, so every transition is also a ``guard.*`` event, and each is noted
-into the vSwitch's flight recorder when one is armed.
+Each transition is recorded once, in an
+:class:`~repro.metrics.collectors.EventLog` (counts by kind, determinism
+signatures, audit trail), and offered once, as one ``guard.*`` decision,
+to the vSwitch's ``on_decision`` taps, among them the trace bus's
+:class:`~repro.obs.context.VswitchObs` and the flight ring when they
+are armed.  :data:`GUARD_KIND_TO_TYPE` names the decision type of each
+kind; a kind it lacks rides ``guard.event`` with the kind as a field.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional
 
 from ..core.vswitch_cc import make_vswitch_cc
-from ..metrics.collectors import EventLog, FaultRecorder, guard_severity
+from ..metrics.collectors import EventLog
+from ..obs.trace import INFO, WARNING
 from ..sim.rng import RngFactory
 from .config import GuardConfig
 from .escalation import EscalationEngine
@@ -50,19 +51,36 @@ from .monitor import (
 )
 from .watchdog import DatapathWatchdog
 
+#: Guard notification kind -> trace event type.
+GUARD_KIND_TO_TYPE: Dict[str, str] = {
+    "guard_escalate": "guard.escalate",
+    "guard_deescalate": "guard.deescalate",
+    "guard_police_drop": "guard.police_drop",
+    "guard_quarantine_drop": "guard.quarantine_drop",
+    "guard_feedback_fallback": "guard.feedback_fallback",
+    "guard_shed": "guard.shed",
+    "guard_unshed": "guard.unshed",
+}
+
+#: Enforcement actions and ladder climbs warrant attention; bookkeeping
+#: transitions stay informational.
+_WARN_TYPES = frozenset({
+    "guard.escalate", "guard.police_drop", "guard.quarantine_drop",
+    "guard.feedback_fallback", "guard.shed",
+})
+
+
+def guard_severity(kind: str) -> int:
+    """Severity of guard notification ``kind``."""
+    return WARNING if GUARD_KIND_TO_TYPE.get(kind) in _WARN_TYPES else INFO
+
 
 class Guard:
     """Adversarial-tenant protection for one AC/DC vSwitch."""
 
     def __init__(self, config: Optional[GuardConfig] = None,
-                 recorder: Optional[FaultRecorder] = None,
                  events: Optional[EventLog] = None):
         self.config = config if config is not None else GuardConfig()
-        # The recorder stays bus-unbound inside the guard: its
-        # counts are keyed by guard kind, and mirroring them would emit
-        # them as (wrong) ``fault.inject`` events.  The *event log* is
-        # what binds to the vSwitch's bus at attach().
-        self.recorder = recorder if recorder is not None else FaultRecorder()
         self.events = events if events is not None else EventLog()
         self._rngs = RngFactory(self.config.seed)
         # Bound at attach() time.
@@ -85,9 +103,6 @@ class Guard:
         self.vswitch = vswitch
         self.sim = vswitch.sim
         self.mss = vswitch.mss
-        bus = getattr(vswitch, "trace", None)
-        if bus is not None:
-            self.events.bind_bus(bus)
         self.monitor = ConformanceMonitor(self.config, self.mss)
         self.escalation = EscalationEngine(
             self.config, self.mss, vswitch.policy, self._notify)
@@ -139,12 +154,15 @@ class Guard:
             setattr(self.config, name, value)
 
     def _notify(self, kind: str, entry, **detail) -> None:
-        self.recorder.record(kind)
+        """Record one transition and offer it to the vSwitch's taps."""
         self.events.record(self.sim.now, kind, flow=entry.key, **detail)
-        flight = getattr(self.vswitch, "flight", None)
-        if flight is not None:
-            flight.note("guard.event", entry.key,
-                        severity=guard_severity(kind), kind=kind, **detail)
+        type_ = GUARD_KIND_TO_TYPE.get(kind)
+        if type_ is None:
+            type_ = "guard.event"
+            detail["kind"] = kind
+        severity = guard_severity(kind)
+        for tap in self.vswitch._on_decision:
+            tap(type_, entry.key, severity, detail)
 
     def conformance(self, entry) -> FlowConformance:
         if entry.guard_state is None:

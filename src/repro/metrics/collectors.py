@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.trace import INFO, WARNING
+from ..obs.trace import WARNING
 from ..sim.engine import Simulator
 from ..sim.timers import PeriodicTimer
 
@@ -159,74 +159,26 @@ class Event:
     detail: Tuple[Tuple[str, object], ...] = ()
 
 
-#: Guard notification kind -> trace event type.
-GUARD_KIND_TO_TYPE: Dict[str, str] = {
-    "guard_escalate": "guard.escalate",
-    "guard_deescalate": "guard.deescalate",
-    "guard_police_drop": "guard.police_drop",
-    "guard_quarantine_drop": "guard.quarantine_drop",
-    "guard_feedback_fallback": "guard.feedback_fallback",
-    "guard_shed": "guard.shed",
-    "guard_unshed": "guard.unshed",
-}
-
-#: Enforcement actions and ladder climbs warrant attention; bookkeeping
-#: transitions stay informational.
-_WARN_TYPES = frozenset({
-    "guard.escalate", "guard.police_drop", "guard.quarantine_drop",
-    "guard.feedback_fallback", "guard.shed",
-})
-
-
-def guard_severity(kind: str) -> int:
-    """Severity of guard notification ``kind``, on the bus and the ring."""
-    return WARNING if GUARD_KIND_TO_TYPE.get(kind) in _WARN_TYPES else INFO
-
-
 class EventLog:
     """Ordered ledger of structured events (guard transitions, watchdog
     shedding, fallback activations).
 
-    Complements :class:`FaultRecorder`'s per-cause counts with the full
-    (time, kind, flow, detail) sequence, which is what determinism
-    assertions and the DESIGN.md state-machine audit trail consume.
-
-    With a :class:`~repro.obs.trace.TraceBus` bound, every record is also
-    mirrored onto it: guard ``kind`` strings map onto dedicated
-    ``guard.*`` event types, and unmapped kinds ride the ``guard.event``
-    catch-all so a new guard notification can never silently vanish from
-    a trace.  Unbound (the default) it is a pure ledger.
+    It keeps the full (time, kind, flow, detail) sequence: per-kind
+    counts, determinism assertions and the DESIGN.md state-machine audit
+    trail read it.  A pure ledger: the guard offers each transition to
+    its vSwitch's trace taps itself (:mod:`repro.guard.guard`).
     """
 
-    def __init__(self, bus=None) -> None:
+    def __init__(self) -> None:
         self.events: List[Event] = []
-        self.bus = bus
-
-    def bind_bus(self, bus) -> None:
-        """Late binding: the guard learns its vSwitch (and with it the
-        run's bus) only at attach time."""
-        self.bus = bus
 
     def record(self, time: float, kind: str, flow=None, **detail) -> None:
         self.events.append(Event(time=time, kind=kind, flow=flow,
                                  detail=tuple(sorted(detail.items()))))
-        bus = self.bus
-        if bus is None:
-            return
-        type_ = GUARD_KIND_TO_TYPE.get(kind)
-        if type_ is None:
-            type_ = "guard.event"
-            detail = dict(detail)
-            detail["kind"] = kind
-        bus.emit(type_, flow=flow, component="guard",
-                 severity=guard_severity(kind), **detail)
 
     def kinds(self) -> Dict[str, int]:
         counts: Counter = Counter(e.kind for e in self.events)
         return dict(counts)
-
-    def for_flow(self, flow) -> List[Event]:
-        return [e for e in self.events if e.flow == flow]
 
     def signature(self) -> List[tuple]:
         """Canonical, comparable form of the whole log (determinism checks)."""
@@ -244,7 +196,7 @@ class FaultRecorder:
     experiments can assert that the counters sum to the events the
     injectors report and break degradation down by cause.
 
-    With a trace bus bound, every record is mirrored as a
+    Given a trace bus, every record is mirrored as a
     ``fault.inject`` event.  ``record`` carries no timestamp, so the
     event is stamped from the bus's simulator clock — injectors record
     at the instant the fault fires, which is exactly the bus's
@@ -255,9 +207,6 @@ class FaultRecorder:
         self.counts: Counter = Counter()
         self.bus = bus
 
-    def bind_bus(self, bus) -> None:
-        self.bus = bus
-
     def record(self, cause: str, n: int = 1) -> None:
         self.counts[cause] += n
         bus = self.bus
@@ -265,12 +214,6 @@ class FaultRecorder:
             bus.emit("fault.inject", component="faults", severity=WARNING,
                      cause=cause, n=n)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def snapshot(self) -> Dict[str, int]:
         return dict(self.counts)
 
-    def merge(self, other: "FaultRecorder") -> None:
-        """Fold another recorder's counts into this one."""
-        self.counts.update(other.counts)

@@ -16,9 +16,9 @@ into, replacing the ad-hoc logging each PR grew on its own
   sanitizing and dumped on
   :class:`~repro.analysis.sanitize.InvariantViolation` or on demand;
 * :mod:`repro.obs.export` — JSONL/CSV writers for trace streams;
-* the ``EventLog``/``FaultRecorder`` ledgers of
-  :mod:`repro.metrics.collectors` mirror their records onto the bus
-  when one is bound;
+* the ``FaultRecorder`` ledger of :mod:`repro.metrics.collectors`
+  mirrors its records onto a bus it is given; guard transitions reach
+  the bus as vSwitch decisions (:mod:`repro.guard.guard`);
 * :mod:`repro.obs.int` — **in-band network telemetry**: switch ports
   stamp per-hop metadata (queue depth, utilization, residence) onto
   transiting packets, the receiving vSwitch echoes a compact digest

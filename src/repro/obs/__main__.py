@@ -210,6 +210,14 @@ def cmd_int(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    """``--limit``'s type: a count below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_filters(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", dest="types", default="",
                         help="comma-separated event types to keep")
@@ -222,7 +230,7 @@ def _add_filters(parser: argparse.ArgumentParser) -> None:
                         help="keep events at or after this virtual time")
     parser.add_argument("--until", type=float,
                         help="keep events at or before this virtual time")
-    parser.add_argument("--limit", type=int,
+    parser.add_argument("--limit", type=_positive_int,
                         help="stop after this many matching events")
 
 

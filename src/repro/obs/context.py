@@ -56,10 +56,11 @@ class PortObs:
 
 class VswitchObs:
     """Per-vSwitch trace tap (``AcdcVswitch``, first in its taps when
-    tracing): every decision onto the bus, one channel per (type,
-    severity, field names) shape, and every RWND decision on an ACK onto
-    ``rwnd.rewrite``.  The flight ring is a separate tap that only the
-    sanitizer arms (:mod:`repro.obs.recorder`).
+    tracing): every decision, guard transitions included, onto the bus,
+    one channel per (type, severity, field names) shape, and every RWND
+    decision on an ACK onto ``rwnd.rewrite``.  The flight ring is a
+    separate tap that only the sanitizer arms and that keeps the same
+    records (:mod:`repro.obs.recorder`).
     """
 
     __slots__ = ("bus", "channels", "rewrites")
@@ -72,8 +73,8 @@ class VswitchObs:
             "rwnd.rewrite", ("wnd_bytes", "rewritten", "visible_bytes"),
             component="vswitch", severity=INFO)
 
-    def on_decision(self, type_: str, flow, severity: int, fields: dict,
-                    noted) -> None:
+    def on_decision(self, type_: str, flow, severity: int,
+                    fields: dict) -> None:
         key = (type_, severity, tuple(fields))
         try:
             channel = self.channels[key]

@@ -1,12 +1,14 @@
 """The datapath flight recorder.
 
 A bounded ring buffer of the last N datapath decisions one vSwitch
-made — window rewrites, drops, timeouts, resurrections, guard
-transitions.  Its only reader is the runtime sanitizer, so it is armed
-exactly when sanitizing, as one of the vSwitch's taps
-(``AcdcVswitch.HOOKS``).  The trace bus's view of the same decisions is
-a separate tap, :class:`~repro.obs.context.VswitchObs`; off, the
-datapath pays one empty-tuple loop per decision.
+made — flow inserts, window rewrites, ECN marks, drops, timeouts,
+resurrections, guard transitions.  Its only reader is the runtime
+sanitizer, so it is armed exactly when sanitizing, as one of the
+vSwitch's taps (``AcdcVswitch.HOOKS``).  It keeps the very records the
+trace bus gets from the other tap,
+:class:`~repro.obs.context.VswitchObs`, so a dump is the bus's bounded
+tail (bar ``component``, the vSwitch's name here); off, the datapath
+pays one empty-tuple loop per decision.
 
 On an :class:`~repro.analysis.sanitize.InvariantViolation` the
 sanitizer dumps the ring to a JSONL file and attaches the path to the
@@ -45,7 +47,7 @@ DEFAULT_DUMP_DIR = ".repro-obs"
 
 
 class FlightRecorder:
-    """Ring buffer of (sim time, kind, severity, flow, fields) decisions."""
+    """Ring buffer of (sim time, type, severity, flow, fields) decisions."""
 
     def __init__(self, sim, name: str = "vswitch",
                  capacity: int = DEFAULT_CAPACITY):
@@ -60,49 +62,35 @@ class FlightRecorder:
         self._ring: Deque[Tuple[float, str, int, object, dict]] = deque(
             maxlen=capacity)
 
-    # ------------------------------------------------------------------
-    def note(self, type_: str, flow=None, *, severity=INFO, **fields) -> None:
-        """Record one datapath decision (cheap: one deque append).
-
-        The first argument is the record *type* (named ``type_`` so a
-        detail field called ``kind`` — e.g. the guard's transition kind
-        — can ride in ``fields`` without colliding)."""
+    # -- ring tap (AcdcVswitch.HOOKS) ------------------------------------
+    def on_decision(self, type_: str, flow, severity: int,
+                    fields: dict) -> None:
+        """One datapath decision, as the bus gets it (one deque append)."""
         self.noted += 1
         self._ring.append((self.sim.now, type_, severity, flow, fields))
 
-    # -- ring tap (AcdcVswitch.HOOKS) ------------------------------------
-    def on_decision(self, type_: str, flow, severity: int, fields: dict,
-                    noted) -> None:
-        """A flow-state change or policer drop: ``noted`` into the ring
-        (a bus-only decision, such as an ECN mark, passes None)."""
-        if noted:
-            self.note(type_, flow, severity=severity, **noted)
-
     def on_advertised(self, entry, pkt, wnd: int, rewritten) -> None:
         """The RWND decision on an ACK (``rewritten`` None: a fabricated
-        advertisement, which is no decision)."""
+        advertisement, which is no decision), in ``rwnd.rewrite``'s bus
+        fields."""
         if isinstance(rewritten, bool):
-            # One deque append inline (not via note()): this runs per ACK.
             self.noted += 1
             self._ring.append((self.sim.now, "rwnd.rewrite", INFO, entry.key,
                                {"wnd_bytes": wnd, "rewritten": rewritten,
-                                "rwnd_field": pkt.rwnd_field,
-                                "wscale": entry.peer_wscale}))
+                                "visible_bytes":
+                                    pkt.rwnd_field << entry.peer_wscale}))
 
     def records(self) -> List[dict]:
         """Ring contents as flat dicts, oldest first (trace-record shape,
         so the ``python -m repro.obs`` subcommands read dumps too)."""
         out = []
-        for t, kind, severity, flow, fields in self._ring:
-            record = {"t": t, "type": kind,
+        for t, type_, severity, flow, fields in self._ring:
+            record = {"t": t, "type": type_,
                       "sev": SEVERITY_NAMES.get(severity, str(severity)),
                       "component": self.name, "flow": format_flow(flow)}
             record.update(fields)
             out.append(record)
         return out
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     def __len__(self) -> int:
         return len(self._ring)

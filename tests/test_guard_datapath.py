@@ -67,7 +67,7 @@ def test_rwnd_cheater_escalated_and_policed(two_hosts):
     assert fc.state == "violator"
     assert fc.level >= 2
     assert guard.police_drops > 0
-    counts = guard.recorder.snapshot()
+    counts = guard.events.kinds()
     assert counts["guard_escalate"] >= 1
     assert counts["guard_police_drop"] == guard.police_drops
     # The penalty clamp took hold of the vSwitch CC.
@@ -88,11 +88,11 @@ def test_a_dumped_guard_drop_reads_warning(two_hosts, tmp_path, capsys):
     transfer(sim, a, b, until=0.1, conn_opts={"ignore_rwnd": True})
     path = vsw_a.flight.dump(dir_path=tmp_path)
     drops = [r for r in read_jsonl(path)
-             if r.get("kind") == "guard_police_drop"]
+             if r["type"] == "guard.police_drop"]
     assert drops and {r["sev"] for r in drops} == {"warning"}
     capsys.readouterr()
     assert obs_cli(["timeline", path, "--min-sev", "warning"]) == 0
-    assert "guard_police_drop" in capsys.readouterr().out
+    assert "guard.police_drop" in capsys.readouterr().out
 
 
 def test_cheater_events_deterministic_across_runs():
@@ -123,7 +123,7 @@ def test_option_strip_degrades_to_local_signal_cc(two_hosts):
     entry = vsw_a.table.entries[conn.key()]
     # Swapped to the loss/timeout-driven fallback, still enforced.
     assert entry.vswitch_cc.name == "reno"
-    assert guard.recorder.snapshot()["guard_feedback_fallback"] == 1
+    assert guard.events.kinds()["guard_feedback_fallback"] == 1
     # Degraded is not punished: the flow keeps making progress.
     assert conn.bytes_acked_total >= 400_000
 

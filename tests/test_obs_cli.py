@@ -76,6 +76,19 @@ def test_grep_limit(trace, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("command", ["grep", "timeline", "int"])
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_limit_below_one_is_usage_error(trace, capsys, command, limit):
+    """Regression: ``--limit 0`` (or a negative limit) printed one record
+    and exited 0, and ``timeline`` claimed it was "limited to 0 events"."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, trace, "--limit", limit])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_timeline_defaults_to_first_flow(trace, capsys):
     assert main(["timeline", trace]) == 0
     out = capsys.readouterr().out

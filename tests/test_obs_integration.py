@@ -13,10 +13,12 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.sanitize import InvariantViolation
-from repro.core import AcdcConfig, AcdcVswitch
+from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.experiments import fig09_window_tracking as fig09
+from repro.guard import Guard, GuardConfig
+from repro.guard.guard import GUARD_KIND_TO_TYPE
 from repro.net.packet import mss_for_mtu
-from repro.obs import ObsContext, read_jsonl
+from repro.obs import ObsContext, TraceConfig, read_jsonl
 from repro.obs.__main__ import main as obs_main
 from repro.workloads.apps import Sink
 
@@ -125,7 +127,45 @@ def test_lying_rewrite_attaches_flight_dump(two_hosts, monkeypatch, tmp_path):
     dump = read_jsonl(exc.value.flight_dump)
     offending = [r for r in dump if r["type"] == "rwnd.rewrite"]
     assert offending, "dump must contain the offending rewrite decision"
-    assert offending[-1]["rwnd_field"] == 1  # the lie itself, on record
+    # The lie itself, on record: a one-unit field under the peer's scale.
+    wscale = a.vswitch.table.entries[conn.key()].peer_wscale
+    assert offending[-1]["visible_bytes"] == 1 << wscale
+
+
+def test_the_ring_is_the_bus_tail_and_a_guard_transition_is_offered_once(
+        two_hosts):
+    """One record per decision: the flight ring holds exactly the records
+    the bus got from the same vSwitch (bar ``component``), and each
+    guard transition reaches the bus once."""
+    sim, topo, a, b, sw = two_hosts
+    # Unsampled, so every ECN mark the ring keeps is on the bus too.
+    obs = ObsContext(sim, TraceConfig(sample={}))
+    guard = Guard(GuardConfig(window_packets=16))
+    clamp = PolicyEngine(default=FlowPolicy(max_rwnd=4 * a.mss))
+    vsw_a = AcdcVswitch(a, policy=clamp, guard=guard, obs=obs,
+                        config=AcdcConfig(police=True, sanitize=True))
+    a.attach_vswitch(vsw_a)
+    b.attach_vswitch(AcdcVswitch(b, config=AcdcConfig(sanitize=False)))
+    Sink(b, 7000)
+    a.connect(b.addr, 7000, ignore_rwnd=True).send_forever()
+    sim.run(until=0.2)
+
+    ring = vsw_a.flight
+    records = obs.bus.records()
+    decisions = [r for r in records if r["component"] == "vswitch"]
+    assert ring.noted == len(decisions)  # one record per decision
+    assert len(ring) == ring.capacity < len(decisions)  # a real tail
+
+    def shape(record):
+        return {k: v for k, v in record.items() if k != "component"}
+
+    assert ([shape(r) for r in ring.records()]
+            == [shape(r) for r in decisions[-len(ring):]])
+    transitions = [(r["t"], r["type"]) for r in records
+                   if r["type"].startswith("guard.")]
+    assert guard.police_drops > 0
+    assert transitions == [(e.time, GUARD_KIND_TO_TYPE[e.kind])
+                           for e in guard.events.events]
 
 
 def test_sanitize_only_vswitch_still_dumps(two_hosts, monkeypatch, tmp_path):

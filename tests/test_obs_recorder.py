@@ -22,7 +22,8 @@ def test_note_and_records_are_trace_shaped():
     sim = FakeSim()
     rec = FlightRecorder(sim, name="h1")
     sim.now = 0.5
-    rec.note("rwnd.rewrite", FLOW, wnd_bytes=3000, rewritten=True)
+    rec.on_decision("rwnd.rewrite", FLOW, INFO,
+                    {"wnd_bytes": 3000, "rewritten": True})
     assert len(rec) == 1 and rec.noted == 1
     (record,) = rec.records()
     assert record == {"t": 0.5, "type": "rwnd.rewrite", "sev": "info",
@@ -33,22 +34,15 @@ def test_note_and_records_are_trace_shaped():
 def test_ring_keeps_only_the_tail():
     rec = FlightRecorder(FakeSim(), capacity=4)
     for i in range(10):
-        rec.note("flow.state", FLOW, state=str(i))
+        rec.on_decision("flow.state", FLOW, INFO, {"state": str(i)})
     assert len(rec) == 4 and rec.noted == 10
     assert [r["state"] for r in rec.records()] == ["6", "7", "8", "9"]
 
 
-def test_clear():
-    rec = FlightRecorder(FakeSim())
-    rec.note("flow.state", FLOW, state="x")
-    rec.clear()
-    assert len(rec) == 0 and rec.records() == []
-    assert rec.noted == 1  # offered count is cumulative
-
-
 def test_dump_writes_jsonl_to_dir_arg(tmp_path):
     rec = FlightRecorder(FakeSim(), name="h/1")  # slash must be sanitised
-    rec.note("policer.drop", FLOW, reason="window_overrun")
+    rec.on_decision("policer.drop", FLOW, WARNING,
+                    {"reason": "window_overrun"})
     path = rec.dump(dir_path=tmp_path, tag="window_overrun")
     assert path.startswith(str(tmp_path))
     assert "h-1" in path and path.endswith(".jsonl")
@@ -60,7 +54,7 @@ def test_dump_writes_jsonl_to_dir_arg(tmp_path):
 def test_dump_honours_repro_obs_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "dumps"))
     rec = FlightRecorder(FakeSim(), name="h2")
-    rec.note("flow.state", FLOW, state="restart")
+    rec.on_decision("flow.state", FLOW, INFO, {"state": "restart"})
     path = rec.dump()
     assert path.startswith(str(tmp_path / "dumps"))
     assert len(read_jsonl(path)) == 1
@@ -68,7 +62,7 @@ def test_dump_honours_repro_obs_dir_env(tmp_path, monkeypatch):
 
 def test_dump_serials_never_collide(tmp_path):
     rec = FlightRecorder(FakeSim(), name="h3")
-    rec.note("flow.state", FLOW, state="x")
+    rec.on_decision("flow.state", FLOW, INFO, {"state": "x"})
     assert rec.dump(dir_path=tmp_path) != rec.dump(dir_path=tmp_path)
 
 
@@ -80,8 +74,8 @@ def test_same_named_recorders_never_overwrite_each_other(tmp_path):
     sim = FakeSim()
     first = FlightRecorder(sim, name="h1")
     second = FlightRecorder(sim, name="h1")
-    first.note("flow.state", FLOW, state="a")
-    second.note("flow.state", FLOW, state="b")
+    first.on_decision("flow.state", FLOW, INFO, {"state": "a"})
+    second.on_decision("flow.state", FLOW, INFO, {"state": "b"})
     path_a = first.dump(dir_path=tmp_path)
     path_b = second.dump(dir_path=tmp_path)
     assert path_a != path_b
@@ -97,12 +91,12 @@ def test_restored_recorder_serial_reset_cannot_overwrite(tmp_path):
     import pickle
 
     rec = FlightRecorder(FakeSim(), name="h2")
-    rec.note("flow.state", FLOW, state="pre")
+    rec.on_decision("flow.state", FLOW, INFO, {"state": "pre"})
     frozen = pickle.dumps(rec)           # checkpoint before any dump
     first = rec.dump(dir_path=tmp_path)  # original incarnation dumps
 
     restored = pickle.loads(frozen)      # serial rewinds to 0 inside
-    restored.note("flow.state", FLOW, state="post")
+    restored.on_decision("flow.state", FLOW, INFO, {"state": "post"})
     second = restored.dump(dir_path=tmp_path)
     assert second != first
     (kept,) = read_jsonl(first)
@@ -115,12 +109,10 @@ def test_a_dumped_resurrect_keeps_its_warning_severity(tmp_path, capsys):
     ``timeline --min-sev warning``."""
     sim = FakeSim()
     rec = FlightRecorder(sim, name="h1")
-    rec.on_decision("flow.state", FLOW, INFO, {"state": "insert"},
-                    {"state": "insert"})
+    rec.on_decision("flow.state", FLOW, INFO, {"state": "insert"})
     sim.now = 0.25
-    rec.on_decision("flow.state", FLOW, WARNING, {"state": "resurrect"},
-                    {"state": "resurrect"})
-    rec.note("flow.state", FLOW, severity=WARNING, state="restart")
+    rec.on_decision("flow.state", FLOW, WARNING, {"state": "resurrect"})
+    rec.on_decision("flow.state", FLOW, WARNING, {"state": "restart"})
     path = rec.dump(dir_path=tmp_path)
     assert [(r["state"], r["sev"]) for r in read_jsonl(path)] == [
         ("insert", "info"), ("resurrect", "warning"), ("restart", "warning")]

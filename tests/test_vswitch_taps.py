@@ -65,10 +65,9 @@ class Recorder:
     def _entry_of(self, key):
         return self.vsw.table.entries[key]
 
-    def on_decision(self, type_, flow, severity, fields, noted):
+    def on_decision(self, type_, flow, severity, fields):
         assert type_ in ("flow.state", "ecn.mark")
         assert isinstance(severity, int) and isinstance(fields, dict)
-        assert noted is None or isinstance(noted, dict)
         self.log.append("on_decision")
 
     def on_ingress_ack(self, vswitch, entry, pkt):
