@@ -74,8 +74,9 @@ def test_bench_event_throughput(capsys):
 def test_bench_timer_churn(capsys):
     """The RTO pattern: nearly every scheduled timer is cancelled.
 
-    Exercises lazy deletion end to end — free-list recycling of fired and
-    cancelled events plus heap compaction once corpses dominate.
+    Exercises lazy deletion end to end through the cancellable entry
+    point (``arm_at``): corpse counting plus heap compaction once corpses
+    dominate.
     """
     sim = Simulator()
     rounds = 20_000 if QUICK else 200_000
@@ -88,7 +89,7 @@ def test_bench_timer_churn(capsys):
             state["pending"].cancel()
         state["n"] += 1
         if state["n"] < rounds:
-            state["pending"] = sim.schedule(0.2, rto_fire)
+            state["pending"] = sim.arm_at(sim.now + 0.2, rto_fire)
             sim.schedule(1e-7, on_ack)
 
     def rto_fire() -> None:  # pragma: no cover - timers are cancelled
@@ -104,12 +105,10 @@ def test_bench_timer_churn(capsys):
     rate = scheduled / elapsed
     _record("timer_churn",
             scheduled_events=scheduled, seconds=elapsed,
-            events_per_sec=rate, heap_compactions=sim.heap_compactions,
-            freelist_size=len(sim._free))
+            events_per_sec=rate, heap_compactions=sim.heap_compactions)
     with capsys.disabled():
         print(f"\nengine timer churn: {rate:,.0f} scheduled events/s, "
-              f"{sim.heap_compactions} heap compactions, "
-              f"free-list {len(sim._free)}")
+              f"{sim.heap_compactions} heap compactions")
     assert state["n"] == rounds
     # The cancelled-corpse fraction crossed the threshold at least once.
     assert sim.heap_compactions >= 1

@@ -35,7 +35,7 @@ from .rules import TAINT_KINDS, Violation, dotted, terminal
 from .suppress import Suppressions, parse_suppressions
 
 #: Callees whose callable arguments land in the engine's (picklable) heap.
-DEFAULT_SCHEDULE_CALLEES = ("schedule", "schedule_at", "Timer")
+DEFAULT_SCHEDULE_CALLEES = ("schedule", "schedule_at", "arm_at", "Timer")
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,10 @@ from typing import Any, List, Optional, Tuple
 MAGIC = b"REPRO-CKPT 1\n"
 
 #: Bump on incompatible snapshot-format changes; a reader refuses the
-#: payload of a version it does not understand.
-FORMAT_VERSION = 1
+#: payload of a version it does not understand.  Version 2: the
+#: simulator's calendar holds ``(time, seq, fn, args)`` entries, not
+#: ``(time, seq, Event)``.
+FORMAT_VERSION = 2
 
 _CKPT_NAME = re.compile(r"^epoch-(\d{8})\.ckpt$")
 

@@ -10,32 +10,36 @@ Design notes
 * Virtual time is a ``float`` measured in **seconds**.  Datacenter
   experiments span microseconds (propagation) to seconds (flow lifetimes);
   double precision holds ~15 significant digits which is far more than the
-  nanosecond resolution the paper's testbed could observe.
-* The heap stores ``(time, sequence, Event)`` tuples so ordering is
-  resolved by C-level tuple comparison (a hot path: a 10 G link moves
-  ~10^5 packets per simulated second, one event per packet per hop).
-  Events scheduled for the same instant fire in insertion order, making
-  runs fully deterministic for a fixed seed.
-* Cancellation is O(1): an :class:`Event` is flagged dead and skipped when
-  it surfaces — the standard lazy-deletion trick, which keeps timers
-  (per-flow RTOs, garbage collectors, inactivity timers) cheap.
-* Two allocation-pressure valves sit behind the lazy deletion (see
-  DESIGN.md §10):
+  nanosecond resolution the paper's testbed could observe.  A NaN time can
+  never be ordered against the clock, so every entry point refuses it.
+* The heap stores one ``(time, seq, fn, args)`` tuple per event, so
+  ordering is resolved by C-level tuple comparison on ``(time, seq)`` (a
+  hot path: a 10 G link moves ~10^5 packets per simulated second, one
+  event per packet per hop).  Events scheduled for the same instant fire
+  in insertion order, making runs fully deterministic for a fixed seed.
+* Two entry shapes share the heap (see DESIGN.md §10):
 
-  - when cancelled corpses exceed half the heap the heap is compacted in
-    one O(n) pass (``heap_compactions`` counts these), so a timer-churny
-    workload cannot grow the calendar without bound;
-  - fired/cancelled :class:`Event` objects are recycled through a small
-    free-list instead of being reallocated, but **only** when the engine
-    holds the last reference (checked via ``sys.getrefcount``) — a
-    caller-held handle is never recycled, so a stale ``cancel()`` can
-    never kill an unrelated later event.
+  - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` push
+    ``(time, seq, fn, args)`` and return nothing.  The link hop, apps,
+    generators and faults never cancel, so an event costs them one tuple;
+  - :meth:`Simulator.arm_at` pushes ``(time, seq, event, None)`` and
+    returns the :class:`Event` handle.  It is the one cancellable path,
+    used by timers (RTOs, garbage collectors, periodic sources).
+
+* Cancellation is O(1): an :class:`Event` is flagged dead and skipped when
+  it surfaces — the standard lazy-deletion trick.  ``Event.cancel()``
+  keeps an exact count of the corpses still buried in the heap; when they
+  exceed half of it the heap is compacted in one O(n) pass
+  (``heap_compactions`` counts these), so a timer-churny workload cannot
+  grow the calendar without bound.  A handle is never reused, so a stale
+  ``cancel()`` can only ever hit its own, already-fired event.
 """
 
 from __future__ import annotations
 
-import heapq
-import sys
+from heapq import heapify, heappop, heappush
+from math import inf
+from sys import maxsize
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Compact the heap only once at least this many cancelled events are
@@ -44,25 +48,18 @@ COMPACT_MIN_CANCELLED = 64
 #: ... and only when corpses make up at least this fraction of the heap.
 COMPACT_FRACTION = 0.5
 
-#: Upper bound on recycled Event objects retained between schedules.
-FREELIST_MAX = 4096
-
-#: ``sys.getrefcount(obj)`` when the run loop's local binding is the sole
-#: remaining reference: one for the local, one for the getrefcount argument.
-_ONLY_ENGINE_REFS = 2
-
 
 class Event:
-    """A scheduled callback; returned by :meth:`Simulator.schedule`.
+    """A cancellable scheduled callback; returned by :meth:`Simulator.arm_at`.
 
-    Instances are handed back to callers so they can :meth:`cancel` the
-    event (e.g. a retransmission timer defused by an ACK).
+    Handed back to callers so they can :meth:`cancel` the event (e.g. a
+    retransmission timer defused by an ACK).
     """
 
     __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(self, time: float, fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
+                 sim: "Simulator"):
         self.time = time
         self.fn = fn
         self.args = args
@@ -93,6 +90,12 @@ def _noop(*_args: Any) -> None:
     """Replacement callback for cancelled events."""
 
 
+def _refusal(time: float, now: float) -> "SimulationError":
+    """The error for a time that is not at or after the clock (or NaN)."""
+    return SimulationError(
+        f"cannot schedule at {time!r}, clock is already at {now!r}")
+
+
 class PeriodicSource:
     """Fixed-interval batch event source.
 
@@ -116,7 +119,7 @@ class PeriodicSource:
 
     def __init__(self, sim: "Simulator", interval: float,
                  fn: Callable[[], Any], start_at: Optional[float] = None):
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise SimulationError(f"periodic interval must be positive, "
                                   f"got {interval!r}")
         self.sim = sim
@@ -129,7 +132,7 @@ class PeriodicSource:
                 f"clock is already at {sim.now!r}")
         self.ticks = 0
         self.stopped = False
-        self._pending: Optional[Event] = sim.schedule_at(
+        self._pending: Optional[Event] = sim.arm_at(
             self.start_at, self._fire)
 
     def _fire(self) -> None:
@@ -137,7 +140,7 @@ class PeriodicSource:
         self.ticks += 1
         self.fn()
         if not self.stopped:
-            self._pending = self.sim.schedule_at(
+            self._pending = self.sim.arm_at(
                 self.start_at + self.ticks * self.interval, self._fire)
 
     def stop(self) -> None:
@@ -160,12 +163,15 @@ class Simulator:
         sim = Simulator()
         sim.schedule(0.5, hello)          # relative delay
         sim.schedule_at(2.0, goodbye)     # absolute time
+        timer = sim.arm_at(1.0, expire)   # cancellable: timer.cancel()
         sim.run(until=10.0)
     """
 
     def __init__(self, strict: Optional[bool] = None) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``(time, seq, fn, args)`` entries; an :meth:`arm_at` entry is
+        #: ``(time, seq, event, None)``.
+        self._heap: List[Tuple[float, int, Any, Optional[tuple]]] = []
         self._seq = 0
         self._running = False
         self.events_processed = 0
@@ -173,7 +179,6 @@ class Simulator:
         self._cancelled_pending = 0
         #: Times the calendar was compacted to shed cancelled corpses.
         self.heap_compactions = 0
-        self._free: List[Event] = []
         # Sanitizer tripwire: scheduling in the past is *always* a hard
         # error (see schedule_at); strict mode additionally audits every
         # popped event against the clock, catching Event.time mutations
@@ -194,59 +199,54 @@ class Simulator:
     def __getstate__(self) -> dict:
         """Pickle the calendar: clock, heap (with its exact (time, seq)
         ordering), counters and the strict flag — everything a restored
-        run needs to replay identically.  The free-list is dropped: it
-        holds only dead recycled corpses, which are an allocation
-        optimisation, not simulation state.
+        run needs to replay identically.
         """
         if self._running:
             raise SimulationError(
                 "cannot checkpoint a Simulator from inside run() — "
                 "snapshot at an epoch boundary instead")
-        state = self.__dict__.copy()
-        state["_free"] = []
-        return state
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` in ``delay`` s (schedule_at's body, one frame)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self.now + delay
-        free = self._free
-        event = free.pop() if free else Event.__new__(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, event))
+        if not delay >= 0:  # also refuses NaN
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (self.now + delay, seq, fn, args))
         cancelled = self._cancelled_pending
         if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled >= COMPACT_FRACTION * len(self._heap)):
+                and cancelled >= COMPACT_FRACTION * len(heap)):
             self._compact()
-        return event
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, clock is already at {self.now!r}"
-            )
-        free = self._free
-        event = free.pop() if free else Event.__new__(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, event))
+        if not time >= self.now:  # also refuses NaN
+            raise _refusal(time, self.now)
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (time, seq, fn, args))
         cancelled = self._cancelled_pending
         if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled >= COMPACT_FRACTION * len(self._heap)):
+                and cancelled >= COMPACT_FRACTION * len(heap)):
+            self._compact()
+
+    def arm_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Like :meth:`schedule_at`, but return an :class:`Event` handle
+        whose ``cancel()`` defuses the callback — the one cancellable
+        path (timers)."""
+        if not time >= self.now:  # also refuses NaN
+            raise _refusal(time, self.now)
+        event = Event(time, fn, args, self)
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (time, seq, event, None))
+        cancelled = self._cancelled_pending
+        if (cancelled >= COMPACT_MIN_CANCELLED
+                and cancelled >= COMPACT_FRACTION * len(heap)):
             self._compact()
         return event
 
@@ -265,21 +265,11 @@ class Simulator:
         list, so rebinding ``self._heap`` would orphan the running loop.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        heap[:] = [entry for entry in heap
+                   if entry[3] is not None or not entry[2].cancelled]
+        heapify(heap)
         self._cancelled_pending = 0
         self.heap_compactions += 1
-
-    def _recycle(self, event: Event) -> None:
-        """Offer a popped event to the free-list; keep it out of callers'
-        hands by recycling only when the engine holds the last reference."""
-        if (len(self._free) < FREELIST_MAX
-                and sys.getrefcount(event) == _ONLY_ENGINE_REFS + 1):
-            # +1: the binding inside this helper adds one reference.
-            event.fn = _noop
-            event.args = ()
-            event._sim = None
-            self._free.append(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -297,46 +287,42 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is None:
+            bound = inf
+        elif until != until:
+            raise SimulationError("run(until=NaN): the bound must be a number")
+        else:
+            bound = until
+        limit = maxsize if max_events is None else max_events
         self._running = True
         # Local bindings for the hot loop: each pop otherwise pays several
         # attribute/global lookups, which dominates at ~10^6 events/s.
         heap = self._heap
-        heappop = heapq.heappop
-        getrefcount = sys.getrefcount
-        freelist = self._free
-        freelist_append = freelist.append
         strict = self._strict
         processed = 0
         try:
             while heap:
-                time, _seq, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    self._cancelled_pending -= 1
-                    if (len(freelist) < FREELIST_MAX
-                            and getrefcount(event) == _ONLY_ENGINE_REFS):
-                        event._sim = None
-                        freelist_append(event)
-                    continue
-                if until is not None and time > until:
+                time, seq, fn, args = heappop(heap)
+                if args is None:  # an arm_at handle
+                    if fn.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                if time > bound:
+                    heappush(heap, (time, seq, fn, args))
                     break
-                heappop(heap)
                 if strict and time < self.now:
                     raise SimulationError(
                         f"event surfaced at {time!r} behind the clock "
                         f"{self.now!r} (mutated Event.time?)")
                 self.now = time
-                # Out of the heap: a cancel() from its own callback must
-                # not count as a buried corpse.
-                event._sim = None
-                event.fn(*event.args)
+                if args is None:
+                    # Out of the heap: a cancel() from its own callback
+                    # must not count as a buried corpse.
+                    fn._sim = None
+                    fn, args = fn.fn, fn.args
+                fn(*args)
                 processed += 1
-                if (len(freelist) < FREELIST_MAX
-                        and getrefcount(event) == _ONLY_ENGINE_REFS):
-                    event.fn = _noop
-                    event.args = ()
-                    freelist_append(event)
-                if max_events is not None and processed >= max_events:
+                if processed >= limit:
                     break
         finally:
             self._running = False
@@ -348,18 +334,21 @@ class Simulator:
 
     def step(self) -> bool:
         """Run exactly one pending event.  Returns False if queue is empty."""
-        while self._heap:
-            time, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
+        heap = self._heap
+        while heap:
+            time, _seq, fn, args = heappop(heap)
+            if args is None:
+                if fn.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                fn._sim = None
+                fn, args = fn.fn, fn.args
             if self._strict and time < self.now:
                 raise SimulationError(
                     f"event surfaced at {time!r} behind the clock "
                     f"{self.now!r} (mutated Event.time?)")
             self.now = time
-            event._sim = None
-            event.fn(*event.args)
+            fn(*args)
             self.events_processed += 1
             return True
         return False
@@ -367,10 +356,9 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if drained."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            event = heapq.heappop(heap)[2]
+        while heap and heap[0][3] is None and heap[0][2].cancelled:
+            heappop(heap)
             self._cancelled_pending -= 1
-            self._recycle(event)
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
@@ -379,8 +367,9 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop every pending event (used between experiment repetitions)."""
-        for _t, _s, event in self._heap:
-            event.cancel()
-            event._sim = None
+        for _t, _s, fn, args in self._heap:
+            if args is None:
+                fn._sim = None
+                fn.cancel()
         self._heap.clear()
         self._cancelled_pending = 0

@@ -44,11 +44,11 @@ class Timer:
         deadline = self._sim.now + delay
         self.expires_at = deadline
         if self._event is None or self._event.cancelled:
-            self._event = self._sim.schedule_at(deadline, self._fire)
+            self._event = self._sim.arm_at(deadline, self._fire)
         elif self._event.time > deadline:
             # The pending wake-up is too late for the new deadline.
             self._event.cancel()
-            self._event = self._sim.schedule_at(deadline, self._fire)
+            self._event = self._sim.arm_at(deadline, self._fire)
         # else: the pending event fires early and re-arms for the remainder.
 
     def stop(self) -> None:
@@ -61,7 +61,7 @@ class Timer:
             return  # stopped since scheduling
         if self.expires_at > self._sim.now + 1e-12:
             # Re-armed to a later deadline since this event was pushed.
-            self._event = self._sim.schedule_at(self.expires_at, self._fire)
+            self._event = self._sim.arm_at(self.expires_at, self._fire)
             return
         self.expires_at = None
         self._callback()
@@ -75,7 +75,7 @@ class PeriodicTimer:
     """
 
     def __init__(self, sim: Simulator, interval: float, callback: Callable[[], Any]):
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise ValueError(f"interval must be positive, got {interval!r}")
         self._sim = sim
         self.interval = interval
@@ -91,7 +91,8 @@ class PeriodicTimer:
         if not self._stopped:
             return
         self._stopped = False
-        self._event = self._sim.schedule(self.interval, self._tick)
+        self._event = self._sim.arm_at(self._sim.now + self.interval,
+                                       self._tick)
 
     def stop(self) -> None:
         self._stopped = True
@@ -104,4 +105,5 @@ class PeriodicTimer:
             return
         self._callback()
         if not self._stopped:
-            self._event = self._sim.schedule(self.interval, self._tick)
+            self._event = self._sim.arm_at(self._sim.now + self.interval,
+                                       self._tick)

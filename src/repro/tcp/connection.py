@@ -160,7 +160,7 @@ class TcpConnection:
         # --- pacing (models the Fig. 2 per-flow rate limiter) -------------------
         self.pacing_rate_bps = pacing_rate_bps
         self._pace_until = 0.0
-        self._pace_event = None
+        self._pace_pending = False
 
         # --- stats & hooks --------------------------------------------------------
         self.bytes_acked_total = 0
@@ -341,16 +341,16 @@ class TcpConnection:
         returns False and self-reschedules if early."""
         now = self.sim.now
         if self._pace_until > now + 1e-12:
-            if self._pace_event is None or self._pace_event.cancelled:
-                self._pace_event = self.sim.schedule_at(
-                    self._pace_until, self._pace_fire)
+            if not self._pace_pending:
+                self._pace_pending = True
+                self.sim.schedule_at(self._pace_until, self._pace_fire)
             return False
         start = max(self._pace_until, now)
         self._pace_until = start + seg_bytes * 8.0 / self.pacing_rate_bps
         return True
 
     def _pace_fire(self) -> None:
-        self._pace_event = None
+        self._pace_pending = False
         self._try_send()
 
     def _maybe_send_fin(self) -> None:

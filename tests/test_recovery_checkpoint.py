@@ -88,6 +88,36 @@ def test_bad_magic_is_detected(tmp_path):
         read_checkpoint(path)
 
 
+UNPICKLED = []
+
+
+def _unpickled() -> None:
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """Records it if a payload holding it is ever unpickled."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def test_version_1_checkpoint_is_refused_unread(tmp_path):
+    """A version-1 payload pickles the calendar as ``(time, seq, Event)``
+    entries; the version check refuses it before any unpickling, so it
+    can never become a broken heap in a restored run."""
+    path = checkpoint_path(tmp_path, 0)
+    write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
+                     epoch=0, sim_now=0.0, wal_pos=0)
+    raw = path.read_bytes()
+    assert raw.count(b'"version":2') == 1
+    path.write_bytes(raw.replace(b'"version":2', b'"version":1'))
+    with pytest.raises(CheckpointError, match="format version 1"):
+        read_checkpoint(path)
+    assert latest_checkpoint(tmp_path) is None
+    assert UNPICKLED == []
+
+
 def test_latest_falls_back_past_corrupt_newest(tmp_path):
     write_checkpoint(checkpoint_path(tmp_path, 1), "old",
                      epoch=1, sim_now=0.01, wal_pos=1)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from reference.calendar import Calendar
 
 from repro.sim import SimulationError, Simulator
 
@@ -47,6 +49,42 @@ def test_scheduling_in_the_past_rejected(sim):
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_nan_time_rejected(sim):
+    """A NaN time cannot be ordered against the clock: at the parent it
+    fired ahead of an earlier event and set ``sim.now`` to NaN."""
+    nan = float("nan")
+    seen = []
+    sim.schedule_at(0.1, lambda: seen.append(sim.now))
+    for push in (lambda: sim.schedule_at(nan, lambda: seen.append(sim.now)),
+                 lambda: sim.schedule(nan, lambda: seen.append(sim.now)),
+                 lambda: sim.arm_at(nan, lambda: seen.append(sim.now))):
+        with pytest.raises(SimulationError):
+            push()
+    assert sim.events_scheduled == 1
+    sim.run()
+    assert seen == [0.1]
+
+
+def test_run_until_nan_rejected(sim):
+    fired = []
+    sim.schedule_at(5.0, fired.append, "later")
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    # The bound was refused, not ignored: nothing ran, the clock held.
+    assert fired == [] and sim.now == 0.0 and sim.pending() == 1
+    sim.run(until=1.0)
+    assert sim.now == 1.0
+
+
+def test_periodic_nan_interval_rejected(sim):
+    from repro.sim import PeriodicTimer
+    with pytest.raises(SimulationError):
+        sim.schedule_periodic(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        PeriodicTimer(sim, float("nan"), lambda: None)
+    assert sim.pending() == 0
+
+
 def test_run_until_is_inclusive(sim):
     fired = []
     sim.schedule_at(2.0, fired.append, "edge")
@@ -73,8 +111,8 @@ def test_late_event_survives_run_until(sim):
 
 def test_cancellation(sim):
     fired = []
-    keep = sim.schedule(1.0, fired.append, "keep")
-    drop = sim.schedule(1.0, fired.append, "drop")
+    sim.schedule(1.0, fired.append, "keep")
+    drop = sim.arm_at(1.0, fired.append, "drop")
     drop.cancel()
     sim.run()
     assert fired == ["keep"]
@@ -82,7 +120,7 @@ def test_cancellation(sim):
 
 
 def test_cancel_is_idempotent(sim):
-    event = sim.schedule(1.0, lambda: None)
+    event = sim.arm_at(1.0, lambda: None)
     event.cancel()
     event.cancel()
     sim.run()
@@ -121,7 +159,7 @@ def test_step_runs_one_event(sim):
 
 
 def test_peek_time_skips_cancelled(sim):
-    first = sim.schedule(0.1, lambda: None)
+    first = sim.arm_at(0.1, lambda: None)
     sim.schedule(0.2, lambda: None)
     first.cancel()
     assert sim.peek_time() == pytest.approx(0.2)
@@ -145,13 +183,14 @@ def test_pending_is_exact_under_cancels(sim):
     through cancels, double cancels, cancels of fired events and an event
     cancelling itself from its own callback (with ``run`` and ``step``)."""
     def scan():
-        return sum(1 for _t, _s, e in sim._heap if not e.cancelled)
+        return sum(1 for _t, _s, fn, args in sim._heap
+                   if args is not None or not fn.cancelled)
 
     handles = {}
-    handles["self"] = sim.schedule(0.1, lambda: handles["self"].cancel())
-    handles["step"] = sim.schedule(0.2, lambda: handles["step"].cancel())
-    doomed = [sim.schedule(0.5 + i, lambda: None) for i in range(3)]
-    fired = sim.schedule(0.05, lambda: None)
+    handles["self"] = sim.arm_at(0.1, lambda: handles["self"].cancel())
+    handles["step"] = sim.arm_at(0.2, lambda: handles["step"].cancel())
+    doomed = [sim.arm_at(0.5 + i, lambda: None) for i in range(3)]
+    fired = sim.arm_at(0.05, lambda: None)
     doomed[0].cancel()
     doomed[0].cancel()
     assert sim.pending() == scan() == 5
@@ -219,7 +258,7 @@ def test_fast_forward_skips_only_beyond_bound_events(sim):
 def test_heap_compaction_sheds_cancelled_corpses(sim):
     from repro.sim.engine import COMPACT_MIN_CANCELLED
     keep = [sim.schedule_at(10.0 + i, lambda: None) for i in range(4)]
-    corpses = [sim.schedule_at(20.0 + i, lambda: None)
+    corpses = [sim.arm_at(20.0 + i, lambda: None)
                for i in range(4 * COMPACT_MIN_CANCELLED)]
     for event in corpses:
         event.cancel()
@@ -243,43 +282,30 @@ def test_heap_compaction_preserves_order_and_determinism():
             if events and rng.random() < 0.6:
                 events.pop(rng.randrange(len(events))).cancel()
             else:
-                events.append(s.schedule_at(rng.uniform(0, 1), log.append, i))
+                events.append(s.arm_at(rng.uniform(0, 1), log.append, i))
         rng = random.Random(7)  # same choices for both simulators
         s.run()
     assert logs[0] == logs[1]
     assert a.heap_compactions == b.heap_compactions
 
 
-def test_freelist_recycles_unreferenced_events(sim):
-    for i in range(50):
-        sim.schedule(0.01 * i, lambda: None)
-    sim.run()
-    assert len(sim._free) > 0
-    # Recycled storage is reused by later schedules.
-    recycled = sim._free[-1]
-    event = sim.schedule(1.0, lambda: None)
-    assert event is recycled
-    assert not event.cancelled
-    sim.run()
-
-
-def test_freelist_never_recycles_held_handles(sim):
+def test_fired_handle_late_cancel_never_defuses_a_later_event(sim):
     fired = []
-    held = sim.schedule(0.1, fired.append, "held")
+    held = sim.arm_at(0.1, fired.append, "held")
     sim.run()
     assert fired == ["held"]
-    # The handle is still referenced here, so it must not be in the pool;
-    # a late cancel() on it must not defuse an unrelated future event.
-    assert held not in sim._free
-    other = sim.schedule(1.0, fired.append, "other")
+    # A late cancel() on a fired handle must not defuse an unrelated
+    # later event, nor count a corpse that is not in the heap.
+    other = sim.arm_at(1.0, fired.append, "other")
     held.cancel()
+    assert sim.pending() == 1
     sim.run()
     assert fired == ["held", "other"]
     assert not other.cancelled
 
 
 def test_cancelled_pending_counter_stays_exact(sim):
-    events = [sim.schedule_at(1.0 + i, lambda: None) for i in range(10)]
+    events = [sim.arm_at(1.0 + i, lambda: None) for i in range(10)]
     for event in events[:5]:
         event.cancel()
         event.cancel()  # idempotent: counted once
@@ -357,3 +383,76 @@ def test_periodic_source_rejects_bad_args(sim):
     sim.run(until=1.0)
     with pytest.raises(SimulationError):
         sim.schedule_periodic(0.1, lambda: None, start_at=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the engine against a sorted-list reference calendar
+# ---------------------------------------------------------------------------
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["schedule", "schedule_at", "arm"]),
+              DELAYS, st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 1000)),
+    st.tuples(st.just("burst"), st.integers(1, 80), DELAYS),
+    st.tuples(st.just("run"), st.none() | DELAYS,
+              st.sampled_from([None, 0, 1, 3])),
+    st.tuples(st.sampled_from(["step", "peek", "clear"])),
+), max_size=40)
+
+
+def drive(cal, ops):
+    """Apply ``ops`` to ``cal`` (a Simulator or the reference); return
+    everything an observer sees: firings with their clock, and after
+    each op the clock, both counters, pending() and the op's answer."""
+    seen, handles = [], {}
+
+    def fire(tag, follow_up):
+        seen.append(("fire", tag, cal.now))
+        if tag in handles and follow_up:
+            handles[tag].cancel()          # cancel from its own callback
+        elif follow_up:
+            cal.schedule(0.25, fire, (tag, "next"), False)
+
+    for i, op in enumerate(ops):
+        kind, answer = op[0], None
+        if kind == "schedule":
+            cal.schedule(op[1], fire, i, op[2])
+        elif kind == "schedule_at":
+            cal.schedule_at(cal.now + op[1], fire, i, op[2])
+        elif kind == "arm":
+            handles[i] = cal.arm_at(cal.now + op[1], fire, i, op[2])
+        elif kind == "cancel" and handles:
+            # Pending, fired, cancelled or cleared alike: double cancels
+            # and cancels after firing must both be no-ops.
+            handles[list(handles)[op[1] % len(handles)]].cancel()
+        elif kind == "burst":
+            burst = [cal.arm_at(cal.now + op[2], fire, (i, k), False)
+                     for k in range(op[1])]
+            for handle in burst:
+                handle.cancel()
+            handles[i] = burst[0]
+        elif kind == "run":
+            until = None if op[1] is None else cal.now + op[1]
+            cal.run(until=until, max_events=op[2])
+        elif kind == "step":
+            answer = cal.step()
+        elif kind == "peek":
+            answer = cal.peek_time()
+        elif kind == "clear":
+            cal.clear()
+        seen.append((kind, answer, cal.now, cal.events_processed,
+                     cal.events_scheduled, cal.pending()))
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPS)
+@example([("arm", 1.0, False), ("burst", 80, 0.5), ("schedule", 0.0, True),
+          ("run", 0.25, None), ("arm", 0.0, True), ("run", None, None)])
+def test_engine_matches_reference_calendar(ops):
+    """Same firing order and clock, same ``events_processed``,
+    ``events_scheduled`` and ``pending()`` after every op, through
+    cancels (double, after firing, from the event's own callback),
+    bounded and event-limited runs, steps, peeks, clears and the heap
+    compactions a burst of cancels sets off."""
+    assert drive(Simulator(), ops) == drive(Calendar(), ops)

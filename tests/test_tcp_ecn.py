@@ -5,6 +5,8 @@ These use the three-host star so the receiver's downlink actually marks.
 
 import pytest
 
+from repro.net.topology import star
+from repro.sim import Simulator
 from repro.workloads.apps import Sink
 
 
@@ -21,9 +23,29 @@ def congested_pair(three_hosts, cc, ecn=True):
     return sim, conns, sw
 
 
-def test_classic_ecn_reduces_instead_of_dropping(three_hosts):
-    sim, conns, sw = congested_pair(three_hosts, "cubic")
-    sim.run(until=0.1)
+def ran_pair(cc, until):
+    """``congested_pair`` on a fresh ``three_hosts`` star, run to ``until``."""
+    sim = Simulator()
+    topo, hosts, switch = star(sim, 3, mtu=1500, ecn_enabled=True)
+    sim, conns, sw = congested_pair((sim, topo, *hosts, switch), cc)
+    sim.run(until=until)
+    return sim, conns, sw
+
+
+# Each run is read by two tests that only inspect it, so one run per
+# module serves both.
+@pytest.fixture(scope="module")
+def cubic_pair():
+    return ran_pair("cubic", 0.1)
+
+
+@pytest.fixture(scope="module")
+def dctcp_pair():
+    return ran_pair("dctcp", 0.2)
+
+
+def test_classic_ecn_reduces_instead_of_dropping(cubic_pair):
+    sim, conns, sw = cubic_pair
     assert sw.marker.marked_packets > 0
     # The flows reacted to ECE (ecn_reduce_point advanced) without loss.
     for conn in conns:
@@ -32,25 +54,22 @@ def test_classic_ecn_reduces_instead_of_dropping(three_hosts):
     assert sw.total_drops() == 0
 
 
-def test_classic_ecn_keeps_queue_near_threshold(three_hosts):
-    sim, conns, sw = congested_pair(three_hosts, "cubic")
-    sim.run(until=0.1)
+def test_classic_ecn_keeps_queue_near_threshold(cubic_pair):
+    sim, conns, sw = cubic_pair
     # Queue bounded well below the CUBIC no-ECN buffer fill.
     assert sw.shared.used < 4 * sw.marker.threshold
 
 
-def test_dctcp_guest_alpha_reflects_marking(three_hosts):
-    sim, conns, sw = congested_pair(three_hosts, "dctcp")
-    sim.run(until=0.2)
+def test_dctcp_guest_alpha_reflects_marking(dctcp_pair):
+    sim, conns, sw = dctcp_pair
     for conn in conns:
         # Persistent threshold marking: alpha settles away from 0 and 1.
         assert 0.05 < conn.cc.alpha < 0.9
 
 
-def test_dctcp_throughput_beats_classic_ecn_cubic(three_hosts):
+def test_dctcp_throughput_beats_classic_ecn_cubic(dctcp_pair):
     """Proportional backoff wastes less capacity than halving."""
-    sim, conns, sw = congested_pair(three_hosts, "dctcp")
-    sim.run(until=0.2)
+    sim, conns, sw = dctcp_pair
     total = sum(c.bytes_acked_total for c in conns) * 8 / 0.2
     assert total > 8.5e9
 
