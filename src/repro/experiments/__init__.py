@@ -1,8 +1,10 @@
 """Experiment modules: one per figure/table of the paper's §5.
 
-Each module exposes ``run(...)`` returning structured results; the
-benchmark suite (``benchmarks/``) drives them and prints the paper-style
-rows via :mod:`repro.experiments.report`.
+Each module's ``run`` is an :class:`~repro.runtime.Experiment`: its
+``cells`` list the independent runs as ``RunSpec`` cells (a Scenario's
+JSON and a module-level cell function) and its ``reduce`` shapes their
+results into the figure's rows.  The benchmarks (``benchmarks/``) call
+``run`` and print the rows via :mod:`repro.experiments.report`.
 
 :data:`EXPERIMENTS` is the one list of them.  Entries are import paths
 (resolved like a ``RunSpec``'s ``fn``, by :func:`repro.runtime.resolve`),

@@ -5,15 +5,18 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments fig08
     python -m repro.experiments table1
-    python -m repro.experiments fig19 --json
+    python -m repro.experiments fig13 --json
     python -m repro.experiments fig18-19 --seeds 0,1,2,3 --jobs 8 \\
         --cache-dir .repro-cache
 
-``--jobs``/``--cache-dir``/``--seeds`` route the multi-seed experiments
-(fig14, fig18-19, fig22, chaos, adversarial) through
-:mod:`repro.runtime`: independent (scheme, seed, config) cells fan out
-across a process pool, merge deterministically in seed order, and cached
-cells are skipped on re-runs.
+Every entry is a :class:`~repro.runtime.Experiment` — cells plus a
+reducer — and the CLI calls every entry the same way.  So ``--seeds``,
+``--jobs`` and ``--cache-dir`` apply to all of them: the entry's
+independent (scheme, seed, config) cells fan out across a process pool,
+merge deterministically in seed order, and cached cells are skipped on
+re-runs.  ``--quick`` applies the reduced scale an entry declares (the
+entries without one run at full scale); ``--trace`` works on the entries
+that can trace.
 
 This is a thin convenience wrapper — the benchmarks under ``benchmarks/``
 are the canonical (asserting) way to regenerate the evaluation.
@@ -22,7 +25,6 @@ are the canonical (asserting) way to regenerate the evaluation.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -32,29 +34,6 @@ from . import EXPERIMENTS as REGISTRY
 #: The registry with every entry imported: a typo in it fails here, at
 #: start-up, whichever experiment was asked for.
 EXPERIMENTS = {name: resolve(ref) for name, ref in REGISTRY.items()}
-
-
-def _supported_params(fn) -> set:
-    """Parameter names ``fn`` accepts (empty set if unintrospectable)."""
-    try:
-        return set(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return set()
-
-
-def _filter_kwargs(kwargs: dict, supported: set) -> dict:
-    """Drop kwargs the experiment does not take (e.g. quick, runtime)."""
-    return {k: v for k, v in kwargs.items() if k in supported}
-
-
-def _default(obj):
-    """Make experiment results JSON-serialisable."""
-    if isinstance(obj, (set, tuple)):
-        return list(obj)
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items()
-                if not k.startswith("_")}
-    return repr(obj)
 
 
 def _shorten(value, limit=2000):
@@ -67,7 +46,7 @@ def _shorten(value, limit=2000):
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (2: usage error)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate AC/DC TCP paper experiments.")
@@ -77,8 +56,7 @@ def main(argv=None) -> int:
                         help="dump full structured results as JSON")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds",
-                        help="comma-separated seed sweep (multi-seed "
-                             "experiments only), e.g. --seeds 0,1,2,3")
+                        help="comma-separated seed sweep, e.g. 0,1,2,3")
     parser.add_argument("--jobs", type=int, default=1,
                         help="process-pool width for the experiment "
                              "runtime; 0 means one worker per CPU")
@@ -86,13 +64,16 @@ def main(argv=None) -> int:
                         help="on-disk result cache: completed (scheme, "
                              "seed, config) cells are skipped on re-runs")
     parser.add_argument("--quick", action="store_true",
-                        help="reduced scale (CI smoke runs); only honoured "
-                             "by experiments with a quick mode")
+                        help="reduced scale (CI smoke runs); entries "
+                             "without a quick mode run at full scale")
     parser.add_argument("--trace", metavar="PATH",
                         help="run with structured tracing on and export "
                              "the event stream as JSONL to PATH (inspect "
                              "with python -m repro.obs)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
 
     if args.experiment == "list":
         for name in EXPERIMENTS:
@@ -103,34 +84,21 @@ def main(argv=None) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"try: python -m repro.experiments list", file=sys.stderr)
         return 2
-    kwargs = {"seed": args.seed}
-    if args.quick:
-        kwargs["quick"] = True
-    supported = _supported_params(run)
-    if "runtime" in supported:
-        kwargs["runtime"] = Runtime(jobs=args.jobs or None,
-                                    cache=args.cache_dir)
-    if args.seeds is not None:
-        if "seeds" not in supported:
-            print(f"{args.experiment!r} does not support --seeds",
-                  file=sys.stderr)
-            return 2
-        kwargs["seeds"] = [int(s) for s in args.seeds.split(",") if s]
-    if args.trace is not None:
-        if "trace_path" not in supported:
-            print(f"{args.experiment!r} does not support --trace",
-                  file=sys.stderr)
-            return 2
-        kwargs["trace_path"] = args.trace
-    try:
-        result = run(**_filter_kwargs(kwargs, supported))
-    except TypeError:
-        result = run()
+    if args.trace is not None and not run.traces:
+        print(f"{args.experiment!r} does not support --trace",
+              file=sys.stderr)
+        return 2
+    seeds = (None if args.seeds is None
+             else [int(s) for s in args.seeds.split(",") if s])
+    result = run(seed=args.seed, seeds=seeds, quick=args.quick,
+                 trace_path=args.trace,
+                 runtime=Runtime(jobs=args.jobs or None,
+                                 cache=args.cache_dir))
     if args.json:
-        json.dump(result, sys.stdout, default=_default)
+        json.dump(result, sys.stdout)
         print()
     else:
-        print(json.dumps(_shorten(result), default=_default, indent=1))
+        print(json.dumps(_shorten(result), indent=1))
     return 0
 
 

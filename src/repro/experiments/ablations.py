@@ -16,82 +16,115 @@ These are not paper figures; they probe the knobs DESIGN.md lists:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict
+from typing import List
 
 from ..core import AcdcConfig
 from ..metrics import jain_index, percentile
 from ..net.packet import mss_for_mtu
-from .common import ACDC, DCTCP, MICRO_RATE, Scheme, Testbed
-from .runners import dumbbell_scenario, run_dumbbell, run_incast
+from ..runtime import Experiment, RunSpec
+from .common import ACDC, DCTCP, MICRO_RATE, RunResult, Scheme, Testbed
+from .runners import by_label, cell, dumbbell_scenario, incast_scenario
+from .scenario import Scenario
 
 
 # ----------------------------------------------------------------------
 # A1: policing non-conforming stacks
 # ----------------------------------------------------------------------
-def run_policing(duration: float = 0.8, mtu: int = 9000,
-                 seed: int = 0) -> Dict[str, dict]:
+POLICING = {"no-policing": False, "policing": True}
+
+
+def _cheater_cell(scenario: dict) -> dict:
+    """Runtime worker: the cheater's advantage and the policer's drops."""
+    sc = Scenario.from_json(scenario)
+    r = Testbed(sc).run()
+    tputs = [f.bytes_acked * 8 / sc.duration / 1e9 for f in r.flows]
+    return {
+        "cheater_gbps": tputs[0],
+        "conforming_gbps": tputs[1:],
+        "cheater_advantage": tputs[0] / (sum(tputs[1:]) / 4.0),
+        "fairness": jain_index(tputs),
+        "policer_drops": sum(v.policer.drops for v in r.vswitches.values()),
+    }
+
+
+def _policing_cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
     """Flow 1 cheats (ignores RWND); flows 2-5 conform.
 
     Without policing, the cheater escapes enforcement and grabs
     bandwidth; with policing its excess packets die in its own vSwitch,
     so cheating yields no advantage (and plenty of drops).
     """
-    out: Dict[str, dict] = {}
-    for label, police in (("no-policing", False), ("policing", True)):
-        config = AcdcConfig(police=police)
-        out[label] = _run_with_cheater(config, duration, mtu, seed)
-    return out
+    specs = []
+    for police in POLICING.values():
+        fair = dumbbell_scenario(ACDC, pairs=5, duration=duration, mtu=mtu,
+                                 rate_bps=MICRO_RATE, seed=seed,
+                                 rtt_probe=False,
+                                 acdc_config=AcdcConfig(police=police))
+        cheater = replace(fair.flows[0], ignore_rwnd=True)
+        specs.append(cell(replace(fair, flows=(cheater,) + fair.flows[1:]),
+                          f"{__name__}:_cheater_cell"))
+    return specs
 
 
-def _run_with_cheater(config: AcdcConfig, duration: float, mtu: int,
-                      seed: int) -> dict:
-    fair = dumbbell_scenario(ACDC, pairs=5, duration=duration, mtu=mtu,
-                             rate_bps=MICRO_RATE, seed=seed, rtt_probe=False,
-                             acdc_config=config)
-    cheater = replace(fair.flows[0], ignore_rwnd=True)
-    r = Testbed(replace(fair, flows=(cheater,) + fair.flows[1:])).run()
-    tputs = [f.bytes_acked * 8 / duration / 1e9 for f in r.flows]
-    policer_drops = sum(v.policer.drops for v in r.vswitches.values())
-    return {
-        "cheater_gbps": tputs[0],
-        "conforming_gbps": tputs[1:],
-        "cheater_advantage": tputs[0] / (sum(tputs[1:]) / 4.0),
-        "fairness": jain_index(tputs),
-        "policer_drops": policer_drops,
-    }
+run_policing = Experiment(_policing_cells, by_label(POLICING),
+                          {"duration": 0.8, "mtu": 9000})
 
 
 # ----------------------------------------------------------------------
 # A2: feedback channel
 # ----------------------------------------------------------------------
-def run_feedback_modes(duration: float = 0.8, mtu: int = 9000,
-                       seed: int = 0) -> Dict[str, dict]:
+FEEDBACK_MODES = ("pack", "fack-only")
+
+
+def _feedback_cell(scenario: dict) -> dict:
+    """Runtime worker: throughput, RTT and feedback packets by kind."""
+    r = Testbed(Scenario.from_json(scenario)).run()
+    packs = facks = 0
+    for v in r.vswitches.values():
+        for entry in v.table:
+            packs += entry.receiver_feedback.packs_attached
+            facks += entry.receiver_feedback.facks_created
+    return {
+        "avg_tput_gbps": r.avg_tput_bps / 1e9,
+        "fairness": r.fairness,
+        "rtt_p50_us": percentile(r.rtt_samples, 50) * 1e6,
+        "packs": packs,
+        "facks": facks,
+    }
+
+
+def _feedback_cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
     """PACK vs FACK-only feedback: equivalent signal, different packets."""
-    out: Dict[str, dict] = {}
-    for mode in ("pack", "fack-only"):
-        r = run_dumbbell(
-            ACDC, pairs=5, duration=duration, mtu=mtu, seed=seed,
-            acdc_config=AcdcConfig(feedback_mode=mode))
-        packs = facks = 0
-        for v in r.vswitches.values():
-            for entry in v.table:
-                packs += entry.receiver_feedback.packs_attached
-                facks += entry.receiver_feedback.facks_created
-        out[mode] = {
-            "avg_tput_gbps": r.avg_tput_bps / 1e9,
-            "fairness": r.fairness,
-            "rtt_p50_us": percentile(r.rtt_samples, 50) * 1e6,
-            "packs": packs,
-            "facks": facks,
-        }
-    return out
+    return [cell(dumbbell_scenario(
+        ACDC, pairs=5, duration=duration, mtu=mtu, seed=seed,
+        acdc_config=AcdcConfig(feedback_mode=mode)),
+        f"{__name__}:_feedback_cell") for mode in FEEDBACK_MODES]
+
+
+run_feedback_modes = Experiment(_feedback_cells, by_label(FEEDBACK_MODES),
+                                {"duration": 0.8, "mtu": 9000})
 
 
 # ----------------------------------------------------------------------
 # A3: hiding ECN from the VM
 # ----------------------------------------------------------------------
-def run_ecn_hiding(duration: float = 0.8, mtu: int = 9000,
-                   seed: int = 0) -> Dict[str, dict]:
+HIDING = {"hide-ecn": True, "expose-ecn": False}
+
+
+def _hiding_cell(scenario: dict) -> dict:
+    """Runtime worker: throughput, RTT and how many guests reacted."""
+    r = Testbed(Scenario.from_json(scenario)).run()
+    return {
+        "avg_tput_gbps": r.avg_tput_bps / 1e9,
+        "total_gbps": sum(r.tputs_bps) / 1e9,
+        "fairness": r.fairness,
+        "rtt_p50_us": percentile(r.rtt_samples, 50) * 1e6,
+        "guests_reacted": sum(
+            1 for f in r.flows if f.conn.ecn_reduce_point > 0),
+    }
+
+
+def _hiding_cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
     """ECN-capable CUBIC guests under AC/DC, with and without hiding.
 
     With hiding (the paper's design), the guest never sees CE/ECE and
@@ -104,46 +137,50 @@ def run_ecn_hiding(duration: float = 0.8, mtu: int = 9000,
     """
     scheme = Scheme("acdc-ecn-guest", host_cc="cubic", host_ecn=True,
                     vswitch="acdc", switch_ecn=True)
-    out: Dict[str, dict] = {}
-    for label, hide in (("hide-ecn", True), ("expose-ecn", False)):
-        r = run_dumbbell(
-            scheme, pairs=5, duration=duration, mtu=mtu, seed=seed,
-            acdc_config=AcdcConfig(hide_ecn=hide))
-        guests_reacted = sum(
-            1 for f in r.flows if f.conn.ecn_reduce_point > 0)
-        out[label] = {
-            "avg_tput_gbps": r.avg_tput_bps / 1e9,
-            "total_gbps": sum(r.tputs_bps) / 1e9,
-            "fairness": r.fairness,
-            "rtt_p50_us": percentile(r.rtt_samples, 50) * 1e6,
-            "guests_reacted": guests_reacted,
-        }
-    return out
+    return [cell(dumbbell_scenario(
+        scheme, pairs=5, duration=duration, mtu=mtu, seed=seed,
+        acdc_config=AcdcConfig(hide_ecn=hide)),
+        f"{__name__}:_hiding_cell") for hide in HIDING.values()]
+
+
+run_ecn_hiding = Experiment(_hiding_cells, by_label(HIDING),
+                            {"duration": 0.8, "mtu": 9000})
 
 
 # ----------------------------------------------------------------------
 # A4: RWND floor vs DCTCP's 2-packet CWND floor
 # ----------------------------------------------------------------------
-def run_window_floor(n_senders: int = 40, duration: float = 0.4,
-                     mtu: int = 9000, seed: int = 0) -> Dict[str, dict]:
+#: Label -> (scheme, AC/DC's window floor in MSS; None: the default).
+FLOORS = {
+    "dctcp-2mss-floor": (DCTCP, None),
+    "acdc-1mss-floor": (ACDC, 1.0),
+    "acdc-2mss-floor": (ACDC, 2.0),
+    "acdc-halfmss-floor": (ACDC, 0.5),
+}
+
+
+def _floor_cells(seed: int, n_senders: int, duration: float,
+                 mtu: int) -> List[RunSpec]:
     """Incast RTT as a function of the minimum-window floor."""
     mss = mss_for_mtu(mtu)
-    out: Dict[str, dict] = {}
-    configs = {
-        "dctcp-2mss-floor": (DCTCP, None, None),
-        "acdc-1mss-floor": (ACDC, AcdcConfig(min_wnd_bytes=mss), None),
-        "acdc-2mss-floor": (ACDC, AcdcConfig(min_wnd_bytes=2 * mss), None),
-        "acdc-halfmss-floor": (ACDC, AcdcConfig(min_wnd_bytes=mss // 2), None),
+    return [cell(incast_scenario(
+        scheme, n_senders=n_senders, duration=duration, mtu=mtu, seed=seed,
+        acdc_config=(None if floor is None
+                     else AcdcConfig(min_wnd_bytes=int(floor * mss)))))
+        for scheme, floor in FLOORS.values()]
+
+
+def _floor_row(result: dict) -> dict:
+    r = RunResult(**result)
+    return {
+        "rtt_p50_ms": percentile(r.rtt_samples, 50) * 1e3,
+        "rtt_p999_ms": percentile(r.rtt_samples, 99.9) * 1e3,
+        "avg_tput_mbps": r.avg_tput_bps / 1e6,
+        "fairness": r.fairness,
+        "drop_rate_pct": r.drop_rate * 100.0,
     }
-    for label, (scheme, config, floor) in configs.items():
-        r = run_incast(scheme, n_senders=n_senders, duration=duration,
-                       mtu=mtu, seed=seed, acdc_config=config,
-                       guest_dctcp_floor_mss=floor)
-        out[label] = {
-            "rtt_p50_ms": percentile(r.rtt_samples, 50) * 1e3,
-            "rtt_p999_ms": percentile(r.rtt_samples, 99.9) * 1e3,
-            "avg_tput_mbps": r.avg_tput_bps / 1e6,
-            "fairness": r.fairness,
-            "drop_rate_pct": r.drop_rate * 100.0,
-        }
-    return out
+
+
+run_window_floor = Experiment(_floor_cells, by_label(FLOORS, _floor_row),
+                              {"n_senders": 40, "duration": 0.4,
+                               "mtu": 9000})

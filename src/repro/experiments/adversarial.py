@@ -29,12 +29,12 @@ lowest-priority-first load shedding, and traffic keeps flowing.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..faults import EcnBleach, OptionStrip, install_faults
 from ..guard import GuardConfig
 from ..metrics import EventLog, jain_index
-from ..runtime import RunSpec, Runtime, sweep
+from ..runtime import Experiment, RunSpec
 from .common import ACDC, MACRO_RATE, Taps, Testbed
 from .scenario import Flow, Scenario
 
@@ -178,51 +178,41 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
 DETECTION_ADVERSARIES = ("ecn_bleach", "ack_division", "option_strip")
 
 
-def run(seed: int = 0, quick: bool = False,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None) -> Dict[str, object]:
-    """Full sweep: violator share x guard on/off, detection-only
-    adversaries at 25% share, and the watchdog pressure scenario.
+#: The swept violator shares (``quick`` sweeps the first two).
+SHARES = (0.0, 0.25, 0.5)
 
-    Every cell is an independent simulation, so the whole grid fans
-    through the experiment runtime (``run_point`` / ``run_pressure``
-    already take plain-JSON kwargs).  With ``seeds`` the result is
-    :func:`repro.runtime.sweep`'s multi-seed shape.
-    """
-    n_senders = 4 if quick else 8
-    duration = 0.06 if quick else 0.2
-    shares = (0.0, 0.25) if quick else (0.0, 0.25, 0.5)
-    sweep_cells = [(share, guard_on)
-                   for share in shares for guard_on in (False, True)]
 
-    def specs_for(sd: int) -> List[RunSpec]:
-        specs = [RunSpec(
-            f"{__name__}:run_point",
-            {"violator_share": share, "guard_on": guard_on, "seed": sd,
-             "n_senders": n_senders, "duration": duration})
-            for share, guard_on in sweep_cells]
-        specs += [RunSpec(
-            f"{__name__}:run_point",
-            {"violator_share": 0.25, "guard_on": True, "seed": sd,
-             "n_senders": n_senders, "duration": duration,
-             "adversary": adversary})
-            for adversary in DETECTION_ADVERSARIES]
-        specs.append(RunSpec(
-            f"{__name__}:run_pressure",
-            {"seed": sd, "n_senders": n_senders,
-             "duration": min(duration, 0.1)}))
-        return specs
+def cells(seed: int, n_senders: int = 8, duration: float = 0.2,
+          shares: Sequence[float] = SHARES) -> List[RunSpec]:
+    """Violator share x guard on/off, detection-only adversaries at 25%
+    share, then the watchdog pressure scenario."""
+    base = {"seed": seed, "n_senders": n_senders, "duration": duration}
+    point = f"{__name__}:run_point"
+    return ([RunSpec(point, {"violator_share": share, "guard_on": guard_on,
+                             **base})
+             for share in shares for guard_on in (False, True)]
+            + [RunSpec(point, {"violator_share": 0.25, "guard_on": True,
+                               **base, "adversary": adversary})
+               for adversary in DETECTION_ADVERSARIES]
+            + [RunSpec(f"{__name__}:run_pressure",
+                       {**base, "duration": min(duration, 0.1)})])
 
-    def merge(sd: int, cells: List[dict]) -> dict:
-        return {
-            "sweep": {
-                f"share={share:g},guard={'on' if guard_on else 'off'}":
-                    cells[i]
-                for i, (share, guard_on) in enumerate(sweep_cells)},
-            "detection": {
-                adversary: cells[len(sweep_cells) + i]
-                for i, adversary in enumerate(DETECTION_ADVERSARIES)},
-            "pressure": cells[-1],
-        }
 
-    return sweep(runtime, seed, seeds, specs_for, merge)
+def reduce(results: List[dict], shares: Sequence[float] = SHARES,
+           **_) -> Dict[str, object]:
+    """The sweep keyed by share and guard, the detection cells by
+    adversary, and the pressure cell."""
+    labels = [f"share={share:g},guard={guard}"
+              for share in shares for guard in ("off", "on")]
+    return {
+        "sweep": dict(zip(labels, results)),
+        "detection": dict(zip(DETECTION_ADVERSARIES,
+                              results[len(labels):-1])),
+        "pressure": results[-1],
+    }
+
+
+#: Every cell is an independent simulation, so the whole grid fans
+#: through the experiment runtime.
+run = Experiment(cells, reduce, quick={"n_senders": 4, "duration": 0.06,
+                                       "shares": SHARES[:2]})

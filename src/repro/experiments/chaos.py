@@ -20,7 +20,7 @@ test:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..faults import (
     Corruption,
@@ -34,7 +34,7 @@ from ..faults import (
     install_faults,
 )
 from ..metrics import FaultRecorder
-from ..runtime import RunSpec, Runtime, sweep
+from ..runtime import Experiment, RunSpec
 from .common import (
     ALL_SCHEMES,
     DATA_PORT,
@@ -128,28 +128,25 @@ def _cell(scheme: str, intensity: float, seed: int, size_bytes: int,
                      size_bytes=size_bytes, duration=duration)
 
 
-def run(seed: int = 0, size_bytes: int = 4_000_000, duration: float = 0.5,
-        intensities: Sequence[float] = (0.0, 0.01, 0.02, 0.05),
-        quick: bool = False,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None) -> Dict[str, object]:
-    """Sweep fault intensity for every scheme; returns per-scheme curves.
+def cells(seed: int, size_bytes: int, duration: float,
+          intensities: Sequence[float]) -> List[RunSpec]:
+    """Every (scheme, intensity) cell of the sweep."""
+    return [RunSpec(f"{__name__}:_cell",
+                    {"scheme": s.name, "intensity": x, "seed": seed,
+                     "size_bytes": size_bytes, "duration": duration})
+            for s in ALL_SCHEMES for x in intensities]
 
-    ``quick`` shrinks the transfers and the sweep for CI smoke runs.
-    With ``seeds`` the whole scheme x intensity grid fans through the
-    experiment runtime per seed and the result is
-    :func:`repro.runtime.sweep`'s multi-seed shape.
-    """
-    if quick:
-        size_bytes = min(size_bytes, 1_000_000)
-        duration = min(duration, 0.2)
-        intensities = intensities[:2]
-    n_int = len(intensities)
-    return sweep(
-        runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:_cell",
-                            {"scheme": s.name, "intensity": x, "seed": sd,
-                             "size_bytes": size_bytes, "duration": duration})
-                    for s in ALL_SCHEMES for x in intensities],
-        lambda sd, cells: {s.name: cells[i * n_int:(i + 1) * n_int]
-                           for i, s in enumerate(ALL_SCHEMES)})
+
+def reduce(results: List[dict], intensities: Sequence[float],
+           **_) -> Dict[str, List[dict]]:
+    """Per-scheme curves: one point per intensity."""
+    n = len(intensities)
+    return {s.name: results[i * n:(i + 1) * n]
+            for i, s in enumerate(ALL_SCHEMES)}
+
+
+run = Experiment(cells, reduce,
+                 {"size_bytes": 4_000_000, "duration": 0.5,
+                  "intensities": (0.0, 0.01, 0.02, 0.05)},
+                 quick={"size_bytes": 1_000_000, "duration": 0.2,
+                        "intensities": (0.0, 0.01)})

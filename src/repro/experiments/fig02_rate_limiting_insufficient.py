@@ -8,28 +8,29 @@ control*, not just bandwidth allocation (§2.3).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
-from .common import CUBIC, DCTCP
-from .runners import run_dumbbell
+from ..runtime import Experiment, RunSpec
+from .common import CUBIC, DCTCP, RunResult
+from .runners import by_label, cell, dumbbell_scenario
 
 
-def run(duration: float = 1.0, mtu: int = 9000,
-        per_flow_limit_bps: float = 2e9, seed: int = 0) -> Dict[str, dict]:
-    """Returns RTT samples for rate-limited CUBIC vs unlimited DCTCP."""
-    cubic_rl = run_dumbbell(
-        CUBIC, pairs=5, duration=duration, mtu=mtu, seed=seed,
-        pacing_rate_bps=per_flow_limit_bps)
-    dctcp = run_dumbbell(DCTCP, pairs=5, duration=duration, mtu=mtu, seed=seed)
-    return {
-        "cubic_rl2g": {
-            "rtt_samples": cubic_rl.rtt_samples,
-            "rtt": cubic_rl.rtt_summary(),
-            "tput_gbps": [t / 1e9 for t in cubic_rl.tputs_bps],
-        },
-        "dctcp": {
-            "rtt_samples": dctcp.rtt_samples,
-            "rtt": dctcp.rtt_summary(),
-            "tput_gbps": [t / 1e9 for t in dctcp.tputs_bps],
-        },
-    }
+def cells(seed: int, duration: float, mtu: int,
+          per_flow_limit_bps: float) -> List[RunSpec]:
+    """Rate-limited CUBIC, then unlimited DCTCP."""
+    return [cell(dumbbell_scenario(CUBIC, pairs=5, duration=duration, mtu=mtu,
+                                   seed=seed,
+                                   pacing_rate_bps=per_flow_limit_bps)),
+            cell(dumbbell_scenario(DCTCP, pairs=5, duration=duration, mtu=mtu,
+                                   seed=seed))]
+
+
+def _row(result: dict) -> dict:
+    r = RunResult(**result)
+    return {"rtt_samples": r.rtt_samples, "rtt": r.rtt_summary(),
+            "tput_gbps": [t / 1e9 for t in r.tputs_bps]}
+
+
+#: RTT samples for rate-limited CUBIC vs unlimited DCTCP.
+run = Experiment(cells, by_label(("cubic_rl2g", "dctcp"), _row),
+                 {"duration": 1.0, "mtu": 9000, "per_flow_limit_bps": 2e9})

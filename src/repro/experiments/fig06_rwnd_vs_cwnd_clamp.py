@@ -10,12 +10,14 @@ cap into a maximum RWND (§3.4).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Sequence
 
 from ..core import FlowPolicy, PolicyEngine
 from ..net.packet import mss_for_mtu
+from ..runtime import Experiment, RunSpec
 from .common import ACDC, CUBIC
-from .runners import run_dumbbell
+from .runners import cell, dumbbell_scenario
 
 #: Sweep points (in MSS) roughly matching the paper's x-axes.
 CLAMPS_1500 = (2, 5, 10, 20, 40, 80, 120, 180, 250)
@@ -27,21 +29,24 @@ def clamps_for_mtu(mtu: int) -> Sequence[int]:
     return CLAMPS_9000 if mtu >= 9000 else CLAMPS_1500
 
 
-def run(mtu: int = 9000, duration: float = 0.3, seed: int = 0) -> Dict[str, List[dict]]:
-    """Returns (clamp_mss, throughput) series for both clamping mechanisms."""
+def cells(seed: int, mtu: int, duration: float) -> List[RunSpec]:
+    """Per clamp: a CWND clamp in the host stack (plain OVS), then an
+    RWND clamp in AC/DC."""
     mss = mss_for_mtu(mtu)
-    cwnd_series: List[dict] = []
-    rwnd_series: List[dict] = []
-    for clamp in clamps_for_mtu(mtu):
-        # CWND clamp in the host stack, plain OVS.
-        r = run_dumbbell(CUBIC, pairs=1, duration=duration, mtu=mtu,
-                         seed=seed, max_cwnd=clamp * mss, rtt_probe=False)
-        cwnd_series.append({"clamp_mss": clamp,
-                            "tput_gbps": r.tputs_bps[0] / 1e9})
-        # RWND clamp in AC/DC.
-        policy = PolicyEngine(default=FlowPolicy(max_rwnd=clamp * mss))
-        r = run_dumbbell(ACDC, pairs=1, duration=duration, mtu=mtu,
-                         seed=seed, policy=policy, rtt_probe=False)
-        rwnd_series.append({"clamp_mss": clamp,
-                            "tput_gbps": r.tputs_bps[0] / 1e9})
-    return {"cwnd": cwnd_series, "rwnd": rwnd_series}
+    one_flow = partial(dumbbell_scenario, pairs=1, duration=duration,
+                       mtu=mtu, seed=seed, rtt_probe=False)
+    return [cell(scenario) for clamp in clamps_for_mtu(mtu) for scenario in (
+        one_flow(CUBIC, max_cwnd=clamp * mss),
+        one_flow(ACDC, policy=PolicyEngine(
+            default=FlowPolicy(max_rwnd=clamp * mss))))]
+
+
+def reduce(results: List[dict], mtu: int, **_) -> Dict[str, List[dict]]:
+    """(clamp_mss, throughput) series for both clamping mechanisms."""
+    series = [[{"clamp_mss": clamp, "tput_gbps": r["tputs_bps"][0] / 1e9}
+               for clamp, r in zip(clamps_for_mtu(mtu), results[k::2])]
+              for k in (0, 1)]
+    return {"cwnd": series[0], "rwnd": series[1]}
+
+
+run = Experiment(cells, reduce, {"mtu": 9000, "duration": 0.3})

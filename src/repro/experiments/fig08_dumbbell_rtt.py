@@ -8,23 +8,19 @@ reports the per-flow throughputs (all three schemes achieve the same
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
+from ..runtime import Experiment, RunSpec
 from .common import ALL_SCHEMES
-from .runners import run_dumbbell
+from .runners import SCHEME_NAMES, by_label, cell, dumbbell_scenario, summary
 
 
-def run(duration: float = 1.0, mtu: int = 9000, seed: int = 0) -> Dict[str, dict]:
-    """RTT samples, throughput and fairness for all three schemes."""
-    out: Dict[str, dict] = {}
-    for scheme in ALL_SCHEMES:
-        r = run_dumbbell(scheme, pairs=5, duration=duration, mtu=mtu, seed=seed)
-        out[scheme.name] = {
-            "rtt_samples": r.rtt_samples,
-            "rtt": r.rtt_summary(),
-            "tput_gbps": [t / 1e9 for t in r.tputs_bps],
-            "avg_tput_gbps": r.avg_tput_bps / 1e9,
-            "fairness": r.fairness,
-            "drop_rate": r.drop_rate,
-        }
-    return out
+def cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
+    return [cell(dumbbell_scenario(s, pairs=5, duration=duration, mtu=mtu,
+                                   seed=seed)) for s in ALL_SCHEMES]
+
+
+#: RTT samples, throughput and fairness for all three schemes.
+run = Experiment(cells, by_label(SCHEME_NAMES, lambda r: {
+    "rtt_samples": r["rtt_samples"], **summary(r)}),
+    {"duration": 1.0, "mtu": 9000})

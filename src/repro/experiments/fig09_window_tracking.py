@@ -16,8 +16,10 @@ from ..core import AcdcConfig
 from ..metrics import WindowLogger, moving_average
 from ..net.packet import mss_for_mtu
 from ..obs import ObsContext, format_flow, write_jsonl
-from .common import ACDC
-from .runners import run_dumbbell
+from ..runtime import Experiment, RunSpec
+from .common import ACDC, RunResult, Taps, Testbed
+from .runners import cell, dumbbell_scenario
+from .scenario import Scenario
 
 
 def resample(series: Sequence[Tuple[float, float]],
@@ -34,42 +36,32 @@ def resample(series: Sequence[Tuple[float, float]],
     return out
 
 
-def run(duration: float = 1.0, mtu: int = 1500, seed: int = 0,
-        trace: bool = False, trace_path: Optional[str] = None,
-        quick: bool = False) -> Dict[str, object]:
-    """Returns both window series (in MSS) plus tracking-error stats.
-
-    With ``trace=True`` (implied by ``trace_path``) the run carries an
-    :class:`~repro.obs.ObsContext`: every vSwitch window computation is
-    on the bus as a ``rwnd.rewrite`` event and every guest CWND sample
-    as a guest ``flow.state`` — the overlay the figure plots, replayable
-    with ``python -m repro.obs timeline --flow <id> <trace>``.
-    """
-    if quick:
-        duration = min(duration, 0.25)
-    if trace_path is not None:
-        trace = True
-    mss = mss_for_mtu(mtu)
+def window_series(scenario: Scenario, obs: Optional[ObsContext] = None
+                  ) -> Tuple[RunResult, list, list]:
+    """The run, and its first flow's vSwitch RWND and guest CWND series
+    in MSS; with ``obs``, each CWND sample is a guest ``flow.state``."""
     acdc_log = WindowLogger()      # the vSwitch's computed RWND
     host_log = WindowLogger()      # the guest's CWND (tcpprobe equivalent)
-    obs = ObsContext() if trace else None
     window_probe = host_log.probe
     if obs is not None:
         def window_probe(conn, _probe=host_log.probe, _obs=obs):
             _probe(conn)
             _obs.bus.emit("flow.state", flow=conn.key(), component="guest",
                           state="cwnd", cwnd_bytes=int(conn.cwnd))
-    scheme = ACDC.with_host_cc("dctcp")
-    r = run_dumbbell(
-        scheme, pairs=5, duration=duration, mtu=mtu, seed=seed,
-        acdc_config=AcdcConfig(log_only=True), rtt_probe=False,
-        window_cb=acdc_log.acdc_callback, window_probe=window_probe,
-        obs=obs)
-    flow_key = r.flows[0].conn.key()
-    rwnd_series = [(t, w / mss) for t, w in acdc_log.samples[flow_key]]
-    cwnd_series = [(t, w / mss) for t, w in host_log.samples[flow_key]]
+    r = Testbed(scenario, Taps(obs=obs, window_cb=acdc_log.acdc_callback,
+                               window_probe=window_probe)).run()
+    key, mss = r.flows[0].conn.key(), mss_for_mtu(scenario.mtu)
+    return (r, [(t, w / mss) for t, w in acdc_log.samples[key]],
+            [(t, w / mss) for t, w in host_log.samples[key]])
+
+
+def _cell(scenario: dict, trace: bool) -> Dict[str, object]:
+    """Runtime worker: both window series plus tracking-error stats."""
+    sc = Scenario.from_json(scenario)
+    obs = ObsContext() if trace else None
+    r, rwnd_series, cwnd_series = window_series(sc, obs)
     # Tracking error on a common grid.
-    n = 200
+    n, duration = 200, sc.duration
     times = [duration * 0.1 + i * duration * 0.85 / n for i in range(n)]
     rwnd_pts = resample(rwnd_series, times)
     cwnd_pts = resample(cwnd_series, times)
@@ -88,7 +80,31 @@ def run(duration: float = 1.0, mtu: int = 1500, seed: int = 0,
     if obs is not None:
         out["telemetry"] = r.telemetry
         out["trace_events"] = len(obs.bus)
-        out["trace_flow"] = format_flow(flow_key)
-        if trace_path is not None:
-            out["trace_path"] = write_jsonl(obs.bus.records(), trace_path)
+        out["trace_flow"] = format_flow(r.flows[0].conn.key())
+        out["trace"] = obs.bus.records()
     return out
+
+
+def cells(seed: int, duration: float, mtu: int, trace: bool,
+          trace_path: Optional[str]) -> List[RunSpec]:
+    """DCTCP guests under a log-only AC/DC.  ``trace`` (implied by
+    ``trace_path``) puts both windows on a trace bus — the overlay the
+    figure plots, replayable with ``python -m repro.obs timeline``."""
+    return [cell(dumbbell_scenario(
+        ACDC.with_host_cc("dctcp"), pairs=5, duration=duration, mtu=mtu,
+        seed=seed, acdc_config=AcdcConfig(log_only=True), rtt_probe=False),
+        f"{__name__}:_cell", trace=trace or trace_path is not None)]
+
+
+def reduce(results: List[dict], trace_path: Optional[str],
+           **_) -> Dict[str, object]:
+    """The cell's result; a traced run's records go to ``trace_path``."""
+    out = results[0]
+    records = out.pop("trace", None)
+    if trace_path is not None:
+        out["trace_path"] = write_jsonl(records, trace_path)
+    return out
+
+
+run = Experiment(cells, reduce, {"duration": 1.0, "mtu": 1500, "trace": False},
+                 quick={"duration": 0.25}, traces=True)

@@ -9,28 +9,21 @@ reports the fraction of samples where RWND < CWND.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from ..metrics import WindowLogger
-from ..net.packet import mss_for_mtu
+from ..runtime import Experiment, RunSpec
 from .common import ACDC
-from .runners import run_dumbbell
-from .fig09_window_tracking import resample
+from .fig09_window_tracking import resample, window_series
+from .runners import cell, dumbbell_scenario
+from .scenario import Scenario
 
 
-def run(duration: float = 1.0, mtu: int = 1500, seed: int = 0) -> Dict[str, object]:
-    """Window series plus the fraction of time RWND is the limiter."""
-    mss = mss_for_mtu(mtu)
-    acdc_log = WindowLogger()
-    host_log = WindowLogger()
-    r = run_dumbbell(
-        ACDC, pairs=5, duration=duration, mtu=mtu, seed=seed,
-        rtt_probe=False,
-        window_cb=acdc_log.acdc_callback, window_probe=host_log.probe)
-    key = r.flows[0].conn.key()
-    rwnd_series = [(t, w / mss) for t, w in acdc_log.samples[key]]
-    cwnd_series = [(t, w / mss) for t, w in host_log.samples[key]]
-    n = 400
+def _cell(scenario: dict) -> Dict[str, object]:
+    """Runtime worker: window series plus the fraction of time RWND is
+    the limiter."""
+    sc = Scenario.from_json(scenario)
+    _r, rwnd_series, cwnd_series = window_series(sc)
+    n, duration = 400, sc.duration
     times = [duration * 0.05 + i * duration * 0.9 / n for i in range(n)]
     rwnd_pts = resample(rwnd_series, times)
     cwnd_pts = resample(cwnd_series, times)
@@ -42,3 +35,13 @@ def run(duration: float = 1.0, mtu: int = 1500, seed: int = 0) -> Dict[str, obje
         "mean_rwnd_mss": sum(rwnd_pts) / n,
         "mean_cwnd_mss": sum(cwnd_pts) / n,
     }
+
+
+def cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
+    return [cell(dumbbell_scenario(ACDC, pairs=5, duration=duration, mtu=mtu,
+                                   seed=seed, rtt_probe=False),
+                 f"{__name__}:_cell")]
+
+
+run = Experiment(cells, lambda results, **_: results[0],
+                 {"duration": 1.0, "mtu": 1500})

@@ -20,9 +20,11 @@ from ..metrics.cpu_model import (
     SENDER_FLOOR_PERCENT,
     cpu_percent,
 )
+from ..runtime import Experiment, RunSpec
 from ..sim import Simulator
 from ..workloads.apps import Sink
-from .common import ACDC, CUBIC, DATA_PORT, Scheme, Testbed
+from .common import ACDC, CUBIC, DATA_PORT, Testbed
+from .runners import cell
 from .scenario import Scenario
 
 BURST_BYTES = 128 * 1024
@@ -52,9 +54,12 @@ class _BurstApp:
         self.sim.schedule(BURST_INTERVAL, self._burst)
 
 
-def _run_one(scheme: Scheme, connections: int, duration: float,
-             mtu: int, rate_bps: float, seed: int) -> Dict[str, object]:
-    tb = Testbed(Scenario(scheme, "star", 2, duration, rate_bps, mtu, seed))
+def _cell(scenario: dict, connections: int) -> Dict[str, dict]:
+    """Runtime worker: ``connections`` bursting connections from the
+    first host to the second; each side's CPU% and vSwitch packets."""
+    sc = Scenario.from_json(scenario)
+    scheme, duration = sc.scheme, sc.duration
+    tb = Testbed(sc)
     (sender, receiver), _sw = tb.parts
     Sink(receiver, DATA_PORT, **scheme.conn_opts())
     for i in range(connections):
@@ -74,32 +79,42 @@ def _run_one(scheme: Scheme, connections: int, duration: float,
             rx_bytes=host.rx_bytes, connections=connections,
             duration_s=duration, floor_percent=floors[side],
             conn_tick_ns=ticks[side])
-        packets = ops.packets_egress + ops.packets_ingress
-        reports[side] = {"report": report, "packets": packets}
+        reports[side] = {"total_percent": report.total_percent,
+                         "datapath_percent": report.datapath_percent,
+                         "packets": ops.packets_egress + ops.packets_ingress}
     return reports
 
 
-def run(counts: Sequence[int] = CONNECTION_COUNTS, duration: float = 0.25,
-        mtu: int = 1500, rate_bps: float = 10e9, seed: int = 0) -> List[dict]:
-    """Returns rows: per connection count, baseline vs AC/DC CPU%."""
+def cells(seed: int, counts: Sequence[int], duration: float, mtu: int,
+          rate_bps: float) -> List[RunSpec]:
+    """Per connection count: the baseline, then AC/DC."""
+    return [cell(Scenario(scheme, "star", 2, duration, rate_bps, mtu, seed),
+                 f"{__name__}:_cell", connections=n)
+            for n in counts for scheme in (CUBIC, ACDC)]
+
+
+def reduce(results: List[dict], counts: Sequence[int], **_) -> List[dict]:
+    """Rows: per connection count, baseline vs AC/DC CPU%."""
     rows: List[dict] = []
-    for n in counts:
-        baseline = _run_one(CUBIC, n, duration, mtu, rate_bps, seed)
-        acdc = _run_one(ACDC, n, duration, mtu, rate_bps, seed)
+    for n, baseline, acdc in zip(counts, results[0::2], results[1::2]):
         row = {"connections": n}
         for side in ("sender", "receiver"):
-            base = baseline[side]["report"]
-            over = acdc[side]["report"]
-            row[f"{side}_baseline_pct"] = base.total_percent
+            base, over = baseline[side], acdc[side]
+            row[f"{side}_baseline_pct"] = base["total_percent"]
             # AC/DC's enforcement slightly changes how much traffic each
             # run delivers at saturation, so the datapath comparison is
             # normalised to the baseline's packet volume (the delta the
             # paper's claim is about is vSwitch work *per packet*).
-            scale = (baseline[side]["packets"] / acdc[side]["packets"]
-                     if acdc[side]["packets"] else 1.0)
-            datapath_delta = (over.datapath_percent * scale
-                              - base.datapath_percent)
-            row[f"{side}_acdc_pct"] = base.total_percent + datapath_delta
+            scale = (base["packets"] / over["packets"]
+                     if over["packets"] else 1.0)
+            datapath_delta = (over["datapath_percent"] * scale
+                              - base["datapath_percent"])
+            row[f"{side}_acdc_pct"] = base["total_percent"] + datapath_delta
             row[f"{side}_delta_pp"] = datapath_delta
         rows.append(row)
     return rows
+
+
+run = Experiment(cells, reduce, {"counts": CONNECTION_COUNTS,
+                                 "duration": 0.25, "mtu": 1500,
+                                 "rate_bps": 10e9})

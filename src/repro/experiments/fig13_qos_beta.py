@@ -12,8 +12,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core import FlowPolicy, PolicyEngine
 from ..metrics import jain_index
+from ..runtime import Experiment, RunSpec
 from .common import ACDC
-from .runners import run_dumbbell
+from .runners import cell, dumbbell_scenario
 
 #: The figure's experiments: per-flow beta numerators on a 4-point scale.
 BETA_COMBOS: Tuple[Tuple[int, ...], ...] = (
@@ -34,16 +35,21 @@ def _policy_for(betas: Sequence[float]) -> PolicyEngine:
     return engine
 
 
-def run(combos: Sequence[Sequence[int]] = BETA_COMBOS,
-        duration: float = 1.0, mtu: int = 9000, seed: int = 0) -> List[dict]:
+def cells(seed: int, combos: Sequence[Sequence[int]], duration: float,
+          mtu: int) -> List[RunSpec]:
+    return [cell(dumbbell_scenario(
+        ACDC, pairs=5, duration=duration, mtu=mtu, seed=seed,
+        policy=_policy_for([b / 4.0 for b in combo]), rtt_probe=False))
+        for combo in combos]
+
+
+def reduce(results: List[dict], combos: Sequence[Sequence[int]],
+           **_) -> List[dict]:
     """Per-flow throughput for every beta combination of the figure."""
     rows: List[dict] = []
-    for combo in combos:
+    for combo, result in zip(combos, results):
         betas = [b / 4.0 for b in combo]
-        r = run_dumbbell(ACDC, pairs=5, duration=duration, mtu=mtu,
-                         seed=seed, policy=_policy_for(betas),
-                         rtt_probe=False)
-        gbps = [t / 1e9 for t in r.tputs_bps]
+        gbps = [t / 1e9 for t in result["tputs_bps"]]
         # Within-class fairness: flows sharing a beta should match.
         by_beta: Dict[float, List[float]] = {}
         for beta, tput in zip(betas, gbps):
@@ -63,3 +69,7 @@ def run(combos: Sequence[Sequence[int]] = BETA_COMBOS,
             "monotonic_in_beta": monotonic,
         })
     return rows
+
+
+run = Experiment(cells, reduce, {"combos": BETA_COMBOS, "duration": 1.0,
+                                 "mtu": 9000})

@@ -13,11 +13,11 @@ within a second here, so epochs default to 0.5 s on a 1 G bottleneck
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
-from ..runtime import RunSpec, Runtime, sweep
+from ..runtime import Experiment, RunSpec
 from .common import ALL_SCHEMES, Scheme, Testbed
-from .runners import dumbbell_scenario
+from .runners import SCHEME_NAMES, by_label, dumbbell_scenario
 from .scenario import Scenario
 
 
@@ -33,12 +33,13 @@ def _scenario(scheme: Scheme, epoch: float, seed: int,
         rtt_probe=False, tput_meters=True)
 
 
-def _converge(scenario: Scenario, epoch: float) -> dict:
-    """Run a staggered Scenario; per-flow series and share errors."""
-    r = Testbed(scenario).run()
-    flows, rate_bps = len(scenario.flows), scenario.rate_bps
-    starts = [f.start for f in scenario.flows]
-    stops = [f.stop for f in scenario.flows]
+def _cell(scenario: dict, epoch: float) -> dict:
+    """Runtime worker: one scheme's per-flow series and share errors."""
+    sc = Scenario.from_json(scenario)
+    r = Testbed(sc).run()
+    flows, rate_bps = len(sc.flows), sc.rate_bps
+    starts = [f.start for f in sc.flows]
+    stops = [f.stop for f in sc.flows]
     series = [m.series for m in r.meters]
     # Fair-share error at each epoch midpoint: compare active flows'
     # instantaneous rates to the equal share.
@@ -64,24 +65,11 @@ def _converge(scenario: Scenario, epoch: float) -> dict:
     }
 
 
-def _cell(scenario: dict, epoch: float) -> dict:
-    """Runtime worker: one (scheme, seed) cell from its Scenario."""
-    return _converge(Scenario.from_json(scenario), epoch)
+def cells(seed: int, epoch: float) -> List[RunSpec]:
+    return [RunSpec(f"{__name__}:_cell", {
+        "scenario": _scenario(s, epoch, seed).to_json(), "epoch": epoch})
+        for s in ALL_SCHEMES]
 
 
-def run(epoch: float = 0.5, seed: int = 0,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None) -> Dict[str, object]:
-    """The convergence test for all three schemes.
-
-    With ``seeds`` every (scheme, seed) cell fans through the experiment
-    runtime and the result is :func:`repro.runtime.sweep`'s multi-seed
-    shape.
-    """
-    return sweep(
-        runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:_cell", {
-            "scenario": _scenario(s, epoch, sd).to_json(),
-            "epoch": epoch}) for s in ALL_SCHEMES],
-        lambda sd, cells: {s.name: cell
-                           for s, cell in zip(ALL_SCHEMES, cells)})
+#: The convergence test for all three schemes.
+run = Experiment(cells, by_label(SCHEME_NAMES), {"epoch": 0.5})

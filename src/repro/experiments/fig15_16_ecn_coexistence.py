@@ -9,36 +9,27 @@ flow ECN-capable on the wire, restoring the fair share and low latency.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from .common import Scheme
-from .runners import run_dumbbell
+from ..runtime import Experiment, RunSpec
+from .common import RunResult, Scheme, Testbed
+from .runners import by_label, cell, dumbbell_scenario
+from .scenario import Scenario
 
-
-def run(duration: float = 1.0, mtu: int = 9000, seed: int = 0) -> Dict[str, dict]:
-    """The coexistence trap with plain OVS, then with AC/DC attached."""
-    out: Dict[str, dict] = {}
-    # "Default": plain OVS; host stacks CUBIC (no ECN) + DCTCP (ECN);
-    # switch marking ON (that is the coexistence trap).
-    default_scheme = Scheme("default-mixed", host_cc="cubic", host_ecn=False,
-                            vswitch="plain", switch_ecn=True)
-    r = run_dumbbell(
-        default_scheme, pairs=2, duration=duration, mtu=mtu, seed=seed,
-        host_ccs=["cubic", "dctcp"], host_ecns=[False, True],
-        rtt_probe=True, probe_interval=0.005, probe_pipelined=True)
-    out["default"] = _summarise(r)
-    # AC/DC: same guest mix, AC/DC in the vSwitch.
-    acdc_scheme = Scheme("acdc-mixed", host_cc="cubic", host_ecn=False,
-                         vswitch="acdc", switch_ecn=True)
-    r = run_dumbbell(
-        acdc_scheme, pairs=2, duration=duration, mtu=mtu, seed=seed,
-        host_ccs=["cubic", "dctcp"], host_ecns=[False, True],
-        rtt_probe=True, probe_interval=0.005, probe_pipelined=True)
-    out["acdc"] = _summarise(r)
-    return out
+#: "Default": plain OVS; host stacks CUBIC (no ECN) + DCTCP (ECN); switch
+#: marking ON (that is the coexistence trap).  "AC/DC": the same guest
+#: mix, AC/DC in the vSwitch.
+SCHEMES = {
+    "default": Scheme("default-mixed", host_cc="cubic", host_ecn=False,
+                      vswitch="plain", switch_ecn=True),
+    "acdc": Scheme("acdc-mixed", host_cc="cubic", host_ecn=False,
+                   vswitch="acdc", switch_ecn=True),
+}
 
 
-def _summarise(result) -> dict:
+def _cell(scenario: dict) -> dict:
+    """Runtime worker: shares, RTTs and the CUBIC flow's retransmits."""
+    result = Testbed(Scenario.from_json(scenario)).run()
     cubic_bps, dctcp_bps = result.tputs_bps
     return {
         "cubic_gbps": cubic_bps / 1e9,
@@ -49,3 +40,15 @@ def _summarise(result) -> dict:
         "drop_rate": result.drop_rate,
         "cubic_retransmits": result.flows[0].conn.retransmitted_bytes,
     }
+
+
+def cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
+    return [cell(dumbbell_scenario(
+        scheme, pairs=2, duration=duration, mtu=mtu, seed=seed,
+        host_ccs=["cubic", "dctcp"], host_ecns=[False, True],
+        rtt_probe=True, probe_interval=0.005, probe_pipelined=True),
+        f"{__name__}:_cell") for scheme in SCHEMES.values()]
+
+
+#: The coexistence trap with plain OVS, then with AC/DC attached.
+run = Experiment(cells, by_label(SCHEMES), {"duration": 1.0, "mtu": 9000})

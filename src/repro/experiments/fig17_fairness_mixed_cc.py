@@ -11,36 +11,35 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..metrics import jain_index
+from ..runtime import Experiment, RunSpec
 from .common import ACDC, DCTCP, MICRO_DURATION, MICRO_RUNS
-from .fig01_heterogeneous_unfairness import HETEROGENEOUS_STACKS
-from .runners import run_dumbbell
+from .fig01_heterogeneous_unfairness import (
+    HETEROGENEOUS_STACKS, flow_stats, tests_summary)
+from .runners import cell, dumbbell_scenario
+
+#: Label -> (scheme, per-flow guest stacks, per-flow guest ECN).
+CONFIGS = {
+    "all-dctcp": (DCTCP, None, None),
+    "acdc-mixed": (ACDC, list(HETEROGENEOUS_STACKS),
+                   [cc == "dctcp" for cc in HETEROGENEOUS_STACKS]),
+}
 
 
-def run(runs: int = MICRO_RUNS, duration: float = MICRO_DURATION,
-        mtu: int = 9000) -> Dict[str, dict]:
+def cells(seed: int, runs: int, duration: float, mtu: int) -> List[RunSpec]:
+    """``runs`` repetitions per configuration, seeded from ``seed`` up."""
+    return [cell(dumbbell_scenario(
+        scheme, pairs=5, duration=duration, mtu=mtu, seed=seed + rep,
+        host_ccs=ccs, host_ecns=ecns, rtt_probe=False))
+        for scheme, ccs, ecns in CONFIGS.values() for rep in range(runs)]
+
+
+def reduce(results: List[dict], runs: int, **_) -> Dict[str, dict]:
     """Per-test max/min/mean/median for all-DCTCP vs AC/DC-mixed."""
-    out: Dict[str, dict] = {}
-    configs = {
-        "all-dctcp": (DCTCP, None, None),
-        "acdc-mixed": (ACDC, list(HETEROGENEOUS_STACKS),
-                       [cc == "dctcp" for cc in HETEROGENEOUS_STACKS]),
-    }
-    for label, (scheme, ccs, ecns) in configs.items():
-        tests: List[dict] = []
-        for rep in range(runs):
-            r = run_dumbbell(scheme, pairs=5, duration=duration, mtu=mtu,
-                             seed=rep, host_ccs=ccs, host_ecns=ecns,
-                             rtt_probe=False)
-            gbps = [t / 1e9 for t in r.tputs_bps]
-            tests.append({
-                "max": max(gbps), "min": min(gbps),
-                "mean": sum(gbps) / len(gbps),
-                "median": sorted(gbps)[len(gbps) // 2],
-                "fairness": jain_index(gbps),
-            })
-        out[label] = {
-            "tests": tests,
-            "mean_fairness": sum(t["fairness"] for t in tests) / len(tests),
-        }
-    return out
+    return {label: tests_summary([
+        flow_stats([t / 1e9 for t in result["tputs_bps"]])
+        for result in results[i * runs:(i + 1) * runs]])
+        for i, label in enumerate(CONFIGS)}
+
+
+run = Experiment(cells, reduce, {"runs": MICRO_RUNS,
+                                 "duration": MICRO_DURATION, "mtu": 9000})

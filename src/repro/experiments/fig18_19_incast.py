@@ -13,10 +13,10 @@ Expected shape (paper):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..metrics import percentile
-from ..runtime import RunSpec, Runtime, sweep
+from ..runtime import Experiment, RunSpec
 from .common import ALL_SCHEMES, Taps, Testbed
 from .runners import incast_scenario
 from .scenario import Scenario
@@ -51,26 +51,21 @@ def _cell(scenario: dict, telemetry: bool = False) -> dict:
     return out
 
 
-def run(counts: Sequence[int] = SENDER_COUNTS, duration: float = 0.4,
-        mtu: int = 9000, seed: int = 0,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None):
-    """Throughput/fairness/RTT/drops per scheme per fan-in count.
+def cells(seed: int, counts: Sequence[int], duration: float,
+          mtu: int) -> List[RunSpec]:
+    return [RunSpec(f"{__name__}:_cell", {"scenario": incast_scenario(
+        s, n, duration=duration, mtu=mtu, seed=seed).to_json()})
+        for n in counts for s in ALL_SCHEMES]
 
-    With ``seeds`` every (fan-in, scheme, seed) cell fans through the
-    experiment runtime and the result is :func:`repro.runtime.sweep`'s
-    multi-seed shape (one list of rows per seed).
-    """
-    def specs_for(sd: int) -> List[RunSpec]:
-        return [RunSpec(f"{__name__}:_cell", {"scenario": incast_scenario(
-            s, n, duration=duration, mtu=mtu, seed=sd).to_json()})
-                for n in counts for s in ALL_SCHEMES]
 
-    def rows(sd: int, cells: List[dict]) -> List[dict]:
-        width = len(ALL_SCHEMES)
-        return [{"senders": n,
-                 **{s.name: cells[i * width + j]
-                    for j, s in enumerate(ALL_SCHEMES)}}
-                for i, n in enumerate(counts)]
+def reduce(results: List[dict], counts: Sequence[int], **_) -> List[dict]:
+    """Throughput/fairness/RTT/drops per scheme per fan-in count."""
+    width = len(ALL_SCHEMES)
+    return [{"senders": n,
+             **{s.name: results[i * width + j]
+                for j, s in enumerate(ALL_SCHEMES)}}
+            for i, n in enumerate(counts)]
 
-    return sweep(runtime, seed, seeds, specs_for, rows)
+
+run = Experiment(cells, reduce, {"counts": SENDER_COUNTS, "duration": 0.4,
+                                 "mtu": 9000})

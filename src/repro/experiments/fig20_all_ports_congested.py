@@ -13,30 +13,38 @@ is preserved; see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
 from ..metrics import jain_index, percentile
-from .common import ALL_SCHEMES, DATA_PORT, Scheme, Testbed
+from ..runtime import Experiment, RunSpec
+from .common import ALL_SCHEMES, DATA_PORT, Scheme
+from .runners import SCHEME_NAMES, by_label, cell
 from .scenario import Flow, Probe, Scenario
 
 
-def run_scheme(scheme: Scheme, group_a: int = 10, stride: int = 2,
-               duration: float = 0.6, mtu: int = 9000,
-               rate_bps: float = 1e9, seed: int = 0) -> dict:
-    """One scheme's run: probe RTT percentiles through the hot port."""
-    a_hosts = [f"h{i + 1}" for i in range(group_a)]
-    b1, b2 = f"h{group_a + 1}", f"h{group_a + 2}"
+#: Group A's size and each A host's within-A stride.
+GROUP_A, STRIDE = 10, 2
+
+
+def _scenario(scheme: Scheme, seed: int, duration: float) -> Scenario:
+    """One scheme's run; the probe measures RTT through the hot port."""
+    a_hosts = [f"h{i + 1}" for i in range(GROUP_A)]
+    b1, b2 = f"h{GROUP_A + 1}", f"h{GROUP_A + 2}"
     flows = []
     for i, host in enumerate(a_hosts):
         # Within-A stride flows: i -> i+1 .. i+stride (mod A).
-        flows += [Flow.of(scheme, host, a_hosts[(i + k) % group_a],
-                          DATA_PORT + i) for k in range(1, stride + 1)]
+        flows += [Flow.of(scheme, host, a_hosts[(i + k) % GROUP_A],
+                          DATA_PORT + i) for k in range(1, STRIDE + 1)]
         # Incast flow into B1.
         flows.append(Flow.of(scheme, host, b1, DATA_PORT + 100 + i))
-    r = Testbed(Scenario(scheme, "star", group_a + 2, duration, rate_bps,
-                         mtu, seed, flows=tuple(flows),
-                         probe=Probe(b2, b1, 0.002, duration * 0.15))).run()
-    tputs, rtt = r.tputs_bps, r.rtt_samples
+    return Scenario(scheme, "star", GROUP_A + 2, duration, 1e9, 9000, seed,
+                    flows=tuple(flows),
+                    probe=Probe(b2, b1, 0.002, duration * 0.15))
+
+
+def _summary(result: dict) -> dict:
+    """Probe RTT percentiles, mean throughput and fairness of one run."""
+    tputs, rtt = result["tputs_bps"], result["rtt_samples"]
     return {
         "avg_tput_mbps": sum(tputs) / len(tputs) / 1e6,
         "fairness": jain_index(tputs),
@@ -46,11 +54,13 @@ def run_scheme(scheme: Scheme, group_a: int = 10, stride: int = 2,
             "p99": percentile(rtt, 99) * 1e3,
             "p999": percentile(rtt, 99.9) * 1e3,
         } if rtt else {},
-        "drop_rate_pct": 100.0 * r.drop_rate,
+        "drop_rate_pct": 100.0 * result["drop_rate"],
     }
 
 
-def run(duration: float = 0.6, seed: int = 0) -> Dict[str, dict]:
-    """All three schemes on the scaled all-ports-congested pattern."""
-    return {s.name: run_scheme(s, duration=duration, seed=seed)
-            for s in ALL_SCHEMES}
+def cells(seed: int, duration: float) -> List[RunSpec]:
+    return [cell(_scenario(s, seed, duration)) for s in ALL_SCHEMES]
+
+
+#: All three schemes on the scaled all-ports-congested pattern.
+run = Experiment(cells, by_label(SCHEME_NAMES, _summary), {"duration": 0.6})

@@ -13,27 +13,32 @@ window; the mice/elephant contention structure is unchanged.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
 from ..metrics import FctRecorder
+from ..runtime import Experiment, RunSpec
 from ..workloads.generators import ConcurrentStride
-from .common import ALL_SCHEMES, Scheme, Testbed
+from .common import ALL_SCHEMES, Testbed
+from .runners import SCHEME_NAMES, by_label, cell
 from .scenario import Scenario
 
 
-def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 0.8,
-               background_bytes: int = 16 * 1024 * 1024,
-               mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
-    """One scheme's concurrent-stride run: mice and background FCTs."""
-    tb = Testbed(Scenario(scheme, "star", hosts_n, duration, rate_bps, mtu,
-                          seed))
+#: Background block size: sized so the background occupies the fabric
+#: for the whole mice-sending window.
+BACKGROUND_BYTES = 16 * 1024 * 1024
+
+
+def _cell(scenario: dict) -> dict:
+    """Runtime worker: one scheme's mice and background FCTs."""
+    sc = Scenario.from_json(scenario)
+    tb = Testbed(sc)
     hosts, _switch = tb.parts
     recorder = FctRecorder()
     ConcurrentStride(
         tb.sim, hosts, recorder,
-        background_bytes=background_bytes, background_rounds=1,
-        mice_bytes=16 * 1024, mice_interval=0.1, duration=duration * 0.6,
-        conn_opts=scheme.conn_opts())
+        background_bytes=BACKGROUND_BYTES, background_rounds=1,
+        mice_bytes=16 * 1024, mice_interval=0.1, duration=sc.duration * 0.6,
+        conn_opts=sc.scheme.conn_opts())
     r = tb.run()
     return {
         "mice_fcts": recorder.fcts("mice"),
@@ -44,7 +49,10 @@ def run_scheme(scheme: Scheme, hosts_n: int = 17, duration: float = 0.8,
     }
 
 
-def run(duration: float = 0.8, seed: int = 0) -> Dict[str, dict]:
-    """The concurrent-stride workload for all three schemes."""
-    return {s.name: run_scheme(s, duration=duration, seed=seed)
-            for s in ALL_SCHEMES}
+def cells(seed: int, duration: float) -> List[RunSpec]:
+    return [cell(Scenario(s, "star", 17, duration, 1e9, 9000, seed),
+                 f"{__name__}:_cell") for s in ALL_SCHEMES]
+
+
+#: The concurrent-stride workload for all three schemes.
+run = Experiment(cells, by_label(SCHEME_NAMES), {"duration": 0.8})

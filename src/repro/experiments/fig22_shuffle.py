@@ -11,13 +11,14 @@ shuffle round instead of 30 repetitions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import List
 
 from ..metrics import FctRecorder
-from ..runtime import RunSpec, Runtime, sweep
+from ..runtime import Experiment, RunSpec
 from ..sim.rng import RngFactory
 from ..workloads.generators import Shuffle
 from .common import ALL_SCHEMES, Testbed
+from .runners import SCHEME_NAMES, by_label
 from .scenario import Scenario
 
 
@@ -48,19 +49,11 @@ def _cell(scenario: dict) -> dict:
     return run_scheme(Scenario.from_json(scenario))
 
 
-def run(duration: float = 1.0, seed: int = 0,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None) -> Dict[str, object]:
-    """The shuffle workload for all three schemes.
+def cells(seed: int, duration: float) -> List[RunSpec]:
+    return [RunSpec(f"{__name__}:_cell", {"scenario": Scenario(
+        s, "star", 17, duration, 1e9, 9000, seed).to_json()})
+        for s in ALL_SCHEMES]
 
-    With ``seeds`` each (scheme, seed) run fans through the experiment
-    runtime and the result is :func:`repro.runtime.sweep`'s multi-seed
-    shape.
-    """
-    return sweep(
-        runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:_cell", {"scenario": Scenario(
-            s, "star", 17, duration, 1e9, 9000, sd).to_json()})
-            for s in ALL_SCHEMES],
-        lambda sd, cells: {s.name: cell
-                           for s, cell in zip(ALL_SCHEMES, cells)})
+
+#: The shuffle workload for all three schemes.
+run = Experiment(cells, by_label(SCHEME_NAMES), {"duration": 1.0})

@@ -13,33 +13,36 @@ tails shrink).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..metrics import FctRecorder
+from ..runtime import Experiment, RunSpec
 from ..sim.rng import RngFactory
 from ..workloads.generators import TraceDriven
-from ..workloads.traces import FlowSizeDistribution, data_mining, web_search
-from .common import ALL_SCHEMES, Scheme, Testbed
+from ..workloads.traces import data_mining, web_search
+from .common import ALL_SCHEMES, Testbed
+from .runners import SCHEME_NAMES, cell
 from .scenario import Scenario
 
 SIZE_SCALE = 0.05
 SIZE_CAP = 2 * 1024 * 1024
 
 
-def run_scheme(scheme: Scheme, distribution: FlowSizeDistribution,
-               hosts_n: int = 17, duration: float = 1.5,
-               apps_per_host: int = 5, messages_per_app: int = 15,
-               mtu: int = 9000, rate_bps: float = 1e9, seed: int = 0) -> dict:
-    """One scheme's trace-driven run: mice/elephant FCTs."""
-    tb = Testbed(Scenario(scheme, "star", hosts_n, duration, rate_bps, mtu,
-                          seed))
+#: The figure's two flow-size distributions.
+WORKLOADS = {"web-search": web_search, "data-mining": data_mining}
+
+
+def _cell(scenario: dict, workload: str) -> dict:
+    """Runtime worker: one scheme's mice/elephant FCTs."""
+    sc = Scenario.from_json(scenario)
+    tb = Testbed(sc)
     hosts, _switch = tb.parts
     recorder = FctRecorder()
-    TraceDriven(tb.sim, hosts, recorder, distribution,
-                rng=RngFactory(seed).stream("fig23.trace-apps"),
-                apps_per_host=apps_per_host,
-                messages_per_app=messages_per_app,
-                conn_opts=scheme.conn_opts())
+    TraceDriven(tb.sim, hosts, recorder,
+                WORKLOADS[workload](scale=SIZE_SCALE, max_bytes=SIZE_CAP),
+                rng=RngFactory(sc.seed).stream("fig23.trace-apps"),
+                apps_per_host=5, messages_per_app=15,
+                conn_opts=sc.scheme.conn_opts())
     r = tb.run()
     return {
         "mice_fcts": recorder.fcts("mice"),
@@ -49,14 +52,17 @@ def run_scheme(scheme: Scheme, distribution: FlowSizeDistribution,
     }
 
 
-def run(duration: float = 1.5, seed: int = 0) -> Dict[str, Dict[str, dict]]:
+def cells(seed: int, duration: float) -> List[RunSpec]:
+    return [cell(Scenario(s, "star", 17, duration, 1e9, 9000, seed),
+                 f"{__name__}:_cell", workload=workload)
+            for workload in WORKLOADS for s in ALL_SCHEMES]
+
+
+def reduce(results: List[dict], **_) -> Dict[str, Dict[str, dict]]:
     """Both trace workloads (web-search, data-mining), all schemes."""
-    out: Dict[str, Dict[str, dict]] = {}
-    for workload, dist_factory in (("web-search", web_search),
-                                   ("data-mining", data_mining)):
-        dist = dist_factory(scale=SIZE_SCALE, max_bytes=SIZE_CAP)
-        out[workload] = {
-            s.name: run_scheme(s, dist, duration=duration, seed=seed)
-            for s in ALL_SCHEMES
-        }
-    return out
+    width = len(ALL_SCHEMES)
+    return {workload: dict(zip(SCHEME_NAMES, results[i * width:]))
+            for i, workload in enumerate(WORKLOADS)}
+
+
+run = Experiment(cells, reduce, {"duration": 1.5})

@@ -17,10 +17,10 @@ of long cell the runtime's timeout/quarantine guard rails exist for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from ..analysis import sanitize
-from ..runtime import Runtime, RunSpec, sweep
+from ..runtime import Experiment, RunSpec
 
 #: Mild but non-trivial chaos: every injector type at 0.5% marginal
 #: probability on the first host's wire.
@@ -64,14 +64,11 @@ def gameday_cell(seed: int, epochs: int = 6, n_hosts: int = 6) -> dict:
     }
 
 
-def run(seed: int = 0, quick: bool = False,
-        seeds: Optional[Sequence[int]] = None,
-        runtime: Optional[Runtime] = None) -> Dict[str, object]:
-    epochs = 4 if quick else 6
-    n_hosts = 4 if quick else 6
-    return sweep(
-        runtime, seed, seeds,
-        lambda sd: [RunSpec(f"{__name__}:gameday_cell",
-                            {"seed": sd, "epochs": epochs,
-                             "n_hosts": n_hosts})],
-        lambda sd, cells: {"seed": sd, **cells[0]})
+def cells(seed: int, epochs: int = 6, n_hosts: int = 6) -> List[RunSpec]:
+    return [RunSpec(f"{__name__}:gameday_cell",
+                    {"seed": seed, "epochs": epochs, "n_hosts": n_hosts})]
+
+
+run = Experiment(cells, lambda results, seed, **_: {"seed": seed,
+                                                    **results[0]},
+                 quick={"epochs": 4, "n_hosts": 4})

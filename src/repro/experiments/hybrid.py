@@ -24,11 +24,13 @@ where host timing belongs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
+from ..runtime import Experiment, RunSpec
 from ..workloads.background import BackgroundFlowGroup
-from .common import DATA_PORT, DCTCP, Scheme
-from .runners import dumbbell_scenario, incast_scenario, runner
+from .common import DATA_PORT, DCTCP, Scheme, Testbed
+from .runners import (
+    by_label, cell, dumbbell_scenario, incast_scenario, runner)
 from .scenario import Flow, FluidCoupling, Scenario
 
 #: Fluid timestep for the stock scenarios: 0.1 ms, ten steps per the
@@ -132,35 +134,37 @@ run_hybrid_dumbbell = runner(hybrid_dumbbell_scenario, "obs")
 run_hybrid_incast = runner(hybrid_incast_scenario, "obs")
 
 
-def run(seed: int = 0, quick: bool = False) -> dict:
-    """CLI entry: the stock hybrid dumbbell + incast, virtual metrics only."""
-    duration = 0.05 if quick else 0.2
-    out = {}
-    for name, result in (
-        ("dumbbell", run_hybrid_dumbbell(
-            DCTCP, fg_pairs=1, background=DEFAULT_BACKGROUND,
-            duration=duration, rate_bps=1e9, seed=seed)),
-        ("incast", run_hybrid_incast(
-            DCTCP, n_senders=4 if quick else 8,
-            background=DEFAULT_BACKGROUND, duration=duration,
-            rate_bps=1e9, seed=seed)),
-    ):
-        topo = result.topology
-        fluid = result.fluid
-        out[name] = {
-            "scheme": result.scheme,
-            "duration_s": result.duration,
-            "fg_tputs_bps": result.tputs_bps,
-            "drop_rate": result.drop_rate,
-            "events_processed": result.sim.events_processed,
-            "switch_tx_packets": sum(
-                sw.total_tx_packets() for sw in topo.switches.values()),
-            "fluid_delivered_bytes": sum(
-                p["delivered_bytes"] for p in fluid.get("ports", ())),
-            "fluid_marked_bytes": sum(
-                p["marked_bytes"] for p in fluid.get("ports", ())),
-            "fluid_lost_bytes": sum(
-                p["wred_dropped_bytes"] + p["tail_lost_bytes"]
-                for p in fluid.get("ports", ())),
-        }
-    return out
+def _cell(scenario: dict) -> dict:
+    """Runtime worker: one hybrid run's virtual metrics."""
+    result = Testbed(Scenario.from_json(scenario)).run()
+    ports = result.fluid.get("ports", ())
+    return {
+        "scheme": result.scheme,
+        "duration_s": result.duration,
+        "fg_tputs_bps": result.tputs_bps,
+        "drop_rate": result.drop_rate,
+        "events_processed": result.sim.events_processed,
+        "switch_tx_packets": sum(
+            sw.total_tx_packets() for sw in result.topology.switches.values()),
+        "fluid_delivered_bytes": sum(p["delivered_bytes"] for p in ports),
+        "fluid_marked_bytes": sum(p["marked_bytes"] for p in ports),
+        "fluid_lost_bytes": sum(p["wred_dropped_bytes"] + p["tail_lost_bytes"]
+                                for p in ports),
+    }
+
+
+def cells(seed: int, duration: float = 0.2,
+          n_senders: int = 8) -> List[RunSpec]:
+    """The stock hybrid dumbbell, then the hybrid incast."""
+    return [cell(scenario, f"{__name__}:_cell") for scenario in (
+        hybrid_dumbbell_scenario(DCTCP, fg_pairs=1,
+                                 background=DEFAULT_BACKGROUND,
+                                 duration=duration, rate_bps=1e9, seed=seed),
+        hybrid_incast_scenario(DCTCP, n_senders=n_senders,
+                               background=DEFAULT_BACKGROUND,
+                               duration=duration, rate_bps=1e9, seed=seed))]
+
+
+#: CLI entry: the stock hybrid dumbbell + incast, virtual metrics only.
+run = Experiment(cells, by_label(("dumbbell", "incast")),
+                 quick={"duration": 0.05, "n_senders": 4})

@@ -32,6 +32,7 @@ from ..metrics.collectors import FctRecorder
 from ..net.topology import Topology
 from ..obs import IntTelemetry, ObsContext
 from ..obs.export import write_jsonl
+from ..runtime import Experiment, RunSpec
 from ..workloads.apps import MessageStream, Sink
 from .common import ACDC, DATA_PORT, Taps, Testbed
 from .scenario import Scenario
@@ -179,22 +180,27 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
     return out
 
 
-def run(seed: int = 0, quick: bool = False,
-        trace_path: Optional[str] = None) -> dict:
+def cells(seed: int, trace_path: Optional[str], n_senders: int = 8,
+          rounds: int = 4) -> List[RunSpec]:
+    return [RunSpec(f"{__name__}:_cell", {
+        "variant": variant, "n_senders": n_senders, "rounds": rounds,
+        "seed": seed, "telemetry": trace_path is not None})
+        for variant in ("edge", "core")]
+
+
+def reduce(results: List[dict], trace_path: Optional[str],
+           **_) -> Dict[str, object]:
     """Both variants; the attribution table must flip with the topology."""
-    n_senders = 4 if quick else 8
-    rounds = 2 if quick else 4
-    out: Dict[str, object] = {}
-    traces: List[dict] = []
-    for variant in ("edge", "core"):
-        cell = _cell(variant, n_senders=n_senders, rounds=rounds, seed=seed,
-                     telemetry=trace_path is not None)
-        if trace_path is not None:
-            traces.extend(cell.pop("trace"))
-            cell.pop("telemetry")
-        out[variant] = cell
-    out["attribution_flips"] = (
-        out["edge"]["bottleneck_hop"] != out["core"]["bottleneck_hop"])
+    edge, core = results
+    out = {"edge": edge, "core": core, "attribution_flips":
+           edge["bottleneck_hop"] != core["bottleneck_hop"]}
     if trace_path is not None:
-        out["trace_path"] = write_jsonl(traces, trace_path)
+        for cell in results:
+            del cell["telemetry"]
+        out["trace_path"] = write_jsonl(
+            [r for cell in results for r in cell.pop("trace")], trace_path)
     return out
+
+
+run = Experiment(cells, reduce, quick={"n_senders": 4, "rounds": 2},
+                 traces=True)

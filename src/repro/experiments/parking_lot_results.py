@@ -8,23 +8,20 @@ RTTs track DCTCP's (~124/136 µs median) while CUBIC's are milliseconds.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
+from ..runtime import Experiment, RunSpec
 from .common import ALL_SCHEMES
-from .runners import run_parking_lot
+from .runners import (
+    SCHEME_NAMES, by_label, cell, parking_lot_scenario, summary)
 
 
-def run(duration: float = 1.0, mtu: int = 9000, seed: int = 0) -> Dict[str, dict]:
-    """Throughput/fairness/RTT on the parking lot, all three schemes."""
-    out: Dict[str, dict] = {}
-    for scheme in ALL_SCHEMES:
-        r = run_parking_lot(scheme, n_senders=5, duration=duration,
-                            mtu=mtu, seed=seed)
-        out[scheme.name] = {
-            "tput_gbps": [t / 1e9 for t in r.tputs_bps],
-            "avg_tput_gbps": r.avg_tput_bps / 1e9,
-            "fairness": r.fairness,
-            "rtt": r.rtt_summary(),
-            "drop_rate": r.drop_rate,
-        }
-    return out
+def cells(seed: int, duration: float, mtu: int) -> List[RunSpec]:
+    return [cell(parking_lot_scenario(s, n_senders=5, duration=duration,
+                                      mtu=mtu, seed=seed))
+            for s in ALL_SCHEMES]
+
+
+#: Throughput/fairness/RTT on the parking lot, all three schemes.
+run = Experiment(cells, by_label(SCHEME_NAMES, summary),
+                 {"duration": 1.0, "mtu": 9000})

@@ -2,15 +2,19 @@
 
 Each ``*_scenario`` function turns the paper's knobs into a
 :class:`~repro.experiments.scenario.Scenario`; its ``run_*`` twin runs
-it with the given taps.  The per-figure modules are thin wrappers.
+it with the given taps.  :func:`cell` makes a Scenario a runtime cell:
+by default :func:`outcome`, whose result a reducer turns back into a
+:class:`RunResult`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core import AcdcConfig, PolicyEngine
-from .common import DATA_PORT, RunResult, Scheme, Taps, Testbed
+from ..runtime import RunSpec
+from .common import (
+    ALL_SCHEMES, DATA_PORT, RunResult, Scheme, Taps, Testbed)
 from .scenario import Flow, Probe, Scenario
 
 
@@ -104,6 +108,37 @@ def runner(constructor, *taps: str):
     run.__doc__ = (f"Run :func:`{constructor.__name__}`, tapped by "
                    f"{', '.join(taps)}.")
     return run
+
+
+def outcome(scenario: dict) -> dict:
+    """Runtime cell: run a Scenario, for ``RunResult(**outcome(...))``."""
+    r = Testbed(Scenario.from_json(scenario)).run()
+    return {"scheme": r.scheme, "duration": r.duration,
+            "tputs_bps": r.tputs_bps, "rtt_samples": r.rtt_samples,
+            "drop_rate": r.drop_rate}
+
+
+def cell(scenario: Scenario, fn: str = f"{__name__}:outcome",
+         **kwargs) -> RunSpec:
+    """The cell calling ``fn(scenario=<its JSON>, **kwargs)``."""
+    return RunSpec(fn, {"scenario": scenario.to_json(), **kwargs})
+
+
+def by_label(labels: Sequence[str], row: Callable[[dict], dict] = dict):
+    """The reducer of one cell per label: ``{label: row(result)}``."""
+    return lambda results, **_: {label: row(result)
+                                 for label, result in zip(labels, results)}
+
+
+SCHEME_NAMES = tuple(s.name for s in ALL_SCHEMES)
+
+
+def summary(result: dict) -> dict:
+    """An :func:`outcome`'s Gb/s, fairness, RTT summary and drop rate."""
+    r = RunResult(**result)
+    return {"tput_gbps": [t / 1e9 for t in r.tputs_bps],
+            "avg_tput_gbps": r.avg_tput_bps / 1e9, "fairness": r.fairness,
+            "rtt": r.rtt_summary(), "drop_rate": r.drop_rate}
 
 
 run_dumbbell = runner(dumbbell_scenario, "obs", "int_tel", "window_cb",

@@ -12,13 +12,14 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..metrics import percentile
-from .common import ACDC, CUBIC, DCTCP
-from .runners import run_dumbbell
+from ..runtime import Experiment, RunSpec
+from .common import ACDC, CUBIC, DCTCP, RunResult
+from .runners import cell, dumbbell_scenario
 
 ACDC_GUESTS = ("cubic", "reno", "dctcp", "illinois", "highspeed", "vegas")
 
 
-def _row(name: str, result) -> dict:
+def _row(name: str, result: RunResult) -> dict:
     rtt = result.rtt_samples
     return {
         "variant": name,
@@ -29,19 +30,27 @@ def _row(name: str, result) -> dict:
     }
 
 
-def run(mtus: Sequence[int] = (1500, 9000), duration: float = 1.0,
-        seed: int = 0, guests: Sequence[str] = ACDC_GUESTS) -> Dict[int, List[dict]]:
+def _variants(guests: Sequence[str]) -> list:
+    """(row name, scheme): the baselines, then every guest under AC/DC."""
+    return [("CUBIC*", CUBIC), ("DCTCP*", DCTCP)] + [
+        (f"AC/DC({guest})", ACDC.with_host_cc(guest)) for guest in guests]
+
+
+def cells(seed: int, mtus: Sequence[int], duration: float,
+          guests: Sequence[str]) -> List[RunSpec]:
+    return [cell(dumbbell_scenario(scheme, duration=duration, mtu=mtu,
+                                   seed=seed))
+            for mtu in mtus for _name, scheme in _variants(guests)]
+
+
+def reduce(results: List[dict], mtus: Sequence[int], guests: Sequence[str],
+           **_) -> Dict[int, List[dict]]:
     """Table 1 rows for each MTU: baselines + every guest under AC/DC."""
-    out: Dict[int, List[dict]] = {}
-    for mtu in mtus:
-        rows: List[dict] = []
-        rows.append(_row("CUBIC*", run_dumbbell(
-            CUBIC, duration=duration, mtu=mtu, seed=seed)))
-        rows.append(_row("DCTCP*", run_dumbbell(
-            DCTCP, duration=duration, mtu=mtu, seed=seed)))
-        for guest in guests:
-            scheme = ACDC.with_host_cc(guest)
-            rows.append(_row(f"AC/DC({guest})", run_dumbbell(
-                scheme, duration=duration, mtu=mtu, seed=seed)))
-        out[mtu] = rows
-    return out
+    width = len(_variants(guests))
+    return {mtu: [_row(name, RunResult(**result)) for (name, _s), result
+                  in zip(_variants(guests), results[i * width:])]
+            for i, mtu in enumerate(mtus)}
+
+
+run = Experiment(cells, reduce, {"mtus": (1500, 9000), "duration": 1.0,
+                                 "guests": ACDC_GUESTS})

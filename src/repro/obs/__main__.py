@@ -257,15 +257,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-    if hasattr(args, "types"):
-        args.types = {t.strip() for t in args.types.split(",") if t.strip()}
-    if getattr(args, "min_sev", None) is not None:
-        args.min_sev = SEVERITY_BY_NAME[args.min_sev]
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        if hasattr(args, "types"):
+            args.types = {t.strip() for t in args.types.split(",")} - {""}
+        if getattr(args, "min_sev", None) is not None:
+            args.min_sev = SEVERITY_BY_NAME[args.min_sev]
         if args.command == "summary":
             return cmd_summary(args)
         if args.command == "grep":

@@ -15,11 +15,12 @@ See DESIGN.md §10 for the architecture and the cache-key scheme.
 """
 
 from .cache import ResultCache
-from .pool import (Runtime, RuntimeStats, cell_error, is_cell_error,
-                   seed_sweep, sweep)
+from .pool import (Experiment, Runtime, RuntimeStats, cell_error,
+                   is_cell_error, sweep)
 from .spec import SPEC_VERSION, RunSpec, canonical_json, canonicalize, resolve
 
 __all__ = [
+    "Experiment",
     "ResultCache",
     "RunSpec",
     "Runtime",
@@ -30,6 +31,5 @@ __all__ = [
     "cell_error",
     "is_cell_error",
     "resolve",
-    "seed_sweep",
     "sweep",
 ]

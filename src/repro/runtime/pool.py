@@ -21,7 +21,8 @@ import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence)
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional,
+    Sequence)
 
 from .cache import ResultCache
 from .spec import RunSpec
@@ -374,25 +375,14 @@ class Runtime:
         }
 
 
-def seed_sweep(fn: str, seeds: Sequence[int], base_kwargs: dict,
-               seed_param: str = "seed") -> List[RunSpec]:
-    """Seed-major spec list for a multi-seed sweep of one callable."""
-    return [RunSpec(fn, {**base_kwargs, seed_param: seed}) for seed in seeds]
-
-
 def sweep(runtime: Optional[Runtime], seed: int,
           seeds: Optional[Sequence[int]],
           specs_for: Callable[[int], List[RunSpec]],
           merge: Callable[[int, List[Any]], Any]) -> Any:
-    """Fan one experiment over its seeds and merge per seed.
-
-    ``specs_for(seed)`` lists one seed's cells; all seeds' cells go
-    through a single :meth:`Runtime.map` seed-major (``runtime=None``
-    means a fresh serial, cache-less one), and ``merge(seed, results)``
-    shapes each seed's slice.  With ``seeds=None`` the result is the
-    legacy single-seed shape of ``seed``; otherwise
-    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``.
-    """
+    """Every seed's ``specs_for(seed)`` through one :meth:`Runtime.map`
+    (seed-major; ``runtime=None``: a fresh serial one), each seed's slice
+    shaped by ``merge(seed, results)``; with ``seeds``, the whole is
+    ``{"seeds": [...], "per_seed": [<single-seed shape>, ...]}``."""
     rt = runtime if runtime is not None else Runtime()
     seed_list = [seed] if seeds is None else list(seeds)
     cells = [specs_for(sd) for sd in seed_list]
@@ -402,3 +392,35 @@ def sweep(runtime: Optional[Runtime], seed: int,
     if seeds is None:
         return per_seed[0]
     return {"seeds": seed_list, "per_seed": per_seed}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registry entry, run through :func:`sweep` when called:
+    ``cells(seed, **params)`` lists one seed's runs and ``reduce(results,
+    seed=seed, **params)`` shapes their results.  ``params`` are the knobs
+    a caller may set, with their defaults; ``quick=True`` lays ``quick``
+    on top (it may set knobs callers cannot, whose full scale is the
+    cells' default).  Only a ``traces`` entry takes a ``trace_path``."""
+
+    cells: Callable[..., List[RunSpec]]
+    reduce: Callable[..., Any]
+    params: Mapping[str, Any] = field(default_factory=dict)
+    quick: Mapping[str, Any] = field(default_factory=dict)
+    traces: bool = False
+
+    def __call__(self, *, seed: int = 0, seeds: Optional[Sequence[int]] = None,
+                 runtime: Optional[Runtime] = None, quick: bool = False,
+                 trace_path: Optional[str] = None, **params: Any) -> Any:
+        unknown = sorted(set(params) - set(self.params))
+        if unknown:
+            raise TypeError(f"unexpected parameter(s): {', '.join(unknown)}")
+        if trace_path is not None and not self.traces:
+            raise TypeError("this experiment cannot trace")
+        params = {**self.params, **params, **(self.quick if quick else {})}
+        if self.traces:
+            params["trace_path"] = trace_path
+        return sweep(runtime, seed, seeds,
+                     lambda sd: self.cells(sd, **params),
+                     lambda sd, results: self.reduce(results, seed=sd,
+                                                     **params))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, _refusal
 
 
 class Timer:
@@ -42,14 +42,18 @@ class Timer:
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
         deadline = self._sim.now + delay
-        self.expires_at = deadline
         if self._event is None or self._event.cancelled:
             self._event = self._sim.arm_at(deadline, self._fire)
-        elif self._event.time > deadline:
-            # The pending wake-up is too late for the new deadline.
+        elif not self._event.time <= deadline:
+            # The pending wake-up is too late for the new deadline.  A NaN
+            # one lands here too: refuse it before cancelling anything, so
+            # a refused start leaves the timer as it was.
+            if not deadline >= self._sim.now:
+                raise _refusal(deadline, self._sim.now)
             self._event.cancel()
             self._event = self._sim.arm_at(deadline, self._fire)
         # else: the pending event fires early and re-arms for the remainder.
+        self.expires_at = deadline
 
     def stop(self) -> None:
         """Disarm; a stopped timer never fires (its event dies silently)."""

@@ -18,7 +18,6 @@ from repro.runtime import (
     canonical_json,
     canonicalize,
     resolve,
-    seed_sweep,
 )
 
 # A tiny but real experiment cell: full TCP/vSwitch datapath, ~100 ms sim.
@@ -78,11 +77,6 @@ def test_resolve_validates_references():
 def test_canonicalize_normalises_tuples():
     assert canonicalize({"a": (1, 2), "b": {"nested": (3,)}}) == \
         {"a": [1, 2], "b": {"nested": [3]}}
-
-
-def test_seed_sweep_is_seed_major():
-    specs = seed_sweep(DOUBLE, [3, 1, 2], {"x": 0})
-    assert [s.kwargs["seed"] for s in specs] == [3, 1, 2]
 
 
 # ---------------------------------------------------------------------------

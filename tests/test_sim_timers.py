@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTimer, Simulator, Timer
+from repro.sim.engine import SimulationError
 
 
 @pytest.fixture
@@ -132,3 +133,26 @@ def test_periodic_timer_stop_from_callback(sim, fired):
     periodic.start()
     sim.run(until=1.0)
     assert len(fired) == 1
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0])
+def test_timer_refused_restart_keeps_the_pending_deadline(sim, fired, delay):
+    # Regression: a NaN delay on a timer with a wake-up pending was
+    # accepted; expires_at became NaN and the old wake-up still fired
+    # the callback at the old deadline.
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(1.0)
+    with pytest.raises(SimulationError):
+        timer.start(delay)
+    assert timer.expires_at == 1.0
+    sim.run()
+    assert fired == [1.0] and not timer.armed
+
+
+def test_timer_refused_first_start_stays_disarmed(sim, fired):
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        timer.start(float("nan"))
+    assert not timer.armed
+    sim.run()
+    assert fired == []
