@@ -39,7 +39,7 @@ def test_bench_adversarial(benchmark, capsys):
     assert on["jain"] > off["jain"]
     # Cheaters are contained, not merely diluted.
     assert on["violating_mean_bps"] < off["violating_mean_bps"] / 10
-    assert on["guard_events"]["guard_escalate"] >= 2
+    assert on["guard_events"]["guard.escalate"] >= 2
     assert on["police_drops"] > 0
     assert all(level >= 2 for _, level, _ in on["final_levels"])
 
@@ -59,17 +59,17 @@ def test_bench_adversarial(benchmark, capsys):
         "share=0.5,guard=off"]["violating_mean_bps"] / 10
 
     # --- detection-only adversaries are surfaced as guard events ---------
-    assert detection["ack_division"]["guard_events"]["guard_escalate"] >= 1
+    assert detection["ack_division"]["guard_events"]["guard.escalate"] >= 1
     assert detection["ack_division"]["quarantine_drops"] > 0
-    assert detection["ecn_bleach"]["guard_events"]["guard_escalate"] >= 1
+    assert detection["ecn_bleach"]["guard_events"]["guard.escalate"] >= 1
     assert detection["option_strip"]["fallbacks"] >= 1
     assert detection["option_strip"]["guard_events"][
-        "guard_feedback_fallback"] >= 1
+        "guard.feedback_fallback"] >= 1
 
     # --- watchdog: deliberate shedding keeps traffic flowing -------------
     assert pressure["sheds"] > 0
     assert pressure["shed_entries"] > 0
-    assert pressure["guard_events"]["guard_shed"] == pressure["sheds"]
+    assert pressure["guard_events"]["guard.shed"] == pressure["sheds"]
     assert pressure["total_goodput_bps"] > 0.6e9
 
     # --- same seed, same transition history ------------------------------

@@ -33,8 +33,9 @@ from typing import Dict, List, Optional
 from ..core import AcdcConfig, AcdcVswitch
 from ..experiments.common import ACDC, Taps, Testbed
 from ..experiments.scenario import Scenario
+from ..faults import Fault, fault_counts, install_faults
 from ..guard import Guard, GuardConfig
-from ..metrics.collectors import FaultRecorder, FctRecorder
+from ..metrics.collectors import FctRecorder
 from ..metrics.stats import percentile
 from ..obs import IntTelemetry, ObsContext, TraceConfig, WARNING
 from ..runtime.spec import canonical_json
@@ -338,7 +339,6 @@ class Service:
                  schedule: Optional[List[dict]] = None):
         self.config = config
         self.rngs = RngFactory(config.seed)
-        self.fault_recorder = FaultRecorder()
         self.default_policy = TenantPolicy.from_json(
             config.default_policy or {})
         guards = tuple((f"h{i + 1}", config.guard_config())
@@ -365,12 +365,12 @@ class Service:
         self._prev_q_idx: Dict[tuple, int] = {}
         for i in range(config.adversarial_hosts):
             self.hosts[i].set_tenant_profile(ignore_rwnd=True)
+        #: The fault chain on the first host's wire (empty: no faults).
+        self.faults: List[Fault] = []
         if config.fault_intensity > 0:
             from ..experiments.chaos import fault_chain
-            from ..faults.injectors import install_faults
-            install_faults(self.hosts[0],
-                           fault_chain(config.fault_intensity, config.seed),
-                           recorder=self.fault_recorder)
+            self.faults = fault_chain(config.fault_intensity, config.seed)
+            install_faults(self.hosts[0], self.faults)
         self.workload = _OpenLoopWorkload(self)
         self.control = ControlPlane(self)
         for raw in schedule or []:
@@ -390,8 +390,8 @@ class Service:
             guard = self.guards.get(addr)
             esc = drops = 0
             if guard is not None:
-                esc = sum(1 for e in guard.events.events
-                          if e.kind == "guard_escalate")
+                esc = sum(1 for row in guard.events
+                          if row[1] == "guard.escalate")
                 drops = guard.police_drops + guard.quarantine_drops
             out[addr] = {
                 "packets_egress": vsw.ops.packets_egress,
@@ -506,7 +506,7 @@ class Service:
             "counters": counters,
             "int": (self.int_tel.snapshot()
                     if self.int_tel is not None else None),
-            "faults": self.fault_recorder.snapshot(),
+            "faults": fault_counts(self.faults),
             "trace": self.obs.bus.summary(),
             "signature": signature,
         }

@@ -56,9 +56,9 @@ WindowCallback = Callable[[FlowKey, float, int], None]
 #: where it fires and which taps implement it):
 #:
 #: * ``on_decision(type_, flow, severity, fields)`` — a flow
-#:   insert/resurrect/migrate/restart/timeout, ECN mark, policer drop or
-#:   guard transition: one record, the same for the trace bus and the
-#:   flight ring;
+#:   insert/resurrect/migrate/restart/timeout, ECN mark, policer drop,
+#:   guard transition or injected fault: one record, the same for the
+#:   trace bus and the flight ring;
 #: * ``on_ingress_ack(vswitch, entry, pkt)`` — a SYN or an ACK from the
 #:   wire met its sender-role entry (``vswitch`` lets one run-level tap
 #:   serve every vSwitch);
@@ -150,6 +150,8 @@ class AcdcVswitch:
         bus_tap = VswitchObs(obs.bus) if tracing else None
         self.flight = (FlightRecorder(self.sim, name=str(host.addr))
                        if sanitize_on else None)
+        if self.flight is not None and tracing:
+            self.flight.sample = obs.bus.config.sample
         if tracing:
             obs.register_vswitch(self)
         self.sanitizer = sanitize.DatapathSanitizer(self) if sanitize_on else None

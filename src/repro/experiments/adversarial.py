@@ -19,7 +19,7 @@ and disabled.  The claims under test:
   feedback loss degrades the flow to local-signal CC instead of
   silently starving DCTCP;
 * the whole transition history is deterministic under a fixed seed
-  (asserted via :meth:`~repro.metrics.EventLog.signature`).
+  (the guards' ``(t, type, flow, fields)`` rows, as ``event_signature``).
 
 ``run_pressure`` exercises the datapath watchdog separately: a
 flow-table budget far below the offered flow count forces deliberate
@@ -28,12 +28,13 @@ lowest-priority-first load shedding, and traffic keeps flowing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
 from ..faults import EcnBleach, OptionStrip, install_faults
 from ..guard import GuardConfig
-from ..metrics import EventLog, jain_index
+from ..metrics import jain_index
 from ..runtime import Experiment, RunSpec
 from .common import ACDC, MACRO_RATE, Taps, Testbed
 from .scenario import Flow, Scenario
@@ -45,10 +46,10 @@ ADVERSARIES = ("ignore_rwnd", "ack_division", "ecn_bleach", "option_strip")
 
 
 def _testbed(n_senders: int, seed: int, duration: float, guards,
-             events: EventLog, ack_splitters=()) -> tuple:
+             events: list, ack_splitters=()) -> tuple:
     """The shared star: a bulk flow from each of ``n_senders`` hosts into
     the last one, whose listener splits the ACKs of the flows from
-    ``ack_splitters``; every Guard records into ``events``.  Returns
+    ``ack_splitters``; every Guard appends to ``events``.  Returns
     (testbed, sender hosts, receiver host)."""
     receiver = f"h{n_senders + 1}"
     flows = tuple(Flow.of(ACDC, f"h{i + 1}", receiver, DATA_PORT + i,
@@ -81,7 +82,7 @@ def run_point(
     ``violator_share`` fraction of them running the given adversary."""
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
-    events = EventLog()
+    events: list = []
     n_violators = int(round(violator_share * n_senders))
     violator_addrs = {f"h{i + 1}" for i in range(n_violators)}
     guards = [(f"h{i + 1}", _guard_config(seed))
@@ -130,8 +131,8 @@ def run_point(
         "conforming_retention": (sum(conforming) / len(conforming) / fair_share
                                  if conforming else 0.0),
         "jain": jain_index(goodputs),
-        "guard_events": events.kinds(),
-        "event_signature": events.signature(),
+        "guard_events": dict(Counter(row[1] for row in events)),
+        "event_signature": events,
     }
     if guard_on:
         result["police_drops"] = sum(g.police_drops for g in guards)
@@ -149,7 +150,7 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
                  duration: float = 0.1) -> dict:
     """Watchdog scenario: the receiver vSwitch's flow-table budget is far
     below the offered 2 x n_senders entries, forcing deliberate shedding."""
-    events = EventLog()
+    events: list = []
     config = _guard_config(seed)
     guards = [(f"h{i + 1}", config) for i in range(n_senders)]
     # The receiver has room for half the offered load: ~2 entries per
@@ -170,8 +171,8 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
                             if e.shed),
         "goodputs_bps": goodputs,
         "total_goodput_bps": sum(goodputs),
-        "guard_events": events.kinds(),
-        "event_signature": events.signature(),
+        "guard_events": dict(Counter(row[1] for row in events)),
+        "event_signature": events,
     }
 
 

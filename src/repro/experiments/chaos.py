@@ -13,9 +13,8 @@ test:
 * a vSwitch restart loses no connection: flow entries resurrect mid-flow
   from the first post-restart packet (§4's soft-state design) and the
   feedback channel resyncs;
-* every injected event is accounted: the per-cause
-  :class:`~repro.metrics.FaultRecorder` totals equal the sum of the
-  injectors' own event counters.
+* every injected event is accounted: the per-cause totals
+  (:func:`~repro.faults.fault_counts`) sum to the injectors' events.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from ..faults import (
     PacketLoss,
     Reordering,
     VswitchRestart,
+    fault_counts,
     install_faults,
 )
-from ..metrics import FaultRecorder
 from ..runtime import Experiment, RunSpec
 from .common import (
     ALL_SCHEMES,
@@ -82,7 +81,6 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
                           flows=flows))
     hosts, _switch = tb.parts
     senders, receiver = hosts[:2], hosts[2]
-    recorder = FaultRecorder()
     chains: List[Fault] = []
     # Fault chains sit on the senders' wires only: every packet crosses
     # exactly one chain, so each injector acts at its nominal rate (a
@@ -92,11 +90,11 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
         if intensity > 0.0 and i == 0:
             faults.append(VswitchRestart(at=(RESTART_AT,)))
         if faults:
-            install_faults(host, faults, recorder=recorder)
+            install_faults(host, faults)
             chains.extend(faults)
     if intensity > 0.0:
         restart = VswitchRestart(at=(RESTART_AT,))
-        install_faults(receiver, [restart], recorder=recorder)
+        install_faults(receiver, [restart])
         chains.append(restart)
     flows = tb.run().flows
     done = [f for f in flows if f.bytes_acked >= size_bytes]
@@ -108,7 +106,7 @@ def run_point(scheme: Scheme, intensity: float, seed: int = 0,
         "goodput_gbps": total_bits / max(finished, 1e-9) / 1e9,
         "completed": len(done),
         "flows": len(flows),
-        "fault_counts": recorder.snapshot(),
+        "fault_counts": fault_counts(chains),
         "injected_events": sum(f.events for f in chains),
     }
     if scheme.vswitch == "acdc":

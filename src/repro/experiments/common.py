@@ -200,14 +200,15 @@ class Taps:
     its equality and cache key: a tapped run is the untapped run
     (``tests/test_vswitch_taps.py``).  ``window_probe`` is set on every
     bulk flow's connection as it starts; ``guard_events``, when given, is
-    the one event log every Guard of the run records into, in order.
+    the one list every Guard of the run appends its transition rows to,
+    in order.
     """
 
     obs: Optional[object] = None
     int_tel: Optional[object] = None
     window_cb: Optional[Callable] = None
     window_probe: Optional[Callable] = None
-    guard_events: Optional[object] = None
+    guard_events: Optional[list] = None
 
 
 #: Topology builders a Scenario names; any other name is a

@@ -32,6 +32,7 @@ from ..metrics.collectors import FctRecorder
 from ..net.topology import Topology
 from ..obs import IntTelemetry, ObsContext
 from ..obs.export import write_jsonl
+from ..obs.int import attribution
 from ..runtime import Experiment, RunSpec
 from ..workloads.apps import MessageStream, Sink
 from .common import ACDC, DATA_PORT, Taps, Testbed
@@ -77,29 +78,6 @@ def _build(variant: str, sim, n_senders: int, rate_bps: float, mtu: int,
 edge_path, core_path = partial(_build, "edge"), partial(_build, "core")
 
 
-def _attribution(records: List[dict]) -> Dict[str, dict]:
-    """Fold ok ``int.report`` events into the per-hop attribution table."""
-    table: Dict[str, dict] = {}
-    for record in records:
-        if record.get("type") != "int.report" or record.get("status") != "ok":
-            continue
-        hop = str(record.get("bottleneck"))
-        entry = table.setdefault(hop, {"reports": 0, "q_max_bytes": 0.0,
-                                       "residence_s": 0.0})
-        entry["reports"] += 1
-        entry["q_max_bytes"] = max(entry["q_max_bytes"],
-                                   float(record.get("q_max_bytes", 0.0)))
-        entry["residence_s"] += float(record.get("residence_s", 0.0))
-    total = sum(e["reports"] for e in table.values())
-    for entry in table.values():
-        entry["share"] = entry["reports"] / total if total else 0.0
-        entry["mean_residence_us"] = (entry["residence_s"] / entry["reports"]
-                                      * 1e6 if entry["reports"] else 0.0)
-        del entry["residence_s"]
-    return dict(sorted(table.items(),
-                       key=lambda kv: (-kv[1]["reports"], kv[0])))
-
-
 def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
           rounds: int = 4, rate_bps: float = 1e9, mtu: int = 1500,
           seed: int = 0, telemetry: bool = False) -> dict:
@@ -140,7 +118,7 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
     data_reports = [r for r in records
                     if str(r.get("type", "")).startswith("int.")
                     and ">recv:" in str(r.get("flow") or "")]
-    attribution = _attribution(data_reports)
+    table = attribution(data_reports)
 
     # Per-message attribution of the p99 message itself: the reports
     # scoped to its flow during its lifetime.
@@ -152,7 +130,7 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
         window = [r for r in data_reports
                   if str(r.get("flow", "")).startswith(f"{src}:")
                   and slowest.start <= r.get("t", 0.0) <= slowest.end]
-        per_msg = _attribution(window)
+        per_msg = attribution(window)
         p99_attribution = {
             "flow": slowest.label,
             "fct_ms": slowest.fct * 1e3,
@@ -160,7 +138,7 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
             "attribution": per_msg,
         }
 
-    bottleneck = next(iter(attribution), None)
+    bottleneck = next(iter(table), None)
     out: Dict[str, object] = {
         "variant": variant,
         "expected_hop": EXPECTED_HOP[variant],
@@ -170,7 +148,7 @@ def _cell(variant: str, n_senders: int = 8, msg_bytes: int = 32_768,
         "expected_messages": n_senders * rounds,
         "p99_fct_ms": p99 * 1e3 if p99 is not None else None,
         "drop_rate_pct": result.drop_rate * 100.0,
-        "attribution": attribution,
+        "attribution": table,
         "p99_attribution": p99_attribution,
         "int": tel.snapshot(),
     }

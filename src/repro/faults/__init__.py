@@ -34,8 +34,9 @@ datapath knowing it is being tortured:
 Faults are composed into a :class:`FaultyDatapath` pipeline via
 :func:`install_faults`; every injector draws from its own named stream
 of :class:`~repro.sim.rng.RngFactory`, so the same seed reproduces the
-exact same fault sequence.  Per-cause counters land in a
-:class:`~repro.metrics.collectors.FaultRecorder`.
+exact same fault sequence.  Each activation bumps the injector's
+``events`` and is one ``fault.inject`` decision of the wrapped vSwitch
+(:meth:`FaultyDatapath.record`); :func:`fault_counts` totals per cause.
 """
 
 from .injectors import (
@@ -53,6 +54,7 @@ from .injectors import (
     Transparent,
     VswitchRestart,
     WorkerKill,
+    fault_counts,
     install_faults,
     is_data,
     is_pure_ack,
@@ -73,6 +75,7 @@ __all__ = [
     "Transparent",
     "VswitchRestart",
     "WorkerKill",
+    "fault_counts",
     "install_faults",
     "is_data",
     "is_pure_ack",

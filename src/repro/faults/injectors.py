@@ -25,10 +25,10 @@ from __future__ import annotations
 import os
 import signal
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..metrics.collectors import FaultRecorder
 from ..net.packet import ECN_ECT0, Packet
+from ..obs.trace import WARNING
 from ..sim.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,11 +51,11 @@ def is_pure_ack(pkt: Packet) -> bool:
 class Fault:
     """One composable fault stage.
 
-    Subclasses set :attr:`kind` (also the cause name recorded into the
-    :class:`~repro.metrics.collectors.FaultRecorder`) and implement
-    :meth:`process`; ``direction`` is ``"egress"``, ``"ingress"`` or
-    ``"both"``; ``match`` optionally narrows the fault to a traffic
-    class (:func:`is_data`, :func:`is_pure_ack`, or any predicate).
+    Subclasses set :attr:`kind` (also the cause a ``fault.inject``
+    decision carries) and implement :meth:`process`; ``direction`` is
+    ``"egress"``, ``"ingress"`` or ``"both"``; ``match`` optionally
+    narrows the fault to a traffic class (:func:`is_data`,
+    :func:`is_pure_ack`, or any predicate).
     """
 
     kind = "fault"
@@ -67,7 +67,7 @@ class Fault:
         self.direction = direction
         self.match = match
         self.rng = RngFactory(seed).stream(f"fault:{self.kind}")
-        self.events = 0          # fault activations (1:1 with records)
+        self.events = 0  # activations, counted by FaultyDatapath.record
         self.pipeline: Optional["FaultyDatapath"] = None
 
     def attach(self, pipeline: "FaultyDatapath") -> None:
@@ -101,8 +101,7 @@ class PacketLoss(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.rng.random() < self.rate:
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             return None
         return pkt
 
@@ -128,8 +127,7 @@ class Corruption(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.rng.random() < self.rate:
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             return None
         return pkt
 
@@ -149,8 +147,7 @@ class Duplication(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.rng.random() < self.rate:
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             # The copy runs the *remaining* stages independently, so a
             # later loss stage can still kill either twin.
             pipeline.resume(pkt.copy(), index + 1, direction)
@@ -175,8 +172,7 @@ class Reordering(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.rng.random() < self.rate:
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             hold = self.hold_s * self.rng.uniform(0.5, 1.5)
             pipeline.sim.schedule(hold, pipeline.resume, pkt, index + 1,
                                   direction)
@@ -206,8 +202,7 @@ class DelayJitter(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.rate >= 1.0 or self.rng.random() < self.rate:
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             delay = self.rng.uniform(0.0, self.jitter_s)
             pipeline.sim.schedule(delay, pipeline.resume, pkt, index + 1,
                                   direction)
@@ -256,8 +251,7 @@ class LinkFlap(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if self.is_down(pipeline.sim.now):
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             return None
         return pkt
 
@@ -285,8 +279,7 @@ class EcnBleach(Fault):
 
     def process(self, pkt, pipeline, index, direction):
         if pkt.ce and (self.rate >= 1.0 or self.rng.random() < self.rate):
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             pkt.ecn = ECN_ECT0
         return pkt
 
@@ -314,8 +307,7 @@ class OptionStrip(Fault):
         has_options = (pkt.pack is not None or pkt.int_stack is not None
                        or pkt.int_echo is not None)
         if has_options and (self.rate >= 1.0 or self.rng.random() < self.rate):
-            self.events += 1
-            pipeline.record(self.kind)
+            pipeline.record(self)
             pkt.pack = None
             pkt.is_fack = False  # without its option it is just a dupack
             # An unknown-option middlebox drops INT metadata the same way.
@@ -361,8 +353,7 @@ class IntMangler(Fault):
             return pkt
         if self.rate < 1.0 and self.rng.random() >= self.rate:
             return pkt
-        self.events += 1
-        pipeline.record(self.kind)
+        pipeline.record(self)
         if self.mode == "strip":
             pkt.int_stack = None
             pkt.int_echo = None
@@ -405,8 +396,7 @@ class VswitchRestart(Fault):
         restart = getattr(self.pipeline.inner, "restart", None)
         if restart is not None:
             restart()
-        self.events += 1
-        self.pipeline.record(self.kind)
+        self.pipeline.record(self)
 
     def applies(self, pkt, direction):
         return False
@@ -439,7 +429,7 @@ class WorkerKill(Fault):
       calls :meth:`maybe_fire` when the engine reaches ``at``, without
       scheduling an engine event, so the kill leaves no trace in the
       calendar and the interrupted run stays byte-comparable to an
-      uninterrupted baseline;
+      uninterrupted baseline (the sentinel, not ``events``, records it);
     * **chained** — attached to a :class:`FaultyDatapath`,
       :meth:`attach` schedules the kill as an engine event (the
       :class:`VswitchRestart` pattern).  This consumes a sequence
@@ -481,9 +471,8 @@ class WorkerKill(Fault):
             fh.write("fired\n")
             fh.flush()
             os.fsync(fh.fileno())
-        self.events += 1
         if self.pipeline is not None:
-            self.pipeline.record(self.kind)
+            self.pipeline.record(self)
         os.kill(os.getpid(), self.sig)
         return True  # reached only for a non-lethal ``sig``
 
@@ -515,24 +504,21 @@ class FaultyDatapath:
     drives it exactly like the datapath it wraps.
     """
 
-    def __init__(self, host: "Host", inner, faults: Sequence[Fault],
-                 recorder: Optional[FaultRecorder] = None):
+    def __init__(self, host: "Host", inner, faults: Sequence[Fault]):
         self.host = host
         self.sim = host.sim
         self.inner = inner
         self.faults: List[Fault] = list(faults)
-        if recorder is None:
-            # Default ledger is bound to the wrapped datapath's trace
-            # bus (if any): a traced run sees every injected fault as a
-            # ``fault.inject`` event for free.
-            recorder = FaultRecorder(getattr(inner, "trace", None))
-        self.recorder = recorder
         for fault in self.faults:
             fault.attach(self)
 
     # ------------------------------------------------------------------
-    def record(self, cause: str) -> None:
-        self.recorder.record(cause)
+    def record(self, fault: Fault) -> None:
+        """Count one activation of ``fault`` (the one place a fault is
+        counted) and offer it to the wrapped vSwitch's decision taps."""
+        fault.events += 1
+        for tap in getattr(self.inner, "_on_decision", ()):
+            tap("fault.inject", None, WARNING, {"cause": fault.kind, "n": 1})
 
     # ------------------------------------------------------------------
     # VSwitch protocol
@@ -575,8 +561,17 @@ class FaultyDatapath:
                 self.host.deliver(inner_out)
 
 
-def install_faults(host: "Host", faults: Sequence[Fault], inner=None,
-                   recorder: Optional[FaultRecorder] = None) -> FaultyDatapath:
+def fault_counts(faults: Sequence[Fault]) -> Dict[str, int]:
+    """Per-cause totals of ``faults``' events, causes with none left out."""
+    counts: Dict[str, int] = {}
+    for fault in faults:
+        if fault.events:
+            counts[fault.kind] = counts.get(fault.kind, 0) + fault.events
+    return counts
+
+
+def install_faults(host: "Host", faults: Sequence[Fault],
+                   inner=None) -> FaultyDatapath:
     """Wrap ``host``'s datapath in a fault chain and attach it.
 
     ``inner`` defaults to the host's current vSwitch (or a
@@ -584,6 +579,6 @@ def install_faults(host: "Host", faults: Sequence[Fault], inner=None,
     """
     if inner is None:
         inner = host.vswitch if host.vswitch is not None else Transparent()
-    pipeline = FaultyDatapath(host, inner, faults, recorder)
+    pipeline = FaultyDatapath(host, inner, faults)
     host.attach_vswitch(pipeline)
     return pipeline

@@ -62,7 +62,7 @@ class EscalationEngine:
         self.config = config
         self.mss = mss
         self.policy_engine = policy_engine
-        #: callback(kind, entry, **detail) into the Guard's event plumbing.
+        #: callback(type, entry, **fields) into the Guard's event plumbing.
         self.notify = notify
 
     # ------------------------------------------------------------------
@@ -79,7 +79,7 @@ class EscalationEngine:
             return
         old = fc.level
         self._apply(entry, fc, new_level, now)
-        self.notify("guard_escalate", entry, level_from=old,
+        self.notify("guard.escalate", entry, level_from=old,
                     level_to=new_level, reason=reason, state=fc.state)
 
     def note_clean_window(self, entry, fc: FlowConformance,
@@ -92,7 +92,7 @@ class EscalationEngine:
             self._apply(entry, fc, fc.level - 1, now)
             fc.clean_streak = 0
             self._arm_decay(fc, fc.level, now)
-            self.notify("guard_deescalate", entry, level_from=old,
+            self.notify("guard.deescalate", entry, level_from=old,
                         level_to=fc.level, state=fc.state)
 
     def _arm_decay(self, fc: FlowConformance, level: int, now: float) -> None:

@@ -19,22 +19,21 @@ its one verdict, the vSwitch's policy engine and the entry's CC:
 * :meth:`on_timeout` feeds an inferred RTO of a non-shed flow to the
   bleach detector.
 
-Each transition is recorded once, in an
-:class:`~repro.metrics.collectors.EventLog` (counts by kind, determinism
-signatures, audit trail), and offered once, as one ``guard.*`` decision,
+Each transition is one ``guard.*`` decision, named as in
+:data:`~repro.obs.trace.EVENT_SCHEMAS`: appended once to
+:attr:`Guard.events` as a ``(t, type, flow, sorted field pairs)`` row
+(counts by type, determinism signatures, audit trail) and offered once
 to the vSwitch's ``on_decision`` taps, among them the trace bus's
 :class:`~repro.obs.context.VswitchObs` and the flight ring when they
-are armed.  :data:`GUARD_KIND_TO_TYPE` names the decision type of each
-kind; a kind it lacks rides ``guard.event`` with the kind as a field.
+are armed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import List, Optional
 
 from ..core.vswitch_cc import make_vswitch_cc
-from ..metrics.collectors import EventLog
 from ..obs.trace import INFO, WARNING
 from ..sim.rng import RngFactory
 from .config import GuardConfig
@@ -51,17 +50,6 @@ from .monitor import (
 )
 from .watchdog import DatapathWatchdog
 
-#: Guard notification kind -> trace event type.
-GUARD_KIND_TO_TYPE: Dict[str, str] = {
-    "guard_escalate": "guard.escalate",
-    "guard_deescalate": "guard.deescalate",
-    "guard_police_drop": "guard.police_drop",
-    "guard_quarantine_drop": "guard.quarantine_drop",
-    "guard_feedback_fallback": "guard.feedback_fallback",
-    "guard_shed": "guard.shed",
-    "guard_unshed": "guard.unshed",
-}
-
 #: Enforcement actions and ladder climbs warrant attention; bookkeeping
 #: transitions stay informational.
 _WARN_TYPES = frozenset({
@@ -70,18 +58,14 @@ _WARN_TYPES = frozenset({
 })
 
 
-def guard_severity(kind: str) -> int:
-    """Severity of guard notification ``kind``."""
-    return WARNING if GUARD_KIND_TO_TYPE.get(kind) in _WARN_TYPES else INFO
-
-
 class Guard:
     """Adversarial-tenant protection for one AC/DC vSwitch."""
 
     def __init__(self, config: Optional[GuardConfig] = None,
-                 events: Optional[EventLog] = None):
+                 events: Optional[list] = None):
         self.config = config if config is not None else GuardConfig()
-        self.events = events if events is not None else EventLog()
+        #: One ``(t, type, flow, sorted field pairs)`` row per transition.
+        self.events: List[tuple] = events if events is not None else []
         self._rngs = RngFactory(self.config.seed)
         # Bound at attach() time.
         self.vswitch = None
@@ -153,16 +137,13 @@ class Guard:
         for name, value in changes.items():
             setattr(self.config, name, value)
 
-    def _notify(self, kind: str, entry, **detail) -> None:
+    def _notify(self, type_: str, entry, **fields) -> None:
         """Record one transition and offer it to the vSwitch's taps."""
-        self.events.record(self.sim.now, kind, flow=entry.key, **detail)
-        type_ = GUARD_KIND_TO_TYPE.get(kind)
-        if type_ is None:
-            type_ = "guard.event"
-            detail["kind"] = kind
-        severity = guard_severity(kind)
+        self.events.append((self.sim.now, type_, entry.key,
+                            tuple(sorted(fields.items()))))
+        severity = WARNING if type_ in _WARN_TYPES else INFO
         for tap in self.vswitch._on_decision:
-            tap(type_, entry.key, severity, detail)
+            tap(type_, entry.key, severity, fields)
 
     def conformance(self, entry) -> FlowConformance:
         if entry.guard_state is None:
@@ -198,13 +179,13 @@ class Guard:
             # conforming stacks is withdrawn from suspects.
             self.vswitch.ops.record("policing_check")
             self.police_drops += 1
-            self._notify("guard_police_drop", entry,
+            self._notify("guard.police_drop", entry,
                          overrun_bytes=strict_overrun, level=fc.level)
             return False
         if fc.level >= 3 and fc.bucket is not None:
             if not fc.bucket.consume(pkt.payload_len, now):
                 self.quarantine_drops += 1
-                self._notify("guard_quarantine_drop", entry, level=fc.level)
+                self._notify("guard.quarantine_drop", entry, level=fc.level)
                 return False
         return True
 
@@ -268,5 +249,5 @@ class Guard:
         fc.fallback_active = True
         fc.acked_since_feedback = 0
         self.fallbacks += 1
-        self._notify("guard_feedback_fallback", entry,
+        self._notify("guard.feedback_fallback", entry,
                      from_algorithm=old.name, to_algorithm=cc.name)

@@ -28,7 +28,7 @@ class DatapathWatchdog:
     def __init__(self, config: GuardConfig, vswitch, notify):
         self.config = config
         self.vswitch = vswitch
-        #: callback(kind, entry, **detail) into the Guard's event plumbing.
+        #: callback(type, entry, **fields) into the Guard's event plumbing.
         self.notify = notify
         self._last_ops = 0
         self._last_packets = 0
@@ -94,7 +94,7 @@ class DatapathWatchdog:
         for entry in candidates[:self._step(len(candidates))]:
             entry.shed = True
             self.sheds += 1
-            self.notify("guard_shed", entry, reason=reason,
+            self.notify("guard.shed", entry, reason=reason,
                         ops_per_packet=round(opp, 2), flow_entries=entries)
 
     def _unshed(self, opp: float, entries: int) -> None:
@@ -105,5 +105,5 @@ class DatapathWatchdog:
         for entry in reversed(shed[-self._step(len(shed)):]):
             entry.shed = False
             self.unsheds += 1
-            self.notify("guard_unshed", entry,
+            self.notify("guard.unshed", entry,
                         ops_per_packet=round(opp, 2), flow_entries=entries)

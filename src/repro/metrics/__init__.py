@@ -1,9 +1,6 @@
 """Measurement: statistics, collectors, and the CPU-overhead model."""
 
 from .collectors import (
-    Event,
-    EventLog,
-    FaultRecorder,
     FctRecorder,
     FlowRecord,
     RttRecorder,
@@ -15,10 +12,7 @@ from .stats import Ewma, cdf_points, jain_index, moving_average, percentile, sum
 
 __all__ = [
     "CpuReport",
-    "Event",
-    "EventLog",
     "Ewma",
-    "FaultRecorder",
     "FctRecorder",
     "FlowRecord",
     "RttRecorder",

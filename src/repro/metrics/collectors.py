@@ -8,11 +8,9 @@ TCP application that measures flow completion times.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.trace import WARNING
 from ..sim.engine import Simulator
 from ..sim.timers import PeriodicTimer
 
@@ -143,77 +141,3 @@ class RttRecorder:
         if rtt_s < 0:
             raise ValueError("negative RTT sample")
         self.samples.append(rtt_s)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One structured degradation/guard event.
-
-    ``detail`` is a sorted tuple of (key, value) pairs so events are
-    hashable and two runs of the same seed produce comparable logs.
-    """
-
-    time: float
-    kind: str
-    flow: Optional[object] = None
-    detail: Tuple[Tuple[str, object], ...] = ()
-
-
-class EventLog:
-    """Ordered ledger of structured events (guard transitions, watchdog
-    shedding, fallback activations).
-
-    It keeps the full (time, kind, flow, detail) sequence: per-kind
-    counts, determinism assertions and the DESIGN.md state-machine audit
-    trail read it.  A pure ledger: the guard offers each transition to
-    its vSwitch's trace taps itself (:mod:`repro.guard.guard`).
-    """
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def record(self, time: float, kind: str, flow=None, **detail) -> None:
-        self.events.append(Event(time=time, kind=kind, flow=flow,
-                                 detail=tuple(sorted(detail.items()))))
-
-    def kinds(self) -> Dict[str, int]:
-        counts: Counter = Counter(e.kind for e in self.events)
-        return dict(counts)
-
-    def signature(self) -> List[tuple]:
-        """Canonical, comparable form of the whole log (determinism checks)."""
-        return [(e.time, e.kind, e.flow, e.detail) for e in self.events]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class FaultRecorder:
-    """Per-cause ledger of injected faults (see :mod:`repro.faults`).
-
-    Every fault event records under its cause name ("loss", "corrupt",
-    "duplicate", "reorder", "delay", "link_flap", "vswitch_restart"), so
-    experiments can assert that the counters sum to the events the
-    injectors report and break degradation down by cause.
-
-    Given a trace bus, every record is mirrored as a
-    ``fault.inject`` event.  ``record`` carries no timestamp, so the
-    event is stamped from the bus's simulator clock — injectors record
-    at the instant the fault fires, which is exactly the bus's
-    ``sim.now``.
-    """
-
-    def __init__(self, bus=None) -> None:
-        self.counts: Counter = Counter()
-        self.bus = bus
-
-    def record(self, cause: str, n: int = 1) -> None:
-        self.counts[cause] += n
-        bus = self.bus
-        if bus is not None:
-            bus.emit("fault.inject", component="faults", severity=WARNING,
-                     cause=cause, n=n)
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.counts)
-

@@ -1,8 +1,7 @@
 """Unified telemetry for the reproduction (DESIGN.md §11).
 
 One simulation-time-aware observability layer that every subsystem emits
-into, replacing the ad-hoc logging each PR grew on its own
-(``EventLog``, ``FaultRecorder``, guard signatures, sanitizer prints):
+into:
 
 * :mod:`repro.obs.trace` — the structured **trace bus**: typed,
   schema'd events (``rwnd.rewrite``, ``ecn.mark``, ``guard.escalate``,
@@ -16,9 +15,9 @@ into, replacing the ad-hoc logging each PR grew on its own
   sanitizing and dumped on
   :class:`~repro.analysis.sanitize.InvariantViolation` or on demand;
 * :mod:`repro.obs.export` — JSONL/CSV writers for trace streams;
-* the ``FaultRecorder`` ledger of :mod:`repro.metrics.collectors`
-  mirrors its records onto a bus it is given; guard transitions reach
-  the bus as vSwitch decisions (:mod:`repro.guard.guard`);
+* guard transitions (:mod:`repro.guard.guard`) and injected faults
+  (:mod:`repro.faults`) reach the bus and the ring as vSwitch
+  decisions, ``guard.*`` and ``fault.inject``, like every other one;
 * :mod:`repro.obs.int` — **in-band network telemetry**: switch ports
   stamp per-hop metadata (queue depth, utilization, residence) onto
   transiting packets, the receiving vSwitch echoes a compact digest

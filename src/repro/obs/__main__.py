@@ -23,6 +23,7 @@ import sys
 from typing import List, Optional
 
 from .export import read_jsonl
+from .int import attribution
 from .trace import SEVERITY_BY_NAME
 
 #: Keys every record carries; everything else is an event field.
@@ -178,32 +179,15 @@ def cmd_int(args) -> int:
             print(f"... (limited to {args.limit} events)")
             break
     # Attribution: which hop was the bottleneck, how often, how deep.
-    table: dict = {}
-    degraded = 0
-    for record in records:
-        if record.get("type") != "int.report":
-            continue
-        if record.get("status") != "ok":
-            degraded += 1
-            continue
-        hop = str(record.get("bottleneck"))
-        entry = table.setdefault(hop, {"reports": 0, "q_max": 0.0,
-                                       "residence_s": 0.0})
-        entry["reports"] += 1
-        entry["q_max"] = max(entry["q_max"],
-                             float(record.get("q_max_bytes", 0.0)))
-        entry["residence_s"] += float(record.get("residence_s", 0.0))
-    total = sum(e["reports"] for e in table.values())
+    degraded = sum(1 for r in records if r.get("type") == "int.report"
+                   and r.get("status") != "ok")
     print("\nbottleneck attribution:")
     print(f"  {'hop':24s} {'reports':>8s} {'share':>7s} "
           f"{'q_max':>10s} {'mean_res':>10s}")
-    ranked = sorted(table.items(), key=lambda kv: (-kv[1]["reports"], kv[0]))
-    for hop, entry in ranked:
-        share = entry["reports"] / total if total else 0.0
-        mean_res = (entry["residence_s"] / entry["reports"]
-                    if entry["reports"] else 0.0)
-        print(f"  {hop:24s} {entry['reports']:8d} {share:6.1%} "
-              f"{entry['q_max']:9.0f}B {mean_res * 1e6:8.1f}us")
+    for hop, entry in attribution(records).items():
+        print(f"  {hop:24s} {entry['reports']:8d} {entry['share']:6.1%} "
+              f"{entry['q_max_bytes']:9.0f}B "
+              f"{entry['mean_residence_us']:8.1f}us")
     if degraded:
         print(f"  ({degraded} degraded report(s) not attributed)")
     return 0

@@ -27,6 +27,9 @@ datapath (DESIGN.md §16):
   above, plus the monotonic run-global counters the metric registry
   snapshots (flow entries are garbage-collected; run totals must not
   shrink with them).
+* :func:`attribution` — the per-hop bottleneck table folded from
+  exported ``int.report`` records (``python -m repro.obs int`` and the
+  int-attribution experiment both print it).
 
 Everything is sim-clock-only and RNG-free, and INT off costs the
 datapath nothing but its hooks' empty tests: a switch port calls an
@@ -543,3 +546,28 @@ class IntTelemetry:
             "stamped": sum(s.stamped for s in self.stampers),
             "overflowed": sum(s.overflowed for s in self.stampers),
         }
+
+
+def attribution(records: List[dict]) -> Dict[str, dict]:
+    """Fold the "ok" ``int.report`` records into the per-hop bottleneck
+    table: per hop, its ``reports``, deepest ``q_max_bytes``, ``share``
+    of all reports and ``mean_residence_us``; most-reported hop first."""
+    table: Dict[str, dict] = {}
+    for record in records:
+        if record.get("type") != "int.report" or record.get("status") != "ok":
+            continue
+        hop = str(record.get("bottleneck"))
+        entry = table.setdefault(hop, {"reports": 0, "q_max_bytes": 0.0,
+                                       "residence_s": 0.0})
+        entry["reports"] += 1
+        entry["q_max_bytes"] = max(entry["q_max_bytes"],
+                                   float(record.get("q_max_bytes", 0.0)))
+        entry["residence_s"] += float(record.get("residence_s", 0.0))
+    total = sum(e["reports"] for e in table.values())
+    for entry in table.values():
+        entry["share"] = entry["reports"] / total if total else 0.0
+        entry["mean_residence_us"] = (entry["residence_s"] / entry["reports"]
+                                      * 1e6 if entry["reports"] else 0.0)
+        del entry["residence_s"]
+    return dict(sorted(table.items(),
+                       key=lambda kv: (-kv[1]["reports"], kv[0])))

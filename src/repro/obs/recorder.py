@@ -7,8 +7,11 @@ sanitizer, so it is armed exactly when sanitizing, as one of the
 vSwitch's taps (``AcdcVswitch.HOOKS``).  It keeps the very records the
 trace bus gets from the other tap,
 :class:`~repro.obs.context.VswitchObs`, so a dump is the bus's bounded
-tail (bar ``component``, the vSwitch's name here); off, the datapath
-pays one empty-tuple loop per decision.
+tail (bar ``component``, the vSwitch's name here), sampled the same
+keep-1-in-N way: with the bus's ``config.sample`` when the vSwitch
+traces, :data:`~repro.obs.trace.DEFAULT_SAMPLING` otherwise, so
+per-segment ECN marks do not crowd the ACK history out of the ring.
+Off, the datapath pays one empty-tuple loop per decision.
 
 On an :class:`~repro.analysis.sanitize.InvariantViolation` the
 sanitizer dumps the ring to a JSONL file and attaches the path to the
@@ -34,9 +37,9 @@ import os
 import re
 from collections import deque
 from pathlib import Path
-from typing import Deque, List, Tuple
+from typing import Deque, Dict, List, Tuple
 
-from .trace import INFO, SEVERITY_NAMES, format_flow
+from .trace import DEFAULT_SAMPLING, INFO, SEVERITY_NAMES, format_flow
 
 #: Default ring capacity: enough to hold several RTTs of per-ACK
 #: decisions for one flow without holding a whole run in memory.
@@ -61,13 +64,25 @@ class FlightRecorder:
         #                   it snapshots and restores with the vSwitch)
         self._ring: Deque[Tuple[float, str, int, object, dict]] = deque(
             maxlen=capacity)
+        #: type -> keep 1 in N, as on the bus; the first is always kept.
+        self.sample = DEFAULT_SAMPLING
+        self._seen: Dict[str, int] = {}  # offers per sampled type
+
+    def _sampled_out(self, type_: str) -> bool:
+        n = self.sample.get(type_, 0)
+        if n <= 1:
+            return False
+        count = self._seen.get(type_, 0)
+        self._seen[type_] = count + 1
+        return count % n != 0
 
     # -- ring tap (AcdcVswitch.HOOKS) ------------------------------------
     def on_decision(self, type_: str, flow, severity: int,
                     fields: dict) -> None:
-        """One datapath decision, as the bus gets it (one deque append)."""
+        """One datapath decision, as the bus gets it."""
         self.noted += 1
-        self._ring.append((self.sim.now, type_, severity, flow, fields))
+        if not self._sampled_out(type_):
+            self._ring.append((self.sim.now, type_, severity, flow, fields))
 
     def on_advertised(self, entry, pkt, wnd: int, rewritten) -> None:
         """The RWND decision on an ACK (``rewritten`` None: a fabricated
@@ -75,6 +90,8 @@ class FlightRecorder:
         fields."""
         if isinstance(rewritten, bool):
             self.noted += 1
+            if self._sampled_out("rwnd.rewrite"):
+                return
             self._ring.append((self.sim.now, "rwnd.rewrite", INFO, entry.key,
                                {"wnd_bytes": wnd, "rewritten": rewritten,
                                 "visible_bytes":

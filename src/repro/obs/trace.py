@@ -52,8 +52,6 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "guard.feedback_fallback": (),
     "guard.shed": (),
     "guard.unshed": (),
-    # Catch-all for guard kinds with no dedicated type (forward compat).
-    "guard.event": ("kind",),
     # Injected faults (repro.faults) by cause.
     "fault.inject": ("cause",),
     # Switch-port shared-buffer occupancy at enqueue (sampled).

@@ -125,6 +125,10 @@ class BulkSender:
 
     def _established_now(self) -> None:
         if self.size_bytes is None:
+            if self.stop_at is not None and self.stop_at <= self.sim.now:
+                # Established at or after its stop: nothing left to send.
+                self.conn.close()
+                return
             self.conn.send_forever()
             if self.stop_at is not None:
                 self.sim.schedule_at(self.stop_at, self._stop)

@@ -160,3 +160,15 @@ def test_bulk_sender_on_start_hook(two_hosts):
                on_start=lambda f: seen.append(f.conn))
     sim.run(until=0.05)
     assert len(seen) == 1 and seen[0] is not None
+
+
+def test_bulk_sender_established_after_its_stop_sends_nothing(two_hosts):
+    """Regression: a flow whose handshake completes after ``stop_at``
+    scheduled its stop in the past, and the engine's refusal killed the
+    whole run."""
+    sim, topo, a, b, _sw = two_hosts
+    sink = Sink(b, 7000)
+    flow = BulkSender(sim, a, b.addr, 7000, stop_at=1e-6)
+    sim.run(until=0.05)
+    assert flow.conn.closed_at is not None
+    assert flow.bytes_acked == 0 and sink.bytes_received == 0

@@ -39,4 +39,4 @@ def test_same_seed_adversarial_guard_history_is_identical():
     assert a["guard_events"] == b["guard_events"]
     # The guard actually acted in this window, so the signature covers a
     # non-empty transition history.
-    assert a["guard_events"].get("guard_escalate", 0) > 0
+    assert a["guard_events"].get("guard.escalate", 0) > 0

@@ -1,7 +1,9 @@
 """Unit tests for the repro.faults injection subsystem.
 
 Covers the contracts the chaos experiment leans on: seeded determinism,
-per-cause accounting, the fault chain's packet plumbing, and — the §4
+per-cause accounting (checked against counts taken outside the
+package), the fault chain's packet plumbing, a traced fault's one
+``fault.inject`` decision, and — the §4
 soft-state claim — that a vSwitch restart mid-transfer loses no
 connection because flow entries resurrect from the first post-restart
 packet.
@@ -9,7 +11,7 @@ packet.
 
 import pytest
 
-from repro.core import AcdcVswitch
+from repro.core import AcdcConfig, AcdcVswitch
 from repro.faults import (
     Corruption,
     Duplication,
@@ -19,12 +21,13 @@ from repro.faults import (
     Reordering,
     Transparent,
     VswitchRestart,
+    fault_counts,
     install_faults,
     is_data,
     is_pure_ack,
 )
-from repro.metrics import FaultRecorder
 from repro.net.packet import Packet
+from repro.obs import WARNING, ObsContext
 from repro.workloads.apps import Sink
 
 
@@ -32,10 +35,11 @@ class _StubPipe:
     """Just enough pipeline for driving a fault's process() directly."""
 
     def __init__(self):
-        self.recorder = FaultRecorder()
+        self.causes = []
 
-    def record(self, cause):
-        self.recorder.record(cause)
+    def record(self, fault):
+        fault.events += 1
+        self.causes.append(fault.kind)
 
 
 def _data_packet(i=0):
@@ -72,9 +76,9 @@ def test_different_seeds_differ():
 def test_events_match_recorder():
     fault = PacketLoss(0.5, seed=0)
     pipe = _StubPipe()
-    for i in range(200):
-        fault.process(_data_packet(i), pipe, 0, "egress")
-    assert fault.events == pipe.recorder.counts["loss"]
+    dropped = sum(fault.process(_data_packet(i), pipe, 0, "egress") is None
+                  for i in range(200))
+    assert fault.events == dropped == pipe.causes.count("loss")
     assert fault.events > 0
 
 
@@ -124,14 +128,15 @@ def test_link_flap_down_fraction_roughly_matches():
 # ---------------------------------------------------------------------------
 def test_duplication_delivers_extra_copies(two_hosts):
     sim, topo, a, b, _sw = two_hosts
-    pipeline = install_faults(a, [Duplication(0.2, seed=5, match=is_data)])
+    dup = Duplication(0.2, seed=5, match=is_data)
+    pipeline = install_faults(a, [dup])
     assert isinstance(pipeline.inner, Transparent)
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(500_000)
     sim.run(until=1.0)
     assert conn.bytes_acked_total == 500_000
-    dups = pipeline.recorder.counts["duplicate"]
+    dups = dup.events
     assert dups > 0
     # Every duplicate is an extra wire packet the receiver saw.
     assert b.rx_packets > dups
@@ -139,14 +144,14 @@ def test_duplication_delivers_extra_copies(two_hosts):
 
 def test_reordering_and_transfer_completes(two_hosts):
     sim, topo, a, b, _sw = two_hosts
-    pipeline = install_faults(
-        a, [Reordering(0.05, hold_s=200e-6, seed=9, match=is_data)])
+    reorder = Reordering(0.05, hold_s=200e-6, seed=9, match=is_data)
+    install_faults(a, [reorder])
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(500_000)
     sim.run(until=1.0)
     assert conn.bytes_acked_total == 500_000
-    assert pipeline.recorder.counts["reorder"] > 0
+    assert reorder.events > 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +220,8 @@ def test_mid_flow_entry_creation_without_syn(three_hosts):
 def test_restart_recorder_cause(three_hosts):
     sim, topo, a, b, c, sw = three_hosts
     vsw_a = AcdcVswitch(a)
-    recorder = FaultRecorder()
-    install_faults(a, [VswitchRestart(at=(0.01, 0.02))], inner=vsw_a,
-                   recorder=recorder)
+    pipeline = install_faults(a, [VswitchRestart(at=(0.01, 0.02))],
+                              inner=vsw_a)
     for host in (b, c):
         host.attach_vswitch(AcdcVswitch(host))
     Sink(c, 7000)
@@ -226,4 +230,61 @@ def test_restart_recorder_cause(three_hosts):
     sim.run(until=0.5)
     assert conn.bytes_acked_total == 1_000_000
     assert vsw_a.restarts == 2
-    assert recorder.counts["vswitch_restart"] == 2
+    assert fault_counts(pipeline.faults) == {"vswitch_restart": 2}
+
+
+# ---------------------------------------------------------------------------
+# Counts taken outside repro.faults, and the traced decision
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("direction", ["ingress", "egress"])
+@pytest.mark.parametrize("make", [
+    lambda d: PacketLoss(0.05, seed=11, direction=d, match=is_data),
+    lambda d: Corruption(0.05, seed=12, direction=d, match=is_data),
+    lambda d: Duplication(0.05, seed=13, direction=d, match=is_data),
+], ids=["loss", "corrupt", "duplicate"])
+def test_events_match_the_hosts_packet_counts(two_hosts, make, direction):
+    """A fault's ``events`` equal the packets its host's wire and the
+    inner vSwitch disagree on: on ingress, ``Host.rx_packets`` against
+    the inner vSwitch's ingress count; on egress, the inner vSwitch's
+    egress count against ``Host.tx_packets`` less the FACKs the vSwitch
+    put on the wire itself."""
+    sim, topo, a, b, _sw = two_hosts
+    host = b if direction == "ingress" else a
+    inner = AcdcVswitch(host)
+    other = a if host is b else b
+    other.attach_vswitch(AcdcVswitch(other))
+    fault = make(direction)
+    install_faults(host, [fault], inner=inner)
+    Sink(b, 7000)
+    conn = a.connect(b.addr, 7000)
+    conn.send(300_000)
+    sim.run(until=0.5)
+    assert conn.bytes_acked_total == 300_000
+    ops = inner.ops
+    if direction == "ingress":
+        lost = host.rx_packets - ops.packets_ingress
+    else:
+        wired = host.tx_packets - ops.counts["fack_create"]
+        lost = ops.packets_egress - wired
+    copied = isinstance(fault, Duplication)
+    assert fault.events > 0
+    assert fault.events == (-lost if copied else lost)
+
+
+def test_a_traced_fault_is_one_fault_inject_on_the_bus_and_the_ring(
+        two_hosts):
+    sim, topo, a, b, _sw = two_hosts
+    obs = ObsContext(sim)
+    vsw_a = AcdcVswitch(a, obs=obs, config=AcdcConfig(sanitize=True))
+    restart = VswitchRestart(at=(0.001, 0.002))
+    install_faults(a, [restart], inner=vsw_a)
+    sim.run(until=0.01)
+    assert restart.events == 2
+    assert obs.bus.by_type()["fault.inject"] == 2
+    injected = [e for e in obs.bus.events if e.type == "fault.inject"]
+    assert [(e.t, e.severity, e.fields) for e in injected] == [
+        (t, WARNING, {"cause": "vswitch_restart", "n": 1})
+        for t in (0.001, 0.002)]
+    ring = [r for r in vsw_a.flight.records() if r["type"] == "fault.inject"]
+    assert [(r["t"], r["sev"], r["cause"]) for r in ring] == [
+        (t, "warning", "vswitch_restart") for t in (0.001, 0.002)]

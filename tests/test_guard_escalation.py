@@ -59,7 +59,7 @@ def test_escalate_event_carries_transition_details():
     eng, entry, fc, policy, events = make()
     eng.escalate(entry, fc, floor=2, now=0.0, reason="rwnd_violation_rate")
     kind, detail = events[0]
-    assert kind == "guard_escalate"
+    assert kind == "guard.escalate"
     assert detail == {"level_from": 0, "level_to": 2,
                       "reason": "rwnd_violation_rate", "state": "violator"}
 
@@ -103,7 +103,7 @@ def test_deescalation_needs_streak_and_decay_deadline():
     # Deadline passed but streak was reset by nothing — still counting.
     eng.note_clean_window(entry, fc, now=3.0)
     assert fc.level == 1
-    assert events[-1][0] == "guard_deescalate"
+    assert events[-1][0] == "guard.deescalate"
 
 
 def test_deescalation_unwinds_penalty_and_rule():

@@ -62,7 +62,7 @@ def test_table_pressure_sheds_lowest_beta_first(sim):
     # step = 50% of 4 candidates = 2 shed, smallest beta first.
     assert [e.shed for e in entries] == [True, True, False, False]
     assert [k for kind, k, d in events] == [("h", 0, "r", 1), ("h", 1, "r", 1)]
-    assert all(kind == "guard_shed" for kind, k, d in events)
+    assert all(kind == "guard.shed" for kind, k, d in events)
     assert events[0][2]["reason"] == "flow_table"
 
 
@@ -113,8 +113,8 @@ def test_hysteresis_unsheds_highest_priority_first(sim):
     tick(sim)
     assert entries[0].shed is False
     kinds = [kind for kind, k, d in events]
-    assert kinds == ["guard_shed", "guard_shed", "guard_unshed",
-                     "guard_unshed"]
+    assert kinds == ["guard.shed", "guard.shed", "guard.unshed",
+                     "guard.unshed"]
 
 
 def test_stop_halts_ticks(sim):

@@ -22,7 +22,6 @@ from repro.experiments.common import ACDC
 from repro.experiments.runners import run_incast
 from repro.faults import IntMangler, OptionStrip, install_faults, is_data, \
     is_pure_ack
-from repro.metrics import FaultRecorder
 from repro.net.packet import Packet
 from repro.obs import IntEcho, IntSink, IntTelemetry, MAX_INT_HOPS, \
     ObsContext, TelemetryView
@@ -221,11 +220,8 @@ def test_zero_cost_off_emits_nothing():
 # Fault injection: mangled metadata degrades, never crashes
 # ---------------------------------------------------------------------------
 class _StubPipe:
-    def __init__(self):
-        self.recorder = FaultRecorder()
-
-    def record(self, cause):
-        self.recorder.record(cause)
+    def record(self, fault):
+        fault.events += 1
 
 
 def test_int_mangler_strip_clears_metadata():

@@ -8,6 +8,7 @@ byte-identical telemetry across identical runs.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +17,9 @@ from repro.analysis.sanitize import InvariantViolation
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.experiments import fig09_window_tracking as fig09
 from repro.guard import Guard, GuardConfig
-from repro.guard.guard import GUARD_KIND_TO_TYPE
 from repro.net.packet import mss_for_mtu
-from repro.obs import ObsContext, TraceConfig, read_jsonl
+from repro.obs import (EVENT_SCHEMAS, INFO, WARNING, ObsContext, TraceConfig,
+                       read_jsonl)
 from repro.obs.__main__ import main as obs_main
 from repro.workloads.apps import Sink
 
@@ -164,8 +165,26 @@ def test_the_ring_is_the_bus_tail_and_a_guard_transition_is_offered_once(
     transitions = [(r["t"], r["type"]) for r in records
                    if r["type"].startswith("guard.")]
     assert guard.police_drops > 0
-    assert transitions == [(e.time, GUARD_KIND_TO_TYPE[e.kind])
-                           for e in guard.events.events]
+    assert transitions == [(t, type_) for t, type_, _, _ in guard.events]
+
+
+def test_each_guard_type_reaches_the_bus_once(two_hosts):
+    """Every ``guard.*`` type of the schema goes from the guard through
+    its vSwitch's bus tap once: enforcement actions and ladder climbs at
+    WARNING, bookkeeping at INFO."""
+    sim, topo, a, b, sw = two_hosts
+    obs = ObsContext(sim)
+    guard = Guard()
+    AcdcVswitch(a, obs=obs, guard=guard)
+    flow = ("s1", 10000, "r1", 5000)
+    types = [t for t in EVENT_SCHEMAS if t.startswith("guard.")]
+    for type_ in types:
+        guard._notify(type_, SimpleNamespace(key=flow), level=1)
+    assert obs.bus.by_type() == {t: 1 for t in sorted(types)}
+    assert guard.events == [(0.0, t, flow, (("level", 1),)) for t in types]
+    info = {"guard.deescalate", "guard.unshed"}
+    assert {e.type: e.severity for e in obs.bus.events} == {
+        t: INFO if t in info else WARNING for t in types}
 
 
 def test_sanitize_only_vswitch_still_dumps(two_hosts, monkeypatch, tmp_path):

@@ -1,9 +1,14 @@
 """Unit tests for the datapath flight recorder (repro.obs.recorder)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.obs import INFO, WARNING, FlightRecorder, read_jsonl
+from repro.core import AcdcConfig, AcdcVswitch
+from repro.obs import (INFO, WARNING, FlightRecorder, ObsContext, TraceConfig,
+                       read_jsonl)
 from repro.obs.__main__ import main as obs_cli
+from repro.workloads.apps import Sink
 
 FLOW = ("s1", 10000, "r1", 5000)
 
@@ -37,6 +42,36 @@ def test_ring_keeps_only_the_tail():
         rec.on_decision("flow.state", FLOW, INFO, {"state": str(i)})
     assert len(rec) == 4 and rec.noted == 10
     assert [r["state"] for r in rec.records()] == ["6", "7", "8", "9"]
+
+
+def test_ring_samples_ecn_marks_like_the_bus(two_hosts):
+    """Regression: the ring kept every per-segment ``ecn.mark`` the bus
+    samples 1 in 16, so marks held half its slots and a dump of this
+    run spanned only 152 us of ACK history."""
+    sim, topo, a, b, sw = two_hosts
+    vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=True))
+    a.attach_vswitch(vsw)
+    b.attach_vswitch(AcdcVswitch(b, config=AcdcConfig(sanitize=False)))
+    Sink(b, 7000)
+    a.connect(b.addr, 7000).send_forever()
+    sim.run(until=0.05)
+    records = vsw.flight.records()
+    assert len(records) == vsw.flight.capacity
+    marks = Counter(r["type"] for r in records)["ecn.mark"]
+    assert 0 < marks < len(records) / 8
+    assert records[-1]["t"] - records[0]["t"] >= 1.5 * 152e-6
+
+
+def test_a_traced_ring_samples_with_its_bus(two_hosts):
+    sim, topo, a, b, sw = two_hosts
+    obs = ObsContext(sim, TraceConfig(sample={"ecn.mark": 4}))
+    vsw = AcdcVswitch(a, obs=obs, config=AcdcConfig(sanitize=True))
+    assert vsw.flight.sample is obs.bus.config.sample
+    rec = FlightRecorder(FakeSim())
+    rec.sample = {"ecn.mark": 4}
+    for _ in range(9):
+        rec.on_decision("ecn.mark", FLOW, INFO, {"direction": "egress"})
+    assert len(rec) == 3 and rec.noted == 9
 
 
 def test_dump_writes_jsonl_to_dir_arg(tmp_path):
