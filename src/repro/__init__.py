@@ -22,9 +22,9 @@ Package layout:
   workload generators;
 * ``repro.metrics`` — percentiles, fairness, throughput meters, the CPU
   cost model;
-* ``repro.faults`` — seeded fault injection wrapping any vSwitch
-  datapath (loss, corruption, duplication, reordering, delay, link
-  flaps, mid-run vSwitch restarts);
+* ``repro.faults`` — seeded fault injection on a host's wire (loss,
+  corruption, duplication, reordering, delay, link flaps, mid-run
+  vSwitch restarts);
 * ``repro.experiments`` — one module per paper figure/table, plus the
   chaos robustness sweep.
 """

@@ -74,8 +74,8 @@ class ServiceConfig:
     #: In-band network telemetry (repro.obs.int): stamp per-hop metadata
     #: at the switch; epoch reports aggregate per-hop queue depth.
     int_telemetry: bool = False
-    #: Chaos: wrap the first host's datapath in a fault chain of this
-    #: intensity (0 disables; see repro.experiments.chaos.fault_chain).
+    #: Chaos: put a fault chain of this intensity on the first host's
+    #: wire (0 disables; see repro.experiments.chaos.fault_chain).
     fault_intensity: float = 0.0
     #: Adversarial tenants: the first N hosts' guests ignore RWND.
     adversarial_hosts: int = 0

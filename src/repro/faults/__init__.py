@@ -1,9 +1,9 @@
-"""Composable, deterministic fault injection for the datapath.
+"""Composable, deterministic fault injection on a host's wire.
 
 Robustness claims are only as good as the failure modes they were tested
-against.  This package provides seeded fault injectors that wrap any
-vSwitch datapath (:class:`~repro.net.host.VSwitch` protocol) without the
-datapath knowing it is being tortured:
+against.  This package provides seeded fault injectors that sit on a
+host's wire, between its vSwitch and its NIC, without the vSwitch or the
+guest knowing they are being tortured:
 
 * :class:`PacketLoss` — random drops;
 * :class:`Corruption` — bit corruption with checksum-drop semantics (a
@@ -15,7 +15,7 @@ datapath knowing it is being tortured:
 * :class:`DelayJitter` — bounded random per-packet delay;
 * :class:`LinkFlap` — a periodic down-schedule during which everything
   matching is dropped;
-* :class:`VswitchRestart` — wipes the wrapped AC/DC datapath's flow
+* :class:`VswitchRestart` — wipes the host's AC/DC vSwitch flow
   table mid-run (the recovery path under test in §4's soft-state
   design);
 * :class:`EcnBleach` — rewrites CE marks back to ECT before the
@@ -28,15 +28,18 @@ datapath knowing it is being tortured:
   counted-degradation contract is the behaviour under test;
 * :class:`WorkerKill` — SIGKILLs the process running the run at a
   simulated instant, exactly once across restarts (sentinel-file
-  discipline); the crash-recovery path of :mod:`repro.recovery` is the
+  discipline); not on any wire, :class:`~repro.recovery.DurableService`
+  fires it, and the crash-recovery path of :mod:`repro.recovery` is the
   subsystem under test.
 
-Faults are composed into a :class:`FaultyDatapath` pipeline via
-:func:`install_faults`; every injector draws from its own named stream
-of :class:`~repro.sim.rng.RngFactory`, so the same seed reproduces the
+:func:`install_faults` appends faults, in order, to the host's one
+:class:`FaultChain`, which every wire packet crosses once per direction
+(guest packets and the FACKs the vSwitch injects alike).  Every
+injector draws from its own named stream of
+:class:`~repro.sim.rng.RngFactory`, so the same seed reproduces the
 exact same fault sequence.  Each activation bumps the injector's
-``events`` and is one ``fault.inject`` decision of the wrapped vSwitch
-(:meth:`FaultyDatapath.record`); :func:`fault_counts` totals per cause.
+``events`` and is one ``fault.inject`` decision of the host's vSwitch
+(:meth:`FaultChain.record`); :func:`fault_counts` totals per cause.
 """
 
 from .injectors import (
@@ -45,13 +48,12 @@ from .injectors import (
     Duplication,
     EcnBleach,
     Fault,
-    FaultyDatapath,
+    FaultChain,
     IntMangler,
     LinkFlap,
     OptionStrip,
     PacketLoss,
     Reordering,
-    Transparent,
     VswitchRestart,
     WorkerKill,
     fault_counts,
@@ -66,13 +68,12 @@ __all__ = [
     "Duplication",
     "EcnBleach",
     "Fault",
-    "FaultyDatapath",
+    "FaultChain",
     "IntMangler",
     "LinkFlap",
     "OptionStrip",
     "PacketLoss",
     "Reordering",
-    "Transparent",
     "VswitchRestart",
     "WorkerKill",
     "fault_counts",

@@ -1,19 +1,21 @@
-"""Fault injectors and the pipeline that wires them into a host.
+"""Fault injectors and the chain that puts them on a host's wire.
 
-A :class:`FaultyDatapath` wraps an inner vSwitch and sits in the host's
-packet path in its place.  Faults act on the *wire side* of the inner
-datapath, mirroring where real networks misbehave:
+A :class:`FaultChain` is one stage of its host's wire, between the
+vSwitch and the NIC, mirroring where real networks misbehave:
 
-* egress: the inner datapath processes the packet first, then the fault
-  stages run in order before the packet reaches the NIC;
-* ingress: the fault stages run first (the packet is still "on the
-  wire"), then the inner datapath sees whatever survives.
+* egress: :meth:`~repro.net.host.Host.wire_out` runs the chain's stages
+  in install order before the NIC — guest packets after the vSwitch
+  processed them, and the FACKs the vSwitch injects itself;
+* ingress: :meth:`~repro.net.host.Host.receive` counts the packet, runs
+  the stages (the packet is still "on the wire"), and the vSwitch sees
+  whatever survives.
 
 Stages that re-emit packets asynchronously (duplication, reordering,
-delay) cannot use the single-return vSwitch protocol, so the pipeline
-exposes :meth:`FaultyDatapath.resume`: a held or copied packet re-enters
-the pipeline at the stage *after* the one that created it and, if it
-survives, is emitted through the same exit the in-band path uses.
+delay) cannot use the single-return stage protocol, so the chain exposes
+:meth:`FaultChain.resume`: a held or copied packet re-enters the chain
+at the stage *after* the one that created it and, if it survives, leaves
+through the same exit the in-band path uses, without being counted at
+the host a second time.
 
 Determinism: every fault draws from
 ``RngFactory(seed).stream(f"fault:{kind}")`` — same seed, same kind ⇒
@@ -67,19 +69,19 @@ class Fault:
         self.direction = direction
         self.match = match
         self.rng = RngFactory(seed).stream(f"fault:{self.kind}")
-        self.events = 0  # activations, counted by FaultyDatapath.record
-        self.pipeline: Optional["FaultyDatapath"] = None
+        self.events = 0  # activations, counted by FaultChain.record
 
-    def attach(self, pipeline: "FaultyDatapath") -> None:
-        """Called when the fault joins a pipeline (override to schedule)."""
-        self.pipeline = pipeline
+    def attach(self, chain: "FaultChain") -> None:
+        """Join ``chain``'s per-packet stages (a scheduled fault overrides
+        this to arm its instants instead)."""
+        chain.stages.append(self)
 
     def applies(self, pkt: Packet, direction: str) -> bool:
         if self.direction != "both" and self.direction != direction:
             return False
         return self.match is None or self.match(pkt)
 
-    def process(self, pkt: Packet, pipeline: "FaultyDatapath",
+    def process(self, pkt: Packet, pipeline: "FaultChain",
                 index: int, direction: str) -> Optional[Packet]:
         """Act on one packet; return it (possibly modified) or None if the
         stage consumed it.  ``index`` is this stage's position, so a stage
@@ -374,11 +376,12 @@ class IntMangler(Fault):
 
 
 class VswitchRestart(Fault):
-    """Wipe the wrapped datapath's soft state at scheduled instants.
+    """Wipe the host's vSwitch soft state at scheduled instants.
 
     Not a per-packet fault: :meth:`attach` schedules one event per time
-    in ``at``, each calling the inner datapath's ``restart()`` (a no-op
-    warning-free skip for datapaths without one, e.g. ``PlainOvs``).
+    in ``at``, each calling ``restart()`` on whatever vSwitch the host
+    holds at that instant (skipped for datapaths without one, e.g.
+    ``PlainOvs``, but still counted).
     """
 
     kind = "vswitch_restart"
@@ -387,32 +390,25 @@ class VswitchRestart(Fault):
         super().__init__(0, "both", None)
         self.at = tuple(at)
 
-    def attach(self, pipeline: "FaultyDatapath") -> None:
-        super().attach(pipeline)
+    def attach(self, chain: "FaultChain") -> None:
         for t in self.at:
-            pipeline.sim.schedule_at(t, self._fire)
+            chain.sim.schedule_at(t, self._fire, chain)
 
-    def _fire(self) -> None:
-        restart = getattr(self.pipeline.inner, "restart", None)
+    def _fire(self, chain: "FaultChain") -> None:
+        restart = getattr(chain.host.vswitch, "restart", None)
         if restart is not None:
             restart()
-        self.pipeline.record(self)
-
-    def applies(self, pkt, direction):
-        return False
-
-    def process(self, pkt, pipeline, index, direction):  # pragma: no cover
-        return pkt
+        chain.record(self)
 
 
-class WorkerKill(Fault):
+class WorkerKill:
     """SIGKILL this process at a simulated instant — exactly once.
 
-    Not a packet fault: it models the *environment* killing the process
-    running the enforcement stack (the OOM killer, a failed deploy, an
-    operator's fat finger).  SIGKILL is the honest signal to test with —
-    no handler runs, no destructor flushes, whatever was not already on
-    disk is gone.
+    Not a packet fault, and never on a host's wire: it models the
+    *environment* killing the process running the enforcement stack (the
+    OOM killer, a failed deploy, an operator's fat finger).  SIGKILL is
+    the honest signal to test with — no handler runs, no destructor
+    flushes, whatever was not already on disk is gone.
 
     Fire-once semantics must survive the death they cause: a restored
     run resumes from a checkpoint taken *before* the kill instant, so
@@ -423,26 +419,17 @@ class WorkerKill(Fault):
     sees the sentinel and sails past the kill point.  One sentinel path
     == one kill, however many times the run is restored.
 
-    Two usage modes:
-
-    * **standalone** — :class:`~repro.recovery.durable.DurableService`
-      calls :meth:`maybe_fire` when the engine reaches ``at``, without
-      scheduling an engine event, so the kill leaves no trace in the
-      calendar and the interrupted run stays byte-comparable to an
-      uninterrupted baseline (the sentinel, not ``events``, records it);
-    * **chained** — attached to a :class:`FaultyDatapath`,
-      :meth:`attach` schedules the kill as an engine event (the
-      :class:`VswitchRestart` pattern).  This consumes a sequence
-      number, so only compare like-for-like runs.
+    :class:`~repro.recovery.durable.DurableService` calls
+    :meth:`maybe_fire` when the engine reaches ``at``, without
+    scheduling an engine event, so the kill leaves no trace in the
+    calendar and the interrupted run stays byte-comparable to an
+    uninterrupted baseline (the sentinel records it).
 
     ``sig`` exists for tests that want the sentinel discipline without
     actually dying (e.g. ``signal.SIGTERM`` with a handler, or 0).
     """
 
-    kind = "worker_kill"
-
     def __init__(self, at: float, sentinel, sig: int = signal.SIGKILL):
-        super().__init__(0, "both", None)
         if at < 0:
             raise ValueError("kill time must be >= 0")
         self.at = float(at)
@@ -471,75 +458,38 @@ class WorkerKill(Fault):
             fh.write("fired\n")
             fh.flush()
             os.fsync(fh.fileno())
-        if self.pipeline is not None:
-            self.pipeline.record(self)
         os.kill(os.getpid(), self.sig)
         return True  # reached only for a non-lethal ``sig``
 
-    def attach(self, pipeline: "FaultyDatapath") -> None:
-        super().attach(pipeline)
-        pipeline.sim.schedule_at(self.at, self.maybe_fire)
 
-    def applies(self, pkt, direction):
-        return False
+class FaultChain:
+    """The ordered fault stages on one host's wire.
 
-    def process(self, pkt, pipeline, index, direction):  # pragma: no cover
-        return pkt
-
-
-class Transparent:
-    """A no-op inner datapath for hosts with no vSwitch of their own."""
-
-    def egress(self, pkt: Packet) -> Optional[Packet]:
-        return pkt
-
-    def ingress(self, pkt: Packet) -> Optional[Packet]:
-        return pkt
-
-
-class FaultyDatapath:
-    """A vSwitch wrapper running packets through an ordered fault chain.
-
-    Satisfies the :class:`~repro.net.host.VSwitch` protocol, so the host
-    drives it exactly like the datapath it wraps.
+    ``faults`` is everything installed, in install order (what
+    :func:`fault_counts` totals); ``stages`` the per-packet ones the
+    host runs through :meth:`run`.
     """
 
-    def __init__(self, host: "Host", inner, faults: Sequence[Fault]):
+    def __init__(self, host: "Host"):
         self.host = host
         self.sim = host.sim
-        self.inner = inner
-        self.faults: List[Fault] = list(faults)
-        for fault in self.faults:
-            fault.attach(self)
+        self.faults: List[Fault] = []
+        self.stages: List[Fault] = []
 
-    # ------------------------------------------------------------------
     def record(self, fault: Fault) -> None:
         """Count one activation of ``fault`` (the one place a fault is
-        counted) and offer it to the wrapped vSwitch's decision taps."""
+        counted) and offer it to the decision taps of the host's vSwitch."""
         fault.events += 1
-        for tap in getattr(self.inner, "_on_decision", ()):
+        for tap in getattr(self.host.vswitch, "_on_decision", ()):
             tap("fault.inject", None, WARNING, {"cause": fault.kind, "n": 1})
 
-    # ------------------------------------------------------------------
-    # VSwitch protocol
-    # ------------------------------------------------------------------
-    def egress(self, pkt: Packet) -> Optional[Packet]:
-        out = self.inner.egress(pkt)
-        if out is None:
-            return None
-        return self._run_faults(out, 0, "egress")
-
-    def ingress(self, pkt: Packet) -> Optional[Packet]:
-        out = self._run_faults(pkt, 0, "ingress")
-        if out is None:
-            return None
-        return self.inner.ingress(out)
-
-    # ------------------------------------------------------------------
-    def _run_faults(self, pkt: Packet, start: int,
-                    direction: str) -> Optional[Packet]:
-        for i in range(start, len(self.faults)):
-            fault = self.faults[i]
+    def run(self, pkt: Packet, start: int,
+            direction: str) -> Optional[Packet]:
+        """Run ``pkt`` through the stages from ``start`` on; None when a
+        stage consumed it."""
+        stages = self.stages
+        for i in range(start, len(stages)):
+            fault = stages[i]
             if not fault.applies(pkt, direction):
                 continue
             pkt = fault.process(pkt, self, i, direction)
@@ -549,16 +499,21 @@ class FaultyDatapath:
 
     def resume(self, pkt: Packet, index: int, direction: str) -> None:
         """Re-enter the chain at ``index`` for a held or copied packet and
-        emit through the same exit the in-band path uses."""
-        out = self._run_faults(pkt, index, direction)
-        if out is None:
-            return
+        leave through the exit the in-band path uses: the NIC on egress,
+        the vSwitch and the guest on ingress (the host counted the packet
+        when it first crossed)."""
+        host = self.host
         if direction == "egress":
-            self.host.wire_out(out)
-        else:
-            inner_out = self.inner.ingress(out)
-            if inner_out is not None:
-                self.host.deliver(inner_out)
+            host.wire_out(pkt, index)
+            return
+        pkt = self.run(pkt, index, direction)
+        if pkt is None:
+            return
+        if host.vswitch is not None:
+            pkt = host.vswitch.ingress(pkt)
+            if pkt is None:
+                return
+        host.deliver(pkt)
 
 
 def fault_counts(faults: Sequence[Fault]) -> Dict[str, int]:
@@ -570,15 +525,13 @@ def fault_counts(faults: Sequence[Fault]) -> Dict[str, int]:
     return counts
 
 
-def install_faults(host: "Host", faults: Sequence[Fault],
-                   inner=None) -> FaultyDatapath:
-    """Wrap ``host``'s datapath in a fault chain and attach it.
-
-    ``inner`` defaults to the host's current vSwitch (or a
-    :class:`Transparent` stand-in if it has none).
-    """
-    if inner is None:
-        inner = host.vswitch if host.vswitch is not None else Transparent()
-    pipeline = FaultyDatapath(host, inner, faults)
-    host.attach_vswitch(pipeline)
-    return pipeline
+def install_faults(host: "Host", faults: Sequence[Fault]) -> FaultChain:
+    """Append ``faults`` to ``host``'s fault chain, creating it on first
+    use, and return the chain."""
+    chain = host.fault_chain
+    if chain is None:
+        chain = host.fault_chain = FaultChain(host)
+    for fault in faults:
+        chain.faults.append(fault)
+        fault.attach(chain)
+    return chain

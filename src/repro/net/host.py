@@ -1,11 +1,13 @@
 """End host: guest TCP endpoints behind a virtual switch.
 
 The packet path mirrors Fig. 3 of the paper.  On egress, a connection's
-packet goes through the host's vSwitch datapath (plain OVS or AC/DC) and
-then into the NIC transmit queue; on ingress, wire packets pass the
-vSwitch before being demultiplexed to a connection.  The vSwitch can
-rewrite, consume, or inject packets in either direction, which is exactly
-the power AC/DC needs (PACK stripping, FACK generation, RWND rewriting).
+packet goes through the host's vSwitch datapath (plain OVS or AC/DC),
+then onto the wire: the host's fault chain, if any, and the NIC queue.
+On ingress, a wire packet is counted, crosses the fault chain, and
+passes the vSwitch before being demultiplexed to a connection.  The
+vSwitch can rewrite, consume, or inject packets in either direction,
+which is exactly the power AC/DC needs (PACK stripping, FACK generation,
+RWND rewriting); the FACKs it injects cross the fault chain too.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class Host:
         self.mss = mss_for_mtu(mtu)
         self.nic: Optional[HostTxPort] = None
         self.vswitch: Optional[VSwitch] = None
+        #: The fault chain on this host's wire (``repro.faults``), or None.
+        self.fault_chain = None
         self.connections: Dict[ConnKey, TcpConnection] = {}
         self.listeners: Dict[int, dict] = {}
         self._next_port = 10000
@@ -121,14 +125,19 @@ class Host:
     def output(self, packet: Packet) -> None:
         """Egress from a guest connection toward the wire."""
         if self.vswitch is not None:
-            out = self.vswitch.egress(packet)
-            if out is None:
+            packet = self.vswitch.egress(packet)
+            if packet is None:
                 return
-            packet = out
         self.wire_out(packet)
 
-    def wire_out(self, packet: Packet) -> None:
-        """Bypass the vSwitch (used by the vSwitch itself to inject)."""
+    def wire_out(self, packet: Packet, stage: int = 0) -> None:
+        """Put ``packet`` on the wire past the vSwitch (which injects here
+        too): the fault chain's egress stages from ``stage`` on, then the
+        NIC.  A held or copied packet re-enters at a later ``stage``."""
+        if self.fault_chain is not None:
+            packet = self.fault_chain.run(packet, stage, "egress")
+            if packet is None:
+                return
         if self.nic is None:
             raise RuntimeError(f"{self.name}: NIC not attached")
         self.tx_packets += 1
@@ -144,14 +153,18 @@ class Host:
         self.nic.enqueue(packet, when)
 
     def receive(self, packet: Packet) -> None:
-        """Ingress from the wire."""
+        """Ingress from the wire: counted, then the fault chain's ingress
+        stages, then the vSwitch."""
         self.rx_packets += 1
         self.rx_bytes += packet.size
-        if self.vswitch is not None:
-            out = self.vswitch.ingress(packet)
-            if out is None:
+        if self.fault_chain is not None:
+            packet = self.fault_chain.run(packet, 0, "ingress")
+            if packet is None:
                 return
-            packet = out
+        if self.vswitch is not None:
+            packet = self.vswitch.ingress(packet)
+            if packet is None:
+                return
         self.deliver(packet)
 
     def deliver(self, packet: Packet) -> None:

@@ -14,7 +14,7 @@ into:
   per-vSwitch ring buffer of the last datapath decisions, armed when
   sanitizing and dumped on
   :class:`~repro.analysis.sanitize.InvariantViolation` or on demand;
-* :mod:`repro.obs.export` — JSONL/CSV writers for trace streams;
+* :mod:`repro.obs.export` — JSONL writer and reader for trace streams;
 * guard transitions (:mod:`repro.guard.guard`) and injected faults
   (:mod:`repro.faults`) reach the bus and the ring as vSwitch
   decisions, ``guard.*`` and ``fault.inject``, like every other one;
@@ -35,7 +35,7 @@ in this package reads the wall clock.
 """
 
 from .context import ObsContext, PortObs, VswitchObs
-from .export import read_jsonl, write_csv, write_jsonl
+from .export import read_jsonl, write_jsonl
 from .int import (
     MAX_INT_HOPS,
     IntEcho,
@@ -83,6 +83,5 @@ __all__ = [
     "WARNING",
     "format_flow",
     "read_jsonl",
-    "write_csv",
     "write_jsonl",
 ]

@@ -1,21 +1,16 @@
-"""Trace exporters: JSONL (lossless) and CSV (spreadsheet-friendly).
+"""Trace export: JSONL, lossless.
 
 Records are the flat dicts produced by
 :meth:`repro.obs.trace.TraceBus.records` and
-:meth:`repro.obs.recorder.FlightRecorder.records`; both exporters
-accept any iterable of such dicts.
+:meth:`repro.obs.recorder.FlightRecorder.records`; the writer accepts
+any iterable of such dicts.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable, List
-
-#: Leading columns, in display order; remaining keys follow sorted.
-LEAD_COLUMNS = ("t", "type", "sev", "component", "flow")
-
 
 def write_jsonl(records: Iterable[dict], path) -> str:
     """One JSON object per line; keys sorted so files diff cleanly."""
@@ -39,20 +34,3 @@ def read_jsonl(path) -> List[dict]:
                 records.append(json.loads(line))
     return records
 
-
-def write_csv(records: Iterable[dict], path) -> str:
-    """CSV with a union-of-keys header (lead columns first)."""
-    records = list(records)
-    extra = sorted({key for record in records for key in record}
-                   - set(LEAD_COLUMNS))
-    columns = [*LEAD_COLUMNS, *extra]
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
-                                restval="")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record)
-    return str(path)

@@ -47,8 +47,9 @@ MAGIC = b"REPRO-CKPT 1\n"
 #: Bump on incompatible snapshot-format changes; a reader refuses the
 #: payload of a version it does not understand.  Version 2: the
 #: simulator's calendar holds ``(time, seq, fn, args)`` entries, not
-#: ``(time, seq, Event)``.
-FORMAT_VERSION = 2
+#: ``(time, seq, Event)``.  Version 3: a faulted host holds its fault
+#: chain (``Host.fault_chain``) and its real vSwitch, not a wrapper.
+FORMAT_VERSION = 3
 
 _CKPT_NAME = re.compile(r"^epoch-(\d{8})\.ckpt$")
 

@@ -20,8 +20,9 @@ def test_feedback_survives_ack_loss(three_hosts):
     vsw_b = AcdcVswitch(b)
     inner_c = AcdcVswitch(c)
     # Drop egress pure ACKs at the receiver host, wire side of AC/DC.
+    c.attach_vswitch(inner_c)
     install_faults(c, [PacketLoss(0.2, seed=1, direction="egress",
-                                  match=is_pure_ack)], inner=inner_c)
+                                  match=is_pure_ack)])
     a.attach_vswitch(vsw_a)
     b.attach_vswitch(vsw_b)
     Sink(c, 7000)
@@ -49,7 +50,8 @@ def test_acdc_flow_recovers_from_data_loss(three_hosts):
     sim, topo, a, b, c, sw = three_hosts
     vsw_a = AcdcVswitch(a)
     loss = PacketLoss(0.02, seed=7, direction="egress", match=is_data)
-    install_faults(a, [loss], inner=vsw_a)
+    a.attach_vswitch(vsw_a)
+    install_faults(a, [loss])
     for host in (b, c):
         host.attach_vswitch(AcdcVswitch(host))
     Sink(c, 7000)

@@ -3,11 +3,14 @@
 Covers the contracts the chaos experiment leans on: seeded determinism,
 per-cause accounting (checked against counts taken outside the
 package), the fault chain's packet plumbing, a traced fault's one
-``fault.inject`` decision, and — the §4
-soft-state claim — that a vSwitch restart mid-transfer loses no
-connection because flow entries resurrect from the first post-restart
-packet.
+``fault.inject`` decision, the chain as one stage of its host's wire
+(the FACKs the vSwitch injects cross it, two installs are one chain, a
+vSwitch attached later keeps it), and — the §4 soft-state claim — that
+a vSwitch restart mid-transfer loses no connection because flow entries
+resurrect from the first post-restart packet.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -15,11 +18,9 @@ from repro.core import AcdcConfig, AcdcVswitch
 from repro.faults import (
     Corruption,
     Duplication,
-    FaultyDatapath,
     LinkFlap,
     PacketLoss,
     Reordering,
-    Transparent,
     VswitchRestart,
     fault_counts,
     install_faults,
@@ -129,8 +130,7 @@ def test_link_flap_down_fraction_roughly_matches():
 def test_duplication_delivers_extra_copies(two_hosts):
     sim, topo, a, b, _sw = two_hosts
     dup = Duplication(0.2, seed=5, match=is_data)
-    pipeline = install_faults(a, [dup])
-    assert isinstance(pipeline.inner, Transparent)
+    install_faults(a, [dup])
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(500_000)
@@ -165,8 +165,10 @@ def test_vswitch_restart_loses_no_connection(three_hosts):
     vsw_a = AcdcVswitch(a)
     vsw_c = AcdcVswitch(c)
     b.attach_vswitch(AcdcVswitch(b))
-    install_faults(a, [VswitchRestart(at=(0.05,))], inner=vsw_a)
-    install_faults(c, [VswitchRestart(at=(0.05,))], inner=vsw_c)
+    a.attach_vswitch(vsw_a)
+    c.attach_vswitch(vsw_c)
+    install_faults(a, [VswitchRestart(at=(0.05,))])
+    install_faults(c, [VswitchRestart(at=(0.05,))])
     Sink(c, 7000)
     conn = a.connect(c.addr, 7000)
     conn.send_forever()
@@ -220,8 +222,8 @@ def test_mid_flow_entry_creation_without_syn(three_hosts):
 def test_restart_recorder_cause(three_hosts):
     sim, topo, a, b, c, sw = three_hosts
     vsw_a = AcdcVswitch(a)
-    pipeline = install_faults(a, [VswitchRestart(at=(0.01, 0.02))],
-                              inner=vsw_a)
+    a.attach_vswitch(vsw_a)
+    pipeline = install_faults(a, [VswitchRestart(at=(0.01, 0.02))])
     for host in (b, c):
         host.attach_vswitch(AcdcVswitch(host))
     Sink(c, 7000)
@@ -254,7 +256,8 @@ def test_events_match_the_hosts_packet_counts(two_hosts, make, direction):
     other = a if host is b else b
     other.attach_vswitch(AcdcVswitch(other))
     fault = make(direction)
-    install_faults(host, [fault], inner=inner)
+    host.attach_vswitch(inner)
+    install_faults(host, [fault])
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(300_000)
@@ -277,7 +280,8 @@ def test_a_traced_fault_is_one_fault_inject_on_the_bus_and_the_ring(
     obs = ObsContext(sim)
     vsw_a = AcdcVswitch(a, obs=obs, config=AcdcConfig(sanitize=True))
     restart = VswitchRestart(at=(0.001, 0.002))
-    install_faults(a, [restart], inner=vsw_a)
+    a.attach_vswitch(vsw_a)
+    install_faults(a, [restart])
     sim.run(until=0.01)
     assert restart.events == 2
     assert obs.bus.by_type()["fault.inject"] == 2
@@ -288,3 +292,66 @@ def test_a_traced_fault_is_one_fault_inject_on_the_bus_and_the_ring(
     ring = [r for r in vsw_a.flight.records() if r["type"] == "fault.inject"]
     assert [(r["t"], r["sev"], r["cause"]) for r in ring] == [
         (t, "warning", "vswitch_restart") for t in (0.001, 0.002)]
+
+
+# ---------------------------------------------------------------------------
+# The chain is one stage of its host's wire
+# ---------------------------------------------------------------------------
+def test_a_fack_the_vswitch_injects_crosses_its_hosts_chain(two_hosts):
+    """With ``fack-only`` feedback every report is a FACK the receiver's
+    vSwitch puts on the wire itself; an egress loss of every FACK on the
+    receiver drops each one, so the sender consumes none."""
+    sim, topo, a, b, _sw = two_hosts
+    config = AcdcConfig(feedback_mode="fack-only")
+    vsw_a, vsw_b = AcdcVswitch(a, config=config), AcdcVswitch(b, config=config)
+    a.attach_vswitch(vsw_a)
+    b.attach_vswitch(vsw_b)
+    loss = PacketLoss(1.0, direction="egress", match=lambda p: p.is_fack)
+    install_faults(b, [loss])
+    Sink(b, 7000)
+    a.connect(b.addr, 7000).send_forever()
+    sim.run(until=0.05)
+    assert loss.events == vsw_b.ops.counts["fack_create"] > 0
+    assert vsw_a.ops.counts["feedback_extract"] == 0
+
+
+def test_two_installs_on_one_traced_host_are_one_chain_on_the_bus(
+        two_hosts):
+    sim, topo, a, b, _sw = two_hosts
+    obs = ObsContext(sim)
+    a.attach_vswitch(AcdcVswitch(a, obs=obs))
+    b.attach_vswitch(AcdcVswitch(b))
+    first = [PacketLoss(0.05, seed=21, direction="egress", match=is_data)]
+    second = [Duplication(0.05, seed=22, direction="egress", match=is_data)]
+    chains = [install_faults(a, first), install_faults(a, second)]
+    Sink(b, 7000)
+    conn = a.connect(b.addr, 7000)
+    conn.send(300_000)
+    sim.run(until=0.5)
+    assert conn.bytes_acked_total == 300_000
+    on_bus = Counter(e.fields["cause"] for e in obs.bus.events
+                     if e.type == "fault.inject")
+    assert set(on_bus) == {"loss", "duplicate"}
+    assert on_bus == fault_counts(first + second)
+    assert chains[0] is chains[1] is a.fault_chain
+    assert chains[0].faults == first + second
+
+
+def test_a_vswitch_attached_after_the_faults_keeps_the_chain(two_hosts):
+    """The chain belongs to the host: a vSwitch attached later neither
+    unhooks it nor hides from its restarts."""
+    sim, topo, a, b, _sw = two_hosts
+    loss = PacketLoss(0.05, seed=23, direction="egress", match=is_data)
+    restart = VswitchRestart(at=(0.01,))
+    chain = install_faults(a, [loss, restart])
+    vsw_a = AcdcVswitch(a)
+    a.attach_vswitch(vsw_a)
+    b.attach_vswitch(AcdcVswitch(b))
+    Sink(b, 7000)
+    conn = a.connect(b.addr, 7000)
+    conn.send(300_000)
+    sim.run(until=0.5)
+    assert conn.bytes_acked_total == 300_000
+    assert loss.events > 0
+    assert vsw_a.restarts == 1 and restart.events == 1
+    assert a.fault_chain is chain and a.vswitch is vsw_a

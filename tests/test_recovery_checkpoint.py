@@ -22,7 +22,8 @@ from repro.recovery import (CheckpointError, DurableService, WriteAheadLog,
                             durable_service_cell, latest_checkpoint,
                             list_checkpoints, read_checkpoint,
                             write_checkpoint)
-from repro.recovery.checkpoint import checkpoint_path, prune_checkpoints
+from repro.recovery.checkpoint import (FORMAT_VERSION, checkpoint_path,
+                                      prune_checkpoints)
 from repro.runtime.spec import RunSpec, canonical_json
 from repro.sim.engine import SimulationError, Simulator
 
@@ -110,8 +111,9 @@ def test_version_1_checkpoint_is_refused_unread(tmp_path):
     write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
                      epoch=0, sim_now=0.0, wal_pos=0)
     raw = path.read_bytes()
-    assert raw.count(b'"version":2') == 1
-    path.write_bytes(raw.replace(b'"version":2', b'"version":1'))
+    current = f'"version":{FORMAT_VERSION}'.encode()
+    assert raw.count(current) == 1
+    path.write_bytes(raw.replace(current, b'"version":1'))
     with pytest.raises(CheckpointError, match="format version 1"):
         read_checkpoint(path)
     assert latest_checkpoint(tmp_path) is None
