@@ -15,7 +15,8 @@ test:
   feedback channel resyncs;
 * every injected event is accounted, per cause
   (:func:`~repro.faults.fault_counts`): none at intensity 0, and every
-  installed kind fires above it.
+  installed kind fires above it — a vSwitch restart only where an AC/DC
+  vSwitch ran one, so the plain-OVS schemes count none.
 """
 
 from __future__ import annotations

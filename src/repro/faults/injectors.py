@@ -330,8 +330,8 @@ class IntMangler(Fault):
     "no report" — never an exception, never a packet drop.
 
     Corruption *replaces* the metadata objects instead of mutating
-    them: an echo may be reference-shared between packet duplicates
-    (see :meth:`IntEcho` immutability contract).
+    them: an echo is an immutable tuple that packet duplicates may
+    share, and a replaced hop stack leaves a duplicate's copy alone.
     """
 
     kind = "int_mangle"
@@ -380,8 +380,9 @@ class VswitchRestart(Fault):
 
     Not a per-packet fault: :meth:`attach` schedules one event per time
     in ``at``, each calling ``restart()`` on whatever vSwitch the host
-    holds at that instant (skipped for datapaths without one, e.g.
-    ``PlainOvs``, but still counted).
+    holds at that instant.  An instant counts one event only when a
+    restart ran: a host without a vSwitch, or with one that has no
+    ``restart()`` (``PlainOvs``), counts none.
     """
 
     kind = "vswitch_restart"
@@ -398,7 +399,7 @@ class VswitchRestart(Fault):
         restart = getattr(chain.host.vswitch, "restart", None)
         if restart is not None:
             restart()
-        chain.record(self)
+            chain.record(self)
 
 
 class WorkerKill:
@@ -498,22 +499,15 @@ class FaultChain:
         return pkt
 
     def resume(self, pkt: Packet, index: int, direction: str) -> None:
-        """Re-enter the chain at ``index`` for a held or copied packet and
-        leave through the exit the in-band path uses: the NIC on egress,
-        the vSwitch and the guest on ingress (the host counted the packet
-        when it first crossed)."""
+        """Re-enter the host's wire at stage ``index`` with a held or
+        copied packet: ``wire_out`` on egress, ``receive`` on ingress
+        (which counted the packet when it first crossed), so both leave
+        through the one exit the in-band path uses."""
         host = self.host
         if direction == "egress":
             host.wire_out(pkt, index)
-            return
-        pkt = self.run(pkt, index, direction)
-        if pkt is None:
-            return
-        if host.vswitch is not None:
-            pkt = host.vswitch.ingress(pkt)
-            if pkt is None:
-                return
-        host.deliver(pkt)
+        else:
+            host.receive(pkt, index)
 
 
 def fault_counts(faults: Sequence[Fault]) -> Dict[str, int]:

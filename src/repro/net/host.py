@@ -152,13 +152,16 @@ class Host:
         # The NIC takes the jittered arrival time; there is no event for it.
         self.nic.enqueue(packet, when)
 
-    def receive(self, packet: Packet) -> None:
+    def receive(self, packet: Packet, stage: int = 0) -> None:
         """Ingress from the wire: counted, then the fault chain's ingress
-        stages, then the vSwitch."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.size
+        stages from ``stage`` on, then the vSwitch and the guest.  A held
+        or copied packet re-enters at a later ``stage``, counted once
+        already."""
+        if not stage:
+            self.rx_packets += 1
+            self.rx_bytes += packet.size
         if self.fault_chain is not None:
-            packet = self.fault_chain.run(packet, 0, "ingress")
+            packet = self.fault_chain.run(packet, stage, "ingress")
             if packet is None:
                 return
         if self.vswitch is not None:

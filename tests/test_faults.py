@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import AcdcConfig, AcdcVswitch
+from repro.core import AcdcConfig, AcdcVswitch, PlainOvs
 from repro.faults import (
     Corruption,
     Duplication,
@@ -233,6 +233,27 @@ def test_restart_recorder_cause(three_hosts):
     assert conn.bytes_acked_total == 1_000_000
     assert vsw_a.restarts == 2
     assert fault_counts(pipeline.faults) == {"vswitch_restart": 2}
+
+
+@pytest.mark.parametrize("datapath", ["acdc", "plain", "none"])
+def test_a_restart_counts_only_where_a_vswitch_restarted(two_hosts,
+                                                         datapath):
+    """An AC/DC host counts one event per instant; a host whose datapath
+    has no ``restart()`` (``PlainOvs``), or that has no vSwitch, restarts
+    nothing and counts nothing."""
+    sim, topo, a, b, _sw = two_hosts
+    vswitch = {"acdc": AcdcVswitch, "plain": PlainOvs,
+               "none": lambda host: None}[datapath](a)
+    if vswitch is not None:
+        a.attach_vswitch(vswitch)
+    restart = VswitchRestart(at=(0.001, 0.002, 0.003))
+    chain = install_faults(a, [restart])
+    sim.run(until=0.01)
+    restarted = 3 if datapath == "acdc" else 0
+    assert getattr(vswitch, "restarts", 0) == restarted
+    assert restart.events == restarted
+    assert fault_counts(chain.faults) == (
+        {"vswitch_restart": 3} if restarted else {})
 
 
 # ---------------------------------------------------------------------------
