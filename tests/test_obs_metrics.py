@@ -39,6 +39,15 @@ def test_histogram_bucket_edges_are_upper_inclusive():
     assert snap["bounds"] == [10, 100, 1000]
 
 
+def test_an_empty_histogram_reports_no_extremes():
+    h = Histogram("lat", bounds=[10])
+    assert h.snapshot()["min"] is None and h.snapshot()["max"] is None
+    h.record(0)
+    snap = h.snapshot()
+    assert snap["min"] == 0 and snap["max"] == 0
+    assert type(snap["min"]) is int and type(snap["max"]) is int
+
+
 def test_histogram_requires_increasing_bounds():
     with pytest.raises(ValueError):
         Histogram("bad", bounds=[10, 10])
