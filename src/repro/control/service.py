@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
-from ..core import AcdcConfig, AcdcVswitch
+from ..core import AcdcVswitch
 from ..experiments.common import ACDC, Taps, Testbed
 from ..experiments.scenario import Scenario
 from ..faults import Fault, fault_counts, install_faults
@@ -66,9 +66,6 @@ class ServiceConfig:
     peers: int = 3
     #: Attach a repro.guard.Guard to every vSwitch.
     guard: bool = False
-    #: Arm the runtime invariant sanitizer on every vSwitch (None: the
-    #: REPRO_SANITIZE environment default).
-    sanitize: Optional[bool] = None
     #: Default tenant policy JSON (see TenantPolicy.from_json).
     default_policy: Optional[dict] = None
     #: In-band network telemetry (repro.obs.int): stamp per-hop metadata
@@ -347,10 +344,9 @@ class Service:
         tb = Testbed(
             Scenario(ACDC, "star", config.n_hosts, config.epoch_s,
                      config.rate_bps, config.mtu, config.seed,
-                     acdc=AcdcConfig(sanitize=config.sanitize), guards=guards),
+                     guards=guards),
             Taps(obs=ObsContext(config=TraceConfig(sample={
-                "ecn.mark": 64, "buffer.occupancy": 256,
-                "rwnd.rewrite": 64})),
+                "ecn.mark": 64, "rwnd.rewrite": 64})),
                 int_tel=IntTelemetry() if config.int_telemetry else None))
         self.sim, self.obs, self.topo = tb.sim, tb.obs, tb.topology
         self.hosts, self.switch = tb.parts

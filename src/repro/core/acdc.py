@@ -559,23 +559,24 @@ class AcdcVswitch:
 
         Useful when the enforced window grew but no ACKs are flowing.
         """
-        return self._fabricate(key, WindowEnforcer.make_window_update, 1)
+        return self._fabricate(key, 1)
 
     def send_dupacks(self, key: FlowKey, count: int = 3) -> bool:
         """Deliver fabricated duplicate ACKs to trigger fast retransmit in
-        the VM (for stacks whose RTO is far larger than AC/DC's)."""
-        return self._fabricate(key, WindowEnforcer.make_dupack, count)
+        the VM (for stacks whose RTO is far larger than AC/DC's): window
+        updates at an unchanged ``snd_una`` are duplicate ACKs."""
+        return self._fabricate(key, count)
 
-    def _fabricate(self, key: FlowKey, make, count: int) -> bool:
-        """Deliver ``count`` packets ``make`` builds to advertise the
-        enforced window of flow ``key`` at its ``snd_una``."""
+    def _fabricate(self, key: FlowKey, count: int) -> bool:
+        """Deliver ``count`` window updates advertising the enforced
+        window of flow ``key`` at its ``snd_una``."""
         entry = self.table.lookup(key)
         if entry is None or entry.conntrack.snd_una is None:
             return False
         for _ in range(count):
-            pkt = make((key[2], key[3], key[0], key[1]),
-                       entry.conntrack.snd_una, entry.enforced_wnd,
-                       entry.peer_wscale)
+            pkt = WindowEnforcer.make_window_update(
+                (key[2], key[3], key[0], key[1]), entry.conntrack.snd_una,
+                entry.enforced_wnd, entry.peer_wscale)
             for tap in self._on_advertised:
                 tap(entry, pkt, entry.enforced_wnd, None)
             self.host.deliver(pkt)

@@ -52,15 +52,6 @@ class WindowEnforcer:
         pkt.set_advertised_window(window_bytes, peer_wscale)
         return pkt
 
-    @staticmethod
-    def make_dupack(template_key: tuple, ack_seq: int,
-                    window_bytes: int, peer_wscale: int) -> Packet:
-        """A fabricated duplicate ACK to trigger the VM's fast retransmit
-        (useful when the VM's RTO is far larger than AC/DC's inference)."""
-        pkt = WindowEnforcer.make_window_update(
-            template_key, ack_seq, window_bytes, peer_wscale)
-        return pkt
-
 
 def encoded_window_bytes(window_bytes: int, wscale: int) -> int:
     """The window the VM actually sees after 16-bit/wscale encoding.

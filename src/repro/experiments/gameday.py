@@ -47,14 +47,18 @@ def gameday_cell(seed: int, epochs: int = 6, n_hosts: int = 6) -> dict:
     from ..control.service import Service, ServiceConfig
 
     config = ServiceConfig(seed=seed, n_hosts=n_hosts, guard=True,
-                           sanitize=True,
                            fault_intensity=FAULT_INTENSITY,
                            adversarial_hosts=1)
+    # The whole sanitizer, not only its vSwitch probes: switch-port byte
+    # conservation and the engine's clock tripwire arm at construction.
+    armed = sanitize.is_enabled()
+    sanitize.enable(True)
     sanitize.set_run_seed(seed)
     try:
         result = Service(config, gameday_schedule(epochs)).run(epochs)
     finally:
         sanitize.set_run_seed(None)
+        sanitize.enable(armed)
     statuses = [c["status"] for c in result["commands"]]
     return {
         "result": result,

@@ -5,11 +5,11 @@ into:
 
 * :mod:`repro.obs.trace` — the structured **trace bus**: typed,
   schema'd events (``rwnd.rewrite``, ``ecn.mark``, ``guard.escalate``,
-  ``fault.inject``, ...) with per-flow/per-component scoping, severity
-  levels and deterministic counter-based sampling;
-* :mod:`repro.obs.metrics` — the **metric registry**: named counters,
-  gauges and fixed-bucket histograms, snapshotted deterministically
-  into ``RunResult.telemetry``;
+  ``fault.inject``, ...) with per-flow/per-component scoping, a
+  severity label and deterministic counter-based sampling;
+* :mod:`repro.obs.metrics` — the **metric registry**: per-port
+  fixed-bucket queue histograms and snapshot-time sources, snapshotted
+  deterministically into ``RunResult.telemetry``;
 * :mod:`repro.obs.recorder` — the **flight recorder**: a bounded
   per-vSwitch ring buffer of the last datapath decisions, armed when
   sanitizing and dumped on
@@ -44,10 +44,9 @@ from .int import (
     IntTelemetry,
     TelemetryView,
 )
-from .metrics import Counter, Gauge, Histogram, MetricRegistry
+from .metrics import Histogram, MetricRegistry
 from .recorder import FlightRecorder
 from .trace import (
-    DEBUG,
     ERROR,
     EVENT_SCHEMAS,
     INFO,
@@ -59,12 +58,9 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "DEBUG",
     "ERROR",
     "EVENT_SCHEMAS",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "INFO",
     "IntEcho",

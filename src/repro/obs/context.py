@@ -34,24 +34,18 @@ QUEUE_BYTES_BOUNDS = pow2_bounds(1500, 14)
 class PortObs:
     """Per-switch-port telemetry tap (``SwitchTxPort.add_tap``): every
     admission and drop records the occupancy the packet met into the
-    port's histogram and onto the sampled ``buffer.occupancy`` channel.
-    """
+    port's ``queue_bytes`` histogram."""
 
-    __slots__ = ("hist", "occupancy")
+    __slots__ = ("hist",)
 
-    def __init__(self, bus: TraceBus, hist, component: str):
+    def __init__(self, hist):
         self.hist = hist
-        self.occupancy = bus.channel(
-            "buffer.occupancy", ("queue_bytes", "admitted", "marked"),
-            component=component, severity=INFO)
 
     def on_drop(self, queue_bytes: int, nbytes) -> None:
         self.hist.record(queue_bytes)
-        self.occupancy.emit(None, queue_bytes, False, False)
 
     def on_enqueue(self, packet, queue_bytes: int, nbytes, marked) -> None:
         self.hist.record(queue_bytes)
-        self.occupancy.emit(None, queue_bytes, True, marked)
 
 
 class VswitchObs:
@@ -59,8 +53,9 @@ class VswitchObs:
     tracing): every decision, guard transitions included, onto the bus,
     one channel per (type, severity, field names) shape, and every RWND
     decision on an ACK onto ``rwnd.rewrite``.  The flight ring is a
-    separate tap that only the sanitizer arms and that keeps the same
-    records (:mod:`repro.obs.recorder`).
+    separate tap that only the sanitizer arms; it keeps the same fields
+    at the bus's rates, counted per vSwitch, so its records are not the
+    bus's (:mod:`repro.obs.recorder`).
     """
 
     __slots__ = ("bus", "channels", "rewrites")
@@ -228,7 +223,7 @@ class ObsContext:
 
     def register_switch(self, switch) -> None:
         """Instrument one switch: aggregate source + per-port occupancy
-        histograms + the sampled ``buffer.occupancy`` trace hook."""
+        histograms."""
         if switch in self.switches:
             return
         self.switches.append(switch)
@@ -239,7 +234,7 @@ class ObsContext:
             hist = self.registry.histogram(f"{name}.queue_bytes",
                                            QUEUE_BYTES_BOUNDS)
             self.registry.source(name, partial(_port_metrics, port))
-            port.add_tap(PortObs(self.bus, hist, name))
+            port.add_tap(PortObs(hist))
 
     def attach_topology(self, topology) -> None:
         """Instrument every switch of a built topology."""
@@ -268,13 +263,6 @@ class ObsContext:
                 continue
             name = f"fluid.{fluid_port.port.name}"
             self.registry.source(name, partial(_fluid_port_metrics, fluid_port))
-
-    def register_runtime(self, runtime) -> None:
-        """Expose an experiment runtime's pool/cache stats, and give the
-        runtime a bus to surface cache corruption on (``cache.corrupt``
-        events carry the offending entry key)."""
-        self.registry.source("runtime", runtime.telemetry)
-        runtime.obs = self
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -115,22 +115,13 @@ class IntStamper:
     port's settling ``stats`` from inside a settle.
     """
 
-    __slots__ = ("sim", "port", "hop_id", "max_hops", "ewma_alpha",
-                 "q_ewma", "util_ewma", "stamped", "overflowed",
-                 "_pending", "_last_depart")
+    __slots__ = ("sim", "port", "hop_id", "q_ewma", "util_ewma", "stamped",
+                 "overflowed", "_pending", "_last_depart")
 
-    def __init__(self, sim, port, hop_id: str,
-                 max_hops: int = MAX_INT_HOPS,
-                 ewma_alpha: float = DEFAULT_EWMA_ALPHA):
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if max_hops < 1:
-            raise ValueError("max_hops must be positive")
-        self.sim = sim
+    def __init__(self, port, hop_id: str):
+        self.sim = port.sim
         self.port = port
         self.hop_id = hop_id
-        self.max_hops = max_hops
-        self.ewma_alpha = ewma_alpha
         self.q_ewma = 0.0
         self.util_ewma = 0.0
         self.stamped = 0
@@ -141,8 +132,7 @@ class IntStamper:
         self._last_depart = 0.0
 
     def on_enqueue(self, packet, queue_bytes: int, nbytes, marked) -> None:
-        alpha = self.ewma_alpha
-        self.q_ewma += alpha * (queue_bytes - self.q_ewma)
+        self.q_ewma += DEFAULT_EWMA_ALPHA * (queue_bytes - self.q_ewma)
         self._pending[packet.pid] = (self.sim.now, queue_bytes)
 
     def on_depart(self, packet, now: float, nbytes: int,
@@ -158,12 +148,11 @@ class IntStamper:
         if not busy < 1.0:  # min(1.0, busy), NaN included
             busy = 1.0
         self._last_depart = now
-        alpha = self.ewma_alpha
-        self.util_ewma += alpha * (busy - self.util_ewma)
+        self.util_ewma += DEFAULT_EWMA_ALPHA * (busy - self.util_ewma)
         stack = packet.int_stack
         if stack is None:
             stack = packet.int_stack = []
-        if len(stack) >= self.max_hops:
+        if len(stack) >= MAX_INT_HOPS:
             self.overflowed += 1
             return
         stack.append((self.hop_id, q_inst, self.q_ewma, tx_bytes,
@@ -387,21 +376,15 @@ class IntTelemetry:
     """Run-level INT context: stampers on switches, sink/echo/view logic
     for the vSwitches, and run-global monotonic counters.
 
-    Mirrors :class:`~repro.obs.context.ObsContext`'s lifecycle: may be
-    created unbound; :meth:`attach` wires it into a built run
-    (``bind(sim)`` attaches the clock, ``attach_topology`` instruments
-    every switch, and :meth:`attach_vswitch` makes the context the last
-    tap of every AC/DC vSwitch).  As a tap it touches only a packet's
-    ``int_stack``/``int_echo`` — stripping both from every packet that
-    arrives at a vSwitch, so neither ever reaches a VM — and calls the
-    flow CC's ``on_int_report``.
+    Created unbound; :meth:`attach` wires it into one built run, once.
+    As a vSwitch tap it touches only a packet's ``int_stack``/``int_echo``
+    — stripping both from every packet that arrives at a vSwitch, so
+    neither ever reaches a VM — and calls the flow CC's
+    ``on_int_report``.
     """
 
-    def __init__(self, sim=None, max_hops: int = MAX_INT_HOPS,
-                 ewma_alpha: float = DEFAULT_EWMA_ALPHA):
-        self.sim = sim
-        self.max_hops = max_hops
-        self.ewma_alpha = ewma_alpha
+    def __init__(self) -> None:
+        self.sim = None
         self.stampers: List[IntStamper] = []
         self.vswitches: List[object] = []
         # Run-global counters (flow entries are GC'd; these are not).
@@ -415,47 +398,25 @@ class IntTelemetry:
         self._reports: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
-    def bind(self, sim) -> None:
-        """Attach the run's simulator (idempotent for the same one)."""
-        if self.sim is sim:
-            return
+    def attach(self, sim, topology, vswitches, obs=None) -> None:
+        """Wire this context into a built run, in the one valid order:
+        clock, a stamper on every switch port (hop id = the port name),
+        this context as the last tap of every AC/DC vSwitch (a
+        ``PlainOvs`` has no INT endpoint), then (given an obs context)
+        the metric sources, which enumerate the stampers just created."""
         if self.sim is not None:
             raise RuntimeError("IntTelemetry is already bound to a simulator")
         self.sim = sim
-        for stamper in self.stampers:
-            stamper.sim = sim
-
-    def instrument_switch(self, switch) -> None:
-        """Attach one stamper per output port; hop id = the port name."""
-        for port in switch.ports.values():
-            stamper = IntStamper(self.sim, port, port.name,
-                                 max_hops=self.max_hops,
-                                 ewma_alpha=self.ewma_alpha)
-            port.add_tap(stamper)
-            self.stampers.append(stamper)
-
-    def attach_topology(self, topology) -> None:
-        """Instrument every switch of a built topology."""
         for switch in topology.switches.values():
-            self.instrument_switch(switch)
-
-    def attach_vswitch(self, vswitch) -> None:
-        """Append this context to the vSwitch's taps."""
-        add_tap = getattr(vswitch, "add_tap", None)
-        if add_tap is None:
-            return  # PlainOvs: no INT endpoint
-        add_tap(self)
-        self.vswitches.append(vswitch)
-
-    def attach(self, sim, topology, vswitches, obs=None) -> None:
-        """Wire this context into a built run, in the one valid order:
-        clock, a stamper on every switch port, sink/echo/view logic on
-        every AC/DC vSwitch, then (given an obs context) the metric
-        sources, which enumerate the stampers just created."""
-        self.bind(sim)
-        self.attach_topology(topology)
+            for port in switch.ports.values():
+                stamper = IntStamper(port, port.name)
+                port.add_tap(stamper)
+                self.stampers.append(stamper)
         for vswitch in vswitches:
-            self.attach_vswitch(vswitch)
+            add_tap = getattr(vswitch, "add_tap", None)
+            if add_tap is not None:
+                add_tap(self)
+                self.vswitches.append(vswitch)
         if obs is not None:
             obs.register_int(self)
 

@@ -1,11 +1,11 @@
-"""The metric registry: named counters, gauges, fixed-bucket histograms.
+"""The metric registry: named fixed-bucket histograms and sources.
 
 No dependencies and no dynamic resizing: histogram bucket bounds are
 fixed at registration (HDR-style), so two runs of the same seed produce
 identical snapshots regardless of the values' arrival order — the
 property ``RunResult.telemetry`` byte-identity rests on.
 
-Besides owned instruments, the registry accepts **sources**: callables
+Besides its histograms, the registry holds **sources**: callables
 evaluated at snapshot time that return a number or a flat dict of
 numbers.  Subsystems that already keep their own counters (``OpsCounter``,
 ``PortStats``, the engine) register a source instead of double-counting.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -25,40 +25,6 @@ def pow2_bounds(lo: int, count: int) -> Tuple[int, ...]:
     if lo <= 0 or count <= 0:
         raise ValueError("lo and count must be positive")
     return tuple(lo * (1 << i) for i in range(count))
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: Number = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += n
-
-    def snapshot(self) -> dict:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -111,41 +77,25 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Name -> instrument map with deterministic snapshots.
+    """Name -> histogram or source, with deterministic snapshots.
 
-    Re-registering an existing name returns the existing instrument if
-    the kind matches (so independent subsystems can share a counter) and
-    raises if it does not.
+    Re-registering an existing histogram name returns the existing
+    histogram; a name is either a histogram or a source, never both.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._metrics: Dict[str, Histogram] = {}
         self._sources: Dict[str, Callable[[], object]] = {}
 
     # ------------------------------------------------------------------
-    def _get_or_create(self, name: str, kind, factory):
+    def histogram(self, name: str, bounds: Sequence[Number]) -> Histogram:
         existing = self._metrics.get(name)
         if existing is not None:
-            if not isinstance(existing, kind):
-                raise ValueError(
-                    f"metric {name!r} is a {type(existing).__name__}, "
-                    f"not a {kind.__name__}")
             return existing
         if name in self._sources:
             raise ValueError(f"metric {name!r} is already a source")
-        metric = factory()
-        self._metrics[name] = metric
+        metric = self._metrics[name] = Histogram(name, bounds)
         return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def histogram(self, name: str, bounds: Sequence[Number]) -> Histogram:
-        return self._get_or_create(name, Histogram,
-                                   lambda: Histogram(name, bounds))
 
     def source(self, name: str, fn: Callable[[], object]) -> None:
         """Register a snapshot-time callable returning a number or a
@@ -156,7 +106,7 @@ class MetricRegistry:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """All instruments and sources, sorted by name, JSON-able."""
+        """All histograms and sources, sorted by name, JSON-able."""
         out: Dict[str, object] = {}
         for name, metric in self._metrics.items():
             out[name] = metric.snapshot()

@@ -4,14 +4,18 @@ A bounded ring buffer of the last N datapath decisions one vSwitch
 made — flow inserts, window rewrites, ECN marks, drops, timeouts,
 resurrections, guard transitions.  Its only reader is the runtime
 sanitizer, so it is armed exactly when sanitizing, as one of the
-vSwitch's taps (``AcdcVswitch.HOOKS``).  It keeps the very records the
-trace bus gets from the other tap,
-:class:`~repro.obs.context.VswitchObs`, so a dump is the bus's bounded
-tail (bar ``component``, the vSwitch's name here), sampled the same
-keep-1-in-N way: with the bus's ``config.sample`` when the vSwitch
-traces, :data:`~repro.obs.trace.DEFAULT_SAMPLING` otherwise, so
-per-segment ECN marks do not crowd the ACK history out of the ring.
-Off, the datapath pays one empty-tuple loop per decision.
+vSwitch's taps (``AcdcVswitch.HOOKS``).  It is offered the decisions
+the trace bus gets from the other tap,
+:class:`~repro.obs.context.VswitchObs`, and keeps them with the same
+fields (bar ``component``, the vSwitch's name here) at the bus's
+keep-1-in-N rates: the bus's ``config.sample`` when the vSwitch traces,
+:data:`~repro.obs.trace.DEFAULT_SAMPLING` otherwise, so per-segment ECN
+marks do not crowd the ACK history out of the ring.  The ring counts
+its 1-in-N per vSwitch, where the bus counts per type across every
+vSwitch of the run, so a dump is *not* the bus's tail: with two
+senders on one bus, the ring keeps marks the bus sampled out and skips
+marks the bus kept.  Off, the datapath pays one empty-tuple loop per
+decision.
 
 On an :class:`~repro.analysis.sanitize.InvariantViolation` the
 sanitizer dumps the ring to a JSONL file and attaches the path to the
@@ -52,19 +56,16 @@ DEFAULT_DUMP_DIR = ".repro-obs"
 class FlightRecorder:
     """Ring buffer of (sim time, type, severity, flow, fields) decisions."""
 
-    def __init__(self, sim, name: str = "vswitch",
-                 capacity: int = DEFAULT_CAPACITY):
-        if capacity <= 0:
-            raise ValueError("flight recorder capacity must be positive")
+    def __init__(self, sim, name: str = "vswitch"):
         self.sim = sim
         self.name = name
-        self.capacity = capacity
         self.noted = 0  # decisions ever offered (ring keeps the tail)
         self._serial = 0  # per-recorder dump counter (instance state, so
         #                   it snapshots and restores with the vSwitch)
         self._ring: Deque[Tuple[float, str, int, object, dict]] = deque(
-            maxlen=capacity)
-        #: type -> keep 1 in N, as on the bus; the first is always kept.
+            maxlen=DEFAULT_CAPACITY)
+        #: type -> keep 1 in N, as on the bus, counted in ``_seen`` for
+        #: this vSwitch alone; the first of a type is always kept.
         self.sample = DEFAULT_SAMPLING
         self._seen: Dict[str, int] = {}  # offers per sampled type
 

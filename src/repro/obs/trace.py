@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-# Severity levels, numeric so filtering is one comparison.
-DEBUG = 10
+# Severity levels, numeric so a reader's ``--min-sev`` is one comparison.
 INFO = 20
 WARNING = 30
 ERROR = 40
 
-SEVERITY_NAMES = {DEBUG: "debug", INFO: "info",
-                  WARNING: "warning", ERROR: "error"}
+SEVERITY_NAMES = {INFO: "info", WARNING: "warning", ERROR: "error"}
 SEVERITY_BY_NAME = {name: level for level, name in SEVERITY_NAMES.items()}
 
 #: The event vocabulary: type -> required field names.  Emissions may
@@ -53,8 +51,6 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "guard.unshed": (),
     # Injected faults (repro.faults) by cause.
     "fault.inject": ("cause",),
-    # Switch-port shared-buffer occupancy at enqueue (sampled).
-    "buffer.occupancy": ("queue_bytes",),
     # In-band telemetry (repro.obs.int).  ``status`` is "ok" for a
     # consumed report (with bottleneck/q_max_bytes/... fields) and an
     # "invalid_*" reason when a mangled stack or echo was discarded —
@@ -69,9 +65,6 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # rollbacks to the boot configuration.
     "control.command": ("op", "status"),
     "control.rollback": ("reason",),
-    # Experiment runtime: a cache entry that failed to parse (treated as
-    # a miss; the cell re-runs and overwrites it).
-    "cache.corrupt": ("key",),
     # Durability (repro.recovery).  These fire on the *supervisor's* bus,
     # never the service's own: the service trace feeds the byte-identity
     # signature, and a restored run must not carry extra events an
@@ -87,10 +80,7 @@ RESERVED_FIELDS = ("t", "type", "sev", "component", "flow")
 #: Default keep-1-in-N sampling for the high-frequency types.  Anything
 #: not listed is unsampled (every emission recorded) — in particular
 #: ``rwnd.rewrite``, whose full series is the Fig. 9 overlay.
-DEFAULT_SAMPLING: Dict[str, int] = {
-    "ecn.mark": 16,
-    "buffer.occupancy": 16,
-}
+DEFAULT_SAMPLING: Dict[str, int] = {"ecn.mark": 16}
 
 
 def format_flow(flow) -> Optional[str]:
@@ -128,11 +118,9 @@ class TraceConfig:
     emissions are counted, not stored.
     """
 
-    level: int = INFO
     sample: Mapping[str, int] = field(
         default_factory=lambda: dict(DEFAULT_SAMPLING))
     max_events: int = 1_000_000
-    validate: bool = True
 
 
 #: Kept records a channel holds before moving their values into its
@@ -179,10 +167,6 @@ class Channel:
             bus.refused += 1
             raise ValueError(f"trace channel {self.type!r} takes values "
                              f"{self.names}, got {len(values)}")
-        config = bus.config
-        if self.severity < config.level:
-            bus.filtered += 1
-            return False
         sampler = self.sampler
         if sampler is not None:
             count = sampler[0]
@@ -191,7 +175,7 @@ class Channel:
                 bus.sampled_out += 1
                 return False
         order = bus._order
-        if len(order) >= config.max_events:
+        if len(order) >= bus.config.max_events:
             bus.dropped += 1
             return False
         order.append(self.index)
@@ -293,7 +277,6 @@ class TraceBus:
         self._order = array("I")   # shape index of each record
         self._times = array("d")
         self._flows: List[object] = []
-        self.filtered = 0   # below the severity level
         self.sampled_out = 0
         self.dropped = 0    # over max_events
         self.refused = 0    # raised: a bad shape or a wrong value count
@@ -311,35 +294,34 @@ class TraceBus:
 
     @property
     def emitted(self) -> int:
-        """Events offered to the bus: each is stored, filtered, sampled
-        out, dropped or refused."""
-        return (len(self._order) + self.filtered + self.sampled_out
-                + self.dropped + self.refused)
+        """Events offered to the bus: each is stored, sampled out,
+        dropped or refused."""
+        return (len(self._order) + self.sampled_out + self.dropped
+                + self.refused)
 
     # ------------------------------------------------------------------
     def channel(self, type_: str, names, *, component: Optional[str] = None,
                 severity: int = INFO) -> Channel:
-        """The one emitter of ``type_`` events carrying ``names``; with
-        ``config.validate``, a bad shape raises here, on every call."""
+        """The one emitter of ``type_`` events carrying ``names``; a bad
+        shape raises here, on every call."""
         names = tuple(names)
         key = (type_, severity, component, names)
         channel = self._shapes.get(key)
         if channel is None:
-            if self.config.validate:
-                required = EVENT_SCHEMAS.get(type_)
-                if required is None:
-                    raise KeyError(
-                        f"unknown trace event type {type_!r}; add it to "
-                        f"repro.obs.trace.EVENT_SCHEMAS")
-                for name in required:
-                    if name not in names:
-                        raise ValueError(
-                            f"trace event {type_!r} requires field {name!r}")
-                for name in RESERVED_FIELDS:
-                    if name in names:
-                        raise ValueError(
-                            f"trace event field {name!r} shadows a reserved "
-                            f"record key")
+            required = EVENT_SCHEMAS.get(type_)
+            if required is None:
+                raise KeyError(
+                    f"unknown trace event type {type_!r}; add it to "
+                    f"repro.obs.trace.EVENT_SCHEMAS")
+            for name in required:
+                if name not in names:
+                    raise ValueError(
+                        f"trace event {type_!r} requires field {name!r}")
+            for name in RESERVED_FIELDS:
+                if name in names:
+                    raise ValueError(
+                        f"trace event field {name!r} shadows a reserved "
+                        f"record key")
             channel = self._shapes[key] = Channel(self, len(self._shapes),
                                                   key)
         return channel
@@ -419,7 +401,6 @@ class TraceBus:
         return {
             "emitted": self.emitted,
             "recorded": self.recorded,
-            "filtered": self.filtered,
             "sampled_out": self.sampled_out,
             "dropped": self.dropped,
             "by_type": self.by_type(),

@@ -51,8 +51,10 @@ MAGIC = b"REPRO-CKPT 1\n"
 #: chain (``Host.fault_chain``) and its real vSwitch, not a wrapper.
 #: Version 4: trace channels hold pending batches and a shared sampler
 #: cell, INT echoes are tuples, and an empty histogram holds ±inf
-#: extremes.
-FORMAT_VERSION = 4
+#: extremes.  Version 5: a port's obs tap holds only its histogram, an
+#: INT stamper neither an EWMA gain nor a hop bound, and a flight ring
+#: no capacity.
+FORMAT_VERSION = 5
 
 _CKPT_NAME = re.compile(r"^epoch-(\d{8})\.ckpt$")
 

@@ -25,7 +25,7 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: Corrupt entries encountered (count + keys, in discovery order):
-        #: the runtime surfaces these as ``cache.corrupt`` obs events so a
+        #: the runtime counts them in ``RuntimeStats.cache_corrupt`` so a
         #: torn cache is visible, not silently absorbed as rerun time.
         self.corrupt = 0
         self.corrupt_keys: list = []

@@ -132,9 +132,6 @@ class Runtime:
         self.retries = retries
         self.quarantine = quarantine or cell_timeout_s is not None
         self.stats = RuntimeStats()
-        #: Bound by ``ObsContext.register_runtime``; when present (and its
-        #: bus has a clock), corrupt cache entries emit ``cache.corrupt``.
-        self.obs = None
 
     # ------------------------------------------------------------------
     def map(self, specs: Iterable[RunSpec]) -> List[Any]:
@@ -159,8 +156,8 @@ class Runtime:
                     results[i] = value
                     continue
             todo.append(i)
-        if self.cache is not None and self.cache.corrupt > corrupt_before:
-            self._note_cache_corruption(corrupt_before)
+        if self.cache is not None:
+            self.stats.cache_corrupt += self.cache.corrupt - corrupt_before
         self.stats.batches.append(len(todo))
         if not todo:
             return results
@@ -197,18 +194,6 @@ class Runtime:
     # ------------------------------------------------------------------
     # Guarded execution (timeout / retry / quarantine)
     # ------------------------------------------------------------------
-    def _note_cache_corruption(self, seen_before: int) -> None:
-        """Surface newly-discovered corrupt cache entries as obs events."""
-        new_keys = self.cache.corrupt_keys[seen_before:]
-        self.stats.cache_corrupt += len(new_keys)
-        obs = self.obs
-        if obs is None or getattr(obs, "sim", None) is None:
-            return
-        from ..obs.trace import WARNING
-        for key in new_keys:
-            obs.bus.emit("cache.corrupt", component="runtime",
-                         severity=WARNING, key=key)
-
     def _charge(self, attempts: Dict[int, int], i: int, spec: RunSpec,
                 kind: str, message: str, results: List[Any],
                 pending: List[int]) -> None:

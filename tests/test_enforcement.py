@@ -51,11 +51,6 @@ def test_make_window_update():
     assert pkt.advertised_window(4) >= 30_000
 
 
-def test_make_dupack_mirrors_window_update_shape():
-    pkt = WindowEnforcer.make_dupack(("b", 2, "a", 1), 7000, 10_000, 4)
-    assert pkt.ack_seq == 7000 and pkt.payload_len == 0
-
-
 # ---------------------------------------------------------------------------
 # Policer
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def test_release_matches_admission_when_options_change_in_queue(
 # ---------------------------------------------------------------------------
 def test_int_residence_is_finish_minus_admit_when_settled_late(sim, trap):
     port, shared = make_switch_port(sim, None)   # no peer: nothing settles
-    port.add_tap(IntStamper(sim, port, "hop"))
+    port.add_tap(IntStamper(port, "hop"))
     sim.run(until=0.25)
     first, second = data(1000), data(1000)
     port.enqueue(first)                          # admit 0.25, finish 1.25
@@ -386,7 +386,7 @@ def test_delivered_packet_already_carries_its_hop_record(sim):
             seen.append(list(packet.int_stack))
 
     port, _shared = make_switch_port(sim, Peer(), delay=0.5)
-    port.add_tap(IntStamper(sim, port, "hop"))
+    port.add_tap(IntStamper(port, "hop"))
     port.enqueue(data(1000))
     sim.run()
     assert len(seen) == 1 and seen[0][0][5] == 1.0

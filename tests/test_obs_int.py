@@ -275,13 +275,11 @@ def _faulted_transfer(two_hosts, faults, on_receiver):
     """One AC/DC transfer with INT on and a fault chain on one side."""
     sim, topo, a, b, _sw = two_hosts
     obs = ObsContext(sim)
-    tel = IntTelemetry(sim)
-    tel.attach_topology(topo)
     vsw_a, vsw_b = AcdcVswitch(a, obs=obs), AcdcVswitch(b, obs=obs)
     a.attach_vswitch(vsw_a)
     b.attach_vswitch(vsw_b)
-    tel.attach_vswitch(vsw_a)
-    tel.attach_vswitch(vsw_b)
+    tel = IntTelemetry()
+    tel.attach(sim, topo, (vsw_a, vsw_b))
     install_faults(b if on_receiver else a, faults)
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)

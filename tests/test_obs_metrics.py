@@ -3,29 +3,12 @@
 import pytest
 
 from repro.obs import MetricRegistry
-from repro.obs.metrics import Counter, Gauge, Histogram, pow2_bounds
+from repro.obs.metrics import Histogram, pow2_bounds
 
 
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
-def test_counter_increments_and_snapshots():
-    c = Counter("packets")
-    c.inc()
-    c.inc(41)
-    assert c.value == 42
-    assert c.snapshot() == {"type": "counter", "value": 42}
-    with pytest.raises(ValueError):
-        c.inc(-1)
-
-
-def test_gauge_sets_latest_value():
-    g = Gauge("queue_depth")
-    g.set(10)
-    g.set(3)
-    assert g.snapshot() == {"type": "gauge", "value": 3}
-
-
 def test_histogram_bucket_edges_are_upper_inclusive():
     h = Histogram("lat", bounds=[10, 100, 1000])
     for v in (5, 10, 11, 100, 999, 1000, 1001):
@@ -66,33 +49,33 @@ def test_pow2_bounds():
 # ---------------------------------------------------------------------------
 def test_registry_get_or_create_is_idempotent():
     reg = MetricRegistry()
-    a = reg.counter("x")
-    b = reg.counter("x")
+    a = reg.histogram("x", (1, 2))
+    b = reg.histogram("x", (1, 2))
     assert a is b and len(reg) == 1
-    with pytest.raises(ValueError):
-        reg.gauge("x")  # same name, different kind
 
 
 def test_registry_rejects_source_metric_name_clash():
     reg = MetricRegistry()
-    reg.counter("x")
+    reg.histogram("x", (1,))
     with pytest.raises(ValueError):
         reg.source("x", lambda: 1)
     reg.source("y", lambda: 1)
     with pytest.raises(ValueError):
-        reg.counter("y")
+        reg.histogram("y", (1,))
 
 
 def test_snapshot_flattens_sources_and_sorts_names():
     reg = MetricRegistry()
-    reg.counter("zeta").inc(7)
+    reg.histogram("zeta", (10,)).record(7)
     reg.source("alpha", lambda: {"b": 2, "a": 1})
     reg.source("scalar", lambda: 3.5)
     snap = reg.snapshot()
     assert list(snap) == sorted(snap)
     assert snap["alpha.a"] == 1 and snap["alpha.b"] == 2
     assert snap["scalar"] == 3.5
-    assert snap["zeta"] == {"type": "counter", "value": 7}
+    assert snap["zeta"] == {"type": "histogram", "bounds": [10],
+                            "counts": [1, 0], "count": 1, "sum": 7,
+                            "min": 7, "max": 7}
 
 
 def test_snapshot_reads_sources_live():
@@ -106,5 +89,5 @@ def test_snapshot_reads_sources_live():
 
 def test_contains():
     reg = MetricRegistry()
-    reg.gauge("present")
+    reg.histogram("present", (1,))
     assert "present" in reg and "absent" not in reg

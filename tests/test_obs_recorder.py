@@ -2,12 +2,11 @@
 
 from collections import Counter
 
-import pytest
-
 from repro.core import AcdcConfig, AcdcVswitch
 from repro.obs import (INFO, WARNING, FlightRecorder, ObsContext, TraceConfig,
-                       read_jsonl)
+                       format_flow, read_jsonl)
 from repro.obs.__main__ import main as obs_cli
+from repro.obs.recorder import DEFAULT_CAPACITY
 from repro.workloads.apps import Sink
 
 FLOW = ("s1", 10000, "r1", 5000)
@@ -16,11 +15,6 @@ FLOW = ("s1", 10000, "r1", 5000)
 class FakeSim:
     def __init__(self):
         self.now = 0.0
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        FlightRecorder(FakeSim(), capacity=0)
 
 
 def test_note_and_records_are_trace_shaped():
@@ -37,11 +31,11 @@ def test_note_and_records_are_trace_shaped():
 
 
 def test_ring_keeps_only_the_tail():
-    rec = FlightRecorder(FakeSim(), capacity=4)
-    for i in range(10):
+    rec = FlightRecorder(FakeSim())
+    for i in range(DEFAULT_CAPACITY + 4):
         rec.on_decision("flow.state", FLOW, INFO, {"state": str(i)})
-    assert len(rec) == 4 and rec.noted == 10
-    assert [r["state"] for r in rec.records()] == ["6", "7", "8", "9"]
+    assert len(rec) == DEFAULT_CAPACITY and rec.noted == DEFAULT_CAPACITY + 4
+    assert [r["state"] for r in rec.records()][:2] == ["4", "5"]
 
 
 def test_ring_samples_ecn_marks_like_the_bus(two_hosts):
@@ -56,7 +50,7 @@ def test_ring_samples_ecn_marks_like_the_bus(two_hosts):
     a.connect(b.addr, 7000).send_forever()
     sim.run(until=0.05)
     records = vsw.flight.records()
-    assert len(records) == vsw.flight.capacity
+    assert len(records) == DEFAULT_CAPACITY
     marks = Counter(r["type"] for r in records)["ecn.mark"]
     assert 0 < marks < len(records) / 8
     assert records[-1]["t"] - records[0]["t"] >= 1.5 * 152e-6
@@ -72,6 +66,50 @@ def test_a_traced_ring_samples_with_its_bus(two_hosts):
     for _ in range(9):
         rec.on_decision("ecn.mark", FLOW, INFO, {"direction": "egress"})
     assert len(rec) == 3 and rec.noted == 9
+
+
+class MarkLog:
+    """A vSwitch tap that keeps every ``ecn.mark`` decision offered."""
+
+    def __init__(self):
+        self.marks = []
+
+    def on_decision(self, type_, flow, severity, fields):
+        if type_ == "ecn.mark":
+            self.marks.append((flow, fields["direction"]))
+
+
+def test_the_ring_samples_per_vswitch_so_it_is_not_the_bus_tail(
+        three_hosts):
+    """Two traced, sanitized senders share one bus: each ring keeps its
+    vSwitch's every 16th mark, the bus every 16th of both, so a ring's
+    marks are mostly not on the bus."""
+    sim, topo, a, b, c, sw = three_hosts
+    obs = ObsContext(sim)
+    logs = {}
+    for host in (a, b, c):
+        vsw = AcdcVswitch(host, obs=obs, config=AcdcConfig(sanitize=True))
+        host.attach_vswitch(vsw)
+        vsw.add_tap(logs.setdefault(host.addr, MarkLog()))
+    Sink(c, 7000)
+    for host in (a, b):
+        host.connect(c.addr, 7000).send_forever()
+    sim.run(until=0.02)
+    n = obs.bus.config.sample["ecn.mark"]
+    on_bus = {(r["t"], r["flow"]) for r in obs.bus.records()
+              if r["type"] == "ecn.mark"}
+    held = off_bus = 0
+    for host in (a, b):
+        ring = [r for r in host.vswitch.flight.records()
+                if r["type"] == "ecn.mark"]
+        kept = logs[host.addr].marks[::n]   # this vSwitch's 1-in-n
+        assert 0 < len(ring) <= len(kept)
+        assert [(r["flow"], r["direction"]) for r in ring] == [
+            (format_flow(flow), direction)
+            for flow, direction in kept[-len(ring):]]
+        held += len(ring)
+        off_bus += sum((r["t"], r["flow"]) not in on_bus for r in ring)
+    assert off_bus > held / 2
 
 
 def test_dump_writes_jsonl_to_dir_arg(tmp_path):

@@ -1,9 +1,14 @@
 """Unit tests for the structured trace bus (repro.obs.trace)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.obs import DEBUG, ERROR, INFO, WARNING, TraceBus, TraceConfig
-from repro.obs.trace import EVENT_SCHEMAS, format_flow
+import repro
+from repro.control.service import Service, ServiceConfig
+from repro.obs import ERROR, INFO, WARNING, TraceBus, TraceConfig
+from repro.obs.trace import DEFAULT_SAMPLING, EVENT_SCHEMAS, format_flow
 
 FLOW = ("10.0.0.1", 10000, "10.0.0.2", 5000)
 
@@ -58,19 +63,14 @@ def test_reserved_field_shadow_rejected(bus):
         bus.emit("flow.state", state="x", t=123.0)
 
 
-def test_validation_can_be_disabled():
-    bus = TraceBus(FakeSim(), TraceConfig(validate=False))
-    assert bus.emit("flow.state")  # missing "state", but unchecked
-    assert len(bus) == 1
-
-
-def test_severity_filter_counts_filtered():
-    bus = TraceBus(FakeSim(), TraceConfig(level=WARNING))
-    assert not bus.emit("flow.state", state="insert", severity=INFO)
-    assert bus.emit("flow.state", state="restart", severity=WARNING)
-    assert bus.emit("flow.state", state="boom", severity=ERROR)
-    assert not bus.emit("flow.state", state="debugging", severity=DEBUG)
-    assert bus.filtered == 2 and bus.recorded == 2
+def test_every_severity_is_recorded(bus):
+    """Severity labels a record; the bus filters nothing by it."""
+    for severity in (INFO, WARNING, ERROR, 15):
+        assert bus.emit("flow.state", state="x", severity=severity)
+    assert [r["sev"] for r in bus.records()] == ["info", "warning", "error",
+                                                 "15"]
+    assert bus.recorded == bus.emitted == 4
+    assert "filtered" not in bus.summary()
 
 
 def test_sampling_keeps_first_and_every_nth():
@@ -114,25 +114,54 @@ def test_by_type_and_for_flow(bus):
 
 
 def test_summary_totals_are_consistent():
-    bus = TraceBus(FakeSim(), TraceConfig(level=WARNING,
-                                          sample={"ecn.mark": 2},
+    bus = TraceBus(FakeSim(), TraceConfig(sample={"ecn.mark": 2},
                                           max_events=3))
     for _ in range(4):
         bus.emit("ecn.mark", direction="egress", severity=WARNING)
-    bus.emit("flow.state", state="x", severity=INFO)   # filtered
+    for _ in range(3):
+        bus.emit("flow.state", state="x", severity=INFO)
     s = bus.summary()
-    assert s["emitted"] == bus.emitted == 5
-    assert s["emitted"] == (s["recorded"] + s["filtered"]
-                            + s["sampled_out"] + s["dropped"])
+    assert s["emitted"] == bus.emitted == 7
+    assert (s["recorded"], s["sampled_out"], s["dropped"]) == (3, 2, 2)
+    assert s["emitted"] == (s["recorded"] + s["sampled_out"]
+                            + s["dropped"])
 
 
 def test_every_schema_type_is_emittable():
     bus = TraceBus(FakeSim(), TraceConfig(sample={}))
     filler = {"state": "x", "wnd_bytes": 1, "rewritten": False,
               "direction": "egress", "reason": "r", "kind": "k",
-              "cause": "c", "queue_bytes": 0, "invariant": "i",
+              "cause": "c", "invariant": "i",
               "path": "/tmp/x", "op": "set_policy", "status": "applied",
-              "key": "0" * 64, "epoch": 1, "bytes": 0, "replayed": 0}
+              "epoch": 1, "bytes": 0, "replayed": 0}
     for type_, required in EVENT_SCHEMAS.items():
         assert bus.emit(type_, **{f: filler[f] for f in required})
     assert len(bus) == len(EVENT_SCHEMAS)
+
+
+# ---------------------------------------------------------------------------
+# The vocabulary: every name has a producer, every sampled name exists
+# ---------------------------------------------------------------------------
+SRC = Path(repro.__file__).resolve().parent
+
+
+def string_literals(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_schema_type_has_a_producer_outside_the_schema():
+    literals = set()
+    for path in SRC.rglob("*.py"):
+        if path != SRC / "obs" / "trace.py":
+            literals |= string_literals(path)
+    assert sorted(set(EVENT_SCHEMAS) - literals) == []
+
+
+def test_every_sampled_type_is_a_schema_type():
+    """Sampling tolerates an unknown type, so a stale name would linger
+    unnoticed: the default rates and the service's must name types."""
+    service = Service(ServiceConfig(n_hosts=2, peers=1))
+    for sample in (DEFAULT_SAMPLING, service.obs.bus.config.sample):
+        assert sample and set(sample) <= set(EVENT_SCHEMAS), sample

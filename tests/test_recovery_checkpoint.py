@@ -128,9 +128,25 @@ def test_version_3_checkpoint_is_refused_unread(tmp_path):
                      epoch=0, sim_now=0.0, wal_pos=0)
     raw = path.read_bytes()
     current = f'"version":{FORMAT_VERSION}'.encode()
-    assert FORMAT_VERSION == 4 and raw.count(current) == 1
+    assert FORMAT_VERSION == 5 and raw.count(current) == 1
     path.write_bytes(raw.replace(current, b'"version":3'))
     with pytest.raises(CheckpointError, match="format version 3"):
+        read_checkpoint(path)
+    assert latest_checkpoint(tmp_path) is None
+    assert UNPICKLED == []
+
+
+def test_version_4_checkpoint_is_refused_unread(tmp_path):
+    """A version-4 payload pickles port taps with an occupancy channel,
+    INT stampers with their own EWMA and hop bound, and flight rings
+    with a capacity; it is refused unread."""
+    path = checkpoint_path(tmp_path, 0)
+    write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
+                     epoch=0, sim_now=0.0, wal_pos=0)
+    raw = path.read_bytes()
+    current = f'"version":{FORMAT_VERSION}'.encode()
+    path.write_bytes(raw.replace(current, b'"version":4'))
+    with pytest.raises(CheckpointError, match="format version 4"):
         read_checkpoint(path)
     assert latest_checkpoint(tmp_path) is None
     assert UNPICKLED == []

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.experiments import DCTCP, fig18_19_incast
+from repro.experiments import ACDC, DCTCP, fig18_19_incast
 from repro.experiments.runners import incast_scenario
 from repro.runtime import (
     ResultCache,
@@ -187,8 +187,12 @@ def test_parallel_results_byte_identical_to_serial(tmp_path):
 def test_telemetry_byte_identical_across_serial_pool_and_cache(tmp_path):
     """Telemetry is part of the determinism contract: a traced cell's
     metric snapshot and full trace must be byte-identical whether the
-    cell ran serially, in a worker process, or replayed from cache."""
-    specs = [RunSpec(CELL, {**CELL_KW, "telemetry": True})]
+    cell ran serially, in a worker process, or replayed from cache.  The
+    cell runs AC/DC, whose vSwitches trace their decisions: a DCTCP cell
+    (guests behind plain OVS) records metrics but no trace."""
+    kwargs = {"scenario": incast_scenario(ACDC, 4, duration=0.05, mtu=1500,
+                                          seed=0).to_json()}
+    specs = [RunSpec(CELL, {**kwargs, "telemetry": True})]
     serial = Runtime(jobs=1).map(specs)
     pool_rt = Runtime(jobs=2, cache=tmp_path)
     pooled = pool_rt.map(specs)
@@ -204,8 +208,8 @@ def test_telemetry_byte_identical_across_serial_pool_and_cache(tmp_path):
     assert serial[0]["trace"], "traced cell must carry its records"
     # The telemetry flag is part of the cache key: the untraced variant
     # is a distinct cell, so no stale hit can cross the boundary.
-    assert RunSpec(CELL, {**CELL_KW, "telemetry": True}).key() != \
-        RunSpec(CELL, dict(CELL_KW)).key()
+    assert RunSpec(CELL, {**kwargs, "telemetry": True}).key() != \
+        RunSpec(CELL, kwargs).key()
 
 
 def test_figure_level_parallel_matches_serial():

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.obs import ObsContext
 from repro.runtime import (
     ResultCache,
     Runtime,
@@ -45,10 +44,6 @@ DOUBLE = f"{__name__}:double"
 SLEEPY = f"{__name__}:sleepy"
 RAISES = f"{__name__}:always_raises"
 FLAKY = f"{__name__}:flaky"
-
-
-class FakeSim:
-    now = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,7 @@ def test_error_results_are_never_cached(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Corrupt cache entries: miss + counter + obs event
+# Corrupt cache entries: miss + counter
 # ---------------------------------------------------------------------------
 
 def corrupt_entry(cache: ResultCache, spec: RunSpec) -> str:
@@ -161,20 +156,15 @@ def corrupt_entry(cache: ResultCache, spec: RunSpec) -> str:
     return key
 
 
-def test_corrupt_cache_entry_counts_and_emits(tmp_path):
+def test_corrupt_cache_entry_counts_and_reruns(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     rt = Runtime(jobs=1, cache=cache)
-    obs = ObsContext(FakeSim())
-    obs.register_runtime(rt)
     spec = RunSpec(DOUBLE, {"x": 21})
     key = corrupt_entry(cache, spec)
     assert rt.map([spec]) == [42]  # miss -> rerun, not a crash
     assert cache.corrupt == 1 and cache.corrupt_keys == [key]
     assert rt.stats.cache_corrupt == 1
     assert rt.telemetry()["cache_corrupt"] == 1
-    (event,) = [r for r in obs.bus.records() if r["type"] == "cache.corrupt"]
-    assert event["key"] == key and event["sev"] == "warning"
-    assert event["component"] == "runtime"
     # The rerun overwrote the torn entry: second lookup is a clean hit.
     assert rt.map([spec]) == [42]
     assert rt.stats.cache_hits == 1 and cache.corrupt == 1
@@ -186,4 +176,4 @@ def test_corrupt_entry_without_obs_still_counts(tmp_path):
     spec = RunSpec(DOUBLE, {"x": 2})
     corrupt_entry(cache, spec)
     assert rt.map([spec]) == [4]
-    assert rt.stats.cache_corrupt == 1  # no obs bound: counted, no emit
+    assert rt.stats.cache_corrupt == 1

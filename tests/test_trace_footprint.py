@@ -50,8 +50,8 @@ from repro.experiments.runners import run_dumbbell
 from repro.faults import IntMangler
 from repro.net.buffer import Departures
 from repro.net.packet import Packet
-from repro.obs import (DEBUG, ERROR, INFO, WARNING, IntTelemetry,
-                       ObsContext, TraceBus, TraceConfig)
+from repro.obs import (ERROR, INFO, WARNING, IntTelemetry, ObsContext,
+                       TraceBus, TraceConfig)
 from repro.obs import int as int_mod
 from repro.obs import trace as trace_mod
 from repro.obs.int import (IntEcho, IntSink, TelemetryView, valid_echo,
@@ -131,7 +131,6 @@ class ReferenceBus:
         self.events: List[ReferenceEvent] = []
         self.emitted = 0
         self.recorded = 0
-        self.filtered = 0
         self.sampled_out = 0
         self.dropped = 0
         self._tallies: _TallyCounter = _TallyCounter()
@@ -141,24 +140,20 @@ class ReferenceBus:
              severity: int = INFO, **fields) -> bool:
         self.emitted += 1
         config = self.config
-        if config.validate:
-            required = EVENT_SCHEMAS.get(type_)
-            if required is None:
-                raise KeyError(
-                    f"unknown trace event type {type_!r}; add it to "
-                    f"repro.obs.trace.EVENT_SCHEMAS")
-            for name in required:
-                if name not in fields:
-                    raise ValueError(
-                        f"trace event {type_!r} requires field {name!r}")
-            for name in RESERVED_FIELDS:
-                if name in fields:
-                    raise ValueError(
-                        f"trace event field {name!r} shadows a reserved "
-                        f"record key")
-        if severity < config.level:
-            self.filtered += 1
-            return False
+        required = EVENT_SCHEMAS.get(type_)
+        if required is None:
+            raise KeyError(
+                f"unknown trace event type {type_!r}; add it to "
+                f"repro.obs.trace.EVENT_SCHEMAS")
+        for name in required:
+            if name not in fields:
+                raise ValueError(
+                    f"trace event {type_!r} requires field {name!r}")
+        for name in RESERVED_FIELDS:
+            if name in fields:
+                raise ValueError(
+                    f"trace event field {name!r} shadows a reserved "
+                    f"record key")
         n = config.sample.get(type_, 0)
         if n > 1:
             count = self._sample_counters.get(type_, 0)
@@ -189,7 +184,6 @@ class ReferenceBus:
         return {
             "emitted": self.emitted,
             "recorded": self.recorded,
-            "filtered": self.filtered,
             "sampled_out": self.sampled_out,
             "dropped": self.dropped,
             "by_type": self.by_type(),
@@ -222,7 +216,7 @@ def assert_same_answers(bus, ref):
 
 
 # Field names: required ones of the schema types, free extras, and the
-# reserved keys (rejected with validation on, shadowing with it off).
+# reserved keys (always rejected).
 FIELD_NAMES = ("state", "wnd_bytes", "rewritten", "direction", "status",
                "serial", "extra", "t", "type", "sev")
 VALUES = st.one_of(st.integers(-5, 5), st.booleans(), st.none(),
@@ -233,17 +227,15 @@ EMITS = st.fixed_dictionaries(
                                "int.report", "not.a.type")),
      "flow": st.sampled_from(FLOWS),
      "component": st.sampled_from((None, "vswitch", "int.view")),
-     "severity": st.sampled_from((DEBUG, INFO, WARNING, ERROR, 25))},
+     "severity": st.sampled_from((INFO, WARNING, ERROR, 25))},
     optional={"fields": st.dictionaries(st.sampled_from(FIELD_NAMES),
                                         VALUES, max_size=4)})
 CONFIGS = st.builds(
     TraceConfig,
-    level=st.sampled_from((DEBUG, INFO, WARNING)),
     sample=st.dictionaries(st.sampled_from(("ecn.mark", "flow.state",
                                             "int.report")),
                            st.integers(0, 4), max_size=2),
-    max_events=st.integers(0, 12),
-    validate=st.booleans())
+    max_events=st.integers(0, 12))
 
 
 def flat(emit: dict) -> dict:
@@ -341,12 +333,11 @@ WRONG = {
 
 
 @pytest.mark.parametrize("wrong", WRONG)
-@pytest.mark.parametrize("fate", ["recorded", "sampled_out", "filtered"])
+@pytest.mark.parametrize("fate", ["recorded", "sampled_out", "dropped"])
 def test_a_wrong_emit_raises_on_its_first_and_tenth_call(wrong, fate):
     error, kwargs = WRONG[wrong]
-    config = TraceConfig(sample={"ecn.mark": 4, "not.a.type": 4})
-    if fate == "filtered":
-        kwargs = dict(kwargs, severity=DEBUG)
+    config = TraceConfig(sample={"ecn.mark": 4, "not.a.type": 4},
+                         max_events=0 if fate == "dropped" else 10)
     bus = TraceBus(FakeSim(), config)
     shape = (kwargs["type_"], kwargs.get("severity", INFO), None,
              tuple(k for k in kwargs if k not in ("type_", "severity")))
@@ -361,8 +352,8 @@ def test_a_wrong_emit_raises_on_its_first_and_tenth_call(wrong, fate):
         messages.append(str(exc.value))
     assert messages == messages[:1] * 10
     assert shape not in bus._shapes   # never interned
-    assert bus.emitted == (bus.recorded + bus.filtered + bus.sampled_out
-                           + bus.dropped + 10)
+    assert bus.emitted == (bus.recorded + bus.sampled_out + bus.dropped
+                           + 10)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +402,7 @@ SHAPES = (("rwnd.rewrite", ("wnd_bytes", "rewritten", "visible_bytes")),
           ("flow.state", ("state", "serial", "extra")))
 MIXED_EMITS = st.tuples(st.integers(0, len(SHAPES) - 1),
                         st.sampled_from(FLOWS),
-                        st.sampled_from((INFO, WARNING, DEBUG)),
+                        st.sampled_from((INFO, WARNING, ERROR)),
                         st.lists(MIXED, min_size=3, max_size=3))
 
 
@@ -489,7 +480,6 @@ def test_a_column_is_typed_until_a_value_breaks_its_type(values, column):
 @settings(max_examples=200, deadline=None)
 @given(config=CONFIGS, emits=st.lists(MIXED_EMITS, max_size=40))
 def test_a_channel_and_keyword_emits_fill_equal_buses(config, emits):
-    config.validate = True
     channels, keywords = TraceBus(FakeSim(), config), TraceBus(FakeSim(),
                                                                config)
     for step, emit in enumerate(emits):
@@ -522,12 +512,12 @@ def test_a_channel_for_a_bad_shape_raises_when_created(bad):
 
 
 @pytest.mark.parametrize("values", [(), ("egress", "extra")])
-@pytest.mark.parametrize("fate", ["recorded", "sampled_out", "filtered"])
+@pytest.mark.parametrize("fate", ["recorded", "sampled_out", "dropped"])
 def test_a_wrong_arity_channel_call_raises_on_its_first_and_tenth_call(
         values, fate):
-    bus = TraceBus(FakeSim(), TraceConfig(sample={"ecn.mark": 4}))
-    channel = bus.channel("ecn.mark", ("direction",),
-                          severity=DEBUG if fate == "filtered" else INFO)
+    bus = TraceBus(FakeSim(), TraceConfig(
+        sample={"ecn.mark": 4}, max_events=0 if fate == "dropped" else 10))
+    channel = bus.channel("ecn.mark", ("direction",))
     messages = []
     for call in range(10):
         if fate == "sampled_out" and call:
@@ -538,8 +528,8 @@ def test_a_wrong_arity_channel_call_raises_on_its_first_and_tenth_call(
             channel.emit(None, *values)
         messages.append(str(exc.value))
     assert messages == messages[:1] * 10
-    assert bus.emitted == (bus.recorded + bus.filtered + bus.sampled_out
-                           + bus.dropped + 10)
+    assert bus.emitted == (bus.recorded + bus.sampled_out + bus.dropped
+                           + 10)
     # Only the right calls advanced the sampler: the type's one cell,
     # which the channel bound when it was created.
     assert channel.sampler is bus._samplers["ecn.mark"]
@@ -779,14 +769,15 @@ def frames_per_switch_packet(**taps):
     return calls / switch_packets(result)
 
 
-#: configuration -> (frames per switch packet before the INT one-frame
-#: paths and the due-head hand-off, ceiling); measured here: 45.95 and
-#: 41.06, 46.44 and 41.56 before the sink built its echoes without a
-#: frame and the view trusted them by type (taps off, 36.04, is pinned
+#: configuration -> (frames per switch packet before the last cut of
+#: each, ceiling); measured here: 44.93 and 41.06.  obs+int read 45.95
+#: while each switch enqueue and drop also offered a ``buffer.occupancy``
+#: record, and 46.44 and 41.56 before the sink built its echoes without
+#: a frame and the view trusted them by type (taps off, 36.04, is pinned
 #: by test_frame_budget.py).
 FRAME_GATES = {
-    "obs+int": (48.55, 46.4, lambda: {"obs": ObsContext(),
-                                      "int_tel": IntTelemetry()}),
+    "obs+int": (45.95, 44.94, lambda: {"obs": ObsContext(),
+                                       "int_tel": IntTelemetry()}),
     "int": (43.68, 41.4, lambda: {"int_tel": IntTelemetry()}),
 }
 
@@ -842,7 +833,6 @@ def test_a_break_inside_a_batch_reads_back_as_the_oracle(small_batch, at,
 def test_batched_columns_answer_as_the_object_per_record_bus(config, emits):
     """The mixed-type oracle test, with a batch that flushes every few
     records and a pickle at every reader."""
-    config.validate = True
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_mod, "BATCH", 2)
         bus, ref = TraceBus(FakeSim(), config), ReferenceBus(FakeSim(),
