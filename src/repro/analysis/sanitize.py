@@ -105,6 +105,13 @@ class InvariantViolation(AssertionError):
             message += f" [flight recorder dump: {flight_dump}]"
         super().__init__(message)
 
+    def __reduce__(self):
+        # ``args`` holds the message, not the constructor's arguments:
+        # rebuild from those and restore every field (message included),
+        # so a violation raised in a pool worker reaches the parent whole.
+        return (type(self), (self.invariant, self.detail),
+                {**self.__dict__, "args": self.args})
+
 
 # ---------------------------------------------------------------------------
 # Independent arithmetic (NOT imported from repro.net.packet, on purpose)

@@ -11,8 +11,11 @@ cleanly* (no sanitizer violation, no wedged flows, no partial command
 application) and that the whole ordeal is deterministic (the trace
 signature is stable across serial / pool / replay).
 
-Cells fan through the experiment runtime; game day is exactly the kind
-of long cell the runtime's timeout/quarantine guard rails exist for.
+Each seed is one cell on the experiment runtime: it arms the whole
+sanitizer, runs the service through the schedule and returns the run
+result with its trace signature.  A probe that fires raises
+:class:`~repro.analysis.sanitize.InvariantViolation` out of the sweep,
+from a pool worker as from the serial loop.
 """
 
 from __future__ import annotations

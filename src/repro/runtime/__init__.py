@@ -11,7 +11,10 @@ Public surface::
                                "duration": 0.5})
                       for s in range(10)])
 
-See DESIGN.md §10 for the architecture and the cache-key scheme.
+``Runtime(jobs, cache)`` is the whole configuration.  A cell that raises
+propagates; a pool worker that dies has its cell resubmitted once (a
+durable cell resumes from its checkpoint).  See DESIGN.md §10 for the
+architecture and the cache-key scheme, §13 for crash resume.
 """
 
 from .cache import ResultCache

@@ -24,11 +24,10 @@ class ResultCache:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Corrupt entries encountered (count + keys, in discovery order):
-        #: the runtime counts them in ``RuntimeStats.cache_corrupt`` so a
-        #: torn cache is visible, not silently absorbed as rerun time.
+        #: Corrupt entries encountered: the runtime counts them in
+        #: ``RuntimeStats.cache_corrupt`` so a torn cache is visible, not
+        #: silently absorbed as rerun time.
         self.corrupt = 0
-        self.corrupt_keys: list = []
         #: Write races lost to a concurrent writer of the same key (two
         #: runtimes computing the same cell).  Benign by construction:
         #: entries are content-addressed, so the winner wrote the same
@@ -49,9 +48,8 @@ class ResultCache:
             return False, None
         except (OSError, ValueError, KeyError):
             # Torn/corrupt entry: behave as a miss, the rerun overwrites
-            # it — but remember the key so the miss is observable.
+            # it — but count it so the miss is observable.
             self.corrupt += 1
-            self.corrupt_keys.append(key)
             return False, None
 
     def put(self, key: str, spec: Dict[str, Any], result: Any) -> None:

@@ -5,6 +5,7 @@ raise :class:`InvariantViolation` (carrying flow/time/seed diagnostics),
 and on real, healthy datapath traffic it must stay silent.
 """
 
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -89,6 +90,14 @@ class TestEnablement:
         assert exc.value.seed == 42
         assert "seed=42" in str(exc.value)
         assert exc.value.flow == KEY
+
+    def test_violation_survives_pickling(self):
+        exc = InvariantViolation("conservation", "bytes leaked", flow=KEY,
+                                 sim_time=0.5, host="h1", seed=3,
+                                 flight_dump="flight.jsonl")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is InvariantViolation
+        assert vars(back) == vars(exc) and str(back) == str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ from repro.runtime import Runtime, is_cell_error
 
 
 def test_gameday_completes_cleanly_and_deterministically():
-    # Two seeds through the guarded pool runtime: the sanitizer is armed
-    # inside each cell, so a datapath invariant violation would surface
-    # as a quarantined cell_error here, not a silent pass.
-    rt = Runtime(jobs=2, quarantine=True)
+    # Two seeds through the pool runtime: the sanitizer is armed inside
+    # each cell, so a datapath invariant violation would raise
+    # InvariantViolation out of run(...) here, not pass silently.
+    rt = Runtime(jobs=2)
     result = run(quick=True, seeds=[0, 1], runtime=rt)
-    assert rt.stats.quarantined == 0
     for per_seed in result["per_seed"]:
         assert not is_cell_error(per_seed)
         inner = per_seed["result"]

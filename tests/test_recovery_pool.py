@@ -1,6 +1,6 @@
 """Worker-crash resilience: a SIGKILLed pool worker costs one epoch.
 
-The guarded runtime detects a dead worker (``BrokenProcessPool``),
+The pool runtime detects a dead worker (``BrokenProcessPool``),
 rebuilds the pool and re-submits the victim cell; a *durable* cell
 (:func:`repro.recovery.cell.durable_service_cell`) then resumes from its
 own latest checkpoint.  The final merged results must be byte-identical
@@ -9,8 +9,6 @@ to a run nobody killed.
 
 import os
 import signal
-
-import pytest
 
 from repro.runtime import Runtime, RunSpec, is_cell_error
 from repro.runtime.spec import canonical_json
@@ -30,11 +28,23 @@ def kill_self(x):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def kill_once(x, sentinel):
+    """Dies hard on its first attempt only: the sentinel file outlives
+    the worker, unlike an in-memory attempt counter."""
+    try:
+        with open(sentinel, "x", encoding="utf-8"):
+            pass
+    except FileExistsError:
+        return x * 10
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def double(x):
     return x * 2
 
 
 KILL_SELF = f"{__name__}:kill_self"
+KILL_ONCE = f"{__name__}:kill_once"
 DOUBLE = f"{__name__}:double"
 
 
@@ -58,47 +68,31 @@ def test_killed_worker_cell_resumes_and_matches_baseline(tmp_path):
         RunSpec(CELL, cell_kwargs(6)),
     ])
 
-    rt = Runtime(jobs=2, quarantine=True)
+    rt = Runtime(jobs=2)
     results = rt.map([
         RunSpec(CELL, cell_kwargs(5, recovery_dir=str(tmp_path),
                                   kill={"at": 0.017})),
         RunSpec(CELL, cell_kwargs(6, recovery_dir=str(tmp_path))),
     ])
     assert rt.stats.worker_crashes == 1
-    assert rt.stats.retries_used >= 1
-    assert rt.stats.quarantined == 0
     assert not any(is_cell_error(r) for r in results)
     assert [canonical_json(r) for r in results] == \
         [canonical_json(r) for r in baseline]
 
 
 def test_crash_budget_exhaustion_quarantines(tmp_path):
-    rt = Runtime(jobs=2, quarantine=True, crash_retries=1)
+    rt = Runtime(jobs=2)
     result = map_with_padding(rt, RunSpec(KILL_SELF, {"x": 1}))
     assert is_cell_error(result)
     assert result["cell_error"]["kind"] == "worker_crash"
     assert result["cell_error"]["attempts"] == 2  # initial + 1 crash retry
     assert rt.stats.worker_crashes == 2
-    assert rt.stats.quarantined == 1
 
 
-def test_crash_retries_zero_fails_fast():
-    rt = Runtime(jobs=2, quarantine=True, crash_retries=0)
-    result = map_with_padding(rt, RunSpec(KILL_SELF, {"x": 1}))
-    assert is_cell_error(result)
+def test_worker_crashes_surface_in_telemetry(tmp_path):
+    """A death the resubmission survives is still counted."""
+    rt = Runtime(jobs=2)
+    sentinel = str(tmp_path / "killed")
+    assert map_with_padding(
+        rt, RunSpec(KILL_ONCE, {"x": 1, "sentinel": sentinel})) == 10
     assert rt.stats.worker_crashes == 1
-    assert rt.stats.retries_used == 0
-
-
-def test_crash_retries_validated():
-    with pytest.raises(ValueError):
-        Runtime(crash_retries=-1)
-    # Defaults to the exception retry budget.
-    assert Runtime(retries=3).crash_retries == 3
-    assert Runtime(retries=1, crash_retries=5).crash_retries == 5
-
-
-def test_worker_crashes_surface_in_telemetry():
-    rt = Runtime(jobs=2, quarantine=True, crash_retries=0)
-    map_with_padding(rt, RunSpec(KILL_SELF, {"x": 1}))
-    assert rt.telemetry()["worker_crashes"] == 1

@@ -101,7 +101,7 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     assert cache.get(spec.key()) == (False, None)
     # The runtime recovers by re-running and overwriting the entry.
     rt = Runtime(jobs=1, cache=cache)
-    assert rt.run(spec) == {"x": 1, "twice": 2}
+    assert rt.map([spec])[0] == {"x": 1, "twice": 2}
     assert cache.get(spec.key())[0]
 
 
