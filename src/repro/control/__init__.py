@@ -9,8 +9,7 @@ returns every host to the service's boot configuration.
 
 Public surface::
 
-    from repro.control import (Service, ServiceConfig, TenantPolicy,
-                               service_cell)
+    from repro.control import Service, ServiceConfig, service_cell
 
 Everything a service run produces is canonical JSON (see
 ``repro.runtime.spec``), so the same command schedule replayed serially,
@@ -18,7 +17,7 @@ through the process pool, or from the result cache is byte-identical —
 the §10 determinism contract extended to mid-run mutation.
 """
 
-from .commands import CommandError, TenantPolicy
+from .commands import CommandError, parse_policy
 from .service import (CohortSample, ControlPlane, Service, ServiceConfig,
                       service_cell)
 
@@ -28,6 +27,6 @@ __all__ = [
     "ControlPlane",
     "Service",
     "ServiceConfig",
-    "TenantPolicy",
+    "parse_policy",
     "service_cell",
 ]

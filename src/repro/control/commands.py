@@ -1,4 +1,4 @@
-"""Control-plane command vocabulary and the tenant policy value type.
+"""Control-plane command vocabulary and the tenant policy parser.
 
 A command is a plain-JSON dict (so schedules round-trip through the
 runtime's run specs) with at least::
@@ -11,17 +11,17 @@ drain time in :class:`repro.control.service.ControlPlane`: a command
 either applies to every host it names or is rejected with a reason —
 never partially applied.
 
-:class:`TenantPolicy` is the *declarative* form of a per-tenant
-:class:`~repro.core.policy.FlowPolicy`: a frozen, JSON-able value the
-control plane keeps as intended state, so the kill switch can re-apply
-the exact boot policy rather than guessing from the datapath.
+:func:`parse_policy` turns a command's policy JSON into the
+:class:`~repro.core.policy.FlowPolicy` the control plane keeps as
+intended state (nothing mutates a ``FlowPolicy`` in place), so the kill
+switch can re-apply the exact boot policy rather than guessing from the
+datapath.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.policy import FlowPolicy
@@ -38,48 +38,24 @@ class CommandError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class TenantPolicy:
-    """Declarative per-tenant policy: the control plane's unit of intent.
-
-    Mirrors :class:`~repro.core.policy.FlowPolicy` field-for-field but is
-    frozen and JSON-able; :meth:`flow_policy` materialises the datapath
-    object (and re-runs the datapath's own validation).
-    """
-
-    algorithm: str = "dctcp"
-    beta: float = 1.0
-    max_rwnd: Optional[int] = None
-
-    def flow_policy(self) -> FlowPolicy:
-        return FlowPolicy(algorithm=self.algorithm, beta=self.beta,
-                          max_rwnd=self.max_rwnd)
-
-    def to_json(self) -> dict:
-        return {"algorithm": self.algorithm, "beta": self.beta,
-                "max_rwnd": self.max_rwnd}
-
-    @staticmethod
-    def from_json(raw: object) -> "TenantPolicy":
-        """Parse and validate; raises :class:`CommandError` with a reason."""
-        if not isinstance(raw, dict):
-            raise CommandError(f"policy must be an object, got {type(raw).__name__}")
-        unknown = set(raw) - {"algorithm", "beta", "max_rwnd"}
-        if unknown:
-            raise CommandError(f"unknown policy field(s) {sorted(unknown)!r}")
-        max_rwnd = raw.get("max_rwnd")
-        if isinstance(max_rwnd, bool) or (isinstance(max_rwnd, float)
-                                          and not max_rwnd.is_integer()):
-            raise CommandError(f"invalid policy: max_rwnd must be a whole "
-                               f"number of bytes, got {max_rwnd!r}")
-        policy = TenantPolicy(algorithm=raw.get("algorithm", "dctcp"),
-                              beta=raw.get("beta", 1.0),
-                              max_rwnd=max_rwnd)
-        try:
-            policy.flow_policy()  # datapath-level validation
-        except (ValueError, TypeError) as exc:
-            raise CommandError(f"invalid policy: {exc}") from exc
-        return policy
+def parse_policy(raw: object) -> FlowPolicy:
+    """Parse and validate a policy object (``{"algorithm", "beta",
+    "max_rwnd"}``, each optional); raises :class:`CommandError` with a
+    reason."""
+    if not isinstance(raw, dict):
+        raise CommandError(f"policy must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - {"algorithm", "beta", "max_rwnd"}
+    if unknown:
+        raise CommandError(f"unknown policy field(s) {sorted(unknown)!r}")
+    max_rwnd = raw.get("max_rwnd")
+    if isinstance(max_rwnd, bool) or (isinstance(max_rwnd, float)
+                                      and not max_rwnd.is_integer()):
+        raise CommandError(f"invalid policy: max_rwnd must be a whole "
+                           f"number of bytes, got {max_rwnd!r}")
+    try:
+        return FlowPolicy(**raw)
+    except (ValueError, TypeError) as exc:
+        raise CommandError(f"invalid policy: {exc}") from exc
 
 
 def encode_wal_entry(pos: int, command: object) -> str:

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
-from ..core import AcdcVswitch
+from ..core import AcdcVswitch, FlowPolicy
 from ..experiments.common import ACDC, Taps, Testbed
 from ..experiments.scenario import Scenario
 from ..faults import Fault, fault_counts, install_faults
@@ -41,7 +41,7 @@ from ..obs import IntTelemetry, ObsContext, TraceConfig, WARNING
 from ..runtime.spec import canonical_json
 from ..sim.rng import RngFactory
 from ..workloads.apps import MessageStream, Sink
-from .commands import CommandError, TenantPolicy, command_shape
+from .commands import CommandError, command_shape, parse_policy
 
 #: Port every service sink listens on.
 SERVICE_PORT = 5001
@@ -66,7 +66,7 @@ class ServiceConfig:
     peers: int = 3
     #: Attach a repro.guard.Guard to every vSwitch.
     guard: bool = False
-    #: Default tenant policy JSON (see TenantPolicy.from_json).
+    #: Default tenant policy JSON (see repro.control.commands.parse_policy).
     default_policy: Optional[dict] = None
     #: In-band network telemetry (repro.obs.int): stamp per-hop metadata
     #: at the switch; epoch reports aggregate per-hop queue depth.
@@ -191,7 +191,8 @@ class ControlPlane:
     """Declarative intended state + the epoch-boundary command queue.
 
     The plane owns the one piece of state the datapath cannot
-    reconstruct: the *intended* per-host :class:`TenantPolicy`.  What
+    reconstruct: the *intended* per-host
+    :class:`~repro.core.policy.FlowPolicy`.  What
     the kill switch restores — the boot configuration — is derived from
     the :class:`ServiceConfig`, so nothing else is kept.  Every command
     application is all-or-nothing: validation for every named host
@@ -202,7 +203,7 @@ class ControlPlane:
     def __init__(self, service: "Service"):
         self.service = service
         self.default_policy = service.default_policy
-        self.intended: Dict[str, TenantPolicy] = {
+        self.intended: Dict[str, FlowPolicy] = {
             addr: service.default_policy for addr in service.vswitches}
         self.log: List[dict] = []
         self._queue: List[tuple] = []
@@ -280,16 +281,16 @@ class ControlPlane:
             raise CommandError(f"unknown host(s) {bad!r}")
         return sorted(set(hosts))
 
-    def _set_host_policy(self, addr: str, policy: TenantPolicy) -> int:
+    def _set_host_policy(self, addr: str, policy: FlowPolicy) -> int:
         self.intended[addr] = policy
-        return self.service.vswitches[addr].apply_policy(policy.flow_policy())
+        return self.service.vswitches[addr].apply_policy(policy)
 
     # -- op handlers ----------------------------------------------------
     def _op_set_policy(self, epoch: int, raw: dict) -> dict:
         self._check_keys(raw, {"hosts", "policy"})
         if "policy" not in raw:
             raise CommandError("set_policy requires a policy object")
-        policy = TenantPolicy.from_json(raw["policy"])
+        policy = parse_policy(raw["policy"])
         addrs = self._resolve_hosts(raw)
         migrated = sum(self._set_host_policy(a, policy) for a in addrs)
         return {"hosts": addrs, "migrated": migrated}
@@ -336,8 +337,7 @@ class Service:
                  schedule: Optional[List[dict]] = None):
         self.config = config
         self.rngs = RngFactory(config.seed)
-        self.default_policy = TenantPolicy.from_json(
-            config.default_policy or {})
+        self.default_policy = parse_policy(config.default_policy or {})
         guards = tuple((f"h{i + 1}", config.guard_config())
                        for i in range(config.n_hosts)) if config.guard else ()
         # The service slices the simulation itself, one epoch at a time.
@@ -356,7 +356,7 @@ class Service:
         # Every vSwitch was built with a PolicyEngine of its own: the
         # control plane swaps each host's *default* policy independently.
         for vsw in self.vswitches.values():
-            vsw.apply_policy(self.default_policy.flow_policy())
+            vsw.apply_policy(self.default_policy)
         # Per-flow read cursor into TelemetryView.q_samples (epoch deltas).
         self._prev_q_idx: Dict[tuple, int] = {}
         for i in range(config.adversarial_hosts):
@@ -496,7 +496,7 @@ class Service:
             "config": self.config.to_json(),
             "epochs": reports,
             "commands": self.control.log,
-            "policies": {a: p.to_json()
+            "policies": {a: dataclasses.asdict(p)
                          for a, p in self.control.intended.items()},
             "fct": {"per_host": per_host, "cohorts": cohorts},
             "counters": counters,

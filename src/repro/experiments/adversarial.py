@@ -66,8 +66,7 @@ def _testbed(n_senders: int, seed: int, duration: float, guards,
 def _guard_config(seed: int) -> GuardConfig:
     """Guard tuning for short simulated runs: react within a few RTTs,
     decay an order of magnitude slower than detection."""
-    return GuardConfig(window_packets=32, clean_windows=3,
-                       decay_base_s=0.02, seed=seed)
+    return GuardConfig(decay_base_s=0.02, seed=seed)
 
 
 def run_point(
@@ -155,8 +154,8 @@ def run_pressure(seed: int = 0, n_senders: int = 8,
     guards = [(f"h{i + 1}", config) for i in range(n_senders)]
     # The receiver has room for half the offered load: ~2 entries per
     # connection.
-    guards.append((f"h{n_senders + 1}", replace(
-        config, max_flow_entries=n_senders, watchdog_interval_s=0.005)))
+    guards.append((f"h{n_senders + 1}",
+                   replace(config, max_flow_entries=n_senders)))
     tb, senders, receiver = _testbed(n_senders, seed, duration, guards,
                                      events)
     r = tb.run()

@@ -12,7 +12,7 @@ gap for tenants (or middleboxes) that don't:
   responses (slack-free policing → penalty RWND clamp → token-bucket
   quarantine) with hysteretic, seeded-deterministic decay;
 * :class:`~repro.guard.watchdog.DatapathWatchdog` — sheds the
-  lowest-priority flows to pass-through under ops/flow-table pressure;
+  lowest-priority flows to pass-through under flow-table pressure;
 * :class:`~repro.guard.guard.Guard` — the facade an
   :class:`~repro.core.acdc.AcdcVswitch` drives.
 """

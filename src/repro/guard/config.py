@@ -1,10 +1,12 @@
-"""Tunables of the misbehavior-detection and degradation subsystem.
+"""The thresholds of the misbehavior-detection and degradation subsystem
+that a caller varies.
 
-Defaults are chosen for datacenter-scale flows (jumbo-frame MSS, sub-ms
-RTTs): a conformance window of a few dozen data packets reacts within a
-handful of RTTs, and the decay ladder takes a multiple of that to step
-back down, so a flapping cheater cannot oscillate its way past the
-enforcement (hysteresis).
+Everything else is a named constant beside the one function that reads
+it (DESIGN.md §8), tuned for datacenter-scale flows (jumbo-frame MSS,
+sub-ms RTTs): a conformance window of a few dozen data packets reacts
+within a handful of RTTs, and the decay ladder takes a multiple of that
+to step back down, so a flapping cheater cannot oscillate its way past
+the enforcement (hysteresis).
 """
 
 from __future__ import annotations
@@ -12,80 +14,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: Violation rate that moves straight to VIOLATOR (read by
+#: :meth:`repro.guard.monitor.ConformanceMonitor.close_window`).
+VIOLATOR_VIOLATION_RATE = 0.5
+
 
 @dataclass
 class GuardConfig:
     """Knobs of :class:`repro.guard.Guard` (see DESIGN.md §8)."""
 
-    # --- conformance monitor ------------------------------------------------
-    #: Egress data packets per conformance window (rate denominators).
-    window_packets: int = 32
+    #: Master seed for the guard's deterministic decay jitter streams.
+    seed: int = 0
+    #: Base of the decay timer armed at each escalation step.
+    decay_base_s: float = 0.05
     #: Violation rate that moves CONFORMING -> SUSPECT.
     suspect_violation_rate: float = 0.25
-    #: Violation rate that moves straight to VIOLATOR.
-    violator_violation_rate: float = 0.5
-    #: Grace segments before an egress overrun counts as a violation
-    #: (mirrors the policer's legitimate-excess cases).
-    monitor_slack_segments: int = 2
-    #: Newly-acked bytes without a single PACK/FACK report before the
-    #: flow is declared feedback-dead (option stripping, §3.2 fallback).
-    feedback_loss_bytes: int = 256 * 1024
-    #: Inferred loss events with zero marked feedback bytes before the
-    #: receiver is suspected of bleaching ECN.
-    bleach_loss_events: int = 3
-    #: An ACK acknowledging fewer than this fraction of an MSS counts as
-    #: a division fragment (ACK-division stacks).
-    ack_division_fraction: float = 0.25
-    #: Fragment rate over an ACK window that raises the anomaly.
-    ack_division_rate: float = 0.5
-
-    # --- escalation ladder --------------------------------------------------
     #: Consecutive clean conformance windows required before stepping a
     #: flow's escalation level back down (hysteresis).
     clean_windows: int = 3
-    #: Base of the decay timer armed at each escalation step.
-    decay_base_s: float = 0.05
-    #: +/- fractional jitter on decay timers, drawn from the flow's
-    #: seeded stream (deterministic per seed, uncorrelated across flows).
-    decay_jitter: float = 0.25
-    #: Hard RWND clamp applied at the VIOLATOR level, in segments.
-    penalty_wnd_segments: int = 2
-    #: Token-bucket rate for quarantined flows.
-    quarantine_rate_bps: float = 50e6
-    #: Token-bucket burst for quarantined flows.
-    quarantine_burst_bytes: int = 8 * 1460
-
-    # --- datapath watchdog --------------------------------------------------
-    #: Watchdog sampling interval (None disables the watchdog even if
-    #: budgets are set).
-    watchdog_interval_s: float = 0.010
-    #: Flow-table pressure threshold; None = unlimited.
+    #: Flow-table budget of the datapath watchdog; None = no watchdog.
     max_flow_entries: Optional[int] = None
-    #: Per-packet datapath operation budget (ops counter delta divided by
-    #: packets processed, per watchdog interval); None = unlimited.
-    max_ops_per_packet: Optional[float] = None
-    #: Fraction of the budget below which shed flows are re-admitted
-    #: (hysteresis between shed and unshed).
-    resume_fraction: float = 0.7
-    #: Fraction of enforced flows shed per over-budget watchdog tick.
-    shed_step_fraction: float = 0.25
-
-    #: Master seed for the guard's deterministic decay jitter streams.
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.window_packets <= 0:
-            raise ValueError("window_packets must be positive")
-        if not 0.0 < self.suspect_violation_rate <= self.violator_violation_rate <= 1.0:
-            raise ValueError("violation-rate thresholds must satisfy "
-                             "0 < suspect <= violator <= 1")
+        if not 0.0 < self.suspect_violation_rate <= VIOLATOR_VIOLATION_RATE:
+            raise ValueError(f"suspect_violation_rate must be in "
+                             f"(0, {VIOLATOR_VIOLATION_RATE}]")
         if self.clean_windows <= 0:
             raise ValueError("clean_windows must be positive")
-        if self.penalty_wnd_segments <= 0:
-            raise ValueError("penalty_wnd_segments must be positive")
-        if self.quarantine_rate_bps <= 0:
-            raise ValueError("quarantine_rate_bps must be positive")
-        if not 0.0 <= self.decay_jitter < 1.0:
-            raise ValueError("decay_jitter must be in [0, 1)")
-        if not 0.0 < self.resume_fraction <= 1.0:
-            raise ValueError("resume_fraction must be in (0, 1]")

@@ -33,6 +33,16 @@ from .monitor import FlowConformance, state_for_level
 
 #: Highest escalation level (token-bucket quarantine).
 MAX_LEVEL = 3
+#: +/- fractional jitter on decay timers (``_arm_decay``), drawn from
+#: the flow's seeded stream (deterministic per seed, uncorrelated
+#: across flows).
+DECAY_JITTER = 0.25
+#: Hard RWND clamp applied at the VIOLATOR level (``penalty_wnd``), in
+#: segments.
+PENALTY_WND_SEGMENTS = 2
+#: Token-bucket rate and burst for quarantined flows (``_apply``).
+QUARANTINE_RATE_BPS = 50e6
+QUARANTINE_BURST_BYTES = 8 * 1460
 
 
 class TokenBucket:
@@ -99,8 +109,7 @@ class EscalationEngine:
         if level <= 0:
             fc.decay_deadline = now
             return
-        jitter = fc.rng.uniform(1.0 - self.config.decay_jitter,
-                                1.0 + self.config.decay_jitter)
+        jitter = fc.rng.uniform(1.0 - DECAY_JITTER, 1.0 + DECAY_JITTER)
         fc.decay_deadline = (
             now + self.config.decay_base_s * (2.0 ** (level - 1)) * jitter)
 
@@ -114,9 +123,8 @@ class EscalationEngine:
             if old < 2 <= new_level:
                 self._impose_penalty(entry, fc)
             if old < 3 <= new_level:
-                fc.bucket = TokenBucket(self.config.quarantine_rate_bps,
-                                        self.config.quarantine_burst_bytes,
-                                        now)
+                fc.bucket = TokenBucket(QUARANTINE_RATE_BPS,
+                                        QUARANTINE_BURST_BYTES, now)
         else:
             if new_level < 3 <= old:
                 fc.bucket = None
@@ -127,7 +135,7 @@ class EscalationEngine:
 
     @property
     def penalty_wnd(self) -> int:
-        return self.config.penalty_wnd_segments * self.mss
+        return PENALTY_WND_SEGMENTS * self.mss
 
     def _impose_penalty(self, entry, fc: FlowConformance) -> None:
         """Hard RWND clamp via the vSwitch CC's own cap, plus a policy rule

@@ -90,27 +90,24 @@ class Guard:
         self.monitor = ConformanceMonitor(self.config, self.mss)
         self.escalation = EscalationEngine(
             self.config, self.mss, vswitch.policy, self._notify)
-        if (self.config.watchdog_interval_s is not None
-                and (self.config.max_flow_entries is not None
-                     or self.config.max_ops_per_packet is not None)):
+        if self.config.max_flow_entries is not None:
             self.watchdog = DatapathWatchdog(self.config, vswitch,
                                              self._notify)
             self.watchdog.start()
 
     #: Fields :meth:`reconfigure` refuses to change live: the seed fixes
     #: the identity of the per-flow jitter streams (changing it mid-run
-    #: would silently re-randomise decay timers), and the watchdog's
-    #: sampling interval is captured by its periodic timer at attach.
-    IMMUTABLE_FIELDS = ("seed", "watchdog_interval_s")
+    #: would silently re-randomise decay timers), and whether a watchdog
+    #: runs at all is decided by ``max_flow_entries`` at attach.
+    IMMUTABLE_FIELDS = ("seed", "max_flow_entries")
 
     def check(self, **changes) -> None:
         """Validate a hot-reload without applying it.
 
         The candidate config is validated as a whole via
         ``dataclasses.replace``, which re-runs ``GuardConfig.__post_init__``
-        against this guard's *current* values for the untouched fields —
-        so cross-field constraints are checked per guard, not in the
-        abstract.  Raises ``ValueError`` on any problem; applies nothing.
+        against this guard's *current* values for the untouched fields.
+        Raises ``ValueError`` on any problem; applies nothing.
         The control plane calls this on every target guard before
         applying to any (multi-host all-or-nothing).
         """
@@ -128,9 +125,9 @@ class Guard:
 
         :meth:`check` validates the whole candidate first; only then are
         the fields mutated **in place** on the shared config object, so
-        the monitor / escalation / watchdog components — which hold a
-        reference and read ``self.config.X`` at use time — all see the
-        update atomically.  An invalid or unknown field rejects the
+        the monitor and escalation components — which hold a reference
+        and read ``self.config.X`` at use time — both see the update
+        atomically.  An invalid or unknown field rejects the
         entire change (never partially applied).
         """
         self.check(**changes)

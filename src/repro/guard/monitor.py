@@ -29,7 +29,7 @@ import random
 from typing import List, Optional, Tuple
 
 from ..net.packet import SEQ_HALF, SEQ_MASK, seq_lt
-from .config import GuardConfig
+from .config import VIOLATOR_VIOLATION_RATE, GuardConfig
 
 #: Conformance states, in escalation order.
 CONFORMING = "conforming"
@@ -43,6 +43,25 @@ CLEAN = "clean"
 ANOMALY_BLEACH = "ecn_bleach"
 ANOMALY_ACK_DIVISION = "ack_division"
 ANOMALY_FEEDBACK_LOSS = "feedback_loss"
+
+#: Egress data packets per conformance window (``close_window``) and
+#: ACKs per ACK-division window (``observe_ack``): rate denominators.
+WINDOW_PACKETS = 32
+#: Grace segments before an egress overrun counts as a violation
+#: (``observe_egress``; mirrors the policer's legitimate-excess cases).
+SLACK_SEGMENTS = 2
+#: Newly-acked bytes without a single PACK/FACK report before the flow
+#: is declared feedback-dead (``observe_ack``; option stripping, §3.2
+#: fallback).
+FEEDBACK_LOSS_BYTES = 256 * 1024
+#: An ACK acknowledging fewer than this fraction of an MSS is a division
+#: fragment, and this fragment rate over an ACK window raises the
+#: anomaly (``observe_ack``; ACK-division stacks).
+ACK_DIVISION_FRACTION = 0.25
+ACK_DIVISION_RATE = 0.5
+#: Inferred loss events with zero marked feedback bytes before the
+#: receiver is suspected of bleaching ECN (``_note_zero_mark_loss``).
+BLEACH_LOSS_EVENTS = 3
 
 
 def state_for_level(level: int) -> str:
@@ -132,7 +151,7 @@ class ConformanceMonitor:
             # At or behind the advertised edge (retransmissions included).
             fc.window_packets += 1
             return False, 0
-        monitored = over > self.config.monitor_slack_segments * self.mss
+        monitored = over > SLACK_SEGMENTS * self.mss
         fc.window_packets += 1
         if monitored:
             fc.window_violations += 1
@@ -153,12 +172,12 @@ class ConformanceMonitor:
         Returns ``None`` (window not full yet), :data:`CLEAN`,
         :data:`SUSPECT` or :data:`VIOLATOR`.
         """
-        if fc.window_packets < self.config.window_packets:
+        if fc.window_packets < WINDOW_PACKETS:
             return None
         rate = fc.window_violations / fc.window_packets
         fc.window_packets = 0
         fc.window_violations = 0
-        if rate >= self.config.violator_violation_rate:
+        if rate >= VIOLATOR_VIOLATION_RATE:
             return VIOLATOR
         if rate >= self.config.suspect_violation_rate:
             return SUSPECT
@@ -170,7 +189,6 @@ class ConformanceMonitor:
     def observe_ack(self, fc: FlowConformance, verdict, total_delta: int,
                     marked_delta: int) -> List[str]:
         """Account one ACK's worth of feedback; returns raised anomalies."""
-        cfg = self.config
         anomalies: List[str] = []
         fc.feedback_total += total_delta
         fc.marked_total += marked_delta
@@ -179,17 +197,17 @@ class ConformanceMonitor:
         elif verdict.newly_acked > 0:
             fc.acked_since_feedback += verdict.newly_acked
             if (not fc.fallback_active
-                    and fc.acked_since_feedback > cfg.feedback_loss_bytes):
+                    and fc.acked_since_feedback > FEEDBACK_LOSS_BYTES):
                 anomalies.append(ANOMALY_FEEDBACK_LOSS)
         if verdict.loss_detected and self._note_zero_mark_loss(fc):
             anomalies.append(ANOMALY_BLEACH)
         # ACK division: a run of ACKs each covering a sliver of an MSS.
         if verdict.newly_acked > 0:
             fc.ack_count += 1
-            if verdict.newly_acked < self.mss * cfg.ack_division_fraction:
+            if verdict.newly_acked < self.mss * ACK_DIVISION_FRACTION:
                 fc.ack_fragments += 1
-            if fc.ack_count >= cfg.window_packets:
-                if fc.ack_fragments / fc.ack_count >= cfg.ack_division_rate:
+            if fc.ack_count >= WINDOW_PACKETS:
+                if fc.ack_fragments / fc.ack_count >= ACK_DIVISION_RATE:
                     anomalies.append(ANOMALY_ACK_DIVISION)
                 fc.ack_count = 0
                 fc.ack_fragments = 0
@@ -213,7 +231,7 @@ class ConformanceMonitor:
         if fc.feedback_total == 0 or fc.marked_total > 0:
             return False
         fc.loss_zero_mark += 1
-        if fc.loss_zero_mark >= self.config.bleach_loss_events:
+        if fc.loss_zero_mark >= BLEACH_LOSS_EVENTS:
             fc.loss_zero_mark = 0  # re-arm: persistence keeps escalating
             return True
         return False

@@ -8,11 +8,9 @@ each cell derives a directory under ``recovery_dir`` from the sha256 of
 its canonical-JSON identity, and a retried execution of the same cell —
 after the pool detected a dead worker — finds the previous incarnation's
 checkpoints there and resumes instead of starting over.  A SIGKILLed
-worker costs one epoch of progress, not the whole cell.
-
-With ``recovery_dir=None`` the cell degrades to a plain uninterruptible
-service run (no supervisor, no snapshots) — that is the baseline the
-byte-identity oracle and the overhead benchmark compare against.
+worker costs one epoch of progress, not the whole cell.  The plain,
+uninterruptible run it must equal byte for byte is
+:func:`repro.control.service.service_cell`.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import hashlib
 from pathlib import Path
 from typing import List, Optional
 
-from ..control.service import Service, ServiceConfig
 from ..runtime.spec import canonical_json
 from .durable import DurableService
 
@@ -41,8 +38,7 @@ def _cell_ident(config: dict, schedule, epochs: int,
 
 def durable_service_cell(config: dict,
                          schedule: Optional[List[dict]] = None,
-                         epochs: int = 6,
-                         recovery_dir: Optional[str] = None,
+                         epochs: int = 6, *, recovery_dir: str,
                          checkpoint_every: int = 1,
                          kill: Optional[dict] = None) -> dict:
     """Run (or resume) one durable service run; returns the service result.
@@ -51,17 +47,8 @@ def durable_service_cell(config: dict,
     :class:`~repro.faults.injectors.WorkerKill`: ``{"at": <sim time>}``
     plus an optional ``"sentinel"`` path (defaults to a file inside the
     cell's own recovery directory, which is exactly the fire-once scope
-    a retried cell needs).  Requires ``recovery_dir`` — killing a run
-    nothing can resume would just lose it.
+    a retried cell needs).
     """
-    if recovery_dir is None:
-        if kill is not None:
-            raise ValueError(
-                "kill requires recovery_dir: a kill without checkpoints "
-                "is just data loss")
-        service = Service(ServiceConfig(**config), schedule=schedule or [])
-        return service.run(epochs)
-
     root = (Path(recovery_dir)
             / _cell_ident(config, schedule, epochs, checkpoint_every, kill))
     kill_fault = None

@@ -60,20 +60,6 @@ class RecoveryStats:
     checkpoints_pruned: int = 0
     restored_epoch: Optional[int] = None
 
-    def report(self) -> dict:
-        return {
-            "snapshots": self.snapshots,
-            "snapshot_bytes_last": self.snapshot_bytes_last,
-            "snapshot_bytes_total": self.snapshot_bytes_total,
-            "snapshot_s_last": self.snapshot_s_last,
-            "snapshot_s_total": self.snapshot_s_total,
-            "restores": self.restores,
-            "wal_replayed": self.wal_replayed,
-            "wal_torn_dropped": self.wal_torn_dropped,
-            "checkpoints_pruned": self.checkpoints_pruned,
-            "restored_epoch": self.restored_epoch,
-        }
-
 
 class DurableService:
     """One durable service run rooted at a directory.
@@ -87,7 +73,7 @@ class DurableService:
 
     def __init__(self, config=None, schedule: Optional[List[dict]] = None,
                  *, root, checkpoint_every: int = 1, keep: int = 3,
-                 wal_sync: bool = True, kill=None):
+                 kill=None):
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         if keep < 1:
@@ -98,7 +84,7 @@ class DurableService:
         self.kill = kill
         self.stats = RecoveryStats()
         self.restored_from: Optional[CheckpointInfo] = None
-        self.wal = WriteAheadLog(self.root / WAL_FILE, sync=wal_sync)
+        self.wal = WriteAheadLog(self.root / WAL_FILE)
         self.stats.wal_torn_dropped = self.wal.torn_dropped
 
         loaded = latest_checkpoint(self.root / CHECKPOINT_DIR)
@@ -227,12 +213,6 @@ class DurableService:
 
     def result(self) -> dict:
         return self.service.result()
-
-    def recovery_report(self) -> dict:
-        """Supervisor-side durability accounting (kept out of the
-        service result on purpose — it differs between an interrupted
-        and an uninterrupted run)."""
-        return self.stats.report()
 
     def close(self) -> None:
         self.wal.close()

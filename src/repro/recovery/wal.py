@@ -34,9 +34,8 @@ from ..control.commands import decode_wal_entry, encode_wal_entry
 class WriteAheadLog:
     """Append-only, crc-framed command log backing one durable service."""
 
-    def __init__(self, path, sync: bool = True):
+    def __init__(self, path):
         self.path = Path(path)
-        self.sync = sync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         #: Torn/corrupt lines dropped at open (observability, not errors).
         self.torn_dropped = 0
@@ -71,17 +70,16 @@ class WriteAheadLog:
     def append(self, command: object) -> int:
         """Durably log one submission; returns its position.
 
-        The entry is flushed (and fsynced unless ``sync=False``) before
-        this returns — write-ahead means the log wins races with the
-        crash, not loses them.
+        The entry is flushed and fsynced before this returns —
+        write-ahead means the log wins races with the crash, not loses
+        them.
         """
         pos = self.pos
         fh = self._file()
         fh.write(encode_wal_entry(pos, command))
         fh.write("\n")
         fh.flush()
-        if self.sync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
         self.pos = pos + 1
         return pos
 

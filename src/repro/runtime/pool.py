@@ -27,11 +27,6 @@ from .cache import ResultCache
 from .spec import RunSpec
 
 
-def _execute(fn: str, kwargs: dict) -> Any:
-    """Pool-worker entry point (module-level: must be picklable)."""
-    return RunSpec(fn, kwargs).execute()
-
-
 def cell_error(fn: str, kind: str, message: str, attempts: int) -> dict:
     """The structured result of a cell whose worker died on every try.
 
@@ -123,8 +118,6 @@ class Runtime:
             todo.append(i)
         if self.cache is not None:
             self.stats.cache_corrupt += self.cache.corrupt - corrupt_before
-        if not todo:
-            return results
         if self.jobs == 1 or len(todo) == 1:
             for i in todo:
                 results[i] = specs[i].execute()
@@ -157,9 +150,7 @@ class Runtime:
             wave, pending = pending, []
             with ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(wave))) as pool:
-                futures = [pool.submit(_execute, specs[i].fn,
-                                       dict(specs[i].kwargs))
-                           for i in wave]
+                futures = [pool.submit(specs[i].execute) for i in wave]
                 for pos, (i, future) in enumerate(zip(wave, futures)):
                     try:
                         results[i] = future.result()
@@ -180,6 +171,14 @@ class Runtime:
                             else:
                                 pending.append(j)
                         break
+                    except BaseException:
+                        # Report now: cancel the cells no worker has
+                        # taken and leave the taken ones to finish
+                        # unawaited (leaving the block then joins nothing).
+                        for other in futures:
+                            other.cancel()
+                        pool.shutdown(wait=False)
+                        raise
                     self.stats.executed += 1
 
 

@@ -86,7 +86,6 @@ class TcpConnection:
         cc_kwargs: Optional[dict] = None,
         ignore_rwnd: bool = False,
         ack_division: int = 0,
-        ecn_bleach: bool = False,
     ):
         self.sim = sim
         self.host = host
@@ -149,13 +148,12 @@ class TcpConnection:
         self.retransmitted_bytes = 0
 
         self.ignore_rwnd = ignore_rwnd
-        # Adversarial receiver models (see repro.guard): split cumulative
+        # Adversarial receiver model (see repro.guard): split cumulative
         # ACKs into this many sub-ACKs (Savage et al.'s ACK division; 0/1
-        # = honest), and/or never echo congestion marks (ECN bleaching).
+        # = honest).  ECN bleaching is a wire fault (repro.faults.EcnBleach).
         if ack_division < 0:
             raise ValueError("ack_division must be >= 0")
         self.ack_division = ack_division
-        self.ecn_bleach = ecn_bleach
 
         # --- pacing (models the Fig. 2 per-flow rate limiter) -------------------
         self.pacing_rate_bps = pacing_rate_bps
@@ -703,7 +701,7 @@ class TcpConnection:
         end = (start + pkt.payload_len) & SEQ_MASK  # Packet.end_seq
         prev_rcv_nxt = self.rcv_nxt
         ce = pkt.ecn == ECN_CE
-        if self.ecn_ok and not self.ecn_bleach:
+        if self.ecn_ok:
             if self.cc_name == "dctcp":
                 self.ece_latched = ce  # precise per-ACK echo
             elif ce:

@@ -1,9 +1,12 @@
 """Command validation and all-or-nothing application (repro.control)."""
 
+import dataclasses
+
 import pytest
 
-from repro.control import Service, ServiceConfig, TenantPolicy
+from repro.control import Service, ServiceConfig, parse_policy
 from repro.control.commands import CommandError, command_shape
+from repro.core import FlowPolicy
 
 
 def tiny_service(**overrides):
@@ -14,12 +17,13 @@ def tiny_service(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# TenantPolicy / shape parsing
+# Tenant policy / shape parsing
 # ---------------------------------------------------------------------------
 
 def test_tenant_policy_round_trips():
-    policy = TenantPolicy(algorithm="reno", beta=0.5, max_rwnd=10_000)
-    assert TenantPolicy.from_json(policy.to_json()) == policy
+    policy = FlowPolicy(algorithm="reno", beta=0.5, max_rwnd=10_000)
+    assert parse_policy(dataclasses.asdict(policy)) == policy
+    assert parse_policy({}) == FlowPolicy()
 
 
 @pytest.mark.parametrize("raw, fragment", [
@@ -33,7 +37,7 @@ def test_tenant_policy_round_trips():
 ])
 def test_tenant_policy_rejections(raw, fragment):
     with pytest.raises(CommandError, match=fragment):
-        TenantPolicy.from_json(raw)
+        parse_policy(raw)
 
 
 @pytest.mark.parametrize("raw, fragment", [
@@ -155,6 +159,23 @@ def test_set_guard_is_all_or_nothing(params):
             for a, g in svc.guards.items()} == before
 
 
+def test_set_guard_refuses_a_live_flow_table_budget():
+    """Regression: a live ``max_flow_entries`` was reported applied but
+    armed no watchdog (the guard builds one only at attach), so it never
+    bounded a table."""
+    svc = tiny_service(guard=True)
+    svc.control.submit({"epoch": 0, "op": "set_guard",
+                        "params": {"clean_windows": 5,
+                                   "max_flow_entries": 1}})
+    (outcome,) = svc.control.drain(0)
+    assert outcome["status"] == "rejected"
+    assert "'max_flow_entries' cannot be changed live" in outcome["reason"]
+    for guard in svc.guards.values():
+        assert guard.watchdog is None
+        assert guard.config.max_flow_entries is None
+        assert guard.config.clean_windows == 3
+
+
 # ---------------------------------------------------------------------------
 # kill_switch
 # ---------------------------------------------------------------------------
@@ -173,7 +194,7 @@ def test_kill_switch_reverts_policy_and_guard_state():
     (outcome,) = svc.control.drain(1)
     assert outcome["status"] == "applied"
     # Back to the boot configuration, not to the last applied command.
-    boot_policy = TenantPolicy(beta=0.8)
+    boot_policy = FlowPolicy(beta=0.8)
     assert all(p == boot_policy for p in svc.control.intended.values())
     assert svc.vswitches["h1"].policy.default.max_rwnd is None
     for guard in svc.guards.values():

@@ -10,7 +10,10 @@ design would lose.  These tests restore through the full
 same run executed uninterrupted.
 """
 
-from repro.control import Service, ServiceConfig, TenantPolicy
+import dataclasses
+
+from repro.control import Service, ServiceConfig
+from repro.core import FlowPolicy
 from repro.recovery import DurableService
 from repro.runtime.spec import canonical_json
 
@@ -58,7 +61,7 @@ def test_restored_service_keeps_mutations_and_kill_switch_reverts(tmp_path):
     result = resumed.run(EPOCHS)
     resumed.close()
     boot = service.config.guard_config()
-    assert all(p == TenantPolicy().to_json()
+    assert all(p == dataclasses.asdict(FlowPolicy())
                for p in result["policies"].values())
     assert all(g.config.clean_windows == boot.clean_windows
                for g in resumed.service.guards.values())

@@ -110,12 +110,12 @@ def test_guard_hot_reload_reaches_live_components():
     assert guard.monitor is not None
     svc.control.submit({"epoch": 0, "op": "set_guard",
                         "params": {"suspect_violation_rate": 0.05,
-                                   "violator_violation_rate": 0.1}})
+                                   "clean_windows": 5}})
     (outcome,) = svc.control.drain(0)
     assert outcome["status"] == "applied"
     # Monitor and escalation read the same (mutated-in-place) config.
     assert guard.monitor.config.suspect_violation_rate == 0.05
-    assert guard.escalation.config.violator_violation_rate == 0.1
+    assert guard.escalation.config.clean_windows == 5
     svc.sim.run(until=0.02)  # service keeps running under new thresholds
 
 

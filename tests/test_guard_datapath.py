@@ -9,7 +9,7 @@ from collections import Counter
 
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.faults import OptionStrip, install_faults
-from repro.guard import Guard, GuardConfig
+from repro.guard import Guard
 from repro.obs import read_jsonl
 from repro.obs.__main__ import main as obs_cli
 from repro.sim import Simulator
@@ -19,9 +19,9 @@ from repro.workloads.apps import Sink
 MSS = 1440
 
 
-def guarded_pair(two_hosts, guard_config=None, policy=None):
+def guarded_pair(two_hosts, policy=None):
     sim, topo, a, b, sw = two_hosts
-    guard = Guard(guard_config or GuardConfig(window_packets=16))
+    guard = Guard()
     vsw_a = AcdcVswitch(a, policy=policy, guard=guard)
     vsw_b = AcdcVswitch(b)
     a.attach_vswitch(vsw_a)
@@ -81,7 +81,7 @@ def test_a_dumped_guard_drop_reads_warning(two_hosts, tmp_path, capsys):
     default INFO, so a dumped policer drop (WARNING on the bus) vanished
     from ``timeline --min-sev warning``."""
     sim, topo, a, b, sw = two_hosts
-    guard = Guard(GuardConfig(window_packets=16))
+    guard = Guard()
     vsw_a = AcdcVswitch(a, policy=clamp_policy(), guard=guard,
                         config=AcdcConfig(sanitize=True))  # arms the ring
     a.attach_vswitch(vsw_a)
@@ -102,7 +102,7 @@ def test_cheater_events_deterministic_across_runs():
         sim = Simulator()
         topo, hosts, sw = star(sim, 2, mtu=1500, ecn_enabled=True, seed=0)
         a, b = hosts
-        guard = Guard(GuardConfig(window_packets=16))
+        guard = Guard()
         a.attach_vswitch(AcdcVswitch(a, policy=clamp_policy(), guard=guard))
         b.attach_vswitch(AcdcVswitch(b))
         transfer(sim, a, b, until=0.1, conn_opts={"ignore_rwnd": True})
@@ -112,8 +112,7 @@ def test_cheater_events_deterministic_across_runs():
 
 
 def test_option_strip_degrades_to_local_signal_cc(two_hosts):
-    sim, a, b, vsw_a, guard = guarded_pair(
-        two_hosts, guard_config=GuardConfig(feedback_loss_bytes=30_000))
+    sim, a, b, vsw_a, guard = guarded_pair(two_hosts)
     strip = OptionStrip(direction="ingress")
     install_faults(a, [strip])
     conn = transfer(sim, a, b, nbytes=400_000)
@@ -131,8 +130,7 @@ def test_option_strip_degrades_to_local_signal_cc(two_hosts):
 
 
 def test_fallback_is_one_way_and_preserves_operating_point(two_hosts):
-    sim, a, b, vsw_a, guard = guarded_pair(
-        two_hosts, guard_config=GuardConfig(feedback_loss_bytes=30_000))
+    sim, a, b, vsw_a, guard = guarded_pair(two_hosts)
     install_faults(a, [OptionStrip(direction="ingress")])
     conn = transfer(sim, a, b, nbytes=600_000)
     # One swap, even though feedback stays dead for the rest of the flow.

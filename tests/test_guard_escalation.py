@@ -24,9 +24,16 @@ class FakeEntry:
         self.enforced_wnd = 50 * MSS
 
 
-def make(**over):
-    cfg = GuardConfig(clean_windows=2, decay_base_s=1.0, decay_jitter=0.0,
-                      penalty_wnd_segments=2, **over)
+class MidpointRng:
+    """A decay-jitter stream that always draws the middle of its range,
+    so a decay deadline is exactly ``decay_base_s * 2**(level - 1)``."""
+
+    def uniform(self, low, high):
+        return (low + high) / 2
+
+
+def make(rng=None):
+    cfg = GuardConfig(clean_windows=2, decay_base_s=1.0)
     policy = PolicyEngine()
     events = []
 
@@ -35,7 +42,7 @@ def make(**over):
 
     eng = EscalationEngine(cfg, MSS, policy, notify)
     entry = FakeEntry()
-    fc = FlowConformance(random.Random(0))
+    fc = FlowConformance(rng if rng is not None else MidpointRng())
     return eng, entry, fc, policy, events
 
 
@@ -96,6 +103,7 @@ def test_quarantine_bucket_created_at_level_3():
 def test_deescalation_needs_streak_and_decay_deadline():
     eng, entry, fc, policy, events = make()
     eng.escalate(entry, fc, floor=2, now=0.0, reason="x")
+    assert fc.decay_deadline == 2.0
     # Streak satisfied but deadline (decay_base * 2^(level-1) = 2 s) not.
     eng.note_clean_window(entry, fc, now=0.5)
     eng.note_clean_window(entry, fc, now=1.0)
@@ -133,11 +141,13 @@ def test_escalation_resets_clean_streak():
 
 
 def test_decay_deadline_deterministic_per_seeded_stream():
-    eng1, entry1, fc1, _, _ = make()
-    eng2, entry2, fc2, _, _ = make()
+    eng1, entry1, fc1, _, _ = make(random.Random(0))
+    eng2, entry2, fc2, _, _ = make(random.Random(0))
     eng1.escalate(entry1, fc1, floor=2, now=0.0, reason="x")
     eng2.escalate(entry2, fc2, floor=2, now=0.0, reason="x")
     assert fc1.decay_deadline == fc2.decay_deadline
+    # Jittered within +/-25% of the 2 s base deadline.
+    assert 1.5 <= fc1.decay_deadline <= 2.5
 
 
 def test_token_bucket_rates_and_burst():

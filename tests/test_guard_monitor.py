@@ -14,9 +14,12 @@ from repro.guard.monitor import (
     ANOMALY_ACK_DIVISION,
     ANOMALY_BLEACH,
     ANOMALY_FEEDBACK_LOSS,
+    BLEACH_LOSS_EVENTS,
     CLEAN,
+    FEEDBACK_LOSS_BYTES,
     SUSPECT,
     VIOLATOR,
+    WINDOW_PACKETS,
     state_for_level,
 )
 from repro.net.packet import SEQ_MASK
@@ -27,9 +30,8 @@ Verdict = namedtuple("Verdict", "newly_acked loss_detected")
 Pkt = namedtuple("Pkt", "end_seq")
 
 
-def make(window_packets=8, **over):
-    cfg = GuardConfig(window_packets=window_packets, **over)
-    mon = ConformanceMonitor(cfg, mss=MSS)
+def make():
+    mon = ConformanceMonitor(GuardConfig(), mss=MSS)
     fc = FlowConformance(random.Random(0))
     return mon, fc
 
@@ -117,8 +119,8 @@ def grade_window(mon, fc, violations, packets):
 
 
 def test_close_window_not_full_returns_none():
-    mon, fc = make(window_packets=8)
-    assert grade_window(mon, fc, 0, 7) is None
+    mon, fc = make()
+    assert grade_window(mon, fc, 0, WINDOW_PACKETS - 1) is None
 
 
 @pytest.mark.parametrize("violations,expected", [
@@ -126,9 +128,12 @@ def test_close_window_not_full_returns_none():
     (8, VIOLATOR),
 ])
 def test_close_window_grades_by_violation_rate(violations, expected):
-    # Defaults: suspect at >= 25%, violator at >= 50% of 8 packets.
-    mon, fc = make(window_packets=8)
-    assert grade_window(mon, fc, violations, 8) == expected
+    # Suspect at >= 25%, violator at >= 50% of the window; ``violations``
+    # are eighths of it.
+    mon, fc = make()
+    eighth = WINDOW_PACKETS // 8
+    assert grade_window(mon, fc, violations * eighth,
+                        WINDOW_PACKETS) == expected
     # Grading resets the window counters.
     assert fc.window_packets == 0
     assert fc.window_violations == 0
@@ -138,16 +143,19 @@ def test_close_window_grades_by_violation_rate(violations, expected):
 # ACK-side anomalies
 # ----------------------------------------------------------------------
 def test_feedback_loss_raised_after_threshold_bytes():
-    mon, fc = make(feedback_loss_bytes=10 * MSS)
-    for _ in range(10):
-        assert mon.observe_ack(fc, Verdict(MSS, False), 0, 0) == []
+    mon, fc = make()
+    full, rest = divmod(FEEDBACK_LOSS_BYTES, MSS)
+    # Exactly the threshold without a report: not yet feedback-dead.
+    for acked in [MSS] * full + [rest]:
+        assert mon.observe_ack(fc, Verdict(acked, False), 0, 0) == []
+    assert fc.acked_since_feedback == FEEDBACK_LOSS_BYTES
     assert mon.observe_ack(fc, Verdict(MSS, False), 0, 0) == [
         ANOMALY_FEEDBACK_LOSS]
 
 
 def test_feedback_delta_resets_loss_accumulator():
-    mon, fc = make(feedback_loss_bytes=10 * MSS)
-    for _ in range(10):
+    mon, fc = make()
+    for _ in range(FEEDBACK_LOSS_BYTES // MSS):
         mon.observe_ack(fc, Verdict(MSS, False), 0, 0)
     mon.observe_ack(fc, Verdict(MSS, False), total_delta=MSS, marked_delta=0)
     assert fc.acked_since_feedback == 0
@@ -155,61 +163,61 @@ def test_feedback_delta_resets_loss_accumulator():
 
 
 def test_feedback_loss_suppressed_once_fallback_active():
-    mon, fc = make(feedback_loss_bytes=MSS)
+    mon, fc = make()
     fc.fallback_active = True
-    for _ in range(10):
+    for _ in range(FEEDBACK_LOSS_BYTES // MSS + 10):
         assert mon.observe_ack(fc, Verdict(MSS, False), 0, 0) == []
 
 
 def test_bleach_needs_working_feedback_channel():
-    mon, fc = make(bleach_loss_events=2)
+    mon, fc = make()
     # Losses with a channel that never reported anything: that is the
     # feedback-loss case, not bleaching.
-    for _ in range(5):
+    for _ in range(BLEACH_LOSS_EVENTS + 2):
         assert ANOMALY_BLEACH not in mon.observe_ack(
             fc, Verdict(MSS, True), 0, 0)
     assert fc.loss_zero_mark == 0
 
 
 def test_bleach_fires_on_losses_with_zero_marks_and_rearms():
-    mon, fc = make(bleach_loss_events=2)
+    mon, fc = make()
     mon.observe_ack(fc, Verdict(MSS, False), total_delta=MSS, marked_delta=0)
-    assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == []
-    assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == [ANOMALY_BLEACH]
-    # Counter re-armed: persistence keeps firing.
-    assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == []
-    assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == [ANOMALY_BLEACH]
+    # Counter re-armed after each firing: persistence keeps firing.
+    for _ in range(2):
+        for _ in range(BLEACH_LOSS_EVENTS - 1):
+            assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == []
+        assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == [
+            ANOMALY_BLEACH]
 
 
 def test_single_marked_byte_disarms_bleach_forever():
-    mon, fc = make(bleach_loss_events=2)
+    mon, fc = make()
     mon.observe_ack(fc, Verdict(MSS, False), total_delta=MSS, marked_delta=1)
-    for _ in range(5):
+    for _ in range(BLEACH_LOSS_EVENTS + 2):
         assert mon.observe_ack(fc, Verdict(MSS, True), 0, 0) == []
 
 
 def test_timeouts_feed_the_bleach_detector():
-    mon, fc = make(bleach_loss_events=3)
+    mon, fc = make()
     mon.observe_ack(fc, Verdict(MSS, False), total_delta=MSS, marked_delta=0)
-    assert mon.observe_timeout(fc) == []
-    assert mon.observe_timeout(fc) == []
+    for _ in range(BLEACH_LOSS_EVENTS - 1):
+        assert mon.observe_timeout(fc) == []
     assert mon.observe_timeout(fc) == [ANOMALY_BLEACH]
 
 
 def test_ack_division_detected_over_a_window_of_acks():
-    mon, fc = make(window_packets=8, ack_division_fraction=0.25,
-                   ack_division_rate=0.5)
-    # 8 ACKs, 5 of them slivers (< 250 bytes): rate 5/8 >= 0.5.
+    mon, fc = make()
+    # A window of ACKs, 5/8 of them slivers (< 250 bytes): rate >= 0.5.
     anomalies = []
-    for i in range(8):
-        acked = 100 if i < 5 else MSS
+    for i in range(WINDOW_PACKETS):
+        acked = 100 if i < WINDOW_PACKETS * 5 // 8 else MSS
         anomalies += mon.observe_ack(fc, Verdict(acked, False), MSS, 0)
     assert anomalies == [ANOMALY_ACK_DIVISION]
     assert fc.ack_count == 0  # window reset
 
 
 def test_full_mss_acks_never_flag_division():
-    mon, fc = make(window_packets=8)
-    for _ in range(20):
+    mon, fc = make()
+    for _ in range(2 * WINDOW_PACKETS + 4):
         assert ANOMALY_ACK_DIVISION not in mon.observe_ack(
             fc, Verdict(MSS, False), MSS, 0)

@@ -1,14 +1,13 @@
 """Unit tests for the datapath watchdog (repro.guard.watchdog).
 
-The watchdog only reads ``vswitch.sim``, ``vswitch.ops`` and
-``vswitch.table``, so a minimal fake vSwitch suffices — ticks are driven
-by running the real simulator clock.
+The watchdog only reads ``vswitch.sim`` and ``vswitch.table``, so a
+minimal fake vSwitch suffices — ticks are driven by running the real
+simulator clock.
 """
 
 from repro.core import FlowPolicy
-from repro.core.ops import OpsCounter
 from repro.guard import DatapathWatchdog, GuardConfig
-from repro.sim import Simulator
+from repro.guard.watchdog import INTERVAL_S
 
 
 class FakeEntry:
@@ -22,14 +21,11 @@ class FakeEntry:
 class FakeVswitch:
     def __init__(self, sim):
         self.sim = sim
-        self.ops = OpsCounter()
         self.table = []
 
 
-def make(sim, entries, **over):
-    over.setdefault("shed_step_fraction", 0.5)
-    over.setdefault("resume_fraction", 0.5)
-    cfg = GuardConfig(watchdog_interval_s=0.01, **over)
+def make(sim, entries, max_flow_entries):
+    cfg = GuardConfig(max_flow_entries=max_flow_entries)
     vswitch = FakeVswitch(sim)
     vswitch.table = entries
     events = []
@@ -43,12 +39,12 @@ def make(sim, entries, **over):
 
 
 def tick(sim, n=1):
-    sim.run(until=sim.now + n * 0.01 + 1e-6)
+    sim.run(until=sim.now + n * INTERVAL_S + 1e-6)
 
 
-def test_no_budgets_never_sheds(sim):
+def test_under_budget_never_sheds(sim):
     entries = [FakeEntry(("h", i, "r", 1)) for i in range(10)]
-    wd, vswitch, events = make(sim, entries)
+    wd, vswitch, events = make(sim, entries, max_flow_entries=10)
     tick(sim, 5)
     assert wd.ticks >= 5
     assert wd.sheds == 0 and events == []
@@ -56,14 +52,14 @@ def test_no_budgets_never_sheds(sim):
 
 def test_table_pressure_sheds_lowest_beta_first(sim):
     entries = [FakeEntry(("h", i, "r", 1), beta=0.1 * (i + 1))
-               for i in range(4)]
+               for i in range(8)]
     wd, vswitch, events = make(sim, entries, max_flow_entries=2)
     tick(sim)
-    # step = 50% of 4 candidates = 2 shed, smallest beta first.
-    assert [e.shed for e in entries] == [True, True, False, False]
+    # step = 25% of 8 candidates = 2 shed, smallest beta first.
+    assert [e.shed for e in entries] == [True, True] + [False] * 6
     assert [k for kind, k, d in events] == [("h", 0, "r", 1), ("h", 1, "r", 1)]
     assert all(kind == "guard.shed" for kind, k, d in events)
-    assert events[0][2]["reason"] == "flow_table"
+    assert events[0][2] == {"reason": "flow_table", "flow_entries": 8}
 
 
 def test_unenforced_entries_are_never_shed(sim):
@@ -75,37 +71,22 @@ def test_unenforced_entries_are_never_shed(sim):
     assert entries[1].shed is True
 
 
-def test_ops_budget_sheds_on_per_packet_delta(sim):
-    entries = [FakeEntry(("h", i, "r", 1)) for i in range(2)]
-    wd, vswitch, events = make(sim, entries, max_ops_per_packet=3.0)
-    # 2 ops per packet: under budget.
-    vswitch.ops.packets_egress = 10
-    vswitch.ops.record("seq_update", 20)
-    tick(sim)
-    assert wd.sheds == 0
-    # Next interval: 10 ops per packet — over budget.
-    vswitch.ops.packets_egress = 20
-    vswitch.ops.record("cc_update", 100)
-    tick(sim)
-    assert wd.sheds == 1
-    assert events[0][2]["reason"] == "ops_budget"
-
-
 def test_hysteresis_unsheds_highest_priority_first(sim):
     entries = [FakeEntry(("h", i, "r", 1), beta=0.1 * (i + 1))
-               for i in range(4)]
-    wd, vswitch, events = make(sim, entries, max_flow_entries=3,
-                               resume_fraction=0.9)
-    tick(sim)  # 4 > 3: shed step = 50% of 4 candidates = 2 (h0, h1)
+               for i in range(8)]
+    wd, vswitch, events = make(sim, entries, max_flow_entries=7)
+    tick(sim)  # 8 > 7: shed step = 25% of 8 candidates = 2 (h0, h1)
     assert wd.sheds == 2
     assert entries[0].shed and entries[1].shed
-    # In the hysteresis band (2.7 < 3 <= 3): neither shed nor re-admit.
-    vswitch.table = entries[:3]
-    tick(sim)
-    assert wd.sheds == 2 and wd.unsheds == 0
+    # In the hysteresis band (7 x 0.7 = 4.9 < entries <= 7): neither
+    # shed nor re-admit.
+    for n in (7, 5):
+        vswitch.table = entries[:n]
+        tick(sim)
+        assert wd.sheds == 2 and wd.unsheds == 0
     # Load drops below the resume fraction: re-admit step by step,
     # highest beta among the shed first.
-    vswitch.table = entries[:2]
+    vswitch.table = entries[:4]
     tick(sim)
     assert wd.unsheds == 1
     assert entries[1].shed is False  # h1 (beta 0.2) before h0 (beta 0.1)

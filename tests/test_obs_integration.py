@@ -16,7 +16,7 @@ from repro.analysis import sanitize
 from repro.analysis.sanitize import InvariantViolation
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.experiments import fig09_window_tracking as fig09
-from repro.guard import Guard, GuardConfig
+from repro.guard import Guard
 from repro.net.packet import mss_for_mtu
 from repro.obs import (EVENT_SCHEMAS, INFO, WARNING, ObsContext, TraceConfig,
                        read_jsonl)
@@ -142,7 +142,7 @@ def test_the_ring_is_the_bus_tail_and_a_guard_transition_is_offered_once(
     sim, topo, a, b, sw = two_hosts
     # Unsampled, so every ECN mark the ring keeps is on the bus too.
     obs = ObsContext(sim, TraceConfig(sample={}))
-    guard = Guard(GuardConfig(window_packets=16))
+    guard = Guard()
     clamp = PolicyEngine(default=FlowPolicy(max_rwnd=4 * a.mss))
     vsw_a = AcdcVswitch(a, policy=clamp, guard=guard, obs=obs,
                         config=AcdcConfig(police=True, sanitize=True))

@@ -19,9 +19,8 @@ import pytest
 from repro.control.commands import decode_wal_entry, encode_wal_entry
 from repro.control.service import Service, ServiceConfig
 from repro.recovery import (CheckpointError, DurableService, WriteAheadLog,
-                            durable_service_cell, latest_checkpoint,
-                            list_checkpoints, read_checkpoint,
-                            write_checkpoint)
+                            latest_checkpoint, list_checkpoints,
+                            read_checkpoint, write_checkpoint)
 from repro.recovery.checkpoint import (FORMAT_VERSION, checkpoint_path,
                                       prune_checkpoints)
 from repro.runtime.spec import RunSpec, canonical_json
@@ -43,7 +42,7 @@ def canon(result) -> str:
 
 
 def baseline(epochs=4) -> dict:
-    return RunSpec("repro.recovery.cell:durable_service_cell",
+    return RunSpec("repro.control.service:service_cell",
                    dict(config=CONFIG, schedule=SCHEDULE,
                         epochs=epochs)).execute()
 
@@ -401,12 +400,6 @@ def test_sigkill_mid_epoch_then_resume_is_byte_identical(tmp_path):
     resumed = run_cell_in_child(kwargs, hashseed=1)
     assert resumed.returncode == 0, resumed.stderr
     assert canon(json.loads(resumed.stdout)) == canon(baseline())
-
-
-def test_kill_without_recovery_dir_is_refused():
-    with pytest.raises(ValueError, match="kill requires recovery_dir"):
-        durable_service_cell(config=CONFIG, epochs=2,
-                             kill={"at": 0.005})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from repro.runtime import Runtime, RunSpec, is_cell_error
 from repro.runtime.spec import canonical_json
 
 CELL = "repro.recovery.cell:durable_service_cell"
+#: The plain service run a durable cell must equal.
+PLAIN = "repro.control.service:service_cell"
 
 CONFIG = dict(n_hosts=4, epoch_s=0.01, arrival_rate_hz=400.0,
               msg_sizes=[16_384, 65_536], msg_weights=[3, 1],
@@ -64,8 +66,8 @@ def cell_kwargs(seed, **extra):
 
 def test_killed_worker_cell_resumes_and_matches_baseline(tmp_path):
     baseline = Runtime(jobs=2).map([
-        RunSpec(CELL, cell_kwargs(5)),
-        RunSpec(CELL, cell_kwargs(6)),
+        RunSpec(PLAIN, cell_kwargs(5)),
+        RunSpec(PLAIN, cell_kwargs(6)),
     ])
 
     rt = Runtime(jobs=2)

@@ -5,6 +5,7 @@ and corrupt cache entries are counted misses."""
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -37,10 +38,18 @@ def kill_self(x):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def slow(sentinel):
+    """Mark the cell started, then take a second."""
+    open(sentinel, "w").close()
+    time.sleep(1.0)
+    return 0
+
+
 DOUBLE = f"{__name__}:double"
 RAISES = f"{__name__}:always_raises"
 VIOLATES = f"{__name__}:violates"
 KILL_SELF = f"{__name__}:kill_self"
+SLOW = f"{__name__}:slow"
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +73,17 @@ def test_unguarded_runtime_still_propagates():
         with pytest.raises(ValueError, match="poisoned"):
             rt.map([RunSpec(DOUBLE, {"x": 1}), RunSpec(RAISES, {"x": 1})])
         assert rt.stats.worker_crashes == 0
+
+
+def test_pool_reports_a_raising_cell_before_the_queue_runs(tmp_path):
+    """Regression: leaving the pool joined it, so the error waited for
+    every queued cell to run first."""
+    rt = Runtime(jobs=2)
+    slow_cells = [RunSpec(SLOW, {"sentinel": str(tmp_path / f"s{i}")})
+                  for i in range(8)]
+    with pytest.raises(ValueError, match="poisoned"):
+        rt.map([RunSpec(RAISES, {"x": 1})] + slow_cells)
+    assert len(list(tmp_path.iterdir())) <= rt.jobs + 1
 
 
 def test_pool_cell_invariant_violation_reaches_the_caller():

@@ -75,7 +75,7 @@ FIELDS = {
     "policy": st.none() | st.builds(FlowPolicy, max_rwnd=MAYBE_INT),
     "rules": st.lists(RULES, max_size=2).map(tuple),
     "guards": st.lists(st.tuples(HOSTS, st.builds(
-        GuardConfig, window_packets=st.integers(1, 64),
+        GuardConfig, clean_windows=st.integers(1, 64),
         seed=st.integers(0, 99))), max_size=2).map(tuple),
 }
 assert set(FIELDS) | {"measure_from"} == {
