@@ -18,11 +18,11 @@ RNG or wall-clock use.  This package catches them mechanically:
   src/``.
 * **runtime sanitizer** (:mod:`repro.analysis.sanitize`) — opt-in
   invariant probes wrapped around the vSwitch datapath, the simulation
-  engine and the switch buffer accounting.  Enabled via
-  ``REPRO_SANITIZE=1`` or ``AcdcConfig(sanitize=True)``; zero cost when
-  off.  Violations raise :class:`~repro.analysis.sanitize.InvariantViolation`
-  carrying the flow key, the sim time and the run seed so every failure
-  is replayable.
+  engine and the switch buffer accounting.  One switch arms all three
+  or none: ``REPRO_SANITIZE=1``, or :func:`~repro.analysis.sanitize.enable`
+  before the run is built; zero cost when off.  Violations raise
+  :class:`~repro.analysis.sanitize.InvariantViolation` carrying the flow
+  key, the sim time and the run seed so every failure is replayable.
 """
 
 from importlib import import_module

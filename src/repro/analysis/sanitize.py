@@ -22,11 +22,15 @@ substrate's own conservation laws:
   past (always-on) and, under the sanitizer, trips on any popped event
   whose deadline is behind the clock (a mutated-Event tripwire).
 
-Enablement: ``REPRO_SANITIZE=1`` in the environment, or explicitly per
-datapath via ``AcdcConfig(sanitize=True)``; :func:`enable` forces it
-process-wide for tests.  The datapath probes run as a tap of the
-vSwitch (``AcdcVswitch.HOOKS``); when off, the vSwitch holds no
-sanitizer and pays one empty-tuple test per hook.
+Enablement is one process-wide switch: ``REPRO_SANITIZE=1`` in the
+environment, or :func:`enable` to force it on or off whatever the
+environment says.  Each component reads it once, when it is built: an
+AC/DC vSwitch then holds these probes and a flight ring, a switch port
+its :class:`PortAccounting` tap, and a :class:`~repro.sim.engine.Simulator`
+its strict mode — all of them or none, so set the switch before the run
+is built.  The datapath probes run as a tap of the vSwitch
+(``AcdcVswitch.HOOKS``); when off, the vSwitch holds no sanitizer and
+pays one empty-tuple test per hook.
 
 Every violation raises :class:`InvariantViolation` carrying the flow
 key, the virtual time and the run seed (:func:`set_run_seed`), so a

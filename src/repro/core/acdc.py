@@ -37,6 +37,7 @@ from ..net.packet import ECN_ECT0, FlowKey, Packet
 from ..obs import INFO, WARNING, FlightRecorder, VswitchObs
 from ..sim.timers import Timer
 from ..taps import bind_tap, init_taps
+from ..tcp.connection import MIN_RTO
 from .ecn import mark_egress_data, scrub_ingress_ack, scrub_ingress_data
 from .enforcement import Policer, WindowEnforcer
 from .flow_table import FlowEntry, FlowTable
@@ -86,23 +87,16 @@ HOOKS = ("on_decision", "on_ingress_ack", "on_tracked", "on_egress_data",
 
 @dataclass
 class AcdcConfig:
-    """Tunables of the datapath; defaults match the paper's deployment."""
+    """The datapath settings a run varies; defaults match the paper's
+    deployment.  What nothing varies is a constant beside its one reader:
+    the policer's slack (``enforcement``), the GC cadence and idle
+    timeout (``flow_table``) and RTOmin (``repro.tcp.connection``)."""
 
     log_only: bool = False               # Fig. 9: compute but never rewrite
     police: bool = False                 # drop data beyond the window
-    policing_slack_segments: int = 2
     hide_ecn: bool = True                # strip ECE from ACKs to the VM
     feedback_mode: str = "pack"          # "pack" (FACK fallback) | "fack-only"
     min_wnd_bytes: Optional[int] = None  # None -> 1 MSS (byte-granular floor)
-    inactivity_timeout: float = 0.010    # timeout inference (§3.1), = RTOmin
-    # §3.3 flexibility: push a fabricated window update to the VM when the
-    # window changes while no ACKs are flowing (after an inferred timeout).
-    proactive_window_updates: bool = False
-    gc_interval: float = 1.0
-    idle_timeout: float = 30.0
-    # Runtime invariant sanitizer (repro.analysis.sanitize): True/False
-    # forces it for this datapath, None defers to REPRO_SANITIZE.
-    sanitize: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.feedback_mode not in ("pack", "fack-only"):
@@ -117,7 +111,6 @@ class AcdcVswitch:
         host: "Host",
         config: Optional[AcdcConfig] = None,
         policy: Optional[PolicyEngine] = None,
-        ops: Optional[OpsCounter] = None,
         window_cb: Optional[WindowCallback] = None,
         guard=None,
         obs: Optional["ObsContext"] = None,
@@ -126,15 +119,12 @@ class AcdcVswitch:
         self.host = host
         self.config = config if config is not None else AcdcConfig()
         self.policy = policy if policy is not None else PolicyEngine()
-        self.ops = ops if ops is not None else OpsCounter()
+        self.ops = OpsCounter()
         self.mss = host.mss
         self.mtu = host.mtu
-        self.table = FlowTable(
-            self.sim, gc_interval=self.config.gc_interval,
-            idle_timeout=self.config.idle_timeout,
-        )
+        self.table = FlowTable(self.sim)
         self.table.start_gc()
-        self.policer = Policer(self.config.policing_slack_segments)
+        self.policer = Policer()
         # Fault-recovery accounting (see repro.faults): state losses this
         # vSwitch suffered and flow entries rebuilt mid-flow afterwards.
         self.restarts = 0
@@ -142,10 +132,11 @@ class AcdcVswitch:
         # The sinks taps write to: the run's trace bus (tracing is on
         # exactly when an ObsContext is given), fed by a VswitchObs tap,
         # and the flight recorder, armed only under sanitizing so that
-        # an invariant violation comes with a decision log.
+        # an invariant violation comes with a decision log.  Sanitizing
+        # is one process-wide switch (REPRO_SANITIZE / sanitize.enable),
+        # read here as by every port and engine built beside this vSwitch.
         tracing = obs is not None
-        sanitize_on = (self.config.sanitize if self.config.sanitize is not None
-                       else sanitize.is_enabled())
+        sanitize_on = sanitize.is_enabled()
         self.trace = obs.bus if tracing else None
         bus_tap = VswitchObs(obs.bus) if tracing else None
         self.flight = (FlightRecorder(self.sim, name=str(host.addr))
@@ -524,11 +515,11 @@ class AcdcVswitch:
             # (repro.recovery).
             entry.inactivity_timer = Timer(
                 self.sim, partial(self._inactivity_fired, entry))
-        # Adapt to the flow's ACK cadence: on a long (WAN) path, ACKs
-        # legitimately arrive one RTT apart, and a fixed datacenter-scale
-        # timer would infer a timeout every round trip.
-        delay = max(self.config.inactivity_timeout,
-                    4.0 * entry.conntrack.ack_gap_estimate)
+        # The guest's RTOmin floors the timer (§3.1), adapted to the
+        # flow's ACK cadence: on a long (WAN) path, ACKs legitimately
+        # arrive one RTT apart, and a fixed datacenter-scale timer would
+        # infer a timeout every round trip.
+        delay = max(MIN_RTO, 4.0 * entry.conntrack.ack_gap_estimate)
         entry.inactivity_timer.start(delay)
 
     def _inactivity_fired(self, entry: FlowEntry) -> None:
@@ -546,10 +537,6 @@ class AcdcVswitch:
         if not entry.shed:
             for tap in self._on_timeout:
                 tap(entry, wnd)
-        if self.config.proactive_window_updates:
-            # No ACKs are flowing to carry the new window, so tell
-            # the VM directly (§3.3's fabricated window update).
-            self.send_window_update(entry.key)
 
     # ------------------------------------------------------------------
     # Fabricated control packets (§3.3)
@@ -557,7 +544,9 @@ class AcdcVswitch:
     def send_window_update(self, key: FlowKey) -> bool:
         """Deliver a fabricated window update for flow ``key`` to the VM.
 
-        Useful when the enforced window grew but no ACKs are flowing.
+        Useful when the enforced window changed but no ACKs are flowing
+        to carry it: an ``on_timeout`` tap that calls this pushes the
+        window an inferred timeout cut straight to the VM.
         """
         return self._fabricate(key, 1)
 
@@ -586,9 +575,9 @@ class AcdcVswitch:
 class PlainOvs:
     """The unmodified-OVS baseline: forward and count, nothing else."""
 
-    def __init__(self, host: "Host", ops: Optional[OpsCounter] = None):
+    def __init__(self, host: "Host"):
         self.host = host
-        self.ops = ops if ops is not None else OpsCounter()
+        self.ops = OpsCounter()
 
     def egress(self, pkt: Packet) -> Optional[Packet]:
         ops = self.ops

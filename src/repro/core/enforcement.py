@@ -21,6 +21,9 @@ from __future__ import annotations
 
 from ..net.packet import Packet, SEQ_HALF, SEQ_MASK, encode_window
 
+#: The policer's grace past the encoded window, in segments.
+POLICING_SLACK_SEGMENTS = 2
+
 
 class WindowEnforcer:
     """Rewrites RWND on ACKs delivered to the VM."""
@@ -67,10 +70,7 @@ def encoded_window_bytes(window_bytes: int, wscale: int) -> int:
 class Policer:
     """Drops egress data a non-conforming stack sends beyond the window."""
 
-    def __init__(self, slack_segments: int = 2):
-        if slack_segments < 0:
-            raise ValueError("slack must be non-negative")
-        self.slack_segments = slack_segments
+    def __init__(self) -> None:
         self.drops = 0
 
     def allow(self, pkt: Packet, snd_una: int, window_bytes: int, mss: int,
@@ -83,7 +83,7 @@ class Policer:
         *encoded* window — enforcement rounds the 16-bit field up to the
         next ``wscale`` unit, so a stack honouring the advertisement may
         legitimately sit up to ``2**wscale - 1`` bytes past the raw
-        computed window.  A zero window always admits a one-byte probe
+        computed window.  The slack also admits a zero window's probe
         (dropping probes would deadlock a conforming zero-window flow).
 
         Sequence space is circular: the segment's distance ahead of
@@ -92,9 +92,7 @@ class Policer:
         — so the check survives flows that wrap 2^32 mid-transfer.
         """
         budget = (encoded_window_bytes(window_bytes, wscale)
-                  + self.slack_segments * mss)
-        if window_bytes == 0:
-            budget = max(budget, 1)
+                  + POLICING_SLACK_SEGMENTS * mss)
         ahead = (pkt.end_seq - snd_una) & SEQ_MASK
         if ahead <= budget or ahead >= budget + SEQ_HALF:
             return True

@@ -32,6 +32,11 @@ from .vswitch_cc import make_vswitch_cc
 #: scalability example can report faithful memory numbers.
 FLOW_ENTRY_BYTES = 320
 
+#: Period of the coarse-grained garbage collector (§4), seconds.
+GC_INTERVAL_S = 1.0
+#: An entry idle this long is reclaimed even without a FIN, seconds.
+IDLE_TIMEOUT_S = 30.0
+
 
 class FlowEntry:
     """Per-direction connection state (§3.1–§3.3 combined)."""
@@ -82,20 +87,14 @@ class FlowEntry:
 class FlowTable:
     """5-tuple-hashed flow state with SYN/FIN lifecycle and a GC."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        gc_interval: float = 1.0,
-        idle_timeout: float = 30.0,
-    ):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.idle_timeout = idle_timeout
         self.entries: Dict[FlowKey, FlowEntry] = {}
         self.lookups = 0
         self.hits = 0
         self.inserts = 0
         self.removes = 0
-        self._gc = PeriodicTimer(sim, gc_interval, self.collect_garbage)
+        self._gc = PeriodicTimer(sim, GC_INTERVAL_S, self.collect_garbage)
 
     # ------------------------------------------------------------------
     def start_gc(self) -> None:
@@ -142,7 +141,7 @@ class FlowTable:
         stale = [
             key for key, entry in self.entries.items()
             if (entry.fin_seen and now - entry.last_active > 1.0)
-            or (now - entry.last_active > self.idle_timeout)
+            or (now - entry.last_active > IDLE_TIMEOUT_S)
         ]
         for key in stale:
             self.remove(key)

@@ -23,7 +23,6 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional)
 
 from ..core import AcdcConfig, AcdcVswitch, PlainOvs, PolicyEngine
-from ..core.ops import OpsCounter
 from ..fluid import FluidTier
 from ..metrics import RttRecorder, ThroughputMeter, jain_index, summarize
 from ..net.host import Host
@@ -103,10 +102,10 @@ def attach_vswitches(
         if scheme.vswitch == "acdc":
             config = acdc_config if acdc_config is not None else AcdcConfig()
             vsw = AcdcVswitch(host, config=config, policy=policy,
-                              ops=OpsCounter(), window_cb=window_cb,
+                              window_cb=window_cb,
                               guard=(guards or {}).get(host.addr), obs=obs)
         else:
-            vsw = PlainOvs(host, ops=OpsCounter())
+            vsw = PlainOvs(host)
         host.attach_vswitch(vsw)
         out[host.addr] = vsw
     return out

@@ -39,5 +39,7 @@ class GuardConfig:
         if not 0.0 < self.suspect_violation_rate <= VIOLATOR_VIOLATION_RATE:
             raise ValueError(f"suspect_violation_rate must be in "
                              f"(0, {VIOLATOR_VIOLATION_RATE}]")
-        if self.clean_windows <= 0:
-            raise ValueError("clean_windows must be positive")
+        if not 0.0 < self.decay_base_s < float("inf"):  # also refuses NaN
+            raise ValueError("decay_base_s must be finite and positive")
+        if type(self.clean_windows) is not int or self.clean_windows < 1:
+            raise ValueError("clean_windows must be an int >= 1")

@@ -148,11 +148,6 @@ class Guard:
                 self._rngs.stream(f"guard:{entry.key}"))
         return entry.guard_state
 
-    def state_of(self, key) -> Optional[FlowConformance]:
-        """Introspection: the conformance state for a flow key, if any."""
-        entry = self.vswitch.table.entries.get(key)
-        return entry.guard_state if entry is not None else None
-
     # ------------------------------------------------------------------
     # Datapath hooks
     # ------------------------------------------------------------------

@@ -305,8 +305,7 @@ class TelemetryView:
 
     __slots__ = ("reports", "invalid", "lost", "last_serial",
                  "path", "path_changes", "bottleneck", "q_max_bytes",
-                 "q_last_bytes", "util", "residence_s", "hop_residence_s",
-                 "q_samples", "updated_at")
+                 "util", "residence_s", "hop_residence_s", "q_samples")
 
     def __init__(self) -> None:
         self.reports = 0
@@ -317,14 +316,12 @@ class TelemetryView:
         self.path_changes = 0
         self.bottleneck: Optional[str] = None
         self.q_max_bytes = 0.0      # bottleneck queue max, latest window
-        self.q_last_bytes = 0.0     # bottleneck queue last sample
         self.util = 0.0             # bottleneck utilization, latest window
         self.residence_s = 0.0      # whole-path residence, latest window
         self.hop_residence_s: Dict[str, float] = {}
         self.q_samples: List[float] = []
-        self.updated_at = 0.0
 
-    def on_echo(self, echo, now: float) -> Tuple[str, bool]:
+    def on_echo(self, echo) -> Tuple[str, bool]:
         """Consume one echo; returns ``(status, path_changed)``."""
         # A sink's echo is valid by construction; any other is scanned.
         if type(echo) is not _SinkEcho and not valid_echo(echo):
@@ -344,7 +341,6 @@ class TelemetryView:
         # order, so the choice is deterministic).
         bottleneck = max(hops, key=_Q_MAX)
         self.bottleneck = bottleneck[0]
-        self.q_last_bytes = bottleneck[1]
         self.q_max_bytes = bottleneck[2]
         self.util = bottleneck[4]
         # Latency decomposition: mean residence per hop over the window.
@@ -354,7 +350,6 @@ class TelemetryView:
         self.residence_s = sum(residence.values())
         self.q_samples.append(float(bottleneck[2]))
         self.reports += 1
-        self.updated_at = now
         return "ok", path_changed
 
     def summary(self) -> dict:
@@ -468,7 +463,7 @@ class IntTelemetry:
         view = entry.int_view
         if view is None:
             view = entry.int_view = TelemetryView()
-        status, path_changed = view.on_echo(echo, vswitch.sim.now)
+        status, path_changed = view.on_echo(echo)
         if status != "ok":
             self.reports_invalid += 1
             if vswitch.trace is not None:

@@ -53,8 +53,11 @@ MAGIC = b"REPRO-CKPT 1\n"
 #: cell, INT echoes are tuples, and an empty histogram holds ±inf
 #: extremes.  Version 5: a port's obs tap holds only its histogram, an
 #: INT stamper neither an EWMA gain nor a hop bound, and a flight ring
-#: no capacity.
-FORMAT_VERSION = 5
+#: no capacity.  Version 6: an AC/DC config holds five fields, a flow
+#: table neither a GC interval nor an idle timeout, a policer no slack,
+#: a guest connection no RTOmin, and an INT view neither a last queue
+#: sample nor an update time.
+FORMAT_VERSION = 6
 
 _CKPT_NAME = re.compile(r"^epoch-(\d{8})\.ckpt$")
 

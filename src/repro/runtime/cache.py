@@ -28,11 +28,6 @@ class ResultCache:
         #: ``RuntimeStats.cache_corrupt`` so a torn cache is visible, not
         #: silently absorbed as rerun time.
         self.corrupt = 0
-        #: Write races lost to a concurrent writer of the same key (two
-        #: runtimes computing the same cell).  Benign by construction:
-        #: entries are content-addressed, so the winner wrote the same
-        #: spec and an equivalent result.
-        self.races = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -58,8 +53,7 @@ class ResultCache:
         The temp file is created with ``O_EXCL``, so two writers can
         never interleave bytes; losing the creation race to a concurrent
         runtime computing the same key is *benign* (content-addressed
-        entries are equivalent) and is counted in :attr:`races`, not
-        raised.
+        entries are equivalent): the loser returns without writing.
         """
         path = self._path(key)
         # Serialize first: a TypeError (non-JSON result — something a
@@ -72,7 +66,6 @@ class ResultCache:
             # A concurrent writer (same pid namespace, e.g. another
             # thread, or a stale temp from a crashed twin) owns the temp:
             # yield — the winner's entry answers future gets.
-            self.races += 1
             return
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -5,7 +5,8 @@ This is a from-scratch TCP with the mechanisms the evaluation exercises:
 * three-way handshake with window-scale negotiation (AC/DC snoops it),
 * cumulative ACKs + SACK (the testbed sets ``tcp_sack=1``, §5): duplicate
   ACK / SACK-threshold loss detection and scoreboard-driven recovery,
-* RTO with exponential backoff and a configurable RTOmin (10 ms in §5),
+* RTO with exponential backoff and §5's RTOmin of 10 ms (:data:`MIN_RTO`,
+  which also floors the vSwitch's timeout inference),
 * flow control against the peer's advertised window — the hook AC/DC's
   enforcement module leans on (§3.3): the sender always respects
   ``min(CWND, RWND)``,
@@ -45,7 +46,7 @@ TIME_WAIT = "TIME_WAIT"    # both sides done
 DEFAULT_RCV_BUF = 4 * 1024 * 1024   # Linux-ish default max receive buffer
 DEFAULT_WSCALE = 9
 INITIAL_WINDOW_SEGMENTS = 10        # RFC 6928, cited in §3.1
-DEFAULT_MIN_RTO = 0.010             # §5: RTOmin = 10 ms
+MIN_RTO = 0.010                     # §5: RTOmin = 10 ms
 INITIAL_RTO = 0.100
 MAX_RTO = 2.0
 MAX_SACK_BLOCKS = 4
@@ -80,7 +81,6 @@ class TcpConnection:
         ecn: bool = False,
         rcv_buf: int = DEFAULT_RCV_BUF,
         wscale: int = DEFAULT_WSCALE,
-        min_rto: float = DEFAULT_MIN_RTO,
         max_cwnd: Optional[int] = None,
         pacing_rate_bps: Optional[float] = None,
         cc_kwargs: Optional[dict] = None,
@@ -140,7 +140,6 @@ class TcpConnection:
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.rto = INITIAL_RTO
-        self.min_rto = min_rto
         self.backoff = 0
         self.rto_timer = Timer(sim, self._on_rto)
         self.timeouts = 0
@@ -594,7 +593,7 @@ class TcpConnection:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = max(self.min_rto, min(self.srtt + 4 * self.rttvar, MAX_RTO))
+        self.rto = max(MIN_RTO, min(self.srtt + 4 * self.rttvar, MAX_RTO))
 
     def _cwnd_limited(self, acked: int) -> bool:
         """Linux's is_cwnd_limited gate: only grow cwnd when cwnd (not the

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.analysis import sanitize
 from repro.net.host import Host
 from repro.net.topology import Topology, star
 from repro.sim import Simulator
@@ -14,6 +17,18 @@ def _flight_dumps_in_tmp(tmp_path, monkeypatch):
     """A provoked ``InvariantViolation`` dumps its flight recorder; keep
     those files out of the checkout's ``./.repro-obs/``."""
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+
+
+@contextmanager
+def sanitizing(on: bool):
+    """Set the one sanitizer switch for what the block builds, then put
+    the previous setting back (``None``: the environment decides)."""
+    was = sanitize._forced
+    sanitize.enable(on)
+    try:
+        yield
+    finally:
+        sanitize.enable(was)
 
 
 @pytest.fixture

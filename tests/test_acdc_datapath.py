@@ -168,7 +168,7 @@ def test_policing_drops_cheater_excess(three_hosts):
     """A stack that ignores RWND is policed once congestion shrinks the
     enforced window below what the cheater keeps in flight."""
     sim, topo, a, b, c, sw = three_hosts
-    config = AcdcConfig(police=True, policing_slack_segments=1)
+    config = AcdcConfig(police=True)
     vsw = {}
     for host in (a, b, c):
         vsw[host.addr] = AcdcVswitch(host, config=config)
@@ -202,8 +202,7 @@ def test_non_enforced_policy_passthrough(two_hosts):
 
 
 def test_fin_marks_entries_for_gc(two_hosts):
-    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(
-        two_hosts, config=AcdcConfig(gc_interval=0.2))
+    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts)
     sink = Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(10_000)
@@ -240,8 +239,7 @@ def test_send_dupacks_triggers_fast_retransmit(two_hosts):
 
 def test_inactivity_timeout_cuts_window(two_hosts):
     """§3.1: snd_una < snd_nxt and the inactivity timer fires => loss."""
-    config = AcdcConfig(inactivity_timeout=0.005)
-    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts, config=config)
+    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts)
     conn, _ = transfer(sim, a, b, nbytes=50_000, until=0.05)
     entry = vsw_a.table.entries[conn.key()]
     # Fake outstanding data, then let the timer fire with no ACKs.
@@ -263,12 +261,23 @@ def test_ops_counted(two_hosts):
         assert counts.get(op, 0) > 0, op
 
 
+class PushWindowOnTimeout:
+    """An ``on_timeout`` tap: no ACKs are flowing to carry the window an
+    inferred timeout cut, so fabricate a §3.3 window update."""
+
+    def __init__(self, vswitch):
+        self.vswitch = vswitch
+
+    def on_timeout(self, entry, wnd):
+        self.vswitch.send_window_update(entry.key)
+
+
 def test_proactive_window_update_on_inferred_timeout(two_hosts):
-    """With proactive updates on, an inferred timeout pushes the reduced
-    window straight to the VM instead of waiting for the next ACK."""
-    config = AcdcConfig(inactivity_timeout=0.005,
-                        proactive_window_updates=True)
-    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts, config=config)
+    """With the window-update tap on, an inferred timeout pushes the
+    reduced window straight to the VM instead of waiting for the next
+    ACK."""
+    sim, a, b, sw, vsw_a, vsw_b = acdc_pair(two_hosts)
+    vsw_a.add_tap(PushWindowOnTimeout(vsw_a))
     conn, _ = transfer(sim, a, b, nbytes=50_000, until=0.05)
     entry = vsw_a.table.entries[conn.key()]
     entry.conntrack.snd_nxt = entry.conntrack.snd_una + 10_000

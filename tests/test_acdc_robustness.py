@@ -7,7 +7,7 @@ injectors come from :mod:`repro.faults`, so the same seeded machinery
 the chaos experiment sweeps is exercised here at unit scale.
 """
 
-from repro.core import AcdcConfig, AcdcVswitch
+from repro.core import AcdcVswitch
 from repro.faults import PacketLoss, install_faults, is_data, is_pure_ack
 from repro.workloads.apps import Sink
 
@@ -68,8 +68,8 @@ def test_gc_under_connection_churn(two_hosts):
     """Hundreds of short connections: the table grows and then shrinks
     back via FIN + GC, never leaking entries."""
     sim, topo, a, b, _sw = two_hosts
-    vsw_a = AcdcVswitch(a, config=AcdcConfig(gc_interval=0.2))
-    vsw_b = AcdcVswitch(b, config=AcdcConfig(gc_interval=0.2))
+    vsw_a = AcdcVswitch(a)
+    vsw_b = AcdcVswitch(b)
     a.attach_vswitch(vsw_a)
     b.attach_vswitch(vsw_b)
     Sink(b, 7000)

@@ -16,9 +16,12 @@ from repro.analysis.sanitize import (
     InvariantViolation,
     PortAccounting,
 )
-from repro.core import AcdcConfig, AcdcVswitch
+from repro.core import AcdcVswitch
+from repro.experiments import common
+from repro.experiments.runners import dumbbell_scenario
 from repro.net.buffer import SharedBuffer
 from repro.net.packet import PackOption, Packet
+from repro.obs import FlightRecorder
 from repro.sim.engine import SimulationError, Simulator
 from repro.workloads.apps import Sink
 
@@ -39,6 +42,28 @@ def san():
     vswitch = SimpleNamespace(sim=Simulator(),
                               host=SimpleNamespace(addr="10.0.0.1"))
     return DatapathSanitizer(vswitch)
+
+
+def small_testbed():
+    """A two-pair AC/DC dumbbell, built (not run)."""
+    return common.Testbed(dumbbell_scenario(common.ACDC, pairs=2,
+                                            duration=0.01, mtu=1500,
+                                            rate_bps=1e9))
+
+
+def armed(testbed):
+    """What the one sanitizer switch armed on ``testbed``, part by part."""
+    vswitches = testbed.vswitches.values()
+    ports = [port for sw in testbed.topology.switches.values()
+             for port in sw.ports.values()]
+    return {
+        "probes": [isinstance(v.sanitizer, DatapathSanitizer)
+                   for v in vswitches],
+        "rings": [isinstance(v.flight, FlightRecorder) for v in vswitches],
+        "port_accounting": [any(isinstance(t, PortAccounting)
+                                for t in port.taps) for port in ports],
+        "strict_engine": testbed.sim._strict,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +99,31 @@ class TestEnablement:
     def test_datapath_config_forces_on(self, two_hosts, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         _, _, a, _, _ = two_hosts
-        vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=True))
+        sanitize.enable(True)
+        vsw = AcdcVswitch(a)
         assert vsw.sanitizer is not None
 
-    def test_datapath_config_forces_off(self, two_hosts):
-        sanitize.enable(True)
+    def test_datapath_config_forces_off(self, two_hosts, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         _, _, a, _, _ = two_hosts
-        vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=False))
+        sanitize.enable(False)
+        vsw = AcdcVswitch(a)
         assert vsw.sanitizer is None
+
+    def test_enable_arms_every_part_of_a_testbed(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitize.enable(True)
+        assert armed(small_testbed()) == {
+            "probes": [True] * 4, "rings": [True] * 4,
+            "port_accounting": [True] * 6, "strict_engine": True}
+
+    def test_disable_arms_no_part_of_a_testbed_under_the_env(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitize.enable(False)
+        assert armed(small_testbed()) == {
+            "probes": [False] * 4, "rings": [False] * 4,
+            "port_accounting": [False] * 6, "strict_engine": False}
 
     def test_violation_carries_run_seed(self, san):
         sanitize.set_run_seed(42)
@@ -357,9 +399,9 @@ class TestStrictEngine:
 # ---------------------------------------------------------------------------
 def sanitized_pair(two_hosts):
     sim, topo, a, b, sw = two_hosts
-    cfg = AcdcConfig(sanitize=True)
-    vsw_a = AcdcVswitch(a, config=cfg)
-    vsw_b = AcdcVswitch(b, config=cfg)
+    sanitize.enable(True)
+    vsw_a = AcdcVswitch(a)
+    vsw_b = AcdcVswitch(b)
     a.attach_vswitch(vsw_a)
     b.attach_vswitch(vsw_b)
     return sim, a, b, vsw_a, vsw_b

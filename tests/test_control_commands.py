@@ -176,6 +176,27 @@ def test_set_guard_refuses_a_live_flow_table_budget():
         assert guard.config.clean_windows == 3
 
 
+@pytest.mark.parametrize("params, fragment", [
+    ({"decay_base_s": float("nan")}, "decay_base_s"),
+    ({"decay_base_s": -1.0}, "decay_base_s"),
+    ({"clean_windows": 2.5}, "clean_windows"),
+    ({"clean_windows": True}, "clean_windows"),
+])
+def test_set_guard_refuses_a_bad_decay_base_or_window_count(params,
+                                                            fragment):
+    """Regression: a NaN or negative decay base and a fractional or
+    boolean window count came back applied; with a NaN base every decay
+    deadline is NaN and an escalated flow never steps back down."""
+    svc = tiny_service(guard=True)
+    svc.control.submit({"epoch": 0, "op": "set_guard", "params": params})
+    (outcome,) = svc.control.drain(0)
+    assert outcome["status"] == "rejected"
+    assert fragment in outcome["reason"]
+    for guard in svc.guards.values():
+        assert guard.config.decay_base_s == 0.05
+        assert guard.config.clean_windows == 3
+
+
 # ---------------------------------------------------------------------------
 # kill_switch
 # ---------------------------------------------------------------------------

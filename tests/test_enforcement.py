@@ -1,8 +1,7 @@
 """Unit tests for RWND enforcement and policing (§3.3)."""
 
-import pytest
-
-from repro.core.enforcement import Policer, WindowEnforcer
+from repro.core.enforcement import (POLICING_SLACK_SEGMENTS, Policer,
+                                   WindowEnforcer)
 from repro.net.packet import Packet
 
 
@@ -59,91 +58,93 @@ def data(seq, length, mss=1460):
                   payload_len=length)
 
 
+#: The policer's grace past the encoded window at a 1460-byte MSS.
+SLACK = POLICING_SLACK_SEGMENTS * 1460
+
+
 def test_policer_allows_within_window():
-    policer = Policer(slack_segments=0)
+    policer = Policer()
     assert policer.allow(data(0, 1000), snd_una=0, window_bytes=2000, mss=1460)
     assert policer.drops == 0
 
 
 def test_policer_drops_beyond_window():
-    policer = Policer(slack_segments=0)
+    policer = Policer()
     assert not policer.allow(data(5000, 1460), snd_una=0, window_bytes=2000,
                              mss=1460)
     assert policer.drops == 1
 
 
 def test_policer_slack_absorbs_boundary():
-    policer = Policer(slack_segments=2)
+    policer = Policer()
     # 2 MSS beyond the window: allowed by slack.
+    assert POLICING_SLACK_SEGMENTS == 2
     pkt = data(2000, 1460)
     assert policer.allow(pkt, snd_una=0, window_bytes=2000, mss=1460)
 
 
 def test_policer_exact_edge():
-    policer = Policer(slack_segments=0)
-    assert policer.allow(data(0, 2000), snd_una=0, window_bytes=2000, mss=1460)
-    assert not policer.allow(data(1, 2000), snd_una=0, window_bytes=2000,
-                             mss=1460)
-
-
-def test_policer_negative_slack_rejected():
-    with pytest.raises(ValueError):
-        Policer(slack_segments=-1)
+    """The budget edge is exact: window plus slack, not a byte more."""
+    policer = Policer()
+    assert policer.allow(data(0, 2000 + SLACK), snd_una=0, window_bytes=2000,
+                         mss=1460)
+    assert not policer.allow(data(1, 2000 + SLACK), snd_una=0,
+                             window_bytes=2000, mss=1460)
+    assert policer.allow(data(0, 2920 + SLACK), snd_una=0, window_bytes=2920,
+                         mss=1460)
+    assert not policer.allow(data(1460, 1461 + SLACK), snd_una=0,
+                             window_bytes=2920, mss=1460)
+    assert policer.drops == 2
 
 
 # ---------------------------------------------------------------------------
-# Policer edges: zero windows, encoding rounding, wraparound, zero slack
+# Policer edges: zero windows, encoding rounding, wraparound
 # ---------------------------------------------------------------------------
 def test_policer_zero_window_admits_one_byte_probe():
     """A zero window must not deadlock a conforming flow: the one-byte
-    window probe passes, anything larger is policed."""
-    policer = Policer(slack_segments=0)
+    window probe passes (inside the slack), anything past the slack is
+    policed."""
+    policer = Policer()
     assert policer.allow(data(0, 1), snd_una=0, window_bytes=0, mss=1460)
-    assert not policer.allow(data(0, 2), snd_una=0, window_bytes=0, mss=1460)
-    assert not policer.allow(data(0, 1460), snd_una=0, window_bytes=0, mss=1460)
+    assert not policer.allow(data(0, SLACK + 1), snd_una=0, window_bytes=0,
+                             mss=1460)
+    assert not policer.allow(data(1, SLACK), snd_una=0, window_bytes=0,
+                             mss=1460)
     assert policer.drops == 2
 
 
 def test_policer_zero_window_with_slack_keeps_slack_budget():
-    policer = Policer(slack_segments=1)
-    assert policer.allow(data(0, 1460), snd_una=0, window_bytes=0, mss=1460)
-    assert not policer.allow(data(0, 1461), snd_una=0, window_bytes=0, mss=1460)
+    policer = Policer()
+    assert policer.allow(data(0, SLACK), snd_una=0, window_bytes=0, mss=1460)
+    assert not policer.allow(data(0, SLACK + 1), snd_una=0, window_bytes=0,
+                             mss=1460)
 
 
 def test_policer_honours_wscale_encoding_roundup():
     """Enforcement rounds the 16-bit field *up* to the next wscale unit,
     so a conforming stack may sit just past the raw window — the policer
     must police against the encoded edge, not the raw one."""
-    policer = Policer(slack_segments=0)
+    policer = Policer()
     window, wscale = 50_000, 9
     ack = ack_with_window(1 << 20, wscale)
     WindowEnforcer().enforce(ack, window, wscale)
     encoded = ack.advertised_window(wscale)  # 50_176 at wscale 9
     assert encoded > window
-    # The VM legitimately fills the encoded window...
-    assert policer.allow(data(0, encoded), snd_una=0, window_bytes=window,
-                         mss=1460, wscale=wscale)
-    # ...but one byte beyond it is a violation even before slack.
-    assert not policer.allow(data(1, encoded), snd_una=0, window_bytes=window,
-                             mss=1460, wscale=wscale)
-
-
-def test_policer_exact_boundary_zero_slack():
-    """policing_slack_segments=0: the budget edge is exact (no grace)."""
-    policer = Policer(slack_segments=0)
-    assert policer.allow(data(0, 2920), snd_una=0, window_bytes=2920, mss=1460)
-    assert not policer.allow(data(1460, 1461), snd_una=0, window_bytes=2920,
-                             mss=1460)
-    assert policer.drops == 1
+    # The VM legitimately fills the encoded window (plus the slack)...
+    assert policer.allow(data(0, encoded + SLACK), snd_una=0,
+                         window_bytes=window, mss=1460, wscale=wscale)
+    # ...but one byte beyond that edge is a violation.
+    assert not policer.allow(data(1, encoded + SLACK), snd_una=0,
+                             window_bytes=window, mss=1460, wscale=wscale)
 
 
 def test_policer_exact_boundary_across_wrap():
     """The enforced_wnd + slack edge behaves identically across 2^32."""
     from repro.net.packet import SEQ_SPACE
-    policer = Policer(slack_segments=2)
+    policer = Policer()
     una = SEQ_SPACE - 1000
     window, mss = 2000, 1460
-    budget = window + 2 * mss
+    budget = window + SLACK
     edge_start = (una + budget - 100) % SEQ_SPACE  # ends exactly at the edge
     assert policer.allow(data(edge_start, 100), snd_una=una,
                          window_bytes=window, mss=mss)

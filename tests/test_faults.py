@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import sanitizing
 from repro.core import AcdcConfig, AcdcVswitch, PlainOvs
 from repro.faults import (
     Corruption,
@@ -299,7 +300,8 @@ def test_a_traced_fault_is_one_fault_inject_on_the_bus_and_the_ring(
         two_hosts):
     sim, topo, a, b, _sw = two_hosts
     obs = ObsContext(sim)
-    vsw_a = AcdcVswitch(a, obs=obs, config=AcdcConfig(sanitize=True))
+    with sanitizing(True):
+        vsw_a = AcdcVswitch(a, obs=obs)
     restart = VswitchRestart(at=(0.001, 0.002))
     a.attach_vswitch(vsw_a)
     install_faults(a, [restart])

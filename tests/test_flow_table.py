@@ -1,18 +1,15 @@
 """Unit tests for the flow table (§4 lifecycle: SYN create, FIN + GC)."""
 
-from repro.core.flow_table import FLOW_ENTRY_BYTES, FlowTable
+from repro.core.flow_table import (FLOW_ENTRY_BYTES, GC_INTERVAL_S,
+                                   IDLE_TIMEOUT_S, FlowTable)
 from repro.core.policy import FlowPolicy
 
 KEY = ("a", 1, "b", 2)
 KEY2 = ("b", 2, "a", 1)
 
 
-def make_table(sim, **kw):
-    return FlowTable(sim, **kw)
-
-
 def test_lookup_miss_and_hit(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     assert table.lookup(KEY) is None
     entry = table.ensure(KEY, FlowPolicy(), mss=1460)
     assert table.lookup(KEY) is entry
@@ -22,7 +19,7 @@ def test_lookup_miss_and_hit(sim):
 
 
 def test_ensure_is_idempotent(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     a = table.ensure(KEY, FlowPolicy(), mss=1460)
     b = table.ensure(KEY, FlowPolicy(beta=0.5), mss=1460)
     assert a is b
@@ -31,14 +28,14 @@ def test_ensure_is_idempotent(sim):
 
 
 def test_two_directions_are_distinct_entries(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     table.ensure(KEY, FlowPolicy(), mss=1460)
     table.ensure(KEY2, FlowPolicy(), mss=1460)
     assert len(table) == 2
 
 
 def test_remove(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     table.ensure(KEY, FlowPolicy(), mss=1460)
     table.remove(KEY)
     assert table.lookup(KEY) is None
@@ -48,18 +45,19 @@ def test_remove(sim):
 
 
 def test_gc_reclaims_finished_idle_flows(sim):
-    table = make_table(sim, gc_interval=0.5)
+    assert GC_INTERVAL_S == 1.0
+    table = FlowTable(sim)
     table.start_gc()
     table.ensure(KEY, FlowPolicy(), mss=1460)
     table.mark_fin(KEY)
-    sim.run(until=0.6)
+    sim.run(until=1.5)
     assert KEY in table.entries  # not idle long enough yet (1 s grace)
-    sim.run(until=2.0)
+    sim.run(until=2.5)
     assert KEY not in table.entries
 
 
 def test_gc_keeps_active_flows(sim):
-    table = make_table(sim, gc_interval=0.5)
+    table = FlowTable(sim)
     table.start_gc()
     entry = table.ensure(KEY, FlowPolicy(), mss=1460)
     table.mark_fin(KEY)
@@ -69,45 +67,46 @@ def test_gc_keeps_active_flows(sim):
         sim.schedule(0.3, refresh)
 
     refresh()
-    sim.run(until=3.0)
+    sim.run(until=6.0)
     assert KEY in table.entries
 
 
 def test_gc_reclaims_long_idle_flows_without_fin(sim):
-    table = make_table(sim, gc_interval=1.0, idle_timeout=5.0)
+    assert IDLE_TIMEOUT_S == 30.0
+    table = FlowTable(sim)
     table.start_gc()
     table.ensure(KEY, FlowPolicy(), mss=1460)
-    sim.run(until=4.0)
+    sim.run(until=IDLE_TIMEOUT_S - 1.0)
     assert KEY in table.entries
-    sim.run(until=7.0)
+    sim.run(until=IDLE_TIMEOUT_S + 2 * GC_INTERVAL_S)
     assert KEY not in table.entries
 
 
 def test_stop_gc(sim):
-    table = make_table(sim, gc_interval=0.5, idle_timeout=1.0)
+    table = FlowTable(sim)
     table.start_gc()
     table.stop_gc()
     table.ensure(KEY, FlowPolicy(), mss=1460)
-    sim.run(until=10.0)
+    sim.run(until=3 * IDLE_TIMEOUT_S)
     assert KEY in table.entries
 
 
 def test_memory_accounting_matches_prototype(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     for i in range(10):
         table.ensure(("a", i, "b", 2), FlowPolicy(), mss=1460)
     assert table.memory_bytes() == 10 * FLOW_ENTRY_BYTES
 
 
 def test_iteration(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     table.ensure(KEY, FlowPolicy(), mss=1460)
     table.ensure(KEY2, FlowPolicy(), mss=1460)
     assert {e.key for e in table} == {KEY, KEY2}
 
 
 def test_entry_carries_all_role_state(sim):
-    table = make_table(sim)
+    table = FlowTable(sim)
     entry = table.ensure(KEY, FlowPolicy(beta=0.5, max_rwnd=10_000), mss=1460)
     assert entry.conntrack is not None
     assert entry.vswitch_cc.beta == 0.5

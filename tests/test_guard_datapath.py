@@ -7,7 +7,8 @@ cheating guest overruns the advertised edge within a few RTTs.
 
 from collections import Counter
 
-from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
+from conftest import sanitizing
+from repro.core import AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.faults import OptionStrip, install_faults
 from repro.guard import Guard
 from repro.obs import read_jsonl
@@ -49,7 +50,7 @@ def test_conforming_flow_stays_level_zero(two_hosts):
     sim, a, b, vsw_a, guard = guarded_pair(
         two_hosts, policy=clamp_policy())
     conn = transfer(sim, a, b, nbytes=400_000)
-    fc = guard.state_of(conn.key())
+    fc = vsw_a.table.entries[conn.key()].guard_state
     assert fc is not None
     assert fc.level == 0 and fc.state == "conforming"
     assert fc.advertised_edge is not None
@@ -64,7 +65,7 @@ def test_rwnd_cheater_escalated_and_policed(two_hosts):
     sim, a, b, vsw_a, guard = guarded_pair(
         two_hosts, policy=clamp_policy())
     conn = transfer(sim, a, b, conn_opts={"ignore_rwnd": True})
-    fc = guard.state_of(conn.key())
+    fc = vsw_a.table.entries[conn.key()].guard_state
     assert fc.state == "violator"
     assert fc.level >= 2
     assert guard.police_drops > 0
@@ -82,8 +83,8 @@ def test_a_dumped_guard_drop_reads_warning(two_hosts, tmp_path, capsys):
     from ``timeline --min-sev warning``."""
     sim, topo, a, b, sw = two_hosts
     guard = Guard()
-    vsw_a = AcdcVswitch(a, policy=clamp_policy(), guard=guard,
-                        config=AcdcConfig(sanitize=True))  # arms the ring
+    with sanitizing(True):  # arms the ring
+        vsw_a = AcdcVswitch(a, policy=clamp_policy(), guard=guard)
     a.attach_vswitch(vsw_a)
     b.attach_vswitch(AcdcVswitch(b))
     transfer(sim, a, b, until=0.1, conn_opts={"ignore_rwnd": True})
@@ -117,7 +118,7 @@ def test_option_strip_degrades_to_local_signal_cc(two_hosts):
     install_faults(a, [strip])
     conn = transfer(sim, a, b, nbytes=400_000)
     assert strip.events > 0
-    fc = guard.state_of(conn.key())
+    fc = vsw_a.table.entries[conn.key()].guard_state
     assert fc.fallback_active is True
     assert guard.fallbacks == 1
     entry = vsw_a.table.entries[conn.key()]
@@ -145,7 +146,7 @@ def test_shed_entry_is_passthrough_but_counted(two_hosts):
         two_hosts, policy=clamp_policy())
     conn = transfer(sim, a, b, until=0.05)
     entry = vsw_a.table.entries[conn.key()]
-    fc = guard.state_of(conn.key())
+    fc = entry.guard_state
     entry.shed = True
     rewrites = entry.enforcer.rewrites
     windows_seen = fc.window_packets

@@ -126,42 +126,41 @@ def test_sink_counts_invalid_stacks():
 def test_view_tracks_bottleneck_and_decomposition():
     view = TelemetryView()
     echo = _echo(hops=(("a", 100.0), ("b", 900.0), ("c", 300.0)), stacks=2)
-    status, changed = view.on_echo(echo, now=0.5)
+    status, changed = view.on_echo(echo)
     assert status == "ok" and not changed
     assert view.bottleneck == "b" and view.q_max_bytes == 900.0
     assert view.hop_residence_s["a"] == pytest.approx(5e-5)
     assert view.residence_s == pytest.approx(1.5e-4)
     assert view.q_samples == [900.0]
-    assert view.updated_at == 0.5
 
 
 def test_view_bottleneck_tie_breaks_to_first_hop():
     view = TelemetryView()
-    view.on_echo(_echo(hops=(("a", 500.0), ("b", 500.0))), now=0.0)
+    view.on_echo(_echo(hops=(("a", 500.0), ("b", 500.0))))
     assert view.bottleneck == "a"
 
 
 def test_view_serial_gap_counts_losses_and_restart_resyncs():
     view = TelemetryView()
-    view.on_echo(_echo(serial=1), now=0.0)
-    view.on_echo(_echo(serial=4), now=0.1)    # 2 and 3 never arrived
+    view.on_echo(_echo(serial=1))
+    view.on_echo(_echo(serial=4))    # 2 and 3 never arrived
     assert view.lost == 2 and view.reports == 2
     # Receiver restart: serials start over; resync, no loss counted.
-    view.on_echo(_echo(serial=1), now=0.2)
+    view.on_echo(_echo(serial=1))
     assert view.lost == 2 and view.last_serial == 1
 
 
 def test_view_path_change_counted():
     view = TelemetryView()
-    view.on_echo(_echo(serial=1, hops=(("a", 1.0),)), now=0.0)
+    view.on_echo(_echo(serial=1, hops=(("a", 1.0),)))
     status, changed = view.on_echo(
-        _echo(serial=2, hops=(("b", 1.0),)), now=0.1)
+        _echo(serial=2, hops=(("b", 1.0),)))
     assert changed and view.path_changes == 1 and view.path == ("b",)
 
 
 def test_view_invalid_echo_counted_not_raised():
     view = TelemetryView()
-    assert view.on_echo(object(), now=0.0) == ("invalid", False)
+    assert view.on_echo(object()) == ("invalid", False)
     assert view.invalid == 1 and view.reports == 0
     assert view.summary()["invalid"] == 1
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import sanitizing
 from repro.analysis import sanitize
 from repro.analysis.sanitize import InvariantViolation
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
@@ -113,9 +114,9 @@ def test_lying_rewrite_attaches_flight_dump(two_hosts, monkeypatch, tmp_path):
     monkeypatch.setattr(WindowEnforcer, "enforce", lying_enforce)
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
     sim, topo, a, b, sw = two_hosts
-    cfg = AcdcConfig(sanitize=True)
-    for host in (a, b):
-        host.attach_vswitch(AcdcVswitch(host, config=cfg, obs=ObsContext(sim)))
+    with sanitizing(True):
+        for host in (a, b):
+            host.attach_vswitch(AcdcVswitch(host, obs=ObsContext(sim)))
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(500_000)
@@ -144,10 +145,12 @@ def test_the_ring_is_the_bus_tail_and_a_guard_transition_is_offered_once(
     obs = ObsContext(sim, TraceConfig(sample={}))
     guard = Guard()
     clamp = PolicyEngine(default=FlowPolicy(max_rwnd=4 * a.mss))
-    vsw_a = AcdcVswitch(a, policy=clamp, guard=guard, obs=obs,
-                        config=AcdcConfig(police=True, sanitize=True))
+    with sanitizing(True):
+        vsw_a = AcdcVswitch(a, policy=clamp, guard=guard, obs=obs,
+                            config=AcdcConfig(police=True))
     a.attach_vswitch(vsw_a)
-    b.attach_vswitch(AcdcVswitch(b, config=AcdcConfig(sanitize=False)))
+    with sanitizing(False):
+        b.attach_vswitch(AcdcVswitch(b))
     Sink(b, 7000)
     a.connect(b.addr, 7000, ignore_rwnd=True).send_forever()
     sim.run(until=0.2)
@@ -197,9 +200,9 @@ def test_sanitize_only_vswitch_still_dumps(two_hosts, monkeypatch, tmp_path):
                             setattr(pkt, "rwnd_field", 1) or True))
     monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
     sim, topo, a, b, sw = two_hosts
-    cfg = AcdcConfig(sanitize=True)
-    for host in (a, b):
-        host.attach_vswitch(AcdcVswitch(host, config=cfg))
+    with sanitizing(True):
+        for host in (a, b):
+            host.attach_vswitch(AcdcVswitch(host))
     Sink(b, 7000)
     conn = a.connect(b.addr, 7000)
     conn.send(500_000)

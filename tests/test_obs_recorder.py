@@ -2,7 +2,8 @@
 
 from collections import Counter
 
-from repro.core import AcdcConfig, AcdcVswitch
+from conftest import sanitizing
+from repro.core import AcdcVswitch
 from repro.obs import (INFO, WARNING, FlightRecorder, ObsContext, TraceConfig,
                        format_flow, read_jsonl)
 from repro.obs.__main__ import main as obs_cli
@@ -43,9 +44,11 @@ def test_ring_samples_ecn_marks_like_the_bus(two_hosts):
     samples 1 in 16, so marks held half its slots and a dump of this
     run spanned only 152 us of ACK history."""
     sim, topo, a, b, sw = two_hosts
-    vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=True))
+    with sanitizing(True):
+        vsw = AcdcVswitch(a)
     a.attach_vswitch(vsw)
-    b.attach_vswitch(AcdcVswitch(b, config=AcdcConfig(sanitize=False)))
+    with sanitizing(False):
+        b.attach_vswitch(AcdcVswitch(b))
     Sink(b, 7000)
     a.connect(b.addr, 7000).send_forever()
     sim.run(until=0.05)
@@ -59,7 +62,8 @@ def test_ring_samples_ecn_marks_like_the_bus(two_hosts):
 def test_a_traced_ring_samples_with_its_bus(two_hosts):
     sim, topo, a, b, sw = two_hosts
     obs = ObsContext(sim, TraceConfig(sample={"ecn.mark": 4}))
-    vsw = AcdcVswitch(a, obs=obs, config=AcdcConfig(sanitize=True))
+    with sanitizing(True):
+        vsw = AcdcVswitch(a, obs=obs)
     assert vsw.flight.sample is obs.bus.config.sample
     rec = FlightRecorder(FakeSim())
     rec.sample = {"ecn.mark": 4}
@@ -88,7 +92,8 @@ def test_the_ring_samples_per_vswitch_so_it_is_not_the_bus_tail(
     obs = ObsContext(sim)
     logs = {}
     for host in (a, b, c):
-        vsw = AcdcVswitch(host, obs=obs, config=AcdcConfig(sanitize=True))
+        with sanitizing(True):
+            vsw = AcdcVswitch(host, obs=obs)
         host.attach_vswitch(vsw)
         vsw.add_tap(logs.setdefault(host.addr, MarkLog()))
     Sink(c, 7000)

@@ -102,50 +102,31 @@ class _Tripwire:
         return _unpickled, ()
 
 
-def test_version_1_checkpoint_is_refused_unread(tmp_path):
-    """A version-1 payload pickles the calendar as ``(time, seq, Event)``
-    entries; the version check refuses it before any unpickling, so it
-    can never become a broken heap in a restored run."""
+#: What each older format pickles in a shape this reader no longer has.
+OLD_FORMATS = {
+    1: "the calendar as ``(time, seq, Event)`` entries",
+    3: "trace channels, INT echoes and histograms in their old shapes",
+    4: "port taps with an occupancy channel, INT stampers with their own "
+       "EWMA and hop bound, and flight rings with a capacity",
+    5: "an eleven-field AC/DC config, a flow table with its GC knobs, a "
+       "policer with its slack, a guest connection with its RTOmin and an "
+       "INT view with its last queue sample and update time",
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_FORMATS))
+def test_old_version_checkpoint_is_refused_unread(tmp_path, version):
+    """An older payload (see :data:`OLD_FORMATS`) is refused by the version
+    check before any unpickling, so it can never become a broken heap or
+    a half-shaped object in a restored run."""
     path = checkpoint_path(tmp_path, 0)
     write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
                      epoch=0, sim_now=0.0, wal_pos=0)
     raw = path.read_bytes()
     current = f'"version":{FORMAT_VERSION}'.encode()
-    assert raw.count(current) == 1
-    path.write_bytes(raw.replace(current, b'"version":1'))
-    with pytest.raises(CheckpointError, match="format version 1"):
-        read_checkpoint(path)
-    assert latest_checkpoint(tmp_path) is None
-    assert UNPICKLED == []
-
-
-def test_version_3_checkpoint_is_refused_unread(tmp_path):
-    """A version-3 payload pickles trace channels, INT echoes and
-    histograms in their old shapes; it is refused unread."""
-    path = checkpoint_path(tmp_path, 0)
-    write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
-                     epoch=0, sim_now=0.0, wal_pos=0)
-    raw = path.read_bytes()
-    current = f'"version":{FORMAT_VERSION}'.encode()
-    assert FORMAT_VERSION == 5 and raw.count(current) == 1
-    path.write_bytes(raw.replace(current, b'"version":3'))
-    with pytest.raises(CheckpointError, match="format version 3"):
-        read_checkpoint(path)
-    assert latest_checkpoint(tmp_path) is None
-    assert UNPICKLED == []
-
-
-def test_version_4_checkpoint_is_refused_unread(tmp_path):
-    """A version-4 payload pickles port taps with an occupancy channel,
-    INT stampers with their own EWMA and hop bound, and flight rings
-    with a capacity; it is refused unread."""
-    path = checkpoint_path(tmp_path, 0)
-    write_checkpoint(path, {"_heap": [(0.5, 1, _Tripwire())]},
-                     epoch=0, sim_now=0.0, wal_pos=0)
-    raw = path.read_bytes()
-    current = f'"version":{FORMAT_VERSION}'.encode()
-    path.write_bytes(raw.replace(current, b'"version":4'))
-    with pytest.raises(CheckpointError, match="format version 4"):
+    assert FORMAT_VERSION == 6 and raw.count(current) == 1
+    path.write_bytes(raw.replace(current, f'"version":{version}'.encode()))
+    with pytest.raises(CheckpointError, match=f"format version {version}"):
         read_checkpoint(path)
     assert latest_checkpoint(tmp_path) is None
     assert UNPICKLED == []

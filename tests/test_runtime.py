@@ -119,10 +119,12 @@ def test_cache_lost_write_race_is_benign(tmp_path):
     spec = RunSpec(DOUBLE, {"x": 3})
     # A concurrent twin holds the O_EXCL temp file for this key.
     tmp = tmp_path / f"{spec.key()}.json.tmp.{os.getpid()}"
-    tmp.write_text('{"spec": {}, "result": {"x": 3, "twice": 6}}',
-                   encoding="utf-8")
+    twin = '{"spec": {}, "result": {"x": 3, "twice": 6}}'
+    tmp.write_text(twin, encoding="utf-8")
     cache.put(spec.key(), spec.describe(), {"x": 3, "twice": 6})  # no raise
-    assert cache.races == 1
+    # The loser writes no entry and leaves the twin's temp file alone.
+    assert not (tmp_path / f"{spec.key()}.json").exists()
+    assert tmp.read_text(encoding="utf-8") == twin
     # Entries are content-addressed: once the winner lands, a hit returns
     # the equivalent result.
     os.replace(tmp, tmp_path / f"{spec.key()}.json")

@@ -10,7 +10,7 @@ under test.
 
 from repro.core.conntrack import ConnTrack
 from repro.core.dctcp_vswitch import VswitchDctcp
-from repro.core.enforcement import Policer
+from repro.core.enforcement import POLICING_SLACK_SEGMENTS, Policer
 from repro.net.packet import (
     SEQ_MASK,
     SEQ_SPACE,
@@ -160,11 +160,12 @@ def test_dctcp_grows_for_flow_starting_near_wrap():
 # Policer across the wrap
 # ---------------------------------------------------------------------------
 def test_policer_window_check_across_wrap():
-    policer = Policer(slack_segments=0)
+    policer = Policer()
     una = SEQ_SPACE - 1000
     window = 3000
+    edge = window + POLICING_SLACK_SEGMENTS * MSS
     inside = _data(seq_add(una, 1000), 1000)   # crosses the wrap, in-window
-    beyond = _data(seq_add(una, 3500), 1000)   # past una+window
+    beyond = _data(seq_add(una, edge - 500), 1000)  # past una+window+slack
     assert policer.allow(inside, una, window, MSS)
     assert not policer.allow(beyond, una, window, MSS)
     assert policer.drops == 1

@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import sanitize
+from conftest import sanitizing
 from repro.control.service import Service, ServiceConfig
 from repro.experiments.common import ACDC
 from repro.experiments.runners import run_dumbbell
@@ -72,10 +72,8 @@ class FakeSim:
 @pytest.fixture
 def unsanitized():
     """These runs count frames and bytes of the traced datapath only."""
-    was = sanitize.is_enabled()
-    sanitize.enable(False)
-    yield
-    sanitize.enable(was)
+    with sanitizing(False):
+        yield
 
 
 def dumbbell(**taps):
@@ -956,7 +954,7 @@ def mangled(echo):
 
 def test_a_sink_echo_is_trusted_and_every_other_echo_is_scanned(scans):
     made = sink_echo()
-    assert TelemetryView().on_echo(made, 0.0) == ("ok", False)
+    assert TelemetryView().on_echo(made) == ("ok", False)
     assert scans == []
     others = {"by hand, valid": (IntEcho(*made), "ok"),
               "by hand, invalid": (echo_of(AGG[:2] + (-1,) + AGG[3:]),
@@ -969,7 +967,7 @@ def test_a_sink_echo_is_trusted_and_every_other_echo_is_scanned(scans):
                   tuple.__new__(IntEcho, tuple(made)), "ok")}
     for name, (echo, status) in others.items():
         assert type(echo) is IntEcho, name
-        assert TelemetryView().on_echo(echo, 0.0)[0] == status, name
+        assert TelemetryView().on_echo(echo)[0] == status, name
     assert scans == [echo for echo, _ in others.values()]
 
 

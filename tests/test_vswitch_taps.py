@@ -14,11 +14,11 @@ import ast
 import gc
 import inspect
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import sanitizing
 from repro.analysis import sanitize
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
 from repro.core import acdc
@@ -211,8 +211,8 @@ def test_egress_data_verdict_drops_with_the_guard_drop_op_counts(two_hosts):
 
 def test_a_tap_binds_only_the_hooks_it_implements(two_hosts):
     sim, topo, a, b, sw = two_hosts
-    vsw = AcdcVswitch(a, window_cb=WindowLogger().acdc_callback,
-                      config=AcdcConfig(sanitize=False))
+    with sanitizing(False):
+        vsw = AcdcVswitch(a, window_cb=WindowLogger().acdc_callback)
     assert vsw._on_window == (vsw.taps[0].on_window,)
     assert all(getattr(vsw, "_" + hook) == () for hook in acdc.HOOKS
                if hook != "on_window")
@@ -320,10 +320,10 @@ def test_taps_do_not_change_the_run(run, unsanitized):
     scenario = TAPPED_RUNS[run]()
     bare = common.Testbed(scenario).run()
     logger = WindowLogger()
-    tapped = common.Testbed(
-        replace(scenario, acdc=AcdcConfig(sanitize=True)),
-        common.Taps(obs=ObsContext(), int_tel=IntTelemetry(),
-                    window_cb=logger.acdc_callback)).run()
+    with sanitizing(True):
+        tapped = common.Testbed(
+            scenario, common.Taps(obs=ObsContext(), int_tel=IntTelemetry(),
+                                  window_cb=logger.acdc_callback)).run()
     assert all(len(v.taps) == 5 for v in tapped.vswitches.values())
     assert logger.samples and tapped.telemetry["trace"]["recorded"] > 0
     assert observables(tapped) == observables(bare)
@@ -387,15 +387,16 @@ def tap_kinds(vswitch):
 
 def test_a_traced_only_vswitch_arms_the_bus_tap_and_no_ring(two_hosts):
     sim, topo, a, b, sw = two_hosts
-    vsw = AcdcVswitch(a, obs=ObsContext(sim),
-                      config=AcdcConfig(sanitize=False))
+    with sanitizing(False):
+        vsw = AcdcVswitch(a, obs=ObsContext(sim))
     assert vsw.flight is None
     assert tap_kinds(vsw) == [VswitchObs]
 
 
 def test_a_sanitize_only_vswitch_arms_the_ring_and_no_bus_tap(two_hosts):
     sim, topo, a, b, sw = two_hosts
-    vsw = AcdcVswitch(a, config=AcdcConfig(sanitize=True))
+    with sanitizing(True):
+        vsw = AcdcVswitch(a)
     assert vsw.trace is None and isinstance(vsw.flight, FlightRecorder)
     assert VswitchObs not in tap_kinds(vsw)
     assert tap_kinds(vsw)[0] is FlightRecorder
@@ -403,8 +404,8 @@ def test_a_sanitize_only_vswitch_arms_the_ring_and_no_bus_tap(two_hosts):
 
 def test_traced_and_sanitized_put_the_bus_tap_before_the_ring(two_hosts):
     sim, topo, a, b, sw = two_hosts
-    vsw = AcdcVswitch(a, obs=ObsContext(sim),
-                      config=AcdcConfig(sanitize=True))
+    with sanitizing(True):
+        vsw = AcdcVswitch(a, obs=ObsContext(sim))
     assert tap_kinds(vsw)[:2] == [VswitchObs, FlightRecorder]
     assert vsw.taps[1] is vsw.flight
 
