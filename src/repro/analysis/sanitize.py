@@ -24,7 +24,8 @@ substrate's own conservation laws:
 
 Enablement is one process-wide switch: ``REPRO_SANITIZE=1`` in the
 environment, or :func:`enable` to force it on or off whatever the
-environment says.  Each component reads it once, when it is built: an
+environment says (it returns the override it replaced, ``None`` when the
+environment decided, so a caller can put that back).  Each component reads it once, when it is built: an
 AC/DC vSwitch then holds these probes and a flight ring, a switch port
 its :class:`PortAccounting` tap, and a :class:`~repro.sim.engine.Simulator`
 its strict mode — all of them or none, so set the switch before the run
@@ -65,10 +66,12 @@ def is_enabled() -> bool:
     return value not in ("", "0", "false", "no", "off")
 
 
-def enable(on: Optional[bool] = True) -> None:
-    """Force sanitizing on/off process-wide; ``None`` restores the env."""
+def enable(on: Optional[bool] = True) -> Optional[bool]:
+    """Force sanitizing on/off process-wide; ``None`` restores the env.
+    Returns the override this replaced, for the caller to put back."""
     global _forced  # repro-lint: disable=RL006 (process-wide toggle, configuration not run state)
-    _forced = on
+    was, _forced = _forced, on
+    return was
 
 
 def set_run_seed(seed: Optional[int]) -> None:

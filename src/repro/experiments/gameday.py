@@ -54,14 +54,15 @@ def gameday_cell(seed: int, epochs: int = 6, n_hosts: int = 6) -> dict:
                            adversarial_hosts=1)
     # The whole sanitizer, not only its vSwitch probes: switch-port byte
     # conservation and the engine's clock tripwire arm at construction.
-    armed = sanitize.is_enabled()
-    sanitize.enable(True)
+    # Put back the override it replaced, not the value it read: ``None``
+    # hands the switch back to REPRO_SANITIZE.
+    was = sanitize.enable(True)
     sanitize.set_run_seed(seed)
     try:
         result = Service(config, gameday_schedule(epochs)).run(epochs)
     finally:
         sanitize.set_run_seed(None)
-        sanitize.enable(armed)
+        sanitize.enable(was)
     statuses = [c["status"] for c in result["commands"]]
     return {
         "result": result,

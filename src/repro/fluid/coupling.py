@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..net.buffer import SharedBuffer
+from ..net.buffer import DT_ALPHA, SharedBuffer
 from ..net.link import SwitchTxPort
 from ..net.red import EcnMarker
 from ..sim.engine import PeriodicSource, Simulator
@@ -163,8 +163,7 @@ class FluidPort:
         free_excl = (shared.capacity - shared.used
                      - (shared.overlay_total - shared.overlay_bytes(qid)))
         q_pkt = shared.queue_bytes(qid)
-        alpha = shared.dt_alpha
-        cap = (alpha * free_excl - q_pkt) / (1.0 + alpha)
+        cap = (DT_ALPHA * free_excl - q_pkt) / (1.0 + DT_ALPHA)
         if cap < 0.0:
             cap = 0.0
         if backlog_total > cap:

@@ -31,6 +31,10 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List
 
+#: The Dynamic Threshold's alpha: one congested queue may claim up to
+#: half of the free pool (``alpha / (1 + alpha)``), the G8264's scheme.
+DT_ALPHA = 1.0
+
 
 class Departures:
     """Admitted packets in finish-time order (equal times: push order);
@@ -69,13 +73,10 @@ class Departures:
 class SharedBuffer:
     """Byte-accounted shared memory pool with Dynamic Threshold admission."""
 
-    def __init__(self, capacity_bytes: int, dt_alpha: float = 1.0):
+    def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("buffer capacity must be positive")
-        if dt_alpha <= 0:
-            raise ValueError("DT alpha must be positive")
         self.capacity = capacity_bytes
-        self.dt_alpha = dt_alpha
         self._used = 0
         #: This pool's ports' settle queue: readers settle, mutators do not.
         self.departures = Departures()
@@ -132,7 +133,7 @@ class SharedBuffer:
 
     def threshold(self) -> float:
         """Current DT admission limit for any single queue."""
-        return self.dt_alpha * self.free
+        return DT_ALPHA * self.free
 
     # ------------------------------------------------------------------
     def try_admit(self, queue_id: int, nbytes: int) -> bool:
@@ -144,7 +145,7 @@ class SharedBuffer:
         """
         occupancy = self._queues.setdefault(queue_id, 0)
         free = self.capacity - self._used - self.overlay_total
-        if nbytes > free or occupancy + nbytes > self.dt_alpha * free:
+        if nbytes > free or occupancy + nbytes > DT_ALPHA * free:
             return False
         self._queues[queue_id] = occupancy + nbytes
         self._used += nbytes

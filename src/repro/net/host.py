@@ -20,13 +20,13 @@ from ..tcp.connection import TcpConnection
 from .link import HostTxPort
 from .packet import Packet, mss_for_mtu
 
-#: Default egress timing noise (seconds).  Real hosts have scheduling and
+#: Egress timing noise (seconds).  Real hosts have scheduling and
 #: interrupt jitter; a deterministic simulator without it phase-locks
 #: flows into periodic patterns where ECN marks land on the same flows
 #: every round (breaking DCTCP's fairness).  The jitter is seeded per
 #: host, so runs remain reproducible, and is applied monotonically so it
 #: can never reorder a host's own packets.
-DEFAULT_TX_JITTER = 2e-6
+TX_JITTER_S = 2e-6
 
 ConnKey = Tuple[str, int, str, int]
 
@@ -49,7 +49,7 @@ class Host:
     """A server: address, NIC, optional vSwitch, TCP connections."""
 
     def __init__(self, sim: Simulator, name: str, mtu: int = 9000,
-                 tx_jitter: float = DEFAULT_TX_JITTER, seed: int = 0):
+                 seed: int = 0):
         self.sim = sim
         self.name = name
         self.addr = name
@@ -66,7 +66,6 @@ class Host:
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
-        self.tx_jitter = tx_jitter
         self._jitter_rng = RngFactory(seed).stream(f"host:{name}")
         self._egress_clock = 0.0
         # Tenant profile: connection options applied to every endpoint on
@@ -142,13 +141,11 @@ class Host:
             raise RuntimeError(f"{self.name}: NIC not attached")
         self.tx_packets += 1
         self.tx_bytes += packet.size
-        when = None
-        if self.tx_jitter > 0:
-            # uniform(0, jitter), without its frame: one draw per packet.
-            when = self.sim.now + self.tx_jitter * self._jitter_rng.random()
-            if when < self._egress_clock:
-                when = self._egress_clock
-            self._egress_clock = when
+        # uniform(0, jitter), without its frame: one draw per packet.
+        when = self.sim.now + TX_JITTER_S * self._jitter_rng.random()
+        if when < self._egress_clock:
+            when = self._egress_clock
+        self._egress_clock = when
         # The NIC takes the jittered arrival time; there is no event for it.
         self.nic.enqueue(packet, when)
 

@@ -10,7 +10,7 @@ WRED profile are **dropped**, which is the ECN-coexistence trap of
 Fig. 15/16 (Judd [36], Wu [72]).  Real WRED drops probabilistically
 along a ramp rather than at a cliff, so non-ECT drops here follow the
 classic profile: probability 0 at K rising linearly to 1 at
-``ramp_factor * K``.  (With a cliff, a competing DCTCP flow that parks
+``RAMP_FACTOR * K``.  (With a cliff, a competing DCTCP flow that parks
 the queue exactly at K would give non-ECT packets a strictly-zero
 delivery probability — harsher than any testbed measurement.)
 
@@ -36,11 +36,11 @@ from .packet import ECN_CE, Packet
 #: DCTCP's recommended threshold at 10 Gb/s: 65 full-size 1.5 KB frames.
 DEFAULT_K_BYTES = 65 * 1500
 
-#: Non-ECT drop probability reaches 1.0 at ``ramp_factor * K``.  The ramp
+#: Non-ECT drop probability reaches 1.0 at ``RAMP_FACTOR * K``.  The ramp
 #: is sharp: a non-ECT flow competing with DCTCP (which parks the queue at
 #: K) must starve, as in Fig. 15a, while its occasional survivors let the
 #: Fig. 16 latency measurement exist at all.
-DEFAULT_RAMP_FACTOR = 1.25
+RAMP_FACTOR = 1.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,16 +88,11 @@ class EcnMarker:
     """
 
     def __init__(self, enabled: bool = True,
-                 threshold_bytes: int = DEFAULT_K_BYTES,
-                 ramp_factor: float = DEFAULT_RAMP_FACTOR,
-                 seed: int = 0):
+                 threshold_bytes: int = DEFAULT_K_BYTES, seed: int = 0):
         if threshold_bytes <= 0:
             raise ValueError("marking threshold must be positive")
-        if ramp_factor < 1.0:
-            raise ValueError("ramp factor must be >= 1")
         self.enabled = enabled
         self.threshold = threshold_bytes
-        self.ramp_factor = ramp_factor
         self.marked_packets = 0
         self.dropped_packets = 0
         self._rng = rng_registry.stream(seed, "red.wred-drop")
@@ -106,8 +101,8 @@ class EcnMarker:
         """Linear WRED ramp for ECN-incapable packets."""
         if queue_bytes <= self.threshold:
             return 0.0
-        ramp_top = self.threshold * self.ramp_factor
-        if queue_bytes >= ramp_top or ramp_top == self.threshold:
+        ramp_top = self.threshold * RAMP_FACTOR
+        if queue_bytes >= ramp_top:
             return 1.0
         return (queue_bytes - self.threshold) / (ramp_top - self.threshold)
 

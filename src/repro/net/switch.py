@@ -25,21 +25,14 @@ class Switch:
 
     One :class:`EcnMarker` is shared by all ports (the WRED/ECN profile is
     a switch-wide config in the testbed); buffer accounting is per-port
-    against the shared pool.
+    against the one :data:`DEFAULT_BUFFER_BYTES` pool.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        dt_alpha: float = 1.0,
-        ecn_enabled: bool = True,
-        ecn_threshold_bytes: int = DEFAULT_K_BYTES,
-    ):
+    def __init__(self, sim: Simulator, name: str, ecn_enabled: bool = True,
+                 ecn_threshold_bytes: int = DEFAULT_K_BYTES):
         self.sim = sim
         self.name = name
-        self.shared = SharedBuffer(buffer_bytes, dt_alpha)
+        self.shared = SharedBuffer(DEFAULT_BUFFER_BYTES)
         self.marker = EcnMarker(enabled=ecn_enabled, threshold_bytes=ecn_threshold_bytes)
         self.ports: Dict[int, SwitchTxPort] = {}
         self.fib: Dict[str, int] = {}

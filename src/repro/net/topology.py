@@ -116,7 +116,6 @@ def dumbbell(
     sim: Simulator,
     pairs: int = 5,
     rate_bps: float = DEFAULT_RATE,
-    delay_s: float = DEFAULT_DELAY,
     mtu: int = 9000,
     seed: int = 0,
     **switch_opts,
@@ -125,13 +124,13 @@ def dumbbell(
     topo = Topology(sim, seed=seed)
     left = topo.add_switch("sw-left", **switch_opts)
     right = topo.add_switch("sw-right", **switch_opts)
-    topo.link_switches(left, right, rate_bps, delay_s)
+    topo.link_switches(left, right, rate_bps)
     senders, receivers = [], []
     for i in range(pairs):
         sender = topo.add_host(f"s{i + 1}", mtu=mtu)
         receiver = topo.add_host(f"r{i + 1}", mtu=mtu)
-        topo.link_host(sender, left, rate_bps, delay_s)
-        topo.link_host(receiver, right, rate_bps, delay_s)
+        topo.link_host(sender, left, rate_bps)
+        topo.link_host(receiver, right, rate_bps)
         senders.append(sender)
         receivers.append(receiver)
     topo.finalize()
@@ -143,7 +142,6 @@ def parking_lot(
     senders: int = 5,
     hops: int = 4,
     rate_bps: float = DEFAULT_RATE,
-    delay_s: float = DEFAULT_DELAY,
     mtu: int = 9000,
     seed: int = 0,
     **switch_opts,
@@ -158,15 +156,15 @@ def parking_lot(
     topo = Topology(sim, seed=seed)
     chain = [topo.add_switch(f"sw{i + 1}", **switch_opts) for i in range(hops)]
     for a, b in zip(chain, chain[1:]):
-        topo.link_switches(a, b, rate_bps, delay_s)
+        topo.link_switches(a, b, rate_bps)
     receiver = topo.add_host("recv", mtu=mtu)
-    topo.link_host(receiver, chain[-1], rate_bps, delay_s)
+    topo.link_host(receiver, chain[-1], rate_bps)
     sender_hosts = []
     for i in range(senders):
         host = topo.add_host(f"s{i + 1}", mtu=mtu)
         # Attach: first two at the head, the rest spread down the chain.
         attach = chain[max(0, min(i - 1, hops - 2))]
-        topo.link_host(host, attach, rate_bps, delay_s)
+        topo.link_host(host, attach, rate_bps)
         sender_hosts.append(host)
     topo.finalize()
     return topo, sender_hosts, receiver
@@ -176,9 +174,7 @@ def star(
     sim: Simulator,
     n_hosts: int,
     rate_bps: float = DEFAULT_RATE,
-    delay_s: float = DEFAULT_DELAY,
     mtu: int = 9000,
-    host_prefix: str = "h",
     seed: int = 0,
     **switch_opts,
 ) -> Tuple[Topology, List[Host], Switch]:
@@ -187,8 +183,8 @@ def star(
     switch = topo.add_switch("sw", **switch_opts)
     hosts = []
     for i in range(n_hosts):
-        host = topo.add_host(f"{host_prefix}{i + 1}", mtu=mtu)
-        topo.link_host(host, switch, rate_bps, delay_s)
+        host = topo.add_host(f"h{i + 1}", mtu=mtu)
+        topo.link_host(host, switch, rate_bps)
         hosts.append(host)
     topo.finalize()
     return topo, hosts, switch

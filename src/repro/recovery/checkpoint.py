@@ -56,8 +56,9 @@ MAGIC = b"REPRO-CKPT 1\n"
 #: no capacity.  Version 6: an AC/DC config holds five fields, a flow
 #: table neither a GC interval nor an idle timeout, a policer no slack,
 #: a guest connection no RTOmin, and an INT view neither a last queue
-#: sample nor an update time.
-FORMAT_VERSION = 6
+#: sample nor an update time.  Version 7: a host holds no transmit
+#: jitter, a WRED marker no ramp factor and a shared buffer no DT alpha.
+FORMAT_VERSION = 7
 
 _CKPT_NAME = re.compile(r"^epoch-(\d{8})\.ckpt$")
 

@@ -167,7 +167,7 @@ class Simulator:
         sim.run(until=10.0)
     """
 
-    def __init__(self, strict: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         #: ``(time, seq, fn, args)`` entries; an :meth:`arm_at` entry is
         #: ``(time, seq, event, None)``.
@@ -180,13 +180,12 @@ class Simulator:
         #: Times the calendar was compacted to shed cancelled corpses.
         self.heap_compactions = 0
         # Sanitizer tripwire: scheduling in the past is *always* a hard
-        # error (see schedule_at); strict mode additionally audits every
-        # popped event against the clock, catching Event.time mutations
-        # and heap-discipline bugs that the scheduling check cannot see.
-        if strict is None:
-            from ..analysis.sanitize import is_enabled  # lazy: no cycle
-            strict = is_enabled()
-        self._strict = strict
+        # error (see schedule_at); strict mode, on when the process-wide
+        # sanitizer switch is on at construction, additionally audits
+        # every popped event against the clock, catching Event.time
+        # mutations and heap-discipline bugs the scheduling check cannot.
+        from ..analysis.sanitize import is_enabled  # lazy: no cycle
+        self._strict = is_enabled()
 
     @property
     def events_scheduled(self) -> int:
@@ -332,27 +331,6 @@ class Simulator:
             if next_time is None or next_time > until:
                 self.now = until
 
-    def step(self) -> bool:
-        """Run exactly one pending event.  Returns False if queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _seq, fn, args = heappop(heap)
-            if args is None:
-                if fn.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                fn._sim = None
-                fn, args = fn.fn, fn.args
-            if self._strict and time < self.now:
-                raise SimulationError(
-                    f"event surfaced at {time!r} behind the clock "
-                    f"{self.now!r} (mutated Event.time?)")
-            self.now = time
-            fn(*args)
-            self.events_processed += 1
-            return True
-        return False
-
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if drained."""
         heap = self._heap
@@ -364,12 +342,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._heap) - self._cancelled_pending
-
-    def clear(self) -> None:
-        """Drop every pending event (used between experiment repetitions)."""
-        for _t, _s, fn, args in self._heap:
-            if args is None:
-                fn._sim = None
-                fn.cancel()
-        self._heap.clear()
-        self._cancelled_pending = 0

@@ -1,13 +1,14 @@
-"""Pluggable congestion control registry (mirrors Linux's CC table).
+"""Congestion control table (mirrors Linux's CC table).
 
-``make_cc("cubic", conn)`` is how a connection binds its algorithm;
-register custom algorithms with :func:`register` (the non-conforming stack
-used by the policing ablation does exactly this).
+``make_cc("cubic", conn)`` is how a connection binds its algorithm; the
+table holds the six stacks the paper runs and nothing registers more
+(a non-conforming tenant is a connection option, ``ignore_rwnd``, not
+an algorithm).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from .base import CongestionControl
 from .cubic import Cubic
@@ -20,12 +21,8 @@ from .vegas import Vegas
 if TYPE_CHECKING:  # pragma: no cover
     from ..connection import TcpConnection
 
-_REGISTRY: Dict[str, Callable[..., CongestionControl]] = {}
-
-
-def register(name: str, factory: Callable[..., CongestionControl]) -> None:
-    """Add (or replace) an algorithm in the registry."""
-    _REGISTRY[name] = factory
+_REGISTRY = {cls.name: cls
+             for cls in (Reno, Cubic, Dctcp, Vegas, Illinois, HighSpeed)}
 
 
 def make_cc(name: str, conn: "TcpConnection", **kwargs) -> CongestionControl:
@@ -40,12 +37,9 @@ def make_cc(name: str, conn: "TcpConnection", **kwargs) -> CongestionControl:
 
 
 def available() -> list:
-    """Names of every registered algorithm."""
+    """Names of every algorithm in the table."""
     return sorted(_REGISTRY)
 
-
-for _cls in (Reno, Cubic, Dctcp, Vegas, Illinois, HighSpeed):
-    register(_cls.name, _cls)
 
 __all__ = [
     "CongestionControl",
@@ -57,5 +51,4 @@ __all__ = [
     "Vegas",
     "available",
     "make_cc",
-    "register",
 ]

@@ -7,8 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis import sanitize
-from repro.net.host import Host
-from repro.net.topology import Topology, star
+from repro.net.topology import star
 from repro.sim import Simulator
 
 
@@ -23,8 +22,7 @@ def _flight_dumps_in_tmp(tmp_path, monkeypatch):
 def sanitizing(on: bool):
     """Set the one sanitizer switch for what the block builds, then put
     the previous setting back (``None``: the environment decides)."""
-    was = sanitize._forced
-    sanitize.enable(on)
+    was = sanitize.enable(on)
     try:
         yield
     finally:

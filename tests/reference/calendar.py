@@ -42,19 +42,16 @@ class Calendar:
             self.entries.pop(0)
         return self.entries[0][0] if self.entries else None
 
-    def step(self, until=None):
-        time = self.peek_time()
-        if time is None or (until is not None and time > until):
-            return False
-        _, _, fn, args, _ = self.entries.pop(0)
-        self.now = time
-        fn(*args)
-        self.events_processed += 1
-        return True
-
     def run(self, until=None, max_events=None):
         fired = 0
-        while self.step(until):
+        while True:
+            time = self.peek_time()
+            if time is None or (until is not None and time > until):
+                break
+            _, _, fn, args, _ = self.entries.pop(0)
+            self.now = time
+            fn(*args)
+            self.events_processed += 1
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
@@ -65,6 +62,3 @@ class Calendar:
 
     def pending(self):
         return sum(1 for entry in self.entries if entry[4])
-
-    def clear(self):
-        self.entries.clear()

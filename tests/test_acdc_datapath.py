@@ -5,10 +5,7 @@ traffic flows through the full pipeline and we assert on the state the
 datapath builds and the rewrites it performs.
 """
 
-import pytest
-
 from repro.core import AcdcConfig, AcdcVswitch, FlowPolicy, PolicyEngine
-from repro.net.packet import ECN_NOT_ECT
 from repro.workloads.apps import Sink
 
 

@@ -9,6 +9,7 @@ import pickle
 from types import SimpleNamespace
 
 import pytest
+from conftest import sanitizing
 
 from repro.analysis import sanitize
 from repro.analysis.sanitize import (
@@ -361,21 +362,25 @@ class TestPortAccounting:
 # ---------------------------------------------------------------------------
 class TestStrictEngine:
     def test_strict_catches_event_behind_clock(self):
-        sim = Simulator(strict=True)
+        with sanitizing(True):
+            sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.now = 5.0  # simulated clock corruption
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_strict_step_catches_it_too(self):
-        sim = Simulator(strict=True)
+        with sanitizing(True):
+            sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.now = 5.0
         with pytest.raises(SimulationError):
-            sim.step()
+            sim.run(max_events=1)
+        assert sim.events_processed == 0
 
     def test_nonstrict_does_not_audit(self):
-        sim = Simulator(strict=False)
+        with sanitizing(False):
+            sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.now = 5.0
         sim.run()  # silently processed (historical behaviour)
@@ -387,7 +392,8 @@ class TestStrictEngine:
         assert not Simulator()._strict
 
     def test_scheduling_in_past_always_raises(self):
-        sim = Simulator(strict=False)
+        with sanitizing(False):
+            sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):

@@ -7,7 +7,7 @@ from repro.net.buffer import SharedBuffer
 
 
 def test_admit_and_release():
-    buf = SharedBuffer(1000, dt_alpha=1.0)
+    buf = SharedBuffer(1000)
     assert buf.try_admit(0, 400)
     assert buf.used == 400
     assert buf.queue_bytes(0) == 400
@@ -16,15 +16,19 @@ def test_admit_and_release():
 
 
 def test_capacity_is_hard_limit():
-    buf = SharedBuffer(1000, dt_alpha=100.0)
+    """A second queue may take what is free of the pool and no more:
+    the pool fills exactly and then refuses every queue."""
+    buf = SharedBuffer(1000)
     assert buf.try_admit(0, 900)
     assert not buf.try_admit(1, 200)
     assert buf.try_admit(1, 100)
+    assert buf.used == buf.capacity and buf.free == 0
+    assert not any(buf.try_admit(q, 1) for q in range(3))
 
 
 def test_dynamic_threshold_single_queue():
-    """With alpha=1, one queue converges to at most half the buffer."""
-    buf = SharedBuffer(1000, dt_alpha=1.0)
+    """With alpha = 1, one queue converges to at most half the buffer."""
+    buf = SharedBuffer(1000)
     admitted = 0
     for _ in range(100):
         if buf.try_admit(0, 10):
@@ -35,11 +39,11 @@ def test_dynamic_threshold_single_queue():
 
 def test_dynamic_threshold_shrinks_under_contention():
     """A second congested queue reduces the first queue's allowance."""
-    buf = SharedBuffer(1000, dt_alpha=1.0)
+    buf = SharedBuffer(1000)
     while buf.try_admit(0, 10):
         pass
     q0_alone = buf.queue_bytes(0)
-    buf2 = SharedBuffer(1000, dt_alpha=1.0)
+    buf2 = SharedBuffer(1000)
     for _ in range(200):
         buf2.try_admit(0, 10)
         buf2.try_admit(1, 10)
@@ -47,10 +51,10 @@ def test_dynamic_threshold_shrinks_under_contention():
 
 
 def test_threshold_formula():
-    buf = SharedBuffer(1000, dt_alpha=2.0)
-    assert buf.threshold() == 2000
+    buf = SharedBuffer(1000)
+    assert buf.threshold() == 1000
     buf.try_admit(0, 300)
-    assert buf.threshold() == pytest.approx(1400)
+    assert buf.threshold() == pytest.approx(700)
 
 
 def test_release_more_than_held_raises():
@@ -63,8 +67,6 @@ def test_release_more_than_held_raises():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         SharedBuffer(0)
-    with pytest.raises(ValueError):
-        SharedBuffer(100, dt_alpha=0)
 
 
 def test_register_queue_idempotent():
@@ -79,7 +81,7 @@ def test_register_queue_idempotent():
                           st.booleans()), max_size=200))
 def test_accounting_invariants(ops):
     """used == sum of queues, never negative, never above capacity."""
-    buf = SharedBuffer(2000, dt_alpha=1.5)
+    buf = SharedBuffer(2000)
     held = {q: [] for q in range(4)}
     for queue, size, is_admit in ops:
         if is_admit:
@@ -97,7 +99,7 @@ def test_accounting_invariants(ops):
 # Fluid overlay composition (repro.fluid coupling; see buffer docstring)
 # ---------------------------------------------------------------------------
 def test_overlay_composes_into_occupancy_not_packet_accounting():
-    buf = SharedBuffer(10_000, dt_alpha=1.0)
+    buf = SharedBuffer(10_000)
     buf.register_queue(0)
     assert buf.try_admit(0, 1_000)
     buf.set_overlay(0, 2_500)
@@ -147,7 +149,7 @@ def test_peak_used_tracks_total_occupancy():
 def test_zero_overlay_degenerates_to_packet_only():
     """With no overlay every composed reading equals its packet value
     (the byte-identity contract for zero-background hybrid runs)."""
-    buf = SharedBuffer(5_000, dt_alpha=2.0)
+    buf = SharedBuffer(5_000)
     assert buf.try_admit(0, 700)
     assert buf.occupancy(0) == buf.queue_bytes(0) == 700
     assert buf.free == buf.capacity - buf.used

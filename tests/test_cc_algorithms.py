@@ -7,10 +7,9 @@ mechanics (which the integration tests cover).
 
 import pytest
 
-from repro.tcp.cc import available, make_cc, register
-from repro.tcp.cc.base import CongestionControl
+from repro.tcp.cc import available, make_cc
 from repro.tcp.cc.cubic import CUBIC_BETA, Cubic
-from repro.tcp.cc.dctcp import DCTCP_G, Dctcp
+from repro.tcp.cc.dctcp import Dctcp
 from repro.tcp.cc.highspeed import HighSpeed, hstcp_alpha, hstcp_beta
 from repro.tcp.cc.illinois import ALPHA_MAX, BETA_MAX, BETA_MIN, Illinois
 from repro.tcp.cc.reno import Reno
@@ -40,20 +39,13 @@ class StubConn:
 # Registry
 # ---------------------------------------------------------------------------
 def test_registry_contains_all_paper_stacks():
-    assert {"cubic", "dctcp", "highspeed", "illinois", "reno", "vegas"} <= set(available())
+    assert available() == ["cubic", "dctcp", "highspeed", "illinois", "reno",
+                           "vegas"]
 
 
 def test_make_cc_unknown_raises():
     with pytest.raises(ValueError):
         make_cc("bbr", StubConn())
-
-
-def test_register_custom():
-    class Custom(CongestionControl):
-        name = "custom-test"
-
-    register("custom-test", Custom)
-    assert isinstance(make_cc("custom-test", StubConn()), Custom)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,11 @@
 The benchmarks run the full-size experiments; these only verify that the
 runner/config machinery is wired correctly (fast)."""
 
-import pytest
-
 from repro.core import AcdcConfig
 from repro.experiments.common import (
     ACDC,
-    ALL_SCHEMES,
     CUBIC,
     DCTCP,
-    Scheme,
     attach_vswitches,
     k_bytes_for_rate,
     switch_opts,

@@ -33,7 +33,7 @@ DT = 1e-4
 
 def make_fluid_port(rate=RATE, k=K, dt=DT, enabled=True):
     sim = Simulator()
-    shared = SharedBuffer(9 * 1024 * 1024, dt_alpha=1.0)
+    shared = SharedBuffer(9 * 1024 * 1024)
     marker = EcnMarker(enabled=enabled, threshold_bytes=k)
     port = SwitchTxPort(sim, rate, 5e-6, shared, marker, queue_id=0)
     fport = FluidPort(port, shared, marker, dt=dt)

@@ -78,10 +78,10 @@ def packet(ecn=ECN_NOT_ECT, **fields):
 
 
 def test_decide_hands_out_shared_immutable_verdicts():
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=1.0)
+    marker = EcnMarker(threshold_bytes=1000)
     below = marker.decide(packet(), 10)
     mark = marker.decide(packet(ECN_ECT0), 5000)
-    drop = marker.decide(packet(), 5000)         # ramp top = K: p = 1
+    drop = marker.decide(packet(), 5000)         # past the ramp top: p = 1
     assert (below.drop, below.marked) == (False, False)
     assert (mark.drop, mark.marked) == (False, True)
     assert (drop.drop, drop.marked) == (True, False)

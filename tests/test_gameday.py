@@ -63,3 +63,14 @@ def test_gameday_arms_the_whole_sanitizer(monkeypatch):
         for port in ports)
     assert all(vsw.sanitizer is not None for vsw in svc.vswitches.values())
     assert svc.sim._strict
+
+
+def test_gameday_hands_the_switch_back_to_the_environment(monkeypatch):
+    """A game-day cell restores the override it replaced (none here), so
+    the process goes on following ``REPRO_SANITIZE`` afterwards."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    gameday_cell(seed=0, epochs=1, n_hosts=4)
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    assert not sanitize.is_enabled()
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert sanitize.is_enabled()

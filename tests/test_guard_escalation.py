@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core import FlowPolicy, PolicyEngine
 from repro.core.vswitch_cc import make_vswitch_cc
 from repro.guard import EscalationEngine, FlowConformance, GuardConfig, TokenBucket

@@ -85,7 +85,7 @@ def test_host_port_never_drops(sim, trap):
 # Switch port: shared buffer + marking
 # ---------------------------------------------------------------------------
 def make_switch_port(sim, trap, capacity=10_000, k=2_000, enabled=True):
-    shared = SharedBuffer(capacity, dt_alpha=100.0)
+    shared = SharedBuffer(capacity)
     marker = EcnMarker(enabled=enabled, threshold_bytes=k)
     port = SwitchTxPort(sim, rate_bps=8000.0, delay_s=0.0,
                         shared=shared, marker=marker, queue_id=0, peer=trap)
@@ -93,7 +93,9 @@ def make_switch_port(sim, trap, capacity=10_000, k=2_000, enabled=True):
 
 
 def test_switch_port_tail_drop_on_full_buffer(sim, trap):
-    port, shared, _ = make_switch_port(sim, trap, capacity=2_500, enabled=False)
+    # At alpha = 1 a queue may hold what is still free of the pool: 2000 B
+    # of 3000 B, and then the third packet finds 1000 B free.
+    port, shared, _ = make_switch_port(sim, trap, capacity=3_000, enabled=False)
     results = [port.enqueue(data(1000)) for _ in range(4)]
     assert results == [True, True, False, False]
     assert port.stats.dropped_packets == 2
@@ -119,14 +121,15 @@ def test_switch_port_marks_ect_above_threshold(sim, trap):
 
 
 def test_mark_then_drop_neither_stamps_nor_counts(sim, trap):
-    # Queue parked above K while the shared buffer is exactly full: the
-    # arriving ECT packet earns a mark verdict but fails admission.  It
-    # must count as a drop only — no CE stamp, no marker/port mark stats.
-    port, shared, marker = make_switch_port(sim, trap, capacity=2_000, k=900)
+    # Queue parked above K and at its Dynamic Threshold limit (2000 B held,
+    # 1000 B free): the arriving ECT packet earns a mark verdict but fails
+    # admission.  It must count as a drop only — no CE stamp, no
+    # marker/port mark stats.
+    port, shared, marker = make_switch_port(sim, trap, capacity=3_000, k=900)
     assert port.enqueue(data(1000, ECN_ECT0))       # queue 0 -> no mark
     assert port.enqueue(data(1000, ECN_ECT0))       # queue 1000 > K -> marked
     assert marker.marked_packets == 1
-    victim = data(1000, ECN_ECT0)                   # queue 2000 > K, buffer full
+    victim = data(1000, ECN_ECT0)                   # queue 2000 > K, at the DT limit
     assert not port.enqueue(victim)
     assert victim.ecn == ECN_ECT0                   # no bogus CE stamp
     assert port.stats.dropped_packets == 1

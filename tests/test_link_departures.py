@@ -93,7 +93,7 @@ class World:
 
     def __init__(self, make_port, offers):
         self.sim = Simulator()
-        self.shared = SharedBuffer(self.CAPACITY, dt_alpha=1.0)
+        self.shared = SharedBuffer(self.CAPACITY)
         marker = EcnMarker(enabled=True, threshold_bytes=self.K, seed=3)
         self.arrivals = [[], []]
         self.ports = [make_port(self.sim, self.RATE, self.DELAY, self.shared,
@@ -276,7 +276,7 @@ def test_fifo_nic_matches_the_heap_settled_nic_it_replaced(offers, reads):
 # ---------------------------------------------------------------------------
 def make_switch_port(sim, peer, capacity=10_000, rate=8000.0, delay=0.0,
                      queue_id=0, shared=None):
-    shared = shared or SharedBuffer(capacity, dt_alpha=100.0)
+    shared = shared or SharedBuffer(capacity)
     marker = EcnMarker(enabled=False)
     port = SwitchTxPort(sim, rate, delay, shared, marker, queue_id=queue_id,
                         peer=peer)
@@ -297,7 +297,7 @@ def test_arrival_exactly_at_a_finish_sees_the_buffer_released(sim, trap):
 
 
 def test_equal_finish_times_settle_in_push_order(sim, trap):
-    shared = SharedBuffer(10_000, dt_alpha=100.0)
+    shared = SharedBuffer(10_000)
     a, _ = make_switch_port(sim, trap, shared=shared, queue_id=0)
     b, _ = make_switch_port(sim, trap, shared=shared, queue_id=1)
     order = []

@@ -62,8 +62,8 @@ class Recorder:
 
 
 def tapped_port(sim, peer):
-    """ECN above 1500 B on a 3500 B pool, two recorders attached."""
-    port = SwitchTxPort(sim, RATE, DELAY, SharedBuffer(3500, dt_alpha=100.0),
+    """ECN above 1500 B on a 6000 B pool, two recorders attached."""
+    port = SwitchTxPort(sim, RATE, DELAY, SharedBuffer(6000),
                         EcnMarker(threshold_bytes=1500), queue_id=0,
                         peer=peer)
     log = []
@@ -75,7 +75,8 @@ def tapped_port(sim, peer):
 def test_hooks_fire_in_attach_order_with_documented_arguments(sim, trap):
     port, log = tapped_port(sim, trap)
     # 0 B, 1000 B and 2000 B (marked) ahead are admitted; at 3000 B the
-    # pool is full, so the mark verdict is dropped with the packet.
+    # queue holds all that is free of the pool (the Dynamic Threshold at
+    # alpha = 1), so the mark verdict is dropped with the packet.
     verdicts = [port.enqueue(data(1000)) for _ in range(4)]
     assert verdicts == [True, True, True, False]
     sim.run()

@@ -111,6 +111,8 @@ OLD_FORMATS = {
     5: "an eleven-field AC/DC config, a flow table with its GC knobs, a "
        "policer with its slack, a guest connection with its RTOmin and an "
        "INT view with its last queue sample and update time",
+    6: "a host with its transmit jitter, a WRED marker with its ramp "
+       "factor and a shared buffer with its DT alpha",
 }
 
 
@@ -124,7 +126,7 @@ def test_old_version_checkpoint_is_refused_unread(tmp_path, version):
                      epoch=0, sim_now=0.0, wal_pos=0)
     raw = path.read_bytes()
     current = f'"version":{FORMAT_VERSION}'.encode()
-    assert FORMAT_VERSION == 6 and raw.count(current) == 1
+    assert FORMAT_VERSION == 7 and raw.count(current) == 1
     path.write_bytes(raw.replace(current, f'"version":{version}'.encode()))
     with pytest.raises(CheckpointError, match=f"format version {version}"):
         read_checkpoint(path)

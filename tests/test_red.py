@@ -35,12 +35,12 @@ def test_at_exact_threshold_untouched():
 def test_nonect_at_exact_threshold_consumes_no_rng():
     """A queue parked at exactly K must not burn WRED RNG draws: the
     non-ECT stream after N at-K arrivals matches a fresh marker's."""
-    a = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=3)
-    b = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=3)
+    a = EcnMarker(threshold_bytes=1000, seed=3)
+    b = EcnMarker(threshold_bytes=1000, seed=3)
     for _ in range(100):
         a.decide(data_pkt(ECN_NOT_ECT), 1000)  # exactly K: no draw
-    oa = [a.decide(data_pkt(ECN_NOT_ECT), 1500).drop for _ in range(50)]
-    ob = [b.decide(data_pkt(ECN_NOT_ECT), 1500).drop for _ in range(50)]
+    oa = [a.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
+    ob = [b.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
     assert oa == ob
 
 
@@ -68,7 +68,7 @@ def test_ce_stays_ce():
 
 
 def test_nonect_dropped_above_ramp_top():
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=1.25)
+    marker = EcnMarker(threshold_bytes=1000)
     p = data_pkt(ECN_NOT_ECT)
     decision = marker.decide(p, 1250)  # at/above ramp top: p = 1
     assert decision.drop
@@ -76,17 +76,17 @@ def test_nonect_dropped_above_ramp_top():
 
 
 def test_nonect_drop_probability_ramps():
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=2.0)
+    marker = EcnMarker(threshold_bytes=1000)  # ramp top: 1.25 K
     assert marker._nonect_drop_probability(999) == 0.0
     assert marker._nonect_drop_probability(1000) == 0.0
-    assert marker._nonect_drop_probability(1500) == pytest.approx(0.5)
-    assert marker._nonect_drop_probability(2000) == 1.0
+    assert marker._nonect_drop_probability(1125) == pytest.approx(0.5)
+    assert marker._nonect_drop_probability(1250) == 1.0
     assert marker._nonect_drop_probability(9999) == 1.0
 
 
 def test_nonect_drops_are_statistical_on_the_ramp():
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=1)
-    outcomes = [marker.decide(data_pkt(ECN_NOT_ECT), 1500).drop
+    marker = EcnMarker(threshold_bytes=1000, seed=1)
+    outcomes = [marker.decide(data_pkt(ECN_NOT_ECT), 1125).drop
                 for _ in range(2000)]
     rate = sum(outcomes) / len(outcomes)
     assert 0.45 <= rate <= 0.55
@@ -102,15 +102,13 @@ def test_disabled_marker_never_touches():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         EcnMarker(threshold_bytes=0)
-    with pytest.raises(ValueError):
-        EcnMarker(ramp_factor=0.5)
 
 
 def test_deterministic_for_seed():
-    a = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=9)
-    b = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=9)
-    oa = [a.decide(data_pkt(ECN_NOT_ECT), 1400).drop for _ in range(50)]
-    ob = [b.decide(data_pkt(ECN_NOT_ECT), 1400).drop for _ in range(50)]
+    a = EcnMarker(threshold_bytes=1000, seed=9)
+    b = EcnMarker(threshold_bytes=1000, seed=9)
+    oa = [a.decide(data_pkt(ECN_NOT_ECT), 1100).drop for _ in range(50)]
+    ob = [b.decide(data_pkt(ECN_NOT_ECT), 1100).drop for _ in range(50)]
     assert oa == ob
 
 
@@ -118,10 +116,10 @@ def test_deterministic_for_seed():
 # Batch (fluid-tier) form
 # ---------------------------------------------------------------------------
 def test_batch_matches_profile_boundaries():
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=2.0)
+    marker = EcnMarker(threshold_bytes=1000)
     at_k = marker.decide_batch(1000, ect_bytes=5000.0, nonect_bytes=5000.0)
     assert at_k.marked_bytes == 0.0 and at_k.dropped_bytes == 0.0
-    above = marker.decide_batch(1500, ect_bytes=5000.0, nonect_bytes=4000.0)
+    above = marker.decide_batch(1125, ect_bytes=5000.0, nonect_bytes=4000.0)
     assert above.mark_fraction == 1.0
     assert above.marked_bytes == 5000.0
     assert above.drop_fraction == pytest.approx(0.5)
@@ -130,14 +128,14 @@ def test_batch_matches_profile_boundaries():
 
 def test_batch_is_deterministic_and_counter_free():
     """Expected-value batch decisions: no RNG draws, no counter bumps."""
-    marker = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=7)
+    marker = EcnMarker(threshold_bytes=1000, seed=7)
     for _ in range(100):
-        marker.decide_batch(1500, ect_bytes=1e6, nonect_bytes=1e6)
+        marker.decide_batch(1125, ect_bytes=1e6, nonect_bytes=1e6)
     assert marker.marked_packets == 0 and marker.dropped_packets == 0
     # The per-packet RNG stream is unperturbed by batch calls.
-    fresh = EcnMarker(threshold_bytes=1000, ramp_factor=2.0, seed=7)
-    oa = [marker.decide(data_pkt(ECN_NOT_ECT), 1500).drop for _ in range(50)]
-    ob = [fresh.decide(data_pkt(ECN_NOT_ECT), 1500).drop for _ in range(50)]
+    fresh = EcnMarker(threshold_bytes=1000, seed=7)
+    oa = [marker.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
+    ob = [fresh.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
     assert oa == ob
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import sanitizing
 from reference.calendar import Calendar
 
 from repro.sim import SimulationError, Simulator
@@ -152,10 +153,11 @@ def test_step_runs_one_event(sim):
     fired = []
     sim.schedule(0.1, fired.append, 1)
     sim.schedule(0.2, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
+    sim.run(max_events=1)
+    assert fired == [1] and sim.events_processed == 1
+    sim.run(max_events=1)
+    sim.run(max_events=1)                # the queue is drained: a no-op
+    assert fired == [1, 2] and sim.events_processed == 2
 
 
 def test_peek_time_skips_cancelled(sim):
@@ -169,19 +171,10 @@ def test_peek_time_empty(sim):
     assert sim.peek_time() is None
 
 
-def test_clear_drops_everything(sim):
-    for i in range(5):
-        sim.schedule(i + 1.0, lambda: None)
-    sim.clear()
-    assert sim.pending() == 0
-    sim.run()
-    assert sim.events_processed == 0
-
-
 def test_pending_is_exact_under_cancels(sim):
     """``pending()`` is ``len(heap) - corpses``: it must agree with a scan
     through cancels, double cancels, cancels of fired events and an event
-    cancelling itself from its own callback (with ``run`` and ``step``)."""
+    cancelling itself from its own callback (bounded and one-event runs)."""
     def scan():
         return sum(1 for _t, _s, fn, args in sim._heap
                    if args is not None or not fn.cancelled)
@@ -197,7 +190,8 @@ def test_pending_is_exact_under_cancels(sim):
     sim.run(until=0.15)
     fired.cancel()                       # already fired: not in the heap
     assert sim.pending() == scan() == 3
-    assert sim.step()                    # the self-cancelling one
+    sim.run(max_events=1)                # the self-cancelling one
+    assert sim.events_processed == 3
     assert sim.pending() == scan() == 2
     sim.run()
     assert sim.pending() == scan() == 0
@@ -228,7 +222,8 @@ def test_max_events_break_does_not_fast_forward_clock(sim):
 def test_max_events_break_then_strict_resume():
     # With the old fast-forward, a strict-mode resume raised ("event
     # surfaced behind the clock"); events must instead run in order.
-    sim = Simulator(strict=True)
+    with sanitizing(True):
+        sim = Simulator()
     fired = []
     for i in range(6):
         sim.schedule_at(0.1 * (i + 1), fired.append, i)
@@ -312,8 +307,6 @@ def test_cancelled_pending_counter_stays_exact(sim):
     assert sim._cancelled_pending == 5
     sim.run()
     assert sim._cancelled_pending == 0
-    sim.clear()
-    assert sim._cancelled_pending == 0
 
 
 def test_determinism_across_instances():
@@ -396,7 +389,7 @@ OPS = st.lists(st.one_of(
     st.tuples(st.just("burst"), st.integers(1, 80), DELAYS),
     st.tuples(st.just("run"), st.none() | DELAYS,
               st.sampled_from([None, 0, 1, 3])),
-    st.tuples(st.sampled_from(["step", "peek", "clear"])),
+    st.tuples(st.just("peek")),
 ), max_size=40)
 
 
@@ -422,7 +415,7 @@ def drive(cal, ops):
         elif kind == "arm":
             handles[i] = cal.arm_at(cal.now + op[1], fire, i, op[2])
         elif kind == "cancel" and handles:
-            # Pending, fired, cancelled or cleared alike: double cancels
+            # Pending, fired or cancelled alike: double cancels
             # and cancels after firing must both be no-ops.
             handles[list(handles)[op[1] % len(handles)]].cancel()
         elif kind == "burst":
@@ -434,12 +427,8 @@ def drive(cal, ops):
         elif kind == "run":
             until = None if op[1] is None else cal.now + op[1]
             cal.run(until=until, max_events=op[2])
-        elif kind == "step":
-            answer = cal.step()
         elif kind == "peek":
             answer = cal.peek_time()
-        elif kind == "clear":
-            cal.clear()
         seen.append((kind, answer, cal.now, cal.events_processed,
                      cal.events_scheduled, cal.pending()))
     return seen
@@ -453,6 +442,6 @@ def test_engine_matches_reference_calendar(ops):
     """Same firing order and clock, same ``events_processed``,
     ``events_scheduled`` and ``pending()`` after every op, through
     cancels (double, after firing, from the event's own callback),
-    bounded and event-limited runs, steps, peeks, clears and the heap
+    bounded and event-limited runs, peeks and the heap
     compactions a burst of cancels sets off."""
     assert drive(Simulator(), ops) == drive(Calendar(), ops)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PeriodicTimer, Simulator, Timer
+from repro.sim import PeriodicTimer, Timer
 from repro.sim.engine import SimulationError
 
 

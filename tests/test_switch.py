@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.net.buffer import SharedBuffer
+from repro.net.link import SwitchTxPort
 from repro.net.packet import Packet
-from repro.net.switch import Switch
+from repro.net.red import EcnMarker
+from repro.net.switch import DEFAULT_BUFFER_BYTES, Switch
 
 
 def pkt(dst="b", payload=960):
@@ -37,31 +40,36 @@ def test_set_route_unknown_port_raises(sim):
 
 def test_ports_share_one_buffer(sim, trap):
     """Filling one port's queue shrinks what another port may hold."""
-    sw = Switch(sim, "sw", buffer_bytes=10_000, dt_alpha=1.0,
-                ecn_enabled=False)
-    slow_a = sw.add_port(8e3, 0.0, peer=trap)
-    slow_b = sw.add_port(8e3, 0.0, peer=trap)
-    sw.set_route("a_side", slow_a)
-    sw.set_route("b_side", slow_b)
+    shared = SharedBuffer(10_000)
+    marker = EcnMarker(enabled=False)
+    slow_a, slow_b = (SwitchTxPort(sim, 8e3, 0.0, shared, marker,
+                                   queue_id=q, peer=trap) for q in (0, 1))
     for _ in range(10):
-        sw.receive(pkt("a_side"))
-    used_after_a = sw.shared.used
+        slow_a.enqueue(pkt("a_side"))
+    used_after_a = shared.used
     for _ in range(10):
-        sw.receive(pkt("b_side"))
-    assert sw.shared.queue_bytes(slow_b) < used_after_a
+        slow_b.enqueue(pkt("b_side"))
+    assert shared.queue_bytes(1) < used_after_a
 
 
 def test_drop_counters_aggregate(sim, trap):
-    sw = Switch(sim, "sw", buffer_bytes=2_500, dt_alpha=10.0,
-                ecn_enabled=False)
-    port = sw.add_port(8e3, 0.0, peer=trap)
+    """One port offered more than its Dynamic Threshold share of the
+    switch's pool (alpha = 1: half of it) drops the rest, and the
+    switch-wide counters add up what its ports dropped and sent."""
+    sw = Switch(sim, "sw", ecn_enabled=False)
+    port = sw.add_port(1e9, 0.0, peer=trap)
     sw.set_route("b", port)
-    for _ in range(5):
+    size = pkt("b").size
+    # The n-th packet is admitted while n * size <= free = capacity -
+    # (n - 1) * size.
+    admitted = (DEFAULT_BUFFER_BYTES // size + 1) // 2
+    offered = admitted + 300
+    for _ in range(offered):
         sw.receive(pkt("b"))
-    assert sw.total_drops() == 3
+    assert sw.total_drops() == 300
     sim.run()
-    assert sw.total_tx_packets() == 2
-    assert sw.drop_rate() == pytest.approx(3 / 5)
+    assert sw.total_tx_packets() == admitted == len(trap.packets)
+    assert sw.drop_rate() == pytest.approx(300 / offered)
 
 
 def test_connect_port_later(sim, trap):

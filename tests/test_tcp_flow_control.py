@@ -1,7 +1,5 @@
 """Guest TCP: flow control, window scaling, clamps, pacing."""
 
-import pytest
-
 from repro.workloads.apps import Sink
 
 

@@ -1,6 +1,5 @@
 """Guest TCP: loss detection and recovery (dupacks, SACK, RTO)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FaultInjector
