@@ -28,7 +28,9 @@ the fluid tier stays RNG-free and byte-reproducible.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Optional
 
 from ..sim import rng as rng_registry
 from .packet import ECN_CE, Packet
@@ -88,14 +90,17 @@ class EcnMarker:
     """
 
     def __init__(self, enabled: bool = True,
-                 threshold_bytes: int = DEFAULT_K_BYTES, seed: int = 0):
+                 threshold_bytes: int = DEFAULT_K_BYTES,
+                 rng: Optional[random.Random] = None):
         if threshold_bytes <= 0:
             raise ValueError("marking threshold must be positive")
         self.enabled = enabled
         self.threshold = threshold_bytes
         self.marked_packets = 0
         self.dropped_packets = 0
-        self._rng = rng_registry.stream(seed, "red.wred-drop")
+        #: Non-ECT drop draws: a :class:`~repro.net.switch.Switch` hands
+        #: in its own stream; a bare marker draws from seed 0's.
+        self._rng = rng or rng_registry.stream(0, "red.wred-drop")
 
     def _nonect_drop_probability(self, queue_bytes: int) -> float:
         """Linear WRED ramp for ECN-incapable packets."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..sim.engine import Simulator
+from ..sim.rng import RngFactory
 from .buffer import SharedBuffer
 from .link import Device, SwitchTxPort
 from .packet import Packet
@@ -25,15 +26,19 @@ class Switch:
 
     One :class:`EcnMarker` is shared by all ports (the WRED/ECN profile is
     a switch-wide config in the testbed); buffer accounting is per-port
-    against the one :data:`DEFAULT_BUFFER_BYTES` pool.
+    against the one :data:`DEFAULT_BUFFER_BYTES` pool.  The marker draws
+    its non-ECT drops from a stream named after the switch and seeded by
+    the run, as a :class:`~repro.net.host.Host` draws its jitter.
     """
 
     def __init__(self, sim: Simulator, name: str, ecn_enabled: bool = True,
-                 ecn_threshold_bytes: int = DEFAULT_K_BYTES):
+                 ecn_threshold_bytes: int = DEFAULT_K_BYTES, seed: int = 0):
         self.sim = sim
         self.name = name
         self.shared = SharedBuffer(DEFAULT_BUFFER_BYTES)
-        self.marker = EcnMarker(enabled=ecn_enabled, threshold_bytes=ecn_threshold_bytes)
+        self.marker = EcnMarker(
+            enabled=ecn_enabled, threshold_bytes=ecn_threshold_bytes,
+            rng=RngFactory(seed).stream(f"red.wred-drop:{name}"))
         self.ports: Dict[int, SwitchTxPort] = {}
         self.fib: Dict[str, int] = {}
         self._next_port = 0

@@ -48,7 +48,7 @@ class Topology:
     def add_switch(self, name: str, **switch_opts) -> Switch:
         if name in self.hosts or name in self.switches:
             raise ValueError(f"duplicate node name {name!r}")
-        switch = Switch(self.sim, name, **switch_opts)
+        switch = Switch(self.sim, name, seed=self.seed, **switch_opts)
         self.switches[name] = switch
         self._adj[name] = []
         return switch

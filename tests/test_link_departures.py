@@ -30,6 +30,7 @@ from repro.net.red import EcnMarker
 from repro.obs.int import IntStamper
 from repro.runtime.spec import canonical_json
 from repro.sim import Simulator
+from repro.sim.rng import stream
 
 
 def data(size, ecn=ECN_NOT_ECT):
@@ -94,7 +95,8 @@ class World:
     def __init__(self, make_port, offers):
         self.sim = Simulator()
         self.shared = SharedBuffer(self.CAPACITY)
-        marker = EcnMarker(enabled=True, threshold_bytes=self.K, seed=3)
+        marker = EcnMarker(enabled=True, threshold_bytes=self.K,
+                           rng=stream(3, "red.wred-drop"))
         self.arrivals = [[], []]
         self.ports = [make_port(self.sim, self.RATE, self.DELAY, self.shared,
                                 marker, q, self._peer(q)) for q in (0, 1)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.packet import ECN_CE, ECN_ECT0, ECN_NOT_ECT, Packet
 from repro.net.red import EcnMarker
+from repro.sim.rng import stream
 
 
 def data_pkt(ecn):
@@ -35,8 +36,8 @@ def test_at_exact_threshold_untouched():
 def test_nonect_at_exact_threshold_consumes_no_rng():
     """A queue parked at exactly K must not burn WRED RNG draws: the
     non-ECT stream after N at-K arrivals matches a fresh marker's."""
-    a = EcnMarker(threshold_bytes=1000, seed=3)
-    b = EcnMarker(threshold_bytes=1000, seed=3)
+    a = EcnMarker(threshold_bytes=1000, rng=stream(3, "red.wred-drop"))
+    b = EcnMarker(threshold_bytes=1000, rng=stream(3, "red.wred-drop"))
     for _ in range(100):
         a.decide(data_pkt(ECN_NOT_ECT), 1000)  # exactly K: no draw
     oa = [a.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
@@ -85,7 +86,7 @@ def test_nonect_drop_probability_ramps():
 
 
 def test_nonect_drops_are_statistical_on_the_ramp():
-    marker = EcnMarker(threshold_bytes=1000, seed=1)
+    marker = EcnMarker(threshold_bytes=1000, rng=stream(1, "red.wred-drop"))
     outcomes = [marker.decide(data_pkt(ECN_NOT_ECT), 1125).drop
                 for _ in range(2000)]
     rate = sum(outcomes) / len(outcomes)
@@ -105,8 +106,8 @@ def test_invalid_construction():
 
 
 def test_deterministic_for_seed():
-    a = EcnMarker(threshold_bytes=1000, seed=9)
-    b = EcnMarker(threshold_bytes=1000, seed=9)
+    a = EcnMarker(threshold_bytes=1000, rng=stream(9, "red.wred-drop"))
+    b = EcnMarker(threshold_bytes=1000, rng=stream(9, "red.wred-drop"))
     oa = [a.decide(data_pkt(ECN_NOT_ECT), 1100).drop for _ in range(50)]
     ob = [b.decide(data_pkt(ECN_NOT_ECT), 1100).drop for _ in range(50)]
     assert oa == ob
@@ -128,12 +129,12 @@ def test_batch_matches_profile_boundaries():
 
 def test_batch_is_deterministic_and_counter_free():
     """Expected-value batch decisions: no RNG draws, no counter bumps."""
-    marker = EcnMarker(threshold_bytes=1000, seed=7)
+    marker = EcnMarker(threshold_bytes=1000, rng=stream(7, "red.wred-drop"))
     for _ in range(100):
         marker.decide_batch(1125, ect_bytes=1e6, nonect_bytes=1e6)
     assert marker.marked_packets == 0 and marker.dropped_packets == 0
     # The per-packet RNG stream is unperturbed by batch calls.
-    fresh = EcnMarker(threshold_bytes=1000, seed=7)
+    fresh = EcnMarker(threshold_bytes=1000, rng=stream(7, "red.wred-drop"))
     oa = [marker.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
     ob = [fresh.decide(data_pkt(ECN_NOT_ECT), 1125).drop for _ in range(50)]
     assert oa == ob

@@ -5,8 +5,9 @@ import pytest
 from repro.net.buffer import SharedBuffer
 from repro.net.link import SwitchTxPort
 from repro.net.packet import Packet
-from repro.net.red import EcnMarker
+from repro.net.red import RAMP_FACTOR, EcnMarker
 from repro.net.switch import DEFAULT_BUFFER_BYTES, Switch
+from repro.net.topology import Topology
 
 
 def pkt(dst="b", payload=960):
@@ -80,3 +81,27 @@ def test_connect_port_later(sim, trap):
     sw.receive(pkt("b"))
     sim.run()
     assert trap.packets
+
+
+def wred_drops(switch, n=200):
+    """Drop verdicts for ``n`` non-ECT packets offered to ``switch``'s
+    WRED profile halfway up its ramp (drop probability 0.5)."""
+    marker = switch.marker
+    half = marker.threshold * (1.0 + RAMP_FACTOR) / 2
+    return [marker.decide(pkt(), half).drop for _ in range(n)]
+
+
+def test_each_switch_draws_its_own_wred_stream(sim):
+    """Each switch draws its WRED drops from a stream named after it and
+    seeded by its topology: two switches of one run do not drop in
+    lockstep, a second seed draws anew, and an equal (seed, name)
+    repeats."""
+    topo = Topology(sim, seed=0)
+    left, right = (wred_drops(topo.add_switch(name))
+                   for name in ("sw-left", "sw-right"))
+    reseeded = wred_drops(Topology(sim, seed=1).add_switch("sw-left"))
+    again = wred_drops(Topology(sim, seed=0).add_switch("sw-left"))
+    assert 60 < sum(left) < 140
+    assert left != right
+    assert left != reseeded
+    assert again == left
