@@ -24,9 +24,10 @@ substrate's own conservation laws:
 
 Enablement is one process-wide switch: ``REPRO_SANITIZE=1`` in the
 environment, or :func:`enable` to force it on or off whatever the
-environment says (it returns the override it replaced, ``None`` when the
-environment decided, so a caller can put that back).  Each component reads it once, when it is built: an
-AC/DC vSwitch then holds these probes and a flight ring, a switch port
+environment says (it returns the override it replaced, ``None`` when
+the environment decided, so a caller can put that back).  Each
+component reads it once, when it is built: an AC/DC vSwitch then holds
+these probes and a flight ring, a switch port
 its :class:`PortAccounting` tap, and a :class:`~repro.sim.engine.Simulator`
 its strict mode — all of them or none, so set the switch before the run
 is built.  The datapath probes run as a tap of the vSwitch

@@ -129,7 +129,7 @@ def test_mark_then_drop_neither_stamps_nor_counts(sim, trap):
     assert port.enqueue(data(1000, ECN_ECT0))       # queue 0 -> no mark
     assert port.enqueue(data(1000, ECN_ECT0))       # queue 1000 > K -> marked
     assert marker.marked_packets == 1
-    victim = data(1000, ECN_ECT0)                   # queue 2000 > K, at the DT limit
+    victim = data(1000, ECN_ECT0)                   # queue 2000 > K, DT limit
     assert not port.enqueue(victim)
     assert victim.ecn == ECN_ECT0                   # no bogus CE stamp
     assert port.stats.dropped_packets == 1
