@@ -10,7 +10,7 @@ window (RWND) and can go below that floor.
 Run:  python examples/incast_burst.py
 """
 
-from repro import AcdcConfig, AcdcVswitch, PlainOvs, Simulator
+from repro import AcdcVswitch, PlainOvs, Simulator
 from repro.net.topology import star
 from repro.metrics import RttRecorder, jain_index, percentile
 from repro.workloads import BulkSender, EchoSink, PingPong, Sink

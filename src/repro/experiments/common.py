@@ -323,8 +323,8 @@ class Testbed:
             EchoSink(dst, RTT_PROBE_PORT, **opts)
             PingPong(sim, self.topology.hosts[probe.src], dst.addr,
                      RTT_PROBE_PORT, rtt, interval_s=probe.interval,
-                     start_at=0.0, warmup_s=probe.warmup,
-                     pipelined=probe.pipelined, conn_opts=opts)
+                     warmup_s=probe.warmup, pipelined=probe.pipelined,
+                     conn_opts=opts)
         tier = None
         if sc.fluid is not None:
             # The stepper starts after the foreground has established:
@@ -333,7 +333,7 @@ class Testbed:
             # handshake's non-ECT SYN arriving into that transient is
             # dropped with probability 1.
             coupling = sc.fluid
-            tier = FluidTier(sim, dt=coupling.dt)
+            tier = FluidTier(sim)
             tier.couple(self.topology.switches[coupling.switch],
                         coupling.port,
                         classes=tuple(g.to_fluid_spec()

@@ -42,15 +42,24 @@ def _cell(scenario: dict, epoch: float) -> dict:
     stops = [f.stop for f in sc.flows]
     series = [m.series for m in r.meters]
     # Fair-share error at each epoch midpoint: compare active flows'
-    # instantaneous rates to the equal share.
+    # instantaneous rates to the equal share.  An epoch's window is
+    # half-open, (t_mid - epoch/2, t_mid + epoch/2], so a meter sample on
+    # an epoch boundary belongs to exactly one epoch: the one it closes.
+    # Meters tick on the grid of their interval, which divides the
+    # epoch; the window is compared in whole ticks, so a boundary is
+    # never decided by the last bit of a float.
+    interval = r.meters[0].interval
+    per_epoch = round(epoch / interval)
     epochs: List[dict] = []
     for k in range(2 * flows - 1):
         t_mid = (k + 0.5) * epoch
+        lo, hi = k * per_epoch, (k + 1) * per_epoch
         active = [i for i in range(flows)
                   if starts[i] <= t_mid and t_mid <= stops[i]]
         rates = []
         for i in active:
-            pts = [v for (t, v) in series[i] if abs(t - t_mid) <= epoch / 2]
+            pts = [v for (t, v) in series[i]
+                   if lo < round(t / interval) <= hi]
             rates.append(sum(pts) / len(pts) if pts else 0.0)
         share = rate_bps / max(len(active), 1)
         err = (max(abs(x - share) for x in rates) / share) if rates else 0.0

@@ -9,10 +9,10 @@ flow ECN-capable on the wire, restoring the fair share and low latency.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..runtime import Experiment, RunSpec
-from .common import RunResult, Scheme, Testbed
+from .common import Scheme, Testbed
 from .runners import by_label, cell, dumbbell_scenario
 from .scenario import Scenario
 

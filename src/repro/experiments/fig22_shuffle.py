@@ -30,7 +30,6 @@ def run_scheme(scenario: Scenario, block_bytes: int = 4 * 1024 * 1024) -> dict:
     shuffle = Shuffle(
         tb.sim, hosts, recorder, block_bytes=block_bytes,
         rng=RngFactory(scenario.seed).stream("fig22.shuffle-order"),
-        fanout=2, mice_bytes=16 * 1024, mice_interval=0.1,
         mice_until=scenario.duration * 0.6,
         conn_opts=scenario.scheme.conn_opts())
     r = tb.run()

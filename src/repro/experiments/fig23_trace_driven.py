@@ -41,7 +41,6 @@ def _cell(scenario: dict, workload: str) -> dict:
     TraceDriven(tb.sim, hosts, recorder,
                 WORKLOADS[workload](scale=SIZE_SCALE, max_bytes=SIZE_CAP),
                 rng=RngFactory(sc.seed).stream("fig23.trace-apps"),
-                apps_per_host=5, messages_per_app=15,
                 conn_opts=sc.scheme.conn_opts())
     r = tb.run()
     return {

@@ -86,7 +86,6 @@ class FluidCoupling:
     switch: str
     port: int
     groups: Tuple["BackgroundFlowGroup", ...]
-    dt: float
     start: float
 
 

@@ -23,9 +23,6 @@ guest knowing they are being tortured:
 * :class:`OptionStrip` — removes PACK/FACK feedback options (and INT
   metadata) in transit (option-dropping middlebox; exercises the
   guard's feedback-loss fallback);
-* :class:`IntMangler` — strips or corrupts in-band telemetry hop
-  stacks and echo digests (repro.obs.int); the sink/view validators'
-  counted-degradation contract is the behaviour under test;
 * :class:`WorkerKill` — SIGKILLs the process running the run at a
   simulated instant, exactly once across restarts (sentinel-file
   discipline); not on any wire, :class:`~repro.recovery.DurableService`
@@ -48,8 +45,6 @@ from .injectors import (
     Duplication,
     EcnBleach,
     Fault,
-    FaultChain,
-    IntMangler,
     LinkFlap,
     OptionStrip,
     PacketLoss,
@@ -58,8 +53,6 @@ from .injectors import (
     WorkerKill,
     fault_counts,
     install_faults,
-    is_data,
-    is_pure_ack,
 )
 
 __all__ = [
@@ -68,8 +61,6 @@ __all__ = [
     "Duplication",
     "EcnBleach",
     "Fault",
-    "FaultChain",
-    "IntMangler",
     "LinkFlap",
     "OptionStrip",
     "PacketLoss",
@@ -78,6 +69,4 @@ __all__ = [
     "WorkerKill",
     "fault_counts",
     "install_faults",
-    "is_data",
-    "is_pure_ack",
 ]

@@ -10,9 +10,9 @@ advances it one timestep at a time:
    (:meth:`~repro.net.red.EcnMarker.decide_batch`: expected-value, no
    RNG draws);
 3. **DT admission** — the fluid backlog is capped by the closed form of
-   Dynamic Threshold admission, ``q_pkt + B <= alpha * (free - B)``,
-   i.e. ``B <= (alpha*free_excl - q_pkt) / (1 + alpha)``; excess bytes
-   are tail losses fed back to the classes;
+   Dynamic Threshold admission at the switch's alpha of 1,
+   ``q_pkt + B <= free_excl - B``, i.e. ``B <= (free_excl - q_pkt) / 2``;
+   excess bytes are tail losses fed back to the classes;
 4. **drain** — the backlog drains through the *residual* link capacity:
    the line rate's byte budget for the step minus what the packet tier
    actually transmitted (read off the port's tx counter), split across
@@ -38,17 +38,19 @@ wall clock.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..net.buffer import DT_ALPHA, SharedBuffer
+from ..net.buffer import SharedBuffer
 from ..net.link import SwitchTxPort
 from ..net.red import EcnMarker
-from ..sim.engine import PeriodicSource, Simulator
+from ..sim.engine import Simulator
+from ..sim.timers import PeriodicTimer
 from .model import FluidClass, FluidFlowSpec
 
-#: Default fluid timestep: 0.1 ms, an order below the testbed RTTs, so
-#: the per-RTT feedback law sees many steps per window.
-DEFAULT_DT_S = 1e-4
+#: The fluid timestep: 0.1 ms, an order below the testbed RTTs (ten
+#: steps per the stock 1 ms background RTT), so the per-RTT feedback law
+#: sees many steps per window.
+DT_S = 1e-4
 
 #: Floor on the packet tier's share of the serializer.  Caps service
 #: inflation at 1/MIN_PACKET_SHARE even if fluid arrivals exceed line
@@ -61,14 +63,11 @@ class FluidPort:
     """Fluid state and coupling for one switch output port."""
 
     def __init__(self, port: SwitchTxPort, shared: SharedBuffer,
-                 marker: EcnMarker, dt: float = DEFAULT_DT_S):
-        if dt <= 0:
-            raise ValueError("fluid timestep must be positive")
+                 marker: EcnMarker):
         self.port = port
         self.shared = shared
         self.marker = marker
         self.queue_id = port.queue_id
-        self.dt = dt
         self.classes: List[FluidClass] = []
         #: Admitted fluid arrival rate over the last step, in bits/s —
         #: what :meth:`service_inflation` charges against the serializer.
@@ -116,10 +115,9 @@ class FluidPort:
         return rate / (rate - arrival)
 
     # ------------------------------------------------------------------
-    def step(self, dt: Optional[float] = None) -> None:
+    def step(self) -> None:
         """Advance the fluid state by one timestep (see module docstring)."""
-        if dt is None:
-            dt = self.dt
+        dt = DT_S
         self.steps += 1
         shared = self.shared
         qid = self.queue_id
@@ -155,7 +153,8 @@ class FluidPort:
             self.offered_bytes += offered
             offered_step += offered
 
-        # (3) Dynamic Threshold admission, closed form over the batch.
+        # (3) Dynamic Threshold admission, closed form over the batch
+        # (alpha = 1: the backlog may take half the pool left to it).
         backlog_total = 0.0
         for cls, arrived in zip(self.classes, arrivals):
             cls.backlog += arrived
@@ -163,7 +162,7 @@ class FluidPort:
         free_excl = (shared.capacity - shared.used
                      - (shared.overlay_total - shared.overlay_bytes(qid)))
         q_pkt = shared.queue_bytes(qid)
-        cap = (DT_ALPHA * free_excl - q_pkt) / (1.0 + DT_ALPHA)
+        cap = (free_excl - q_pkt) / 2.0
         if cap < 0.0:
             cap = 0.0
         if backlog_total > cap:
@@ -242,7 +241,7 @@ class FluidPort:
 
 
 class FluidTier:
-    """All fluid ports of a run, advanced by one periodic event source.
+    """All fluid ports of a run, advanced by one periodic timer.
 
     ``couple`` wires a :class:`FluidPort` onto a switch port (installing
     the occupancy/serialization hooks); ``start`` schedules the stepper
@@ -252,19 +251,16 @@ class FluidTier:
     leaves the event stream byte-identical to pure-packet mode.
     """
 
-    def __init__(self, sim: Simulator, dt: float = DEFAULT_DT_S):
-        if dt <= 0:
-            raise ValueError("fluid timestep must be positive")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.dt = dt
         self.ports: List[FluidPort] = []
-        self._source: Optional[PeriodicSource] = None
+        self._timer = PeriodicTimer(sim, DT_S, self._step)
 
     def couple(self, switch, port_id: int,
                classes: tuple = ()) -> FluidPort:
         """Attach a fluid port to ``switch.ports[port_id]``."""
         port = switch.ports[port_id]
-        fport = FluidPort(port, switch.shared, switch.marker, dt=self.dt)
+        fport = FluidPort(port, switch.shared, switch.marker)
         for spec in classes:
             fport.add_class(spec)
         port.add_tap(fport)
@@ -277,28 +273,23 @@ class FluidTier:
         return any(fp.classes for fp in self.ports)
 
     def start(self, start_at: Optional[float] = None) -> None:
-        """Schedule the stepper (idempotent; no-op without classes)."""
-        if self._source is None and self.active:
-            self._source = self.sim.schedule_periodic(
-                self.dt, self._step, start_at=start_at)
+        """Step at ``start_at`` (default: now) and every :data:`DT_S`
+        after it (idempotent; no-op without classes)."""
+        if self.active:
+            self._timer.start(
+                at=self.sim.now if start_at is None else start_at)
 
     def stop(self) -> None:
-        if self._source is not None:
-            self._source.stop()
-            self._source = None
+        self._timer.stop()
 
     def _step(self) -> None:
         for fport in self.ports:
-            fport.step(self.dt)
+            fport.step()
 
     # ------------------------------------------------------------------
-    def delivered_packets(self, mss: int = 1460) -> float:
-        """Fluid bytes delivered, in MSS-sized packet equivalents."""
-        return sum(fp.delivered_bytes for fp in self.ports) / mss
-
     def snapshot(self) -> dict:
         return {
-            "dt_s": self.dt,
+            "dt_s": DT_S,
             "active": self.active,
             "ports": [fp.snapshot() for fp in self.ports],
         }

@@ -3,15 +3,16 @@
 A *flow class* aggregates ``n_flows`` identical long-lived flows sharing
 one bottleneck port: same RTT, same MSS, same congestion controller.
 Because the flows are homogeneous their windows synchronize in the fluid
-limit, so the class carries a single shared ``cwnd`` and injects
-``n_flows * cwnd / rtt`` bytes per second — the standard fluid-model
-approximation (Alizadeh et al.'s DCTCP fluid analysis uses the same
-N-identical-sources reduction).
+limit, so the class carries a single shared ``cwnd`` (starting at one
+:data:`MSS`) and injects ``n_flows * cwnd / rtt`` bytes per second — the
+standard fluid-model approximation (Alizadeh et al.'s DCTCP fluid
+analysis uses the same N-identical-sources reduction).
 
 The congestion feedback law runs once per RTT on the byte fractions the
 coupling layer observed over that window: ``dctcp`` is the law of
 :mod:`repro.tcp.cc.dctcp` (its gating table has the fluid column),
 ``reno`` halves on any lost or marked bytes; both otherwise add one MSS.
+A ``dctcp`` class is ECN-capable, a ``reno`` class is not.
 
 Everything here is plain arithmetic on floats — no RNG, no wall clock —
 so the fluid tier is deterministic by construction.
@@ -26,36 +27,38 @@ from ..tcp.cc.dctcp import ALPHA_MAX, alpha_update, cut_factor
 
 _CC_LAWS = ("dctcp", "reno")
 
+#: Segment size of every fluid class: the additive-increase step, the
+#: window floor and the initial window.  A cohort of hundreds dumping a
+#: larger aggregate initial window into the queue in a single fluid step
+#: is unphysical (real flows never start in lockstep) and parks the
+#: transient occupancy far above the WRED ramp.
+MSS = 1460
+
 
 @dataclass(frozen=True)
 class FluidFlowSpec:
-    """Static description of one background flow class.
-
-    ``ect`` selects which WRED action the class feels: ECN-capable
-    classes are marked above K, non-ECT classes are dropped along the
-    WRED ramp (the Fig. 15/16 coexistence trap, now cheap enough to
-    run with hundreds of background flows).
-    """
+    """Static description of one background flow class."""
 
     name: str
     n_flows: int
     rtt_s: float
-    mss: int = 1460
     cc: str = "dctcp"
-    ect: bool = True
-    init_cwnd_bytes: int = 10 * 1460
 
     def __post_init__(self) -> None:
         if self.n_flows <= 0:
             raise ValueError("a fluid class needs at least one flow")
         if not 0 < self.rtt_s < math.inf:
             raise ValueError(f"fluid rtt_s must be in (0, inf): {self.rtt_s!r}")
-        if self.mss <= 0:
-            raise ValueError("fluid MSS must be positive")
         if self.cc not in _CC_LAWS:
             raise ValueError(f"unknown fluid cc {self.cc!r}; one of {_CC_LAWS}")
-        if self.init_cwnd_bytes < self.mss:
-            raise ValueError("initial cwnd must be at least one MSS")
+
+    @property
+    def ect(self) -> bool:
+        """Which WRED action the class feels: ECN-capable (DCTCP)
+        classes are marked above K, non-ECT classes are dropped along
+        the WRED ramp (the Fig. 15/16 coexistence trap, cheap enough to
+        run with hundreds of background flows)."""
+        return self.cc == "dctcp"
 
 
 class FluidClass:
@@ -68,7 +71,7 @@ class FluidClass:
 
     def __init__(self, spec: FluidFlowSpec):
         self.spec = spec
-        self.cwnd = float(spec.init_cwnd_bytes)
+        self.cwnd = float(MSS)
         self.alpha = 0.0
         #: Bytes of this class currently queued at the port (fluid overlay).
         self.backlog = 0.0
@@ -112,14 +115,14 @@ class FluidClass:
             elif marked > 0.0:
                 self.cwnd *= cut_factor(self.alpha)
             else:
-                self.cwnd += spec.mss
+                self.cwnd += MSS
         else:  # reno
             if lost > 0.0 or marked > 0.0:
                 self.cwnd *= 0.5
             else:
-                self.cwnd += spec.mss
-        if self.cwnd < spec.mss:
-            self.cwnd = float(spec.mss)
+                self.cwnd += MSS
+        if self.cwnd < MSS:
+            self.cwnd = float(MSS)
 
     def snapshot(self) -> dict:
         """Counters in metric-source shape (see repro.obs)."""

@@ -8,17 +8,15 @@ from .collectors import (
     WindowLogger,
 )
 from .cpu_model import CpuReport, cpu_percent, datapath_seconds
-from .stats import Ewma, cdf_points, jain_index, moving_average, percentile, summarize
+from .stats import jain_index, moving_average, percentile, summarize
 
 __all__ = [
     "CpuReport",
-    "Ewma",
     "FctRecorder",
     "FlowRecord",
     "RttRecorder",
     "ThroughputMeter",
     "WindowLogger",
-    "cdf_points",
     "cpu_percent",
     "datapath_seconds",
     "jain_index",

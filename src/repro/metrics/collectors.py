@@ -54,11 +54,6 @@ class ThroughputMeter:
         self._last_time = self.sim.now
         self.series.append((self.sim.now, bps))
 
-    def average_bps(self) -> float:
-        if not self.series:
-            return 0.0
-        return sum(v for _, v in self.series) / len(self.series)
-
 
 class WindowLogger:
     """Accumulates (time, window bytes) samples, per flow.
@@ -79,14 +74,6 @@ class WindowLogger:
         key = conn.key()
         self.samples.setdefault(key, []).append(
             (conn.sim.now, float(conn.cwnd)))
-
-    def series(self, key=None) -> List[Tuple[float, float]]:
-        if key is None:
-            if len(self.samples) != 1:
-                raise ValueError(
-                    f"{len(self.samples)} flows logged; specify a key")
-            key = next(iter(self.samples))
-        return self.samples[key]
 
 
 @dataclass

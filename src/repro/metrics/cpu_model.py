@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 #: ns per datapath operation (vSwitch work, per TSO/GRO segment).
-DEFAULT_OP_COSTS_NS: Dict[str, float] = {
+OP_COSTS_NS: Dict[str, float] = {
     "flow_lookup": 70.0,      # RCU hash lookup
     "flow_insert": 450.0,
     "flow_resurrect": 450.0,  # same alloc+insert path as a SYN insert
@@ -82,15 +82,12 @@ class CpuReport:
         return self.floor_percent + self.stack_percent + self.datapath_percent
 
 
-def datapath_seconds(op_counts: Mapping[str, int],
-                     op_costs_ns: Mapping[str, float] = None,
-                     tso_factor: float = TSO_GRO_FACTOR) -> float:
+def datapath_seconds(op_counts: Mapping[str, int]) -> float:
     """CPU-seconds for the recorded vSwitch ops, TSO/GRO-amortised."""
-    costs = DEFAULT_OP_COSTS_NS if op_costs_ns is None else op_costs_ns
     total_ns = 0.0
     for op, count in op_counts.items():
-        total_ns += costs.get(op, 0.0) * count
-    return total_ns * 1e-9 / max(tso_factor, 1.0)
+        total_ns += OP_COSTS_NS.get(op, 0.0) * count
+    return total_ns * 1e-9 / TSO_GRO_FACTOR
 
 
 def cpu_percent(
@@ -101,7 +98,6 @@ def cpu_percent(
     rx_bytes: int,
     connections: int,
     duration_s: float,
-    cores: int = CORES,
     floor_percent: float = 0.0,
     conn_tick_ns: float = SENDER_CONN_TICK_NS,
 ) -> CpuReport:
@@ -118,7 +114,7 @@ def cpu_percent(
         + connections * conn_tick_ns * duration_s
     ) * 1e-9
     datapath_s = datapath_seconds(op_counts)
-    budget = cores * duration_s
+    budget = CORES * duration_s
     return CpuReport(
         stack_percent=100.0 * stack_s / budget,
         datapath_percent=100.0 * datapath_s / budget,

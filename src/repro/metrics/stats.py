@@ -1,4 +1,4 @@
-"""Statistics helpers: percentiles, CDFs, Jain's fairness index.
+"""Statistics helpers: percentiles, summaries, Jain's fairness index.
 
 The paper's metrics (§5): TCP RTT percentiles, average throughput, flow
 completion times, loss rate and Jain's fairness index [32].  Everything
@@ -46,15 +46,6 @@ def _percentile_sorted(ordered: Sequence[float], p: float) -> float:
     return min(max(value, ordered[low]), ordered[high])
 
 
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative fraction) pairs."""
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
-
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 is fair."""
     if not values:
@@ -83,21 +74,6 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
         "p99": _percentile_sorted(ordered, 99),
         "p999": _percentile_sorted(ordered, 99.9),
     }
-
-
-class Ewma:
-    """Exponentially weighted moving average (DCTCP's alpha estimator
-    shape); ``gain`` is the weight of each new observation."""
-
-    def __init__(self, gain: float, initial: float = 0.0):
-        if not 0.0 < gain <= 1.0:
-            raise ValueError(f"gain must be in (0, 1], got {gain!r}")
-        self.gain = gain
-        self.value = initial
-
-    def update(self, observation: float) -> float:
-        self.value = (1.0 - self.gain) * self.value + self.gain * observation
-        return self.value
 
 
 def moving_average(series: Iterable[Tuple[float, float]],

@@ -7,7 +7,7 @@ Threshold (DT) algorithm (Choudhury & Hahne): a queue may grow up to
 
     limit = alpha * (capacity - total_used)
 
-so a single congested port can claim ``alpha / (1 + alpha)`` of the buffer,
+with alpha = 1, so a single congested port can claim half of the buffer,
 and as more ports congest, each one's share shrinks — exactly the coupling
 Fig. 20 exercises by congesting 47 of 48 ports at once.
 
@@ -33,6 +33,10 @@ from typing import Dict, List
 
 #: The Dynamic Threshold's alpha: one congested queue may claim up to
 #: half of the free pool (``alpha / (1 + alpha)``), the G8264's scheme.
+#: At alpha <= 1 the DT limit never exceeds the free pool, so admission
+#: has no capacity test of its own; the fluid tier's backlog cap
+#: (``repro.fluid.coupling``) is written for alpha = 1 as
+#: ``(free - q) / 2``.  A larger alpha needs both back in general form.
 DT_ALPHA = 1.0
 
 
@@ -137,15 +141,18 @@ class SharedBuffer:
 
     # ------------------------------------------------------------------
     def try_admit(self, queue_id: int, nbytes: int) -> bool:
-        """Admit ``nbytes`` into ``queue_id`` if DT and capacity allow.
+        """Admit ``nbytes`` into ``queue_id`` if the DT limit allows.
 
         Returns True (and charges the pool) on success, False on a tail
         drop.  Admission compares the queue's *current* length to the
-        dynamic threshold, matching the classic DT formulation.
+        dynamic threshold, matching the classic DT formulation.  At
+        alpha = 1 a packet the threshold admits always fits the free
+        pool (the queue's occupancy is never negative), so the pool's
+        capacity needs no test of its own.
         """
         occupancy = self._queues.setdefault(queue_id, 0)
         free = self.capacity - self._used - self.overlay_total
-        if nbytes > free or occupancy + nbytes > DT_ALPHA * free:
+        if occupancy + nbytes > DT_ALPHA * free:
             return False
         self._queues[queue_id] = occupancy + nbytes
         self._used += nbytes

@@ -29,7 +29,7 @@ determinism contract extended to process death (DESIGN.md §13).
 from __future__ import annotations
 
 import time  # repro-lint: disable-file=RL003,RL101 (snapshot latency is a property of the host, not the run; the tainted stores land in supervisor stats, never in the service result)
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 

@@ -1,12 +1,11 @@
 """Discrete-event simulation substrate (engine, timers, seeded RNG)."""
 
-from .engine import Event, PeriodicSource, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator
 from .rng import RngFactory
 from .timers import PeriodicTimer, Timer
 
 __all__ = [
     "Event",
-    "PeriodicSource",
     "PeriodicTimer",
     "RngFactory",
     "SimulationError",

@@ -24,7 +24,7 @@ Design notes
     generators and faults never cancel, so an event costs them one tuple;
   - :meth:`Simulator.arm_at` pushes ``(time, seq, event, None)`` and
     returns the :class:`Event` handle.  It is the one cancellable path,
-    used by timers (RTOs, garbage collectors, periodic sources).
+    used by timers (RTOs, garbage collectors, periodic ticks).
 
 * Cancellation is O(1): an :class:`Event` is flagged dead and skipped when
   it surfaces — the standard lazy-deletion trick.  ``Event.cancel()``
@@ -94,61 +94,6 @@ def _refusal(time: float, now: float) -> "SimulationError":
     """The error for a time that is not at or after the clock (or NaN)."""
     return SimulationError(
         f"cannot schedule at {time!r}, clock is already at {now!r}")
-
-
-class PeriodicSource:
-    """Fixed-interval batch event source.
-
-    One calendar event per tick regardless of how much work the callback
-    batches behind it — the packet tier pays one event per packet per
-    hop, while a periodic source amortizes an entire tier's timestep
-    (e.g. every fluid background flow in ``repro.fluid``) into a single
-    pop.  Tick times are computed from the start time and tick count
-    (``start + n*interval``), not by accumulating ``now + interval``, so
-    a million ticks cannot drift off the grid and two sources with the
-    same phase stay aligned forever.
-
-    Created via :meth:`Simulator.schedule_periodic`; :meth:`stop` cancels
-    the pending tick and prevents rescheduling.  Instances hold only
-    picklable state (a bound method reaches the heap), so a checkpointed
-    run carrying a periodic source restores and resumes on-grid.
-    """
-
-    __slots__ = ("sim", "interval", "fn", "start_at", "ticks", "stopped",
-                 "_pending")
-
-    def __init__(self, sim: "Simulator", interval: float,
-                 fn: Callable[[], Any], start_at: Optional[float] = None):
-        if not interval > 0:  # also refuses NaN
-            raise SimulationError(f"periodic interval must be positive, "
-                                  f"got {interval!r}")
-        self.sim = sim
-        self.interval = interval
-        self.fn = fn
-        self.start_at = sim.now if start_at is None else start_at
-        if self.start_at < sim.now:
-            raise SimulationError(
-                f"cannot start periodic source at {self.start_at!r}, "
-                f"clock is already at {sim.now!r}")
-        self.ticks = 0
-        self.stopped = False
-        self._pending: Optional[Event] = sim.arm_at(
-            self.start_at, self._fire)
-
-    def _fire(self) -> None:
-        self._pending = None
-        self.ticks += 1
-        self.fn()
-        if not self.stopped:
-            self._pending = self.sim.arm_at(
-                self.start_at + self.ticks * self.interval, self._fire)
-
-    def stop(self) -> None:
-        """Cancel the pending tick; safe to call more than once."""
-        self.stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
 
 
 class SimulationError(RuntimeError):
@@ -248,12 +193,6 @@ class Simulator:
                 and cancelled >= COMPACT_FRACTION * len(heap)):
             self._compact()
         return event
-
-    def schedule_periodic(self, interval: float, fn: Callable[[], Any],
-                          start_at: Optional[float] = None) -> PeriodicSource:
-        """Install a :class:`PeriodicSource` firing ``fn()`` every
-        ``interval`` seconds from ``start_at`` (default: now)."""
-        return PeriodicSource(self, interval, fn, start_at=start_at)
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled corpses (one O(n) pass).

@@ -1,12 +1,15 @@
 """CUBIC congestion control (Ha, Rhee, Xu — Linux's default).
 
-Implements the published window growth function
+Implements the published window growth function (RFC 9438)
 
-    W_cubic(t) = C * (t - K)^3 + W_max,      K = cbrt(W_max * beta / C)
+    W_cubic(t) = C * (t - K)^3 + W_max,      K = cbrt(W_max * (1 - beta) / C)
 
-with the TCP-friendliness region (track the window Reno would have) and
-fast convergence.  Internally CUBIC thinks in MSS units, as the kernel
-does; the connection's ``cwnd`` stays in bytes.
+where ``beta`` = 0.7 is the multiplicative decrease factor, so
+``W_max * (1 - beta)`` is the window the cut removed; the code takes K
+from ``w_max - cwnd`` after the cut.  Adds the TCP-friendliness region
+(track the window Reno would have) and fast convergence.  Internally
+CUBIC thinks in MSS units, as the kernel does; the connection's ``cwnd``
+stays in bytes.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from .apps import BulkSender, EchoSink, MessageStream, PingPong, Sink
 from .background import BackgroundFlowGroup
-from .generators import ConcurrentStride, Shuffle, TraceDriven, start_incast
+from .generators import ConcurrentStride, Shuffle, TraceDriven
 from .traces import (
     DATA_MINING_CDF,
     MICE_CUTOFF_BYTES,
@@ -27,6 +27,5 @@ __all__ = [
     "TraceDriven",
     "WEB_SEARCH_CDF",
     "data_mining",
-    "start_incast",
     "web_search",
 ]

@@ -22,8 +22,6 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from ..sim import rng as rng_registry
-
 #: (size_bytes, cumulative probability) control points.
 WEB_SEARCH_CDF: List[Tuple[float, float]] = [
     (1_000, 0.00),
@@ -92,11 +90,6 @@ class FlowSizeDistribution:
 
     def sample(self, rng: random.Random) -> int:
         return self.quantile(rng.random())
-
-    def mean_estimate(self, samples: int = 20_000, seed: int = 7) -> float:
-        """Monte-Carlo mean (load calculations in the experiments)."""
-        rng = rng_registry.stream(seed, "traces.mean-estimate")
-        return sum(self.sample(rng) for _ in range(samples)) / samples
 
 
 def web_search(scale: float = 1.0, max_bytes: float = float("inf")) -> FlowSizeDistribution:

@@ -7,6 +7,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis import sanitize
+from repro.faults import Fault
+from repro.obs.int import IntEcho
 from repro.net.topology import star
 from repro.sim import Simulator
 
@@ -106,3 +108,69 @@ class FaultInjector:
 def drain(sim, until=None):
     """Run the simulation to completion (or until a deadline)."""
     sim.run(until=until)
+
+
+def is_data(pkt) -> bool:
+    """Fault matcher: packets carrying payload."""
+    return pkt.payload_len > 0
+
+
+def is_pure_ack(pkt) -> bool:
+    """Fault matcher: payload-less non-SYN ACKs (the feedback channel)."""
+    return pkt.ack and pkt.payload_len == 0 and not pkt.syn
+
+
+class IntMangler(Fault):
+    """Strip or corrupt in-band telemetry metadata (``repro.obs.int``).
+
+    ``mode="strip"`` removes hop stacks and echo digests outright (a
+    middlebox or legacy switch that cannot carry the metadata);
+    ``mode="corrupt"`` rewrites them into shape-invalid garbage (header
+    damage the checksum does not cover, or a buggy INT implementation).
+    Either way the flow itself must be untouched: the sink/view
+    validators degrade a mangled stack or echo to a counted, traced
+    "no report" — never an exception, never a packet drop.
+
+    Corruption *replaces* the metadata objects instead of mutating
+    them: an echo is an immutable tuple that packet duplicates may
+    share, and a replaced hop stack leaves a duplicate's copy alone.
+    """
+
+    kind = "int_mangle"
+
+    def __init__(self, mode: str = "strip", rate: float = 1.0,
+                 seed: int = 0, direction: str = "both",
+                 match=None):
+        if mode not in ("strip", "corrupt"):
+            raise ValueError(f"unknown int-mangle mode {mode!r}")
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("mangle rate must be in [0, 1]")
+        # Before super(): kind names the rng stream and the fault cause,
+        # so the two modes draw independently and are ledgered apart.
+        self.kind = f"int_{mode}"
+        super().__init__(seed, direction, match)
+        self.mode = mode
+        self.rate = rate
+
+    def process(self, pkt, pipeline, index, direction):
+        if pkt.int_stack is None and pkt.int_echo is None:
+            return pkt
+        if self.rate < 1.0 and self.rng.random() >= self.rate:
+            return pkt
+        pipeline.record(self)
+        if self.mode == "strip":
+            pkt.int_stack = None
+            pkt.int_echo = None
+            return pkt
+        if pkt.int_stack is not None:
+            # Negative queue depth on the first hop: arity and types
+            # survive, the value range does not — exercises the deep
+            # validator, not just the isinstance fast path.
+            stack = list(pkt.int_stack)
+            rec = stack[0]
+            stack[0] = (rec[0], -1.0) + rec[2:]
+            pkt.int_stack = stack
+        echo = pkt.int_echo
+        if echo is not None:
+            pkt.int_echo = IntEcho(-1, echo.path, echo.hops, echo.stacks)
+        return pkt

@@ -7,8 +7,9 @@ injectors come from :mod:`repro.faults`, so the same seeded machinery
 the chaos experiment sweeps is exercised here at unit scale.
 """
 
+from conftest import is_data, is_pure_ack
 from repro.core import AcdcVswitch
-from repro.faults import PacketLoss, install_faults, is_data, is_pure_ack
+from repro.faults import PacketLoss, install_faults
 from repro.workloads.apps import Sink
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ops import OPS, OpsCounter
 from repro.metrics.cpu_model import (
-    DEFAULT_OP_COSTS_NS,
+    OP_COSTS_NS,
     TSO_GRO_FACTOR,
     CpuReport,
     cpu_percent,
@@ -64,12 +64,12 @@ def test_every_recorded_op_literal_is_known():
 
 
 def test_every_op_has_a_cost():
-    assert set(DEFAULT_OP_COSTS_NS) == set(OPS)
+    assert set(OP_COSTS_NS) == set(OPS)
 
 
 def test_datapath_seconds_amortised_by_tso():
     seconds = datapath_seconds({"flow_lookup": 1000})
-    expected = 1000 * DEFAULT_OP_COSTS_NS["flow_lookup"] * 1e-9 / TSO_GRO_FACTOR
+    expected = 1000 * OP_COSTS_NS["flow_lookup"] * 1e-9 / TSO_GRO_FACTOR
     assert seconds == pytest.approx(expected)
 
 

@@ -91,8 +91,9 @@ def check_vswitch(seq, wnd0, beta, iss):
 def check_fluid(seq, cwnd0):
     """Fluid gating: a window closes after one RTT of steps; an empty
     window decays alpha; a loss cuts at alpha's maximum and keeps alpha."""
-    spec = FluidFlowSpec("x", n_flows=1, rtt_s=1e-3, init_cwnd_bytes=cwnd0)
+    spec = FluidFlowSpec("x", n_flows=1, rtt_s=1e-3)
     cls, law = FluidClass(spec), Law(**FLUID)
+    cls.cwnd = float(cwnd0)
     for total, marked, loss in seq:
         cls.win_sent, cls.win_marked = float(total), float(marked)
         cls.win_lost = 1.0 if loss else 0.0

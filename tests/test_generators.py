@@ -8,11 +8,13 @@ from repro.core import AcdcVswitch
 from repro.metrics import FctRecorder
 from repro.net.topology import star
 from repro.sim import Simulator
+from repro.workloads.apps import BulkSender, Sink
 from repro.workloads.generators import (
+    APPS_PER_HOST,
+    MESSAGES_PER_APP,
     ConcurrentStride,
     Shuffle,
     TraceDriven,
-    start_incast,
 )
 from repro.workloads.traces import web_search
 
@@ -27,9 +29,19 @@ def small_star():
     return sim, hosts, switch
 
 
+def incast(sim, senders, receiver, size_bytes=None, start_jitter=()):
+    """N-to-1 BulkSenders into one Sink, sender *i* starting at
+    ``start_jitter[i]`` (default 0)."""
+    Sink(receiver, 5000)
+    return [BulkSender(sim, s, receiver.addr, 5000, size_bytes=size_bytes,
+                       start_at=(start_jitter[i] if i < len(start_jitter)
+                                 else 0.0))
+            for i, s in enumerate(senders)]
+
+
 def test_incast_generator_starts_all_flows(small_star):
     sim, hosts, switch = small_star
-    flows = start_incast(sim, hosts[1:], hosts[0], size_bytes=100_000)
+    flows = incast(sim, hosts[1:], hosts[0], size_bytes=100_000)
     sim.run(until=0.5)
     assert len(flows) == 5
     for flow in flows:
@@ -38,8 +50,7 @@ def test_incast_generator_starts_all_flows(small_star):
 
 def test_incast_generator_jitter(small_star):
     sim, hosts, switch = small_star
-    flows = start_incast(sim, hosts[1:3], hosts[0],
-                         start_jitter=[0.0, 0.2])
+    flows = incast(sim, hosts[1:3], hosts[0], start_jitter=[0.0, 0.2])
     sim.run(until=0.1)
     assert flows[0].conn is not None
     assert flows[1].conn is None  # not started yet
@@ -51,13 +62,12 @@ def test_concurrent_stride_structure(small_star):
     sim, hosts, switch = small_star
     rec = FctRecorder()
     ConcurrentStride(sim, hosts, rec, background_bytes=200_000,
-                     mice_bytes=4_000, mice_interval=0.05, duration=0.2,
-                     stride=2, mice_offset=3)
+                     duration=0.2)
     sim.run(until=0.8)
-    # 6 hosts x 2 background transfers, each completed once.
-    assert len(rec.completed("background")) == 12
-    # Mice at t≈0(stagger)..0.2 every 50 ms: >= 4 per host.
-    assert len(rec.completed("mice")) >= 4 * 6
+    # 6 hosts x 4 background transfers (stride 4), each completed once.
+    assert len(rec.completed("background")) == 24
+    # Mice at t≈0(stagger)..0.2 every 100 ms: >= 2 per host.
+    assert len(rec.completed("mice")) >= 2 * 6
     assert rec.completion_fraction("mice") == 1.0
 
 
@@ -94,7 +104,7 @@ def test_trace_driven_labels_by_size(small_star):
     sim, hosts, switch = small_star
     rec = FctRecorder()
     TraceDriven(sim, hosts, rec, web_search(scale=0.01, max_bytes=200_000),
-                rng=random.Random(9), apps_per_host=2, messages_per_app=5)
+                rng=random.Random(9))
     sim.run(until=2.0)
     mice = rec.completed("mice")
     elephants = rec.completed("elephant")
@@ -102,4 +112,4 @@ def test_trace_driven_labels_by_size(small_star):
     assert all(r.size_bytes < 10_000 for r in mice)
     assert all(r.size_bytes >= 10_000 for r in elephants)
     total = len(mice) + len(elephants)
-    assert total == 6 * 2 * 5  # every message completed
+    assert total == 6 * APPS_PER_HOST * MESSAGES_PER_APP  # all completed

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics import (
-    Ewma,
-    cdf_points,
     jain_index,
     moving_average,
     percentile,
@@ -62,12 +60,6 @@ def test_percentile_monotone_in_p(samples):
         assert b >= a - tolerance
 
 
-def test_cdf_points():
-    points = cdf_points([3, 1, 2])
-    assert points == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
-    assert cdf_points([]) == []
-
-
 def test_jain_index_uniform_is_one():
     assert jain_index([5, 5, 5, 5]) == pytest.approx(1.0)
 
@@ -108,20 +100,6 @@ def test_summarize_fields():
 def test_summarize_empty_raises():
     with pytest.raises(ValueError):
         summarize([])
-
-
-def test_ewma_convergence():
-    ewma = Ewma(gain=0.5, initial=0.0)
-    for _ in range(20):
-        ewma.update(10.0)
-    assert ewma.value == pytest.approx(10.0, abs=0.01)
-
-
-def test_ewma_gain_validation():
-    with pytest.raises(ValueError):
-        Ewma(gain=0.0)
-    with pytest.raises(ValueError):
-        Ewma(gain=1.5)
 
 
 def test_moving_average_window():
@@ -184,21 +162,3 @@ def test_percentile_matches_statistics_quantiles(samples):
     for k in (1, 5, 25, 50, 75, 95, 99):
         assert percentile(samples, k) == pytest.approx(
             cuts[k - 1], abs=tolerance)
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
-                max_size=80))
-def test_cdf_points_properties(samples):
-    points = cdf_points(samples)
-    n = len(samples)
-    assert len(points) == n
-    values = [v for v, _f in points]
-    fractions = [f for _v, f in points]
-    assert values == sorted(samples)
-    assert fractions == [(i + 1) / n for i in range(n)]
-    assert fractions[-1] == 1.0
-    # The CDF at the stdlib's inclusive median never exceeds the value
-    # the empirical CDF assigns to the next sorted sample above it.
-    if n >= 2:
-        med = statistics.median(samples)
-        assert min(values) <= med <= max(values)

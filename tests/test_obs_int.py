@@ -16,12 +16,12 @@ The contracts under test, per DESIGN.md §16:
 
 import pytest
 
+from conftest import IntMangler, is_data, is_pure_ack
 from repro.control.service import CohortSample, Service, ServiceConfig
 from repro.core import AcdcVswitch
 from repro.experiments.common import ACDC
 from repro.experiments.runners import run_incast
-from repro.faults import IntMangler, OptionStrip, install_faults, is_data, \
-    is_pure_ack
+from repro.faults import OptionStrip, install_faults
 from repro.net.packet import Packet
 from repro.obs import IntEcho, IntSink, IntTelemetry, MAX_INT_HOPS, \
     ObsContext, TelemetryView

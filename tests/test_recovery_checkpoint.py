@@ -113,6 +113,9 @@ OLD_FORMATS = {
        "INT view with its last queue sample and update time",
     6: "a host with its transmit jitter, a WRED marker with its ramp "
        "factor and a shared buffer with its DT alpha",
+    7: "periodic timers that add their interval to the clock, message "
+       "streams with their peer and options, probe apps with a message "
+       "size and reordering faults with a hold time",
 }
 
 
@@ -126,7 +129,7 @@ def test_old_version_checkpoint_is_refused_unread(tmp_path, version):
                      epoch=0, sim_now=0.0, wal_pos=0)
     raw = path.read_bytes()
     current = f'"version":{FORMAT_VERSION}'.encode()
-    assert FORMAT_VERSION == 7 and raw.count(current) == 1
+    assert FORMAT_VERSION == 8 and raw.count(current) == 1
     path.write_bytes(raw.replace(current, f'"version":{version}'.encode()))
     with pytest.raises(CheckpointError, match=f"format version {version}"):
         read_checkpoint(path)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import sanitizing
 from reference.calendar import Calendar
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import PeriodicTimer, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -78,12 +78,12 @@ def test_run_until_nan_rejected(sim):
 
 
 def test_periodic_nan_interval_rejected(sim):
-    from repro.sim import PeriodicTimer
-    with pytest.raises(SimulationError):
-        sim.schedule_periodic(float("nan"), lambda: None)
     with pytest.raises(ValueError):
         PeriodicTimer(sim, float("nan"), lambda: None)
-    assert sim.pending() == 0
+    timer = PeriodicTimer(sim, 0.1, lambda: None)
+    with pytest.raises(SimulationError):
+        timer.start(at=float("nan"))
+    assert sim.pending() == 0 and not timer.running
 
 
 def test_run_until_is_inclusive(sim):
@@ -324,24 +324,27 @@ def test_determinism_across_instances():
 
 
 # ---------------------------------------------------------------------------
-# PeriodicSource: grid-aligned batch event source
+# PeriodicTimer anchored by start(at=...): one event per tick, on a grid
 # ---------------------------------------------------------------------------
 def test_periodic_source_fires_on_grid(sim):
     times = []
-    source = sim.schedule_periodic(0.1, lambda: times.append(sim.now))
+    timer = PeriodicTimer(sim, 0.1, lambda: times.append(sim.now))
+    timer.start(at=sim.now)
     sim.run(until=0.55)
     assert times == [pytest.approx(0.1 * i) for i in range(6)]
-    assert source.ticks == 6
+    assert len(times) == 6
 
 
 def test_periodic_source_does_not_drift(sim):
     """Tick times come from start + n*interval, not accumulation: after
     many ticks of an inexact-binary interval, the clock is still the
     exact product, not a sum of rounding errors."""
-    source = sim.schedule_periodic(1e-4, lambda: None)
+    ticks = []
+    timer = PeriodicTimer(sim, 1e-4, lambda: ticks.append(sim.now))
+    timer.start(at=sim.now)
     sim.run(until=1.0)
-    assert source.ticks == 10_001
-    assert sim.now == (source.ticks - 1) * 1e-4
+    assert len(ticks) == 10_001
+    assert sim.now == (len(ticks) - 1) * 1e-4
 
 
 def test_periodic_source_stop_cancels_pending(sim):
@@ -350,32 +353,35 @@ def test_periodic_source_stop_cancels_pending(sim):
     def tick():
         count[0] += 1
         if count[0] == 3:
-            source.stop()
+            timer.stop()
 
-    source = sim.schedule_periodic(0.1, tick)
+    timer = PeriodicTimer(sim, 0.1, tick)
+    timer.start(at=sim.now)
     sim.run()
     assert count[0] == 3
-    assert source.stopped
-    source.stop()  # idempotent
+    assert not timer.running
+    timer.stop()  # idempotent
 
 
 def test_periodic_source_start_at(sim):
     times = []
-    sim.schedule_periodic(0.1, lambda: times.append(sim.now), start_at=0.25)
+    PeriodicTimer(sim, 0.1, lambda: times.append(sim.now)).start(at=0.25)
     sim.run(until=0.5)
     assert times == [pytest.approx(0.25), pytest.approx(0.35),
                      pytest.approx(0.45)]
 
 
 def test_periodic_source_rejects_bad_args(sim):
-    with pytest.raises(SimulationError):
-        sim.schedule_periodic(0.0, lambda: None)
+    with pytest.raises(ValueError):
+        PeriodicTimer(sim, 0.0, lambda: None)
     sim.schedule(0.0, lambda: None)
     sim.run()
     sim.schedule_at(1.0, lambda: None)
     sim.run(until=1.0)
+    timer = PeriodicTimer(sim, 0.1, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_periodic(0.1, lambda: None, start_at=0.5)
+        timer.start(at=0.5)
+    assert not timer.running
 
 
 # ---------------------------------------------------------------------------

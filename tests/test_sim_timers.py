@@ -135,6 +135,33 @@ def test_periodic_timer_stop_from_callback(sim, fired):
     assert len(fired) == 1
 
 
+@pytest.mark.parametrize("phase", ["start", "start_at"])
+def test_periodic_timer_ticks_on_its_grid_without_drift(sim, phase):
+    """Tick *n* fires exactly at ``origin + n * interval``, not at a sum
+    of rounded steps (ten 0.05 s steps summed read 0.49999999999999994),
+    in both phases: one interval after ``start()`` (GC, watchdog,
+    meters) and at ``start(at=...)`` itself (the fluid stepper).  A
+    stop and a restart re-anchor the grid at the restart."""
+    fired = []
+    timer = PeriodicTimer(sim, 0.05, lambda: fired.append(sim.now))
+    if phase == "start":
+        origin, first = 0.0, 1
+        timer.start()
+    else:
+        origin, first = 0.25, 0
+        timer.start(at=origin)
+    sim.run(until=origin + 1000 * 0.05)
+    assert fired == [origin + n * 0.05 for n in range(first, 1001)]
+    assert fired[10 - first] == origin + 0.5
+    timer.stop()
+    restart = sim.now + 0.0123
+    sim.run(until=restart)
+    del fired[:]
+    timer.start()
+    sim.run(until=restart + 1000 * 0.05)
+    assert fired == [restart + n * 0.05 for n in range(1, 1001)]
+
+
 @pytest.mark.parametrize("delay", [float("nan"), -1.0])
 def test_timer_refused_restart_keeps_the_pending_deadline(sim, fired, delay):
     # Regression: a NaN delay on a timer with a wake-up pending was

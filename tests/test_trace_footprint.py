@@ -43,11 +43,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sanitizing
+from conftest import IntMangler, sanitizing
 from repro.control.service import Service, ServiceConfig
 from repro.experiments.common import ACDC
 from repro.experiments.runners import run_dumbbell
-from repro.faults import IntMangler
 from repro.net.buffer import Departures
 from repro.net.packet import Packet
 from repro.obs import (ERROR, INFO, WARNING, IntTelemetry, ObsContext,
